@@ -142,12 +142,12 @@ type Protocol struct {
 
 type grantPacer struct {
 	pacer *transport.Pacer
-	queue []*netsim.Packet
+	queue transport.FIFO[*netsim.Packet]
 }
 
 type recPacer struct {
 	pacer *transport.Pacer
-	queue []recReq
+	queue transport.FIFO[recReq]
 }
 
 type recReq struct {
@@ -182,6 +182,7 @@ type receiver struct {
 	inRecovery   map[int32]bool
 	lastProgress sim.Time
 	timer        sim.Timer
+	onTimer      func() // p.onTimeout(r), bound once: the per-RTT re-arm must not allocate
 	// backoff doubles the check interval (up to 64×RTT) while no
 	// progress occurs, bounding the event cost of silent senders.
 	backoff sim.Time
@@ -376,13 +377,12 @@ func (p *Protocol) OnHostCrash(h *netsim.Host) {
 	// state exists only in the instance owning the host, so the lookups
 	// are nil everywhere else.
 	if gp := p.grantPacers[h.ID()]; gp != nil {
-		for _, g := range gp.queue {
-			netsim.ReleasePacket(g)
+		for gp.queue.Len() > 0 {
+			netsim.ReleasePacket(gp.queue.Pop())
 		}
-		gp.queue = gp.queue[:0]
 	}
 	if rp := p.recPacers[h.ID()]; rp != nil {
-		rp.queue = rp.queue[:0]
+		rp.queue.Reset()
 	}
 }
 
@@ -514,17 +514,15 @@ func (p *Protocol) sendGrantPaced(h *netsim.Host, g *netsim.Packet) {
 		gp = &grantPacer{}
 		tick := h.LinkRate().TxTime(p.Cfg.MSS)
 		gp.pacer = transport.NewPacer(p.Engine(), tick, func() bool {
-			if len(gp.queue) == 0 {
+			if gp.queue.Len() == 0 {
 				return false
 			}
-			out := gp.queue[0]
-			gp.queue = gp.queue[1:]
-			h.Send(out)
+			h.Send(gp.queue.Pop())
 			return true
 		})
 		p.grantPacers[h.ID()] = gp
 	}
-	gp.queue = append(gp.queue, g)
+	gp.queue.Push(g)
 	gp.pacer.Kick()
 }
 
@@ -558,6 +556,7 @@ func (p *Protocol) receiverFor(pkt *netsim.Packet) *receiver {
 	// behaviour is partition-independent.
 	f2 := f
 	p.Shard().Signal(f.Dst, f.Src, func() { f2.SenderHeard = true })
+	r.onTimer = func() { p.onTimeout(r) }
 	p.armTimeout(r)
 	return r
 }
@@ -567,7 +566,7 @@ func (p *Protocol) armTimeout(r *receiver) {
 	if r.backoff > interval {
 		interval = r.backoff
 	}
-	r.timer = p.Engine().Schedule(interval, func() { p.onTimeout(r) })
+	r.timer = p.Engine().Schedule(interval, r.onTimer)
 }
 
 // onTimeout implements §6 loss recovery: every RTT, any sequence whose
@@ -595,7 +594,7 @@ func (p *Protocol) onTimeout(r *receiver) {
 			continue // retransmission still plausibly in flight
 		}
 		r.inRecovery[seq] = true
-		rp.queue = append(rp.queue, recReq{r: r, seq: seq})
+		rp.queue.Push(recReq{r: r, seq: seq})
 		queued++
 	}
 	if queued > 0 {
@@ -630,9 +629,8 @@ func (p *Protocol) recPacerFor(h *netsim.Host) *recPacer {
 // emitRecovery reissues one queued recovery grant, skipping requests
 // that were satisfied while waiting.
 func (p *Protocol) emitRecovery(rp *recPacer) bool {
-	for len(rp.queue) > 0 {
-		req := rp.queue[0]
-		rp.queue = rp.queue[1:]
+	for rp.queue.Len() > 0 {
+		req := rp.queue.Pop()
 		delete(req.r.inRecovery, req.seq)
 		if req.r.f.Done || req.r.rcvd.Get(req.seq) {
 			continue

@@ -100,6 +100,7 @@ type sender struct {
 
 	lastProgress sim.Time
 	rto          sim.Timer
+	onRTO        func() // p.onRTO(s), bound once: the re-arm must not allocate
 	backoff      sim.Time
 }
 
@@ -194,6 +195,7 @@ func (p *Protocol) startFlow(f *transport.Flow) {
 	}
 	p.senders[f.ID] = s
 	s.lastProgress = p.Now()
+	s.onRTO = func() { p.onRTO(s) }
 	p.pump(s)
 	p.armRTO(s)
 }
@@ -325,7 +327,7 @@ func (p *Protocol) armRTO(s *sender) {
 	if s.backoff > interval {
 		interval = s.backoff
 	}
-	s.rto = p.Engine().Schedule(interval, func() { p.onRTO(s) })
+	s.rto = p.Engine().Schedule(interval, s.onRTO)
 }
 
 // onRTO retransmits the oldest unacked sequence after a silence of

@@ -90,6 +90,7 @@ type rcvFlow struct {
 	granted      int32 // packets authorized (incl. unscheduled window)
 	lastProgress sim.Time
 	timer        sim.Timer
+	onTimer      func() // p.onTimeout(r), bound once: the per-RTT re-arm must not allocate
 	// backoff doubles the resend-check interval while a flow makes no
 	// progress (up to 64×RTT), so a permanently silent sender costs a
 	// trickle of events instead of a per-RTT scan forever.
@@ -352,6 +353,7 @@ func (p *Protocol) rcvFor(pkt *netsim.Packet) *rcvFlow {
 	// sender's re-announce timer without waiting for the first grant.
 	f2 := f
 	p.Shard().Signal(f.Dst, f.Src, func() { f2.SenderHeard = true })
+	r.onTimer = func() { p.onTimeout(r) }
 	p.armTimeout(r)
 	return r
 }
@@ -396,7 +398,7 @@ func (p *Protocol) armTimeout(r *rcvFlow) {
 	if r.backoff > interval {
 		interval = r.backoff
 	}
-	r.timer = p.Engine().Schedule(interval, func() { p.onTimeout(r) })
+	r.timer = p.Engine().Schedule(interval, r.onTimer)
 }
 
 func (p *Protocol) onTimeout(r *rcvFlow) {

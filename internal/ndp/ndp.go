@@ -72,7 +72,7 @@ type Protocol struct {
 type sender struct {
 	f    *transport.Flow
 	next int32
-	rtx  []int32 // NACKed sequences awaiting a pull
+	rtx  transport.FIFO[int32] // NACKed sequences awaiting a pull
 }
 
 type rcvFlow struct {
@@ -81,6 +81,7 @@ type rcvFlow struct {
 	pullBudget   int32 // packets still to be triggered by pulls
 	lastProgress sim.Time
 	timer        sim.Timer
+	onTimer      func() // p.onTimeout(r), bound once: the per-RTT re-arm must not allocate
 	// sentEst is the receiver-local estimate of the sender's send cursor:
 	// one past the highest sequence seen in any data packet or trimmed
 	// header. The timeout recovery uses it instead of peeking at sender
@@ -94,7 +95,7 @@ type rcvFlow struct {
 type puller struct {
 	host  *netsim.Host
 	pacer *transport.Pacer
-	queue []*rcvFlow // FIFO of flows owed one pull each
+	queue transport.FIFO[*rcvFlow] // flows owed one pull each
 }
 
 // New creates an NDP instance on the network.
@@ -229,7 +230,7 @@ func (p *Protocol) OnHostCrash(h *netsim.Host) {
 	// with it; emitPull skips Done flows, but stale entries for crashed
 	// receiver state would issue pulls against forgotten bitmaps.
 	if pl := p.pullers[h.ID()]; pl != nil {
-		pl.queue = pl.queue[:0]
+		pl.queue.Reset()
 	}
 }
 
@@ -280,13 +281,11 @@ func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
 	case netsim.Nack:
 		// The named packet was trimmed: queue it for retransmission on
 		// the next pull.
-		s.rtx = append(s.rtx, pkt.Seq)
+		s.rtx.Push(pkt.Seq)
 	case netsim.Pull:
 		// One pull, one packet: retransmissions first, then new data.
-		if len(s.rtx) > 0 {
-			seq := s.rtx[0]
-			s.rtx = s.rtx[1:]
-			s.f.Src.Send(p.NewData(s.f, seq, netsim.PrioData))
+		if s.rtx.Len() > 0 {
+			s.f.Src.Send(p.NewData(s.f, s.rtx.Pop(), netsim.PrioData))
 			return
 		}
 		if s.next < s.f.NPkts {
@@ -379,6 +378,7 @@ func (p *Protocol) rcvFor(pkt *netsim.Packet) *rcvFlow {
 	// sender's re-announce timer without waiting for the first pull.
 	f2 := f
 	p.Shard().Signal(f.Dst, f.Src, func() { f2.SenderHeard = true })
+	r.onTimer = func() { p.onTimeout(r) }
 	p.armTimeout(r)
 	return r
 }
@@ -389,7 +389,7 @@ func (p *Protocol) enqueuePull(r *rcvFlow) {
 	}
 	r.pullBudget--
 	pl := p.pullerOf(r.f.Dst)
-	pl.queue = append(pl.queue, r)
+	pl.queue.Push(r)
 	pl.pacer.Kick()
 }
 
@@ -405,9 +405,8 @@ func (p *Protocol) pullerOf(h *netsim.Host) *puller {
 }
 
 func (p *Protocol) emitPull(pl *puller) bool {
-	for len(pl.queue) > 0 {
-		r := pl.queue[0]
-		pl.queue = pl.queue[1:]
+	for pl.queue.Len() > 0 {
+		r := pl.queue.Pop()
 		if r.f.Done {
 			continue
 		}
@@ -424,7 +423,7 @@ func (p *Protocol) armTimeout(r *rcvFlow) {
 	if r.backoff > interval {
 		interval = r.backoff
 	}
-	r.timer = p.Engine().Schedule(interval, func() { p.onTimeout(r) })
+	r.timer = p.Engine().Schedule(interval, r.onTimer)
 }
 
 // onTimeout recovers from losses the trim path cannot see (e.g. control
@@ -446,7 +445,7 @@ func (p *Protocol) onTimeout(r *rcvFlow) {
 			r.f.Dst.Send(n)
 			p.NacksSent++
 			pl := p.pullerOf(r.f.Dst)
-			pl.queue = append(pl.queue, r)
+			pl.queue.Push(r)
 			pl.pacer.Kick()
 			issued++
 		}
@@ -466,7 +465,7 @@ func (p *Protocol) onTimeout(r *rcvFlow) {
 		if unsent > 0 {
 			pl := p.pullerOf(r.f.Dst)
 			for i := 0; i < unsent; i++ {
-				pl.queue = append(pl.queue, r)
+				pl.queue.Push(r)
 			}
 			p.PullsReplenished += int64(unsent)
 			pl.pacer.Kick()

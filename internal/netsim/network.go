@@ -128,12 +128,16 @@ func (s *Shard) Eng() *sim.Engine { return s.eng }
 // Network returns the owning network.
 func (s *Shard) Network() *Network { return s.net }
 
-// xrec is one cross-shard record: an event to schedule on the target
-// shard at a timestamped, deterministically keyed position.
+// xrec is one cross-shard record: a typed event (sim.Handler, op, arg)
+// to schedule on the target shard at a timestamped, deterministically
+// keyed position. Deliveries carry the sending port and the packet;
+// signals carry their closure as a sim.Func.
 type xrec struct {
 	at  sim.Time
 	key uint64
-	fn  func()
+	h   sim.Handler
+	op  int32
+	arg any
 }
 
 // New returns an empty network on a fresh engine, with a single shard.
@@ -240,7 +244,7 @@ func (n *Network) NewHost(name string) *Host {
 
 // NewSwitch adds a switch.
 func (n *Network) NewSwitch(name string) *Switch {
-	s := &Switch{id: n.nextID, name: name, net: n, shard: n.shards[0], routes: make(map[NodeID][]*Port)}
+	s := &Switch{id: n.nextID, name: name, net: n, shard: n.shards[0]}
 	n.nextID++
 	n.switches = append(n.switches, s)
 	return s

@@ -87,9 +87,12 @@ type Switch struct {
 	net  *Network
 	// shard is the engine shard this switch runs on (see
 	// Network.Partition); always shard 0 on an unpartitioned network.
-	shard  *Shard
-	ports  []*Port
-	routes map[NodeID][]*Port
+	shard *Shard
+	ports []*Port
+	// routes[dst] is the equal-cost egress set toward host dst. Node IDs
+	// are dense (Network.nextID), so the per-hop lookup is a slice index;
+	// AddRoute grows the table to the network's current ID count.
+	routes [][]*Port
 }
 
 // ID implements Node.
@@ -105,13 +108,23 @@ func (s *Switch) Ports() []*Port { return s.ports }
 // whose goroutine owns the switch, its ports, and its queues.
 func (s *Switch) Shard() *Shard { return s.shard }
 
-// AddRoute registers an equal-cost egress port for a destination host.
+// AddRoute registers an equal-cost egress port for a destination host,
+// which must already exist.
 func (s *Switch) AddRoute(dst NodeID, p *Port) {
+	if n := int(s.net.nextID); len(s.routes) < n {
+		s.routes = append(s.routes, make([][]*Port, n-len(s.routes))...)
+	}
 	s.routes[dst] = append(s.routes[dst], p)
 }
 
-// Routes returns the candidate egress ports for a destination.
-func (s *Switch) Routes(dst NodeID) []*Port { return s.routes[dst] }
+// Routes returns the candidate egress ports for a destination, or nil
+// if there are none (including a dst outside the network's ID range).
+func (s *Switch) Routes(dst NodeID) []*Port {
+	if dst < 0 || int(dst) >= len(s.routes) {
+		return nil
+	}
+	return s.routes[dst]
+}
 
 // Receive implements Node: ECMP-forward toward the packet destination,
 // failing over to the surviving equal-cost routes when some are
@@ -120,7 +133,7 @@ func (s *Switch) Routes(dst NodeID) []*Port { return s.routes[dst] }
 // recovers; with no live route at all the packet is dropped (and
 // counted in Network.NoRouteDrops).
 func (s *Switch) Receive(pkt *Packet) {
-	cands := s.routes[pkt.Dst]
+	cands := s.Routes(pkt.Dst)
 	if len(cands) == 0 {
 		panic(fmt.Sprintf("netsim: switch %s has no route to host %d (packet %v)", s.name, pkt.Dst, pkt))
 	}

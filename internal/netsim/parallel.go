@@ -61,7 +61,7 @@ func (s *Shard) Signal(from, to Node, fn func()) {
 		s.eng.ScheduleKeyed(at, key, fn)
 		return
 	}
-	s.out[dst.idx] = append(s.out[dst.idx], xrec{at: at, key: key, fn: fn})
+	s.out[dst.idx] = append(s.out[dst.idx], xrec{at: at, key: key, h: sim.Func(fn)})
 }
 
 func (s *Shard) signalKey(from, to NodeID) uint64 {
@@ -165,8 +165,11 @@ func (n *Network) runWindows(until sim.Time) sim.Time {
 				}
 				dst := n.shards[d].eng
 				for _, r := range recs {
-					dst.ScheduleKeyed(r.at, r.key, r.fn)
+					dst.ScheduleEventKeyed(r.at, r.key, r.h, r.op, r.arg)
 				}
+				// Zero the drained records: the backing array is reused,
+				// and stale entries would pin delivered packets.
+				clear(recs)
 				s.out[d] = recs[:0]
 			}
 		}

@@ -59,6 +59,9 @@ type Port struct {
 	degraded sim.Rate
 
 	busy bool
+	// txSize is the size of the packet being serialized (valid while
+	// busy), kept here so the tx-done event needs no per-packet state.
+	txSize int64
 	// lastTxEnd is when the previous transmission finished; the anti-ECN
 	// marker compares the current dequeue instant against it to measure
 	// the idle gap. everSent distinguishes a genuinely idle port.
@@ -197,32 +200,9 @@ func (p *Port) trySend() {
 	}
 	tx := p.EffectiveRate().TxTime(pkt.Size)
 	p.busy = true
+	p.txSize = int64(pkt.Size)
 	sh.OnWire++
-	// The completion closure must not touch pkt: at zero propagation
-	// delay the delivery below fires at the same instant, and once the
-	// destination host recycles the packet its fields are gone.
-	size := int64(pkt.Size)
-	dst := p.link.To
-	dsh := shardOf(dst)
-	cross := dsh != sh
-	eng.Schedule(tx, func() {
-		p.busy = false
-		p.lastTxEnd = eng.Now()
-		p.everSent = true
-		p.TxPackets++
-		p.TxBytes += size
-		if m := p.Monitor; m != nil {
-			m.noteTx(size, eng.Now())
-		}
-		if cross {
-			// Hand wire custody to the destination shard: the packet is
-			// "piped out" of this shard's conservation domain and "piped
-			// in" on arrival at the other side.
-			sh.OnWire--
-			sh.PipedOut++
-		}
-		p.trySend()
-	})
+	eng.ScheduleEvent(tx, p, opTxDone, nil)
 	// Deliveries are keyed by (linkID, per-port sequence) so that
 	// same-instant arrivals dispatch in an order determined by the
 	// topology and traffic alone — identical at every shard count.
@@ -232,19 +212,68 @@ func (p *Port) trySend() {
 	}
 	key := p.linkID<<linkSeqBits | p.linkSeq
 	p.linkSeq++
-	if !cross {
-		eng.ScheduleKeyed(at, key, func() {
-			sh.OnWire--
-			pkt.Hops++
-			dst.Receive(pkt)
-		})
+	if dsh := shardOf(p.link.To); dsh != sh {
+		sh.out[dsh.idx] = append(sh.out[dsh.idx], xrec{at: at, key: key, h: p, op: opDeliver, arg: pkt})
 		return
 	}
-	sh.out[dsh.idx] = append(sh.out[dsh.idx], xrec{at: at, key: key, fn: func() {
+	eng.ScheduleEventKeyed(at, key, p, opDeliver, pkt)
+}
+
+// The two events of a packet-hop, dispatched through HandleEvent. The
+// port itself is the handler and the packet (for opDeliver) the arg, so
+// a forwarded packet allocates nothing.
+const (
+	opTxDone  int32 = iota // serialization finished: free the transmitter
+	opDeliver              // propagation finished: hand arg (*Packet) to link.To
+)
+
+// HandleEvent implements sim.Handler for the port's own events.
+func (p *Port) HandleEvent(op int32, arg any) {
+	switch op {
+	case opTxDone:
+		p.txDone()
+	case opDeliver:
+		p.deliver(arg.(*Packet))
+	}
+}
+
+// txDone runs when the packet leaves the transmitter. It must not touch
+// the packet: at zero propagation delay the delivery fires at the same
+// instant, and once the destination host recycles the packet its fields
+// are gone — hence txSize.
+func (p *Port) txDone() {
+	sh := p.shard
+	now := sh.eng.Now()
+	p.busy = false
+	p.lastTxEnd = now
+	p.everSent = true
+	p.TxPackets++
+	p.TxBytes += p.txSize
+	if m := p.Monitor; m != nil {
+		m.noteTx(p.txSize, now)
+	}
+	if shardOf(p.link.To) != sh {
+		// Hand wire custody to the destination shard: the packet is
+		// "piped out" of this shard's conservation domain and "piped
+		// in" on arrival at the other side.
+		sh.OnWire--
+		sh.PipedOut++
+	}
+	p.trySend()
+}
+
+// deliver runs at the far end of the link, on the destination node's
+// shard: for a cross-shard link that is not p.shard, and the only port
+// state it may read is what Partition froze (shard, link).
+func (p *Port) deliver(pkt *Packet) {
+	dst := p.link.To
+	if dsh := shardOf(dst); dsh != p.shard {
 		dsh.PipedIn++
-		pkt.Hops++
-		dst.Receive(pkt)
-	}})
+	} else {
+		dsh.OnWire--
+	}
+	pkt.Hops++
+	dst.Receive(pkt)
 }
 
 // jitter draws this port's per-delivery propagation jitter in

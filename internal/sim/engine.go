@@ -117,12 +117,32 @@ const (
 	SubObserver uint64 = 1 << 32
 )
 
-// Engine is a discrete-event simulation engine. Events are closures
-// scheduled at virtual times; Run executes them in time order, breaking
-// ties by scheduling order (FIFO), which makes every run fully
-// deterministic: the dispatch sequence is a pure function of the
-// schedule calls, never of the scheduler implementation, map iteration,
-// or wall-clock time.
+// Handler receives typed events: the engine calls HandleEvent(op, arg)
+// with the op and arg given at schedule time. A long-lived object that
+// schedules the same few events over and over (a port's tx-done and
+// delivery) implements it once and switches on op, so scheduling
+// allocates nothing — unlike a closure, which is a fresh heap object per
+// call. arg should be pointer-shaped (a pointer, or nil): boxing any
+// other value into the interface allocates.
+type Handler interface {
+	HandleEvent(op int32, arg any)
+}
+
+// Func adapts a plain func() to Handler; Schedule, ScheduleAt,
+// ScheduleKeyed and ScheduleLate wrap their callback in it. A func value
+// is pointer-shaped, so the conversion to Handler does not allocate and
+// closures ride the same event record as typed events.
+type Func func()
+
+// HandleEvent implements Handler by calling f.
+func (f Func) HandleEvent(int32, any) { f() }
+
+// Engine is a discrete-event simulation engine. Events are Handler calls
+// (or closures, through Func) scheduled at virtual times; Run executes
+// them in time order, breaking ties by scheduling order (FIFO), which
+// makes every run fully deterministic: the dispatch sequence is a pure
+// function of the schedule calls, never of the scheduler implementation,
+// map iteration, or wall-clock time.
 //
 // An Engine must be driven from a single goroutine. Executed events are
 // recycled on an internal free list, so steady-state scheduling does not
@@ -192,17 +212,22 @@ func (e *Engine) Schedule(delay Time, fn func()) Timer {
 // is allowed and runs fn after all events already scheduled for that
 // time.
 func (e *Engine) ScheduleAt(at Time, fn func()) Timer {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
-	}
-	if fn == nil {
-		panic("sim: schedule nil func")
-	}
-	ev := e.newEvent()
-	ev.at, ev.seq, ev.fn = at, e.seq, fn
+	return e.ScheduleEventAt(at, funcHandler(fn), 0, nil)
+}
+
+// ScheduleEvent is Schedule for a typed event: h.HandleEvent(op, arg)
+// runs after delay.
+func (e *Engine) ScheduleEvent(delay Time, h Handler, op int32, arg any) Timer {
+	return e.ScheduleEventAt(e.now+delay, h, op, arg)
+}
+
+// ScheduleEventAt is ScheduleAt for a typed event. It draws the next
+// auto-band sequence number, exactly as ScheduleAt does, so typed and
+// func() events scheduled for one instant interleave in call order.
+func (e *Engine) ScheduleEventAt(at Time, h Handler, op int32, arg any) Timer {
+	t := e.scheduleSeq(at, e.seq, h, op, arg)
 	e.seq++
-	e.sched.schedule(ev, e.now)
-	return Timer{ev: ev, gen: ev.gen, at: at}
+	return t
 }
 
 // ScheduleKeyed runs fn at absolute time at, ordered among same-time
@@ -213,10 +238,15 @@ func (e *Engine) ScheduleAt(at Time, fn func()) Timer {
 // duplicate pairs would leave the dispatch order of the two events up to
 // the scheduler implementation.
 func (e *Engine) ScheduleKeyed(at Time, key uint64, fn func()) Timer {
+	return e.ScheduleEventKeyed(at, key, funcHandler(fn), 0, nil)
+}
+
+// ScheduleEventKeyed is ScheduleKeyed for a typed event.
+func (e *Engine) ScheduleEventKeyed(at Time, key uint64, h Handler, op int32, arg any) Timer {
 	if key >= seqAuto {
 		panic(fmt.Sprintf("sim: keyed seq %#x reaches the auto band", key))
 	}
-	return e.scheduleSeq(at, key, fn)
+	return e.scheduleSeq(at, key, h, op, arg)
 }
 
 // ScheduleLate runs fn at absolute time at, after every arrival, signal,
@@ -228,18 +258,27 @@ func (e *Engine) ScheduleLate(at Time, sub uint64, fn func()) Timer {
 	if sub >= SeqSignal {
 		panic(fmt.Sprintf("sim: late subkey %#x overflows the late band", sub))
 	}
-	return e.scheduleSeq(at, SeqLate|sub, fn)
+	return e.scheduleSeq(at, SeqLate|sub, funcHandler(fn), 0, nil)
 }
 
-func (e *Engine) scheduleSeq(at Time, seq uint64, fn func()) Timer {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
-	}
+// funcHandler wraps fn for the func()-taking schedule calls. The nil
+// check lives here because Func(nil) is a non-nil Handler.
+func funcHandler(fn func()) Handler {
 	if fn == nil {
 		panic("sim: schedule nil func")
 	}
+	return Func(fn)
+}
+
+func (e *Engine) scheduleSeq(at Time, seq uint64, h Handler, op int32, arg any) Timer {
+	if at < e.now {
+		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
+	}
+	if h == nil {
+		panic("sim: schedule nil handler")
+	}
 	ev := e.newEvent()
-	ev.at, ev.seq, ev.fn = at, seq, fn
+	ev.at, ev.seq, ev.h, ev.op, ev.arg = at, seq, h, op, arg
 	e.sched.schedule(ev, e.now)
 	return Timer{ev: ev, gen: ev.gen, at: at}
 }
@@ -264,10 +303,11 @@ func (e *Engine) newEvent() *event {
 }
 
 // recycle invalidates outstanding Timer handles (generation bump),
-// releases the closure, and returns the event to the free list.
+// releases the handler and its arg, and returns the event to the free
+// list.
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
-	ev.fn = nil
+	ev.h, ev.arg = nil, nil
 	ev.cancelled = false
 	e.free = append(e.free, ev)
 }
@@ -297,9 +337,9 @@ func (e *Engine) Run(until Time) Time {
 		if ev.seq >= SeqLate {
 			e.ExecutedLate++
 		}
-		fn := ev.fn
+		h, op, arg := ev.h, ev.op, ev.arg
 		e.recycle(ev)
-		fn()
+		h.HandleEvent(op, arg)
 		if e.interrupt != nil {
 			if e.interruptLeft--; e.interruptLeft == 0 {
 				e.interruptLeft = e.interruptEvery
@@ -367,7 +407,7 @@ func (t *Timer) Cancel() bool {
 		return false
 	}
 	t.ev.cancelled = true
-	t.ev.fn = nil // release closure for GC
+	t.ev.h, t.ev.arg = nil, nil // release handler and arg for GC
 	return true
 }
 
@@ -379,14 +419,16 @@ func (t *Timer) Active() bool {
 	return t.ev != nil && t.ev.gen == t.gen && !t.ev.cancelled
 }
 
-// event is a scheduled callback. Events are pooled: after dispatch (or
-// drain of a cancelled event) the engine bumps gen and reuses the
+// event is a scheduled Handler call. Events are pooled: after dispatch
+// (or drain of a cancelled event) the engine bumps gen and reuses the
 // struct, so nothing outside the engine may retain an *event without
 // also holding the generation it was issued at (Timer does).
 type event struct {
 	at        Time
 	seq       uint64
-	fn        func()
+	h         Handler
+	arg       any
+	op        int32
 	gen       uint32
 	cancelled bool
 }

@@ -147,35 +147,92 @@ func TestEngineScheduleNilFuncPanics(t *testing.T) {
 	e.Schedule(1, nil)
 }
 
+// adder is a typed-event handler: it adds op to the int arg points at.
+type adder struct{}
+
+func (adder) HandleEvent(op int32, arg any) { *arg.(*int) += int(op) }
+
+// eventForms arms the same effect — *fired grows by one — as a func()
+// event and as a typed event, so the timer tests hold both forms to one
+// contract.
+var eventForms = []struct {
+	name     string
+	schedule func(e *Engine, delay Time, fired *int) Timer
+}{
+	{"func", func(e *Engine, delay Time, fired *int) Timer {
+		return e.Schedule(delay, func() { *fired++ })
+	}},
+	{"typed", func(e *Engine, delay Time, fired *int) Timer {
+		return e.ScheduleEvent(delay, adder{}, 1, fired)
+	}},
+}
+
 func TestTimerCancel(t *testing.T) {
-	e := NewEngine()
-	ran := false
-	tm := e.Schedule(10, func() { ran = true })
-	if !tm.Active() {
-		t.Error("timer should be active before firing")
-	}
-	if !tm.Cancel() {
-		t.Error("first Cancel should report true")
-	}
-	if tm.Cancel() {
-		t.Error("second Cancel should report false")
-	}
-	e.RunAll()
-	if ran {
-		t.Error("cancelled timer fired")
-	}
-	if tm.Active() {
-		t.Error("cancelled timer reports active")
+	for _, form := range eventForms {
+		t.Run(form.name, func(t *testing.T) {
+			forEachScheduler(t, func(t *testing.T, e *Engine) {
+				fired := 0
+				tm := form.schedule(e, 10, &fired)
+				if !tm.Active() {
+					t.Error("timer should be active before firing")
+				}
+				if !tm.Cancel() {
+					t.Error("first Cancel should report true")
+				}
+				if tm.ev.h != nil || tm.ev.arg != nil {
+					t.Error("Cancel left the handler or its arg reachable from the queued event")
+				}
+				if tm.Cancel() {
+					t.Error("second Cancel should report false")
+				}
+				e.RunAll()
+				if fired != 0 {
+					t.Error("cancelled timer fired")
+				}
+				if tm.Active() {
+					t.Error("cancelled timer reports active")
+				}
+			})
+		})
 	}
 }
 
-func TestTimerCancelAfterFire(t *testing.T) {
-	e := NewEngine()
-	var tm Timer
-	tm = e.Schedule(10, func() {})
-	e.RunAll()
-	if tm.Cancel() {
-		t.Error("Cancel after fire should report false")
+// TestTimerAfterFireAndRecycle covers the generation check: a handle to
+// a fired event must stay inert when the engine reuses the event struct
+// for a new schedule, and the pooled struct must not keep the old
+// handler or arg alive.
+func TestTimerAfterFireAndRecycle(t *testing.T) {
+	for _, form := range eventForms {
+		t.Run(form.name, func(t *testing.T) {
+			forEachScheduler(t, func(t *testing.T, e *Engine) {
+				fired := 0
+				old := form.schedule(e, 10, &fired)
+				e.RunAll()
+				if fired != 1 {
+					t.Fatalf("fired %d times, want 1", fired)
+				}
+				if old.Cancel() || old.Active() {
+					t.Error("timer of a fired event should be inert")
+				}
+				if old.ev.h != nil || old.ev.arg != nil {
+					t.Error("recycled event still references its handler or arg")
+				}
+				fresh := form.schedule(e, 10, &fired)
+				if fresh.ev != old.ev {
+					t.Fatal("free list did not reuse the event; the generation check is not exercised")
+				}
+				if old.Cancel() || old.Active() {
+					t.Error("stale timer acted on the event's new incarnation")
+				}
+				if !fresh.Active() {
+					t.Error("stale Cancel deactivated the new event")
+				}
+				e.RunAll()
+				if fired != 2 {
+					t.Errorf("fired %d times, want 2", fired)
+				}
+			})
+		})
 	}
 }
 

@@ -16,28 +16,49 @@ func forEachScheduler(t *testing.T, fn func(t *testing.T, e *Engine)) {
 	}
 }
 
+// spawner dispatches typed events for TestSchedulerEquivalence: op is
+// the schedule-order identity of the event.
+type spawner func(sid int32, typed bool)
+
+func (s spawner) HandleEvent(op int32, _ any) { s(op, true) }
+
 // TestSchedulerEquivalence is the engine-level proof behind the
 // timing-wheel migration: a randomized storm of nested schedules and
 // cancellations — delays spanning the due heap, every wheel level, the
 // top-region boundary, and the overflow heap — must dispatch in exactly
-// the same (time, identity) sequence on both schedulers.
+// the same (time, identity) sequence on both schedulers. Half the events
+// are func() closures and half typed Handler events, interleaved at
+// random, and every event carries the order it was scheduled in: within
+// one instant dispatch must follow it exactly, whatever the form.
 func TestSchedulerEquivalence(t *testing.T) {
 	type step struct {
-		at Time
-		id int
+		at    Time
+		sid   int32 // schedule-order identity, i.e. the auto-band seq order
+		typed bool
 	}
 	run := func(kind SchedulerKind, seed int64) []step {
 		e := NewEngineWith(kind)
 		rng := rand.New(rand.NewSource(seed))
 		var trace []step
 		var timers []Timer
-		id := 0
-		var spawn func()
-		spawn = func() {
-			myID := id
-			id++
-			trace = append(trace, step{e.Now(), myID})
-			if myID > 4000 {
+		var sids []int32 // sids[i] is the identity behind timers[i]
+		cancelled := map[int32]bool{}
+		var spawn spawner
+		schedule := func(d Time) {
+			sid := int32(len(timers))
+			sids = append(sids, sid)
+			if rng.Intn(2) == 0 {
+				timers = append(timers, e.Schedule(d, func() { spawn(sid, false) }))
+			} else {
+				timers = append(timers, e.ScheduleEvent(d, spawn, sid, nil))
+			}
+		}
+		spawn = func(sid int32, typed bool) {
+			if cancelled[sid] {
+				t.Fatalf("%v: cancelled event %d dispatched", kind, sid)
+			}
+			trace = append(trace, step{e.Now(), sid, typed})
+			if len(trace) > 4000 {
 				return
 			}
 			for i := 0; i < 1+rng.Intn(3); i++ {
@@ -56,13 +77,16 @@ func TestSchedulerEquivalence(t *testing.T) {
 				case 5:
 					d = Time(rng.Intn(1 << 33)) // deep overflow (> 1.07 s span)
 				}
-				timers = append(timers, e.Schedule(d, spawn))
+				schedule(d)
 			}
-			if len(timers) > 0 && rng.Intn(3) == 0 {
-				timers[rng.Intn(len(timers))].Cancel()
+			if rng.Intn(3) == 0 {
+				i := rng.Intn(len(timers))
+				if timers[i].Cancel() {
+					cancelled[sids[i]] = true
+				}
 			}
 		}
-		e.Schedule(0, spawn)
+		schedule(0)
 		// Interleave bounded horizons with full drains so the horizon
 		// clamp path is exercised too.
 		e.Run(Millisecond)
@@ -76,10 +100,28 @@ func TestSchedulerEquivalence(t *testing.T) {
 		if len(wheel) != len(heap) {
 			t.Fatalf("seed %d: wheel dispatched %d events, heap %d", seed, len(wheel), len(heap))
 		}
+		var nTyped, sameInstant int
 		for i := range wheel {
 			if wheel[i] != heap[i] {
 				t.Fatalf("seed %d: dispatch %d diverges: wheel %+v, heap %+v", seed, i, wheel[i], heap[i])
 			}
+			if wheel[i].typed {
+				nTyped++
+			}
+			if i == 0 {
+				continue
+			}
+			prev, cur := wheel[i-1], wheel[i]
+			if cur.at < prev.at || (cur.at == prev.at && cur.sid <= prev.sid) {
+				t.Fatalf("seed %d: dispatch %d out of (at, seq) order: %+v after %+v", seed, i, cur, prev)
+			}
+			if cur.at == prev.at && cur.typed != prev.typed {
+				sameInstant++
+			}
+		}
+		if nTyped == 0 || nTyped == len(wheel) || sameInstant == 0 {
+			t.Fatalf("seed %d: %d of %d events typed, %d same-instant neighbours of mixed form: the mix is not exercised",
+				seed, nTyped, len(wheel), sameInstant)
 		}
 	}
 }

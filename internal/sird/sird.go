@@ -159,6 +159,7 @@ type rcvFlow struct {
 
 	lastProgress sim.Time
 	timer        sim.Timer
+	onTimer      func() // p.onTimeout(r), bound once: the per-RTT re-arm must not allocate
 	// backoff doubles the resend-check interval while a flow makes no
 	// progress (up to 64×RTT), so a permanently silent sender costs a
 	// trickle of events instead of a per-RTT scan forever.
@@ -234,7 +235,7 @@ type poolState struct {
 	// fresh credit instead of bursting out of the timeout scan. Served
 	// ahead of fresh grants and exempt from the pool bound — the lost
 	// packet's charge is still outstanding.
-	recovery []recReq
+	recovery transport.FIFO[recReq]
 }
 
 type recReq struct {
@@ -573,6 +574,7 @@ func (p *Protocol) rcvFor(pkt *netsim.Packet) *rcvFlow {
 	ps := p.poolOf(f.Dst)
 	ps.flows = append(ps.flows, r)
 	ps.pacer.Kick()
+	r.onTimer = func() { p.onTimeout(r) }
 	p.armTimeout(r)
 	return r
 }
@@ -618,9 +620,8 @@ func (p *Protocol) weight(r *rcvFlow, now sim.Time) int64 {
 func (p *Protocol) emitGrant(ps *poolState) bool {
 	// Recovery first: a declared-lost packet already holds pool credit,
 	// so re-requesting it neither charges the pool nor waits behind it.
-	for len(ps.recovery) > 0 {
-		req := ps.recovery[0]
-		ps.recovery = ps.recovery[1:]
+	for ps.recovery.Len() > 0 {
+		req := ps.recovery.Pop()
 		if req.r.f.Done || p.receivers[req.r.f.ID] != req.r || req.r.rcvd.Get(req.seq) {
 			continue // satisfied or torn down while queued
 		}
@@ -669,7 +670,7 @@ func (p *Protocol) armTimeout(r *rcvFlow) {
 	if r.backoff > interval {
 		interval = r.backoff
 	}
-	r.timer = p.Engine().Schedule(interval, func() { p.onTimeout(r) })
+	r.timer = p.Engine().Schedule(interval, r.onTimer)
 }
 
 // onTimeout is the per-flow recovery check, run every RTT (backing off
@@ -698,7 +699,7 @@ func (p *Protocol) onTimeout(r *rcvFlow) {
 			continue // retransmission still plausibly in flight
 		}
 		r.reissuedAt[seq] = now
-		ps.recovery = append(ps.recovery, recReq{r: r, seq: seq})
+		ps.recovery.Push(recReq{r: r, seq: seq})
 		issued++
 	}
 	if issued > 0 {

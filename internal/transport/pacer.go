@@ -7,11 +7,14 @@ import "amrt/internal/sim"
 // on Kick. The first emission after a long idle period fires
 // immediately; subsequent ones keep the configured spacing.
 type Pacer struct {
-	eng   *sim.Engine
-	tick  sim.Time
-	emit  func() bool
-	last  sim.Time
-	timer sim.Timer
+	eng  *sim.Engine
+	tick sim.Time
+	emit func() bool
+	// fireFn is p.fire bound once: evaluating the method value at every
+	// Kick would allocate a closure per emission.
+	fireFn func()
+	last   sim.Time
+	timer  sim.Timer
 }
 
 // NewPacer returns a pacer emitting at most once per tick. emit should
@@ -20,7 +23,9 @@ func NewPacer(eng *sim.Engine, tick sim.Time, emit func() bool) *Pacer {
 	if tick <= 0 {
 		panic("transport: pacer tick must be positive")
 	}
-	return &Pacer{eng: eng, tick: tick, emit: emit, last: -tick}
+	p := &Pacer{eng: eng, tick: tick, emit: emit, last: -tick}
+	p.fireFn = p.fire
+	return p
 }
 
 // Kick schedules the next emission if the pacer is idle. Call it
@@ -33,7 +38,7 @@ func (p *Pacer) Kick() {
 	if now := p.eng.Now(); at < now {
 		at = now
 	}
-	p.timer = p.eng.ScheduleAt(at, p.fire)
+	p.timer = p.eng.ScheduleAt(at, p.fireFn)
 }
 
 func (p *Pacer) fire() {

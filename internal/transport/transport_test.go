@@ -157,6 +157,84 @@ func TestPacerEnforcesMinimumGap(t *testing.T) {
 	}
 }
 
+// TestPacerAllocs: a Kick → fire → re-Kick cycle schedules the bound
+// fire callback on a pooled event and allocates nothing. Uses the heap
+// scheduler so no timing-wheel bucket is sized mid-measurement.
+func TestPacerAllocs(t *testing.T) {
+	e := sim.NewEngineWith(sim.SchedulerHeap)
+	const cycles = 1000
+	left := 0
+	p := NewPacer(e, 100*sim.Nanosecond, func() bool { left--; return left > 0 })
+	run := func() {
+		left = cycles
+		p.Kick()
+		e.RunAll()
+	}
+	run() // grow the event free list
+	if got := testing.AllocsPerRun(10, run); got != 0 {
+		t.Errorf("%v allocs per %d Kick/fire cycles, want 0", got, cycles)
+	}
+}
+
+// TestFIFO checks order, the empty-queue rewind and the slide-down that
+// let FIFO reuse one backing array where q = q[1:] would regrow it.
+func TestFIFO(t *testing.T) {
+	var q FIFO[*int]
+	next, want := 0, 0
+	push := func() { v := next; next++; q.Push(&v) }
+	pop := func() {
+		t.Helper()
+		if got := *q.Pop(); got != want {
+			t.Fatalf("popped %d, want %d", got, want)
+		}
+		want++
+	}
+	// Hover: the queue never empties, so only sliding down can reclaim
+	// the space in front of the head.
+	for i := 0; i < 8; i++ {
+		push()
+	}
+	for i := 0; i < 1000; i++ {
+		pop()
+		push()
+		if q.Len() != 8 {
+			t.Fatalf("Len = %d, want 8", q.Len())
+		}
+	}
+	if cap(q.buf) > 32 {
+		t.Errorf("backing array grew to %d for a queue of 8", cap(q.buf))
+	}
+	for q.Len() > 0 {
+		pop()
+	}
+	if q.head != 0 || len(q.buf) != 0 {
+		t.Errorf("drained queue did not rewind: head %d, len %d", q.head, len(q.buf))
+	}
+	for _, p := range q.buf[:cap(q.buf)] {
+		if p != nil {
+			t.Fatal("popped slot still holds its pointer")
+		}
+	}
+	// Fill-and-drain, the pacer pattern: steady state allocates nothing.
+	cycle := func() {
+		for i := 0; i < 8; i++ {
+			q.Push(nil)
+		}
+		for q.Len() > 0 {
+			q.Pop()
+		}
+	}
+	cycle()
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Errorf("%v allocs per fill-and-drain cycle, want 0", got)
+	}
+	push()
+	q.Reset()
+	if q.Len() != 0 || q.buf[:1][0] != nil {
+		t.Error("Reset left an element behind")
+	}
+}
+
 func TestPacerZeroTickPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
