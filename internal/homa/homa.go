@@ -7,7 +7,8 @@
 package homa
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"amrt/internal/netsim"
 	"amrt/internal/sim"
@@ -67,6 +68,10 @@ type Protocol struct {
 	receivers map[netsim.FlowID]*rcvFlow
 	byHost    map[netsim.NodeID][]*rcvFlow
 	installed map[netsim.NodeID]bool
+	// active is regrant's scratch slice. regrant runs on every data
+	// arrival and never re-enters (Send only schedules), so one buffer
+	// per Protocol serves every host.
+	active []*rcvFlow
 
 	// GrantsSent counts grant packets; GrantedPkts counts packets
 	// authorized by them.
@@ -98,6 +103,15 @@ type rcvFlow struct {
 }
 
 func (r *rcvFlow) remaining() int32 { return r.f.NPkts - r.rcvd.Count() }
+
+// byRemaining orders receive flows by least remaining packets, ties by
+// flow ID: a total order, so any sorting algorithm gives one result.
+func byRemaining(a, b *rcvFlow) int {
+	if c := cmp.Compare(a.remaining(), b.remaining()); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.f.ID, b.f.ID)
+}
 
 // New creates a Homa instance on the network.
 func New(net *netsim.Network, cfg Config) *Protocol {
@@ -362,19 +376,14 @@ func (p *Protocol) rcvFor(pkt *netsim.Packet) *rcvFlow {
 // Degree messages with the least remaining bytes each keep one BDP of
 // granted-but-undelivered data.
 func (p *Protocol) regrant(dst *netsim.Host) {
-	flows := p.byHost[dst.ID()]
-	active := flows[:0:0]
-	for _, r := range flows {
+	active := p.active[:0]
+	for _, r := range p.byHost[dst.ID()] {
 		if !r.f.Done {
 			active = append(active, r)
 		}
 	}
-	sort.Slice(active, func(i, j int) bool {
-		if a, b := active[i].remaining(), active[j].remaining(); a != b {
-			return a < b
-		}
-		return active[i].f.ID < active[j].f.ID
-	})
+	p.active = active
+	slices.SortFunc(active, byRemaining)
 	bdp := int32(p.BDPPkts(dst.LinkRate()))
 	for i := 0; i < len(active) && i < p.cfg.Degree; i++ {
 		r := active[i]

@@ -110,6 +110,9 @@ type Packet struct {
 	// header is forwarded and the receiver must request retransmission.
 	Trimmed bool
 
+	// Hops counts switch traversals, for path-length assertions.
+	Hops int8
+
 	// FlowSize carries the total flow length in bytes on RTS and
 	// first-window data packets so the receiver can size its state.
 	FlowSize int64
@@ -125,8 +128,11 @@ type Packet struct {
 	// host NIC; used for latency accounting.
 	SentAt sim.Time
 
-	// Hops counts switch traversals, for path-length assertions.
-	Hops int8
+	// next links the packet into the fifo of the queue that holds it; nil
+	// while the packet is on a link or with a transport. (Hops sits in
+	// the padding after Trimmed so the link does not grow the struct
+	// past its 80-byte size class.)
+	next *Packet
 }
 
 // packetPool recycles Packets. A sync.Pool rather than a per-network

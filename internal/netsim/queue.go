@@ -33,36 +33,44 @@ type BoundedQueue interface {
 	CapPackets() int
 }
 
-// fifo is a slice-backed FIFO of packets with amortized O(1) operations.
+// fifo is an intrusive FIFO of packets: a singly linked list through
+// Packet.next with a tail pointer, so push and pop are O(1), allocate
+// nothing and hold no memory of their own however deep the queue has
+// been. A packet is owned by one queue or link at a time, so it sits in
+// at most one fifo and one link field is enough.
 type fifo struct {
-	items []*Packet
-	head  int
-	bytes int
+	head, tail *Packet
+	n          int
+	bytes      int
 }
 
 func (f *fifo) push(p *Packet) {
-	f.items = append(f.items, p)
+	p.next = nil
+	if f.tail == nil {
+		f.head = p
+	} else {
+		f.tail.next = p
+	}
+	f.tail = p
+	f.n++
 	f.bytes += p.Size
 }
 
 func (f *fifo) pop() *Packet {
-	if f.head >= len(f.items) {
+	p := f.head
+	if p == nil {
 		return nil
 	}
-	p := f.items[f.head]
-	f.items[f.head] = nil
-	f.head++
-	f.bytes -= p.Size
-	// Compact once the dead prefix dominates, keeping memory bounded.
-	if f.head > 32 && f.head*2 >= len(f.items) {
-		n := copy(f.items, f.items[f.head:])
-		f.items = f.items[:n]
-		f.head = 0
+	if f.head = p.next; f.head == nil {
+		f.tail = nil
 	}
+	p.next = nil
+	f.n--
+	f.bytes -= p.Size
 	return p
 }
 
-func (f *fifo) len() int { return len(f.items) - f.head }
+func (f *fifo) len() int { return f.n }
 
 // DropTailQueue is a FIFO with a packet-count capacity; packets arriving
 // at a full queue are dropped.

@@ -72,6 +72,7 @@ type Protocol struct {
 }
 
 type rcvFlow struct {
+	p       *Protocol // for HandleEvent: a token's expiry is a typed event on its flow
 	f       *transport.Flow
 	rcvd    *transport.Bitmap
 	pending map[int32]sim.Timer // tokened (or unscheduled), awaiting arrival
@@ -344,7 +345,7 @@ func (p *Protocol) rcvFor(pkt *netsim.Packet) *rcvFlow {
 	if f == nil || f.Done {
 		return nil // unknown, completed, or crash-killed flow
 	}
-	r := &rcvFlow{f: f, rcvd: transport.NewBitmap(f.NPkts), pending: make(map[int32]sim.Timer), lastArrival: p.Now()}
+	r := &rcvFlow{p: p, f: f, rcvd: transport.NewBitmap(f.NPkts), pending: make(map[int32]sim.Timer), lastArrival: p.Now()}
 	p.receivers[pkt.Flow] = r
 	// Announce confirmation (see core/amrt.receiverFor): stop the
 	// sender's re-announce timer without waiting for the first token.
@@ -420,26 +421,31 @@ func (p *Protocol) nextTokenable(r *rcvFlow) int32 {
 // trackPending arms the per-token expiry: if the packet does not arrive
 // within TimeoutRTTs×RTT the source is deemed unresponsive and the flow
 // is blacklisted for the same period (the token becomes reissuable after
-// that).
+// that). The expiry is a typed event on the flow with the sequence
+// number as its op, so a token costs no closure.
 func (p *Protocol) trackPending(r *rcvFlow, seq int32) {
 	timeout := sim.Time(p.cfg.TimeoutRTTs) * p.Cfg.RTT
 	r.tokensSinceArrival++
-	r.pending[seq] = p.Engine().Schedule(timeout, func() {
-		delete(r.pending, seq)
-		p.TokensExpired++
-		if r.f.Done {
-			return
-		}
-		// The hole rejoins the tokenable pool and will be repaired by
-		// the regular arrival-clocked token stream (replacing, not
-		// adding to, new-sequence tokens — pHost's pacer bounds total
-		// token rate). A fully stalled flow is kept alive by a probe.
-		ps := p.pacerOf(r.f.Dst)
-		if len(r.pending) == 0 {
-			p.probe(ps, r)
-		}
-		ps.pacer.Kick()
-	})
+	r.pending[seq] = p.Engine().ScheduleEvent(timeout, r, seq, nil)
+}
+
+// HandleEvent implements sim.Handler: the token for sequence seq expired.
+func (r *rcvFlow) HandleEvent(seq int32, _ any) {
+	p := r.p
+	delete(r.pending, seq)
+	p.TokensExpired++
+	if r.f.Done {
+		return
+	}
+	// The hole rejoins the tokenable pool and will be repaired by the
+	// regular arrival-clocked token stream (replacing, not adding to,
+	// new-sequence tokens — pHost's pacer bounds total token rate). A
+	// fully stalled flow is kept alive by a probe.
+	ps := p.pacerOf(r.f.Dst)
+	if len(r.pending) == 0 {
+		p.probe(ps, r)
+	}
+	ps.pacer.Kick()
 }
 
 // probe restarts a completely stalled flow (its whole in-flight set

@@ -145,7 +145,7 @@ func (f Func) HandleEvent(int32, any) { f() }
 // map iteration, or wall-clock time.
 //
 // An Engine must be driven from a single goroutine. Executed events are
-// recycled on an internal free list, so steady-state scheduling does not
+// recycled on an internal free chain, so steady-state scheduling does not
 // allocate; Timer handles stay safe across recycling via a generation
 // check.
 type Engine struct {
@@ -155,10 +155,11 @@ type Engine struct {
 	running bool
 	stopped bool
 
-	// free is the event free list (single-threaded, so a plain slice
-	// beats sync.Pool here). Events are returned to it after dispatch or
-	// when a cancelled event is drained.
-	free []*event
+	// free is the event free list: a stack chained through event.next
+	// (single-threaded, so it beats sync.Pool here). Events are returned
+	// to it after dispatch or when a cancelled event is drained, and it
+	// is refilled a slab at a time when it runs dry.
+	free *event
 
 	// Executed counts events dispatched since construction; useful for
 	// progress reporting and performance benchmarks. ExecutedLate counts
@@ -291,25 +292,34 @@ func (e *Engine) scheduleSeq(at Time, seq uint64, h Handler, op int32, arg any) 
 // windows.
 func (e *Engine) NextAt() (Time, bool) { return e.sched.nextAt() }
 
-// newEvent takes an event off the free list, or allocates one.
+// eventSlab is how many events one refill of the free chain allocates.
+// An event is 64 bytes, so a slab is exactly the 8 KB allocator size
+// class: one malloc per 128 events, no rounding waste.
+const eventSlab = 128
+
+// newEvent takes an event off the free chain, allocating a fresh slab
+// of them when the chain is empty. The event it returns is unlinked.
 func (e *Engine) newEvent() *event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return ev
+	ev := e.free
+	if ev == nil {
+		slab := make([]event, eventSlab)
+		for i := range slab[:eventSlab-1] {
+			slab[i].next = &slab[i+1]
+		}
+		ev = &slab[0]
 	}
-	return &event{}
+	e.free, ev.next = ev.next, nil
+	return ev
 }
 
 // recycle invalidates outstanding Timer handles (generation bump),
-// releases the handler and its arg, and returns the event to the free
-// list.
+// releases the handler and its arg, and pushes the event — which must be
+// off every scheduler chain — onto the free chain.
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
 	ev.h, ev.arg = nil, nil
-	ev.cancelled = false
-	e.free = append(e.free, ev)
+	ev.next = e.free
+	e.free = ev
 }
 
 // Run executes events in order until the queue drains, the horizon is
@@ -328,7 +338,7 @@ func (e *Engine) Run(until Time) Time {
 		if ev == nil {
 			break
 		}
-		if ev.cancelled {
+		if ev.h == nil { // cancelled
 			e.recycle(ev)
 			continue
 		}
@@ -403,11 +413,10 @@ type Timer struct {
 // or already-cancelled timer is a no-op. Cancel reports whether the
 // event had not yet fired.
 func (t *Timer) Cancel() bool {
-	if t.ev == nil || t.ev.gen != t.gen || t.ev.cancelled {
+	if !t.Active() {
 		return false
 	}
-	t.ev.cancelled = true
-	t.ev.h, t.ev.arg = nil, nil // release handler and arg for GC
+	t.ev.h, t.ev.arg = nil, nil // marks it cancelled, and releases both for GC
 	return true
 }
 
@@ -416,19 +425,29 @@ func (t *Timer) At() Time { return t.at }
 
 // Active reports whether the event is still pending.
 func (t *Timer) Active() bool {
-	return t.ev != nil && t.ev.gen == t.gen && !t.ev.cancelled
+	return t.ev != nil && t.ev.gen == t.gen && t.ev.h != nil
 }
 
 // event is a scheduled Handler call. Events are pooled: after dispatch
 // (or drain of a cancelled event) the engine bumps gen and reuses the
 // struct, so nothing outside the engine may retain an *event without
 // also holding the generation it was issued at (Timer does).
+//
+// A pending event has a non-nil h; Cancel clears it, which is the whole
+// of the cancelled mark (scheduleSeq rejects a nil handler, so the two
+// cannot be confused). That keeps the struct at 64 bytes with the link.
+//
+// next is the intrusive link of whichever chain holds the event: a wheel
+// bucket or the engine's free chain. An event is in exactly one place at
+// a time — one wheel bucket, one (at, seq) heap (due, overflow, or the
+// heap scheduler's), the free chain, or being dispatched — and next is
+// nil everywhere but on a chain.
 type event struct {
-	at        Time
-	seq       uint64
-	h         Handler
-	arg       any
-	op        int32
-	gen       uint32
-	cancelled bool
+	at   Time
+	seq  uint64
+	h    Handler
+	arg  any
+	next *event
+	op   int32
+	gen  uint32
 }

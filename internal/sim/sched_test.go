@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // schedulerKinds enumerates both implementations for parameterized tests.
@@ -285,8 +286,24 @@ func TestEngineFarFutureOrdering(t *testing.T) {
 	})
 }
 
-// TestEngineEventPoolReuse checks that the free list actually recycles:
-// steady-state schedule/dispatch cycles must not grow the pool.
+// freeChain walks the engine's free chain and returns its events. It
+// fails the test on a cycle, which is also what an event pushed twice
+// would look like.
+func freeChain(t testing.TB, e *Engine) map[*event]bool {
+	t.Helper()
+	seen := map[*event]bool{}
+	for ev := e.free; ev != nil; ev = ev.next {
+		if seen[ev] {
+			t.Fatalf("free chain reaches event %p twice", ev)
+		}
+		seen[ev] = true
+	}
+	return seen
+}
+
+// TestEngineEventPoolReuse checks that the free chain actually recycles:
+// a serial schedule/dispatch cycle has one event in flight at a time, so
+// it must never need a second slab.
 func TestEngineEventPoolReuse(t *testing.T) {
 	e := NewEngine()
 	n := 0
@@ -302,7 +319,56 @@ func TestEngineEventPoolReuse(t *testing.T) {
 	if n != 10_000 {
 		t.Fatalf("ran %d events, want 10000", n)
 	}
-	if len(e.free) > 8 {
-		t.Errorf("free list holds %d events after a serial workload, want a handful", len(e.free))
+	if got := len(freeChain(t, e)); got != eventSlab {
+		t.Errorf("free chain holds %d events after a serial workload, want one slab of %d", got, eventSlab)
+	}
+	if size := unsafe.Sizeof(event{}) * eventSlab; size != 8192 && unsafe.Sizeof(uintptr(0)) == 8 {
+		t.Errorf("a slab is %d bytes, want the 8192-byte size class exactly", size)
+	}
+}
+
+// nop is a typed handler that does nothing.
+type nop struct{}
+
+func (nop) HandleEvent(int32, any) {}
+
+// TestWheelScheduleAllocs is the zero-allocation contract of the timing
+// wheel: buckets are chains through the events themselves, so once the
+// free chain and the due and overflow heaps have grown to their working
+// size, scheduling and draining events costs nothing — on every level
+// and through the overflow heap alike.
+func TestWheelScheduleAllocs(t *testing.T) {
+	const n = 100_000
+	e := NewEngineWith(SchedulerWheel)
+	w := e.sched.(*wheelSched)
+	schedule := func() {
+		// Delays from 1 ns to 2.1 s: every wheel level, and beyond the
+		// 1.07 s span into the overflow heap.
+		for i := 0; i < n; i++ {
+			e.ScheduleEvent(Time(1)<<(i%32)+Time(i), nop{}, 0, nil)
+		}
+		// The closing event ends each pass a whole number of top-level
+		// regions after it began, so all passes see the same geometry.
+		e.ScheduleEvent(Time(wheelSpanTicks)<<wheelTickShift*4, nop{}, 0, nil)
+	}
+	schedule()
+	for l := range w.occ {
+		if w.occ[l] == [wheelSlots / 64]uint64{} {
+			t.Errorf("no event was placed on wheel level %d", l)
+		}
+	}
+	if len(w.overflow) == 0 {
+		t.Error("no event was placed in the overflow heap")
+	}
+	e.RunAll() // the warm-up pass
+	allocs := testing.AllocsPerRun(3, func() {
+		schedule()
+		e.RunAll()
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per pass of %d events on a warmed wheel, want 0", allocs, n+1)
+	}
+	if e.Pending() != 0 || e.Executed != 5*(n+1) {
+		t.Errorf("pending %d, executed %d, want 0 and %d", e.Pending(), e.Executed, 5*(n+1))
 	}
 }

@@ -24,6 +24,13 @@ import "math/bits"
 // level-0 buckets are a single tick wide and seq is globally monotonic,
 // no coarser bucket can ever mix two events across a time boundary
 // without the due heap re-separating them.
+//
+// A bucket is an intrusive chain: its slot holds the head event and the
+// rest hang off event.next, newest first. Placing an event is two pointer
+// writes and pouring a bucket walks and unlinks the chain, so the wheel
+// itself never allocates, however short-lived the engine; only the due
+// and overflow heaps are slices, and those grow once to their working
+// size.
 type wheelSched struct {
 	// curTick is the wheel cursor: floor(dispatch position / 64 ns).
 	// Invariants: curTick never exceeds the tick of the earliest pending
@@ -33,9 +40,9 @@ type wheelSched struct {
 	// due holds the events of tick curTick, as a min-heap on (at, seq).
 	due []*event
 
-	// levels[l][s] is the bucket for slot s of level l; occ[l] is the
-	// per-slot occupancy bitmap of level l.
-	levels [wheelLevels][wheelSlots][]*event
+	// levels[l][s] heads the bucket chain for slot s of level l; occ[l]
+	// is the per-slot occupancy bitmap of level l.
+	levels [wheelLevels][wheelSlots]*event
 	occ    [wheelLevels][wheelSlots / 64]uint64
 
 	// overflow is the far-future fallback: a min-heap on (at, seq) of
@@ -96,8 +103,17 @@ func (w *wheelSched) insert(ev *event) {
 }
 
 func (w *wheelSched) place(level, slot int, ev *event) {
-	w.levels[level][slot] = append(w.levels[level][slot], ev)
+	ev.next = w.levels[level][slot]
+	w.levels[level][slot] = ev
 	w.occ[level][slot>>6] |= 1 << uint(slot&63)
+}
+
+// take empties the bucket at (level, s) and returns its chain.
+func (w *wheelSched) take(level, s int) *event {
+	head := w.levels[level][s]
+	w.levels[level][s] = nil
+	w.occ[level][s>>6] &^= 1 << uint(s&63)
+	return head
 }
 
 // nextAt implements scheduler: a lower bound on the earliest pending
@@ -222,24 +238,22 @@ func (w *wheelSched) clamp(limitTick int64) {
 // dumpDue pours level-0 slot s (the bucket of tick curTick) into the
 // due heap, restoring exact (at, seq) order for dispatch.
 func (w *wheelSched) dumpDue(s int) {
-	bucket := w.levels[0][s]
-	for i, ev := range bucket {
-		bucket[i] = nil
+	for ev := w.take(0, s); ev != nil; {
+		next := ev.next
+		ev.next = nil
 		evheapPush(&w.due, ev)
+		ev = next
 	}
-	w.levels[0][s] = bucket[:0]
-	w.occ[0][s>>6] &^= 1 << uint(s&63)
 }
 
 // cascade redistributes the bucket at (level, s) — whose span the cursor
 // has just reached — into the levels below it (or the due heap).
 func (w *wheelSched) cascade(level, s int) {
-	bucket := w.levels[level][s]
-	w.levels[level][s] = bucket[:0]
-	w.occ[level][s>>6] &^= 1 << uint(s&63)
-	for i, ev := range bucket {
-		bucket[i] = nil
+	for ev := w.take(level, s); ev != nil; {
+		next := ev.next
+		ev.next = nil
 		w.insert(ev)
+		ev = next
 	}
 }
 
