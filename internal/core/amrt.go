@@ -108,15 +108,12 @@ type Protocol struct {
 	cfg       Config
 	senders   map[netsim.FlowID]*sender
 	receivers map[netsim.FlowID]*receiver
-	installed map[netsim.NodeID]bool
 
 	// GrantsSent and MarkedGrants count receiver-side grant traffic.
 	GrantsSent   int64
 	MarkedGrants int64
 	// RecoveryGrants counts timeout-driven reissues.
 	RecoveryGrants int64
-	// RTSReannounces counts sender-side RTS re-sends (armAnnounce).
-	RTSReannounces int64
 
 	// grantsInFlight tracks, over all live receivers, granted packets
 	// whose data has not yet arrived. Maintained incrementally at the
@@ -164,15 +161,14 @@ type receiver struct {
 	f       *transport.Flow
 	rcvd    *transport.Bitmap
 	granted int32 // packets authorized so far, including the blind window
-	// snapshots ring-buffers (time, granted) pairs taken at each
-	// timeout tick. A hole is overdue only if it was already granted at
-	// a snapshot older than the overdue window — §6's 1×RTT rule
-	// measured from when the grant could have been answered, with the
-	// window following the *observed* grant→arrival delay: a fixed
-	// margin under queueing declares in-flight packets lost, and the
-	// spurious retransmissions feed the very queues that delayed them.
-	snapshots [8]grantSnapshot
-	snapHead  int
+	// grants notes (time, granted) at each timeout tick. A hole is
+	// overdue only if it was already granted at a note older than the
+	// overdue window — §6's 1×RTT rule measured from when the grant
+	// could have been answered, with the window following the *observed*
+	// grant→arrival delay: a fixed margin under queueing declares
+	// in-flight packets lost, and the spurious retransmissions feed the
+	// very queues that delayed them.
+	grants transport.GrantRing
 	// srtt is the EWMA of observed recovery-grant→arrival delays.
 	srtt sim.Time
 	// reissuedAt remembers when each hole's recovery grant was emitted
@@ -181,17 +177,7 @@ type receiver struct {
 	reissuedAt   map[int32]sim.Time
 	inRecovery   map[int32]bool
 	lastProgress sim.Time
-	timer        sim.Timer
-	onTimer      func() // p.onTimeout(r), bound once: the per-RTT re-arm must not allocate
-	// backoff doubles the check interval (up to 64×RTT) while no
-	// progress occurs, bounding the event cost of silent senders.
-	backoff sim.Time
-}
-
-type grantSnapshot struct {
-	at      sim.Time
-	granted int32
-	valid   bool
+	timer        transport.RecvTimer // runs onTimeout
 }
 
 // overdueWindow is how long a granted packet may be outstanding before
@@ -205,24 +191,6 @@ func (r *receiver) overdueWindow(baseRTT sim.Time) sim.Time {
 	return w
 }
 
-// grantedBefore returns the granted count at the newest snapshot older
-// than cutoff (0 if none is old enough).
-func (r *receiver) grantedBefore(cutoff sim.Time) int32 {
-	best := int32(0)
-	bestAt := sim.Time(-1)
-	for _, s := range r.snapshots {
-		if s.valid && s.at <= cutoff && s.at > bestAt {
-			best, bestAt = s.granted, s.at
-		}
-	}
-	return best
-}
-
-func (r *receiver) snapshot(now sim.Time) {
-	r.snapshots[r.snapHead] = grantSnapshot{at: now, granted: r.granted, valid: true}
-	r.snapHead = (r.snapHead + 1) % len(r.snapshots)
-}
-
 // New creates an AMRT protocol on the network.
 func New(net *netsim.Network, cfg Config) *Protocol {
 	p := &Protocol{
@@ -230,10 +198,13 @@ func New(net *netsim.Network, cfg Config) *Protocol {
 		cfg:         cfg.withDefaults(),
 		senders:     make(map[netsim.FlowID]*sender),
 		receivers:   make(map[netsim.FlowID]*receiver),
-		installed:   make(map[netsim.NodeID]bool),
 		grantPacers: make(map[netsim.NodeID]*grantPacer),
 		recPacers:   make(map[netsim.NodeID]*recPacer),
 	}
+	p.Bind(transport.Hooks{
+		ToSender: p.onSenderPkt, ToReceiver: p.onReceiverPkt, Start: p.startFlow,
+		DropSender: p.dropSender, DropReceiver: p.dropRcvState, HostCrashed: p.hostCrashed,
+	})
 	if m := cfg.Metrics; m != nil {
 		m.CounterFunc("amrt.grants_sent", func() int64 { return p.GrantsSent })
 		m.CounterFunc("amrt.marked_grants", func() int64 { return p.MarkedGrants })
@@ -251,77 +222,13 @@ func New(net *netsim.Network, cfg Config) *Protocol {
 // Name identifies the protocol in reports.
 func (p *Protocol) Name() string { return "AMRT" }
 
-// AddFlow registers a flow on both endpoints of this instance and
-// schedules its start — the single-instance convenience path. A zero id
-// auto-assigns one. The sharded runner instead splits registration
-// across instances with AddPending/Release on the source shard and
-// Adopt on the home shard.
-func (p *Protocol) AddFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, start sim.Time) *transport.Flow {
-	f := p.NewFlow(id, src, dst, size, start)
-	f.Released = true
-	p.install(src)
-	p.install(dst)
-	p.Engine().ScheduleAt(start, func() { p.startFlow(f) })
-	return f
-}
-
-// AddUnresponsiveFlow registers a flow whose sender announces itself but
-// never sends data (§8.2 stress).
-func (p *Protocol) AddUnresponsiveFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, start sim.Time) *transport.Flow {
-	f := p.AddFlow(id, src, dst, size, start)
-	f.Unresponsive = true
-	return f
-}
-
-// AddPending registers a dependent flow's sender side without
-// scheduling a start; Release starts it when the parent completes.
-func (p *Protocol) AddPending(id netsim.FlowID, src, dst *netsim.Host, size int64, unresponsive bool) *transport.Flow {
-	f := p.NewFlow(id, src, dst, size, 0)
-	f.Unresponsive = unresponsive
-	p.install(src)
-	return f
-}
-
-// Release schedules a pending flow's start. It runs on the sender's
-// shard and does not write f.Start — the flow's home shard records that
-// when it handles the release signal.
-func (p *Protocol) Release(f *transport.Flow, start sim.Time) {
-	p.Engine().ScheduleAt(start, func() { p.startFlow(f) })
-}
-
-// Adopt registers a flow created by another instance on this instance's
-// receiver side (flow table entry plus destination host handler). On a
-// single-shard run the creating instance adopts its own flow, which
-// just installs the destination handler.
-func (p *Protocol) Adopt(f *transport.Flow) {
-	p.Register(f)
-	p.install(f.Dst)
-}
-
-func (p *Protocol) install(h *netsim.Host) {
-	if p.installed[h.ID()] {
-		return
-	}
-	p.installed[h.ID()] = true
-	transport.Dispatcher{Kernel: &p.Kernel, ToSender: p.onSenderPkt, ToReceiver: p.onReceiverPkt}.Install(h)
-}
-
 func (p *Protocol) startFlow(f *transport.Flow) {
-	f.SenderStarted = true
 	s := &sender{f: f}
 	p.senders[f.ID] = s
-	f.Src.Send(p.NewCtrl(netsim.RTS, f, -1, false))
-	p.armAnnounce(f, 3*p.Cfg.RTT)
-	if f.Unresponsive {
-		return
-	}
+	p.Announce(f)
 	// Blind first window (§6): start immediately rather than waiting a
 	// full RTT for grants; the tiny switch data cap bounds the damage.
-	blind := p.BlindPkts(f)
-	for ; s.next < blind; s.next++ {
-		f.Src.Send(p.NewData(f, s.next, netsim.PrioData))
-	}
-	p.UnsolicitedPkts += int64(blind)
+	s.next = p.SendBlind(f, netsim.PrioData)
 }
 
 // GrantAuthority returns the number of data packets the receivers'
@@ -336,64 +243,11 @@ func (p *Protocol) GrantAuthority() int64 {
 		p.RecoveryGrants
 }
 
-// OnHostCrash drops the protocol state this instance owns for flows
-// touching the crashed host. A crashed sender loses its pacer position
-// and retransmit state, so its outgoing flows die with it (Outcome
-// killed-by-crash). A crashed receiver loses bitmap and grant budget;
-// the flow itself survives — the sender's RTS re-announce rebuilds
-// receiver state from scratch after the host restarts.
-//
-// On a sharded run the fault layer fires this hook on every shard at
-// the crash instant; each instance handles only the flow halves its
-// shard owns (receiver side on the home shard, sender side on the
-// source shard), so the aggregate effect equals the single-engine run.
-func (p *Protocol) OnHostCrash(h *netsim.Host) {
-	for _, f := range p.OrderedFlows() {
-		switch h {
-		case f.Src:
-			if p.OwnsReceiver(f) && !f.Done {
-				p.dropReceiverState(f)
-				p.Abort(f)
-			}
-			if p.OwnsSender(f) && !f.SenderDone {
-				delete(p.senders, f.ID)
-				// The flow can never finish; stop the announce chain.
-				f.SenderDone = true
-			}
-		case f.Dst:
-			if p.OwnsReceiver(f) && !f.Done {
-				p.dropReceiverState(f)
-			}
-			if p.OwnsSender(f) && f.SenderStarted && !f.SenderDone {
-				// The crash destroyed everything the sender's earlier grants
-				// proved; clear the heard flag so re-announcement resumes.
-				f.SenderHeard = false
-				p.armAnnounce(f, 3*p.Cfg.RTT)
-			}
-		}
-	}
-	// Grants queued in the crashed host's software pacers die with it;
-	// the packets go back to the pool (they were never injected). Pacer
-	// state exists only in the instance owning the host, so the lookups
-	// are nil everywhere else.
-	if gp := p.grantPacers[h.ID()]; gp != nil {
-		for gp.queue.Len() > 0 {
-			netsim.ReleasePacket(gp.queue.Pop())
-		}
-	}
-	if rp := p.recPacers[h.ID()]; rp != nil {
-		rp.queue.Reset()
-	}
-}
+func (p *Protocol) dropSender(f *transport.Flow) { delete(p.senders, f.ID) }
 
-// OnHostRestart is a no-op for AMRT: surviving flows towards the host
-// are re-announced by the sender-side armAnnounce chain, which keeps
-// firing until receiver state exists again.
-func (p *Protocol) OnHostRestart(h *netsim.Host) {}
-
-// dropReceiverState forgets flow f's receiver (timer cancelled,
+// dropRcvState forgets flow f's receiver (timer cancelled,
 // grants-in-flight ledger rebalanced). No-op if no state exists.
-func (p *Protocol) dropReceiverState(f *transport.Flow) {
+func (p *Protocol) dropRcvState(f *transport.Flow) {
 	r := p.receivers[f.ID]
 	if r == nil {
 		return
@@ -403,28 +257,19 @@ func (p *Protocol) dropReceiverState(f *transport.Flow) {
 	delete(p.receivers, f.ID)
 }
 
-// armAnnounce re-sends the flow's RTS with exponential backoff (3×RTT
-// initial, 64×RTT cap) until the sender hears from the receiver. If the
-// RTS and the entire blind window are lost — a link flap or a
-// control-loss burst — the receiver never learns the flow exists, so no
-// receiver-side timer can recover it; this sender-side announce is the
-// only escape. It self-cancels once a grant reaches the sender
-// (SenderHeard — every later recovery is receiver-driven) or the
-// completion signal does (SenderDone); both flags are sender-shard
-// state, so the check never reads across shards.
-func (p *Protocol) armAnnounce(f *transport.Flow, interval sim.Time) {
-	p.Engine().Schedule(interval, func() {
-		if f.SenderHeard || f.SenderDone {
-			return
+// hostCrashed empties the crashed host's software pacers: queued grants
+// die with it, and the packets go back to the pool (they were never
+// injected). Pacer state exists only in the instance owning the host,
+// so the lookups are nil everywhere else.
+func (p *Protocol) hostCrashed(h *netsim.Host) {
+	if gp := p.grantPacers[h.ID()]; gp != nil {
+		for gp.queue.Len() > 0 {
+			netsim.ReleasePacket(gp.queue.Pop())
 		}
-		f.Src.Send(p.NewCtrl(netsim.RTS, f, -1, false))
-		p.RTSReannounces++
-		next := interval * 2
-		if max := 64 * p.Cfg.RTT; next > max {
-			next = max
-		}
-		p.armAnnounce(f, next)
-	})
+	}
+	if rp := p.recPacers[h.ID()]; rp != nil {
+		rp.queue.Reset()
+	}
 }
 
 func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
@@ -547,26 +392,10 @@ func (p *Protocol) receiverFor(pkt *netsim.Packet) *receiver {
 	}
 	p.receivers[pkt.Flow] = r
 	p.grantsInFlight += int64(r.granted)
-	// Announce confirmation on the deterministic cross-shard control
-	// channel: the sender's re-announce timer stops once it knows the
-	// receiver holds the flow. Grants double as confirmation, but the
-	// scheduler may defer them arbitrarily under SRPT, and re-announcing
-	// until the first grant wastes control slots on the bottleneck. The
-	// signal takes one lookahead at every shard count, so announce
-	// behaviour is partition-independent.
-	f2 := f
-	p.Shard().Signal(f.Dst, f.Src, func() { f2.SenderHeard = true })
-	r.onTimer = func() { p.onTimeout(r) }
-	p.armTimeout(r)
+	p.Heard(f)
+	r.timer.Init(&p.Kernel, func() { p.onTimeout(r) })
+	r.timer.Arm()
 	return r
-}
-
-func (p *Protocol) armTimeout(r *receiver) {
-	interval := p.Cfg.RTT
-	if r.backoff > interval {
-		interval = r.backoff
-	}
-	r.timer = p.Engine().Schedule(interval, r.onTimer)
 }
 
 // onTimeout implements §6 loss recovery: every RTT, any sequence whose
@@ -583,7 +412,7 @@ func (p *Protocol) onTimeout(r *receiver) {
 	}
 	now := p.Now()
 	window := r.overdueWindow(p.Cfg.RTT)
-	overdue := r.grantedBefore(now - window)
+	overdue := r.grants.Before(now - window)
 	rp := p.recPacerFor(r.f.Dst)
 	queued := 0
 	for seq := r.rcvd.NextClear(0); seq >= 0 && seq < overdue && queued < cap; seq = r.rcvd.NextClear(seq + 1) {
@@ -600,18 +429,13 @@ func (p *Protocol) onTimeout(r *receiver) {
 	if queued > 0 {
 		rp.pacer.Kick()
 	}
-	r.snapshot(now)
+	r.grants.Note(now, r.granted)
 	if queued == 0 && now-r.lastProgress > 8*p.Cfg.RTT {
-		if r.backoff < 64*p.Cfg.RTT {
-			if r.backoff == 0 {
-				r.backoff = p.Cfg.RTT
-			}
-			r.backoff *= 2
-		}
+		r.timer.BackOff()
 	} else {
-		r.backoff = 0
+		r.timer.Reset()
 	}
-	p.armTimeout(r)
+	r.timer.Arm()
 }
 
 // recPacerFor returns (creating if needed) the host's recovery pacer.

@@ -73,7 +73,6 @@ type Protocol struct {
 	cfg       Config
 	senders   map[netsim.FlowID]*sender
 	receivers map[netsim.FlowID]*rcvFlow
-	installed map[netsim.NodeID]bool
 
 	// AcksSent counts receiver ACK traffic; Retransmits counts
 	// timeout-driven resends.
@@ -116,8 +115,9 @@ func New(net *netsim.Network, cfg Config) *Protocol {
 		cfg:       cfg.withDefaults(),
 		senders:   make(map[netsim.FlowID]*sender),
 		receivers: make(map[netsim.FlowID]*rcvFlow),
-		installed: make(map[netsim.NodeID]bool),
 	}
+	// Registration and start only; OnHostCrash below shadows the kernel's.
+	p.Bind(transport.Hooks{ToSender: p.onSenderPkt, ToReceiver: p.onReceiverPkt, Start: p.startFlow})
 	if m := cfg.Metrics; m != nil {
 		m.CounterFunc("dctcp.acks_sent", func() int64 { return p.AcksSent })
 		m.CounterFunc("dctcp.retransmits", func() int64 { return p.Retransmits })
@@ -128,60 +128,10 @@ func New(net *netsim.Network, cfg Config) *Protocol {
 // Name identifies the protocol in reports.
 func (p *Protocol) Name() string { return "DCTCP" }
 
-// AddFlow registers a flow on both endpoints of this instance and
-// schedules its start — the single-instance convenience path. The
-// sharded runner instead splits registration across instances with
-// AddPending/Release on the source shard and Adopt on the home shard.
-func (p *Protocol) AddFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, start sim.Time) *transport.Flow {
-	f := p.NewFlow(id, src, dst, size, start)
-	f.Released = true
-	p.install(src)
-	p.install(dst)
-	p.Engine().ScheduleAt(start, func() { p.startFlow(f) })
-	return f
-}
-
-// AddUnresponsiveFlow registers a flow that never sends data. DCTCP has
-// no receiver-side scheduling for it to disturb; it exists so the
-// experiment harness can drive every protocol uniformly.
-func (p *Protocol) AddUnresponsiveFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, start sim.Time) *transport.Flow {
-	f := p.AddFlow(id, src, dst, size, start)
-	f.Unresponsive = true
-	return f
-}
-
-// AddPending registers a dependent flow's sender side without
-// scheduling a start; Release starts it when the parent completes.
-func (p *Protocol) AddPending(id netsim.FlowID, src, dst *netsim.Host, size int64, unresponsive bool) *transport.Flow {
-	f := p.NewFlow(id, src, dst, size, 0)
-	f.Unresponsive = unresponsive
-	p.install(src)
-	return f
-}
-
-// Release schedules a pending flow's start (the home shard writes
-// f.Start when it handles the release signal).
-func (p *Protocol) Release(f *transport.Flow, start sim.Time) {
-	p.Engine().ScheduleAt(start, func() { p.startFlow(f) })
-}
-
-// Adopt registers a flow created by another instance on this instance's
-// receiver side.
-func (p *Protocol) Adopt(f *transport.Flow) {
-	p.Register(f)
-	p.install(f.Dst)
-}
-
-func (p *Protocol) install(h *netsim.Host) {
-	if p.installed[h.ID()] {
-		return
-	}
-	p.installed[h.ID()] = true
-	transport.Dispatcher{Kernel: &p.Kernel, ToSender: p.onSenderPkt, ToReceiver: p.onReceiverPkt}.Install(h)
-}
-
+// startFlow opens the connection. An unresponsive flow (registered so
+// the harness can drive every protocol uniformly) sends nothing: DCTCP
+// has no receiver-side scheduling for it to disturb.
 func (p *Protocol) startFlow(f *transport.Flow) {
-	f.SenderStarted = true
 	if f.Unresponsive {
 		return
 	}
@@ -298,7 +248,7 @@ func (p *Protocol) onReceiverPkt(pkt *netsim.Packet) {
 // endpoint's window or bitmap state is fatal to the connection. On a
 // sharded run the hook fires on every shard; the source shard cancels
 // the RTO and drops sender state, the home shard drops receiver state
-// and records the abort.
+// and records the abort. Crashed connections are not re-established.
 func (p *Protocol) OnHostCrash(h *netsim.Host) {
 	for _, f := range p.OrderedFlows() {
 		if f.Src != h && f.Dst != h {
@@ -317,10 +267,6 @@ func (p *Protocol) OnHostCrash(h *netsim.Host) {
 		}
 	}
 }
-
-// OnHostRestart is a no-op for DCTCP: crashed connections are not
-// re-established.
-func (p *Protocol) OnHostRestart(h *netsim.Host) {}
 
 func (p *Protocol) armRTO(s *sender) {
 	interval := sim.Time(p.cfg.RTORTTs) * p.Cfg.RTT

@@ -46,10 +46,7 @@ func runFanChaos(t *testing.T, proto, spec string) (*topo.Scenario, *faults.Plan
 		flows = append(flows, inst.AddFlow(netsim.FlowID(i+1), s.Senders[i], s.Receivers[i], 1_000_000, sim.Time(i)*20*sim.Microsecond))
 	}
 	const horizon = 20 * sim.Second
-	if ch, ok := inst.(CrashHandler); ok {
-		plan.CrashHook = func(_ *netsim.Shard, h *netsim.Host) { ch.OnHostCrash(h) }
-		plan.RestartHook = func(_ *netsim.Shard, h *netsim.Host) { ch.OnHostRestart(h) }
-	}
+	plan.CrashHook = func(_ *netsim.Shard, h *netsim.Host) { inst.OnHostCrash(h) }
 	if err := plan.Apply(s.Net, horizon); err != nil {
 		t.Fatal(err)
 	}

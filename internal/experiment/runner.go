@@ -386,17 +386,12 @@ func (r LeafSpineRun) RunE() (RunResult, error) {
 	}
 
 	if r.Faults != nil {
-		// Node-fault hooks: each shard's stack instance drops (and later
-		// recovers) the slice of the crashed host's state it owns, at the
-		// instant the fault layer parks the host's links. The fault layer
-		// fires the hook once per shard, on that shard's engine.
-		if _, ok := insts[0].(CrashHandler); ok {
-			r.Faults.CrashHook = func(sh *netsim.Shard, h *netsim.Host) {
-				insts[sh.Index()].(CrashHandler).OnHostCrash(h)
-			}
-			r.Faults.RestartHook = func(sh *netsim.Shard, h *netsim.Host) {
-				insts[sh.Index()].(CrashHandler).OnHostRestart(h)
-			}
+		// Node-fault hook: each shard's stack instance drops the slice of
+		// the crashed host's state it owns, at the instant the fault layer
+		// parks the host's links. The fault layer fires the hook once per
+		// shard, on that shard's engine.
+		r.Faults.CrashHook = func(sh *netsim.Shard, h *netsim.Host) {
+			insts[sh.Index()].OnHostCrash(h)
 		}
 		if err := r.Faults.Apply(ls.Net, horizon); err != nil {
 			return RunResult{}, err

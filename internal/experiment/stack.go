@@ -18,8 +18,9 @@ import (
 	"amrt/internal/transport"
 )
 
-// Instance is the protocol surface the harness drives; all four
-// implementations satisfy it. The runner creates one instance per
+// Instance is the protocol surface the harness drives; every
+// registered stack satisfies it, almost entirely through the embedded
+// transport.Kernel's flow lifecycle. The runner creates one instance per
 // engine shard: a flow's sender side lives on its source's instance
 // (AddFlow / AddPending), its receiver side on its destination's
 // (Adopt), and the two coincide on single-shard runs.
@@ -37,20 +38,17 @@ type Instance interface {
 	// runs, where the same instance already holds the flow).
 	Adopt(f *transport.Flow)
 	// OrderedFlows returns the flows in creation order (embedded
-	// transport.Kernel provides it); the runner's watchdog, crash
-	// wiring, and outcome report iterate it for determinism.
+	// transport.Kernel provides it); the runner's watchdog and outcome
+	// report iterate it for determinism.
 	OrderedFlows() []*transport.Flow
-}
-
-// CrashHandler is implemented by stacks that react to node-level fault
-// domains: OnHostCrash fires at the instant a host loses power (all
-// protocol state on it is gone), OnHostRestart when it comes back. The
-// runner wires these into the fault plan's hooks; a stack that does not
-// implement the interface silently ignores crashes, which under the
-// auditor shows up as stalled flows.
-type CrashHandler interface {
+	// OnHostCrash fires at the instant a host loses power: all protocol
+	// state on it is gone. The runner wires it into the fault plan's
+	// crash hook, once per shard instance. It is part of the interface,
+	// not an optional extension, so a stack whose method set drifts
+	// fails to compile instead of silently ignoring crashes. There is no
+	// restart counterpart: surviving flows are rebuilt by the sender's
+	// re-announce chain.
 	OnHostCrash(h *netsim.Host)
-	OnHostRestart(h *netsim.Host)
 }
 
 // Stack bundles everything needed to put one protocol on a topology:

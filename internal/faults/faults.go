@@ -144,9 +144,10 @@ type Plan struct {
 	// has been updated. On a partitioned network the hook fires once per
 	// shard — a same-instant event on every shard engine — with that
 	// shard as the first argument, so each protocol-stack instance drops
-	// (and later recovers) exactly the slice of the crashed host's state
-	// it owns. The experiment runner points them at the per-shard stack
-	// instances.
+	// exactly the slice of the crashed host's state it owns. The
+	// experiment runner points CrashHook at the per-shard stack
+	// instances; no stack needs the restart (senders re-announce), so
+	// RestartHook is for observers.
 	CrashHook   func(sh *netsim.Shard, h *netsim.Host)
 	RestartHook func(sh *netsim.Shard, h *netsim.Host)
 

@@ -67,11 +67,13 @@ type Protocol struct {
 	senders   map[netsim.FlowID]*sender
 	receivers map[netsim.FlowID]*rcvFlow
 	byHost    map[netsim.NodeID][]*rcvFlow
-	installed map[netsim.NodeID]bool
 	// active is regrant's scratch slice. regrant runs on every data
 	// arrival and never re-enters (Send only schedules), so one buffer
 	// per Protocol serves every host.
 	active []*rcvFlow
+	// freed notes the receiving hosts that lost receiver state during a
+	// crash pass; hostCrashed hands their overcommitment slots on.
+	freed []*netsim.Host
 
 	// GrantsSent counts grant packets; GrantedPkts counts packets
 	// authorized by them.
@@ -80,8 +82,6 @@ type Protocol struct {
 	// ResendGrants counts per-sequence resend requests issued by the
 	// timeout path, each authorizing one retransmission.
 	ResendGrants int64
-	// RTSReannounces counts sender-side RTS re-sends (armAnnounce).
-	RTSReannounces int64
 }
 
 type sender struct {
@@ -94,12 +94,7 @@ type rcvFlow struct {
 	rcvd         *transport.Bitmap
 	granted      int32 // packets authorized (incl. unscheduled window)
 	lastProgress sim.Time
-	timer        sim.Timer
-	onTimer      func() // p.onTimeout(r), bound once: the per-RTT re-arm must not allocate
-	// backoff doubles the resend-check interval while a flow makes no
-	// progress (up to 64×RTT), so a permanently silent sender costs a
-	// trickle of events instead of a per-RTT scan forever.
-	backoff sim.Time
+	timer        transport.RecvTimer // runs onTimeout
 }
 
 func (r *rcvFlow) remaining() int32 { return r.f.NPkts - r.rcvd.Count() }
@@ -121,8 +116,11 @@ func New(net *netsim.Network, cfg Config) *Protocol {
 		senders:   make(map[netsim.FlowID]*sender),
 		receivers: make(map[netsim.FlowID]*rcvFlow),
 		byHost:    make(map[netsim.NodeID][]*rcvFlow),
-		installed: make(map[netsim.NodeID]bool),
 	}
+	p.Bind(transport.Hooks{
+		ToSender: p.onSenderPkt, ToReceiver: p.onReceiverPkt, Start: p.startFlow,
+		DropSender: p.dropSender, DropReceiver: p.dropRcvState, HostCrashed: p.hostCrashed,
+	})
 	if m := cfg.Metrics; m != nil {
 		m.CounterFunc("homa.grants_sent", func() int64 { return p.GrantsSent })
 		m.CounterFunc("homa.granted_pkts", func() int64 { return p.GrantedPkts })
@@ -138,74 +136,12 @@ func (p *Protocol) Name() string { return "Homa" }
 // Degree returns the configured overcommitment level.
 func (p *Protocol) Degree() int { return p.cfg.Degree }
 
-// AddFlow registers a flow on both endpoints of this instance and
-// schedules its start — the single-instance convenience path. The
-// sharded runner instead splits registration across instances with
-// AddPending/Release on the source shard and Adopt on the home shard.
-func (p *Protocol) AddFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, start sim.Time) *transport.Flow {
-	f := p.NewFlow(id, src, dst, size, start)
-	f.Released = true
-	p.install(src)
-	p.install(dst)
-	p.Engine().ScheduleAt(start, func() { p.startFlow(f) })
-	return f
-}
-
-// AddUnresponsiveFlow registers a flow that announces itself but never
-// sends data; with overcommitment it pins one of the receiver's grant
-// slots until the flow would complete.
-func (p *Protocol) AddUnresponsiveFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, start sim.Time) *transport.Flow {
-	f := p.AddFlow(id, src, dst, size, start)
-	f.Unresponsive = true
-	return f
-}
-
-// AddPending registers a dependent flow's sender side without
-// scheduling a start; Release starts it when the parent completes.
-func (p *Protocol) AddPending(id netsim.FlowID, src, dst *netsim.Host, size int64, unresponsive bool) *transport.Flow {
-	f := p.NewFlow(id, src, dst, size, 0)
-	f.Unresponsive = unresponsive
-	p.install(src)
-	return f
-}
-
-// Release schedules a pending flow's start (the home shard writes
-// f.Start when it handles the release signal).
-func (p *Protocol) Release(f *transport.Flow, start sim.Time) {
-	p.Engine().ScheduleAt(start, func() { p.startFlow(f) })
-}
-
-// Adopt registers a flow created by another instance on this instance's
-// receiver side.
-func (p *Protocol) Adopt(f *transport.Flow) {
-	p.Register(f)
-	p.install(f.Dst)
-}
-
-func (p *Protocol) install(h *netsim.Host) {
-	if p.installed[h.ID()] {
-		return
-	}
-	p.installed[h.ID()] = true
-	transport.Dispatcher{Kernel: &p.Kernel, ToSender: p.onSenderPkt, ToReceiver: p.onReceiverPkt}.Install(h)
-}
-
 func (p *Protocol) startFlow(f *transport.Flow) {
-	f.SenderStarted = true
 	s := &sender{f: f}
 	p.senders[f.ID] = s
-	f.Src.Send(p.NewCtrl(netsim.RTS, f, -1, false))
-	p.armAnnounce(f, 3*p.Cfg.RTT)
-	if f.Unresponsive {
-		return
-	}
+	p.Announce(f)
 	// Unscheduled window at high priority.
-	blind := p.BlindPkts(f)
-	for ; s.next < blind; s.next++ {
-		pkt := p.NewData(f, s.next, netsim.PrioHigh)
-		f.Src.Send(pkt)
-	}
-	p.UnsolicitedPkts += int64(blind)
+	s.next = p.SendBlind(f, netsim.PrioHigh)
 }
 
 // GrantAuthority returns the data packets authorized so far: the
@@ -216,52 +152,11 @@ func (p *Protocol) GrantAuthority() int64 {
 	return p.UnsolicitedPkts + p.GrantedPkts + p.ResendGrants
 }
 
-// OnHostCrash drops the protocol state this instance owns for flows
-// touching the crashed host. A crashed sender kills its outgoing flows
-// and frees their grant slots; a crashed receiver loses bitmaps and
-// grant windows — those flows survive and are rebuilt by the sender's
-// RTS re-announce after restart. On a sharded run the hook fires on
-// every shard; each instance handles only the flow halves its shard
-// owns (the regrant of freed slots is receiver-side work, so it runs
-// on the dead sender's peers' home shards).
-func (p *Protocol) OnHostCrash(h *netsim.Host) {
-	var regrantDsts []*netsim.Host
-	for _, f := range p.OrderedFlows() {
-		switch h {
-		case f.Src:
-			if p.OwnsReceiver(f) && !f.Done {
-				p.dropRcvState(f)
-				p.Abort(f)
-				regrantDsts = append(regrantDsts, f.Dst)
-			}
-			if p.OwnsSender(f) && !f.SenderDone {
-				delete(p.senders, f.ID)
-				// The flow can never finish; stop the announce chain.
-				f.SenderDone = true
-			}
-		case f.Dst:
-			if p.OwnsReceiver(f) && !f.Done {
-				p.dropRcvState(f)
-			}
-			if p.OwnsSender(f) && f.SenderStarted && !f.SenderDone {
-				// Clear the sender-side flag so re-announcement resumes.
-				f.SenderHeard = false
-				p.armAnnounce(f, 3*p.Cfg.RTT)
-			}
-		}
-	}
-	// Hand the freed overcommitment slots to surviving messages.
-	for _, dst := range regrantDsts {
-		p.regrant(dst)
-	}
-}
-
-// OnHostRestart is a no-op for Homa: surviving flows towards the host
-// are re-announced by the sender-side armAnnounce chain.
-func (p *Protocol) OnHostRestart(h *netsim.Host) {}
+func (p *Protocol) dropSender(f *transport.Flow) { delete(p.senders, f.ID) }
 
 // dropRcvState forgets flow f's receiver state (timer cancelled,
-// per-host scheduler list pruned). No-op if no state exists.
+// per-host scheduler list pruned) and notes the host for hostCrashed.
+// No-op if no state exists.
 func (p *Protocol) dropRcvState(f *transport.Flow) {
 	r := p.receivers[f.ID]
 	if r == nil {
@@ -269,37 +164,26 @@ func (p *Protocol) dropRcvState(f *transport.Flow) {
 	}
 	r.timer.Cancel()
 	delete(p.receivers, f.ID)
-	flows := p.byHost[f.Dst.ID()]
-	keep := flows[:0]
-	for _, x := range flows {
-		if x != r {
-			keep = append(keep, x)
-		}
-	}
-	p.byHost[f.Dst.ID()] = keep
+	p.unlist(r)
+	p.freed = append(p.freed, f.Dst)
 }
 
-// armAnnounce re-sends the flow's RTS with exponential backoff (3×RTT
-// initial, 64×RTT cap) until receiver state exists. If the RTS and the
-// whole unscheduled window are lost, no rcvFlow is ever created, so the
-// resend timer that would repair the loss never arms; the sender must
-// keep announcing. Self-cancels once a grant reaches the sender
-// (SenderHeard — the receiver's timeout machinery then owns recovery)
-// or the completion signal does (SenderDone); both flags are
-// sender-shard state.
-func (p *Protocol) armAnnounce(f *transport.Flow, interval sim.Time) {
-	p.Engine().Schedule(interval, func() {
-		if f.SenderHeard || f.SenderDone {
-			return
-		}
-		f.Src.Send(p.NewCtrl(netsim.RTS, f, -1, false))
-		p.RTSReannounces++
-		next := interval * 2
-		if max := 64 * p.Cfg.RTT; next > max {
-			next = max
-		}
-		p.armAnnounce(f, next)
-	})
+// hostCrashed hands the overcommitment slots a dead sender's flows
+// freed to surviving messages. That is receiver-side work, so on a
+// sharded run it happens on the dead sender's peers' home shards. The
+// crashed host itself is noted too when it was receiving, but all its
+// receiver state is gone, so that regrant finds nothing to grant.
+func (p *Protocol) hostCrashed(*netsim.Host) {
+	for _, dst := range p.freed {
+		p.regrant(dst)
+	}
+	p.freed = p.freed[:0]
+}
+
+// unlist removes r from its receiving host's scheduler list.
+func (p *Protocol) unlist(r *rcvFlow) {
+	id := r.f.Dst.ID()
+	p.byHost[id] = slices.DeleteFunc(p.byHost[id], func(x *rcvFlow) bool { return x == r })
 }
 
 func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
@@ -363,12 +247,9 @@ func (p *Protocol) rcvFor(pkt *netsim.Packet) *rcvFlow {
 	}
 	p.receivers[pkt.Flow] = r
 	p.byHost[f.Dst.ID()] = append(p.byHost[f.Dst.ID()], r)
-	// Announce confirmation (see core/amrt.receiverFor): stop the
-	// sender's re-announce timer without waiting for the first grant.
-	f2 := f
-	p.Shard().Signal(f.Dst, f.Src, func() { f2.SenderHeard = true })
-	r.onTimer = func() { p.onTimeout(r) }
-	p.armTimeout(r)
+	p.Heard(f)
+	r.timer.Init(&p.Kernel, func() { p.onTimeout(r) })
+	r.timer.Arm()
 	return r
 }
 
@@ -402,14 +283,6 @@ func (p *Protocol) regrant(dst *netsim.Host) {
 	}
 }
 
-func (p *Protocol) armTimeout(r *rcvFlow) {
-	interval := p.Cfg.RTT
-	if r.backoff > interval {
-		interval = r.backoff
-	}
-	r.timer = p.Engine().Schedule(interval, r.onTimer)
-}
-
 func (p *Protocol) onTimeout(r *rcvFlow) {
 	if r.f.Done {
 		return
@@ -427,29 +300,17 @@ func (p *Protocol) onTimeout(r *rcvFlow) {
 		// Freshly regrant in case slots opened up.
 		p.regrant(r.f.Dst)
 		// No answer since the last check: back off (reset on progress).
-		if r.backoff < 64*p.Cfg.RTT {
-			if r.backoff == 0 {
-				r.backoff = p.Cfg.RTT
-			}
-			r.backoff *= 2
-		}
+		r.timer.BackOff()
 	} else {
-		r.backoff = 0
+		r.timer.Reset()
 	}
-	p.armTimeout(r)
+	r.timer.Arm()
 }
 
 func (p *Protocol) finish(r *rcvFlow) {
 	r.timer.Cancel()
 	p.Complete(r.f)
 	// Drop from the per-host list and hand the slot to the next message.
-	flows := p.byHost[r.f.Dst.ID()]
-	keep := flows[:0]
-	for _, x := range flows {
-		if x != r {
-			keep = append(keep, x)
-		}
-	}
-	p.byHost[r.f.Dst.ID()] = keep
+	p.unlist(r)
 	p.regrant(r.f.Dst)
 }

@@ -56,16 +56,13 @@ type Protocol struct {
 	senders   map[netsim.FlowID]*sender
 	receivers map[netsim.FlowID]*rcvFlow
 	pullers   map[netsim.NodeID]*puller
-	installed map[netsim.NodeID]bool
 
 	// PullsSent and NacksSent count receiver control traffic; Trims is
 	// maintained by the switch queues (sum over ports if needed).
 	PullsSent int64
 	NacksSent int64
-	// RTSReannounces counts sender-side RTS re-sends (armAnnounce);
 	// PullsReplenished counts timeout-driven pull reissues for the
 	// unsent tail (lost-pull recovery).
-	RTSReannounces   int64
 	PullsReplenished int64
 }
 
@@ -80,16 +77,12 @@ type rcvFlow struct {
 	rcvd         *transport.Bitmap
 	pullBudget   int32 // packets still to be triggered by pulls
 	lastProgress sim.Time
-	timer        sim.Timer
-	onTimer      func() // p.onTimeout(r), bound once: the per-RTT re-arm must not allocate
+	timer        transport.RecvTimer // runs onTimeout
 	// sentEst is the receiver-local estimate of the sender's send cursor:
 	// one past the highest sequence seen in any data packet or trimmed
 	// header. The timeout recovery uses it instead of peeking at sender
 	// state, which may live on another engine shard.
 	sentEst int32
-	// backoff doubles the recovery-check interval (up to 64×RTT) while
-	// the flow makes no progress.
-	backoff sim.Time
 }
 
 type puller struct {
@@ -106,8 +99,11 @@ func New(net *netsim.Network, cfg Config) *Protocol {
 		senders:   make(map[netsim.FlowID]*sender),
 		receivers: make(map[netsim.FlowID]*rcvFlow),
 		pullers:   make(map[netsim.NodeID]*puller),
-		installed: make(map[netsim.NodeID]bool),
 	}
+	p.Bind(transport.Hooks{
+		ToSender: p.onSenderPkt, ToReceiver: p.onReceiverPkt, Start: p.startFlow,
+		DropSender: p.dropSender, DropReceiver: p.dropRcvState, HostCrashed: p.hostCrashed,
+	})
 	if m := cfg.Metrics; m != nil {
 		m.CounterFunc("ndp.pulls_sent", func() int64 { return p.PullsSent })
 		m.CounterFunc("ndp.nacks_sent", func() int64 { return p.NacksSent })
@@ -120,71 +116,11 @@ func New(net *netsim.Network, cfg Config) *Protocol {
 // Name identifies the protocol in reports.
 func (p *Protocol) Name() string { return "NDP" }
 
-// AddFlow registers a flow on both endpoints of this instance and
-// schedules its start — the single-instance convenience path. The
-// sharded runner instead splits registration across instances with
-// AddPending/Release on the source shard and Adopt on the home shard.
-func (p *Protocol) AddFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, start sim.Time) *transport.Flow {
-	f := p.NewFlow(id, src, dst, size, start)
-	f.Released = true
-	p.install(src)
-	p.install(dst)
-	p.Engine().ScheduleAt(start, func() { p.startFlow(f) })
-	return f
-}
-
-// AddUnresponsiveFlow registers a flow that announces itself but never
-// sends data.
-func (p *Protocol) AddUnresponsiveFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, start sim.Time) *transport.Flow {
-	f := p.AddFlow(id, src, dst, size, start)
-	f.Unresponsive = true
-	return f
-}
-
-// AddPending registers a dependent flow's sender side without
-// scheduling a start; Release starts it when the parent completes.
-func (p *Protocol) AddPending(id netsim.FlowID, src, dst *netsim.Host, size int64, unresponsive bool) *transport.Flow {
-	f := p.NewFlow(id, src, dst, size, 0)
-	f.Unresponsive = unresponsive
-	p.install(src)
-	return f
-}
-
-// Release schedules a pending flow's start (the home shard writes
-// f.Start when it handles the release signal).
-func (p *Protocol) Release(f *transport.Flow, start sim.Time) {
-	p.Engine().ScheduleAt(start, func() { p.startFlow(f) })
-}
-
-// Adopt registers a flow created by another instance on this instance's
-// receiver side.
-func (p *Protocol) Adopt(f *transport.Flow) {
-	p.Register(f)
-	p.install(f.Dst)
-}
-
-func (p *Protocol) install(h *netsim.Host) {
-	if p.installed[h.ID()] {
-		return
-	}
-	p.installed[h.ID()] = true
-	transport.Dispatcher{Kernel: &p.Kernel, ToSender: p.onSenderPkt, ToReceiver: p.onReceiverPkt}.Install(h)
-}
-
 func (p *Protocol) startFlow(f *transport.Flow) {
-	f.SenderStarted = true
 	s := &sender{f: f}
 	p.senders[f.ID] = s
-	f.Src.Send(p.NewCtrl(netsim.RTS, f, -1, false))
-	p.armAnnounce(f, 3*p.Cfg.RTT)
-	if f.Unresponsive {
-		return
-	}
-	blind := p.BlindPkts(f)
-	for ; s.next < blind; s.next++ {
-		f.Src.Send(p.NewData(f, s.next, netsim.PrioData))
-	}
-	p.UnsolicitedPkts += int64(blind)
+	p.Announce(f)
+	s.next = p.SendBlind(f, netsim.PrioData)
 }
 
 // GrantAuthority returns the data packets authorized so far: the blind
@@ -195,48 +131,17 @@ func (p *Protocol) GrantAuthority() int64 {
 	return p.UnsolicitedPkts + p.PullsSent
 }
 
-// OnHostCrash drops the protocol state this instance owns for flows
-// touching the crashed host. A crashed sender kills its outgoing flows
-// (the retransmit queue and send cursor are gone); a crashed receiver
-// loses bitmap, pull budget, and queued pulls — those flows survive
-// and are rebuilt by the sender's RTS re-announce after restart. On a
-// sharded run the hook fires on every shard; each instance handles
-// only the flow halves its shard owns.
-func (p *Protocol) OnHostCrash(h *netsim.Host) {
-	for _, f := range p.OrderedFlows() {
-		switch h {
-		case f.Src:
-			if p.OwnsReceiver(f) && !f.Done {
-				p.dropRcvState(f)
-				p.Abort(f)
-			}
-			if p.OwnsSender(f) && !f.SenderDone {
-				delete(p.senders, f.ID)
-				// The flow can never finish; stop the announce chain.
-				f.SenderDone = true
-			}
-		case f.Dst:
-			if p.OwnsReceiver(f) && !f.Done {
-				p.dropRcvState(f)
-			}
-			if p.OwnsSender(f) && f.SenderStarted && !f.SenderDone {
-				// Clear the sender-side flag so re-announcement resumes.
-				f.SenderHeard = false
-				p.armAnnounce(f, 3*p.Cfg.RTT)
-			}
-		}
-	}
-	// The crashed host's pull pacer queue (flow refs, no packets) dies
-	// with it; emitPull skips Done flows, but stale entries for crashed
-	// receiver state would issue pulls against forgotten bitmaps.
+// dropSender forgets f's send cursor and retransmit queue.
+func (p *Protocol) dropSender(f *transport.Flow) { delete(p.senders, f.ID) }
+
+// hostCrashed empties the crashed host's pull pacer queue (flow refs,
+// no packets): emitPull skips Done flows, but stale entries for crashed
+// receiver state would issue pulls against forgotten bitmaps.
+func (p *Protocol) hostCrashed(h *netsim.Host) {
 	if pl := p.pullers[h.ID()]; pl != nil {
 		pl.queue.Reset()
 	}
 }
-
-// OnHostRestart is a no-op for NDP: surviving flows towards the host
-// are re-announced by the sender-side armAnnounce chain.
-func (p *Protocol) OnHostRestart(h *netsim.Host) {}
 
 // dropRcvState forgets flow f's receiver state (timer cancelled).
 // No-op if no state exists.
@@ -247,29 +152,6 @@ func (p *Protocol) dropRcvState(f *transport.Flow) {
 	}
 	r.timer.Cancel()
 	delete(p.receivers, f.ID)
-}
-
-// armAnnounce re-sends the flow's RTS with exponential backoff (3×RTT
-// initial, 64×RTT cap) until receiver state exists. If the RTS and the
-// whole blind window are lost (or trimmed headers dropped from a full
-// control band), no rcvFlow is created, so the recovery timer that
-// would NACK the holes never arms. Self-cancels once a receiver control
-// packet reaches the sender (SenderHeard — receiver state then exists
-// and its timeout machinery owns recovery) or the completion signal
-// does (SenderDone); both flags are sender-shard state.
-func (p *Protocol) armAnnounce(f *transport.Flow, interval sim.Time) {
-	p.Engine().Schedule(interval, func() {
-		if f.SenderHeard || f.SenderDone {
-			return
-		}
-		f.Src.Send(p.NewCtrl(netsim.RTS, f, -1, false))
-		p.RTSReannounces++
-		next := interval * 2
-		if max := 64 * p.Cfg.RTT; next > max {
-			next = max
-		}
-		p.armAnnounce(f, next)
-	})
 }
 
 func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
@@ -374,12 +256,9 @@ func (p *Protocol) rcvFor(pkt *netsim.Packet) *rcvFlow {
 		lastProgress: p.Now(),
 	}
 	p.receivers[pkt.Flow] = r
-	// Announce confirmation (see core/amrt.receiverFor): stop the
-	// sender's re-announce timer without waiting for the first pull.
-	f2 := f
-	p.Shard().Signal(f.Dst, f.Src, func() { f2.SenderHeard = true })
-	r.onTimer = func() { p.onTimeout(r) }
-	p.armTimeout(r)
+	p.Heard(f)
+	r.timer.Init(&p.Kernel, func() { p.onTimeout(r) })
+	r.timer.Arm()
 	return r
 }
 
@@ -416,14 +295,6 @@ func (p *Protocol) emitPull(pl *puller) bool {
 		return true
 	}
 	return false
-}
-
-func (p *Protocol) armTimeout(r *rcvFlow) {
-	interval := p.Cfg.RTT
-	if r.backoff > interval {
-		interval = r.backoff
-	}
-	r.timer = p.Engine().Schedule(interval, r.onTimer)
 }
 
 // onTimeout recovers from losses the trim path cannot see (e.g. control
@@ -470,16 +341,11 @@ func (p *Protocol) onTimeout(r *rcvFlow) {
 			p.PullsReplenished += int64(unsent)
 			pl.pacer.Kick()
 		}
-		if r.backoff < 64*p.Cfg.RTT {
-			if r.backoff == 0 {
-				r.backoff = p.Cfg.RTT
-			}
-			r.backoff *= 2
-		}
+		r.timer.BackOff()
 	} else {
-		r.backoff = 0
+		r.timer.Reset()
 	}
-	p.armTimeout(r)
+	r.timer.Arm()
 }
 
 func (p *Protocol) finish(r *rcvFlow) {

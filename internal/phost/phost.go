@@ -7,6 +7,8 @@
 package phost
 
 import (
+	"slices"
+
 	"amrt/internal/netsim"
 	"amrt/internal/sim"
 	"amrt/internal/transport"
@@ -61,14 +63,11 @@ type Protocol struct {
 	cfg       Config
 	receivers map[netsim.FlowID]*rcvFlow
 	pacers    map[netsim.NodeID]*pacerState
-	installed map[netsim.NodeID]bool
 
 	// TokensSent counts tokens issued; TokensExpired counts per-token
 	// timeouts (a proxy for wasted downlink allocation).
 	TokensSent    int64
 	TokensExpired int64
-	// RTSReannounces counts sender-side RTS re-sends (armAnnounce).
-	RTSReannounces int64
 }
 
 type rcvFlow struct {
@@ -120,8 +119,13 @@ func New(net *netsim.Network, cfg Config) *Protocol {
 		cfg:       cfg.withDefaults(),
 		receivers: make(map[netsim.FlowID]*rcvFlow),
 		pacers:    make(map[netsim.NodeID]*pacerState),
-		installed: make(map[netsim.NodeID]bool),
 	}
+	// No DropSender: pHost senders are stateless (every token names its
+	// sequence).
+	p.Bind(transport.Hooks{
+		ToSender: p.onSenderPkt, ToReceiver: p.onReceiverPkt, Start: p.startFlow,
+		DropReceiver: p.dropRcvState, HostCrashed: p.hostCrashed,
+	})
 	if m := cfg.Metrics; m != nil {
 		m.CounterFunc("phost.tokens_sent", func() int64 { return p.TokensSent })
 		m.CounterFunc("phost.tokens_expired", func() int64 { return p.TokensExpired })
@@ -133,70 +137,10 @@ func New(net *netsim.Network, cfg Config) *Protocol {
 // Name identifies the protocol in reports.
 func (p *Protocol) Name() string { return "pHost" }
 
-// AddFlow registers a flow on both endpoints of this instance and
-// schedules its start — the single-instance convenience path. The
-// sharded runner instead splits registration across instances with
-// AddPending/Release on the source shard and Adopt on the home shard.
-func (p *Protocol) AddFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, start sim.Time) *transport.Flow {
-	f := p.NewFlow(id, src, dst, size, start)
-	f.Released = true
-	p.install(src)
-	p.install(dst)
-	p.Engine().ScheduleAt(start, func() { p.startFlow(f) })
-	return f
-}
-
-// AddUnresponsiveFlow registers a flow that announces itself (RTS) but
-// never sends data.
-func (p *Protocol) AddUnresponsiveFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, start sim.Time) *transport.Flow {
-	f := p.AddFlow(id, src, dst, size, start)
-	f.Unresponsive = true
-	return f
-}
-
-// AddPending registers a dependent flow's sender side without
-// scheduling a start; Release starts it when the parent completes.
-func (p *Protocol) AddPending(id netsim.FlowID, src, dst *netsim.Host, size int64, unresponsive bool) *transport.Flow {
-	f := p.NewFlow(id, src, dst, size, 0)
-	f.Unresponsive = unresponsive
-	p.install(src)
-	return f
-}
-
-// Release schedules a pending flow's start (the home shard writes
-// f.Start when it handles the release signal).
-func (p *Protocol) Release(f *transport.Flow, start sim.Time) {
-	p.Engine().ScheduleAt(start, func() { p.startFlow(f) })
-}
-
-// Adopt registers a flow created by another instance on this instance's
-// receiver side.
-func (p *Protocol) Adopt(f *transport.Flow) {
-	p.Register(f)
-	p.install(f.Dst)
-}
-
-func (p *Protocol) install(h *netsim.Host) {
-	if p.installed[h.ID()] {
-		return
-	}
-	p.installed[h.ID()] = true
-	transport.Dispatcher{Kernel: &p.Kernel, ToSender: p.onSenderPkt, ToReceiver: p.onReceiverPkt}.Install(h)
-}
-
 func (p *Protocol) startFlow(f *transport.Flow) {
-	f.SenderStarted = true
-	f.Src.Send(p.NewCtrl(netsim.RTS, f, -1, false))
-	p.armAnnounce(f, 3*p.Cfg.RTT)
-	if f.Unresponsive {
-		return
-	}
+	p.Announce(f)
 	// Free tokens: the first RTT of data goes out unscheduled.
-	blind := p.BlindPkts(f)
-	for seq := int32(0); seq < blind; seq++ {
-		f.Src.Send(p.NewData(f, seq, netsim.PrioData))
-	}
-	p.UnsolicitedPkts += int64(blind)
+	p.SendBlind(f, netsim.PrioData)
 }
 
 // GrantAuthority returns the data packets authorized so far: the free
@@ -206,44 +150,13 @@ func (p *Protocol) GrantAuthority() int64 {
 	return p.UnsolicitedPkts + p.TokensSent
 }
 
-// OnHostCrash drops the protocol state this instance owns for flows
-// touching the crashed host. Crashed senders kill their outgoing flows
-// (pHost senders are stateless but the application buffer is gone); a
-// crashed receiver loses its bitmap, pending-token timers, and banked
-// credits — the flow survives and is rebuilt by the sender's RTS
-// re-announce. On a sharded run the hook fires on every shard; each
-// instance handles only the flow halves its shard owns.
-func (p *Protocol) OnHostCrash(h *netsim.Host) {
-	for _, f := range p.OrderedFlows() {
-		switch h {
-		case f.Src:
-			if p.OwnsReceiver(f) && !f.Done {
-				p.dropRcvState(f)
-				p.Abort(f)
-			}
-			if p.OwnsSender(f) && !f.SenderDone {
-				// The flow can never finish; stop the announce chain.
-				f.SenderDone = true
-			}
-		case f.Dst:
-			if p.OwnsReceiver(f) && !f.Done {
-				p.dropRcvState(f)
-			}
-			if p.OwnsSender(f) && f.SenderStarted && !f.SenderDone {
-				// Clear the sender-side flag so re-announcement resumes.
-				f.SenderHeard = false
-				p.armAnnounce(f, 3*p.Cfg.RTT)
-			}
-		}
-	}
+// hostCrashed zeroes the crashed host's banked arrival credits; its
+// bitmaps and pending-token timers went flow by flow (dropRcvState).
+func (p *Protocol) hostCrashed(h *netsim.Host) {
 	if ps := p.pacers[h.ID()]; ps != nil {
-		ps.credits = 0 // banked arrival credits die with the host
+		ps.credits = 0
 	}
 }
-
-// OnHostRestart is a no-op for pHost: surviving flows towards the host
-// are re-announced by the sender-side armAnnounce chain.
-func (p *Protocol) OnHostRestart(h *netsim.Host) {}
 
 // dropRcvState forgets flow f's receiver state (pending timers
 // cancelled, pacer list pruned). No-op if no state exists.
@@ -254,30 +167,6 @@ func (p *Protocol) dropRcvState(f *transport.Flow) {
 	}
 	p.removeFlow(r)
 	delete(p.receivers, f.ID)
-}
-
-// armAnnounce re-sends the flow's RTS with exponential backoff (3×RTT
-// initial, 64×RTT cap) until receiver state exists. If the RTS and the
-// whole free-token window are lost, the receiver never learns of the
-// flow — its token scheduler, expiry timers and probe all hang off
-// rcvFlow state that was never created — so the sender must keep
-// announcing. Self-cancels once the receiver materializes or the flow
-// completes. The stop condition reads only sender-shard flags
-// (SenderHeard: a token reached the sender; SenderDone: the completion
-// signal arrived) so it never peeks at receiver-shard state.
-func (p *Protocol) armAnnounce(f *transport.Flow, interval sim.Time) {
-	p.Engine().Schedule(interval, func() {
-		if f.SenderHeard || f.SenderDone {
-			return
-		}
-		f.Src.Send(p.NewCtrl(netsim.RTS, f, -1, false))
-		p.RTSReannounces++
-		next := interval * 2
-		if max := 64 * p.Cfg.RTT; next > max {
-			next = max
-		}
-		p.armAnnounce(f, next)
-	})
 }
 
 func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
@@ -347,10 +236,7 @@ func (p *Protocol) rcvFor(pkt *netsim.Packet) *rcvFlow {
 	}
 	r := &rcvFlow{p: p, f: f, rcvd: transport.NewBitmap(f.NPkts), pending: make(map[int32]sim.Timer), lastArrival: p.Now()}
 	p.receivers[pkt.Flow] = r
-	// Announce confirmation (see core/amrt.receiverFor): stop the
-	// sender's re-announce timer without waiting for the first token.
-	f2 := f
-	p.Shard().Signal(f.Dst, f.Src, func() { f2.SenderHeard = true })
+	p.Heard(f)
 	// The unscheduled first window is in flight: treat it as tokened so
 	// the pacer does not double-issue, with the usual expiry.
 	blind := p.BlindPkts(f)
@@ -469,12 +355,6 @@ func (p *Protocol) removeFlow(r *rcvFlow) {
 		tm.Cancel()
 	}
 	ps := p.pacerOf(r.f.Dst)
-	flows := ps.flows[:0]
-	for _, x := range ps.flows {
-		if x != r {
-			flows = append(flows, x)
-		}
-	}
-	ps.flows = flows
+	ps.flows = slices.DeleteFunc(ps.flows, func(x *rcvFlow) bool { return x == r })
 	ps.pacer.Kick()
 }

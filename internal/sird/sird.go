@@ -15,6 +15,8 @@
 package sird
 
 import (
+	"slices"
+
 	"amrt/internal/netsim"
 	"amrt/internal/sim"
 	"amrt/internal/transport"
@@ -99,7 +101,6 @@ type Protocol struct {
 	senders   map[netsim.FlowID]*sender
 	receivers map[netsim.FlowID]*rcvFlow
 	pools     map[netsim.NodeID]*poolState
-	installed map[netsim.NodeID]bool
 
 	// GrantsSent counts pool grant packets; GrantedPkts counts packets
 	// authorized by them (1:1 for SIRD's paced single-MSS grants).
@@ -108,8 +109,6 @@ type Protocol struct {
 	// ResendGrants counts per-sequence resend requests issued by the
 	// timeout path, each authorizing one retransmission.
 	ResendGrants int64
-	// RTSReannounces counts sender-side RTS re-sends (armAnnounce).
-	RTSReannounces int64
 	// PoolReclaims counts timeout-driven reclaims of charged credit
 	// from silent flows back into their receiver's pool.
 	PoolReclaims int64
@@ -158,46 +157,15 @@ type rcvFlow struct {
 	grantsSinceArrival int
 
 	lastProgress sim.Time
-	timer        sim.Timer
-	onTimer      func() // p.onTimeout(r), bound once: the per-RTT re-arm must not allocate
-	// backoff doubles the resend-check interval while a flow makes no
-	// progress (up to 64×RTT), so a permanently silent sender costs a
-	// trickle of events instead of a per-RTT scan forever.
-	backoff sim.Time
+	timer        transport.RecvTimer // runs onTimeout
 
-	// snapshots ring-buffers (time, granted) pairs taken at each
-	// timeout check, so the recovery scan can tell which holes were
-	// authorized long enough ago to declare lost — without timestamping
-	// every grant. reissuedAt remembers when each hole's resend grant
-	// went out, so a retransmission still plausibly in flight is not
-	// duplicated.
-	snapshots  [8]grantSnapshot
-	snapHead   int
+	// grants notes (time, granted) at each timeout check, so the
+	// recovery scan can tell which holes were authorized long enough ago
+	// to declare lost. reissuedAt remembers when each hole's resend
+	// grant went out, so a retransmission still plausibly in flight is
+	// not duplicated.
+	grants     transport.GrantRing
 	reissuedAt map[int32]sim.Time
-}
-
-type grantSnapshot struct {
-	at      sim.Time
-	granted int32
-	valid   bool
-}
-
-// grantedBefore returns the granted count at the newest snapshot older
-// than cutoff (0 if none is old enough).
-func (r *rcvFlow) grantedBefore(cutoff sim.Time) int32 {
-	best := int32(0)
-	bestAt := sim.Time(-1)
-	for _, s := range r.snapshots {
-		if s.valid && s.at <= cutoff && s.at > bestAt {
-			best, bestAt = s.granted, s.at
-		}
-	}
-	return best
-}
-
-func (r *rcvFlow) snapshot(now sim.Time) {
-	r.snapshots[r.snapHead] = grantSnapshot{at: now, granted: r.granted, valid: true}
-	r.snapHead = (r.snapHead + 1) % len(r.snapshots)
 }
 
 // silenceEvidence is how many unanswered grants it takes before a
@@ -252,8 +220,13 @@ func New(net *netsim.Network, cfg Config) *Protocol {
 		senders:   make(map[netsim.FlowID]*sender),
 		receivers: make(map[netsim.FlowID]*rcvFlow),
 		pools:     make(map[netsim.NodeID]*poolState),
-		installed: make(map[netsim.NodeID]bool),
 	}
+	// No HostCrashed: a crashed receiver's pool drains flow by flow as
+	// dropRcvState returns each member's charge.
+	p.Bind(transport.Hooks{
+		ToSender: p.onSenderPkt, ToReceiver: p.onReceiverPkt, Start: p.startFlow,
+		StampRTS: p.stampRTS, DropSender: p.dropSender, DropReceiver: p.dropRcvState,
+	})
 	if m := cfg.Metrics; m != nil {
 		m.CounterFunc("sird.grants_sent", func() int64 { return p.GrantsSent })
 		m.CounterFunc("sird.resend_grants", func() int64 { return p.ResendGrants })
@@ -266,67 +239,10 @@ func New(net *netsim.Network, cfg Config) *Protocol {
 // Name identifies the protocol in reports.
 func (p *Protocol) Name() string { return "SIRD" }
 
-// AddFlow registers a flow on both endpoints of this instance and
-// schedules its start — the single-instance convenience path. The
-// sharded runner instead splits registration across instances with
-// AddPending/Release on the source shard and Adopt on the home shard.
-func (p *Protocol) AddFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, start sim.Time) *transport.Flow {
-	f := p.NewFlow(id, src, dst, size, start)
-	f.Released = true
-	p.install(src)
-	p.install(dst)
-	p.Engine().ScheduleAt(start, func() { p.startFlow(f) })
-	return f
-}
-
-// AddUnresponsiveFlow registers a flow that announces itself (with its
-// full size as demand) but never sends data; until the silence test
-// trips it draws a few grants' worth of pool credit, which the timeout
-// path then reclaims.
-func (p *Protocol) AddUnresponsiveFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, start sim.Time) *transport.Flow {
-	f := p.AddFlow(id, src, dst, size, start)
-	f.Unresponsive = true
-	return f
-}
-
-// AddPending registers a dependent flow's sender side without
-// scheduling a start; Release starts it when the parent completes.
-func (p *Protocol) AddPending(id netsim.FlowID, src, dst *netsim.Host, size int64, unresponsive bool) *transport.Flow {
-	f := p.NewFlow(id, src, dst, size, 0)
-	f.Unresponsive = unresponsive
-	p.install(src)
-	return f
-}
-
-// Release schedules a pending flow's start (the home shard writes
-// f.Start when it handles the release signal).
-func (p *Protocol) Release(f *transport.Flow, start sim.Time) {
-	p.Engine().ScheduleAt(start, func() { p.startFlow(f) })
-}
-
-// Adopt registers a flow created by another instance on this instance's
-// receiver side.
-func (p *Protocol) Adopt(f *transport.Flow) {
-	p.Register(f)
-	p.install(f.Dst)
-}
-
-func (p *Protocol) install(h *netsim.Host) {
-	if p.installed[h.ID()] {
-		return
-	}
-	p.installed[h.ID()] = true
-	transport.Dispatcher{Kernel: &p.Kernel, ToSender: p.onSenderPkt, ToReceiver: p.onReceiverPkt}.Install(h)
-}
-
 func (p *Protocol) startFlow(f *transport.Flow) {
-	f.SenderStarted = true
 	s := &sender{f: f}
 	p.senders[f.ID] = s
-	rts := p.NewCtrl(netsim.RTS, f, -1, false)
-	rts.Demand = f.Size // nothing handed to the NIC yet
-	f.Src.Send(rts)
-	p.armAnnounce(f, 3*p.Cfg.RTT)
+	p.Announce(f) // stamped with the full size: nothing handed to the NIC yet
 	if f.Unresponsive {
 		return
 	}
@@ -371,44 +287,15 @@ func (p *Protocol) CreditLedger() (outstanding, bound int64) {
 	return outstanding, bound
 }
 
-// OnHostCrash drops the protocol state this instance owns for flows
-// touching the crashed host. A crashed sender kills its outgoing flows
-// and returns their charged credit to the pool; a crashed receiver
-// loses bitmaps, demand state, and the pool itself — those flows
-// survive and are rebuilt by the sender's RTS re-announce after
-// restart. On a sharded run the hook fires on every shard; each
-// instance handles only the flow halves its shard owns (pool and
-// receiver state live on the home shard).
-func (p *Protocol) OnHostCrash(h *netsim.Host) {
-	for _, f := range p.OrderedFlows() {
-		switch h {
-		case f.Src:
-			if p.OwnsReceiver(f) && !f.Done {
-				p.dropRcvState(f)
-				p.Abort(f)
-			}
-			if p.OwnsSender(f) && !f.SenderDone {
-				delete(p.senders, f.ID)
-				// The flow can never finish; stop the announce chain.
-				f.SenderDone = true
-			}
-		case f.Dst:
-			if p.OwnsReceiver(f) && !f.Done {
-				p.dropRcvState(f)
-			}
-			if p.OwnsSender(f) && f.SenderStarted && !f.SenderDone {
-				// Clear the sender-side flag so re-announcement resumes.
-				f.SenderHeard = false
-				p.armAnnounce(f, 3*p.Cfg.RTT)
-			}
-		}
-	}
+// stampRTS advertises the sender's backlog on every RTS, first and
+// re-announced alike (the sender record outlives the announce chain).
+// An unresponsive sender keeps advertising its full size, drawing a few
+// grants' worth of pool credit that the timeout path then reclaims.
+func (p *Protocol) stampRTS(f *transport.Flow, rts *netsim.Packet) {
+	rts.Demand = p.senders[f.ID].demand(p.Cfg.MSS)
 }
 
-// OnHostRestart is a no-op for SIRD: surviving flows towards the host
-// are re-announced by the sender-side armAnnounce chain, which rebuilds
-// receiver and pool state from scratch.
-func (p *Protocol) OnHostRestart(h *netsim.Host) {}
+func (p *Protocol) dropSender(f *transport.Flow) { delete(p.senders, f.ID) }
 
 // dropRcvState forgets flow f's receiver state: timer cancelled, pool
 // membership pruned, charged credit returned. No-op if no state exists.
@@ -423,43 +310,16 @@ func (p *Protocol) dropRcvState(f *transport.Flow) {
 	if ps == nil {
 		return
 	}
-	ps.outstanding -= r.charged
-	r.charged = 0
-	keep := ps.flows[:0]
-	for _, x := range ps.flows {
-		if x != r {
-			keep = append(keep, x)
-		}
-	}
-	ps.flows = keep
-	ps.pacer.Kick()
+	ps.settle(r)
 }
 
-// armAnnounce re-sends the flow's RTS with exponential backoff (3×RTT
-// initial, 64×RTT cap) until receiver state exists. If the RTS and the
-// whole unscheduled window are lost, no rcvFlow is ever created, so the
-// pool never learns the flow exists; the sender must keep announcing.
-// Self-cancels once a grant reaches the sender (SenderHeard — the
-// receiver's timeout machinery then owns recovery) or the completion
-// signal does (SenderDone); both flags are sender-shard state.
-func (p *Protocol) armAnnounce(f *transport.Flow, interval sim.Time) {
-	p.Engine().Schedule(interval, func() {
-		if f.SenderHeard || f.SenderDone {
-			return
-		}
-		s := p.senders[f.ID]
-		rts := p.NewCtrl(netsim.RTS, f, -1, false)
-		if s != nil {
-			rts.Demand = s.demand(p.Cfg.MSS)
-		}
-		f.Src.Send(rts)
-		p.RTSReannounces++
-		next := interval * 2
-		if max := 64 * p.Cfg.RTT; next > max {
-			next = max
-		}
-		p.armAnnounce(f, next)
-	})
+// settle returns r's remaining charge to the pool, drops it from the
+// member list and lets the pacer hand the credit to the next flow.
+func (ps *poolState) settle(r *rcvFlow) {
+	ps.outstanding -= r.charged
+	r.charged = 0
+	ps.flows = slices.DeleteFunc(ps.flows, func(x *rcvFlow) bool { return x == r })
+	ps.pacer.Kick()
 }
 
 func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
@@ -565,17 +425,14 @@ func (p *Protocol) rcvFor(pkt *netsim.Packet) *rcvFlow {
 	}
 	// Seed the grant-age ring so the unscheduled prefix (authorized at
 	// flow start) becomes recoverable one timeout window from now.
-	r.snapshot(now)
+	r.grants.Note(now, r.granted)
 	p.receivers[pkt.Flow] = r
-	// Announce confirmation (see core/amrt.receiverFor): stop the
-	// sender's re-announce timer without waiting for the first grant.
-	f2 := f
-	p.Shard().Signal(f.Dst, f.Src, func() { f2.SenderHeard = true })
+	p.Heard(f)
 	ps := p.poolOf(f.Dst)
 	ps.flows = append(ps.flows, r)
 	ps.pacer.Kick()
-	r.onTimer = func() { p.onTimeout(r) }
-	p.armTimeout(r)
+	r.timer.Init(&p.Kernel, func() { p.onTimeout(r) })
+	r.timer.Arm()
 	return r
 }
 
@@ -665,14 +522,6 @@ func (p *Protocol) emitGrant(ps *poolState) bool {
 	return true
 }
 
-func (p *Protocol) armTimeout(r *rcvFlow) {
-	interval := p.Cfg.RTT
-	if r.backoff > interval {
-		interval = r.backoff
-	}
-	r.timer = p.Engine().Schedule(interval, r.onTimer)
-}
-
 // onTimeout is the per-flow recovery check, run every RTT (backing off
 // on silent flows). Any hole whose authorization is older than the
 // timeout window is declared lost and re-requested immediately — one
@@ -690,7 +539,7 @@ func (p *Protocol) onTimeout(r *rcvFlow) {
 	}
 	now := p.Now()
 	window := sim.Time(p.cfg.TimeoutRTTs) * p.Cfg.RTT
-	overdue := r.grantedBefore(now - window)
+	overdue := r.grants.Before(now - window)
 	cap := p.BDPPkts(r.f.Dst.LinkRate())
 	ps := p.poolOf(r.f.Dst)
 	issued := 0
@@ -716,33 +565,18 @@ func (p *Protocol) onTimeout(r *rcvFlow) {
 			ps.pacer.Kick()
 		}
 		// No arrival since the last check: back off (reset on data).
-		if r.backoff < 64*p.Cfg.RTT {
-			if r.backoff == 0 {
-				r.backoff = p.Cfg.RTT
-			}
-			r.backoff *= 2
-		}
+		r.timer.BackOff()
 	} else {
-		r.backoff = 0
+		r.timer.Reset()
 	}
-	r.snapshot(now)
-	p.armTimeout(r)
+	r.grants.Note(now, r.granted)
+	r.timer.Arm()
 }
 
 func (p *Protocol) finish(r *rcvFlow) {
 	r.timer.Cancel()
 	p.Complete(r.f)
-	ps := p.poolOf(r.f.Dst)
 	// A short final packet repays less than its MSS charge; settle the
 	// remainder and hand the credit to the next flow.
-	ps.outstanding -= r.charged
-	r.charged = 0
-	keep := ps.flows[:0]
-	for _, x := range ps.flows {
-		if x != r {
-			keep = append(keep, x)
-		}
-	}
-	ps.flows = keep
-	ps.pacer.Kick()
+	p.poolOf(r.f.Dst).settle(r)
 }

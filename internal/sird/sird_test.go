@@ -1,0 +1,187 @@
+package sird
+
+import (
+	"slices"
+	"testing"
+
+	"amrt/internal/netsim"
+	"amrt/internal/sim"
+	"amrt/internal/topo"
+	"amrt/internal/transport"
+)
+
+const rtt = 100 * sim.Microsecond
+
+// newFan builds n sender/receiver pairs across one bottleneck with
+// SIRD's queues and a SIRD instance on it.
+func newFan(pairs int) (*topo.Scenario, *Protocol) {
+	cfg := DefaultConfig()
+	sc := topo.DefaultScenario()
+	sc.SwitchQueue = cfg.SwitchQueue
+	sc.HostQueue = cfg.HostQueue
+	s := topo.NewFanN(sc, pairs)
+	cfg.RTT = rtt
+	return s, New(s.Net, cfg)
+}
+
+// TestPoolBoundHoldsAcrossIncast: eight senders converge on one
+// receiver; at every delivery and every microsecond in between, the
+// receiver's outstanding credit stays within [0, bound], and the bound
+// is the documented 1.5 × BDP.
+func TestPoolBoundHoldsAcrossIncast(t *testing.T) {
+	s, p := newFan(8)
+	var flows []*transport.Flow
+	for i, src := range s.Senders {
+		flows = append(flows, p.AddFlow(netsim.FlowID(i+1), src, s.Receivers[0], 400_000, 0))
+	}
+	var peak int64
+	check := func() {
+		out, bound := p.CreditLedger()
+		if out < 0 || out > bound {
+			t.Fatalf("at %v: outstanding credit %d outside [0, %d]", p.Now(), out, bound)
+		}
+		peak = max(peak, out)
+	}
+	p.Cfg.OnData = func(*transport.Flow, *netsim.Packet) { check() }
+	var tick func()
+	tick = func() {
+		check()
+		if !flows[len(flows)-1].Done {
+			p.Engine().Schedule(sim.Microsecond, tick)
+		}
+	}
+	p.Engine().Schedule(sim.Microsecond, tick)
+	s.Net.Run(sim.Second)
+	for _, f := range flows {
+		if !f.Done {
+			t.Fatalf("%v did not complete", f)
+		}
+	}
+	_, bound := p.CreditLedger()
+	if want := s.Receivers[0].LinkRate().BytesIn(rtt) * 3 / 2; bound != want {
+		t.Errorf("pool bound %d, want 1.5 × BDP = %d", bound, want)
+	}
+	if peak < bound/2 {
+		t.Errorf("outstanding credit peaked at %d of %d: the incast never loaded the pool", peak, bound)
+	}
+	if out, _ := p.CreditLedger(); out != 0 {
+		t.Errorf("%d bytes of credit still outstanding after every flow finished", out)
+	}
+}
+
+// rtsTap records, on a sender's NIC, the demand each departing RTS
+// carries beside the sender's actual backlog at that instant.
+type rtsTap struct {
+	p             *Protocol
+	carried, owed []int64
+}
+
+func (tap *rtsTap) OnDequeue(_ *netsim.Port, pkt *netsim.Packet, _ sim.Time) {
+	if pkt.Type == netsim.RTS {
+		tap.carried = append(tap.carried, pkt.Demand)
+		tap.owed = append(tap.owed, tap.p.senders[pkt.Flow].demand(tap.p.Cfg.MSS))
+	}
+}
+
+// TestEveryRTSCarriesDemand: every RTS — the first and, through the
+// kernel's StampRTS hook, each re-announced one — advertises the bytes
+// not yet handed to the NIC. The bottleneck is down for the first 2
+// RTTs, so the first RTS and the blind window are lost and each sender
+// announces again at 3×RTT.
+func TestEveryRTSCarriesDemand(t *testing.T) {
+	s, p := newFan(2)
+	const size = 100_000
+	live := p.AddFlow(1, s.Senders[0], s.Receivers[0], size, 0)
+	mute := p.AddUnresponsiveFlow(2, s.Senders[1], s.Receivers[1], size, 0)
+	taps := []*rtsTap{{p: p}, {p: p}}
+	for i, tap := range taps {
+		s.Senders[i].NIC().Marker = tap
+	}
+	s.Bottlenecks[0].SetAdminDown(true)
+	p.Engine().Schedule(2*rtt, func() { s.Bottlenecks[0].SetAdminDown(false) })
+	s.Net.Run(sim.Second)
+
+	blind := int64(p.BlindPkts(live)) * int64(p.Cfg.MSS)
+	for i, want := range [][]int64{{size, size - blind}, {size, size}} {
+		if !slices.Equal(taps[i].carried, want) || !slices.Equal(taps[i].carried, taps[i].owed) {
+			t.Errorf("flow %d: RTS demands %v, sender backlog %v, want both %v", i+1, taps[i].carried, taps[i].owed, want)
+		}
+	}
+	if p.RTSReannounces != 2 {
+		t.Errorf("RTSReannounces = %d, want one per flow", p.RTSReannounces)
+	}
+	if !live.Done || mute.Done {
+		t.Errorf("done: responsive %v, unresponsive %v; want true, false", live.Done, mute.Done)
+	}
+}
+
+// TestUnresponsiveCreditReclaimed: a sender that announces but never
+// sends draws a few grants' worth of credit; the timeout path takes it
+// back and the responsive flows sharing the pool still finish.
+func TestUnresponsiveCreditReclaimed(t *testing.T) {
+	s, p := newFan(3)
+	dst := s.Receivers[0]
+	mute := p.AddUnresponsiveFlow(1, s.Senders[0], dst, 2_000_000, 0)
+	a := p.AddFlow(2, s.Senders[1], dst, 600_000, 0)
+	b := p.AddFlow(3, s.Senders[2], dst, 600_000, 0)
+	s.Net.Run(20 * sim.Millisecond)
+	if !a.Done || !b.Done {
+		t.Fatalf("responsive flows done = %v, %v beside an unresponsive one", a.Done, b.Done)
+	}
+	if mute.Done {
+		t.Error("unresponsive flow completed")
+	}
+	if p.PoolReclaims == 0 {
+		t.Error("PoolReclaims = 0: the silent flow's charged credit was never taken back")
+	}
+	if r := p.receivers[mute.ID]; r == nil {
+		t.Error("silent flow lost its receiver state")
+	} else if r.charged > int64(silenceEvidence*p.Cfg.MSS) {
+		t.Errorf("silent flow still holds %d bytes of credit", r.charged)
+	}
+}
+
+// TestSenderCrashReturnsCredit: when a sender dies mid-transfer, the
+// credit charged to its flow goes back to the pool at once — the ledger
+// drops to exactly what the surviving flows hold — and the survivors
+// finish with nothing left outstanding.
+func TestSenderCrashReturnsCredit(t *testing.T) {
+	s, p := newFan(3)
+	dst := s.Receivers[0]
+	var flows []*transport.Flow
+	for i, src := range s.Senders {
+		flows = append(flows, p.AddFlow(netsim.FlowID(i+1), src, dst, 1_000_000, 0))
+	}
+	s.Net.Run(5 * rtt)
+	ps := p.pools[dst.ID()]
+	held := func() (sum int64) {
+		for _, r := range ps.flows {
+			sum += r.charged
+		}
+		return sum
+	}
+	doomed := p.receivers[flows[0].ID]
+	if doomed.charged == 0 || ps.outstanding != held() {
+		t.Fatalf("before the crash: doomed flow holds %d, pool %d vs members %d", doomed.charged, ps.outstanding, held())
+	}
+	survivors := held() - doomed.charged
+
+	p.OnHostCrash(s.Senders[0])
+
+	if out, _ := p.CreditLedger(); out != survivors {
+		t.Errorf("outstanding credit %d after the crash, want the survivors' %d", out, survivors)
+	}
+	if slices.Contains(ps.flows, doomed) || p.receivers[flows[0].ID] != nil || p.senders[flows[0].ID] != nil {
+		t.Error("crashed sender's flow still has pool membership, receiver or sender state")
+	}
+	if flows[0].Outcome != transport.OutcomeKilledByCrash {
+		t.Errorf("crashed sender's flow outcome %v", flows[0].Outcome)
+	}
+	s.Net.Run(sim.Second)
+	if !flows[1].Done || !flows[2].Done {
+		t.Error("surviving flows did not finish")
+	}
+	if out, _ := p.CreditLedger(); out != 0 {
+		t.Errorf("%d bytes outstanding after the survivors finished", out)
+	}
+}

@@ -1,7 +1,9 @@
-// Package transport provides the machinery shared by all four
-// receiver-driven protocol implementations (pHost, Homa, NDP, AMRT):
-// flow bookkeeping, packetization, the per-host packet dispatcher,
-// received-sequence bitmaps, and completion recording.
+// Package transport provides the machinery shared by all six protocol
+// stacks (pHost, Homa, NDP, AMRT, SIRD and the DCTCP contrast): flow
+// bookkeeping, packetization, the per-host packet dispatcher,
+// received-sequence bitmaps, completion recording, and the flow
+// lifecycle — registration, start, RTS announce chain, host-crash pass,
+// receiver check timer — that each stack plugs its Hooks into.
 package transport
 
 import (
@@ -83,9 +85,9 @@ type Flow struct {
 	// released by its parent's completion. Non-dependent flows are
 	// released at creation.
 	Released bool
-	// SenderStarted is set on the source shard when the protocol's
-	// start event fires — the first announcement or data leaves the
-	// host. Crash handlers consult it to distinguish flows with repair
+	// SenderStarted is set on the source shard when the kernel's start
+	// event fires — the first announcement or data leaves the host.
+	// The crash pass consults it to distinguish flows with repair
 	// work in flight from flows whose start is still scheduled: a
 	// receiver that crashes before a flow ever announced needs no
 	// re-announce (the pending start event will do it), and triggering

@@ -53,7 +53,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Kernel is the state every protocol embeds: the network, the shared
-// config, the flow table, and the per-host dispatcher.
+// config, the flow table, the per-host dispatcher, and the flow
+// lifecycle (lifecycle.go) driven through the stack's Hooks.
 type Kernel struct {
 	Net   *netsim.Network
 	Cfg   Config
@@ -74,6 +75,13 @@ type Kernel struct {
 	// themselves at each ungranted send.
 	DataPktsBuilt   int64
 	UnsolicitedPkts int64
+	// RTSReannounces counts sender-side RTS re-sends (see Announce).
+	RTSReannounces int64
+
+	// hooks is the stack's side of the flow lifecycle (see Bind);
+	// installed marks the hosts whose handler this instance has set.
+	hooks     Hooks
+	installed map[netsim.NodeID]bool
 
 	// shard is the engine shard the kernel schedules on (see Config.Shard).
 	shard *netsim.Shard
@@ -197,6 +205,21 @@ func (k *Kernel) BlindPkts(f *Flow) int32 {
 		return f.NPkts
 	}
 	return int32(w)
+}
+
+// SendBlind sends f's unsolicited first window at priority prio, counts
+// it against the grant budget, and returns its length — the sender's
+// next unsent sequence. An unresponsive sender's window is empty.
+func (k *Kernel) SendBlind(f *Flow, prio uint8) int32 {
+	if f.Unresponsive {
+		return 0
+	}
+	blind := k.BlindPkts(f)
+	for seq := int32(0); seq < blind; seq++ {
+		f.Src.Send(k.NewData(f, seq, prio))
+	}
+	k.UnsolicitedPkts += int64(blind)
+	return blind
 }
 
 // NewData builds data packet seq of flow f. CE starts true: the

@@ -2,10 +2,11 @@ package transport
 
 import "amrt/internal/sim"
 
-// Pacer emits control packets (pHost tokens, NDP pulls) at a fixed rate,
-// going idle when the emit callback reports nothing to send and resuming
-// on Kick. The first emission after a long idle period fires
-// immediately; subsequent ones keep the configured spacing.
+// Pacer emits control packets (pHost tokens, NDP pulls, AMRT and SIRD
+// grants) at a fixed rate, going idle when the emit callback reports
+// nothing to send and resuming on Kick. The first emission after a long
+// idle period fires immediately; subsequent ones keep the configured
+// spacing.
 type Pacer struct {
 	eng  *sim.Engine
 	tick sim.Time
