@@ -159,7 +159,7 @@ type sender struct {
 
 type receiver struct {
 	f       *transport.Flow
-	rcvd    *transport.Bitmap
+	rcvd    transport.Bitmap
 	granted int32 // packets authorized so far, including the blind window
 	// grants notes (time, granted) at each timeout tick. A hole is
 	// overdue only if it was already granted at a note older than the
@@ -174,8 +174,8 @@ type receiver struct {
 	// reissuedAt remembers when each hole's recovery grant was emitted
 	// so a still-in-flight retransmission is not duplicated; inRecovery
 	// marks holes waiting in the recovery pacer's queue.
-	reissuedAt   map[int32]sim.Time
-	inRecovery   map[int32]bool
+	reissuedAt   transport.Sparse[sim.Time]
+	inRecovery   transport.Bitmap
 	lastProgress sim.Time
 	timer        transport.RecvTimer // runs onTimeout
 }
@@ -258,13 +258,13 @@ func (p *Protocol) dropRcvState(f *transport.Flow) {
 }
 
 // hostCrashed empties the crashed host's software pacers: queued grants
-// die with it, and the packets go back to the pool (they were never
+// die with it, and the packets go back to the free list (they were never
 // injected). Pacer state exists only in the instance owning the host,
 // so the lookups are nil everywhere else.
 func (p *Protocol) hostCrashed(h *netsim.Host) {
 	if gp := p.grantPacers[h.ID()]; gp != nil {
 		for gp.queue.Len() > 0 {
-			netsim.ReleasePacket(gp.queue.Pop())
+			h.Shard().ReleasePacket(gp.queue.Pop())
 		}
 	}
 	if rp := p.recPacers[h.ID()]; rp != nil {
@@ -310,7 +310,7 @@ func (p *Protocol) onReceiverPkt(pkt *netsim.Packet) {
 		if r == nil || r.f.Done {
 			return
 		}
-		if at, ok := r.reissuedAt[pkt.Seq]; ok {
+		if at, ok := r.reissuedAt.Get(pkt.Seq); ok {
 			// Recovery round-trip sample: grant reissue → arrival.
 			sample := p.Now() - at
 			if r.srtt == 0 {
@@ -318,7 +318,7 @@ func (p *Protocol) onReceiverPkt(pkt *netsim.Packet) {
 			} else {
 				r.srtt = (7*r.srtt + sample) / 8
 			}
-			delete(r.reissuedAt, pkt.Seq)
+			r.reissuedAt.Delete(pkt.Seq)
 		}
 		if !r.rcvd.Set(pkt.Seq) {
 			return // duplicate: no grant, no progress
@@ -384,12 +384,10 @@ func (p *Protocol) receiverFor(pkt *netsim.Packet) *receiver {
 	}
 	r := &receiver{
 		f:            f,
-		rcvd:         transport.NewBitmap(f.NPkts),
 		granted:      p.BlindPkts(f),
-		reissuedAt:   make(map[int32]sim.Time),
-		inRecovery:   make(map[int32]bool),
 		lastProgress: p.Now(),
 	}
+	transport.InitBitmaps(f.NPkts, &r.rcvd, &r.inRecovery)
 	p.receivers[pkt.Flow] = r
 	p.grantsInFlight += int64(r.granted)
 	p.Heard(f)
@@ -416,13 +414,13 @@ func (p *Protocol) onTimeout(r *receiver) {
 	rp := p.recPacerFor(r.f.Dst)
 	queued := 0
 	for seq := r.rcvd.NextClear(0); seq >= 0 && seq < overdue && queued < cap; seq = r.rcvd.NextClear(seq + 1) {
-		if r.inRecovery[seq] {
+		if r.inRecovery.Get(seq) {
 			continue // already waiting in the pacer queue
 		}
-		if at, ok := r.reissuedAt[seq]; ok && now-at < window {
+		if at, ok := r.reissuedAt.Get(seq); ok && now-at < window {
 			continue // retransmission still plausibly in flight
 		}
-		r.inRecovery[seq] = true
+		r.inRecovery.Set(seq)
 		rp.queue.Push(recReq{r: r, seq: seq})
 		queued++
 	}
@@ -455,11 +453,11 @@ func (p *Protocol) recPacerFor(h *netsim.Host) *recPacer {
 func (p *Protocol) emitRecovery(rp *recPacer) bool {
 	for rp.queue.Len() > 0 {
 		req := rp.queue.Pop()
-		delete(req.r.inRecovery, req.seq)
+		req.r.inRecovery.Clear(req.seq)
 		if req.r.f.Done || req.r.rcvd.Get(req.seq) {
 			continue
 		}
-		req.r.reissuedAt[req.seq] = p.Now()
+		req.r.reissuedAt.Put(req.seq, p.Now())
 		g := p.NewCtrl(netsim.Grant, req.r.f, req.seq, true)
 		req.r.f.Dst.Send(g)
 		p.RecoveryGrants++
@@ -474,4 +472,8 @@ func (p *Protocol) finish(r *receiver) {
 	// the flow) so grantsInFlight reflects live flows only.
 	p.grantsInFlight -= int64(r.granted) - int64(r.rcvd.Count())
 	p.Complete(r.f)
+	// The record ends with the flow: receiverFor answers nil for a Done
+	// flow, and a request still queued in the recovery pacer holds its
+	// own reference and is skipped on f.Done.
+	delete(p.receivers, r.f.ID)
 }

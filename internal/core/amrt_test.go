@@ -371,3 +371,45 @@ func TestAddFlowValidation(t *testing.T) {
 	}()
 	p.AddFlow(1, s.Senders[0], s.Receivers[0], 0, 0)
 }
+
+// TestReceiverRecordEndsWithFlow: a receiver record — bitmaps, recovery
+// set, timer — is dropped when its flow completes, and what arrives
+// afterwards (a duplicate data packet, a late RTS) finds the flow Done:
+// no record is rebuilt, nothing is sent, nothing is scheduled.
+func TestReceiverRecordEndsWithFlow(t *testing.T) {
+	s, p, _ := newFan(8)
+	var flows []*transport.Flow
+	for i := 0; i < 8; i++ {
+		flows = append(flows, p.AddFlow(netsim.FlowID(i+1), s.Senders[i], s.Receivers[0], 300_000, 0))
+	}
+	s.Net.Run(sim.Forever)
+	if s.Net.Dropped() == 0 || p.RecoveryGrants == 0 {
+		t.Fatalf("incast was not lossy: %d drops, %d recovery grants", s.Net.Dropped(), p.RecoveryGrants)
+	}
+	for _, f := range flows {
+		if !f.Done {
+			t.Fatalf("%v did not complete", f)
+		}
+	}
+	if len(p.receivers) != 0 {
+		t.Fatalf("%d receiver records outlive their flows", len(p.receivers))
+	}
+	if len(p.senders) != len(flows) {
+		t.Errorf("%d sender records, want all %d kept (a late recovery grant still retransmits)", len(p.senders), len(flows))
+	}
+	f := flows[3]
+	events, injected, grants, recov := s.Net.Engine.Executed, s.Net.Injected(), p.GrantsSent, p.RecoveryGrants
+	f.Dst.Receive(p.NewData(f, 0, netsim.PrioData))
+	f.Dst.Receive(p.NewCtrl(netsim.RTS, f, -1, false))
+	s.Net.Run(sim.Forever)
+	if len(p.receivers) != 0 {
+		t.Error("a late packet rebuilt the receiver record of a finished flow")
+	}
+	if s.Net.Injected() != injected || p.GrantsSent != grants || p.RecoveryGrants != recov {
+		t.Errorf("late packets were answered: injected %d→%d, grants %d→%d, recovery grants %d→%d",
+			injected, s.Net.Injected(), grants, p.GrantsSent, recov, p.RecoveryGrants)
+	}
+	if s.Net.Engine.Executed != events {
+		t.Errorf("late packets scheduled %d events", s.Net.Engine.Executed-events)
+	}
+}

@@ -313,4 +313,6 @@ func (p *Protocol) finish(r *rcvFlow) {
 	// Drop from the per-host list and hand the slot to the next message.
 	p.unlist(r)
 	p.regrant(r.f.Dst)
+	// The record stays in p.receivers: a late RTS for a finished flow
+	// still regrants its host, so dropping it here is a v10 change.
 }

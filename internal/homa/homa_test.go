@@ -206,3 +206,22 @@ func TestDegreeAccessor(t *testing.T) {
 		t.Errorf("Name() = %q", p.Name())
 	}
 }
+
+// TestFinishedRecordStillAnswersRTS pins amrt-sim/v9 behaviour: Homa
+// keeps the receiver record of a finished flow, so a late RTS still
+// finds it and reruns the host's grant scheduler. Dropping the record
+// at completion (as AMRT, pHost and NDP do) changes what that RTS does;
+// the change that makes it must edit this test and bump SimVersion.
+func TestFinishedRecordStillAnswersRTS(t *testing.T) {
+	s, p := newFan(1, 2)
+	f := p.AddFlow(1, s.Senders[0], s.Receivers[0], 300_000, 0)
+	s.Net.Run(sim.Forever)
+	if !f.Done {
+		t.Fatal("flow did not complete")
+	}
+	rts := p.NewCtrl(netsim.RTS, f, -1, false)
+	if r := p.rcvFor(rts); r == nil || r != p.receivers[f.ID] {
+		t.Errorf("a late RTS finds record %p, want the finished flow's %p", r, p.receivers[f.ID])
+	}
+	p.Shard().ReleasePacket(rts)
+}

@@ -351,4 +351,8 @@ func (p *Protocol) onTimeout(r *rcvFlow) {
 func (p *Protocol) finish(r *rcvFlow) {
 	r.timer.Cancel()
 	p.Complete(r.f)
+	// The record ends with the flow: rcvFor answers nil for a Done flow,
+	// and pulls still queued hold their own reference and are skipped on
+	// f.Done.
+	delete(p.receivers, r.f.ID)
 }

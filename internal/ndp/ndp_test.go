@@ -227,3 +227,43 @@ func TestNDPDeterminism(t *testing.T) {
 		t.Error("NDP run not deterministic")
 	}
 }
+
+// TestReceiverRecordEndsWithFlow: a receiver record — bitmap, timer —
+// is dropped when its flow completes, and what arrives afterwards (a
+// duplicate data packet, a trimmed header, a late RTS) finds the flow
+// Done: no record is rebuilt, nothing is sent, nothing is scheduled.
+func TestReceiverRecordEndsWithFlow(t *testing.T) {
+	s, p := newFan(8)
+	var flows []*transport.Flow
+	for i := 0; i < 8; i++ {
+		flows = append(flows, p.AddFlow(netsim.FlowID(i+1), s.Senders[i], s.Receivers[0], 300_000, 0))
+	}
+	s.Net.Run(sim.Forever)
+	if trims(s) == 0 {
+		t.Fatal("incast was not lossy: nothing trimmed")
+	}
+	for _, f := range flows {
+		if !f.Done {
+			t.Fatalf("%v did not complete", f)
+		}
+	}
+	if len(p.receivers) != 0 {
+		t.Fatalf("%d receiver records outlive their flows", len(p.receivers))
+	}
+	f := flows[3]
+	events, injected, pulls, nacks := s.Net.Engine.Executed, s.Net.Injected(), p.PullsSent, p.NacksSent
+	f.Dst.Receive(p.NewData(f, 0, netsim.PrioData))
+	f.Dst.Receive(p.NewCtrl(netsim.Header, f, 0, false))
+	f.Dst.Receive(p.NewCtrl(netsim.RTS, f, -1, false))
+	s.Net.Run(sim.Forever)
+	if len(p.receivers) != 0 {
+		t.Error("a late packet rebuilt the receiver record of a finished flow")
+	}
+	if s.Net.Injected() != injected || p.PullsSent != pulls || p.NacksSent != nacks {
+		t.Errorf("late packets were answered: injected %d→%d, pulls %d→%d, nacks %d→%d",
+			injected, s.Net.Injected(), pulls, p.PullsSent, nacks, p.NacksSent)
+	}
+	if s.Net.Engine.Executed != events {
+		t.Errorf("late packets scheduled %d events", s.Net.Engine.Executed-events)
+	}
+}

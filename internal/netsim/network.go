@@ -117,6 +117,13 @@ type Shard struct {
 	// stopped is set by the windowed runtime when this shard's engine
 	// interrupt fired.
 	stopped bool
+
+	// free heads the shard's packet free list, a chain of nfree packets
+	// through Packet.next; slabBytes is the size of the last slab that
+	// refilled it. See NewPacket.
+	free      *Packet
+	nfree     int
+	slabBytes int
 }
 
 // Index returns the shard's index in Network.Shards.

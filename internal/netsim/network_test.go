@@ -149,6 +149,57 @@ func TestSwitchNoRoutePanics(t *testing.T) {
 	sw.Receive(&Packet{Type: Data, Size: MSS, Dst: 99})
 }
 
+// TestAddRouteInterleaved: route sets share one arena per switch, and a
+// set keeps every port however AddRoute calls for different
+// destinations interleave and however often the arena reallocates. A
+// returned set has no spare capacity, so a caller's append copies it
+// rather than writing over its neighbour in the arena.
+func TestAddRouteInterleaved(t *testing.T) {
+	const hosts, fanout = 5, 7
+	n := New()
+	sw := n.NewSwitch("S")
+	var dsts []*Host
+	for i := 0; i < hosts; i++ {
+		dsts = append(dsts, n.NewHost("H"))
+	}
+	up := n.NewSwitch("U")
+	var ports []*Port
+	for i := 0; i < fanout; i++ {
+		ports = append(ports, n.AttachPort(sw, up, sim.Gbps, sim.Microsecond, nil))
+	}
+	want := make([][]*Port, hosts)
+	add := func(d, p int) {
+		sw.AddRoute(dsts[d].ID(), ports[p])
+		want[d] = append(want[d], ports[p])
+	}
+	for p := 0; p < 3; p++ { // back to back, as InstallShortestPathRoutes adds them
+		add(0, p)
+	}
+	for p := 0; p < fanout; p++ { // round-robin: every call returns to an earlier set
+		for d := 0; d < hosts; d++ {
+			add(d, (p+d)%fanout)
+		}
+	}
+	for d, h := range dsts {
+		got := sw.Routes(h.ID())
+		if len(got) != len(want[d]) || cap(got) != len(got) {
+			t.Fatalf("dst %d: %d routes with capacity %d, want %d with none spare", d, len(got), cap(got), len(want[d]))
+		}
+		for i := range got {
+			if got[i] != want[d][i] {
+				t.Errorf("dst %d route %d = %v, want %v", d, i, got[i], want[d][i])
+			}
+		}
+	}
+	_ = append(sw.Routes(dsts[0].ID()), ports[0])
+	if got := sw.Routes(dsts[1].ID()); got[0] != want[1][0] {
+		t.Error("appending to one destination's routes overwrote another's")
+	}
+	if sw.Routes(up.ID()) != nil || sw.Routes(-1) != nil || sw.Routes(99) != nil {
+		t.Error("Routes for a destination without any should be nil")
+	}
+}
+
 func TestECMPDeterministicPerFlow(t *testing.T) {
 	// Two equal-cost paths: the same flow must always take the same one.
 	n := New()

@@ -66,8 +66,8 @@ func (h *Host) Send(pkt *Packet) {
 }
 
 // Receive implements Node. The packet's journey ends here: once the
-// Handler returns, the packet is recycled into the pool, so handlers
-// must not retain it (see Packet).
+// Handler returns, the packet is recycled onto the shard's free list,
+// so handlers must not retain it (see Packet).
 func (h *Host) Receive(pkt *Packet) {
 	h.RxPackets++
 	h.RxBytes += int64(pkt.Size)
@@ -75,7 +75,7 @@ func (h *Host) Receive(pkt *Packet) {
 	if h.Handler != nil {
 		h.Handler(pkt)
 	}
-	ReleasePacket(pkt)
+	h.shard.ReleasePacket(pkt)
 }
 
 // Switch forwards packets toward destination hosts using per-destination
@@ -93,6 +93,13 @@ type Switch struct {
 	// are dense (Network.nextID), so the per-hop lookup is a slice index;
 	// AddRoute grows the table to the network's current ID count.
 	routes [][]*Port
+	// routeArena backs every route set, so a switch's table is written
+	// into a few doubling arrays instead of one growing slice per
+	// destination. The set of tailDst is the arena's tail and grows in
+	// place. A set never moves once another destination has followed
+	// it; after the arena reallocates, earlier sets keep the old array.
+	routeArena []*Port
+	tailDst    NodeID
 }
 
 // ID implements Node.
@@ -109,16 +116,29 @@ func (s *Switch) Ports() []*Port { return s.ports }
 func (s *Switch) Shard() *Shard { return s.shard }
 
 // AddRoute registers an equal-cost egress port for a destination host,
-// which must already exist.
+// which must already exist. Route sets live back to back in one arena
+// per switch: adding a destination's ports consecutively, as
+// InstallShortestPathRoutes does, extends its set in place, while
+// returning to an earlier destination first copies its set to the
+// arena's tail (correct, but the old copy is wasted).
 func (s *Switch) AddRoute(dst NodeID, p *Port) {
 	if n := int(s.net.nextID); len(s.routes) < n {
 		s.routes = append(s.routes, make([][]*Port, n-len(s.routes))...)
 	}
-	s.routes[dst] = append(s.routes[dst], p)
+	set := s.routes[dst]
+	if len(set) > 0 && dst != s.tailDst {
+		s.routeArena = append(s.routeArena, set...)
+	}
+	s.tailDst = dst
+	s.routeArena = append(s.routeArena, p)
+	end := len(s.routeArena)
+	s.routes[dst] = s.routeArena[end-len(set)-1 : end : end]
 }
 
 // Routes returns the candidate egress ports for a destination, or nil
 // if there are none (including a dst outside the network's ID range).
+// The result aliases the switch's route arena: read it, do not append
+// to it (its capacity equals its length, so an append copies).
 func (s *Switch) Routes(dst NodeID) []*Port {
 	if dst < 0 || int(dst) >= len(s.routes) {
 		return nil
@@ -146,7 +166,7 @@ func (s *Switch) Receive(pkt *Packet) {
 	switch {
 	case up == 0:
 		s.shard.noteNoRoute(pkt)
-		ReleasePacket(pkt)
+		s.shard.ReleasePacket(pkt)
 	case up == len(cands):
 		// Fast path: all routes live, hash over the full set so paths
 		// are stable while nothing is failing.

@@ -12,7 +12,7 @@ package netsim
 
 import (
 	"fmt"
-	"sync"
+	"unsafe"
 
 	"amrt/internal/sim"
 )
@@ -75,9 +75,9 @@ const (
 
 // Packet is a simulated packet. Packets are passed by pointer and owned
 // by exactly one queue or link at a time; transports allocate them (via
-// NewPacket) and receivers consume them.
+// Shard.NewPacket) and receivers consume them.
 //
-// Packets are pooled. The simulator recycles a packet as soon as its
+// Packets are recycled. The simulator releases a packet as soon as its
 // journey ends: right after the destination host's Handler returns, or
 // at the drop site for packets a queue rejects (after the DropHook, if
 // any, has run). Handlers, OnData callbacks, and drop hooks therefore
@@ -135,25 +135,82 @@ type Packet struct {
 	next *Packet
 }
 
-// packetPool recycles Packets. A sync.Pool rather than a per-network
-// free list because experiment.Parallel runs independent simulations on
-// worker goroutines that all allocate from it; within one simulation
-// every Get/Put happens on the engine goroutine.
-var packetPool = sync.Pool{New: func() any { return new(Packet) }}
+// The packet free list. Each shard recycles packets through its own
+// chain (linked through Packet.next, like a queue's fifo), so a run's
+// packets belong to the run: nothing is shared between simulations, the
+// collector cannot empty the list mid-run, and allocation counts repeat
+// exactly. An empty chain is refilled one slab at a time; slabs double
+// from the 1 KB to the 8 KB size class, so a two-host run pays for a
+// dozen packets and a fabric-wide one makes one allocation per hundred.
+//
+// A packet is released on the shard where its journey ends, which need
+// not be the shard that built it: one-directional cross-shard traffic
+// grows the receiving shard's chain while the sending shard keeps
+// refilling. maxFreePackets bounds that — a release onto a full chain
+// leaves the packet to the collector — without any exchange between
+// shards.
+const (
+	packetBytes    = int(unsafe.Sizeof(Packet{}))
+	minSlabBytes   = 1 << 10
+	maxSlabBytes   = 8 << 10
+	maxFreePackets = 8192
+)
 
-// NewPacket returns a zeroed Packet from the pool. Callers fill it and
-// hand it to Host.Send (or a Port/Node directly); ownership then belongs
-// to the network until the packet is delivered or dropped, at which
-// point the simulator releases it back to the pool.
-func NewPacket() *Packet { return packetPool.Get().(*Packet) }
-
-// ReleasePacket zeroes pkt and returns it to the pool. Only the current
-// owner may release; the simulator calls this at the delivery and drop
-// recycle points, so transports and tests normally never need to.
-func ReleasePacket(pkt *Packet) {
-	*pkt = Packet{}
-	packetPool.Put(pkt)
+// NewPacket returns a zeroed Packet from the shard's free list. Callers
+// fill it and hand it to Host.Send (or a Port/Node directly); ownership
+// then belongs to the network until the packet is delivered or dropped,
+// at which point the simulator releases it on the shard where that
+// happens. Call only from the shard's own goroutine.
+func (s *Shard) NewPacket() *Packet {
+	if s.free == nil {
+		s.refill()
+	}
+	p := s.free
+	s.free, p.next = p.next, nil
+	s.nfree--
+	return p
 }
+
+// refill chains one fresh slab of packets onto the empty free list.
+func (s *Shard) refill() {
+	if s.slabBytes < maxSlabBytes {
+		s.slabBytes = max(minSlabBytes, 2*s.slabBytes)
+	}
+	slab := make([]Packet, s.slabBytes/packetBytes)
+	for i := range slab[:len(slab)-1] {
+		slab[i].next = &slab[i+1]
+	}
+	s.free, s.nfree = &slab[0], len(slab)
+}
+
+// ReleasePacket zeroes pkt and puts it on the shard's free list. Only
+// the current owner may release, on its own shard's goroutine; the
+// simulator does so at the delivery and drop recycle points, so
+// transports normally release only packets they built and never sent.
+// Releasing a packet that is still linked into a queue, or twice in a
+// row, panics.
+func (s *Shard) ReleasePacket(pkt *Packet) {
+	if pkt.next != nil || pkt == s.free {
+		panic(fmt.Sprintf("netsim: released packet %v is still queued or already free", pkt))
+	}
+	*pkt = Packet{}
+	if s.nfree >= maxFreePackets {
+		return
+	}
+	pkt.next, s.free = s.free, pkt
+	s.nfree++
+}
+
+// NewPacket returns a zeroed Packet outside any run's free list, for
+// tests and tools that inject packets by hand. The network releases it
+// like any other, onto the free list of the shard where its journey
+// ends.
+func NewPacket() *Packet { return new(Packet) }
+
+// ReleasePacket zeroes pkt and leaves it to the collector: the
+// counterpart of the package-level NewPacket for a packet that never
+// entered a network.
+func ReleasePacket(pkt *Packet) { *pkt = Packet{} }
 
 // IsControl reports whether the packet occupies a control (highest)
 // priority level: every type except full data packets, plus trimmed

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"sync"
 
 	"amrt/internal/sim"
 )
@@ -112,10 +113,13 @@ func (n *Network) runWindows(until sim.Time) sim.Time {
 	}
 	cmds := make([]chan sim.Time, len(n.shards))
 	done := make(chan struct{}, len(n.shards))
+	var workers sync.WaitGroup
 	for i, s := range n.shards {
 		c := make(chan sim.Time, 1)
 		cmds[i] = c
+		workers.Add(1)
 		go func(s *Shard, c chan sim.Time) {
+			defer workers.Done()
 			for to := range c {
 				s.eng.Run(to)
 				s.stopped = s.eng.Stopped()
@@ -123,10 +127,15 @@ func (n *Network) runWindows(until sim.Time) sim.Time {
 			}
 		}(s, c)
 	}
+	// Join the workers, not just release them: a worker that has not yet
+	// run its exit still holds its shard — and through it the network and
+	// every flow and packet of the run — on a live goroutine stack, so the
+	// caller's next collection would keep the whole finished run alive.
 	defer func() {
 		for _, c := range cmds {
 			close(c)
 		}
+		workers.Wait()
 	}()
 
 	now := n.Engine.Now()

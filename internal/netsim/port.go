@@ -129,7 +129,7 @@ func (p *Port) FlushQueue() {
 		}
 		p.Flushed++
 		p.shard.noteDrop(pkt)
-		ReleasePacket(pkt)
+		p.shard.ReleasePacket(pkt)
 	}
 }
 
@@ -168,13 +168,14 @@ func (p *Port) EffectiveRate() sim.Rate {
 
 // Send enqueues a packet for transmission, dropping it if the queue
 // refuses it, and starts the transmitter if idle. A dropped packet is
-// recycled into the pool after the drop accounting (and DropHook) runs.
+// recycled onto the shard's free list after the drop accounting (and
+// DropHook) runs.
 func (p *Port) Send(pkt *Packet) {
 	now := p.shard.eng.Now()
 	if !p.queue.Enqueue(pkt, now) {
 		p.Drops++
 		p.shard.noteDrop(pkt)
-		ReleasePacket(pkt)
+		p.shard.ReleasePacket(pkt)
 		return
 	}
 	p.Enqueued++

@@ -71,10 +71,15 @@ type Protocol struct {
 }
 
 type rcvFlow struct {
-	p       *Protocol // for HandleEvent: a token's expiry is a typed event on its flow
-	f       *transport.Flow
-	rcvd    *transport.Bitmap
-	pending map[int32]sim.Timer // tokened (or unscheduled), awaiting arrival
+	p    *Protocol // for HandleEvent: a token's expiry is a typed event on its flow
+	f    *transport.Flow
+	rcvd transport.Bitmap
+	// inflight marks the sequences tokened (or sent unscheduled) and
+	// awaiting arrival; pending holds their expiry timers. The token
+	// scheduler tests membership for every hole of every flow, so that
+	// is a bit test; the timers are touched only on arrival and expiry.
+	inflight transport.Bitmap
+	pending  transport.Sparse[sim.Timer]
 	// lastArrival and tokensSinceArrival drive the unresponsive-source
 	// test: a flow is skipped by the token scheduler only when several
 	// tokens have gone unanswered for TimeoutRTTs×RTT — mere silence is
@@ -190,9 +195,10 @@ func (p *Protocol) onReceiverPkt(pkt *netsim.Packet) {
 		if r == nil || r.f.Done {
 			return
 		}
-		if tm, ok := r.pending[pkt.Seq]; ok {
+		if r.inflight.Clear(pkt.Seq) {
+			tm, _ := r.pending.Get(pkt.Seq)
 			tm.Cancel()
-			delete(r.pending, pkt.Seq)
+			r.pending.Delete(pkt.Seq)
 		}
 		r.lastArrival = p.Now()
 		r.tokensSinceArrival = 0
@@ -205,6 +211,9 @@ func (p *Protocol) onReceiverPkt(pkt *netsim.Packet) {
 		if r.rcvd.Full() {
 			p.Complete(r.f)
 			p.removeFlow(r)
+			// The record ends with the flow: rcvFor answers nil for a
+			// Done flow and removeFlow cancelled every expiry.
+			delete(p.receivers, r.f.ID)
 			return
 		}
 		ps.pacer.Kick()
@@ -234,7 +243,8 @@ func (p *Protocol) rcvFor(pkt *netsim.Packet) *rcvFlow {
 	if f == nil || f.Done {
 		return nil // unknown, completed, or crash-killed flow
 	}
-	r := &rcvFlow{p: p, f: f, rcvd: transport.NewBitmap(f.NPkts), pending: make(map[int32]sim.Timer), lastArrival: p.Now()}
+	r := &rcvFlow{p: p, f: f, lastArrival: p.Now()}
+	transport.InitBitmaps(f.NPkts, &r.rcvd, &r.inflight)
 	p.receivers[pkt.Flow] = r
 	p.Heard(f)
 	// The unscheduled first window is in flight: treat it as tokened so
@@ -297,7 +307,7 @@ func (p *Protocol) emitToken(ps *pacerState) bool {
 // arrival, or -1.
 func (p *Protocol) nextTokenable(r *rcvFlow) int32 {
 	for seq := r.rcvd.NextClear(0); seq >= 0; seq = r.rcvd.NextClear(seq + 1) {
-		if _, inflight := r.pending[seq]; !inflight {
+		if !r.inflight.Get(seq) {
 			return seq
 		}
 	}
@@ -312,13 +322,15 @@ func (p *Protocol) nextTokenable(r *rcvFlow) int32 {
 func (p *Protocol) trackPending(r *rcvFlow, seq int32) {
 	timeout := sim.Time(p.cfg.TimeoutRTTs) * p.Cfg.RTT
 	r.tokensSinceArrival++
-	r.pending[seq] = p.Engine().ScheduleEvent(timeout, r, seq, nil)
+	r.inflight.Set(seq)
+	r.pending.Put(seq, p.Engine().ScheduleEvent(timeout, r, seq, nil))
 }
 
 // HandleEvent implements sim.Handler: the token for sequence seq expired.
 func (r *rcvFlow) HandleEvent(seq int32, _ any) {
 	p := r.p
-	delete(r.pending, seq)
+	r.inflight.Clear(seq)
+	r.pending.Delete(seq)
 	p.TokensExpired++
 	if r.f.Done {
 		return
@@ -328,7 +340,7 @@ func (r *rcvFlow) HandleEvent(seq int32, _ any) {
 	// new-sequence tokens — pHost's pacer bounds total token rate). A
 	// fully stalled flow is kept alive by a probe.
 	ps := p.pacerOf(r.f.Dst)
-	if len(r.pending) == 0 {
+	if r.pending.Len() == 0 {
 		p.probe(ps, r)
 	}
 	ps.pacer.Kick()
@@ -339,7 +351,7 @@ func (r *rcvFlow) HandleEvent(seq int32, _ any) {
 // from regular tokens): one direct token per timeout period, the
 // slow-retry behaviour of a paced receiver toward a silent source.
 func (p *Protocol) probe(ps *pacerState, r *rcvFlow) {
-	if r.f.Done || len(r.pending) > 0 {
+	if r.f.Done || r.pending.Len() > 0 {
 		return
 	}
 	if seq := p.nextTokenable(r); seq >= 0 {
@@ -351,9 +363,7 @@ func (p *Protocol) probe(ps *pacerState, r *rcvFlow) {
 }
 
 func (p *Protocol) removeFlow(r *rcvFlow) {
-	for _, tm := range r.pending {
-		tm.Cancel()
-	}
+	r.pending.Each(func(_ int32, tm sim.Timer) { tm.Cancel() })
 	ps := p.pacerOf(r.f.Dst)
 	ps.flows = slices.DeleteFunc(ps.flows, func(x *rcvFlow) bool { return x == r })
 	ps.pacer.Kick()

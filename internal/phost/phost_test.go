@@ -237,3 +237,41 @@ func TestPHostDeterminism(t *testing.T) {
 		t.Error("pHost run not deterministic")
 	}
 }
+
+// TestReceiverRecordEndsWithFlow: a receiver record — bitmaps, pending
+// timers — is dropped when its flow completes, and what arrives
+// afterwards (a duplicate data packet, a late RTS) finds the flow Done:
+// no record is rebuilt, nothing is sent, nothing is scheduled.
+func TestReceiverRecordEndsWithFlow(t *testing.T) {
+	s, p, _ := newFan(8)
+	var flows []*transport.Flow
+	for i := 0; i < 8; i++ {
+		flows = append(flows, p.AddFlow(netsim.FlowID(i+1), s.Senders[i], s.Receivers[0], 300_000, 0))
+	}
+	s.Net.Run(sim.Forever)
+	if s.Net.Dropped() == 0 || p.TokensExpired == 0 {
+		t.Fatalf("incast was not lossy: %d drops, %d expired tokens", s.Net.Dropped(), p.TokensExpired)
+	}
+	for _, f := range flows {
+		if !f.Done {
+			t.Fatalf("%v did not complete", f)
+		}
+	}
+	if len(p.receivers) != 0 {
+		t.Fatalf("%d receiver records outlive their flows", len(p.receivers))
+	}
+	f := flows[3]
+	events, injected, tokens := s.Net.Engine.Executed, s.Net.Injected(), p.TokensSent
+	f.Dst.Receive(p.NewData(f, 0, netsim.PrioData))
+	f.Dst.Receive(p.NewCtrl(netsim.RTS, f, -1, false))
+	s.Net.Run(sim.Forever)
+	if len(p.receivers) != 0 {
+		t.Error("a late packet rebuilt the receiver record of a finished flow")
+	}
+	if s.Net.Injected() != injected || p.TokensSent != tokens {
+		t.Errorf("late packets were answered: injected %d→%d, tokens %d→%d", injected, s.Net.Injected(), tokens, p.TokensSent)
+	}
+	if s.Net.Engine.Executed != events {
+		t.Errorf("late packets scheduled %d events", s.Net.Engine.Executed-events)
+	}
+}

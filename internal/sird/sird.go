@@ -165,7 +165,7 @@ type rcvFlow struct {
 	// grant went out, so a retransmission still plausibly in flight is
 	// not duplicated.
 	grants     transport.GrantRing
-	reissuedAt map[int32]sim.Time
+	reissuedAt transport.Sparse[sim.Time]
 }
 
 // silenceEvidence is how many unanswered grants it takes before a
@@ -367,7 +367,7 @@ func (p *Protocol) onReceiverPkt(pkt *netsim.Packet) {
 		if !r.rcvd.Set(pkt.Seq) {
 			return
 		}
-		delete(r.reissuedAt, pkt.Seq)
+		r.reissuedAt.Delete(pkt.Seq)
 		r.lastProgress = p.Now()
 		p.DeliverData(r.f, pkt)
 		ps := p.poolOf(r.f.Dst)
@@ -421,7 +421,6 @@ func (p *Protocol) rcvFor(pkt *netsim.Packet) *rcvFlow {
 	r := &rcvFlow{
 		f: f, rcvd: transport.NewBitmap(f.NPkts), blind: blind,
 		granted: blind, lastArrival: now, lastProgress: now,
-		reissuedAt: make(map[int32]sim.Time),
 	}
 	// Seed the grant-age ring so the unscheduled prefix (authorized at
 	// flow start) becomes recoverable one timeout window from now.
@@ -544,10 +543,10 @@ func (p *Protocol) onTimeout(r *rcvFlow) {
 	ps := p.poolOf(r.f.Dst)
 	issued := 0
 	for seq := r.rcvd.NextClear(0); seq >= 0 && seq < overdue && issued < cap; seq = r.rcvd.NextClear(seq + 1) {
-		if at, ok := r.reissuedAt[seq]; ok && now-at < window {
+		if at, ok := r.reissuedAt.Get(seq); ok && now-at < window {
 			continue // retransmission still plausibly in flight
 		}
-		r.reissuedAt[seq] = now
+		r.reissuedAt.Put(seq, now)
 		ps.recovery.Push(recReq{r: r, seq: seq})
 		issued++
 	}
@@ -579,4 +578,7 @@ func (p *Protocol) finish(r *rcvFlow) {
 	// A short final packet repays less than its MSS charge; settle the
 	// remainder and hand the credit to the next flow.
 	p.poolOf(r.f.Dst).settle(r)
+	// The record stays in p.receivers: a late RTS for a finished flow
+	// still notes demand and kicks the pool, so dropping it here is a
+	// v10 change.
 }

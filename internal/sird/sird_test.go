@@ -185,3 +185,24 @@ func TestSenderCrashReturnsCredit(t *testing.T) {
 		t.Errorf("%d bytes outstanding after the survivors finished", out)
 	}
 }
+
+// TestFinishedRecordStillAnswersRTS pins amrt-sim/v9 behaviour: SIRD
+// keeps the receiver record of a finished flow, so a late RTS still
+// notes its demand and kicks the host's idle credit pacer — one event.
+// Dropping the record at completion (as AMRT, pHost and NDP do) removes
+// that event; the change that makes it must edit this test and bump
+// SimVersion.
+func TestFinishedRecordStillAnswersRTS(t *testing.T) {
+	s, p := newFan(1)
+	f := p.AddFlow(1, s.Senders[0], s.Receivers[0], 300_000, 0)
+	s.Net.Run(sim.Forever)
+	if !f.Done || p.receivers[f.ID] == nil {
+		t.Fatalf("flow done = %v, record kept = %v; want both", f.Done, p.receivers[f.ID] != nil)
+	}
+	events := s.Net.Engine.Executed
+	f.Dst.Receive(p.NewCtrl(netsim.RTS, f, -1, false))
+	s.Net.Run(sim.Forever)
+	if got := s.Net.Engine.Executed - events; got != 1 {
+		t.Errorf("a late RTS on a finished flow scheduled %d events, want the pacer's 1", got)
+	}
+}

@@ -17,52 +17,55 @@ import (
 // topology the builders in this package produce (and any custom one),
 // with all-equal link weights.
 func InstallShortestPathRoutes(n *netsim.Network) {
-	// Forward adjacency: for each node, its egress ports.
-	type edge struct {
-		owner netsim.Node
-		port  *netsim.Port
-	}
-	incoming := make(map[netsim.NodeID][]edge)
-	addPorts := func(owner netsim.Node, ports []*netsim.Port) {
+	// Reverse adjacency: for each node, the owners of the ports that
+	// point at it. Node IDs are dense, so per-node tables are slices
+	// indexed by ID.
+	incoming := make([][]netsim.Node, len(n.Hosts())+len(n.Switches()))
+	addPorts := func(owner netsim.Node, ports ...*netsim.Port) {
 		for _, p := range ports {
-			to := p.Link().To
-			incoming[to.ID()] = append(incoming[to.ID()], edge{owner: owner, port: p})
+			to := p.Link().To.ID()
+			incoming[to] = append(incoming[to], owner)
 		}
 	}
 	for _, s := range n.Switches() {
-		addPorts(s, s.Ports())
+		addPorts(s, s.Ports()...)
 	}
 	for _, h := range n.Hosts() {
 		if h.NIC() != nil {
-			addPorts(h, []*netsim.Port{h.NIC()})
+			addPorts(h, h.NIC())
 		}
 	}
 
+	// One distance table and one BFS queue serve every destination.
+	const unreached = -1
+	dist := make([]int32, len(incoming))
+	queue := make([]netsim.NodeID, 0, len(incoming))
 	for _, dst := range n.Hosts() {
 		if dst.NIC() == nil {
 			continue
 		}
 		// BFS over reverse edges from the destination host.
-		dist := map[netsim.NodeID]int{dst.ID(): 0}
-		queue := []netsim.NodeID{dst.ID()}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for _, e := range incoming[cur] {
-				id := e.owner.ID()
-				if _, seen := dist[id]; !seen {
+		for i := range dist {
+			dist[i] = unreached
+		}
+		dist[dst.ID()] = 0
+		queue = append(queue[:0], dst.ID())
+		for head := 0; head < len(queue); head++ {
+			cur := queue[head]
+			for _, owner := range incoming[cur] {
+				if id := owner.ID(); dist[id] == unreached {
 					dist[id] = dist[cur] + 1
 					queue = append(queue, id)
 				}
 			}
 		}
 		for _, s := range n.Switches() {
-			d, ok := dist[s.ID()]
-			if !ok {
+			d := dist[s.ID()]
+			if d == unreached {
 				continue // switch cannot reach dst
 			}
 			for _, p := range s.Ports() {
-				if nd, ok := dist[p.Link().To.ID()]; ok && nd == d-1 {
+				if dist[p.Link().To.ID()] == d-1 {
 					s.AddRoute(dst.ID(), p)
 				}
 			}

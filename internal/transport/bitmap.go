@@ -1,7 +1,7 @@
 package transport
 
 // Bitmap tracks which data packets of a flow have been received. The
-// zero value is unusable; create with NewBitmap.
+// zero value is unusable; create with NewBitmap or InitBitmaps.
 type Bitmap struct {
 	words []uint64
 	n     int32 // capacity in bits
@@ -11,6 +11,17 @@ type Bitmap struct {
 // NewBitmap returns a bitmap for n packets.
 func NewBitmap(n int32) *Bitmap {
 	return &Bitmap{words: make([]uint64, (n+63)/64), n: n}
+}
+
+// InitBitmaps makes each of bs an empty bitmap of n bits, all of them
+// over one backing array: a record that embeds several bitmaps by value
+// pays one allocation for the lot.
+func InitBitmaps(n int32, bs ...*Bitmap) {
+	w := int(n+63) / 64
+	words := make([]uint64, w*len(bs))
+	for i, b := range bs {
+		*b = Bitmap{words: words[i*w : (i+1)*w : (i+1)*w], n: n}
+	}
 }
 
 // Set marks bit i and reports whether it was newly set.
@@ -24,6 +35,20 @@ func (b *Bitmap) Set(i int32) bool {
 	}
 	b.words[w] |= m
 	b.set++
+	return true
+}
+
+// Clear unmarks bit i and reports whether it was set.
+func (b *Bitmap) Clear(i int32) bool {
+	if i < 0 || i >= b.n {
+		return false
+	}
+	w, m := i/64, uint64(1)<<(uint(i)%64)
+	if b.words[w]&m == 0 {
+		return false
+	}
+	b.words[w] &^= m
+	b.set--
 	return true
 }
 

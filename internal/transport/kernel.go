@@ -225,10 +225,10 @@ func (k *Kernel) SendBlind(f *Flow, prio uint8) int32 {
 // NewData builds data packet seq of flow f. CE starts true: the
 // anti-ECN convention initializes the bit to "spare bandwidth" and
 // switches AND their observations in (protocols without markers simply
-// ignore it). The packet comes from the shared pool; the network
-// recycles it on delivery or drop.
+// ignore it). The packet comes from the kernel shard's free list; the
+// network recycles it on delivery or drop.
 func (k *Kernel) NewData(f *Flow, seq int32, prio uint8) *netsim.Packet {
-	p := netsim.NewPacket()
+	p := k.shard.NewPacket()
 	p.Flow, p.Type, p.Seq = f.ID, netsim.Data, seq
 	p.Size, p.Prio = k.PktSize(f, seq), prio
 	p.Src, p.Dst = f.Src.ID(), f.Dst.ID()
@@ -244,9 +244,9 @@ func (k *Kernel) DataPacketsSent() int64 { return k.DataPktsBuilt }
 // NewCtrl builds a control packet of the given type for flow f.
 // toSender directs it at the flow source (grants, tokens, pulls);
 // otherwise at the flow destination (RTS). The packet comes from the
-// shared pool; the network recycles it on delivery or drop.
+// kernel shard's free list; the network recycles it on delivery or drop.
 func (k *Kernel) NewCtrl(typ netsim.PacketType, f *Flow, seq int32, toSender bool) *netsim.Packet {
-	p := netsim.NewPacket()
+	p := k.shard.NewPacket()
 	p.Flow, p.Type, p.Seq = f.ID, typ, seq
 	p.Size, p.Prio = netsim.ControlSize, netsim.PrioControl
 	p.FlowSize = f.Size

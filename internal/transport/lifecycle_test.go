@@ -12,9 +12,6 @@ import (
 
 const testRTT = 100 * sim.Microsecond
 
-// raceEnabled is set by race_test.go under -race.
-var raceEnabled bool
-
 // fakeStack is the least a stack can be: a kernel plus hooks that log
 // what the lifecycle asked of them. Its Start announces and sends the
 // blind window like every receiver-driven stack; it never answers, so
@@ -286,9 +283,6 @@ func TestRecvTimerIntervals(t *testing.T) {
 // allocates nothing, and registering one allocates only the Flow (plus
 // the flow table's amortized growth).
 func TestLifecycleAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("packet pool recycling is lossy under -race")
-	}
 	n, a, b := newLifecycleNet()
 	s := &fakeStack{Kernel: NewKernel(n, Config{RTT: testRTT, BlindWindow: 2})}
 	s.Bind(Hooks{ // no logging: the hooks themselves must not allocate
