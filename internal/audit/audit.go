@@ -212,7 +212,7 @@ func (a *Auditor) check() *Violation {
 		n := int64(q.Len())
 		queued += n
 		var busy int64
-		if p.Busy() {
+		if p.Busy() { // before TxPackets is read: it books a transmission that has ended
 			busy = 1
 		}
 		if got := p.TxPackets + p.Flushed + n + busy; p.Enqueued != got {
@@ -283,8 +283,9 @@ func (a *Auditor) dump() string {
 	fmt.Fprintf(&b, "ports (%d):\n", len(a.ports))
 	for _, p := range a.ports {
 		q := p.Queue()
+		busy := p.Busy() // first: it books a transmission that has ended into TxPackets
 		fmt.Fprintf(&b, "  %s: len=%d bytes=%d enqueued=%d tx=%d flushed=%d drops=%d busy=%t down=%t\n",
-			p.Name(), q.Len(), q.Bytes(), p.Enqueued, p.TxPackets, p.Flushed, p.Drops, p.Busy(), p.AdminDown())
+			p.Name(), q.Len(), q.Bytes(), p.Enqueued, p.TxPackets, p.Flushed, p.Drops, busy, p.AdminDown())
 	}
 	fmt.Fprintf(&b, "pending events: %d\n", a.eng.Pending())
 	return b.String()

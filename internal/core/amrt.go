@@ -158,6 +158,7 @@ type sender struct {
 }
 
 type receiver struct {
+	p       *Protocol // for HandleEvent: the record is its own timeout event
 	f       *transport.Flow
 	rcvd    transport.Bitmap
 	granted int32 // packets authorized so far, including the blind window
@@ -310,15 +311,20 @@ func (p *Protocol) onReceiverPkt(pkt *netsim.Packet) {
 		if r == nil || r.f.Done {
 			return
 		}
-		if at, ok := r.reissuedAt.Get(pkt.Seq); ok {
-			// Recovery round-trip sample: grant reissue → arrival.
-			sample := p.Now() - at
-			if r.srtt == 0 {
-				r.srtt = sample
-			} else {
-				r.srtt = (7*r.srtt + sample) / 8
+		// Nearly every arrival finds no retransmission outstanding: skip
+		// the scan then. (The inRecovery bit cannot stand in for it — it
+		// is cleared just before emitRecovery records the reissue.)
+		if r.reissuedAt.Len() > 0 {
+			if at, ok := r.reissuedAt.Get(pkt.Seq); ok {
+				// Recovery round-trip sample: grant reissue → arrival.
+				sample := p.Now() - at
+				if r.srtt == 0 {
+					r.srtt = sample
+				} else {
+					r.srtt = (7*r.srtt + sample) / 8
+				}
+				r.reissuedAt.Delete(pkt.Seq)
 			}
-			r.reissuedAt.Delete(pkt.Seq)
 		}
 		if !r.rcvd.Set(pkt.Seq) {
 			return // duplicate: no grant, no progress
@@ -383,6 +389,7 @@ func (p *Protocol) receiverFor(pkt *netsim.Packet) *receiver {
 		return nil // unknown, completed, or crash-killed flow
 	}
 	r := &receiver{
+		p:            p,
 		f:            f,
 		granted:      p.BlindPkts(f),
 		lastProgress: p.Now(),
@@ -391,10 +398,13 @@ func (p *Protocol) receiverFor(pkt *netsim.Packet) *receiver {
 	p.receivers[pkt.Flow] = r
 	p.grantsInFlight += int64(r.granted)
 	p.Heard(f)
-	r.timer.Init(&p.Kernel, func() { p.onTimeout(r) })
+	r.timer.Init(&p.Kernel, r)
 	r.timer.Arm()
 	return r
 }
+
+// HandleEvent implements sim.Handler: the receiver timer fired.
+func (r *receiver) HandleEvent(int32, any) { r.p.onTimeout(r) }
 
 // onTimeout implements §6 loss recovery: every RTT, any sequence whose
 // grant (or blind-window slot) is more than one RTT old and has not

@@ -25,11 +25,21 @@ var updatePins = flag.Bool("update", false, "rewrite testdata/pinned_digests.jso
 
 const pinFile = "testdata/pinned_digests.json"
 
-// pinSet is the committed pin file: one SHA-256 per (stack, cell),
-// valid for exactly one simulation-behaviour generation.
+// pinSet is the committed pin file: one pin per (stack, cell), valid for
+// exactly one simulation-behaviour generation.
 type pinSet struct {
-	SimVersion string            `json:"sim_version"`
-	Digests    map[string]string `json:"digests"`
+	SimVersion string         `json:"sim_version"`
+	Pins       map[string]pin `json:"pins"`
+}
+
+// pin is what one cell must reproduce. Digest is the SHA-256 over the
+// metrics JSON dump and every flow's (ID, Outcome, End) in ID order;
+// Events, the dispatched-event count, stands beside it rather than
+// inside it, so a change that only removes or adds events shows in the
+// pin file's diff as exactly that.
+type pin struct {
+	Digest string `json:"digest"`
+	Events uint64 `json:"events"`
 }
 
 // pinnedCell is one small full-runner simulation whose every output is
@@ -103,10 +113,8 @@ func pinnedCells() []pinnedCell {
 	}
 }
 
-// runPinnedCell runs one cell and returns the SHA-256 over the metrics
-// JSON dump, every flow's (ID, Outcome, End) in ID order, and the
-// dispatched-event count.
-func runPinnedCell(t *testing.T, stack string, c pinnedCell) string {
+// runPinnedCell runs one cell and returns its pin.
+func runPinnedCell(t *testing.T, stack string, c pinnedCell) pin {
 	t.Helper()
 	st := experiment.MustStack(stack, experiment.StackOptions{})
 	// The result reports outcomes but not end times; read those off the
@@ -150,8 +158,7 @@ func runPinnedCell(t *testing.T, stack string, c pinnedCell) string {
 	for _, f := range flows {
 		fmt.Fprintf(&buf, "flow %d %v end=%d\n", f.ID, f.Outcome, int64(f.End))
 	}
-	fmt.Fprintf(&buf, "events=%d\n", res.Events)
-	return fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
+	return pin{Digest: fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())), Events: res.Events}
 }
 
 // TestPinnedRunDigests is the tree's absolute golden. Every other
@@ -163,10 +170,10 @@ func runPinnedCell(t *testing.T, stack string, c pinnedCell) string {
 //
 //	go test ./internal/experiment -run TestPinnedRunDigests -update
 func TestPinnedRunDigests(t *testing.T) {
-	got := pinSet{SimVersion: amrt.SimVersion, Digests: map[string]string{}}
+	got := pinSet{SimVersion: amrt.SimVersion, Pins: map[string]pin{}}
 	for _, stack := range experiment.StackNames() {
 		for _, c := range pinnedCells() {
-			got.Digests[stack+"/"+c.name] = runPinnedCell(t, stack, c)
+			got.Pins[stack+"/"+c.name] = runPinnedCell(t, stack, c)
 		}
 	}
 	if *updatePins {
@@ -177,7 +184,7 @@ func TestPinnedRunDigests(t *testing.T) {
 		if err := os.WriteFile(pinFile, append(out, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %d pins for %s to %s", len(got.Digests), got.SimVersion, pinFile)
+		t.Logf("wrote %d pins for %s to %s", len(got.Pins), got.SimVersion, pinFile)
 		return
 	}
 	raw, err := os.ReadFile(pinFile)
@@ -192,14 +199,14 @@ func TestPinnedRunDigests(t *testing.T) {
 		t.Fatalf("%s was recorded for %s but this build is %s: regenerate the pins with -update",
 			pinFile, want.SimVersion, amrt.SimVersion)
 	}
-	if len(got.Digests) != len(want.Digests) {
-		t.Errorf("%d cells ran, %d are pinned: regenerate the pins with -update", len(got.Digests), len(want.Digests))
+	if len(got.Pins) != len(want.Pins) {
+		t.Errorf("%d cells ran, %d are pinned: regenerate the pins with -update", len(got.Pins), len(want.Pins))
 	}
-	for key, digest := range got.Digests {
-		if want.Digests[key] != digest {
-			t.Errorf("%s: digest %.12s…, pinned %.12s…: simulated behaviour changed under %s "+
+	for key, g := range got.Pins {
+		if w := want.Pins[key]; w != g {
+			t.Errorf("%s: digest %.12s… events %d, pinned %.12s… events %d: simulated behaviour changed under %s "+
 				"(a deliberate change bumps amrt.SimVersion and regenerates the pins with -update)",
-				key, digest, want.Digests[key], amrt.SimVersion)
+				key, g.Digest, g.Events, w.Digest, w.Events, amrt.SimVersion)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"amrt/internal/audit"
@@ -443,12 +444,23 @@ func (r LeafSpineRun) RunE() (RunResult, error) {
 		for s := 0; s < nshards; s++ {
 			s := s
 			eng := shards[s].Eng()
+			// live is the shard's watch list: the responsive flows homed
+			// here, in creation order, compacted in place as they finish so
+			// a tick walks what can still stall, not every flow of the run.
+			live := slices.DeleteFunc(slices.Clone(insts[s].OrderedFlows()), func(f *transport.Flow) bool {
+				return int(f.Home) != s || f.Unresponsive
+			})
 			var tick func()
 			tick = func() {
 				now := eng.Now()
-				for _, f := range insts[s].OrderedFlows() {
-					if int(f.Home) != s || !f.Released || f.Done || f.Unresponsive ||
-						now < f.Start || f.Outcome != transport.OutcomeRunning {
+				n := 0
+				for _, f := range live {
+					if f.Done {
+						continue
+					}
+					live[n] = f
+					n++
+					if !f.Released || now < f.Start || f.Outcome != transport.OutcomeRunning {
 						continue
 					}
 					last := f.LastProgress
@@ -471,6 +483,8 @@ func (r LeafSpineRun) RunE() (RunResult, error) {
 						"no data progress since %v (stall window %v = %d RTTs) with both access links up",
 						last, window, stallRTTs)
 				}
+				clear(live[n:])
+				live = live[:n]
 				reschedule(eng, subWatchdog, window/4, tick)
 			}
 			eng.ScheduleLate(window/4, subWatchdog, tick)

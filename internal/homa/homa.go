@@ -90,6 +90,7 @@ type sender struct {
 }
 
 type rcvFlow struct {
+	p            *Protocol // for HandleEvent: the record is its own timeout event
 	f            *transport.Flow
 	rcvd         *transport.Bitmap
 	granted      int32 // packets authorized (incl. unscheduled window)
@@ -242,13 +243,13 @@ func (p *Protocol) rcvFor(pkt *netsim.Packet) *rcvFlow {
 		return nil // unknown, completed, or crash-killed flow
 	}
 	r := &rcvFlow{
-		f: f, rcvd: transport.NewBitmap(f.NPkts),
+		p: p, f: f, rcvd: transport.NewBitmap(f.NPkts),
 		granted: p.BlindPkts(f), lastProgress: p.Now(),
 	}
 	p.receivers[pkt.Flow] = r
 	p.byHost[f.Dst.ID()] = append(p.byHost[f.Dst.ID()], r)
 	p.Heard(f)
-	r.timer.Init(&p.Kernel, func() { p.onTimeout(r) })
+	r.timer.Init(&p.Kernel, r)
 	r.timer.Arm()
 	return r
 }
@@ -282,6 +283,9 @@ func (p *Protocol) regrant(dst *netsim.Host) {
 		}
 	}
 }
+
+// HandleEvent implements sim.Handler: the receiver timer fired.
+func (r *rcvFlow) HandleEvent(int32, any) { r.p.onTimeout(r) }
 
 func (p *Protocol) onTimeout(r *rcvFlow) {
 	if r.f.Done {

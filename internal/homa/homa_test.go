@@ -207,7 +207,7 @@ func TestDegreeAccessor(t *testing.T) {
 	}
 }
 
-// TestFinishedRecordStillAnswersRTS pins amrt-sim/v9 behaviour: Homa
+// TestFinishedRecordStillAnswersRTS pins the kept-record behaviour: Homa
 // keeps the receiver record of a finished flow, so a late RTS still
 // finds it and reruns the host's grant scheduler. Dropping the record
 // at completion (as AMRT, pHost and NDP do) changes what that RTS does;

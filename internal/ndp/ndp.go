@@ -73,6 +73,7 @@ type sender struct {
 }
 
 type rcvFlow struct {
+	p            *Protocol // for HandleEvent: the record is its own timeout event
 	f            *transport.Flow
 	rcvd         *transport.Bitmap
 	pullBudget   int32 // packets still to be triggered by pulls
@@ -251,13 +252,13 @@ func (p *Protocol) rcvFor(pkt *netsim.Packet) *rcvFlow {
 		return nil // unknown, completed, or crash-killed flow
 	}
 	r := &rcvFlow{
-		f: f, rcvd: transport.NewBitmap(f.NPkts),
+		p: p, f: f, rcvd: transport.NewBitmap(f.NPkts),
 		pullBudget:   f.NPkts - p.BlindPkts(f),
 		lastProgress: p.Now(),
 	}
 	p.receivers[pkt.Flow] = r
 	p.Heard(f)
-	r.timer.Init(&p.Kernel, func() { p.onTimeout(r) })
+	r.timer.Init(&p.Kernel, r)
 	r.timer.Arm()
 	return r
 }
@@ -296,6 +297,9 @@ func (p *Protocol) emitPull(pl *puller) bool {
 	}
 	return false
 }
+
+// HandleEvent implements sim.Handler: the receiver timer fired.
+func (r *rcvFlow) HandleEvent(int32, any) { r.p.onTimeout(r) }
 
 // onTimeout recovers from losses the trim path cannot see (e.g. control
 // drops): NACK + pull for each missing packet that should have arrived.

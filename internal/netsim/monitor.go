@@ -7,6 +7,10 @@ import "amrt/internal/sim"
 // experiment code samples and resets it on its own schedule.
 type PortMonitor struct {
 	rate sim.Rate
+	// port is the monitored port when the monitor came from Attach. The
+	// byte counters settle it before they answer, so a transmission that
+	// ended before a window reset is booked into the window it ended in.
+	port *Port
 
 	// cumulative transmitted bytes since construction
 	totalBytes int64
@@ -31,13 +35,21 @@ func NewPortMonitor(rate sim.Rate) *PortMonitor {
 // Attach creates a monitor for p, installs it, and returns it.
 func Attach(p *Port) *PortMonitor {
 	m := NewPortMonitor(p.Link().Rate)
+	m.port = p
 	p.Monitor = m
 	return m
 }
 
-func (m *PortMonitor) noteTx(bytes int64, now sim.Time) {
+func (m *PortMonitor) noteTx(bytes int64) {
 	m.totalBytes += bytes
 	m.windowBytes += bytes
+}
+
+// settle books the port's transmission, if one has ended unrecorded.
+func (m *PortMonitor) settle() {
+	if m.port != nil {
+		m.port.settle()
+	}
 }
 
 func (m *PortMonitor) noteQueue(q Queue, now sim.Time) {
@@ -54,14 +66,21 @@ func (m *PortMonitor) noteQueue(q Queue, now sim.Time) {
 }
 
 // TotalBytes returns bytes transmitted since construction.
-func (m *PortMonitor) TotalBytes() int64 { return m.totalBytes }
+func (m *PortMonitor) TotalBytes() int64 {
+	m.settle()
+	return m.totalBytes
+}
 
 // WindowBytes returns bytes transmitted since the last ResetWindow.
-func (m *PortMonitor) WindowBytes() int64 { return m.windowBytes }
+func (m *PortMonitor) WindowBytes() int64 {
+	m.settle()
+	return m.windowBytes
+}
 
 // Utilization returns the fraction of link capacity used in the current
 // window, in [0, ~1]. now must not precede the window start.
 func (m *PortMonitor) Utilization(now sim.Time) float64 {
+	m.settle()
 	d := now - m.windowStart
 	if d <= 0 {
 		return 0
@@ -76,6 +95,7 @@ func (m *PortMonitor) Utilization(now sim.Time) float64 {
 
 // ResetWindow starts a new measurement window at now.
 func (m *PortMonitor) ResetWindow(now sim.Time) {
+	m.settle()
 	m.windowBytes = 0
 	m.windowStart = now
 }

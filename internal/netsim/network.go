@@ -70,10 +70,10 @@ type Shard struct {
 
 	// Injected counts packets entering the network through this shard's
 	// hosts; OnWire counts packets between a dequeue on this shard and
-	// either the far end of an intra-shard link or the end of
-	// serialization on a cross-shard link. PipedOut counts packets handed
-	// to another shard (they leave OnWire when serialization completes);
-	// PipedIn counts packets received from another shard. The per-shard
+	// the far end of an intra-shard link. PipedOut counts packets handed
+	// to another shard — custody moves at the dequeue onto a cross-shard
+	// link, so such a packet is never on this shard's wire; PipedIn
+	// counts packets received from another shard. The per-shard
 	// conservation identity the audit subsystem checks is
 	//
 	//	Injected + PipedIn == Delivered + Dropped + Σ queue.Len() + OnWire + PipedOut
@@ -138,7 +138,7 @@ func (s *Shard) Network() *Network { return s.net }
 // xrec is one cross-shard record: a typed event (sim.Handler, op, arg)
 // to schedule on the target shard at a timestamped, deterministically
 // keyed position. Deliveries carry the sending port and the packet;
-// signals carry their closure as a sim.Func.
+// signals carry their handler (a closure rides as a sim.Func).
 type xrec struct {
 	at  sim.Time
 	key uint64
@@ -388,26 +388,30 @@ func (n *Network) Partition(nshards int, assign func(Node) int) {
 	}
 }
 
+// eachPort calls fn for every port: host NICs, then switch ports, in
+// creation order.
+func (n *Network) eachPort(fn func(*Port)) {
+	for _, h := range n.hosts {
+		if h.nic != nil {
+			fn(h.nic)
+		}
+	}
+	for _, sw := range n.switches {
+		for _, p := range sw.ports {
+			fn(p)
+		}
+	}
+}
+
 // minLinkDelay scans every port's link delay.
 func (n *Network) minLinkDelay() sim.Time {
 	min := sim.Time(0)
 	seen := false
-	scan := func(p *Port) {
-		if p == nil {
-			return
-		}
+	n.eachPort(func(p *Port) {
 		if !seen || p.link.Delay < min {
 			min, seen = p.link.Delay, true
 		}
-	}
-	for _, h := range n.hosts {
-		scan(h.nic)
-	}
-	for _, sw := range n.switches {
-		for _, p := range sw.ports {
-			scan(p)
-		}
-	}
+	})
 	return min
 }
 

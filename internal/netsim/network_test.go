@@ -323,7 +323,7 @@ func TestPortMonitorUtilization(t *testing.T) {
 
 func TestPortMonitorWindowReset(t *testing.T) {
 	m := NewPortMonitor(10 * sim.Gbps)
-	m.noteTx(1250, 0)
+	m.noteTx(1250)
 	if m.WindowBytes() != 1250 {
 		t.Fatalf("WindowBytes = %d", m.WindowBytes())
 	}

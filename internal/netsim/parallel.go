@@ -55,14 +55,25 @@ func (n *Network) Lookahead() sim.Time {
 // count. Call only from the owning shard of from, during event
 // execution.
 func (s *Shard) Signal(from, to Node, fn func()) {
+	if fn == nil {
+		panic("netsim: signal nil func")
+	}
+	s.SignalEvent(from, to, sim.Func(fn), 0, nil)
+}
+
+// SignalEvent is Signal for a typed event: h.HandleEvent(op, arg) runs
+// on the shard owning node to, at the position Signal would have given a
+// closure. A long-lived handler that signals per flow (the transport
+// kernel) uses it so a signal allocates nothing.
+func (s *Shard) SignalEvent(from, to Node, h sim.Handler, op int32, arg any) {
 	at := s.eng.Now() + s.net.Lookahead()
 	key := s.signalKey(from.ID(), to.ID())
 	dst := shardOf(to)
 	if dst == s {
-		s.eng.ScheduleKeyed(at, key, fn)
+		s.eng.ScheduleEventKeyed(at, key, h, op, arg)
 		return
 	}
-	s.out[dst.idx] = append(s.out[dst.idx], xrec{at: at, key: key, h: sim.Func(fn)})
+	s.out[dst.idx] = append(s.out[dst.idx], xrec{at: at, key: key, h: h, op: op, arg: arg})
 }
 
 func (s *Shard) signalKey(from, to NodeID) uint64 {
@@ -87,11 +98,17 @@ func (s *Shard) signalKey(from, to NodeID) uint64 {
 // Run drives the simulation until the horizon (sim.Forever runs to
 // quiescence). With one shard this is the single-engine reference path;
 // on a partitioned network it runs the conservative time-window loop.
+// On return every port's ended transmission is booked, so the exported
+// port counters can be read directly between runs.
 func (n *Network) Run(until sim.Time) sim.Time {
+	var now sim.Time
 	if len(n.shards) == 1 {
-		return n.Engine.Run(until)
+		now = n.Engine.Run(until)
+	} else {
+		now = n.runWindows(until)
 	}
-	return n.runWindows(until)
+	n.eachPort((*Port).settle)
+	return now
 }
 
 // runWindows executes lookahead-wide windows on every shard in

@@ -58,9 +58,22 @@ type Port struct {
 	// lower speed).
 	degraded sim.Rate
 
-	busy bool
+	// busy marks an open transmission: one whose completion has not been
+	// booked yet. Transmit completion is lazy. A dequeue records when the
+	// transmission ends (busyUntil) and reserves the sequence number its
+	// tx-done event would have drawn (txSeq), but the event itself is
+	// scheduled only once a packet waits behind the transmission (txWake).
+	// Otherwise whoever touches the port next books the completion, as of
+	// busyUntil, provided position (busyUntil, txSeq) has passed — see
+	// settle. Everything that reads the fields below, TxPackets, TxBytes
+	// or the monitor's byte counts settles first, so all of them read
+	// exactly what an eager tx-done event would have left.
+	busy      bool
+	txWake    bool
+	busyUntil sim.Time
+	txSeq     uint64
 	// txSize is the size of the packet being serialized (valid while
-	// busy), kept here so the tx-done event needs no per-packet state.
+	// busy), kept here so completion needs no per-packet state.
 	txSize int64
 	// lastTxEnd is when the previous transmission finished; the anti-ECN
 	// marker compares the current dequeue instant against it to measure
@@ -74,7 +87,9 @@ type Port struct {
 	// watermarks for utilization measurements.
 	Monitor *PortMonitor
 
-	// TxPackets and TxBytes count completed transmissions.
+	// TxPackets and TxBytes count completed transmissions. A reader in
+	// the middle of a run calls Busy first, which books a transmission
+	// that has ended; Network.Run does so for every port on return.
 	TxPackets int64
 	TxBytes   int64
 	// Drops counts packets rejected by the queue.
@@ -108,13 +123,19 @@ func (p *Port) Shard() *Shard { return p.shard }
 func (p *Port) Link() Link { return p.link }
 
 // LastTxEnd returns the time the port last finished serializing a packet.
-func (p *Port) LastTxEnd() (sim.Time, bool) { return p.lastTxEnd, p.everSent }
+func (p *Port) LastTxEnd() (sim.Time, bool) {
+	p.settle()
+	return p.lastTxEnd, p.everSent
+}
 
 // AdminDown reports the administrative state set by SetAdminDown.
 func (p *Port) AdminDown() bool { return p.down }
 
 // Busy reports whether a packet is currently serializing on the port.
-func (p *Port) Busy() bool { return p.busy }
+func (p *Port) Busy() bool {
+	p.settle()
+	return p.busy
+}
 
 // FlushQueue discards every packet parked in the port's queue — a node
 // crash or switch reboot clearing packet memory. Flushed packets count
@@ -136,7 +157,8 @@ func (p *Port) FlushQueue() {
 // SetAdminDown changes the port's administrative state. Taking a port
 // down halts its transmitter after the in-flight packet (already on the
 // wire) finishes; queued packets park. Bringing it up restarts the
-// transmitter immediately.
+// transmitter immediately — or, if that packet is still serializing,
+// as soon as it finishes.
 func (p *Port) SetAdminDown(down bool) {
 	if p.down == down {
 		return
@@ -185,25 +207,44 @@ func (p *Port) Send(pkt *Packet) {
 	p.trySend()
 }
 
+// trySend starts the next transmission if the transmitter is free and
+// the port is up, and otherwise makes sure a completion event is coming
+// for the packets it leaves queued.
 func (p *Port) trySend() {
-	if p.busy || p.down {
+	if p.down {
+		return
+	}
+	sh := p.shard
+	eng := sh.eng
+	if p.settle(); p.busy {
+		p.wake()
 		return
 	}
 	pkt := p.queue.Dequeue()
 	if pkt == nil {
 		return
 	}
-	sh := p.shard
-	eng := sh.eng
 	now := eng.Now()
 	if p.Marker != nil {
 		p.Marker.OnDequeue(p, pkt, now)
 	}
+	// A transmission takes at least a nanosecond (Rate.TxTime rounds
+	// up), so its end always lies ahead of the dequeue.
 	tx := p.EffectiveRate().TxTime(pkt.Size)
 	p.busy = true
 	p.txSize = int64(pkt.Size)
-	sh.OnWire++
-	eng.ScheduleEvent(tx, p, opTxDone, nil)
+	p.busyUntil, p.txSeq = now+tx, eng.ReserveSeq()
+	p.wake()
+	// Custody: a packet bound for another shard leaves this shard's
+	// conservation domain here, at the dequeue ("piped out"), and joins
+	// the other's on arrival ("piped in"); an intra-shard packet is on
+	// this shard's wire until delivery.
+	dsh := shardOf(p.link.To)
+	if dsh != sh {
+		sh.PipedOut++
+	} else {
+		sh.OnWire++
+	}
 	// Deliveries are keyed by (linkID, per-port sequence) so that
 	// same-instant arrivals dispatch in an order determined by the
 	// topology and traffic alone — identical at every shard count.
@@ -213,18 +254,19 @@ func (p *Port) trySend() {
 	}
 	key := p.linkID<<linkSeqBits | p.linkSeq
 	p.linkSeq++
-	if dsh := shardOf(p.link.To); dsh != sh {
+	if dsh != sh {
 		sh.out[dsh.idx] = append(sh.out[dsh.idx], xrec{at: at, key: key, h: p, op: opDeliver, arg: pkt})
 		return
 	}
 	eng.ScheduleEventKeyed(at, key, p, opDeliver, pkt)
 }
 
-// The two events of a packet-hop, dispatched through HandleEvent. The
-// port itself is the handler and the packet (for opDeliver) the arg, so
-// a forwarded packet allocates nothing.
+// The events of a packet-hop, dispatched through HandleEvent: always a
+// delivery, and a tx-done only when a packet was waiting for the
+// transmitter. The port itself is the handler and the packet (for
+// opDeliver) the arg, so a forwarded packet allocates nothing.
 const (
-	opTxDone  int32 = iota // serialization finished: free the transmitter
+	opTxDone  int32 = iota // serialization finished, packets queued: send the next
 	opDeliver              // propagation finished: hand arg (*Packet) to link.To
 )
 
@@ -238,29 +280,48 @@ func (p *Port) HandleEvent(op int32, arg any) {
 	}
 }
 
-// txDone runs when the packet leaves the transmitter. It must not touch
-// the packet: at zero propagation delay the delivery fires at the same
-// instant, and once the destination host recycles the packet its fields
-// are gone — hence txSize.
+// wake gives the open transmission's tx-done event its reserved place
+// in the schedule, once per transmission and only when a packet waits
+// behind it: the event's one job is to send that packet.
+func (p *Port) wake() {
+	if !p.txWake && p.queue.Len() > 0 {
+		p.txWake = true
+		p.shard.eng.ScheduleEventSeq(p.busyUntil, p.txSeq, p, opTxDone, nil)
+	}
+}
+
+// txDone is the tx-done event: the transmission is over and a packet was
+// queued behind it (unless a flush has taken it since).
 func (p *Port) txDone() {
-	sh := p.shard
-	now := sh.eng.Now()
-	p.busy = false
-	p.lastTxEnd = now
+	p.complete()
+	p.trySend()
+}
+
+// settle books the open transmission if it is over, which means: the
+// tx-done event it did not schedule would already have been dispatched.
+// Either busyUntil lies before now, or it is now and the event being
+// dispatched sorts after the reserved sequence number. Testing the clock
+// alone would move the completion across same-instant events and change
+// what they see. A transmission whose event is scheduled is left to it.
+func (p *Port) settle() {
+	if p.busy && !p.txWake && p.shard.eng.Passed(p.busyUntil, p.txSeq) {
+		p.complete()
+	}
+}
+
+// complete books the end of the open transmission as of busyUntil. It
+// must not touch the packet: at zero propagation delay the delivery
+// fires at the same instant, and once the destination host recycles the
+// packet its fields are gone — hence txSize.
+func (p *Port) complete() {
+	p.busy, p.txWake = false, false
+	p.lastTxEnd = p.busyUntil
 	p.everSent = true
 	p.TxPackets++
 	p.TxBytes += p.txSize
 	if m := p.Monitor; m != nil {
-		m.noteTx(p.txSize, now)
+		m.noteTx(p.txSize)
 	}
-	if shardOf(p.link.To) != sh {
-		// Hand wire custody to the destination shard: the packet is
-		// "piped out" of this shard's conservation domain and "piped
-		// in" on arrival at the other side.
-		sh.OnWire--
-		sh.PipedOut++
-	}
-	p.trySend()
 }
 
 // deliver runs at the far end of the link, on the destination node's

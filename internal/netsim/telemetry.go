@@ -32,8 +32,8 @@ func (p *Port) RegisterMetrics(reg *metrics.Registry) *PortMonitor {
 		m.ResetWindow(now)
 		return u
 	})
-	reg.CounterFunc(prefix+"tx_bytes", func() int64 { return p.TxBytes })
-	reg.CounterFunc(prefix+"tx_packets", func() int64 { return p.TxPackets })
+	reg.CounterFunc(prefix+"tx_bytes", func() int64 { p.settle(); return p.TxBytes })
+	reg.CounterFunc(prefix+"tx_packets", func() int64 { p.settle(); return p.TxPackets })
 	reg.CounterFunc(prefix+"drops", func() int64 { return p.Drops })
 	reg.Series(prefix+"admin_up", func(sim.Time) float64 {
 		if p.down {

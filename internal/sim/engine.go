@@ -155,6 +155,14 @@ type Engine struct {
 	running bool
 	stopped bool
 
+	// curSeq is the sequence number of the event being dispatched, so
+	// Passed can place "now" inside an instant, not just on the clock.
+	// Outside Run it says how far the last instant got: all-ones before
+	// the first Run and after one that drained or reached its horizon
+	// (everything at or before now has been dispatched), the last
+	// dispatched event's seq after one that was stopped.
+	curSeq uint64
+
 	// free is the event free list: a stack chained through event.next
 	// (single-threaded, so it beats sync.Pool here). Events are returned
 	// to it after dispatch or when a cancelled event is drained, and it
@@ -187,7 +195,7 @@ func NewEngine() *Engine { return NewEngineWith(DefaultScheduler()) }
 // NewEngineWith returns an empty engine at time zero using the given
 // scheduler implementation.
 func NewEngineWith(kind SchedulerKind) *Engine {
-	e := &Engine{seq: seqAuto}
+	e := &Engine{seq: seqAuto, curSeq: ^uint64(0)}
 	if kind == SchedulerHeap {
 		e.sched = newHeapSched()
 	} else {
@@ -229,6 +237,44 @@ func (e *Engine) ScheduleEventAt(at Time, h Handler, op int32, arg any) Timer {
 	t := e.scheduleSeq(at, e.seq, h, op, arg)
 	e.seq++
 	return t
+}
+
+// ReserveSeq draws the auto-band sequence number a ScheduleEventAt call
+// made now would draw, without scheduling anything. The caller holds a
+// place in the dispatch order: it can later put an event there with
+// ScheduleEventSeq, or never schedule one and ask Passed whether the
+// place has gone by. Either way every other event's sequence number —
+// and so the whole dispatch order — is what it would have been had the
+// event been scheduled eagerly. The port's transmit completion uses it
+// to exist only when a packet is waiting for it.
+func (e *Engine) ReserveSeq() uint64 {
+	seq := e.seq
+	e.seq++
+	return seq
+}
+
+// ScheduleEventSeq schedules a typed event at (at, seq), where seq came
+// from ReserveSeq: it dispatches exactly where an eager ScheduleEventAt
+// at the reservation point would have. It panics if that position has
+// already passed — the event would dispatch late, which is the one thing
+// a reservation must never do.
+func (e *Engine) ScheduleEventSeq(at Time, seq uint64, h Handler, op int32, arg any) Timer {
+	if seq < seqAuto || seq >= e.seq {
+		panic(fmt.Sprintf("sim: seq %#x was not drawn by ReserveSeq", seq))
+	}
+	if e.Passed(at, seq) {
+		panic(fmt.Sprintf("sim: schedule at (%v, %#x), which has already passed", at, seq))
+	}
+	return e.scheduleSeq(at, seq, h, op, arg)
+}
+
+// Passed reports whether an event at position (at, seq) would already
+// have been dispatched: at is before now, or it is now and seq sorts at
+// or before the event being dispatched. Outside Run the current instant
+// counts as over, unless the last Run was stopped — then only what sorted
+// at or before the last dispatched event has passed.
+func (e *Engine) Passed(at Time, seq uint64) bool {
+	return at < e.now || at == e.now && seq <= e.curSeq
 }
 
 // ScheduleKeyed runs fn at absolute time at, ordered among same-time
@@ -342,7 +388,7 @@ func (e *Engine) Run(until Time) Time {
 			e.recycle(ev)
 			continue
 		}
-		e.now = ev.at
+		e.now, e.curSeq = ev.at, ev.seq
 		e.Executed++
 		if ev.seq >= SeqLate {
 			e.ExecutedLate++
@@ -359,8 +405,11 @@ func (e *Engine) Run(until Time) Time {
 			}
 		}
 	}
-	if !e.stopped && until != Forever {
-		e.now = until
+	if !e.stopped {
+		e.curSeq = ^uint64(0)
+		if until != Forever {
+			e.now = until
+		}
 	}
 	return e.now
 }

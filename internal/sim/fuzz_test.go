@@ -39,7 +39,12 @@ func (s *sliceSched) nextAt() (Time, bool) {
 // magHi, flags}. The top-level script runs the records in order; every
 // dispatched event reads one more record from a second cursor over the
 // same bytes (wrapping) and, if its nest flag is set, applies it from
-// inside the handler.
+// inside the handler. Two more flags make the "reserve now, schedule
+// later" step: a typed record flagged reserve draws its sequence number
+// with ReserveSeq and holds (at, seq) back instead of scheduling, and any
+// record flagged redeem first turns the oldest held reservation into an
+// event with ScheduleEventSeq — wherever the script has got to by then,
+// top level or handler — or drops it if its position has passed.
 const (
 	fuzzTyped     = iota // ScheduleEventAt
 	fuzzFunc             // ScheduleAt
@@ -50,7 +55,9 @@ const (
 	fuzzRun              // Run(now + delay); from a handler, a typed schedule
 	fuzzTypedMore        // a second typed schedule, to weight the mix
 
-	fuzzNest = 1 // flags bit: apply this record when a handler reads it
+	fuzzNest    = 1 // flags bit: apply this record when a handler reads it
+	fuzzReserve = 2 // flags bit: a typed record reserves instead of scheduling
+	fuzzRedeem  = 4 // flags bit: schedule the oldest held reservation first
 
 	// fuzzMaxEvents bounds a script's events (a nested record may spawn
 	// a chain as long as the run lasts).
@@ -101,6 +108,9 @@ type fuzzScript struct {
 	data   []byte
 	nested int // cursor of the records handlers read
 
+	// held queues the reservations not yet redeemed.
+	held []fuzzStep
+
 	// Indexed by schedule order, which is also the typed events' op.
 	timers    []Timer
 	seqs      []uint64
@@ -131,6 +141,13 @@ func (r *fuzzScript) apply(rec []byte, top bool) {
 	op, class := rec[0]&7, rec[0]>>3&7
 	mag := uint16(rec[1]) | uint16(rec[2])<<8
 	at := r.e.Now() + fuzzDelay(class, mag)
+	if rec[3]&fuzzRedeem != 0 && len(r.held) > 0 && len(r.timers) < fuzzMaxEvents {
+		res := r.held[0]
+		r.held = r.held[1:]
+		if !r.e.Passed(res.at, res.seq) {
+			r.track(r.e.ScheduleEventSeq(res.at, res.seq, r, int32(len(r.timers)), nil))
+		}
+	}
 	switch {
 	case op == fuzzCancel:
 		if len(r.timers) > 0 {
@@ -144,6 +161,9 @@ func (r *fuzzScript) apply(rec []byte, top bool) {
 		r.e.Run(at)
 		return
 	case len(r.timers) >= fuzzMaxEvents:
+		return
+	case (op == fuzzTyped || op == fuzzTypedMore) && rec[3]&fuzzReserve != 0:
+		r.held = append(r.held, fuzzStep{at, r.e.ReserveSeq()})
 		return
 	}
 	id := len(r.timers)
@@ -161,6 +181,11 @@ func (r *fuzzScript) apply(rec []byte, top bool) {
 	default:
 		tm = r.e.ScheduleEventAt(at, r, int32(id), nil)
 	}
+	r.track(tm)
+}
+
+// track files a scheduled event under the next schedule-order id.
+func (r *fuzzScript) track(tm Timer) {
 	r.timers = append(r.timers, tm)
 	r.seqs = append(r.seqs, tm.ev.seq)
 	r.cancelled = append(r.cancelled, false)
@@ -231,9 +256,10 @@ func (r *fuzzScript) run() {
 
 // FuzzSchedulerEquivalence drives the timing wheel, the heap and a naive
 // sorted-slice reference with one script of schedules (every band, both
-// event forms), cancellations, schedules from inside handlers and Run
-// calls with mid-script horizons, at delays that cross every wheel-level
-// boundary. All three must dispatch the same (at, seq) sequence, never
+// event forms), reservations redeemed later (an older sequence number
+// entering a bucket, a cascading level or the current tick's heap),
+// cancellations, schedules from inside handlers and Run calls with
+// mid-script horizons, at delays that cross every wheel-level boundary. All three must dispatch the same (at, seq) sequence, never
 // dispatch a cancelled event, and end with nothing pending and every
 // event back on the free chain exactly once — an event stranded in an
 // unlinked bucket, or reachable from two chains because cascade forgot
@@ -254,6 +280,17 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 	// instant reached from overflow and from level 0, and a cancel.
 	f.Add(join(fuzzRec(fuzzTyped, 7, 0, 0), fuzzRec(fuzzLate, 7, 0, 0), fuzzRec(fuzzArrival, 7, 0, 0),
 		fuzzRec(fuzzRun, 7, 0, 0), fuzzRec(fuzzCancel, 0, 1, 0), fuzzRec(fuzzSignal, 0, 0, fuzzNest)))
+	// TestReservedSeqDispatchesWhereEagerWould: two reservations in one
+	// tick; the first is redeemed at top level into a future bucket, the
+	// second from the handler of an event in that same tick — the older
+	// sequence number joins the heap the tick is dispatching from.
+	f.Add(join(fuzzRec(fuzzTyped, 2, 1320, fuzzReserve), fuzzRec(fuzzTypedMore, 2, 1321, fuzzReserve),
+		fuzzRec(fuzzFunc, 2, 1283, fuzzNest|fuzzRedeem), fuzzRec(fuzzTyped, 2, 1290, 0)))
+	// The same across levels: reservations in level 1, level 2 and the
+	// overflow, redeemed after Run calls have moved the cursor.
+	f.Add(join(fuzzRec(fuzzTyped, 3, 2000, fuzzReserve), fuzzRec(fuzzTyped, 4, 300, fuzzReserve),
+		fuzzRec(fuzzTyped, 5, 9000, fuzzReserve), fuzzRec(fuzzRun, 3, 1000, fuzzRedeem),
+		fuzzRec(fuzzRun, 4, 100, fuzzRedeem), fuzzRec(fuzzFunc, 4, 200, fuzzNest|fuzzRedeem)))
 	// TestSchedulerEquivalence: random storms, mostly nesting.
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -271,7 +308,7 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 		scripts := []*fuzzScript{
 			{name: "wheel", e: NewEngineWith(SchedulerWheel)},
 			{name: "heap", e: NewEngineWith(SchedulerHeap)},
-			{name: "slice", e: &Engine{seq: seqAuto, sched: &sliceSched{}}},
+			{name: "slice", e: &Engine{seq: seqAuto, curSeq: ^uint64(0), sched: &sliceSched{}}},
 		}
 		for _, r := range scripts {
 			r.t, r.data = t, data

@@ -130,6 +130,7 @@ func (s *sender) demand(mss int) int64 {
 }
 
 type rcvFlow struct {
+	p     *Protocol // for HandleEvent: the record is its own timeout event
 	f     *transport.Flow
 	rcvd  *transport.Bitmap
 	blind int32 // unscheduled prefix; pool credit covers seq >= blind
@@ -367,7 +368,9 @@ func (p *Protocol) onReceiverPkt(pkt *netsim.Packet) {
 		if !r.rcvd.Set(pkt.Seq) {
 			return
 		}
-		r.reissuedAt.Delete(pkt.Seq)
+		if r.reissuedAt.Len() > 0 { // rarely: skip the scan otherwise
+			r.reissuedAt.Delete(pkt.Seq)
+		}
 		r.lastProgress = p.Now()
 		p.DeliverData(r.f, pkt)
 		ps := p.poolOf(r.f.Dst)
@@ -419,7 +422,7 @@ func (p *Protocol) rcvFor(pkt *netsim.Packet) *rcvFlow {
 	now := p.Now()
 	blind := p.BlindPkts(f)
 	r := &rcvFlow{
-		f: f, rcvd: transport.NewBitmap(f.NPkts), blind: blind,
+		p: p, f: f, rcvd: transport.NewBitmap(f.NPkts), blind: blind,
 		granted: blind, lastArrival: now, lastProgress: now,
 	}
 	// Seed the grant-age ring so the unscheduled prefix (authorized at
@@ -430,7 +433,7 @@ func (p *Protocol) rcvFor(pkt *netsim.Packet) *rcvFlow {
 	ps := p.poolOf(f.Dst)
 	ps.flows = append(ps.flows, r)
 	ps.pacer.Kick()
-	r.timer.Init(&p.Kernel, func() { p.onTimeout(r) })
+	r.timer.Init(&p.Kernel, r)
 	r.timer.Arm()
 	return r
 }
@@ -520,6 +523,9 @@ func (p *Protocol) emitGrant(ps *poolState) bool {
 	best.f.Dst.Send(g)
 	return true
 }
+
+// HandleEvent implements sim.Handler: the receiver timer fired.
+func (r *rcvFlow) HandleEvent(int32, any) { r.p.onTimeout(r) }
 
 // onTimeout is the per-flow recovery check, run every RTT (backing off
 // on silent flows). Any hole whose authorization is older than the

@@ -186,7 +186,7 @@ func TestSenderCrashReturnsCredit(t *testing.T) {
 	}
 }
 
-// TestFinishedRecordStillAnswersRTS pins amrt-sim/v9 behaviour: SIRD
+// TestFinishedRecordStillAnswersRTS pins the kept-record behaviour: SIRD
 // keeps the receiver record of a finished flow, so a late RTS still
 // notes its demand and kicks the host's idle credit pacer — one event.
 // Dropping the record at completion (as AMRT, pHost and NDP do) removes

@@ -68,6 +68,11 @@ type Kernel struct {
 
 	nextAutoID netsim.FlowID
 
+	// slab is the unused tail of the flow slab NewFlow carves records
+	// from; slabLen is the length the current slab was made with.
+	slab    []Flow
+	slabLen int
+
 	// DataPktsBuilt counts data packets built via NewData — the
 	// left-hand side of the grant-budget invariant. UnsolicitedPkts
 	// counts the subset each protocol is allowed to send without a
@@ -141,13 +146,33 @@ func (k *Kernel) NewFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, st
 	if _, dup := k.Flows[id]; dup {
 		panic(fmt.Sprintf("transport: duplicate flow id %d", id))
 	}
-	f := &Flow{
+	f := k.allocFlow()
+	*f = Flow{
 		ID: id, Src: src, Dst: dst, Size: size, Start: start,
 		NPkts: int32((size + int64(k.Cfg.MSS) - 1) / int64(k.Cfg.MSS)),
 	}
 	k.Flows[id] = f
 	k.ordered = append(k.ordered, f)
 	k.mFlowsStarted.Inc()
+	return f
+}
+
+// Flow slabs start at two records and double to 64: a figure run with a
+// handful of flows pays for a handful, a 3,000-flow run pays one malloc
+// per 64 (a fixed 64-record slab cost the 14 tiny runs of the benchmark's
+// paper_figures workload 3.6% more bytes).
+const flowSlabMin, flowSlabMax = 2, 64
+
+// allocFlow returns the next zeroed record of the kernel's flow slab,
+// starting a new slab when the current one is used up. Flows live as
+// long as the run, so nothing is ever returned to a slab.
+func (k *Kernel) allocFlow() *Flow {
+	if len(k.slab) == 0 {
+		k.slabLen = min(max(2*k.slabLen, flowSlabMin), flowSlabMax)
+		k.slab = make([]Flow, k.slabLen)
+	}
+	f := &k.slab[0]
+	k.slab = k.slab[1:]
 	return f
 }
 
@@ -279,7 +304,7 @@ func (k *Kernel) Complete(f *Flow) {
 	// handling) a flag it can read without touching home-shard state. On
 	// one shard the self-signal has the same latency and order, so the
 	// flag's trajectory is partition-independent.
-	k.shard.Signal(f.Dst, f.Src, func() { f.SenderDone = true })
+	k.shard.SignalEvent(f.Dst, f.Src, k, opSenderDone, f)
 }
 
 // Abort terminates f without completing it: the flow is marked Done

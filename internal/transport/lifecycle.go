@@ -32,8 +32,15 @@ type Hooks struct {
 
 // Kernel event ops: 0 is a flow's start; a positive op is an announce
 // tick carrying the interval that led to it, in RTTs (3, doubling,
-// capped at 64).
-const opStart, announceFirst, announceCap = 0, 3, 64
+// capped at 64); the negative ops are the two cross-shard signals a
+// receiver-side kernel sends to the flow's sender shard.
+const (
+	opStart       = 0
+	announceFirst = 3
+	announceCap   = 64
+	opHeard       = -1 // Heard: set SenderHeard
+	opSenderDone  = -2 // Complete: set SenderDone
+)
 
 // Bind installs the stack's hooks. Call it once, from the constructor,
 // on the embedded kernel at its final address (the kernel schedules
@@ -99,20 +106,30 @@ func (k *Kernel) install(h *netsim.Host) {
 	Dispatcher{Kernel: k, ToSender: k.hooks.ToSender, ToReceiver: k.hooks.ToReceiver}.Install(h)
 }
 
-// HandleEvent implements sim.Handler for the kernel's two events, both
-// carrying the flow as arg, so neither costs a closure per flow.
+// HandleEvent implements sim.Handler for the kernel's events, all
+// carrying the flow as arg, so none costs a closure per flow.
 //
 // The announce interval travels in op rather than on the Flow because
 // two chains can be alive for one flow: a destination crash arms a
 // fresh chain at 3×RTT while a tick of the original may still be
 // pending, and each must keep doubling from its own interval.
+//
+// The two signal ops arrive on the flow's sender shard while k is the
+// receiver-side kernel that sent them, so they touch the flow only.
 func (k *Kernel) HandleEvent(op int32, arg any) {
 	f := arg.(*Flow)
-	if op == opStart {
+	switch op {
+	case opStart:
 		// The first announcement or data is about to leave the host; from
 		// here a destination crash has repair work to do (see OnHostCrash).
 		f.SenderStarted = true
 		k.hooks.Start(f)
+		return
+	case opHeard:
+		f.SenderHeard = true
+		return
+	case opSenderDone:
+		f.SenderDone = true
 		return
 	}
 	if f.SenderHeard || f.SenderDone {
@@ -159,7 +176,7 @@ func (k *Kernel) armAnnounce(f *Flow, rtts int32) {
 // lookahead at every shard count, so announce behaviour is
 // partition-independent.
 func (k *Kernel) Heard(f *Flow) {
-	k.shard.Signal(f.Dst, f.Src, func() { f.SenderHeard = true })
+	k.shard.SignalEvent(f.Dst, f.Src, k, opHeard, f)
 }
 
 // OnHostCrash drops the protocol state this instance owns for flows
@@ -210,21 +227,25 @@ func (k *Kernel) OnHostCrash(h *netsim.Host) {
 // RecvTimer is a receiver record's periodic loss-recovery check: every
 // RTT while the flow makes progress, doubling from 2×RTT up to 64×RTT
 // while it does not, so a permanently silent sender costs a trickle of
-// events instead of a per-RTT scan forever. The stack's check function
-// decides what progress means and calls BackOff or Reset, then Arm.
+// events instead of a per-RTT scan forever. The check is a typed event
+// on the receiver record itself (the record implements sim.Handler and
+// runs the stack's timeout scan), so neither binding nor re-arming
+// allocates. The scan decides what progress means and calls BackOff or
+// Reset, then Arm.
 type RecvTimer struct {
 	k       *Kernel
-	check   func() // bound once: the per-RTT re-arm must not allocate
+	h       sim.Handler
 	timer   sim.Timer
 	backoff sim.Time
 }
 
-// Init binds the timer to its kernel and check function.
-func (t *RecvTimer) Init(k *Kernel, check func()) { t.k, t.check = k, check }
+// Init binds the timer to its kernel and the record whose HandleEvent
+// runs the check.
+func (t *RecvTimer) Init(k *Kernel, h sim.Handler) { t.k, t.h = k, h }
 
 // Arm schedules the next check one interval from now.
 func (t *RecvTimer) Arm() {
-	t.timer = t.k.Engine().Schedule(max(t.k.Cfg.RTT, t.backoff), t.check)
+	t.timer = t.k.Engine().ScheduleEvent(max(t.k.Cfg.RTT, t.backoff), t.h, 0, nil)
 }
 
 // BackOff doubles the interval, up to 64×RTT.

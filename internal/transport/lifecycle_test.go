@@ -249,7 +249,7 @@ func TestRecvTimerIntervals(t *testing.T) {
 	var tm RecvTimer
 	var fired []sim.Time
 	backOff := true
-	tm.Init(&k, func() {
+	tm.Init(&k, sim.Func(func() {
 		fired = append(fired, k.Now())
 		if backOff {
 			tm.BackOff()
@@ -257,7 +257,7 @@ func TestRecvTimerIntervals(t *testing.T) {
 			tm.Reset()
 		}
 		tm.Arm()
-	})
+	}))
 	tm.Arm()
 	n.Engine.Run((1 + 2 + 4 + 8 + 16 + 32 + 64 + 64) * testRTT)
 	backOff = false
@@ -310,5 +310,125 @@ func TestLifecycleAllocs(t *testing.T) {
 	}
 	if s.RTSReannounces < 2*runs {
 		t.Errorf("only %d re-announces: the measured path did not run", s.RTSReannounces)
+	}
+}
+
+// TestSignalAllocs: the two cross-shard signals a flow costs — Heard
+// when its receiver record is made, SenderDone at completion — are typed
+// events on the kernel carrying the flow, so neither allocates: not the
+// keyed local event of one shard, not the outbox record of two. Each
+// still does its job on the sender's side.
+func TestSignalAllocs(t *testing.T) {
+	const runs = 200
+	for _, shards := range []int{1, 2} {
+		n, a, b := newLifecycleNet()
+		n.Partition(shards, func(node netsim.Node) int {
+			if node == netsim.Node(b) {
+				return shards - 1
+			}
+			return 0
+		})
+		k := NewKernel(n, Config{RTT: testRTT, Shard: b.Shard()}) // the receiver's side
+		flows := make([]*Flow, runs+1)                            // AllocsPerRun adds a warm-up call
+		for i := range flows {
+			flows[i] = k.NewFlow(0, a, b, 1000, 0)
+		}
+		next := 0
+		signal := func() {
+			f := flows[next]
+			next++
+			k.Heard(f)
+			k.Complete(f)
+		}
+		// A first round, sent from an event as a stack would, grows the
+		// event free chain (one shard) or the outbox (two) to working size
+		// and shows the signals arrive.
+		b.Shard().Eng().ScheduleAt(0, func() {
+			for range flows {
+				signal()
+			}
+		})
+		n.Run(testRTT)
+		for _, f := range flows {
+			if !f.SenderHeard || !f.SenderDone {
+				t.Fatalf("shards=%d: flow %d heard %v, sender-done %v after the signals ran", shards, f.ID, f.SenderHeard, f.SenderDone)
+			}
+			f.Done = false // Complete refuses a second call
+		}
+		next = 0
+		if got := testing.AllocsPerRun(runs, signal); got != 0 {
+			t.Errorf("shards=%d: Heard + Complete allocate %.2f times per flow, want 0", shards, got)
+		}
+	}
+}
+
+// timeoutCounter stands in for a stack's receiver record: it is its own
+// timer event, and re-arms like a record whose flow makes progress.
+type timeoutCounter struct {
+	tm    RecvTimer
+	fired int
+}
+
+func (c *timeoutCounter) HandleEvent(int32, any) {
+	c.fired++
+	c.tm.Arm()
+}
+
+// TestRecvTimerAllocs: binding a receiver timer to its record and
+// re-arming it every RTT allocate nothing.
+func TestRecvTimerAllocs(t *testing.T) {
+	n, _, _ := newLifecycleNet()
+	k := NewKernel(n, Config{RTT: testRTT})
+	n.Engine.Run(testRTT) // the first event slab
+	recs := make([]timeoutCounter, 101)
+	next := 0
+	got := testing.AllocsPerRun(100, func() {
+		c := &recs[next]
+		next++
+		c.tm.Init(&k, c)
+		c.tm.Arm()
+		n.Engine.Run(k.Now() + 10*testRTT)
+		c.tm.Cancel()
+		if c.fired != 10 {
+			t.Fatalf("timer fired %d times in 10 RTTs", c.fired)
+		}
+	})
+	if got != 0 {
+		t.Errorf("binding and arming a receiver timer: %.2f allocs, want 0", got)
+	}
+}
+
+// TestFlowSlabAllocs: flow records come from slabs that double from 2 to
+// 64, so a thousand flows cost twenty mallocs for their records
+// (2+4+…+64 = 126 flows in six, the other 874 in fourteen) and a
+// three-flow figure run two — and every record is its own.
+func TestFlowSlabAllocs(t *testing.T) {
+	n, a, b := newLifecycleNet()
+	for _, c := range []struct{ flows, max int }{{1000, 20}, {3, 2}} {
+		// Size the flow table up front so only the records allocate.
+		kernels := make([]Kernel, 2) // AllocsPerRun adds a warm-up call
+		for i := range kernels {
+			kernels[i] = NewKernel(n, Config{RTT: testRTT})
+			kernels[i].Flows = make(map[netsim.FlowID]*Flow, 2*c.flows+16) // past the lazily allocated first bucket
+			kernels[i].ordered = make([]*Flow, 0, c.flows)
+		}
+		next := 0
+		got := testing.AllocsPerRun(1, func() {
+			k := &kernels[next]
+			next++
+			for i := 0; i < c.flows; i++ {
+				k.NewFlow(0, a, b, int64(1000+i), 0)
+			}
+		})
+		if got > float64(c.max) {
+			t.Errorf("%d flows: %.0f mallocs for the records, want at most %d", c.flows, got, c.max)
+		}
+		seen := map[*Flow]bool{}
+		for i, f := range kernels[1].OrderedFlows() {
+			if seen[f] || f.Size != int64(1000+i) || f.Src != a || f.Dst != b || f.Done || f.SenderHeard {
+				t.Fatalf("%d flows: record %d is shared or misfilled: %+v", c.flows, i, f)
+			}
+			seen[f] = true
+		}
 	}
 }
