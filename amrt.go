@@ -16,7 +16,7 @@
 //
 // Quick start:
 //
-//	res := amrt.Run(amrt.Config{Protocol: "AMRT", Workload: "WebSearch", Load: 0.5, Flows: 1000})
+//	res, err := amrt.RunContext(ctx, amrt.Config{Protocol: "AMRT", Workload: "WebSearch", Load: 0.5, Flows: 1000})
 //	fmt.Printf("AFCT %v, p99 %v, utilization %.2f\n", res.AFCT, res.P99, res.Utilization)
 package amrt
 
@@ -80,9 +80,7 @@ var (
 	ErrBadShards = errors.New("bad shard count")
 	// ErrBadStackOption reports a Config.Options field that belongs to a
 	// different protocol than Config.Protocol (e.g. SIRDPoolBytes on a
-	// Homa run) or holds an invalid value. The deprecated
-	// Config.HomaDegree alias stays lenient — protocols other than Homa
-	// simply ignore it.
+	// Homa run) or holds an invalid value.
 	ErrBadStackOption = errors.New("bad stack option")
 )
 
@@ -241,12 +239,6 @@ type Config struct {
 	// completion ("rpc" only); 0 disables deadlines. Misses are
 	// reported in Result.DeadlineMissed.
 	RPCDeadline time.Duration
-	// HomaDegree sets Homa's overcommitment level (default 2).
-	//
-	// Deprecated: use Options.HomaDegree. This alias is kept for
-	// compatibility, maps onto the same knob (Options.HomaDegree wins
-	// when both are set), and is ignored by every protocol but Homa.
-	HomaDegree int
 	// Options carries protocol-specific knobs. Setting a field that
 	// belongs to a protocol other than Protocol makes Validate fail
 	// with ErrBadStackOption; Compare narrows the shared struct to each
@@ -319,9 +311,6 @@ func (c Config) normalized() Config {
 	if c.Timeout == 0 {
 		c.Timeout = 20 * time.Second
 	}
-	if c.HomaDegree == 0 {
-		c.HomaDegree = 2
-	}
 	if c.Pattern == "" {
 		c.Pattern = "poisson"
 	}
@@ -351,9 +340,7 @@ func (c Config) normalized() Config {
 // sentinels (ErrUnknownProtocol, ErrUnknownWorkload, ErrBadFaultSpec,
 // ErrBadLoad, ErrBadFlows), so callers can branch with errors.Is. The
 // zero Config is valid. RunContext, CompareContext, and Sweep validate
-// before running — user input through the v2 API never panics; only
-// the legacy Run/Compare wrappers convert these errors back to the
-// documented panics.
+// before running — user input never panics.
 func (c Config) Validate() error {
 	c = c.normalized()
 	if !experiment.HasStack(c.Protocol) {
@@ -433,17 +420,6 @@ func (c Config) compareValidate() error {
 	return c.Validate()
 }
 
-// stackOptions resolves the effective per-stack options: the typed
-// Options struct, with the deprecated HomaDegree alias filled in when
-// the typed field is unset.
-func (c Config) stackOptions() experiment.StackOptions {
-	o := c.Options.internal()
-	if o.HomaDegree == 0 {
-		o.HomaDegree = c.HomaDegree
-	}
-	return o
-}
-
 // Result summarizes one run.
 type Result struct {
 	Protocol  string
@@ -483,19 +459,6 @@ type Result struct {
 	DeadlineMissed int
 }
 
-// Run executes one simulation and returns its results. It panics on an
-// unknown protocol or workload name or a malformed fault spec
-// (programmer error) — the documented v1 behavior, kept as a thin
-// wrapper over RunContext; new code should prefer the error-returning,
-// cancellable RunContext.
-func Run(cfg Config) Result {
-	res, err := RunContext(context.Background(), cfg)
-	if err != nil {
-		panic(fmt.Sprintf("amrt: %v", err))
-	}
-	return res
-}
-
 // RunContext executes one simulation under ctx and returns its results.
 // The configuration is validated first (see Config.Validate); invalid
 // input returns a typed error instead of panicking. A cancelled context
@@ -510,7 +473,7 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	cfg = cfg.normalized()
-	st, err := experiment.NewStack(cfg.Protocol, cfg.stackOptions())
+	st, err := experiment.NewStack(cfg.Protocol, cfg.Options.internal())
 	if err != nil {
 		return Result{}, fmt.Errorf("%w %q (have %v)", ErrUnknownProtocol, cfg.Protocol, experiment.StackNames())
 	}
@@ -662,22 +625,6 @@ func writeMetrics(cfg Config, reg *metrics.Registry) error {
 		return err
 	}
 	return write(cfg.MetricsCSVPath, reg.WriteCSV)
-}
-
-// Compare runs the same traffic under every protocol and returns the
-// results keyed by protocol name. It is the panicking v1 wrapper over
-// CompareContext, which new code should prefer for its error returns,
-// cancellability, and paper-ordered slice.
-func Compare(cfg Config) map[string]Result {
-	results, err := CompareContext(context.Background(), cfg)
-	if err != nil {
-		panic(fmt.Sprintf("amrt: %v", err))
-	}
-	out := make(map[string]Result, len(results))
-	for _, r := range results {
-		out[r.Protocol] = r
-	}
-	return out
 }
 
 // CompareContext runs the same traffic under every protocol and returns

@@ -1,6 +1,7 @@
 package amrt
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -9,8 +10,18 @@ func smallTopo() Topology {
 	return Topology{Leaves: 2, Spines: 2, HostsPerLeaf: 5}
 }
 
+// mustRun is RunContext for a test whose configuration is valid.
+func mustRun(t testing.TB, cfg Config) Result {
+	t.Helper()
+	res, err := RunContext(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("RunContext(%+v): %v", cfg, err)
+	}
+	return res
+}
+
 func TestRunDefaultsComplete(t *testing.T) {
-	res := Run(Config{Flows: 200, Topology: smallTopo()})
+	res := mustRun(t, Config{Flows: 200, Topology: smallTopo()})
 	if res.Protocol != "AMRT" || res.Workload != "WebSearch" {
 		t.Errorf("defaults wrong: %+v", res)
 	}
@@ -27,22 +38,29 @@ func TestRunDefaultsComplete(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	cfg := Config{Flows: 150, Topology: smallTopo(), Seed: 42}
-	a := Run(cfg)
-	b := Run(cfg)
+	a := mustRun(t, cfg)
+	b := mustRun(t, cfg)
 	if a != b {
 		t.Errorf("same config produced different results:\n%+v\n%+v", a, b)
 	}
 	cfg.Seed = 43
-	c := Run(cfg)
+	c := mustRun(t, cfg)
 	if a == c {
 		t.Error("different seed produced identical results")
 	}
 }
 
 func TestCompareCoversAllProtocols(t *testing.T) {
-	results := Compare(Config{Flows: 120, Topology: smallTopo(), Workload: "CacheFollower"})
-	if len(results) != 5 {
-		t.Fatalf("Compare returned %d protocols", len(results))
+	list, err := CompareContext(context.Background(), Config{Flows: 120, Topology: smallTopo(), Workload: "CacheFollower"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(list) != 5 {
+		t.Fatalf("Compare returned %d protocols", len(list))
+	}
+	results := map[string]Result{}
+	for _, r := range list {
+		results[r.Protocol] = r
 	}
 	for _, p := range Protocols() {
 		r, ok := results[p]
@@ -56,21 +74,6 @@ func TestCompareCoversAllProtocols(t *testing.T) {
 	// The paper's headline: AMRT beats pHost on AFCT.
 	if results["AMRT"].AFCT >= results["pHost"].AFCT {
 		t.Errorf("AMRT AFCT %v not better than pHost %v", results["AMRT"].AFCT, results["pHost"].AFCT)
-	}
-}
-
-func TestRunUnknownNamesPanic(t *testing.T) {
-	for _, cfg := range []Config{
-		{Workload: "nope", Flows: 10, Topology: smallTopo()},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("config %+v did not panic", cfg)
-				}
-			}()
-			Run(cfg)
-		}()
 	}
 }
 
@@ -94,7 +97,7 @@ func TestGainModel(t *testing.T) {
 }
 
 func TestTopologyOverrides(t *testing.T) {
-	res := Run(Config{
+	res := mustRun(t, Config{
 		Flows:    100,
 		Workload: "WebServer",
 		Topology: Topology{Leaves: 2, Spines: 1, HostsPerLeaf: 4, LinkGbps: 1, RTT: 200 * time.Microsecond},
@@ -109,7 +112,7 @@ func TestTopologyOverrides(t *testing.T) {
 // panic, report the crash casualties in Killed, and complete every
 // other flow — with zero watchdog stalls.
 func TestRunAuditedNodeFaults(t *testing.T) {
-	res := Run(Config{
+	res := mustRun(t, Config{
 		Flows:    200,
 		Topology: smallTopo(),
 		Faults:   "crash=h0.1,at=2ms,up=6ms;rehash=4ms",
@@ -128,9 +131,9 @@ func TestRunAuditedNodeFaults(t *testing.T) {
 // auditor only adds check events, which read state without touching it).
 func TestAuditDoesNotChangeResults(t *testing.T) {
 	cfg := Config{Flows: 150, Topology: smallTopo(), Seed: 42}
-	plain := Run(cfg)
+	plain := mustRun(t, cfg)
 	cfg.Audit = true
-	audited := Run(cfg)
+	audited := mustRun(t, cfg)
 	plain.Events, audited.Events = 0, 0 // check events inflate the count
 	if plain != audited {
 		t.Errorf("audit changed results:\nplain   %+v\naudited %+v", plain, audited)

@@ -33,7 +33,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"time"
 
 	"amrt"
@@ -164,16 +163,27 @@ func main() {
 		Shards:          *shards,
 	}
 
+	// Config mistakes (unknown protocol, malformed fault spec, a fault
+	// naming a link the topology doesn't have) are user input here, not
+	// programmer error: report on one line and exit.
+	fail := func(err error) {
+		fmt.Fprintf(os.Stderr, "amrtsim: %v\n", err)
+		if errors.Is(err, amrt.ErrBadFaultSpec) {
+			fmt.Fprintln(os.Stderr, "amrtsim: see docs/FAULTS.md for the -faults grammar and the link names the topology defines")
+		}
+		os.Exit(1)
+	}
+
 	if *compare {
-		results := amrt.Compare(cfg)
-		names := amrt.Protocols()
-		sort.SliceStable(names, func(i, j int) bool { return i < j })
+		results, err := amrt.CompareContext(context.Background(), cfg)
+		if err != nil {
+			fail(err)
+		}
 		fmt.Printf("workload=%s load=%.2f flows=%d\n", *wl, *load, *flows)
 		fmt.Printf("%-8s %12s %12s %8s %10s %8s\n", "proto", "AFCT", "p99", "util", "done", "drops")
-		for _, name := range names {
-			r := results[name]
+		for _, r := range results {
 			fmt.Printf("%-8s %12v %12v %8.3f %6d/%-4d %8d\n",
-				name, round(r.AFCT), round(r.P99), r.Utilization, r.Completed, r.Total, r.Drops)
+				r.Protocol, round(r.AFCT), round(r.P99), r.Utilization, r.Completed, r.Total, r.Drops)
 		}
 		return
 	}
@@ -181,15 +191,7 @@ func main() {
 	start := time.Now()
 	r, err := amrt.RunContext(context.Background(), cfg)
 	if err != nil {
-		// Config mistakes (unknown protocol, malformed fault spec, a
-		// fault naming a link the topology doesn't have) are user input
-		// here, not programmer error: report and exit instead of
-		// panicking like the library's Run wrapper.
-		fmt.Fprintf(os.Stderr, "amrtsim: %v\n", err)
-		if errors.Is(err, amrt.ErrBadFaultSpec) {
-			fmt.Fprintln(os.Stderr, "amrtsim: see docs/FAULTS.md for the -faults grammar and the link names the topology defines")
-		}
-		os.Exit(1)
+		fail(err)
 	}
 	elapsed := time.Since(start)
 	fmt.Printf("protocol:    %s\n", r.Protocol)

@@ -121,8 +121,8 @@ func specToSweep(raw json.RawMessage, pol servePolicy) (amrt.SweepConfig, error)
 			RPCRequestBytes:  spec.RPCRequest,
 			RPCResponseBytes: spec.RPCResponse,
 			RPCDeadline:      time.Duration(spec.RPCDeadline),
-			HomaDegree:       spec.HomaDegree,
 			Options: amrt.StackOptions{
+				HomaDegree:        spec.HomaDegree,
 				SIRDPoolBytes:     spec.SIRDPool,
 				SIRDStalenessRTTs: spec.SIRDStale,
 			},

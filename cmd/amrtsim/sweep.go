@@ -120,10 +120,11 @@ func sweepMain(args []string) int {
 			RPCRequestBytes:  *rpcReq,
 			RPCResponseBytes: *rpcResp,
 			RPCDeadline:      *rpcDl,
-			HomaDegree:       *degree,
-			Options:          amrt.StackOptions{SIRDPoolBytes: *sirdPool, SIRDStalenessRTTs: *sirdStale},
-			Timeout:          *timeout,
-			Audit:            *auditArg,
+			Options: amrt.StackOptions{
+				HomaDegree: *degree, SIRDPoolBytes: *sirdPool, SIRDStalenessRTTs: *sirdStale,
+			},
+			Timeout: *timeout,
+			Audit:   *auditArg,
 		},
 		CacheDir:     *cacheDir,
 		Workers:      *workers,

@@ -28,17 +28,43 @@ var lintPackages = []string{
 	"internal/workload",
 }
 
+// tablePackages are the packages that key state by flow or node ID on
+// the packet path and in the runner. Both ID spaces are dense per run,
+// so there the lint refuses a map keyed by either: transport.FlowTable
+// and transport.HostTable index a slice instead.
+var tablePackages = []string{
+	"internal/transport",
+	"internal/core",
+	"internal/phost",
+	"internal/homa",
+	"internal/ndp",
+	"internal/sird",
+	"internal/dctcp",
+	"internal/experiment",
+}
+
 // runLint enforces the revive-style `exported` rule over lintPackages:
 // every exported top-level type, function, method, and grouped
 // const/var block needs a doc comment, and type/func comments must
-// start with the identifier they document. Returns a process exit code.
+// start with the identifier they document. Over tablePackages it
+// enforces the no-ID-keyed-map rule. Returns a process exit code.
 func runLint() int {
 	bad := 0
+	for _, dir := range tablePackages {
+		n, err := lintIDMaps(dir)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "lint: %v\n", err)
+			return 2
+		}
+		bad += n
+	}
+	if bad > 0 {
+		fmt.Fprintf(os.Stderr, "lint: %d maps keyed by a dense ID\n", bad)
+		return 1
+	}
 	for _, dir := range lintPackages {
 		fset := token.NewFileSet()
-		pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
-			return !strings.HasSuffix(fi.Name(), "_test.go")
-		}, parser.ParseComments)
+		pkgs, err := parser.ParseDir(fset, dir, notTest, parser.ParseComments)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "lint: %v\n", err)
 			return 2
@@ -55,6 +81,42 @@ func runLint() int {
 	}
 	fmt.Println("lint: exported API fully documented")
 	return 0
+}
+
+// notTest selects a directory's non-test files.
+func notTest(fi os.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
+
+// lintIDMaps reports every map[netsim.FlowID] or map[netsim.NodeID]
+// type in the non-test files of dir and returns how many it found.
+func lintIDMaps(dir string) (int, error) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, dir, notTest, 0)
+	if err != nil {
+		return 0, err
+	}
+	table := map[string]string{"FlowID": "transport.FlowTable", "NodeID": "transport.HostTable"}
+	bad := 0
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				m, ok := n.(*ast.MapType)
+				if !ok {
+					return true
+				}
+				key, ok := m.Key.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if x, ok := key.X.(*ast.Ident); ok && x.Name == "netsim" && table[key.Sel.Name] != "" {
+					fmt.Fprintf(os.Stderr, "lint: %s: map keyed by netsim.%s: IDs are dense per run, use %s\n",
+						fset.Position(m.Pos()), key.Sel.Name, table[key.Sel.Name])
+					bad++
+				}
+				return true
+			})
+		}
+	}
+	return bad, nil
 }
 
 func lintFile(fset *token.FileSet, file *ast.File) int {

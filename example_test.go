@@ -1,6 +1,7 @@
 package amrt_test
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -8,8 +9,8 @@ import (
 )
 
 // Run a single simulation and read its headline metrics.
-func ExampleRun() {
-	res := amrt.Run(amrt.Config{
+func ExampleRunContext() {
+	res, err := amrt.RunContext(context.Background(), amrt.Config{
 		Protocol: "AMRT",
 		Workload: "WebServer",
 		Load:     0.4,
@@ -17,17 +18,25 @@ func ExampleRun() {
 		Seed:     7,
 		Topology: amrt.Topology{Leaves: 2, Spines: 2, HostsPerLeaf: 4},
 	})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	fmt.Println(res.Protocol, res.Workload, res.Completed == res.Total)
 	// Output: AMRT WebServer true
 }
 
 // Compare every protocol on byte-identical traffic.
-func ExampleCompare() {
-	results := amrt.Compare(amrt.Config{
+func ExampleCompareContext() {
+	results, err := amrt.CompareContext(context.Background(), amrt.Config{
 		Workload: "CacheFollower",
 		Flows:    150,
 		Topology: amrt.Topology{Leaves: 2, Spines: 2, HostsPerLeaf: 4},
 	})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	done := 0
 	for _, r := range results {
 		if r.Completed == r.Total {

@@ -106,8 +106,8 @@ func (c Config) NewMarker() netsim.DequeueMarker {
 type Protocol struct {
 	transport.Kernel
 	cfg       Config
-	senders   map[netsim.FlowID]*sender
-	receivers map[netsim.FlowID]*receiver
+	senders   transport.FlowTable[sender]
+	receivers transport.FlowTable[receiver]
 
 	// GrantsSent and MarkedGrants count receiver-side grant traffic.
 	GrantsSent   int64
@@ -118,7 +118,7 @@ type Protocol struct {
 	// grantsInFlight tracks, over all live receivers, granted packets
 	// whose data has not yet arrived. Maintained incrementally at the
 	// grant/arrival/finish sites so the telemetry sampler reads it in
-	// O(1) instead of scanning the receiver map every tick.
+	// O(1) instead of scanning the receiver table every tick.
 	grantsInFlight int64
 
 	// grantPacers pace normal grants per receiving host at the downlink
@@ -127,14 +127,14 @@ type Protocol struct {
 	// echoing a burst of arrivals as an instantaneous burst of grants
 	// would make the sender burst straight into the 8-packet switch
 	// caps.
-	grantPacers map[netsim.NodeID]*grantPacer
+	grantPacers transport.HostTable[grantPacer]
 
 	// recPacers pace recovery grants per receiving host at the downlink
 	// packet rate. Without pacing, the roughly synchronized per-flow
 	// timeout ticks of many flows fire their reissues as one burst into
 	// the 8-packet switch queues, the retransmissions drop each other,
 	// and the recovery tail crawls.
-	recPacers map[netsim.NodeID]*recPacer
+	recPacers transport.HostTable[recPacer]
 }
 
 type grantPacer struct {
@@ -194,14 +194,7 @@ func (r *receiver) overdueWindow(baseRTT sim.Time) sim.Time {
 
 // New creates an AMRT protocol on the network.
 func New(net *netsim.Network, cfg Config) *Protocol {
-	p := &Protocol{
-		Kernel:      transport.NewKernel(net, cfg.Config),
-		cfg:         cfg.withDefaults(),
-		senders:     make(map[netsim.FlowID]*sender),
-		receivers:   make(map[netsim.FlowID]*receiver),
-		grantPacers: make(map[netsim.NodeID]*grantPacer),
-		recPacers:   make(map[netsim.NodeID]*recPacer),
-	}
+	p := &Protocol{Kernel: transport.NewKernel(net, cfg.Config), cfg: cfg.withDefaults()}
 	p.Bind(transport.Hooks{
 		ToSender: p.onSenderPkt, ToReceiver: p.onReceiverPkt, Start: p.startFlow,
 		DropSender: p.dropSender, DropReceiver: p.dropRcvState, HostCrashed: p.hostCrashed,
@@ -225,7 +218,7 @@ func (p *Protocol) Name() string { return "AMRT" }
 
 func (p *Protocol) startFlow(f *transport.Flow) {
 	s := &sender{f: f}
-	p.senders[f.ID] = s
+	p.senders.Put(f.ID, s)
 	p.Announce(f)
 	// Blind first window (§6): start immediately rather than waiting a
 	// full RTT for grants; the tiny switch data cap bounds the damage.
@@ -244,18 +237,17 @@ func (p *Protocol) GrantAuthority() int64 {
 		p.RecoveryGrants
 }
 
-func (p *Protocol) dropSender(f *transport.Flow) { delete(p.senders, f.ID) }
+func (p *Protocol) dropSender(f *transport.Flow) { p.senders.Drop(f.ID) }
 
 // dropRcvState forgets flow f's receiver (timer cancelled,
 // grants-in-flight ledger rebalanced). No-op if no state exists.
 func (p *Protocol) dropRcvState(f *transport.Flow) {
-	r := p.receivers[f.ID]
+	r := p.receivers.Drop(f.ID)
 	if r == nil {
 		return
 	}
 	r.timer.Cancel()
 	p.grantsInFlight -= int64(r.granted) - int64(r.rcvd.Count())
-	delete(p.receivers, f.ID)
 }
 
 // hostCrashed empties the crashed host's software pacers: queued grants
@@ -263,12 +255,12 @@ func (p *Protocol) dropRcvState(f *transport.Flow) {
 // injected). Pacer state exists only in the instance owning the host,
 // so the lookups are nil everywhere else.
 func (p *Protocol) hostCrashed(h *netsim.Host) {
-	if gp := p.grantPacers[h.ID()]; gp != nil {
+	if gp := p.grantPacers.Get(h.ID()); gp != nil {
 		for gp.queue.Len() > 0 {
 			h.Shard().ReleasePacket(gp.queue.Pop())
 		}
 	}
-	if rp := p.recPacers[h.ID()]; rp != nil {
+	if rp := p.recPacers.Get(h.ID()); rp != nil {
 		rp.queue.Reset()
 	}
 }
@@ -277,7 +269,7 @@ func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
 	if pkt.Type != netsim.Grant {
 		return
 	}
-	s := p.senders[pkt.Flow]
+	s := p.senders.Get(pkt.Flow)
 	if s == nil || s.f.Unresponsive {
 		return
 	}
@@ -303,91 +295,81 @@ func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
 }
 
 func (p *Protocol) onReceiverPkt(pkt *netsim.Packet) {
-	switch pkt.Type {
-	case netsim.RTS:
-		p.receiverFor(pkt)
-	case netsim.Data:
-		r := p.receiverFor(pkt)
-		if r == nil || r.f.Done {
-			return
-		}
-		// Nearly every arrival finds no retransmission outstanding: skip
-		// the scan then. (The inRecovery bit cannot stand in for it — it
-		// is cleared just before emitRecovery records the reissue.)
-		if r.reissuedAt.Len() > 0 {
-			if at, ok := r.reissuedAt.Get(pkt.Seq); ok {
-				// Recovery round-trip sample: grant reissue → arrival.
-				sample := p.Now() - at
-				if r.srtt == 0 {
-					r.srtt = sample
-				} else {
-					r.srtt = (7*r.srtt + sample) / 8
-				}
-				r.reissuedAt.Delete(pkt.Seq)
-			}
-		}
-		if !r.rcvd.Set(pkt.Seq) {
-			return // duplicate: no grant, no progress
-		}
-		p.grantsInFlight--
-		r.lastProgress = p.Now()
-		p.DeliverData(r.f, pkt)
-		if r.rcvd.Full() {
-			p.finish(r)
-			return
-		}
-		// One grant per arriving data packet while ungranted packets
-		// remain; copy the CE bit into the grant's ECN-Echo (§4.2).
-		want := r.f.NPkts - r.granted
-		if want <= 0 {
-			return
-		}
-		n := int32(1)
-		if pkt.CE && int32(p.cfg.GrantBurst) <= want {
-			n = int32(p.cfg.GrantBurst)
-		}
-		g := p.NewCtrl(netsim.Grant, r.f, -1, true)
-		g.Echo = pkt.CE && n > 1
-		r.granted += n
-		p.grantsInFlight += int64(n)
-		p.GrantsSent++
-		if g.Echo {
-			p.MarkedGrants++
-		}
-		p.sendGrantPaced(r.f.Dst, g)
+	if pkt.Type != netsim.RTS && pkt.Type != netsim.Data {
+		return
 	}
+	// An RTS only has to leave a record behind; if it is lost, the first
+	// data packet does (both carry the flow size).
+	r := transport.Receiver(&p.Kernel, &p.receivers, pkt.Flow, p.newReceiver)
+	if r == nil || r.f.Done || pkt.Type == netsim.RTS {
+		return
+	}
+	// Nearly every arrival finds no retransmission outstanding: skip
+	// the scan then. (The inRecovery bit cannot stand in for it — it
+	// is cleared just before emitRecovery records the reissue.)
+	if r.reissuedAt.Len() > 0 {
+		if at, ok := r.reissuedAt.Get(pkt.Seq); ok {
+			// Recovery round-trip sample: grant reissue → arrival.
+			sample := p.Now() - at
+			if r.srtt == 0 {
+				r.srtt = sample
+			} else {
+				r.srtt = (7*r.srtt + sample) / 8
+			}
+			r.reissuedAt.Delete(pkt.Seq)
+		}
+	}
+	if !r.rcvd.Set(pkt.Seq) {
+		return // duplicate: no grant, no progress
+	}
+	p.grantsInFlight--
+	r.lastProgress = p.Now()
+	p.DeliverData(r.f, pkt)
+	if r.rcvd.Full() {
+		p.finish(r)
+		return
+	}
+	// One grant per arriving data packet while ungranted packets
+	// remain; copy the CE bit into the grant's ECN-Echo (§4.2).
+	want := r.f.NPkts - r.granted
+	if want <= 0 {
+		return
+	}
+	n := int32(1)
+	if pkt.CE && int32(p.cfg.GrantBurst) <= want {
+		n = int32(p.cfg.GrantBurst)
+	}
+	g := p.NewCtrl(netsim.Grant, r.f, -1, true)
+	g.Echo = pkt.CE && n > 1
+	r.granted += n
+	p.grantsInFlight += int64(n)
+	p.GrantsSent++
+	if g.Echo {
+		p.MarkedGrants++
+	}
+	p.sendGrantPaced(r.f.Dst, g)
 }
 
 // sendGrantPaced queues a grant on the receiving host's pacer.
 func (p *Protocol) sendGrantPaced(h *netsim.Host, g *netsim.Packet) {
-	gp := p.grantPacers[h.ID()]
-	if gp == nil {
-		gp = &grantPacer{}
-		tick := h.LinkRate().TxTime(p.Cfg.MSS)
-		gp.pacer = transport.NewPacer(p.Engine(), tick, func() bool {
+	gp := p.grantPacers.GetOrBuild(h.ID(), func() *grantPacer {
+		gp := &grantPacer{}
+		gp.pacer = p.HostPacer(h, func() bool {
 			if gp.queue.Len() == 0 {
 				return false
 			}
 			h.Send(gp.queue.Pop())
 			return true
 		})
-		p.grantPacers[h.ID()] = gp
-	}
+		return gp
+	})
 	gp.queue.Push(g)
 	gp.pacer.Kick()
 }
 
-// receiverFor returns (creating if needed) the receiver state. Both RTS
-// and data packets carry the flow size, so state can be rebuilt even if
-// the RTS is lost.
-func (p *Protocol) receiverFor(pkt *netsim.Packet) *receiver {
-	if r, ok := p.receivers[pkt.Flow]; ok {
-		return r
-	}
-	f := p.Flows[pkt.Flow]
-	if f == nil || f.Done {
-		return nil // unknown, completed, or crash-killed flow
-	}
+// newReceiver builds f's receiver record (transport.Receiver stores it):
+// the blind window counts as granted, and the §6 timeout starts.
+func (p *Protocol) newReceiver(f *transport.Flow) *receiver {
 	r := &receiver{
 		p:            p,
 		f:            f,
@@ -395,7 +377,6 @@ func (p *Protocol) receiverFor(pkt *netsim.Packet) *receiver {
 		lastProgress: p.Now(),
 	}
 	transport.InitBitmaps(f.NPkts, &r.rcvd, &r.inRecovery)
-	p.receivers[pkt.Flow] = r
 	p.grantsInFlight += int64(r.granted)
 	p.Heard(f)
 	r.timer.Init(&p.Kernel, r)
@@ -448,14 +429,11 @@ func (p *Protocol) onTimeout(r *receiver) {
 
 // recPacerFor returns (creating if needed) the host's recovery pacer.
 func (p *Protocol) recPacerFor(h *netsim.Host) *recPacer {
-	if rp, ok := p.recPacers[h.ID()]; ok {
+	return p.recPacers.GetOrBuild(h.ID(), func() *recPacer {
+		rp := &recPacer{}
+		rp.pacer = p.HostPacer(h, func() bool { return p.emitRecovery(rp) })
 		return rp
-	}
-	rp := &recPacer{}
-	tick := h.LinkRate().TxTime(p.Cfg.MSS)
-	rp.pacer = transport.NewPacer(p.Engine(), tick, func() bool { return p.emitRecovery(rp) })
-	p.recPacers[h.ID()] = rp
-	return rp
+	})
 }
 
 // emitRecovery reissues one queued recovery grant, skipping requests
@@ -482,8 +460,8 @@ func (p *Protocol) finish(r *receiver) {
 	// the flow) so grantsInFlight reflects live flows only.
 	p.grantsInFlight -= int64(r.granted) - int64(r.rcvd.Count())
 	p.Complete(r.f)
-	// The record ends with the flow: receiverFor answers nil for a Done
+	// The record ends with the flow: the lookup answers nil for a Done
 	// flow, and a request still queued in the recovery pacer holds its
 	// own reference and is skipped on f.Done.
-	delete(p.receivers, r.f.ID)
+	p.receivers.Drop(r.f.ID)
 }

@@ -391,18 +391,18 @@ func TestReceiverRecordEndsWithFlow(t *testing.T) {
 			t.Fatalf("%v did not complete", f)
 		}
 	}
-	if len(p.receivers) != 0 {
-		t.Fatalf("%d receiver records outlive their flows", len(p.receivers))
+	if p.receivers.Len() != 0 {
+		t.Fatalf("%d receiver records outlive their flows", p.receivers.Len())
 	}
-	if len(p.senders) != len(flows) {
-		t.Errorf("%d sender records, want all %d kept (a late recovery grant still retransmits)", len(p.senders), len(flows))
+	if p.senders.Len() != len(flows) {
+		t.Errorf("%d sender records, want all %d kept (a late recovery grant still retransmits)", p.senders.Len(), len(flows))
 	}
 	f := flows[3]
 	events, injected, grants, recov := s.Net.Engine.Executed, s.Net.Injected(), p.GrantsSent, p.RecoveryGrants
 	f.Dst.Receive(p.NewData(f, 0, netsim.PrioData))
 	f.Dst.Receive(p.NewCtrl(netsim.RTS, f, -1, false))
 	s.Net.Run(sim.Forever)
-	if len(p.receivers) != 0 {
+	if p.receivers.Len() != 0 {
 		t.Error("a late packet rebuilt the receiver record of a finished flow")
 	}
 	if s.Net.Injected() != injected || p.GrantsSent != grants || p.RecoveryGrants != recov {

@@ -71,8 +71,8 @@ func (c Config) HostQueue() netsim.Queue { return netsim.NewDropTail(1024) }
 type Protocol struct {
 	transport.Kernel
 	cfg       Config
-	senders   map[netsim.FlowID]*sender
-	receivers map[netsim.FlowID]*rcvFlow
+	senders   transport.FlowTable[sender]
+	receivers transport.FlowTable[rcvFlow]
 
 	// AcksSent counts receiver ACK traffic; Retransmits counts
 	// timeout-driven resends.
@@ -108,14 +108,15 @@ type rcvFlow struct {
 	rcvd *transport.Bitmap
 }
 
+// newRcvFlow builds f's receiver record. No Heard: a DCTCP sender
+// announces nothing that needs confirming.
+func newRcvFlow(f *transport.Flow) *rcvFlow {
+	return &rcvFlow{f: f, rcvd: transport.NewBitmap(f.NPkts)}
+}
+
 // New creates a DCTCP instance on the network.
 func New(net *netsim.Network, cfg Config) *Protocol {
-	p := &Protocol{
-		Kernel:    transport.NewKernel(net, cfg.Config),
-		cfg:       cfg.withDefaults(),
-		senders:   make(map[netsim.FlowID]*sender),
-		receivers: make(map[netsim.FlowID]*rcvFlow),
-	}
+	p := &Protocol{Kernel: transport.NewKernel(net, cfg.Config), cfg: cfg.withDefaults()}
 	// Registration and start only; OnHostCrash below shadows the kernel's.
 	p.Bind(transport.Hooks{ToSender: p.onSenderPkt, ToReceiver: p.onReceiverPkt, Start: p.startFlow})
 	if m := cfg.Metrics; m != nil {
@@ -143,7 +144,7 @@ func (p *Protocol) startFlow(f *transport.Flow) {
 		ssthresh: 1 << 20,
 		winSize:  int(p.cfg.InitCwnd),
 	}
-	p.senders[f.ID] = s
+	p.senders.Put(f.ID, s)
 	s.lastProgress = p.Now()
 	s.onRTO = func() { p.onRTO(s) }
 	p.pump(s)
@@ -167,7 +168,7 @@ func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
 	if pkt.Type != netsim.Ack {
 		return
 	}
-	s := p.senders[pkt.Flow]
+	s := p.senders.Get(pkt.Flow)
 	// Sender-local done test: every sequence acked. Done itself is
 	// receiver-shard state, off-limits on the sender's engine shard.
 	if s == nil || s.acked.Full() {
@@ -217,14 +218,9 @@ func (p *Protocol) onReceiverPkt(pkt *netsim.Packet) {
 	if pkt.Type != netsim.Data {
 		return
 	}
-	r := p.receivers[pkt.Flow]
+	r := transport.Receiver(&p.Kernel, &p.receivers, pkt.Flow, newRcvFlow)
 	if r == nil {
-		f := p.Flows[pkt.Flow]
-		if f == nil || f.Done {
-			return // unknown, completed, or crash-killed flow
-		}
-		r = &rcvFlow{f: f, rcvd: transport.NewBitmap(f.NPkts)}
-		p.receivers[pkt.Flow] = r
+		return
 	}
 	// Even when the flow is already complete, re-ACK: the data packet is
 	// a retransmission whose original ACK was lost, and without a fresh
@@ -255,14 +251,13 @@ func (p *Protocol) OnHostCrash(h *netsim.Host) {
 			continue
 		}
 		if p.OwnsSender(f) && !f.SenderDone {
-			if s := p.senders[f.ID]; s != nil {
+			if s := p.senders.Drop(f.ID); s != nil {
 				s.rto.Cancel()
-				delete(p.senders, f.ID)
 			}
 			f.SenderDone = true
 		}
 		if p.OwnsReceiver(f) && !f.Done {
-			delete(p.receivers, f.ID)
+			p.receivers.Drop(f.ID)
 			p.Abort(f)
 		}
 	}

@@ -510,6 +510,9 @@ func TestChaosShardedFaultMatrix(t *testing.T) {
 			for _, proto := range chaosProtocols() {
 				proto := proto
 				t.Run(proto, func(t *testing.T) {
+					// The stacks of one class run side by side: a cell builds
+					// its own network and plan and shares nothing.
+					t.Parallel()
 					refPlan, refRes, refDump := runShardedChaosCell(t, proto, class.spec, 1)
 					if class.check != nil {
 						class.check(t, refPlan)

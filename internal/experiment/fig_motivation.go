@@ -31,29 +31,34 @@ type MotivationResult struct {
 // It must be called before the run; the returned finish() collects the
 // series afterwards.
 func trackFlows(net *netsim.Network, names []string, window sim.Time, ref sim.Rate) (onData func(*transport.Flow, *netsim.Packet), finish func() []*stats.Series) {
-	trackers := map[netsim.FlowID]*stats.FlowThroughput{}
-	order := []netsim.FlowID{}
+	var trackers transport.FlowTable[stats.FlowThroughput]
+	var order []*stats.FlowThroughput // by first delivery
 	onData = func(f *transport.Flow, pkt *netsim.Packet) {
-		tr := trackers[f.ID]
+		tr := trackers.Get(f.ID)
 		if tr == nil {
-			name := fmt.Sprintf("f%d", f.ID)
-			if int(f.ID-1) < len(names) && f.ID >= 1 {
-				name = names[f.ID-1]
-			}
-			tr = stats.NewFlowThroughput(name, window, ref)
-			trackers[f.ID] = tr
-			order = append(order, f.ID)
+			tr = stats.NewFlowThroughput(flowName(names, f.ID), window, ref)
+			trackers.Put(f.ID, tr)
+			order = append(order, tr)
 		}
 		tr.OnBytes(net.Engine.Now(), pkt.Size)
 	}
 	finish = func() []*stats.Series {
 		out := make([]*stats.Series, 0, len(order))
-		for _, id := range order {
-			out = append(out, trackers[id].Finish())
+		for _, tr := range order {
+			out = append(out, tr.Finish())
 		}
 		return out
 	}
 	return onData, finish
+}
+
+// flowName is the series name of flow id: names[id-1] when the figure
+// gave one, else "f<id>".
+func flowName(names []string, id netsim.FlowID) string {
+	if id >= 1 && int(id-1) < len(names) {
+		return names[id-1]
+	}
+	return fmt.Sprintf("f%d", id)
 }
 
 // Fig1 reproduces the §2.1 multi-bottleneck motivation: four flows on

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -187,6 +188,74 @@ func (r LeafSpineRun) Run() RunResult {
 // horizon, or a fault plan naming links, hosts, or switches the built
 // topology does not have.
 func (r LeafSpineRun) RunE() (RunResult, error) {
+	x := &run{LeafSpineRun: r}
+	if err := x.build(); err != nil {
+		return RunResult{}, err
+	}
+	x.newInstances()
+	x.registerFlows()
+	if err := x.applyFaults(); err != nil {
+		return RunResult{}, err
+	}
+	x.startWatchdog()
+	x.startAudit()
+	x.startMetrics()
+	x.execute()
+	return x.collect(), nil
+}
+
+// run is one RunE call in progress. Its steps run in the order RunE
+// lists them, each leaving in these fields what the later ones need.
+type run struct {
+	LeafSpineRun
+
+	ls      *topo.Fabric
+	shards  []*netsim.Shard
+	horizon sim.Time // sim.Forever when the request gave none
+
+	// Per-shard slices of the run's mutable state, merged by collect.
+	// Index s belongs to shard s's goroutine while windows execute.
+	cols  []*stats.FCTCollector
+	parts []*metrics.Registry // nil entries without a registry
+	recs  []*trace.Recorder   // nil entries without a recorder
+	insts []Instance
+
+	// all lists the run's flows in spec order. dsts (an entry for every
+	// flow's destination) and deps are fully built by registerFlows and
+	// only read during the run; a dstState's fields are written by the
+	// destination's home shard alone.
+	all  []*transport.Flow
+	dsts transport.HostTable[dstState]
+	deps transport.FlowTable[dependents]
+
+	audits []*audit.Auditor
+	res    RunResult
+}
+
+// dstState is per-destination state for the utilization metric:
+// delivered payload bytes and the flows targeting the host (for the
+// backlogged-interval computation after the run). The downlink port
+// doubles as the watchdog's receiver-side admin-state probe.
+type dstState struct {
+	mon     *netsim.PortMonitor
+	dl      *netsim.Port
+	payload int64
+	flows   []*transport.Flow
+}
+
+// dependents lists the flows waiting for one parent (workload
+// FlowSpec.After): registered without a start, released when the parent
+// completes, so request/response loops are closed-loop.
+type dependents struct{ children []depChild }
+
+type depChild struct {
+	flow   *transport.Flow
+	offset sim.Time // spec Start: delay after the parent's End
+}
+
+// build constructs the fabric with the stack's overlay (switch queues
+// wrapped by the fault plan's loss processes) and partitions it.
+func (r *run) build() error {
 	ov := topo.Overlay{
 		HostQueue:   r.Stack.HostQueue,
 		SwitchQueue: r.Stack.SwitchQueue,
@@ -195,391 +264,361 @@ func (r LeafSpineRun) RunE() (RunResult, error) {
 	if r.Faults != nil {
 		ov.SwitchQueue = r.Faults.WrapQueues(ov.SwitchQueue)
 	}
-	ls := r.Topo.Build(ov)
-
-	nshards := r.Shards
-	if nshards <= 0 {
-		nshards = 1
+	r.ls = r.Topo.Build(ov)
+	r.horizon = r.Horizon
+	if r.horizon == 0 {
+		r.horizon = sim.Forever
 	}
-	horizon := r.Horizon
-	if horizon == 0 {
-		horizon = sim.Forever
-	}
-	var assignment map[netsim.NodeID]int
-	if nshards > 1 {
-		if horizon == sim.Forever {
-			return RunResult{}, fmt.Errorf("experiment: sharded runs require a finite Horizon")
+	if r.Shards > 1 {
+		if r.horizon == sim.Forever {
+			return fmt.Errorf("experiment: sharded runs require a finite Horizon")
 		}
-		assignment = shardAssignment(ls, nshards)
-		ls.Net.Partition(nshards, func(n netsim.Node) int { return assignment[n.ID()] })
+		assignment := shardAssignment(r.ls, r.Shards)
+		r.ls.Net.Partition(r.Shards, func(n netsim.Node) int { return assignment[n.ID()] })
 	}
-	shards := ls.Net.Shards()
-	la := ls.Net.Lookahead()
-	idxOf := func(n netsim.Node) int {
-		if assignment == nil {
-			return 0
-		}
-		return assignment[n.ID()]
-	}
+	r.shards = r.ls.Net.Shards()
+	r.res = RunResult{Stack: r.Stack.Name, Total: len(r.Flows)}
+	return nil
+}
 
-	// Per-destination state for the utilization metric: delivered
-	// payload bytes and the flows targeting it (for backlogged-interval
-	// computation after the run). The downlink port doubles as the
-	// watchdog's receiver-side admin-state probe. The map is fully built
-	// during setup and only read during the run; the per-entry fields
-	// are written exclusively by the destination's home shard.
-	type dstState struct {
-		mon     *netsim.PortMonitor
-		dl      *netsim.Port
-		payload int64
-		flows   []*transport.Flow
-	}
-	dsts := map[netsim.NodeID]*dstState{}
-
-	res := RunResult{Stack: r.Stack.Name, Total: len(r.Flows)}
-
-	// Per-shard slices of the run's mutable results; merged after the
-	// run. Index s belongs to shard s's goroutine while windows execute.
-	cols := make([]*stats.FCTCollector, nshards)
-	lastEnd := make([]sim.Time, nshards)
-	parts := make([]*metrics.Registry, nshards)
-	recs := make([]*trace.Recorder, nshards)
-	bases := make([]transport.Config, nshards)
-	insts := make([]Instance, nshards)
-	stallDiags := make([]map[netsim.FlowID]string, nshards)
-	for s := 0; s < nshards; s++ {
-		cols[s] = stats.NewFCTCollector()
-		stallDiags[s] = map[netsim.FlowID]string{}
-	}
-	if r.Metrics != nil {
-		parts[0] = r.Metrics
-		for s := 1; s < nshards; s++ {
-			parts[s] = metrics.NewRegistry()
+// newInstances creates each shard's collector, registry and recorder
+// slice and, on top of them, its stack instance.
+func (r *run) newInstances() {
+	n := len(r.shards)
+	r.cols = make([]*stats.FCTCollector, n)
+	r.parts = make([]*metrics.Registry, n)
+	r.recs = make([]*trace.Recorder, n)
+	r.insts = make([]Instance, n)
+	for s, sh := range r.shards {
+		r.cols[s] = stats.NewFCTCollector()
+		if r.Metrics != nil {
+			r.parts[s] = r.Metrics
+			if s > 0 {
+				r.parts[s] = metrics.NewRegistry()
+			}
 		}
-	}
-	if r.Trace != nil {
-		recs[0] = r.Trace
-		for s := 1; s < nshards; s++ {
-			recs[s] = &trace.Recorder{MaxEvents: r.Trace.MaxEvents}
+		base := transport.Config{
+			RTT:       r.ls.RTT(),
+			Shard:     sh,
+			Collector: r.cols[s],
+			Metrics:   r.parts[s],
+			OnDone:    r.onDone,
+			OnData:    r.onData,
 		}
+		if r.Trace != nil {
+			r.recs[s] = r.Trace
+			if s > 0 {
+				r.recs[s] = &trace.Recorder{MaxEvents: r.Trace.MaxEvents}
+			}
+			r.recs[s].AttachShard(sh, &base)
+		}
+		if r.Metrics != nil {
+			sh.RegisterMetrics(r.parts[s])
+		}
+		r.insts[s] = r.Stack.New(r.ls.Net, base)
 	}
+}
 
-	// Dependent flows (workload.FlowSpec.After): pre-created without a
-	// start, released when their parent completes, so request/response
-	// loops are closed-loop. deps is keyed by parent ID, fully built at
-	// setup and read-only during the run (the release path may run on
-	// any shard).
-	type depChild struct {
-		flow            *transport.Flow
-		offset          sim.Time // spec Start: delay after the parent's End
-		srcIdx, homeIdx int
-	}
-	deps := map[netsim.FlowID][]depChild{}
-	deadlines := map[netsim.FlowID]sim.Time{}
+// onData credits a delivered data packet to its destination's payload.
+func (r *run) onData(f *transport.Flow, pkt *netsim.Packet) {
+	r.dsts.Get(f.Dst.ID()).payload += int64(pkt.Size)
+}
 
-	for s := 0; s < nshards; s++ {
-		s := s
-		bases[s] = transport.Config{
-			RTT:       ls.RTT(),
-			Shard:     shards[s],
-			Collector: cols[s],
-			Metrics:   parts[s],
-			OnDone: func(f *transport.Flow) {
-				if f.End > lastEnd[s] {
-					lastEnd[s] = f.End
-				}
-				for _, dc := range deps[f.ID] {
-					dc := dc
-					// The release handshake crosses shards through the
-					// deterministic signal channel: one signal starts the
-					// child on its source shard, one marks it released on
-					// its home shard. Both signals take exactly one
-					// lookahead at every shard count — including one — so
-					// the child's start time is partition-independent.
-					start := f.End + dc.offset
-					if min := f.End + la; start < min {
-						start = min
-					}
-					child := dc.flow
-					sh := shards[s]
-					sh.Signal(f.Dst, child.Src, func() {
-						insts[dc.srcIdx].Release(child, start)
-					})
-					sh.Signal(f.Dst, child.Dst, func() {
-						child.Released = true
-						child.Start = start
-						if !child.Unresponsive {
-							if d := dsts[child.Dst.ID()]; d != nil {
-								d.flows = append(d.flows, child)
-							}
-						}
-						if recs[dc.homeIdx] != nil {
-							recs[dc.homeIdx].RecordStart(child)
-						}
-					})
-				}
-			},
-			OnData: func(f *transport.Flow, pkt *netsim.Packet) {
-				if d := dsts[f.Dst.ID()]; d != nil {
-					d.payload += int64(pkt.Size)
-				}
-			},
-		}
-		if recs[s] != nil {
-			recs[s].AttachShard(shards[s], &bases[s])
-		}
+// onDone runs on f's home shard when it completes, and releases its
+// dependents.
+func (r *run) onDone(f *transport.Flow) {
+	deps := r.deps.Get(f.ID)
+	if deps == nil {
+		return
 	}
-	if r.Metrics != nil {
-		for s := 0; s < nshards; s++ {
-			shards[s].RegisterMetrics(parts[s])
-		}
+	for _, dc := range deps.children {
+		// The release handshake crosses shards through the
+		// deterministic signal channel: one signal starts the child on
+		// its source shard, one marks it released on its home shard.
+		// Both signals take exactly one lookahead at every shard count
+		// — including one — so the child's start time is
+		// partition-independent.
+		child := dc.flow
+		start := max(f.End+dc.offset, f.End+r.ls.Net.Lookahead())
+		home := r.shards[f.Home]
+		home.Signal(f.Dst, child.Src, func() {
+			r.insts[child.Src.Shard().Index()].Release(child, start)
+		})
+		home.Signal(f.Dst, child.Dst, func() {
+			child.Released = true
+			child.Start = start
+			r.noteStarted(child)
+		})
 	}
-	for s := 0; s < nshards; s++ {
-		insts[s] = r.Stack.New(ls.Net, bases[s])
-	}
+}
 
-	// Flow registration: every flow — dependents included — is created
-	// up front in spec order, its sender side on its source's shard
-	// instance and its receiver side adopted by its destination's.
-	allFlows := make([]*transport.Flow, len(r.Flows))
+// noteStarted books a released flow with its destination and the trace.
+// It runs at registration for an independent flow and, on the flow's
+// home shard, at the release signal for a dependent one.
+func (r *run) noteStarted(f *transport.Flow) {
+	if !f.Unresponsive {
+		d := r.dsts.Get(f.Dst.ID())
+		d.flows = append(d.flows, f)
+	}
+	if rec := r.recs[f.Home]; rec != nil {
+		rec.RecordStart(f)
+	}
+}
+
+// registerFlows creates every flow — dependents included — up front in
+// spec order.
+func (r *run) registerFlows() {
+	r.all = make([]*transport.Flow, len(r.Flows))
 	for i, fs := range r.Flows {
-		src, dst := ls.Hosts[fs.Src], ls.Hosts[fs.Dst]
-		si, di := idxOf(src), idxOf(dst)
-		d := dsts[dst.ID()]
-		if d == nil {
-			// RegisterMetrics attaches (or reuses) the monitor and, with
-			// a registry, publishes the downlink's telemetry series on
-			// the owning shard. Spec order makes the registration order
-			// deterministic.
-			dl := ls.Downlink(fs.Dst)
-			d = &dstState{mon: dl.RegisterMetrics(parts[di]), dl: dl}
-			dsts[dst.ID()] = d
-		}
-		// Every flow takes the split-registration path — AddPending on the
-		// source shard, Adopt on the home shard — even when both are the
-		// same instance, so no later flow's source-side install can stomp
-		// a host handler another instance owns.
-		f := insts[si].AddPending(fs.ID, src, dst, fs.Size, fs.Unresponsive)
-		insts[di].Adopt(f)
+		src, dst := r.ls.Hosts[fs.Src], r.ls.Hosts[fs.Dst]
+		// RegisterMetrics attaches (or reuses) the monitor and, with a
+		// registry, publishes the downlink's telemetry series on the
+		// owning shard. Spec order makes the registration order
+		// deterministic.
+		r.dsts.GetOrBuild(dst.ID(), func() *dstState {
+			dl := r.ls.Downlink(fs.Dst)
+			return &dstState{mon: dl.RegisterMetrics(r.parts[dst.Shard().Index()]), dl: dl}
+		})
+		f := registerFlow(r.insts, fs.ID, src, dst, fs.Size, fs.Unresponsive)
+		r.all[i] = f
 		if fs.Unresponsive {
-			res.Total-- // can never complete; exclude from the target
+			r.res.Total-- // can never complete; exclude from the target
 		}
-		if fs.After != 0 {
-			deps[fs.After] = append(deps[fs.After], depChild{flow: f, offset: fs.Start, srcIdx: si, homeIdx: di})
-			// Destination bookkeeping and the trace start record wait for
-			// the release signal, like the injection itself.
-		} else {
-			f.Released = true
-			f.Start = fs.Start
-			insts[si].Release(f, fs.Start)
-			if !fs.Unresponsive {
-				d.flows = append(d.flows, f)
-			}
-			if recs[di] != nil {
-				recs[di].RecordStart(f)
-			}
+		if fs.After == 0 {
+			releaseFlow(r.insts, f, fs.Start)
+			r.noteStarted(f)
+			continue
 		}
-		f.Home = int32(di)
-		allFlows[i] = f
-		if fs.Deadline > 0 && !fs.Unresponsive {
-			deadlines[fs.ID] = fs.Deadline
+		// Destination bookkeeping and the trace start record wait for
+		// the release signal, like the injection itself.
+		deps := r.deps.Get(fs.After)
+		if deps == nil {
+			deps = new(dependents)
+			r.deps.Put(fs.After, deps)
 		}
+		deps.children = append(deps.children, depChild{flow: f, offset: fs.Start})
 	}
+}
 
-	if r.Faults != nil {
-		// Node-fault hook: each shard's stack instance drops the slice of
-		// the crashed host's state it owns, at the instant the fault layer
-		// parks the host's links. The fault layer fires the hook once per
-		// shard, on that shard's engine.
-		r.Faults.CrashHook = func(sh *netsim.Shard, h *netsim.Host) {
-			insts[sh.Index()].OnHostCrash(h)
-		}
-		if err := r.Faults.Apply(ls.Net, horizon); err != nil {
-			return RunResult{}, err
-		}
-		r.Faults.RegisterMetrics(parts[0])
-	}
+// registerFlow creates a flow the way every harness does, even when
+// both ends share an instance: sender side on the source shard's
+// instance (AddPending), receiver side adopted by the destination's,
+// which becomes the flow's home — so no later flow's source-side install
+// can stomp a host handler another instance owns. The flow does not
+// start before releaseFlow.
+func registerFlow(insts []Instance, id netsim.FlowID, src, dst *netsim.Host, size int64, unresponsive bool) *transport.Flow {
+	f := insts[src.Shard().Index()].AddPending(id, src, dst, size, unresponsive)
+	home := dst.Shard().Index()
+	insts[home].Adopt(f)
+	f.Home = int32(home)
+	return f
+}
 
-	// anyLive gates the self-rescheduling observer ticks on open-ended
-	// (Horizon == 0, necessarily single-shard) runs so they terminate
-	// once every responsive flow is done; dependents awaiting release
-	// are not Done, so they keep the ticks alive too. Finite-horizon
-	// runs instead tick to the horizon unconditionally — a pure function
-	// of (interval, horizon), identical at every shard count.
-	anyLive := func() bool {
-		for _, f := range allFlows {
-			if !f.Done && !f.Unresponsive {
-				return true
-			}
-		}
-		return false
+// releaseFlow starts a registered flow at the given time. Call it
+// during setup only: a dependent's release crosses shards by signal
+// (see run.onDone).
+func releaseFlow(insts []Instance, f *transport.Flow, start sim.Time) {
+	f.Released = true
+	f.Start = start
+	insts[f.Src.Shard().Index()].Release(f, start)
+}
+
+// applyFaults homes the fault plan's events to the built topology.
+func (r *run) applyFaults() error {
+	if r.Faults == nil {
+		return nil
 	}
-	// reschedule continues an observer tick chain in the late band.
-	reschedule := func(eng *sim.Engine, sub uint64, interval sim.Time, tick func()) {
+	// Node-fault hook: each shard's stack instance drops the slice of
+	// the crashed host's state it owns, at the instant the fault layer
+	// parks the host's links. The fault layer fires the hook once per
+	// shard, on that shard's engine.
+	r.Faults.CrashHook = func(sh *netsim.Shard, h *netsim.Host) {
+		r.insts[sh.Index()].OnHostCrash(h)
+	}
+	if err := r.Faults.Apply(r.ls.Net, r.horizon); err != nil {
+		return err
+	}
+	r.Faults.RegisterMetrics(r.parts[0])
+	return nil
+}
+
+// every runs an observer's work on eng once per interval of virtual
+// time, in the late band under sub. A finite-horizon run ticks to the
+// horizon unconditionally — a pure function of (interval, horizon),
+// identical at every shard count. An open-ended run (necessarily
+// single-shard) ticks while a responsive flow is live, so it terminates
+// once all are done; dependents awaiting release are not Done and keep
+// the ticks alive too.
+func (r *run) every(eng *sim.Engine, sub uint64, interval sim.Time, work func()) {
+	var tick func()
+	tick = func() {
+		work()
 		next := eng.Now() + interval
-		if horizon == sim.Forever {
-			if anyLive() {
-				eng.ScheduleLate(next, sub, tick)
+		if r.horizon == sim.Forever {
+			if !r.anyLive() {
+				return
 			}
+		} else if next > r.horizon {
 			return
 		}
-		if next <= horizon {
-			eng.ScheduleLate(next, sub, tick)
+		eng.ScheduleLate(next, sub, tick)
+	}
+	eng.ScheduleLate(interval, sub, tick)
+}
+
+func (r *run) anyLive() bool {
+	for _, f := range r.all {
+		if !f.Done && !f.Unresponsive {
+			return true
 		}
 	}
+	return false
+}
 
-	// Flow-liveness watchdog: no data progress for StallRTTs base RTTs
-	// while both access links are administratively up → Stalled (a late
-	// completion, or resumed progress, clears the report). One tick
-	// chain per shard, each inspecting only the flows homed there; the
-	// access-link admin probes consult the fault plan's AdminDown oracle
-	// — a pure function of the plan, safe from any shard — instead of
-	// reading another shard's live port state.
-	stallRTTs := r.StallRTTs
-	if stallRTTs == 0 {
-		stallRTTs = DefaultStallRTTs
+// startWatchdog arms the flow-liveness watchdog: no data progress for
+// StallRTTs base RTTs while both access links are administratively up →
+// Stalled (a late completion, or resumed progress, clears the report).
+// One tick chain per shard, each inspecting only the flows homed there;
+// the access-link admin probes consult the fault plan's AdminDown
+// oracle — a pure function of the plan, safe from any shard — instead
+// of reading another shard's live port state.
+func (r *run) startWatchdog() {
+	window := r.stallWindow()
+	if window <= 0 {
+		return
 	}
-	if stallRTTs > 0 {
-		window := sim.Time(stallRTTs) * ls.RTT()
-		for s := 0; s < nshards; s++ {
-			s := s
-			eng := shards[s].Eng()
-			// live is the shard's watch list: the responsive flows homed
-			// here, in creation order, compacted in place as they finish so
-			// a tick walks what can still stall, not every flow of the run.
-			live := slices.DeleteFunc(slices.Clone(insts[s].OrderedFlows()), func(f *transport.Flow) bool {
-				return int(f.Home) != s || f.Unresponsive
-			})
-			var tick func()
-			tick = func() {
-				now := eng.Now()
-				n := 0
-				for _, f := range live {
-					if f.Done {
-						continue
-					}
-					live[n] = f
-					n++
-					if !f.Released || now < f.Start || f.Outcome != transport.OutcomeRunning {
-						continue
-					}
-					last := f.LastProgress
-					if last < f.Start {
-						last = f.Start
-					}
-					if now-last < window {
-						continue
-					}
-					// A parked access link explains the silence: that flow is
-					// a fault casualty, not a liveness bug.
-					if r.Faults.AdminDown(f.Src.NIC(), now) {
-						continue
-					}
-					if d := dsts[f.Dst.ID()]; d != nil && r.Faults.AdminDown(d.dl, now) {
-						continue
-					}
-					f.Outcome = transport.OutcomeStalled
-					stallDiags[s][f.ID] = fmt.Sprintf(
-						"no data progress since %v (stall window %v = %d RTTs) with both access links up",
-						last, window, stallRTTs)
+	for s, sh := range r.shards {
+		s := s
+		eng := sh.Eng()
+		// live is the shard's watch list: the responsive flows homed
+		// here, in creation order, compacted in place as they finish so
+		// a tick walks what can still stall, not every flow of the run.
+		live := slices.DeleteFunc(slices.Clone(r.insts[s].OrderedFlows()), func(f *transport.Flow) bool {
+			return int(f.Home) != s || f.Unresponsive
+		})
+		r.every(eng, subWatchdog, window/4, func() {
+			now := eng.Now()
+			n := 0
+			for _, f := range live {
+				if f.Done {
+					continue
 				}
-				clear(live[n:])
-				live = live[:n]
-				reschedule(eng, subWatchdog, window/4, tick)
+				live[n] = f
+				n++
+				if !f.Released || now < f.Start || f.Outcome != transport.OutcomeRunning {
+					continue
+				}
+				if now-lastProgress(f) < window {
+					continue
+				}
+				// A parked access link explains the silence: that flow is
+				// a fault casualty, not a liveness bug.
+				if r.Faults.AdminDown(f.Src.NIC(), now) || r.Faults.AdminDown(r.dsts.Get(f.Dst.ID()).dl, now) {
+					continue
+				}
+				f.Outcome = transport.OutcomeStalled
 			}
-			eng.ScheduleLate(window/4, subWatchdog, tick)
-		}
+			clear(live[n:])
+			live = live[:n]
+		})
 	}
+}
 
-	// Invariant auditors (see internal/audit): per-shard checks every
-	// metrics interval on the shard's own clock, plus — on sharded runs
-	// — a whole-network auditor carrying the cross-shard grant-budget
-	// ledger at every window barrier. Each panics with a forensic dump
-	// on the first violation.
-	var audits []*audit.Auditor
-	if r.Audit {
-		interval := MetricsIntervalOrDefault(r.MetricsInterval)
-		startTick := func(aud *audit.Auditor, eng *sim.Engine) {
-			var tick func()
-			tick = func() {
-				aud.Check()
-				reschedule(eng, subAudit, interval, tick)
-			}
-			eng.ScheduleLate(interval, subAudit, tick)
-		}
-		if nshards == 1 {
-			aud := audit.New(ls.Net, insts[0])
-			audits = append(audits, aud)
-			startTick(aud, ls.Net.Engine)
-		} else {
-			for s := 0; s < nshards; s++ {
-				aud := audit.NewShard(shards[s], insts[s])
-				audits = append(audits, aud)
-				startTick(aud, shards[s].Eng())
-			}
-			gaud := audit.New(ls.Net, globalAuditStack(insts, allFlows))
-			audits = append(audits, gaud)
-			ls.Net.BarrierHook = func() { gaud.Check() }
-		}
-	}
+// stallRTTs is the watchdog window in base RTTs, stallWindow in virtual
+// time; negative disables the watchdog.
+func (r *run) stallRTTs() int { return cmp.Or(r.StallRTTs, DefaultStallRTTs) }
 
-	if r.Metrics != nil {
-		for s := 0; s < nshards; s++ {
-			s := s
-			parts[s].CounterFunc("experiment.flows_stalled", func() int64 {
-				return countOutcome(insts[s], s, transport.OutcomeStalled)
-			})
-			parts[s].CounterFunc("experiment.flows_killed_by_crash", func() int64 {
-				return countOutcome(insts[s], s, transport.OutcomeKilledByCrash)
-			})
-		}
-		interval := MetricsIntervalOrDefault(r.MetricsInterval)
-		if horizon == sim.Forever {
-			// Open-ended runs are single-shard; the legacy ticker stops on
-			// the queue-drain heuristic.
-			r.Metrics.Start(ls.Net.Engine, interval)
-		} else {
-			for s := 0; s < nshards; s++ {
-				parts[s].StartUntil(shards[s].Eng(), interval, horizon)
-			}
-		}
+func (r *run) stallWindow() sim.Time { return sim.Time(r.stallRTTs()) * r.ls.RTT() }
+
+// lastProgress is when f last moved: its last delivery, or its start.
+func lastProgress(f *transport.Flow) sim.Time { return max(f.LastProgress, f.Start) }
+
+// startAudit attaches the invariant auditors (see internal/audit):
+// per-shard checks every metrics interval on the shard's own clock,
+// plus — on sharded runs — a whole-network auditor carrying the
+// cross-shard grant-budget ledger at every window barrier. Each panics
+// with a forensic dump on the first violation.
+func (r *run) startAudit() {
+	if !r.Audit {
+		return
 	}
+	interval := MetricsIntervalOrDefault(r.MetricsInterval)
+	start := func(aud *audit.Auditor, eng *sim.Engine) {
+		r.audits = append(r.audits, aud)
+		r.every(eng, subAudit, interval, func() { aud.Check() })
+	}
+	if len(r.shards) == 1 {
+		start(audit.New(r.ls.Net, r.insts[0]), r.ls.Net.Engine)
+		return
+	}
+	for s, sh := range r.shards {
+		start(audit.NewShard(sh, r.insts[s]), sh.Eng())
+	}
+	gaud := audit.New(r.ls.Net, globalAuditStack(r.insts, r.all))
+	r.audits = append(r.audits, gaud)
+	r.ls.Net.BarrierHook = func() { gaud.Check() }
+}
+
+// startMetrics publishes the run's own counters and starts each
+// shard's sampling ticker.
+func (r *run) startMetrics() {
+	if r.Metrics == nil {
+		return
+	}
+	for s := range r.shards {
+		s := s
+		r.parts[s].CounterFunc("experiment.flows_stalled", func() int64 {
+			return countOutcome(r.insts[s], s, transport.OutcomeStalled)
+		})
+		r.parts[s].CounterFunc("experiment.flows_killed_by_crash", func() int64 {
+			return countOutcome(r.insts[s], s, transport.OutcomeKilledByCrash)
+		})
+	}
+	interval := MetricsIntervalOrDefault(r.MetricsInterval)
+	if r.horizon == sim.Forever {
+		// Open-ended runs are single-shard; the legacy ticker stops on
+		// the queue-drain heuristic.
+		r.Metrics.Start(r.ls.Net.Engine, interval)
+		return
+	}
+	for s, sh := range r.shards {
+		r.parts[s].StartUntil(sh.Eng(), interval, r.horizon)
+	}
+}
+
+// execute runs the network to the horizon and the auditors' final sweep.
+func (r *run) execute() {
 	if r.Interrupt != nil {
-		for s := 0; s < nshards; s++ {
-			shards[s].Eng().SetInterrupt(0, r.Interrupt)
+		for _, sh := range r.shards {
+			sh.Eng().SetInterrupt(0, r.Interrupt)
 		}
 	}
-	ls.Net.Run(horizon)
-	ls.Net.BarrierHook = nil
-	if len(audits) > 0 {
-		for _, aud := range audits {
-			aud.Check() // final end-of-run sweep
-			res.AuditChecks += aud.Checks
-			res.AuditViolations += aud.Violations
-		}
+	r.ls.Net.Run(r.horizon)
+	r.ls.Net.BarrierHook = nil
+	for _, aud := range r.audits {
+		aud.Check() // final end-of-run sweep
+		r.res.AuditChecks += aud.Checks
+		r.res.AuditViolations += aud.Violations
 	}
+}
 
+// collect merges the per-shard slices into the result.
+func (r *run) collect() RunResult {
+	res := &r.res
 	if r.Trace != nil {
-		r.Trace.Absorb(recs...)
+		r.Trace.Absorb(r.recs...)
 	}
 	if r.Metrics != nil {
-		if nshards == 1 {
-			res.Metrics = r.Metrics
-		} else {
-			res.Metrics = metrics.Merged(parts...)
+		res.Metrics = r.Metrics
+		if len(r.shards) > 1 {
+			res.Metrics = metrics.Merged(r.parts...)
 		}
 	}
-	for _, e := range lastEnd {
-		if e > res.LastEnd {
-			res.LastEnd = e
-		}
-	}
-
 	// Final dispositions, in spec order for determinism. Dependents
 	// whose parent never completed were never released; they are
 	// incomplete by definition (and missed deadlines if they carry one).
 	for i, fs := range r.Flows {
-		f := allFlows[i]
+		f := r.all[i]
 		if f.Unresponsive {
 			continue
 		}
@@ -598,8 +637,14 @@ func (r LeafSpineRun) RunE() (RunResult, error) {
 		}
 		o := FlowOutcome{ID: f.ID, Outcome: f.Outcome, LastProgress: f.LastProgress}
 		switch f.Outcome {
+		case transport.OutcomeCompleted:
+			res.LastEnd = max(res.LastEnd, f.End)
 		case transport.OutcomeStalled:
-			o.Diagnosis = stallDiags[f.Home][f.ID]
+			// Progress would have cleared the report, so the flow last
+			// moved when the watchdog said it did.
+			o.Diagnosis = fmt.Sprintf(
+				"no data progress since %v (stall window %v = %d RTTs) with both access links up",
+				lastProgress(f), r.stallWindow(), r.stallRTTs())
 			res.Stalled++
 		case transport.OutcomeKilledByCrash:
 			o.Diagnosis = "endpoint crashed before completion"
@@ -607,9 +652,9 @@ func (r LeafSpineRun) RunE() (RunResult, error) {
 		case transport.OutcomeRunning:
 			o.Diagnosis = fmt.Sprintf("incomplete at horizon (last progress %v)", f.LastProgress)
 		}
-		if dl, ok := deadlines[f.ID]; ok {
+		if fs.Deadline > 0 {
 			res.DeadlineTotal++
-			if !f.Done || f.End > dl {
+			if !f.Done || f.End > fs.Deadline {
 				res.DeadlineMissed++
 				o.MissedDeadline = true
 			}
@@ -619,62 +664,58 @@ func (r LeafSpineRun) RunE() (RunResult, error) {
 
 	// The canonical merge runs at every shard count, so the one
 	// floating-point fold order backs all reported statistics.
-	col := stats.Merge(cols...)
+	col := stats.Merge(r.cols...)
 	res.Collector = col
 	res.Completed = col.Count()
 	res.AFCT = col.Mean()
 	res.P99 = col.P99()
-	res.Drops = ls.Net.Dropped()
-	total, late := ls.Net.Executed()
+	res.Drops = r.ls.Net.Dropped()
+	total, late := r.ls.Net.Executed()
 	res.Events = total - late
 
-	// Host-index iteration keeps the floating-point utilization fold
-	// deterministic (map order is not).
+	// Host-index iteration fixes the floating-point utilization fold.
 	var payloadSum, capSum float64
-	for hi := range ls.Hosts {
-		d := dsts[ls.Hosts[hi].ID()]
+	for _, h := range r.ls.Hosts {
+		d := r.dsts.Get(h.ID())
 		if d == nil {
 			continue
 		}
-		if d.mon.MaxQueueLen > res.MaxQueue {
-			res.MaxQueue = d.mon.MaxQueueLen
-		}
-		busy := backloggedTime(d.flows, horizon)
+		res.MaxQueue = max(res.MaxQueue, d.mon.MaxQueueLen)
+		busy := backloggedTime(d.flows, r.horizon)
 		if busy <= 0 {
 			continue
 		}
-		capBytes := float64(ls.AccessRate.BytesIn(busy))
+		capBytes := float64(r.ls.AccessRate.BytesIn(busy))
 		if capBytes <= 0 {
 			continue
 		}
-		pay := float64(d.payload)
-		if pay > capBytes {
-			pay = capBytes
-		}
-		payloadSum += pay
+		payloadSum += min(float64(d.payload), capBytes)
 		capSum += capBytes
 	}
 	if capSum > 0 {
 		res.Utilization = payloadSum / capSum
 	}
-	for _, sw := range ls.Switches {
+	for _, sw := range r.ls.Switches {
 		res.Trims += trimCount(sw)
 	}
-	return res, nil
+	return *res
 }
 
-// shardAssignment maps every node to an engine shard: ToRs — the unique
-// owners of the host downlinks, in first-appearance order — round-robin
-// across shards, hosts ride with their ToR (keeping the dense
-// host↔access-switch traffic intra-shard), and the remaining fabric
-// switches round-robin over the shards in creation order. The
-// assignment affects only wall-clock performance, never results.
-func shardAssignment(ls *topo.Fabric, nshards int) map[netsim.NodeID]int {
-	am := make(map[netsim.NodeID]int)
+// shardAssignment maps every node (the slice is indexed by node ID) to
+// an engine shard: ToRs — the unique owners of the host downlinks, in
+// first-appearance order — round-robin across shards, hosts ride with
+// their ToR (keeping the dense host↔access-switch traffic intra-shard),
+// and the remaining fabric switches round-robin over the shards in
+// creation order. The assignment affects only wall-clock performance,
+// never results.
+func shardAssignment(ls *topo.Fabric, nshards int) []int {
+	am := make([]int, len(ls.Net.Hosts())+len(ls.Net.Switches()))
+	for i := range am {
+		am[i] = -1
+	}
 	tors := 0
 	for _, dl := range ls.HostDownlinks {
-		sw := dl.Owner()
-		if _, ok := am[sw.ID()]; !ok {
+		if sw := dl.Owner(); am[sw.ID()] < 0 {
 			am[sw.ID()] = tors % nshards
 			tors++
 		}
@@ -684,11 +725,10 @@ func shardAssignment(ls *topo.Fabric, nshards int) map[netsim.NodeID]int {
 	}
 	rr := 0
 	for _, sw := range ls.Switches {
-		if _, ok := am[sw.ID()]; ok {
-			continue
+		if am[sw.ID()] < 0 {
+			am[sw.ID()] = rr % nshards
+			rr++
 		}
-		am[sw.ID()] = rr % nshards
-		rr++
 	}
 	return am
 }

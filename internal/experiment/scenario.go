@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"fmt"
-
 	"amrt/internal/netsim"
 	"amrt/internal/sim"
 	"amrt/internal/stats"
@@ -22,13 +20,12 @@ type ScenarioHarness struct {
 	S *topo.Scenario
 
 	shards []*netsim.Shard
-	assign map[netsim.NodeID]int
 	insts  []Instance
 	flows  []*transport.Flow
 
 	// Per-shard goodput trackers: a flow's tracker lives on its home
 	// (receiver) shard only, so no two engine goroutines share one.
-	trackers []map[netsim.FlowID]*stats.FlowThroughput
+	trackers []transport.FlowTable[stats.FlowThroughput]
 }
 
 // NewScenarioHarness partitions the built scenario across nshards
@@ -42,39 +39,33 @@ func NewScenarioHarness(s *topo.Scenario, st Stack, base transport.Config, nshar
 	if nshards <= 0 {
 		nshards = 1
 	}
-	h := &ScenarioHarness{S: s, assign: map[netsim.NodeID]int{}}
-	for i, sw := range s.Switches {
-		h.assign[sw.ID()] = i % nshards
-	}
-	hostShard := func(hh *netsim.Host) int {
-		return h.assign[hh.NIC().Link().To.ID()]
-	}
-	for _, hh := range s.Senders {
-		h.assign[hh.ID()] = hostShard(hh)
-	}
-	for _, hh := range s.Receivers {
-		h.assign[hh.ID()] = hostShard(hh)
-	}
+	h := &ScenarioHarness{S: s}
 	if nshards > 1 {
-		s.Net.Partition(nshards, func(n netsim.Node) int { return h.assign[n.ID()] })
+		// Switches round-robin over the shards; a host rides with the
+		// switch its NIC is cabled to.
+		group := make([]int, len(s.Net.Hosts())+len(s.Net.Switches())) // by node ID
+		for i, sw := range s.Switches {
+			group[sw.ID()] = i % nshards
+		}
+		s.Net.Partition(nshards, func(n netsim.Node) int {
+			if hh, ok := n.(*netsim.Host); ok {
+				n = hh.NIC().Link().To
+			}
+			return group[n.ID()]
+		})
 	}
 	h.shards = s.Net.Shards()
-	h.trackers = make([]map[netsim.FlowID]*stats.FlowThroughput, len(h.shards))
+	h.trackers = make([]transport.FlowTable[stats.FlowThroughput], len(h.shards))
 	h.insts = make([]Instance, len(h.shards))
 	for i := range h.shards {
 		i := i
-		h.trackers[i] = map[netsim.FlowID]*stats.FlowThroughput{}
 		cfg := base
 		cfg.Shard = h.shards[i]
 		cfg.OnData = func(f *transport.Flow, pkt *netsim.Packet) {
-			tr := h.trackers[i][f.ID]
+			tr := h.trackers[i].Get(f.ID)
 			if tr == nil {
-				name := fmt.Sprintf("f%d", f.ID)
-				if int(f.ID-1) < len(names) && f.ID >= 1 {
-					name = names[f.ID-1]
-				}
-				tr = stats.NewFlowThroughput(name, window, s.Cfg.Rate)
-				h.trackers[i][f.ID] = tr
+				tr = stats.NewFlowThroughput(flowName(names, f.ID), window, s.Cfg.Rate)
+				h.trackers[i].Put(f.ID, tr)
 			}
 			tr.OnBytes(h.shards[i].Eng().Now(), pkt.Size)
 		}
@@ -83,18 +74,12 @@ func NewScenarioHarness(s *topo.Scenario, st Stack, base transport.Config, nshar
 	return h
 }
 
-// AddFlow registers a flow through the split path — AddPending on the
-// source shard, Adopt on the home shard, Release on the source — and
-// returns it. At one shard this produces the exact event sequence of
-// the protocols' AddFlow convenience path.
+// AddFlow registers a flow through the runner's split path
+// (registerFlow, releaseFlow) and returns it. At one shard this produces
+// the exact event sequence of the protocols' AddFlow convenience path.
 func (h *ScenarioHarness) AddFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, start sim.Time) *transport.Flow {
-	si, di := h.assign[src.ID()], h.assign[dst.ID()]
-	f := h.insts[si].AddPending(id, src, dst, size, false)
-	h.insts[di].Adopt(f)
-	f.Released = true
-	f.Start = start
-	f.Home = int32(di)
-	h.insts[si].Release(f, start)
+	f := registerFlow(h.insts, id, src, dst, size, false)
+	releaseFlow(h.insts, f, start)
 	h.flows = append(h.flows, f)
 	return f
 }
@@ -105,7 +90,7 @@ func (h *ScenarioHarness) AddFlow(id netsim.FlowID, src, dst *netsim.Host, size 
 func (h *ScenarioHarness) TrackUtil(name string, port *netsim.Port, mon *netsim.PortMonitor, interval, horizon sim.Time) *stats.Series {
 	u := stats.NewUtilizationSampler(interval)
 	s := u.Track(name, mon.Utilization, mon.ResetWindow)
-	u.Start(h.shards[h.assign[port.Owner().ID()]].Eng(), horizon)
+	u.Start(port.Shard().Eng(), horizon)
 	return s
 }
 
@@ -119,13 +104,13 @@ func (h *ScenarioHarness) Run(horizon sim.Time) {
 func (h *ScenarioHarness) Flows() []*transport.Flow { return h.flows }
 
 // Series collects the per-flow goodput series in AddFlow order,
-// merging the per-shard tracker maps (each flow has at most one
+// merging the per-shard tracker tables (each flow has at most one
 // tracker, on its home shard; flows that never delivered have none).
 func (h *ScenarioHarness) Series() []*stats.Series {
 	var out []*stats.Series
 	for _, f := range h.flows {
-		for _, m := range h.trackers {
-			if tr := m[f.ID]; tr != nil {
+		for i := range h.trackers {
+			if tr := h.trackers[i].Get(f.ID); tr != nil {
 				out = append(out, tr.Finish())
 			}
 		}

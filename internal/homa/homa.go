@@ -64,9 +64,9 @@ func (c Config) HostQueue() netsim.Queue { return netsim.NewPriority(1024) }
 type Protocol struct {
 	transport.Kernel
 	cfg       Config
-	senders   map[netsim.FlowID]*sender
-	receivers map[netsim.FlowID]*rcvFlow
-	byHost    map[netsim.NodeID][]*rcvFlow
+	senders   transport.FlowTable[sender]
+	receivers transport.FlowTable[rcvFlow]
+	byHost    transport.HostTable[hostFlows]
 	// active is regrant's scratch slice. regrant runs on every data
 	// arrival and never re-enters (Send only schedules), so one buffer
 	// per Protocol serves every host.
@@ -83,6 +83,10 @@ type Protocol struct {
 	// timeout path, each authorizing one retransmission.
 	ResendGrants int64
 }
+
+// hostFlows is one receiving host's scheduler list: its unfinished
+// messages, in arrival order.
+type hostFlows struct{ flows []*rcvFlow }
 
 type sender struct {
 	f    *transport.Flow
@@ -111,13 +115,7 @@ func byRemaining(a, b *rcvFlow) int {
 
 // New creates a Homa instance on the network.
 func New(net *netsim.Network, cfg Config) *Protocol {
-	p := &Protocol{
-		Kernel:    transport.NewKernel(net, cfg.Config),
-		cfg:       cfg.withDefaults(),
-		senders:   make(map[netsim.FlowID]*sender),
-		receivers: make(map[netsim.FlowID]*rcvFlow),
-		byHost:    make(map[netsim.NodeID][]*rcvFlow),
-	}
+	p := &Protocol{Kernel: transport.NewKernel(net, cfg.Config), cfg: cfg.withDefaults()}
 	p.Bind(transport.Hooks{
 		ToSender: p.onSenderPkt, ToReceiver: p.onReceiverPkt, Start: p.startFlow,
 		DropSender: p.dropSender, DropReceiver: p.dropRcvState, HostCrashed: p.hostCrashed,
@@ -139,7 +137,7 @@ func (p *Protocol) Degree() int { return p.cfg.Degree }
 
 func (p *Protocol) startFlow(f *transport.Flow) {
 	s := &sender{f: f}
-	p.senders[f.ID] = s
+	p.senders.Put(f.ID, s)
 	p.Announce(f)
 	// Unscheduled window at high priority.
 	s.next = p.SendBlind(f, netsim.PrioHigh)
@@ -153,18 +151,17 @@ func (p *Protocol) GrantAuthority() int64 {
 	return p.UnsolicitedPkts + p.GrantedPkts + p.ResendGrants
 }
 
-func (p *Protocol) dropSender(f *transport.Flow) { delete(p.senders, f.ID) }
+func (p *Protocol) dropSender(f *transport.Flow) { p.senders.Drop(f.ID) }
 
 // dropRcvState forgets flow f's receiver state (timer cancelled,
 // per-host scheduler list pruned) and notes the host for hostCrashed.
 // No-op if no state exists.
 func (p *Protocol) dropRcvState(f *transport.Flow) {
-	r := p.receivers[f.ID]
+	r := p.receivers.Drop(f.ID)
 	if r == nil {
 		return
 	}
 	r.timer.Cancel()
-	delete(p.receivers, f.ID)
 	p.unlist(r)
 	p.freed = append(p.freed, f.Dst)
 }
@@ -183,15 +180,15 @@ func (p *Protocol) hostCrashed(*netsim.Host) {
 
 // unlist removes r from its receiving host's scheduler list.
 func (p *Protocol) unlist(r *rcvFlow) {
-	id := r.f.Dst.ID()
-	p.byHost[id] = slices.DeleteFunc(p.byHost[id], func(x *rcvFlow) bool { return x == r })
+	hf := p.byHost.Get(r.f.Dst.ID())
+	hf.flows = slices.DeleteFunc(hf.flows, func(x *rcvFlow) bool { return x == r })
 }
 
 func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
 	if pkt.Type != netsim.Grant {
 		return
 	}
-	s := p.senders[pkt.Flow]
+	s := p.senders.Get(pkt.Flow)
 	if s == nil || s.f.Unresponsive {
 		return
 	}
@@ -213,11 +210,11 @@ func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
 func (p *Protocol) onReceiverPkt(pkt *netsim.Packet) {
 	switch pkt.Type {
 	case netsim.RTS:
-		if r := p.rcvFor(pkt); r != nil {
+		if r := transport.Receiver(&p.Kernel, &p.receivers, pkt.Flow, p.newRcvFlow); r != nil {
 			p.regrant(r.f.Dst)
 		}
 	case netsim.Data:
-		r := p.rcvFor(pkt)
+		r := transport.Receiver(&p.Kernel, &p.receivers, pkt.Flow, p.newRcvFlow)
 		if r == nil || r.f.Done {
 			return
 		}
@@ -234,20 +231,15 @@ func (p *Protocol) onReceiverPkt(pkt *netsim.Packet) {
 	}
 }
 
-func (p *Protocol) rcvFor(pkt *netsim.Packet) *rcvFlow {
-	if r, ok := p.receivers[pkt.Flow]; ok {
-		return r
-	}
-	f := p.Flows[pkt.Flow]
-	if f == nil || f.Done {
-		return nil // unknown, completed, or crash-killed flow
-	}
+// newRcvFlow builds f's receiver record (transport.Receiver stores it)
+// and lists it with its host's scheduler.
+func (p *Protocol) newRcvFlow(f *transport.Flow) *rcvFlow {
 	r := &rcvFlow{
 		p: p, f: f, rcvd: transport.NewBitmap(f.NPkts),
 		granted: p.BlindPkts(f), lastProgress: p.Now(),
 	}
-	p.receivers[pkt.Flow] = r
-	p.byHost[f.Dst.ID()] = append(p.byHost[f.Dst.ID()], r)
+	hf := p.byHost.GetOrBuild(f.Dst.ID(), func() *hostFlows { return new(hostFlows) })
+	hf.flows = append(hf.flows, r)
 	p.Heard(f)
 	r.timer.Init(&p.Kernel, r)
 	r.timer.Arm()
@@ -259,7 +251,7 @@ func (p *Protocol) rcvFor(pkt *netsim.Packet) *rcvFlow {
 // granted-but-undelivered data.
 func (p *Protocol) regrant(dst *netsim.Host) {
 	active := p.active[:0]
-	for _, r := range p.byHost[dst.ID()] {
+	for _, r := range p.byHost.Get(dst.ID()).flows { // every caller has had a record on dst
 		if !r.f.Done {
 			active = append(active, r)
 		}

@@ -220,8 +220,8 @@ func TestFinishedRecordStillAnswersRTS(t *testing.T) {
 		t.Fatal("flow did not complete")
 	}
 	rts := p.NewCtrl(netsim.RTS, f, -1, false)
-	if r := p.rcvFor(rts); r == nil || r != p.receivers[f.ID] {
-		t.Errorf("a late RTS finds record %p, want the finished flow's %p", r, p.receivers[f.ID])
+	if r := transport.Receiver(&p.Kernel, &p.receivers, rts.Flow, p.newRcvFlow); r == nil || r != p.receivers.Get(f.ID) {
+		t.Errorf("a late RTS finds record %p, want the finished flow's %p", r, p.receivers.Get(f.ID))
 	}
 	p.Shard().ReleasePacket(rts)
 }

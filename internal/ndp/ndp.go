@@ -53,9 +53,9 @@ func (c Config) HostQueue() netsim.Queue { return netsim.NewPriority(2048) }
 type Protocol struct {
 	transport.Kernel
 	cfg       Config
-	senders   map[netsim.FlowID]*sender
-	receivers map[netsim.FlowID]*rcvFlow
-	pullers   map[netsim.NodeID]*puller
+	senders   transport.FlowTable[sender]
+	receivers transport.FlowTable[rcvFlow]
+	pullers   transport.HostTable[puller]
 
 	// PullsSent and NacksSent count receiver control traffic; Trims is
 	// maintained by the switch queues (sum over ports if needed).
@@ -87,20 +87,13 @@ type rcvFlow struct {
 }
 
 type puller struct {
-	host  *netsim.Host
 	pacer *transport.Pacer
 	queue transport.FIFO[*rcvFlow] // flows owed one pull each
 }
 
 // New creates an NDP instance on the network.
 func New(net *netsim.Network, cfg Config) *Protocol {
-	p := &Protocol{
-		Kernel:    transport.NewKernel(net, cfg.Config),
-		cfg:       cfg.withDefaults(),
-		senders:   make(map[netsim.FlowID]*sender),
-		receivers: make(map[netsim.FlowID]*rcvFlow),
-		pullers:   make(map[netsim.NodeID]*puller),
-	}
+	p := &Protocol{Kernel: transport.NewKernel(net, cfg.Config), cfg: cfg.withDefaults()}
 	p.Bind(transport.Hooks{
 		ToSender: p.onSenderPkt, ToReceiver: p.onReceiverPkt, Start: p.startFlow,
 		DropSender: p.dropSender, DropReceiver: p.dropRcvState, HostCrashed: p.hostCrashed,
@@ -119,7 +112,7 @@ func (p *Protocol) Name() string { return "NDP" }
 
 func (p *Protocol) startFlow(f *transport.Flow) {
 	s := &sender{f: f}
-	p.senders[f.ID] = s
+	p.senders.Put(f.ID, s)
 	p.Announce(f)
 	s.next = p.SendBlind(f, netsim.PrioData)
 }
@@ -133,13 +126,13 @@ func (p *Protocol) GrantAuthority() int64 {
 }
 
 // dropSender forgets f's send cursor and retransmit queue.
-func (p *Protocol) dropSender(f *transport.Flow) { delete(p.senders, f.ID) }
+func (p *Protocol) dropSender(f *transport.Flow) { p.senders.Drop(f.ID) }
 
 // hostCrashed empties the crashed host's pull pacer queue (flow refs,
 // no packets): emitPull skips Done flows, but stale entries for crashed
 // receiver state would issue pulls against forgotten bitmaps.
 func (p *Protocol) hostCrashed(h *netsim.Host) {
-	if pl := p.pullers[h.ID()]; pl != nil {
+	if pl := p.pullers.Get(h.ID()); pl != nil {
 		pl.queue.Reset()
 	}
 }
@@ -147,16 +140,13 @@ func (p *Protocol) hostCrashed(h *netsim.Host) {
 // dropRcvState forgets flow f's receiver state (timer cancelled).
 // No-op if no state exists.
 func (p *Protocol) dropRcvState(f *transport.Flow) {
-	r := p.receivers[f.ID]
-	if r == nil {
-		return
+	if r := p.receivers.Drop(f.ID); r != nil {
+		r.timer.Cancel()
 	}
-	r.timer.Cancel()
-	delete(p.receivers, f.ID)
 }
 
 func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
-	s := p.senders[pkt.Flow]
+	s := p.senders.Get(pkt.Flow)
 	if s == nil || s.f.Unresponsive {
 		return
 	}
@@ -192,16 +182,16 @@ func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
 }
 
 func (p *Protocol) onReceiverPkt(pkt *netsim.Packet) {
+	// RTS, data and trimmed headers all carry the flow size: whichever
+	// comes first builds the record.
+	r := transport.Receiver(&p.Kernel, &p.receivers, pkt.Flow, p.newRcvFlow)
+	if r == nil || r.f.Done {
+		return
+	}
 	switch pkt.Type {
-	case netsim.RTS:
-		p.rcvFor(pkt)
 	case netsim.Data:
 		if pkt.Trimmed {
-			p.onHeader(pkt)
-			return
-		}
-		r := p.rcvFor(pkt)
-		if r == nil || r.f.Done {
+			p.onHeader(r, pkt)
 			return
 		}
 		if pkt.Seq+1 > r.sentEst {
@@ -218,17 +208,13 @@ func (p *Protocol) onReceiverPkt(pkt *netsim.Packet) {
 		}
 		p.enqueuePull(r)
 	case netsim.Header:
-		p.onHeader(pkt)
+		p.onHeader(r, pkt)
 	}
 }
 
 // onHeader handles a trimmed packet: NACK the sender so it queues the
 // retransmission, and schedule a pull to trigger it.
-func (p *Protocol) onHeader(pkt *netsim.Packet) {
-	r := p.rcvFor(pkt)
-	if r == nil || r.f.Done {
-		return
-	}
+func (p *Protocol) onHeader(r *rcvFlow, pkt *netsim.Packet) {
 	if pkt.Seq+1 > r.sentEst {
 		r.sentEst = pkt.Seq + 1
 	}
@@ -243,20 +229,14 @@ func (p *Protocol) onHeader(pkt *netsim.Packet) {
 	p.enqueuePull(r)
 }
 
-func (p *Protocol) rcvFor(pkt *netsim.Packet) *rcvFlow {
-	if r, ok := p.receivers[pkt.Flow]; ok {
-		return r
-	}
-	f := p.Flows[pkt.Flow]
-	if f == nil || f.Done {
-		return nil // unknown, completed, or crash-killed flow
-	}
+// newRcvFlow builds f's receiver record (transport.Receiver stores it):
+// everything past the blind window is still to be pulled.
+func (p *Protocol) newRcvFlow(f *transport.Flow) *rcvFlow {
 	r := &rcvFlow{
 		p: p, f: f, rcvd: transport.NewBitmap(f.NPkts),
 		pullBudget:   f.NPkts - p.BlindPkts(f),
 		lastProgress: p.Now(),
 	}
-	p.receivers[pkt.Flow] = r
 	p.Heard(f)
 	r.timer.Init(&p.Kernel, r)
 	r.timer.Arm()
@@ -274,14 +254,11 @@ func (p *Protocol) enqueuePull(r *rcvFlow) {
 }
 
 func (p *Protocol) pullerOf(h *netsim.Host) *puller {
-	if pl, ok := p.pullers[h.ID()]; ok {
+	return p.pullers.GetOrBuild(h.ID(), func() *puller {
+		pl := &puller{}
+		pl.pacer = p.HostPacer(h, func() bool { return p.emitPull(pl) })
 		return pl
-	}
-	pl := &puller{host: h}
-	tick := h.LinkRate().TxTime(p.Cfg.MSS)
-	pl.pacer = transport.NewPacer(p.Engine(), tick, func() bool { return p.emitPull(pl) })
-	p.pullers[h.ID()] = pl
-	return pl
+	})
 }
 
 func (p *Protocol) emitPull(pl *puller) bool {
@@ -355,8 +332,8 @@ func (p *Protocol) onTimeout(r *rcvFlow) {
 func (p *Protocol) finish(r *rcvFlow) {
 	r.timer.Cancel()
 	p.Complete(r.f)
-	// The record ends with the flow: rcvFor answers nil for a Done flow,
-	// and pulls still queued hold their own reference and are skipped on
-	// f.Done.
-	delete(p.receivers, r.f.ID)
+	// The record ends with the flow: the lookup answers nil for a Done
+	// flow, and pulls still queued hold their own reference and are
+	// skipped on f.Done.
+	p.receivers.Drop(r.f.ID)
 }

@@ -247,8 +247,8 @@ func TestReceiverRecordEndsWithFlow(t *testing.T) {
 			t.Fatalf("%v did not complete", f)
 		}
 	}
-	if len(p.receivers) != 0 {
-		t.Fatalf("%d receiver records outlive their flows", len(p.receivers))
+	if p.receivers.Len() != 0 {
+		t.Fatalf("%d receiver records outlive their flows", p.receivers.Len())
 	}
 	f := flows[3]
 	events, injected, pulls, nacks := s.Net.Engine.Executed, s.Net.Injected(), p.PullsSent, p.NacksSent
@@ -256,7 +256,7 @@ func TestReceiverRecordEndsWithFlow(t *testing.T) {
 	f.Dst.Receive(p.NewCtrl(netsim.Header, f, 0, false))
 	f.Dst.Receive(p.NewCtrl(netsim.RTS, f, -1, false))
 	s.Net.Run(sim.Forever)
-	if len(p.receivers) != 0 {
+	if p.receivers.Len() != 0 {
 		t.Error("a late packet rebuilt the receiver record of a finished flow")
 	}
 	if s.Net.Injected() != injected || p.PullsSent != pulls || p.NacksSent != nacks {

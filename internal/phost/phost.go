@@ -61,8 +61,8 @@ func (c Config) HostQueue() netsim.Queue { return netsim.NewPriority(1024) }
 type Protocol struct {
 	transport.Kernel
 	cfg       Config
-	receivers map[netsim.FlowID]*rcvFlow
-	pacers    map[netsim.NodeID]*pacerState
+	receivers transport.FlowTable[rcvFlow]
+	pacers    transport.HostTable[pacerState]
 
 	// TokensSent counts tokens issued; TokensExpired counts per-token
 	// timeouts (a proxy for wasted downlink allocation).
@@ -105,7 +105,6 @@ func (r *rcvFlow) remaining(mss int) int64 {
 }
 
 type pacerState struct {
-	host  *netsim.Host
 	pacer *transport.Pacer
 	flows []*rcvFlow
 	// credits implement the arrival clocking the paper ascribes to
@@ -119,12 +118,7 @@ type pacerState struct {
 
 // New creates a pHost instance on the network.
 func New(net *netsim.Network, cfg Config) *Protocol {
-	p := &Protocol{
-		Kernel:    transport.NewKernel(net, cfg.Config),
-		cfg:       cfg.withDefaults(),
-		receivers: make(map[netsim.FlowID]*rcvFlow),
-		pacers:    make(map[netsim.NodeID]*pacerState),
-	}
+	p := &Protocol{Kernel: transport.NewKernel(net, cfg.Config), cfg: cfg.withDefaults()}
 	// No DropSender: pHost senders are stateless (every token names its
 	// sequence).
 	p.Bind(transport.Hooks{
@@ -158,7 +152,7 @@ func (p *Protocol) GrantAuthority() int64 {
 // hostCrashed zeroes the crashed host's banked arrival credits; its
 // bitmaps and pending-token timers went flow by flow (dropRcvState).
 func (p *Protocol) hostCrashed(h *netsim.Host) {
-	if ps := p.pacers[h.ID()]; ps != nil {
+	if ps := p.pacers.Get(h.ID()); ps != nil {
 		ps.credits = 0
 	}
 }
@@ -166,19 +160,16 @@ func (p *Protocol) hostCrashed(h *netsim.Host) {
 // dropRcvState forgets flow f's receiver state (pending timers
 // cancelled, pacer list pruned). No-op if no state exists.
 func (p *Protocol) dropRcvState(f *transport.Flow) {
-	r := p.receivers[f.ID]
-	if r == nil {
-		return
+	if r := p.receivers.Drop(f.ID); r != nil {
+		p.removeFlow(r)
 	}
-	p.removeFlow(r)
-	delete(p.receivers, f.ID)
 }
 
 func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
 	if pkt.Type != netsim.Token {
 		return
 	}
-	f := p.Flows[pkt.Flow]
+	f := p.Flow(pkt.Flow)
 	if f == nil || f.Unresponsive {
 		return
 	}
@@ -187,37 +178,37 @@ func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
 }
 
 func (p *Protocol) onReceiverPkt(pkt *netsim.Packet) {
-	switch pkt.Type {
-	case netsim.RTS:
-		p.rcvFor(pkt)
-	case netsim.Data:
-		r := p.rcvFor(pkt)
-		if r == nil || r.f.Done {
-			return
-		}
-		if r.inflight.Clear(pkt.Seq) {
-			tm, _ := r.pending.Get(pkt.Seq)
-			tm.Cancel()
-			r.pending.Delete(pkt.Seq)
-		}
-		r.lastArrival = p.Now()
-		r.tokensSinceArrival = 0
-		if !r.rcvd.Set(pkt.Seq) {
-			return
-		}
-		p.DeliverData(r.f, pkt)
-		ps := p.pacerOf(r.f.Dst)
-		ps.addCredit(maxBankedCredits)
-		if r.rcvd.Full() {
-			p.Complete(r.f)
-			p.removeFlow(r)
-			// The record ends with the flow: rcvFor answers nil for a
-			// Done flow and removeFlow cancelled every expiry.
-			delete(p.receivers, r.f.ID)
-			return
-		}
-		ps.pacer.Kick()
+	if pkt.Type != netsim.RTS && pkt.Type != netsim.Data {
+		return
 	}
+	// An RTS only has to leave a record behind; if it is lost, the first
+	// data packet does (both carry the flow size).
+	r := transport.Receiver(&p.Kernel, &p.receivers, pkt.Flow, p.newRcvFlow)
+	if r == nil || r.f.Done || pkt.Type == netsim.RTS {
+		return
+	}
+	if r.inflight.Clear(pkt.Seq) {
+		tm, _ := r.pending.Get(pkt.Seq)
+		tm.Cancel()
+		r.pending.Delete(pkt.Seq)
+	}
+	r.lastArrival = p.Now()
+	r.tokensSinceArrival = 0
+	if !r.rcvd.Set(pkt.Seq) {
+		return
+	}
+	p.DeliverData(r.f, pkt)
+	ps := p.pacerOf(r.f.Dst)
+	ps.addCredit(maxBankedCredits)
+	if r.rcvd.Full() {
+		p.Complete(r.f)
+		p.removeFlow(r)
+		// The record ends with the flow: the lookup answers nil for a
+		// Done flow and removeFlow cancelled every expiry.
+		p.receivers.Drop(r.f.ID)
+		return
+	}
+	ps.pacer.Kick()
 }
 
 // maxBankedCredits bounds how many arrival credits a receiver may store
@@ -235,17 +226,11 @@ func (ps *pacerState) addCredit(cap int) {
 	}
 }
 
-func (p *Protocol) rcvFor(pkt *netsim.Packet) *rcvFlow {
-	if r, ok := p.receivers[pkt.Flow]; ok {
-		return r
-	}
-	f := p.Flows[pkt.Flow]
-	if f == nil || f.Done {
-		return nil // unknown, completed, or crash-killed flow
-	}
+// newRcvFlow builds f's receiver record (transport.Receiver stores it)
+// and enters it in its host's token scheduler.
+func (p *Protocol) newRcvFlow(f *transport.Flow) *rcvFlow {
 	r := &rcvFlow{p: p, f: f, lastArrival: p.Now()}
 	transport.InitBitmaps(f.NPkts, &r.rcvd, &r.inflight)
-	p.receivers[pkt.Flow] = r
 	p.Heard(f)
 	// The unscheduled first window is in flight: treat it as tokened so
 	// the pacer does not double-issue, with the usual expiry.
@@ -260,14 +245,11 @@ func (p *Protocol) rcvFor(pkt *netsim.Packet) *rcvFlow {
 }
 
 func (p *Protocol) pacerOf(h *netsim.Host) *pacerState {
-	if ps, ok := p.pacers[h.ID()]; ok {
+	return p.pacers.GetOrBuild(h.ID(), func() *pacerState {
+		ps := &pacerState{}
+		ps.pacer = p.HostPacer(h, func() bool { return p.emitToken(ps) })
 		return ps
-	}
-	ps := &pacerState{host: h}
-	tick := h.LinkRate().TxTime(p.Cfg.MSS)
-	ps.pacer = transport.NewPacer(p.Engine(), tick, func() bool { return p.emitToken(ps) })
-	p.pacers[h.ID()] = ps
-	return ps
+	})
 }
 
 // emitToken sends one token to the SRPT-best eligible flow, consuming

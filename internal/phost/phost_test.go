@@ -173,9 +173,9 @@ func TestArrivalClockedNoStandingAggression(t *testing.T) {
 	if s.Net.Dropped() > 4000 {
 		t.Errorf("drops = %d, token clock is outpacing arrivals", s.Net.Dropped())
 	}
-	for id, f := range p.Flows {
+	for _, f := range p.OrderedFlows() {
 		if !f.Done {
-			t.Errorf("flow %d did not complete", id)
+			t.Errorf("flow %d did not complete", f.ID)
 		}
 	}
 }
@@ -257,15 +257,15 @@ func TestReceiverRecordEndsWithFlow(t *testing.T) {
 			t.Fatalf("%v did not complete", f)
 		}
 	}
-	if len(p.receivers) != 0 {
-		t.Fatalf("%d receiver records outlive their flows", len(p.receivers))
+	if p.receivers.Len() != 0 {
+		t.Fatalf("%d receiver records outlive their flows", p.receivers.Len())
 	}
 	f := flows[3]
 	events, injected, tokens := s.Net.Engine.Executed, s.Net.Injected(), p.TokensSent
 	f.Dst.Receive(p.NewData(f, 0, netsim.PrioData))
 	f.Dst.Receive(p.NewCtrl(netsim.RTS, f, -1, false))
 	s.Net.Run(sim.Forever)
-	if len(p.receivers) != 0 {
+	if p.receivers.Len() != 0 {
 		t.Error("a late packet rebuilt the receiver record of a finished flow")
 	}
 	if s.Net.Injected() != injected || p.TokensSent != tokens {

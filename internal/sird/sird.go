@@ -98,9 +98,9 @@ func (c Config) HostQueue() netsim.Queue { return netsim.NewPriority(1024) }
 type Protocol struct {
 	transport.Kernel
 	cfg       Config
-	senders   map[netsim.FlowID]*sender
-	receivers map[netsim.FlowID]*rcvFlow
-	pools     map[netsim.NodeID]*poolState
+	senders   transport.FlowTable[sender]
+	receivers transport.FlowTable[rcvFlow]
+	pools     transport.HostTable[poolState]
 
 	// GrantsSent counts pool grant packets; GrantedPkts counts packets
 	// authorized by them (1:1 for SIRD's paced single-MSS grants).
@@ -189,7 +189,6 @@ func (r *rcvFlow) ungranted(mss int) int64 {
 }
 
 type poolState struct {
-	host  *netsim.Host
 	pacer *transport.Pacer
 	flows []*rcvFlow
 
@@ -215,13 +214,7 @@ type recReq struct {
 // New creates a SIRD instance on the network.
 func New(net *netsim.Network, cfg Config) *Protocol {
 	cfg = cfg.withDefaults()
-	p := &Protocol{
-		Kernel:    transport.NewKernel(net, cfg.Config),
-		cfg:       cfg,
-		senders:   make(map[netsim.FlowID]*sender),
-		receivers: make(map[netsim.FlowID]*rcvFlow),
-		pools:     make(map[netsim.NodeID]*poolState),
-	}
+	p := &Protocol{Kernel: transport.NewKernel(net, cfg.Config), cfg: cfg}
 	// No HostCrashed: a crashed receiver's pool drains flow by flow as
 	// dropRcvState returns each member's charge.
 	p.Bind(transport.Hooks{
@@ -242,7 +235,7 @@ func (p *Protocol) Name() string { return "SIRD" }
 
 func (p *Protocol) startFlow(f *transport.Flow) {
 	s := &sender{f: f}
-	p.senders[f.ID] = s
+	p.senders.Put(f.ID, s)
 	p.Announce(f) // stamped with the full size: nothing handed to the NIC yet
 	if f.Unresponsive {
 		return
@@ -273,7 +266,7 @@ func (p *Protocol) GrantAuthority() int64 {
 func (p *Protocol) CreditLedger() (outstanding, bound int64) {
 	first := true
 	for _, h := range p.Net.Hosts() {
-		ps := p.pools[h.ID()]
+		ps := p.pools.Get(h.ID())
 		if ps == nil {
 			continue
 		}
@@ -293,25 +286,20 @@ func (p *Protocol) CreditLedger() (outstanding, bound int64) {
 // An unresponsive sender keeps advertising its full size, drawing a few
 // grants' worth of pool credit that the timeout path then reclaims.
 func (p *Protocol) stampRTS(f *transport.Flow, rts *netsim.Packet) {
-	rts.Demand = p.senders[f.ID].demand(p.Cfg.MSS)
+	rts.Demand = p.senders.Get(f.ID).demand(p.Cfg.MSS)
 }
 
-func (p *Protocol) dropSender(f *transport.Flow) { delete(p.senders, f.ID) }
+func (p *Protocol) dropSender(f *transport.Flow) { p.senders.Drop(f.ID) }
 
 // dropRcvState forgets flow f's receiver state: timer cancelled, pool
 // membership pruned, charged credit returned. No-op if no state exists.
 func (p *Protocol) dropRcvState(f *transport.Flow) {
-	r := p.receivers[f.ID]
+	r := p.receivers.Drop(f.ID)
 	if r == nil {
 		return
 	}
 	r.timer.Cancel()
-	delete(p.receivers, f.ID)
-	ps := p.pools[f.Dst.ID()]
-	if ps == nil {
-		return
-	}
-	ps.settle(r)
+	p.pools.Get(f.Dst.ID()).settle(r) // r joined the pool when it was built
 }
 
 // settle returns r's remaining charge to the pool, drops it from the
@@ -327,7 +315,7 @@ func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
 	if pkt.Type != netsim.Grant {
 		return
 	}
-	s := p.senders[pkt.Flow]
+	s := p.senders.Get(pkt.Flow)
 	if s == nil || s.f.Unresponsive {
 		return
 	}
@@ -353,12 +341,12 @@ func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
 func (p *Protocol) onReceiverPkt(pkt *netsim.Packet) {
 	switch pkt.Type {
 	case netsim.RTS:
-		if r := p.rcvFor(pkt); r != nil {
+		if r := transport.Receiver(&p.Kernel, &p.receivers, pkt.Flow, p.newRcvFlow); r != nil {
 			p.noteDemand(r, pkt.Demand)
 			p.poolOf(r.f.Dst).pacer.Kick()
 		}
 	case netsim.Data:
-		r := p.rcvFor(pkt)
+		r := transport.Receiver(&p.Kernel, &p.receivers, pkt.Flow, p.newRcvFlow)
 		if r == nil || r.f.Done {
 			return
 		}
@@ -411,14 +399,9 @@ func (p *Protocol) noteDemand(r *rcvFlow, demand int64) {
 	}
 }
 
-func (p *Protocol) rcvFor(pkt *netsim.Packet) *rcvFlow {
-	if r, ok := p.receivers[pkt.Flow]; ok {
-		return r
-	}
-	f := p.Flows[pkt.Flow]
-	if f == nil || f.Done {
-		return nil // unknown, completed, or crash-killed flow
-	}
+// newRcvFlow builds f's receiver record (transport.Receiver stores it)
+// and makes it a member of its host's credit pool.
+func (p *Protocol) newRcvFlow(f *transport.Flow) *rcvFlow {
 	now := p.Now()
 	blind := p.BlindPkts(f)
 	r := &rcvFlow{
@@ -428,7 +411,6 @@ func (p *Protocol) rcvFor(pkt *netsim.Packet) *rcvFlow {
 	// Seed the grant-age ring so the unscheduled prefix (authorized at
 	// flow start) becomes recoverable one timeout window from now.
 	r.grants.Note(now, r.granted)
-	p.receivers[pkt.Flow] = r
 	p.Heard(f)
 	ps := p.poolOf(f.Dst)
 	ps.flows = append(ps.flows, r)
@@ -439,20 +421,16 @@ func (p *Protocol) rcvFor(pkt *netsim.Packet) *rcvFlow {
 }
 
 func (p *Protocol) poolOf(h *netsim.Host) *poolState {
-	if ps, ok := p.pools[h.ID()]; ok {
+	return p.pools.GetOrBuild(h.ID(), func() *poolState {
+		ps := &poolState{bound: p.cfg.PoolBytes}
+		if ps.bound <= 0 {
+			// 1.5× downlink BDP: the grant loop needs one BDP in flight to
+			// fill the link, plus margin for demand estimation error.
+			ps.bound = h.LinkRate().BytesIn(p.Cfg.RTT) * 3 / 2
+		}
+		ps.pacer = p.HostPacer(h, func() bool { return p.emitGrant(ps) })
 		return ps
-	}
-	bound := p.cfg.PoolBytes
-	if bound <= 0 {
-		// 1.5× downlink BDP: the grant loop needs one BDP in flight to
-		// fill the link, plus margin for demand estimation error.
-		bound = h.LinkRate().BytesIn(p.Cfg.RTT) * 3 / 2
-	}
-	ps := &poolState{host: h, bound: bound}
-	tick := h.LinkRate().TxTime(p.Cfg.MSS)
-	ps.pacer = transport.NewPacer(p.Engine(), tick, func() bool { return p.emitGrant(ps) })
-	p.pools[h.ID()] = ps
-	return ps
+	})
 }
 
 // weight returns flow r's scheduling weight: the advertised demand
@@ -481,7 +459,7 @@ func (p *Protocol) emitGrant(ps *poolState) bool {
 	// so re-requesting it neither charges the pool nor waits behind it.
 	for ps.recovery.Len() > 0 {
 		req := ps.recovery.Pop()
-		if req.r.f.Done || p.receivers[req.r.f.ID] != req.r || req.r.rcvd.Get(req.seq) {
+		if req.r.f.Done || p.receivers.Get(req.r.f.ID) != req.r || req.r.rcvd.Get(req.seq) {
 			continue // satisfied or torn down while queued
 		}
 		g := p.NewCtrl(netsim.Grant, req.r.f, req.seq, true)

@@ -79,7 +79,7 @@ type rtsTap struct {
 func (tap *rtsTap) OnDequeue(_ *netsim.Port, pkt *netsim.Packet, _ sim.Time) {
 	if pkt.Type == netsim.RTS {
 		tap.carried = append(tap.carried, pkt.Demand)
-		tap.owed = append(tap.owed, tap.p.senders[pkt.Flow].demand(tap.p.Cfg.MSS))
+		tap.owed = append(tap.owed, tap.p.senders.Get(pkt.Flow).demand(tap.p.Cfg.MSS))
 	}
 }
 
@@ -134,7 +134,7 @@ func TestUnresponsiveCreditReclaimed(t *testing.T) {
 	if p.PoolReclaims == 0 {
 		t.Error("PoolReclaims = 0: the silent flow's charged credit was never taken back")
 	}
-	if r := p.receivers[mute.ID]; r == nil {
+	if r := p.receivers.Get(mute.ID); r == nil {
 		t.Error("silent flow lost its receiver state")
 	} else if r.charged > int64(silenceEvidence*p.Cfg.MSS) {
 		t.Errorf("silent flow still holds %d bytes of credit", r.charged)
@@ -153,14 +153,14 @@ func TestSenderCrashReturnsCredit(t *testing.T) {
 		flows = append(flows, p.AddFlow(netsim.FlowID(i+1), src, dst, 1_000_000, 0))
 	}
 	s.Net.Run(5 * rtt)
-	ps := p.pools[dst.ID()]
+	ps := p.pools.Get(dst.ID())
 	held := func() (sum int64) {
 		for _, r := range ps.flows {
 			sum += r.charged
 		}
 		return sum
 	}
-	doomed := p.receivers[flows[0].ID]
+	doomed := p.receivers.Get(flows[0].ID)
 	if doomed.charged == 0 || ps.outstanding != held() {
 		t.Fatalf("before the crash: doomed flow holds %d, pool %d vs members %d", doomed.charged, ps.outstanding, held())
 	}
@@ -171,7 +171,7 @@ func TestSenderCrashReturnsCredit(t *testing.T) {
 	if out, _ := p.CreditLedger(); out != survivors {
 		t.Errorf("outstanding credit %d after the crash, want the survivors' %d", out, survivors)
 	}
-	if slices.Contains(ps.flows, doomed) || p.receivers[flows[0].ID] != nil || p.senders[flows[0].ID] != nil {
+	if slices.Contains(ps.flows, doomed) || p.receivers.Get(flows[0].ID) != nil || p.senders.Get(flows[0].ID) != nil {
 		t.Error("crashed sender's flow still has pool membership, receiver or sender state")
 	}
 	if flows[0].Outcome != transport.OutcomeKilledByCrash {
@@ -196,8 +196,8 @@ func TestFinishedRecordStillAnswersRTS(t *testing.T) {
 	s, p := newFan(1)
 	f := p.AddFlow(1, s.Senders[0], s.Receivers[0], 300_000, 0)
 	s.Net.Run(sim.Forever)
-	if !f.Done || p.receivers[f.ID] == nil {
-		t.Fatalf("flow done = %v, record kept = %v; want both", f.Done, p.receivers[f.ID] != nil)
+	if !f.Done || p.receivers.Get(f.ID) == nil {
+		t.Fatalf("flow done = %v, record kept = %v; want both", f.Done, p.receivers.Get(f.ID) != nil)
 	}
 	events := s.Net.Engine.Executed
 	f.Dst.Receive(p.NewCtrl(netsim.RTS, f, -1, false))

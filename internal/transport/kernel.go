@@ -56,17 +56,14 @@ func (c Config) withDefaults() Config {
 // config, the flow table, the per-host dispatcher, and the flow
 // lifecycle (lifecycle.go) driven through the stack's Hooks.
 type Kernel struct {
-	Net   *netsim.Network
-	Cfg   Config
-	Flows map[netsim.FlowID]*Flow
+	Net *netsim.Network
+	Cfg Config
 
-	// ordered lists flows in creation order. Anything that iterates
-	// flows and schedules events (crash handling, the liveness watchdog,
-	// the auditor's forensic dump) must walk this slice, not the map —
-	// map iteration order would break run determinism.
+	// flows finds a flow by the ID its packets carry (see Flow); ordered
+	// lists the same flows in creation order, for whatever walks them
+	// all: crash handling, the liveness watchdog, forensic dumps.
+	flows   FlowTable[Flow]
 	ordered []*Flow
-
-	nextAutoID netsim.FlowID
 
 	// slab is the unused tail of the flow slab NewFlow carves records
 	// from; slabLen is the length the current slab was made with.
@@ -84,9 +81,9 @@ type Kernel struct {
 	RTSReannounces int64
 
 	// hooks is the stack's side of the flow lifecycle (see Bind);
-	// installed marks the hosts whose handler this instance has set.
+	// installed holds the hosts whose handler this instance has set.
 	hooks     Hooks
-	installed map[netsim.NodeID]bool
+	installed HostTable[netsim.Host]
 
 	// shard is the engine shard the kernel schedules on (see Config.Shard).
 	shard *netsim.Shard
@@ -104,7 +101,7 @@ func NewKernel(net *netsim.Network, cfg Config) Kernel {
 	if sh == nil {
 		sh = net.Shard(0)
 	}
-	k := Kernel{Net: net, Cfg: cfg.withDefaults(), Flows: make(map[netsim.FlowID]*Flow), shard: sh}
+	k := Kernel{Net: net, Cfg: cfg.withDefaults(), shard: sh}
 	k.mFlowsStarted = cfg.Metrics.Counter("transport.flows_started")
 	k.mFlowsDone = cfg.Metrics.Counter("transport.flows_completed")
 	k.mDataBytes = cfg.Metrics.Counter("transport.data_bytes_delivered")
@@ -130,8 +127,9 @@ func (k *Kernel) OwnsSender(f *Flow) bool { return k.shard.Owns(f.Src) }
 // Now returns the current virtual time on the kernel's shard.
 func (k *Kernel) Now() sim.Time { return k.shard.Eng().Now() }
 
-// NewFlow builds a Flow for the given endpoints, assigning an ID if id
-// is zero, and registers it in the flow table.
+// NewFlow builds a Flow for the given endpoints and registers it in the
+// flow table under id, which must be positive and unused: the table is
+// indexed by it, so callers number their flows 1..N.
 func (k *Kernel) NewFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, start sim.Time) *Flow {
 	if size <= 0 {
 		panic(fmt.Sprintf("transport: flow size %d must be positive", size))
@@ -139,11 +137,10 @@ func (k *Kernel) NewFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, st
 	if src == dst {
 		panic("transport: flow source equals destination")
 	}
-	if id == 0 {
-		k.nextAutoID++
-		id = -k.nextAutoID // negative auto IDs never collide with caller IDs
+	if id <= 0 {
+		panic(fmt.Sprintf("transport: flow id %d must be positive", id))
 	}
-	if _, dup := k.Flows[id]; dup {
+	if k.flows.Get(id) != nil {
 		panic(fmt.Sprintf("transport: duplicate flow id %d", id))
 	}
 	f := k.allocFlow()
@@ -151,11 +148,14 @@ func (k *Kernel) NewFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, st
 		ID: id, Src: src, Dst: dst, Size: size, Start: start,
 		NPkts: int32((size + int64(k.Cfg.MSS) - 1) / int64(k.Cfg.MSS)),
 	}
-	k.Flows[id] = f
+	k.flows.Put(id, f)
 	k.ordered = append(k.ordered, f)
 	k.mFlowsStarted.Inc()
 	return f
 }
+
+// Flow returns the flow registered under id with this kernel, or nil.
+func (k *Kernel) Flow(id netsim.FlowID) *Flow { return k.flows.Get(id) }
 
 // Flow slabs start at two records and double to 64: a figure run with a
 // handful of flows pays for a handful, a 3,000-flow run pays one malloc
@@ -182,19 +182,17 @@ func (k *Kernel) allocFlow() *Flow {
 // did. Registering a flow this kernel already holds is a no-op, so
 // single-shard setups can run the same adopt path as sharded ones.
 func (k *Kernel) Register(f *Flow) {
-	if k.Flows[f.ID] == f {
+	if have := k.flows.Get(f.ID); have == f {
 		return
-	}
-	if _, dup := k.Flows[f.ID]; dup {
+	} else if have != nil {
 		panic(fmt.Sprintf("transport: duplicate flow id %d", f.ID))
 	}
-	k.Flows[f.ID] = f
+	k.flows.Put(f.ID, f)
 	k.ordered = append(k.ordered, f)
 }
 
 // OrderedFlows returns the flows in creation order. Callers must not
-// mutate the slice; it is the deterministic iteration order for crash
-// handling, the liveness watchdog, and forensic dumps.
+// mutate the slice.
 func (k *Kernel) OrderedFlows() []*Flow { return k.ordered }
 
 // PktSize returns the wire size of data packet seq of flow f: MSS for
@@ -359,7 +357,7 @@ func (d Dispatcher) Install(h *netsim.Host) {
 			d.ToReceiver(pkt)
 		default:
 			if d.Kernel != nil {
-				if f := d.Kernel.Flows[pkt.Flow]; f != nil {
+				if f := d.Kernel.Flow(pkt.Flow); f != nil {
 					f.SenderHeard = true
 				}
 			}

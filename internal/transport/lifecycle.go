@@ -45,16 +45,12 @@ const (
 // Bind installs the stack's hooks. Call it once, from the constructor,
 // on the embedded kernel at its final address (the kernel schedules
 // events on itself).
-func (k *Kernel) Bind(h Hooks) {
-	k.hooks = h
-	k.installed = make(map[netsim.NodeID]bool)
-}
+func (k *Kernel) Bind(h Hooks) { k.hooks = h }
 
 // AddFlow registers a flow on both endpoints of this instance and
-// schedules its start — the single-instance convenience path. A zero id
-// auto-assigns one. The sharded runner instead splits registration
-// across instances with AddPending/Release on the source shard and
-// Adopt on the home shard.
+// schedules its start — the single-instance convenience path. The
+// sharded runner instead splits registration across instances with
+// AddPending/Release on the source shard and Adopt on the home shard.
 func (k *Kernel) AddFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, start sim.Time) *Flow {
 	f := k.NewFlow(id, src, dst, size, start)
 	f.Released = true
@@ -99,11 +95,10 @@ func (k *Kernel) Adopt(f *Flow) {
 }
 
 func (k *Kernel) install(h *netsim.Host) {
-	if k.installed[h.ID()] {
-		return
-	}
-	k.installed[h.ID()] = true
-	Dispatcher{Kernel: k, ToSender: k.hooks.ToSender, ToReceiver: k.hooks.ToReceiver}.Install(h)
+	k.installed.GetOrBuild(h.ID(), func() *netsim.Host {
+		Dispatcher{Kernel: k, ToSender: k.hooks.ToSender, ToReceiver: k.hooks.ToReceiver}.Install(h)
+		return h
+	})
 }
 
 // HandleEvent implements sim.Handler for the kernel's events, all
@@ -166,6 +161,28 @@ func (k *Kernel) sendRTS(f *Flow) {
 
 func (k *Kernel) armAnnounce(f *Flow, rtts int32) {
 	k.Engine().ScheduleEvent(sim.Time(rtts)*k.Cfg.RTT, k, rtts, f)
+}
+
+// Receiver is the lookup every stack's receiver handler starts with: it
+// returns flow id's record in the stack's table t — the one stored, or
+// else, if this kernel knows the flow and it has not finished, the one
+// build makes, which it stores. Unknown, completed and crash-killed
+// flows answer nil unless the stack kept their record. RTS and data both
+// carry what build needs, so a lost RTS or a receiver crash costs one
+// rebuild. A stack that announces calls Heard from build. The first
+// store sizes t like the kernel's own table, full by then.
+func Receiver[R any](k *Kernel, t *FlowTable[R], id netsim.FlowID, build func(*Flow) *R) *R {
+	if r := t.Get(id); r != nil {
+		return r
+	}
+	f := k.Flow(id)
+	if f == nil || f.Done {
+		return nil
+	}
+	t.recs = grown(t.recs, len(k.flows.recs))
+	r := build(f)
+	t.Put(id, r)
+	return r
 }
 
 // Heard confirms the announcement on the deterministic cross-shard

@@ -331,7 +331,7 @@ func TestSignalAllocs(t *testing.T) {
 		k := NewKernel(n, Config{RTT: testRTT, Shard: b.Shard()}) // the receiver's side
 		flows := make([]*Flow, runs+1)                            // AllocsPerRun adds a warm-up call
 		for i := range flows {
-			flows[i] = k.NewFlow(0, a, b, 1000, 0)
+			flows[i] = k.NewFlow(netsim.FlowID(i+1), a, b, 1000, 0)
 		}
 		next := 0
 		signal := func() {
@@ -409,7 +409,7 @@ func TestFlowSlabAllocs(t *testing.T) {
 		kernels := make([]Kernel, 2) // AllocsPerRun adds a warm-up call
 		for i := range kernels {
 			kernels[i] = NewKernel(n, Config{RTT: testRTT})
-			kernels[i].Flows = make(map[netsim.FlowID]*Flow, 2*c.flows+16) // past the lazily allocated first bucket
+			kernels[i].flows.recs = grown(kernels[i].flows.recs, c.flows+1)
 			kernels[i].ordered = make([]*Flow, 0, c.flows)
 		}
 		next := 0
@@ -417,7 +417,7 @@ func TestFlowSlabAllocs(t *testing.T) {
 			k := &kernels[next]
 			next++
 			for i := 0; i < c.flows; i++ {
-				k.NewFlow(0, a, b, int64(1000+i), 0)
+				k.NewFlow(netsim.FlowID(i+1), a, b, int64(1000+i), 0)
 			}
 		})
 		if got > float64(c.max) {

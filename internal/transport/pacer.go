@@ -1,6 +1,9 @@
 package transport
 
-import "amrt/internal/sim"
+import (
+	"amrt/internal/netsim"
+	"amrt/internal/sim"
+)
 
 // Pacer emits control packets (pHost tokens, NDP pulls, AMRT and SIRD
 // grants) at a fixed rate, going idle when the emit callback reports
@@ -27,6 +30,13 @@ func NewPacer(eng *sim.Engine, tick sim.Time, emit func() bool) *Pacer {
 	p := &Pacer{eng: eng, tick: tick, emit: emit, last: -tick}
 	p.fireFn = p.fire
 	return p
+}
+
+// HostPacer returns a pacer for host h's receiver-side control stream:
+// one emission per MSS serialization time of h's link, the rate at
+// which the data it asks for can arrive.
+func (k *Kernel) HostPacer(h *netsim.Host, emit func() bool) *Pacer {
+	return NewPacer(k.Engine(), h.LinkRate().TxTime(k.Cfg.MSS), emit)
 }
 
 // Kick schedules the next emission if the pacer is idle. Call it

@@ -1,0 +1,83 @@
+package transport
+
+import "amrt/internal/netsim"
+
+// FlowTable holds at most one record per flow, indexed by flow ID. Every
+// workload generator numbers its flows 1..N, so a slice does a map's job
+// without hashing; IDs far apart would only waste the slots between
+// them. The zero value is empty and allocates nothing before the first
+// Put.
+type FlowTable[T any] struct {
+	recs []*T
+	live int
+}
+
+// Get returns id's record, or nil when there is none — which is the
+// answer for every ID outside the table, negative ones included.
+func (t *FlowTable[T]) Get(id netsim.FlowID) *T {
+	if uint64(id) < uint64(len(t.recs)) {
+		return t.recs[id]
+	}
+	return nil
+}
+
+// Put makes r, which must not be nil, id's record, growing the table to
+// reach id.
+func (t *FlowTable[T]) Put(id netsim.FlowID, r *T) {
+	if r == nil {
+		panic("transport: FlowTable.Put of a nil record (use Drop)")
+	}
+	t.recs = grown(t.recs, int(id)+1)
+	if t.recs[id] == nil {
+		t.live++
+	}
+	t.recs[id] = r
+}
+
+// Drop forgets id's record and returns it, nil if there was none.
+func (t *FlowTable[T]) Drop(id netsim.FlowID) *T {
+	r := t.Get(id)
+	if r != nil {
+		t.recs[id] = nil
+		t.live--
+	}
+	return r
+}
+
+// Len returns the number of records held.
+func (t *FlowTable[T]) Len() int { return t.live }
+
+// grown returns recs extended with empty slots to at least n.
+func grown[T any](recs []*T, n int) []*T {
+	if n > len(recs) {
+		recs = append(recs, make([]*T, n-len(recs))...)
+	}
+	return recs
+}
+
+// HostTable holds at most one record per host, indexed by node ID (a
+// network numbers its nodes 0..n-1), built on first use and kept for the
+// run. The zero value is empty.
+type HostTable[T any] struct {
+	recs []*T
+}
+
+// Get returns id's record, or nil when none has been built.
+func (t *HostTable[T]) Get(id netsim.NodeID) *T {
+	if uint32(id) < uint32(len(t.recs)) {
+		return t.recs[id]
+	}
+	return nil
+}
+
+// GetOrBuild returns id's record, storing what build returns the first
+// time id is asked for.
+func (t *HostTable[T]) GetOrBuild(id netsim.NodeID, build func() *T) *T {
+	if r := t.Get(id); r != nil {
+		return r
+	}
+	t.recs = grown(t.recs, int(id)+1)
+	r := build()
+	t.recs[id] = r
+	return r
+}

@@ -294,8 +294,10 @@ func TestKernelValidation(t *testing.T) {
 	n, a, b := newKernelHosts()
 	k := NewKernel(n, Config{})
 	for _, fn := range []func(){
-		func() { k.NewFlow(5, a, b, 0, 0) },  // zero size
-		func() { k.NewFlow(6, a, a, 10, 0) }, // self flow
+		func() { k.NewFlow(5, a, b, 0, 0) },   // zero size
+		func() { k.NewFlow(6, a, a, 10, 0) },  // self flow
+		func() { k.NewFlow(0, a, b, 10, 0) },  // the table is indexed by ID: no zero,
+		func() { k.NewFlow(-1, a, b, 10, 0) }, // no negative
 	} {
 		func() {
 			defer func() {
@@ -313,19 +315,6 @@ func TestKernelValidation(t *testing.T) {
 		}
 	}()
 	k.NewFlow(7, a, b, 10, 0)
-}
-
-func TestKernelAutoID(t *testing.T) {
-	n, a, b := newKernelHosts()
-	k := NewKernel(n, Config{})
-	f1 := k.NewFlow(0, a, b, 10, 0)
-	f2 := k.NewFlow(0, a, b, 10, 0)
-	if f1.ID == f2.ID {
-		t.Error("auto IDs collide")
-	}
-	if f1.ID >= 0 || f2.ID >= 0 {
-		t.Error("auto IDs should be negative to avoid caller collisions")
-	}
 }
 
 func TestKernelCompleteRecords(t *testing.T) {

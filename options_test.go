@@ -5,34 +5,22 @@ import (
 	"testing"
 )
 
-// TestHomaDegreeAliasEquivalence proves the deprecated Config.HomaDegree
-// field and the typed Options.HomaDegree path configure the same knob:
-// same traffic, same degree, byte-identical results — and the same
-// sweep cache key, so a cache populated through one spelling satisfies
-// campaigns using the other.
+// TestHomaDegreeAliasEquivalence proves the two spellings of Homa's
+// default are one configuration: an unset Options.HomaDegree and an
+// explicit 2 give byte-identical results, and a degree that differs
+// reaches the stack.
 func TestHomaDegreeAliasEquivalence(t *testing.T) {
 	base := Config{Protocol: "Homa", Workload: "WebServer", Flows: 120, Topology: smallTopo()}
+	two, four := base, base
+	two.Options = StackOptions{HomaDegree: 2}
+	four.Options = StackOptions{HomaDegree: 4}
 
-	old := base
-	old.HomaDegree = 4
-	typed := base
-	typed.Options = StackOptions{HomaDegree: 4}
-
-	oldRes := Run(old)
-	typedRes := Run(typed)
-	if oldRes != typedRes {
-		t.Errorf("alias and typed options diverge:\n%+v\n%+v", oldRes, typedRes)
+	unsetRes := mustRun(t, base)
+	if twoRes := mustRun(t, two); unsetRes != twoRes {
+		t.Errorf("unset and explicit default degree diverge:\n%+v\n%+v", unsetRes, twoRes)
 	}
-	if kOld, kTyped := sweepKey(old.normalized()), sweepKey(typed.normalized()); kOld != kTyped {
-		t.Errorf("sweep keys diverge:\n%s\n%s", kOld, kTyped)
-	}
-
-	// The typed field wins when both are set.
-	both := base
-	both.HomaDegree = 8
-	both.Options = StackOptions{HomaDegree: 4}
-	if bothRes := Run(both); bothRes != typedRes {
-		t.Errorf("typed degree should win over the alias:\n%+v\n%+v", bothRes, typedRes)
+	if fourRes := mustRun(t, four); fourRes == unsetRes {
+		t.Error("degree 4 produced the default degree's results")
 	}
 }
 
@@ -40,10 +28,10 @@ func TestHomaDegreeAliasEquivalence(t *testing.T) {
 // stack: shrinking the credit pool to one packet must change behavior.
 func TestSIRDOptionsChangeResults(t *testing.T) {
 	base := Config{Protocol: "SIRD", Workload: "WebServer", Flows: 120, Topology: smallTopo()}
-	def := Run(base)
+	def := mustRun(t, base)
 	tiny := base
 	tiny.Options = StackOptions{SIRDPoolBytes: 1500}
-	if got := Run(tiny); got == def {
+	if got := mustRun(t, tiny); got == def {
 		t.Error("one-packet credit pool produced identical results to the default pool")
 	}
 	if def.Completed == 0 {

@@ -38,8 +38,8 @@ func underScheduler(kind sim.SchedulerKind, fn func()) {
 
 func TestIncastCellDeterministic(t *testing.T) {
 	cfg := incastCell()
-	a := Run(cfg)
-	b := Run(cfg)
+	a := mustRun(t, cfg)
+	b := mustRun(t, cfg)
 	if a != b {
 		t.Errorf("same incast cell produced different results:\n%+v\n%+v", a, b)
 	}
@@ -47,15 +47,15 @@ func TestIncastCellDeterministic(t *testing.T) {
 		t.Errorf("incast completed %d/%d, want %d", a.Completed, a.Total, cfg.Flows)
 	}
 	cfg.Seed = 8
-	if c := Run(cfg); a == c {
+	if c := mustRun(t, cfg); a == c {
 		t.Error("different incast seed produced identical results")
 	}
 }
 
 func TestShuffleCellDeterministic(t *testing.T) {
 	cfg := shuffleCell()
-	a := Run(cfg)
-	b := Run(cfg)
+	a := mustRun(t, cfg)
+	b := mustRun(t, cfg)
 	if a != b {
 		t.Errorf("same shuffle cell produced different results:\n%+v\n%+v", a, b)
 	}
@@ -68,8 +68,8 @@ func TestShuffleCellDeterministic(t *testing.T) {
 func TestPatternCellsSchedulerIndependent(t *testing.T) {
 	for name, cfg := range map[string]Config{"incast": incastCell(), "shuffle": shuffleCell()} {
 		var wheel, heap Result
-		underScheduler(sim.SchedulerWheel, func() { wheel = Run(cfg) })
-		underScheduler(sim.SchedulerHeap, func() { heap = Run(cfg) })
+		underScheduler(sim.SchedulerWheel, func() { wheel = mustRun(t, cfg) })
+		underScheduler(sim.SchedulerHeap, func() { heap = mustRun(t, cfg) })
 		if wheel != heap {
 			t.Errorf("%s: wheel and heap schedulers disagree:\n%+v\n%+v", name, wheel, heap)
 		}
@@ -84,7 +84,7 @@ func TestRPCDeadlineAccounting(t *testing.T) {
 		Seed:        5,
 		RPCDeadline: time.Nanosecond, // unmeetable: every response misses
 	}
-	res := Run(cfg)
+	res := mustRun(t, cfg)
 	if res.DeadlineTotal != cfg.Flows {
 		t.Errorf("DeadlineTotal = %d, want one per RPC = %d", res.DeadlineTotal, cfg.Flows)
 	}
@@ -93,13 +93,13 @@ func TestRPCDeadlineAccounting(t *testing.T) {
 	}
 
 	cfg.RPCDeadline = time.Second // generous: nothing misses
-	res = Run(cfg)
+	res = mustRun(t, cfg)
 	if res.DeadlineTotal != cfg.Flows || res.DeadlineMissed != 0 {
 		t.Errorf("1s budget: %d/%d missed, want 0/%d", res.DeadlineMissed, res.DeadlineTotal, cfg.Flows)
 	}
 
 	cfg.RPCDeadline = 0 // disabled: no ledger at all
-	res = Run(cfg)
+	res = mustRun(t, cfg)
 	if res.DeadlineTotal != 0 || res.DeadlineMissed != 0 {
 		t.Errorf("disabled deadlines still counted: %d/%d", res.DeadlineMissed, res.DeadlineTotal)
 	}

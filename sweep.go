@@ -1,6 +1,7 @@
 package amrt
 
 import (
+	"cmp"
 	"context"
 	"encoding/csv"
 	"encoding/json"
@@ -435,9 +436,9 @@ func sweepKey(c Config) string {
 		"rpcrequest="+strconv.FormatInt(c.RPCRequestBytes, 10),
 		"rpcresponse="+strconv.FormatInt(c.RPCResponseBytes, 10),
 		"rpcdeadline="+strconv.FormatInt(c.RPCDeadline.Nanoseconds(), 10),
-		// The effective degree, not the raw fields: the deprecated
-		// HomaDegree alias and Options.HomaDegree cache identically.
-		"homadegree="+strconv.Itoa(c.stackOptions().HomaDegree),
+		// The effective degree: an unset option runs Homa's default, 2,
+		// and caches as it.
+		"homadegree="+strconv.Itoa(cmp.Or(c.Options.HomaDegree, 2)),
 		"sirdpool="+strconv.FormatInt(c.Options.SIRDPoolBytes, 10),
 		"sirdstaleness="+strconv.Itoa(c.Options.SIRDStalenessRTTs),
 		"timeout="+strconv.FormatInt(c.Timeout.Nanoseconds(), 10),

@@ -214,6 +214,22 @@ func TestSweepKeySeparatesAudit(t *testing.T) {
 	}
 }
 
+// TestSweepKeyDefaultHomaDegree pins the key's degree field: an unset
+// Options.HomaDegree caches as Homa's default, 2 — what the key said
+// when the Config.HomaDegree alias still filled it in — so caches
+// written before the alias went still hit.
+func TestSweepKeyDefaultHomaDegree(t *testing.T) {
+	unset := Config{Protocol: "Homa"}.normalized()
+	two, four := unset, unset
+	two.Options.HomaDegree, four.Options.HomaDegree = 2, 4
+	if sweepKey(unset) != sweepKey(two) {
+		t.Error("an unset Homa degree and an explicit 2 have different cache keys")
+	}
+	if sweepKey(unset) == sweepKey(four) {
+		t.Error("Homa degrees 2 and 4 share a cache key")
+	}
+}
+
 // TestSweepCacheSharedAcrossShardCounts pins down sweepKey's deliberate
 // exclusion of the Shards axis: the sharded engine produces
 // byte-identical results at every shard count, so a 4-shard campaign
@@ -321,8 +337,8 @@ func TestSweepFaultsByShardsGrid(t *testing.T) {
 }
 
 // TestRunShardedMatchesSingleEngine is the public-API statement of the
-// determinism contract: amrt.Run with Config.Shards set returns exactly
-// the result of the single-engine run, and its telemetry and trace
+// determinism contract: amrt.RunContext with Config.Shards set returns
+// exactly the result of the single-engine run, and its telemetry and trace
 // dumps are byte-identical too (the metrics dump once regressed here:
 // the CLI wrote the caller's registry — one shard's share — instead of
 // the merged RunResult.Metrics).
@@ -333,7 +349,7 @@ func TestRunShardedMatchesSingleEngine(t *testing.T) {
 		cfg.Shards = n
 		cfg.MetricsPath = filepath.Join(dir, fmt.Sprintf("m%d.json", n))
 		cfg.TracePath = filepath.Join(dir, fmt.Sprintf("t%d.csv", n))
-		res := Run(cfg)
+		res := mustRun(t, cfg)
 		m, err := os.ReadFile(cfg.MetricsPath)
 		if err != nil {
 			t.Fatal(err)

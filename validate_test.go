@@ -28,7 +28,6 @@ func TestValidateErrorTable(t *testing.T) {
 		{"unknown fault class", Config{Faults: "meteor=1"}, ErrBadFaultSpec},
 		{"sird run with sird knobs", Config{Protocol: "SIRD", Options: StackOptions{SIRDPoolBytes: 1 << 20, SIRDStalenessRTTs: 4}}, nil},
 		{"homa run with typed degree", Config{Protocol: "Homa", Options: StackOptions{HomaDegree: 4}}, nil},
-		{"deprecated homa degree stays lenient", Config{Protocol: "SIRD", HomaDegree: 4}, nil},
 		{"homa knob on sird run", Config{Protocol: "SIRD", Options: StackOptions{HomaDegree: 4}}, ErrBadStackOption},
 		{"sird knob on amrt run", Config{Protocol: "AMRT", Options: StackOptions{SIRDPoolBytes: 1 << 20}}, ErrBadStackOption},
 		{"sird knob on homa run", Config{Protocol: "Homa", Options: StackOptions{SIRDStalenessRTTs: 4}}, ErrBadStackOption},
@@ -56,6 +55,10 @@ func TestRunContextRejectsBadInputWithoutPanic(t *testing.T) {
 	if !errors.Is(err, ErrUnknownProtocol) {
 		t.Fatalf("RunContext err = %v", err)
 	}
+	_, err = RunContext(context.Background(), Config{Faults: "meteor=1", Flows: 10, Topology: smallTopo()})
+	if !errors.Is(err, ErrBadFaultSpec) {
+		t.Fatalf("RunContext err = %v", err)
+	}
 	_, err = CompareContext(context.Background(), Config{Workload: "nope"})
 	if !errors.Is(err, ErrUnknownWorkload) {
 		t.Fatalf("CompareContext err = %v", err)
@@ -79,34 +82,6 @@ func TestRunContextSurfacesFaultResolutionError(t *testing.T) {
 		if !errors.Is(err, ErrBadFaultSpec) {
 			t.Errorf("shards=%d: err = %v, want errors.Is(err, ErrBadFaultSpec)", shards, err)
 		}
-	}
-}
-
-func TestRunStillPanicsOnBadInput(t *testing.T) {
-	for _, cfg := range []Config{
-		{Protocol: "QUIC", Flows: 10, Topology: smallTopo()},
-		{Faults: "meteor=1", Flows: 10, Topology: smallTopo()},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Run(%+v) did not panic", cfg)
-				}
-			}()
-			Run(cfg)
-		}()
-	}
-}
-
-func TestRunContextMatchesRun(t *testing.T) {
-	cfg := Config{Flows: 150, Topology: smallTopo(), Seed: 11}
-	want := Run(cfg)
-	got, err := RunContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("RunContext diverged from Run:\n%+v\n%+v", got, want)
 	}
 }
 
