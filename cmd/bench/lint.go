@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"path/filepath"
 	"strings"
 )
 
@@ -43,13 +44,39 @@ var tablePackages = []string{
 	"internal/experiment",
 }
 
+// scenarioDirs are where a small topology may only be run through
+// experiment.ScenarioHarness: the figure package (whose scenario.go is
+// the harness) and every example.
+func scenarioDirs() ([]string, error) {
+	examples, err := filepath.Glob("examples/*")
+	return append([]string{"internal/experiment"}, examples...), err
+}
+
 // runLint enforces the revive-style `exported` rule over lintPackages:
 // every exported top-level type, function, method, and grouped
 // const/var block needs a doc comment, and type/func comments must
 // start with the identifier they document. Over tablePackages it
-// enforces the no-ID-keyed-map rule. Returns a process exit code.
+// enforces the no-ID-keyed-map rule, over scenarioDirs the
+// one-small-topology-harness rule. Returns a process exit code.
 func runLint() int {
 	bad := 0
+	dirs, err := scenarioDirs()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "lint: %v\n", err)
+		return 2
+	}
+	for _, dir := range dirs {
+		n, err := lintScenarioPreludes(dir)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "lint: %v\n", err)
+			return 2
+		}
+		bad += n
+	}
+	if bad > 0 {
+		fmt.Fprintf(os.Stderr, "lint: %d hand-rolled small-topology preludes\n", bad)
+		return 1
+	}
 	for _, dir := range tablePackages {
 		n, err := lintIDMaps(dir)
 		if err != nil {
@@ -111,6 +138,69 @@ func lintIDMaps(dir string) (int, error) {
 					fmt.Fprintf(os.Stderr, "lint: %s: map keyed by netsim.%s: IDs are dense per run, use %s\n",
 						fset.Position(m.Pos()), key.Sel.Name, table[key.Sel.Name])
 					bad++
+				}
+				return true
+			})
+		}
+	}
+	return bad, nil
+}
+
+// scenarioBuilders are the topo constructors of the small figure
+// topologies; overlayFields are the three things a stack lays over one.
+var (
+	scenarioBuilders = map[string]bool{"NewChain": true, "NewFan": true, "NewFanN": true, "NewTestbedDynamic": true, "NewTestbedMultiBottleneck": true}
+	overlayFields    = map[string]bool{"SwitchQueue": true, "HostQueue": true, "Marker": true}
+)
+
+// selName returns Sel of a selector expression x.Sel, else "".
+func selName(e ast.Expr) string {
+	if sel, ok := e.(*ast.SelectorExpr); ok {
+		return sel.Sel.Name
+	}
+	return ""
+}
+
+// lintScenarioPreludes reports, in the non-test files of dir other than
+// the harness itself, every call of a small-topology constructor and
+// every assignment that copies a stack's queue factory or marker
+// (sc.SwitchQueue = st.SwitchQueue): both are the opening lines of a
+// hand-rolled scenario run, which experiment.ScenarioHarness replaces.
+// One call form is let through — inside the arguments of
+// NewScenarioHarness, where a function literal binds NewFanN's pair
+// count for the harness to call. It returns how many it found.
+func lintScenarioPreludes(dir string) (int, error) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
+		return notTest(fi) && !(dir == "internal/experiment" && fi.Name() == "scenario.go")
+	}, 0)
+	if err != nil {
+		return 0, err
+	}
+	bad := 0
+	complain := func(pos token.Pos, what string) {
+		fmt.Fprintf(os.Stderr, "lint: %s: %s: run small topologies through experiment.NewScenarioHarness\n", fset.Position(pos), what)
+		bad++
+	}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "NewScenarioHarness" || selName(n.Fun) == "NewScenarioHarness" {
+						return false
+					}
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && scenarioBuilders[sel.Sel.Name] {
+						if x, ok := sel.X.(*ast.Ident); ok && x.Name == "topo" {
+							complain(n.Pos(), "topo."+sel.Sel.Name+" call")
+						}
+					}
+				case *ast.AssignStmt:
+					for i := 0; i < len(n.Lhs) && len(n.Lhs) == len(n.Rhs); i++ {
+						if from := selName(n.Rhs[i]); overlayFields[selName(n.Lhs[i])] && (overlayFields[from] || from == "NewMarker") {
+							complain(n.Lhs[i].Pos(), "overlay assignment of ."+from)
+						}
+					}
 				}
 				return true
 			})

@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -50,7 +51,7 @@ func main() {
 		metricsDir = flag.String("metrics", "", "directory to write one JSON telemetry dump per figure-12/13 run into (schema in docs/TELEMETRY.md)")
 		metricsIvl = flag.Duration("metrics-interval", 100*time.Microsecond, "telemetry sampling period in virtual time")
 		faultSpec  = flag.String("faults", "", "fault-injection spec applied to every figure-12/13 run (grammar in docs/FAULTS.md)")
-		shards     = flag.Int("shards", 0, "engine shards per figure simulation (0 or 1 = single engine; results are byte-identical at every count, see docs/PARALLELISM.md)")
+		shards     = flag.Int("shards", 0, "engine shards per simulation of figures 12, 13, 14 and breakdown (0 or 1 = single engine; results are byte-identical at every count, see docs/PARALLELISM.md); every other figure runs one engine")
 		schedName  = flag.String("sched", "wheel", "event scheduler: wheel|heap (heap is the reference implementation; results are identical)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile taken at exit to this file")
@@ -59,6 +60,10 @@ func main() {
 
 	if _, err := faults.Parse(*faultSpec); err != nil {
 		fmt.Fprintf(os.Stderr, "figures: invalid -faults: %v\n", err)
+		os.Exit(2)
+	}
+	if err := checkProto(*proto); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	kind, err := sim.ParseSchedulerKind(*schedName)
@@ -128,12 +133,26 @@ func main() {
 	}
 	for _, f := range figs {
 		start := time.Now()
-		runFigure(strings.TrimSpace(f), cfg, *proto, *counts, *ratios, *csvDir, *plot)
+		runFigure(os.Stdout, strings.TrimSpace(f), cfg, *proto, *counts, *ratios, *csvDir, *plot)
 		fmt.Fprintf(os.Stderr, "[fig %s done in %v]\n", f, time.Since(start).Round(time.Millisecond))
 	}
 }
 
-func runFigure(fig string, cfg experiment.SimConfig, proto, counts, ratios, csvDir string, plot bool) {
+// checkProto resolves -proto before any figure runs, so a mistyped name
+// is one line and exit 2, not a panic out of the first figure that uses it.
+func checkProto(proto string) error {
+	if proto == "" {
+		return nil
+	}
+	if _, err := experiment.NewStack(proto, experiment.StackOptions{}); err != nil {
+		return fmt.Errorf("figures: %s", strings.TrimPrefix(err.Error(), "experiment: "))
+	}
+	return nil
+}
+
+// runFigure regenerates one figure and prints its tables (and charts,
+// with plot) to w; proto has passed checkProto.
+func runFigure(w io.Writer, fig string, cfg experiment.SimConfig, proto, counts, ratios, csvDir string, plot bool) {
 	stackOr := func(def string) experiment.Stack {
 		if proto != "" {
 			return experiment.MustStack(proto, experiment.StackOptions{})
@@ -143,9 +162,9 @@ func runFigure(fig string, cfg experiment.SimConfig, proto, counts, ratios, csvD
 	switch fig {
 	case "1":
 		res := experiment.Fig1(stackOr("pHost"))
-		res.Phases.Fprint(os.Stdout)
+		res.Phases.Fprint(w)
 		if plot {
-			fmt.Println(stats.RenderASCII(stats.PlotOptions{YMax: 1.1, YLabel: "bottleneck-0 goodput utilization"}, res.Util))
+			fmt.Fprintln(w, stats.RenderASCII(stats.PlotOptions{YMax: 1.1, YLabel: "bottleneck-0 goodput utilization"}, res.Util))
 		}
 		dumpSeries(csvDir, "fig1_"+res.Stack+"_util", res.Util)
 		dumpSeries(csvDir, "fig1_"+res.Stack+"_linkutil", res.LinkUtil)
@@ -154,9 +173,9 @@ func runFigure(fig string, cfg experiment.SimConfig, proto, counts, ratios, csvD
 		}
 	case "2":
 		res := experiment.Fig2(stackOr("pHost"))
-		res.Phases.Fprint(os.Stdout)
+		res.Phases.Fprint(w)
 		if plot {
-			fmt.Println(stats.RenderASCII(stats.PlotOptions{YMax: 1.1, YLabel: "bottleneck goodput utilization"}, res.Util))
+			fmt.Fprintln(w, stats.RenderASCII(stats.PlotOptions{YMax: 1.1, YLabel: "bottleneck goodput utilization"}, res.Util))
 		}
 		dumpSeries(csvDir, "fig2_"+res.Stack+"_util", res.Util)
 		dumpSeries(csvDir, "fig2_"+res.Stack+"_linkutil", res.LinkUtil)
@@ -165,17 +184,17 @@ func runFigure(fig string, cfg experiment.SimConfig, proto, counts, ratios, csvD
 		}
 	case "5":
 		rows := experiment.Fig5([][2]int{{6, 2}, {6, 4}, {10, 4}, {10, 8}, {20, 10}})
-		experiment.Fig5Table(rows).Fprint(os.Stdout)
+		experiment.Fig5Table(rows).Fprint(w)
 	case "7":
 		for _, t := range experiment.Fig7Tables() {
-			t.Fprint(os.Stdout)
+			t.Fprint(w)
 			dumpTable(csvDir, t)
 		}
 	case "9":
 		res := experiment.Fig9(stackOr("AMRT"))
-		res.Summary.Fprint(os.Stdout)
+		res.Summary.Fprint(w)
 		if plot {
-			fmt.Println(stats.RenderASCII(stats.PlotOptions{YMax: 1.1, YLabel: "normalized throughput"}, res.Series...))
+			fmt.Fprintln(w, stats.RenderASCII(stats.PlotOptions{YMax: 1.1, YLabel: "normalized throughput"}, res.Series...))
 		}
 		for _, s := range res.Series {
 			dumpSeries(csvDir, "fig9_"+res.Stack+"_"+s.Name, s)
@@ -183,55 +202,55 @@ func runFigure(fig string, cfg experiment.SimConfig, proto, counts, ratios, csvD
 	case "11":
 		results, cmp := experiment.Fig11All()
 		for _, r := range results {
-			r.Summary.Fprint(os.Stdout)
+			r.Summary.Fprint(w)
 			if plot {
-				fmt.Printf("[%s]\n%s\n", r.Stack,
+				fmt.Fprintf(w, "[%s]\n%s\n", r.Stack,
 					stats.RenderASCII(stats.PlotOptions{YMax: 1.1, YLabel: "normalized throughput"}, r.Series...))
 			}
 			for _, s := range r.Series {
 				dumpSeries(csvDir, "fig11_"+r.Stack+"_"+s.Name, s)
 			}
 		}
-		cmp.Fprint(os.Stdout)
+		cmp.Fprint(w)
 		dumpTable(csvDir, cmp)
 	case "12":
 		cells := experiment.Fig12Cells(cfg)
 		for _, t := range experiment.Fig12Tables(cfg, cells) {
-			t.Fprint(os.Stdout)
+			t.Fprint(w)
 			dumpTable(csvDir, t)
 		}
 	case "13":
 		fc := parseInts(counts)
 		cells := experiment.Fig13Cells(cfg, fc)
 		for _, t := range experiment.Fig13Tables(cfg, fc, cells) {
-			t.Fprint(os.Stdout)
+			t.Fprint(w)
 			dumpTable(csvDir, t)
 		}
 	case "14":
 		rs := parseFloats(ratios)
 		cells := experiment.Fig14Cells(cfg, rs)
 		for _, t := range experiment.Fig14Tables(cfg, rs, cells) {
-			t.Fprint(os.Stdout)
+			t.Fprint(w)
 			dumpTable(csvDir, t)
 		}
 	case "ablation":
-		experiment.MarkingAblation().Fprint(os.Stdout)
-		experiment.QueueCapAblation().Fprint(os.Stdout)
+		experiment.MarkingAblation().Fprint(w)
+		experiment.QueueCapAblation().Fprint(w)
 	case "related":
-		experiment.RelatedWorkTable().Fprint(os.Stdout)
+		experiment.RelatedWorkTable().Fprint(w)
 	case "breakdown":
 		for _, wl := range cfg.Workloads {
 			tb := experiment.SizeBreakdownTable(cfg, wl, 0.5)
-			tb.Fprint(os.Stdout)
+			tb.Fprint(w)
 			dumpTable(csvDir, tb)
 		}
 	case "incast":
 		tb := experiment.IncastTable([]int{4, 8, 16, 32, 64}, 250_000)
-		tb.Fprint(os.Stdout)
+		tb.Fprint(w)
 		dumpTable(csvDir, tb)
 	case "h2h":
 		tb := experiment.HeadToHeadTable(experiment.HeadToHead(experiment.StackOptions{}))
-		tb.Fprint(os.Stdout)
+		tb.Fprint(w)
 		dumpTable(csvDir, tb)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown figure %q\n", fig)

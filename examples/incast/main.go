@@ -30,32 +30,19 @@ func main() {
 
 	for _, proto := range experiment.ProtocolNames() {
 		st := experiment.MustStack(proto, experiment.StackOptions{})
-		sc := topo.DefaultScenario()
-		sc.SwitchQueue = st.SwitchQueue
-		sc.HostQueue = st.HostQueue
-		sc.Marker = st.Marker
-		s := topo.NewFanN(sc, fanIn)
 		col := stats.NewFCTCollector()
-		inst := st.New(s.Net, transport.Config{RTT: 100 * sim.Microsecond, Collector: col})
-
-		// Monitor the receiver downlink.
-		var down *netsim.Port
-		for _, pt := range s.Switches[1].Ports() {
-			if pt.Link().To.ID() == s.Receivers[0].ID() {
-				down = pt
-			}
+		h := experiment.NewScenarioHarness(st, topo.DefaultScenario(),
+			func(c topo.ScenarioConfig) *topo.Scenario { return topo.NewFanN(c, fanIn) },
+			transport.Config{Collector: col}, 1, 0, nil)
+		s := h.S
+		mon := netsim.Attach(h.Downlink(s.Receivers[0]))
+		for _, fs := range workload.Incast(seq(fanIn), 0, size, 0) {
+			h.AddFlow(fs.ID, s.Senders[fs.Src], s.Receivers[0], fs.Size, fs.Start)
 		}
-		mon := netsim.Attach(down)
-
-		specs := workload.Incast(seq(fanIn), 0, size, 0)
-		var flows []*transport.Flow
-		for _, fs := range specs {
-			flows = append(flows, inst.AddFlow(fs.ID, s.Senders[fs.Src], s.Receivers[0], fs.Size, fs.Start))
-		}
-		s.Net.Run(5 * sim.Second)
+		h.Run(5 * sim.Second)
 
 		var maxFCT sim.Time
-		for _, f := range flows {
+		for _, f := range h.Flows() {
 			if f.FCT() > maxFCT {
 				maxFCT = f.FCT()
 			}

@@ -15,15 +15,9 @@ import (
 // scenario: a single 8 MB flow starting from an 8-packet window on an
 // idle 10 G path. It returns the FCT and the fraction of grants marked.
 func rampRun(st Stack, blind int) (fct sim.Time, done bool) {
-	sc := topo.DefaultScenario()
-	sc.SwitchQueue = st.SwitchQueue
-	sc.HostQueue = st.HostQueue
-	sc.Marker = st.Marker
-	s := topo.NewFanN(sc, 1)
-	base := transport.Config{RTT: 100 * sim.Microsecond, BlindWindow: blind}
-	inst := st.New(s.Net, base)
-	f := inst.AddFlow(1, s.Senders[0], s.Receivers[0], 8_000_000, 0)
-	s.Net.Run(2 * sim.Second)
+	h := NewScenarioHarness(st, topo.DefaultScenario(), fanN(1), transport.Config{BlindWindow: blind}, 1, 0, nil)
+	f := h.AddFlow(1, h.S.Senders[0], h.S.Receivers[0], 8_000_000, 0)
+	h.Run(2 * sim.Second)
 	return f.FCT(), f.Done
 }
 
@@ -92,19 +86,14 @@ func QueueCapAblation() *Table {
 		cfg := core.DefaultConfig()
 		cfg.DataQueueCap = caps[i]
 		st := MustStack("AMRT", StackOptions{AMRT: cfg})
-		sc := topo.DefaultScenario()
-		sc.SwitchQueue = st.SwitchQueue
-		sc.HostQueue = st.HostQueue
-		sc.Marker = st.Marker
-		s := topo.NewFanN(sc, 8)
 		col := stats.NewFCTCollector()
-		base := transport.Config{RTT: 100 * sim.Microsecond, Collector: col}
-		inst := st.New(s.Net, base)
-		mon := netsim.Attach(s.Switches[1].Ports()[0]) // downlink to R0
-		for h := 0; h < 8; h++ {
-			inst.AddFlow(netsim.FlowID(h+1), s.Senders[h], s.Receivers[0], 500_000, 0)
+		h := NewScenarioHarness(st, topo.DefaultScenario(), fanN(8), transport.Config{Collector: col}, 1, 0, nil)
+		s := h.S
+		mon := netsim.Attach(h.Downlink(s.Receivers[0]))
+		for i := 0; i < 8; i++ {
+			h.AddFlow(netsim.FlowID(i+1), s.Senders[i], s.Receivers[0], 500_000, 0)
 		}
-		s.Net.Run(5 * sim.Second)
+		h.Run(5 * sim.Second)
 		return out{afct: col.Mean(), p99: col.P99(), drops: s.Net.Dropped(), maxq: mon.MaxQueueLen}
 	})
 	for i, cap := range caps {

@@ -72,21 +72,14 @@ func IncastTable(fanIns []int, sizeBytes int64) *Table {
 	results := Parallel(len(specs), func(i int) sim.Time {
 		k := specs[i]
 		st := MustStack(ProtocolNames()[k.pi], StackOptions{})
-		sc := topo.DefaultScenario()
-		sc.SwitchQueue = st.SwitchQueue
-		sc.HostQueue = st.HostQueue
-		sc.Marker = st.Marker
 		n := fanIns[k.fi]
-		s := topo.NewFanN(sc, n)
-		inst := st.New(s.Net, transport.Config{RTT: 100 * sim.Microsecond})
-		specsIn := workload.Incast(seqInts(n), 0, sizeBytes, 0)
-		var flows []*transport.Flow
-		for _, fs := range specsIn {
-			flows = append(flows, inst.AddFlow(fs.ID, s.Senders[fs.Src], s.Receivers[0], fs.Size, fs.Start))
+		h := NewScenarioHarness(st, topo.DefaultScenario(), fanN(n), transport.Config{}, 1, 0, nil)
+		for _, fs := range workload.Incast(seqInts(n), 0, sizeBytes, 0) {
+			h.AddFlow(fs.ID, h.S.Senders[fs.Src], h.S.Receivers[0], fs.Size, fs.Start)
 		}
-		s.Net.Run(10 * sim.Second)
+		h.Run(10 * sim.Second)
 		var last sim.Time
-		for _, f := range flows {
+		for _, f := range h.Flows() {
 			if !f.Done {
 				return sim.Forever
 			}

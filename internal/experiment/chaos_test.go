@@ -35,16 +35,13 @@ func runFanChaos(t *testing.T, proto, spec string) (*topo.Scenario, *faults.Plan
 		plan.Seed = 1
 	}
 	st := MustStack(proto, StackOptions{})
-	sc := topo.DefaultScenario()
-	sc.SwitchQueue = plan.WrapQueues(st.SwitchQueue)
-	sc.HostQueue = st.HostQueue
-	sc.Marker = st.Marker
-	s := topo.NewFanN(sc, 4)
-	inst := st.New(s.Net, transport.Config{RTT: 100 * sim.Microsecond})
-	var flows []*transport.Flow
+	st.SwitchQueue = plan.WrapQueues(st.SwitchQueue)
+	h := NewScenarioHarness(st, topo.DefaultScenario(), fanN(4), transport.Config{}, 1, 0, nil)
+	s, inst := h.S, h.insts[0]
 	for i := 0; i < 4; i++ {
-		flows = append(flows, inst.AddFlow(netsim.FlowID(i+1), s.Senders[i], s.Receivers[i], 1_000_000, sim.Time(i)*20*sim.Microsecond))
+		h.AddFlow(netsim.FlowID(i+1), s.Senders[i], s.Receivers[i], 1_000_000, sim.Time(i)*20*sim.Microsecond)
 	}
+	flows := h.Flows()
 	const horizon = 20 * sim.Second
 	plan.CrashHook = func(_ *netsim.Shard, h *netsim.Host) { inst.OnHostCrash(h) }
 	if err := plan.Apply(s.Net, horizon); err != nil {
@@ -52,7 +49,7 @@ func runFanChaos(t *testing.T, proto, spec string) (*topo.Scenario, *faults.Plan
 	}
 	aud := audit.New(s.Net, inst)
 	aud.Start(100 * sim.Microsecond)
-	s.Net.Run(horizon)
+	h.Run(horizon)
 	aud.Check() // end-of-run sweep; panics with a forensic dump on violation
 	for _, f := range flows {
 		if !f.Done {

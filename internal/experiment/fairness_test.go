@@ -20,26 +20,21 @@ func TestFairnessAcrossProtocols(t *testing.T) {
 		proto := proto
 		t.Run(proto, func(t *testing.T) {
 			st := MustStack(proto, StackOptions{})
-			sc := topo.DefaultScenario()
-			sc.SwitchQueue = st.SwitchQueue
-			sc.HostQueue = st.HostQueue
-			sc.Marker = st.Marker
-			s := topo.NewFan(sc)
+			var h *ScenarioHarness
 			bytesIn := make([]int64, 4)
 			base := transport.Config{
-				RTT: 100 * sim.Microsecond,
 				OnData: func(f *transport.Flow, pkt *netsim.Packet) {
-					now := s.Net.Engine.Now()
+					now := h.S.Net.Engine.Now()
 					if now >= sim.Millisecond && now < 4*sim.Millisecond {
 						bytesIn[int(f.ID-1)] += int64(pkt.Size)
 					}
 				},
 			}
-			inst := st.New(s.Net, base)
+			h = NewScenarioHarness(st, topo.DefaultScenario(), topo.NewFan, base, 1, 0, nil)
 			for i := 0; i < 4; i++ {
-				inst.AddFlow(netsim.FlowID(i+1), s.Senders[i], s.Receivers[i], 20_000_000, sim.Time(i)*2500)
+				h.AddFlow(netsim.FlowID(i+1), h.S.Senders[i], h.S.Receivers[i], 20_000_000, sim.Time(i)*2500)
 			}
-			s.Net.Run(4 * sim.Millisecond)
+			h.Run(4 * sim.Millisecond)
 			rates := make([]float64, 4)
 			var total float64
 			for i, b := range bytesIn {

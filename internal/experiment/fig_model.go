@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"amrt/internal/core"
 	"amrt/internal/model"
 	"amrt/internal/netsim"
 	"amrt/internal/sim"
@@ -29,29 +28,25 @@ type Fig5Row struct {
 // link.
 func Fig5(pairs [][2]int) []Fig5Row {
 	rows := make([]Fig5Row, 0, len(pairs))
-	const rtt = 100 * sim.Microsecond
+	const rtt = scenarioRTT
+	amrt := MustStack("AMRT", StackOptions{})
 	for _, nk := range pairs {
 		n, k := nk[0], nk[1]
 		rate := sim.Rate(int64(n) * netsim.MSS * 8 * int64(sim.Second) / int64(rtt))
 
-		cfg := core.DefaultConfig()
-		cfg.BlindWindow = n - k
-		cfg.RTT = rtt
-		sc := topo.ScenarioConfig{Rate: rate, LinkDelay: rtt / 8}
-		sc.SwitchQueue = cfg.SwitchQueue
-		sc.HostQueue = cfg.HostQueue
-		sc.Marker = cfg.NewMarker
-		s := topo.NewFanN(sc, 1)
-		p := core.New(s.Net, cfg)
+		var h *ScenarioHarness
+		var arrivals []sim.Time
+		base := transport.Config{
+			BlindWindow: n - k,
+			OnData: func(*transport.Flow, *netsim.Packet) {
+				arrivals = append(arrivals, h.S.Net.Engine.Now())
+			},
+		}
+		h = NewScenarioHarness(amrt, topo.ScenarioConfig{Rate: rate, LinkDelay: rtt / 8}, fanN(1), base, 1, 0, nil)
 
 		// Long enough to observe convergence over many RTTs.
-		flowSize := int64(n) * netsim.MSS * 60
-		var arrivals []sim.Time
-		p.Cfg.OnData = func(f *transport.Flow, pkt *netsim.Packet) {
-			arrivals = append(arrivals, s.Net.Engine.Now())
-		}
-		p.AddFlow(1, s.Senders[0], s.Receivers[0], flowSize, 0)
-		s.Net.Run(sim.Second)
+		h.AddFlow(1, h.S.Senders[0], h.S.Receivers[0], int64(n)*netsim.MSS*60, 0)
+		h.Run(sim.Second)
 
 		// Count arrivals per RTT window from the first arrival; converged
 		// when a window carries >= n-1 packets (the continuum analogue of

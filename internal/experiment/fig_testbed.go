@@ -23,73 +23,61 @@ type TestbedResult struct {
 // f3 finish early and AMRT's marks let f2/f4 absorb the released
 // bandwidth within a couple of milliseconds. Any stack can be passed
 // for comparison; the paper shows AMRT.
-func Fig9(st Stack) TestbedResult {
-	sc := topo.TestbedScenario()
-	sc.SwitchQueue = st.SwitchQueue
-	sc.HostQueue = st.HostQueue
-	sc.Marker = st.Marker
-	s := topo.NewTestbedDynamic(sc)
+func Fig9(st Stack) TestbedResult { return fig9(st, 1) }
 
-	base := transport.Config{RTT: 100 * sim.Microsecond}
+// fig9 is Fig9 at any engine-shard count.
+func fig9(st Stack, nshards int) TestbedResult {
 	names := []string{"f1", "f2", "f3", "f4"}
-	onData, finish := trackFlows(s.Net, names, 250*sim.Microsecond, sc.Rate)
-	base.OnData = onData
-	inst := st.New(s.Net, base)
+	h := NewScenarioHarness(st, topo.TestbedScenario(), topo.NewTestbedDynamic, transport.Config{}, nshards, 250*sim.Microsecond, names)
+	s := h.S
 
 	// At a fair half share (500 Mbps) f1 (312.5 KB) finishes at ~5 ms
 	// and f3 (812.5 KB) at ~13 ms, matching the paper's timeline.
-	f1 := inst.AddFlow(1, s.Senders[0], s.Receivers[0], 312_500, 0)
-	f2 := inst.AddFlow(2, s.Senders[1], s.Receivers[1], 2_000_000, 0)
-	f3 := inst.AddFlow(3, s.Senders[2], s.Receivers[2], 812_500, 0)
-	f4 := inst.AddFlow(4, s.Senders[3], s.Receivers[3], 2_000_000, 0)
+	h.AddFlow(1, s.Senders[0], s.Receivers[0], 312_500, 0)
+	h.AddFlow(2, s.Senders[1], s.Receivers[1], 2_000_000, 0)
+	h.AddFlow(3, s.Senders[2], s.Receivers[2], 812_500, 0)
+	h.AddFlow(4, s.Senders[3], s.Receivers[3], 2_000_000, 0)
 
-	s.Net.Run(40 * sim.Millisecond)
-	series := finish()
+	h.Run(40 * sim.Millisecond)
 
 	sum := &Table{
 		Title: fmt.Sprintf("Fig 9 — testbed dynamic traffic (%s, 1GbE)", st.Name),
 		Cols:  []string{"flow", "size", "done", "FCT(ms)"},
 	}
-	for i, f := range []*transport.Flow{f1, f2, f3, f4} {
+	for i, f := range h.Flows() {
 		fct := "-"
 		if f.Done {
 			fct = fmt.Sprintf("%.2f", f.FCT().Milliseconds())
 		}
 		sum.AddRow(names[i], fmt.Sprintf("%d", f.Size), fmt.Sprintf("%v", f.Done), fct)
 	}
-	return TestbedResult{Stack: st.Name, Series: series, Summary: sum, Flows: []*transport.Flow{f1, f2, f3, f4}}
+	return TestbedResult{Stack: st.Name, Series: h.Series(), Summary: sum, Flows: h.Flows()}
 }
 
 // Fig11 reproduces the §7 multi-bottleneck testbed comparison on the
 // Fig. 10 topology at 1 GbE for one protocol stack. The paper's
 // timeline (seconds) is scaled to milliseconds: f1 and f2 start at 0,
 // f3 (same destination as f1) starts at 10 ms, f4 at 20 ms.
-func Fig11(st Stack) TestbedResult {
-	sc := topo.TestbedScenario()
-	sc.SwitchQueue = st.SwitchQueue
-	sc.HostQueue = st.HostQueue
-	sc.Marker = st.Marker
-	s := topo.NewTestbedMultiBottleneck(sc)
+func Fig11(st Stack) TestbedResult { return fig11(st, 1) }
 
-	base := transport.Config{RTT: 100 * sim.Microsecond}
+// fig11 is Fig11 at any engine-shard count.
+func fig11(st Stack, nshards int) TestbedResult {
 	names := []string{"f1", "f2", "f3", "f4"}
-	onData, finish := trackFlows(s.Net, names, 250*sim.Microsecond, sc.Rate)
-	base.OnData = onData
-	inst := st.New(s.Net, base)
+	h := NewScenarioHarness(st, topo.TestbedScenario(), topo.NewTestbedMultiBottleneck, transport.Config{}, nshards, 250*sim.Microsecond, names)
+	s := h.S
 
-	f1 := inst.AddFlow(1, s.Senders[0], s.Receivers[0], 3_000_000, 0)
-	f2 := inst.AddFlow(2, s.Senders[1], s.Receivers[1], 4_000_000, 0)
-	f3 := inst.AddFlow(3, s.Senders[2], s.Receivers[2], 1_500_000, 10*sim.Millisecond)
-	f4 := inst.AddFlow(4, s.Senders[3], s.Receivers[3], 1_500_000, 20*sim.Millisecond)
+	h.AddFlow(1, s.Senders[0], s.Receivers[0], 3_000_000, 0)
+	h.AddFlow(2, s.Senders[1], s.Receivers[1], 4_000_000, 0)
+	h.AddFlow(3, s.Senders[2], s.Receivers[2], 1_500_000, 10*sim.Millisecond)
+	h.AddFlow(4, s.Senders[3], s.Receivers[3], 1_500_000, 20*sim.Millisecond)
 
-	s.Net.Run(100 * sim.Millisecond)
-	series := finish()
+	h.Run(100 * sim.Millisecond)
 
 	sum := &Table{
 		Title: fmt.Sprintf("Fig 11 — testbed multi-bottleneck (%s, 1GbE)", st.Name),
 		Cols:  []string{"flow", "start(ms)", "size", "done", "FCT(ms)"},
 	}
-	for i, f := range []*transport.Flow{f1, f2, f3, f4} {
+	for i, f := range h.Flows() {
 		fct := "-"
 		if f.Done {
 			fct = fmt.Sprintf("%.2f", f.FCT().Milliseconds())
@@ -97,7 +85,7 @@ func Fig11(st Stack) TestbedResult {
 		sum.AddRow(names[i], fmt.Sprintf("%.0f", f.Start.Milliseconds()),
 			fmt.Sprintf("%d", f.Size), fmt.Sprintf("%v", f.Done), fct)
 	}
-	return TestbedResult{Stack: st.Name, Series: series, Summary: sum, Flows: []*transport.Flow{f1, f2, f3, f4}}
+	return TestbedResult{Stack: st.Name, Series: h.Series(), Summary: sum, Flows: h.Flows()}
 }
 
 // Fig11All runs Fig11 for every protocol and emits a combined FCT

@@ -3,17 +3,13 @@ package experiment
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"testing"
 
 	"amrt/internal/faults"
 	"amrt/internal/metrics"
-	"amrt/internal/netsim"
 	"amrt/internal/sim"
-	"amrt/internal/stats"
 	"amrt/internal/topo"
 	"amrt/internal/trace"
-	"amrt/internal/transport"
 	"amrt/internal/workload"
 )
 
@@ -25,76 +21,22 @@ import (
 // schedulers. It is the sharding analogue of golden_test.go's
 // wheel-vs-heap proof.
 
-// serializeSorted writes the series in name order with full float
-// precision, so the bytes compare across runs that discovered flows in
-// different orders.
-func serializeSorted(buf *bytes.Buffer, series []*stats.Series) {
-	sorted := make([]*stats.Series, len(series))
-	copy(sorted, series)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
-	serializeSeries(buf, sorted)
-}
+// The four figure tests below run the figures' own bodies (fig1, fig2,
+// fig9, fig11 — what Fig1 … Fig11 call with one shard), so the proof
+// covers the figure itself: its flow list, its samplers, its tables.
 
-// goldenFig1Shards runs the Fig-1 chain workload on the harness at the
-// given shard count and serializes its traces. At nshards == 1 the
-// harness is the single-engine reference path.
-func goldenFig1Shards(kind sim.SchedulerKind, stack string, nshards int) string {
-	var buf bytes.Buffer
-	underScheduler(kind, func() {
-		st := MustStack(stack, StackOptions{})
-		sc := topo.DefaultScenario()
-		sc.SwitchQueue = st.SwitchQueue
-		sc.HostQueue = st.HostQueue
-		sc.Marker = st.Marker
-		s := topo.NewChain(sc)
-		mon := netsim.Attach(s.Bottlenecks[0])
-
-		names := []string{"f0", "f1", "f2", "f3"}
-		h := NewScenarioHarness(s, st, transport.Config{RTT: 100 * sim.Microsecond}, nshards, 100*sim.Microsecond, names)
-		h.AddFlow(1, s.Senders[0], s.Receivers[0], 25_000_000, 0)
-		h.AddFlow(2, s.Senders[1], s.Receivers[1], 25_000_000, 2500*sim.Nanosecond)
-		h.AddFlow(3, s.Senders[2], s.Receivers[2], 25_000_000, sim.Millisecond)
-		h.AddFlow(4, s.Senders[3], s.Receivers[3], 25_000_000, 3500*sim.Microsecond)
-
-		const horizon = 8 * sim.Millisecond
-		linkUtil := h.TrackUtil("btl0-link-util", s.Bottlenecks[0], mon, 100*sim.Microsecond, horizon)
-		h.Run(horizon)
-
-		series := h.Series()
-		serializeSorted(&buf, series)
-		serializeSeries(&buf, []*stats.Series{
-			stats.SumSeries("btl0-goodput-util", pick(series, "f0"), pick(series, "f1")),
-			linkUtil,
-		})
-	})
-	return buf.String()
-}
-
-// goldenFig9Shards is the same proof on the Fig-9 testbed topology.
-func goldenFig9Shards(kind sim.SchedulerKind, nshards int) string {
-	var buf bytes.Buffer
-	underScheduler(kind, func() {
-		st := MustStack("AMRT", StackOptions{})
-		sc := topo.TestbedScenario()
-		sc.SwitchQueue = st.SwitchQueue
-		sc.HostQueue = st.HostQueue
-		sc.Marker = st.Marker
-		s := topo.NewTestbedDynamic(sc)
-
-		names := []string{"f1", "f2", "f3", "f4"}
-		h := NewScenarioHarness(s, st, transport.Config{RTT: 100 * sim.Microsecond}, nshards, 250*sim.Microsecond, names)
-		h.AddFlow(1, s.Senders[0], s.Receivers[0], 312_500, 0)
-		h.AddFlow(2, s.Senders[1], s.Receivers[1], 2_000_000, 0)
-		h.AddFlow(3, s.Senders[2], s.Receivers[2], 812_500, 0)
-		h.AddFlow(4, s.Senders[3], s.Receivers[3], 2_000_000, 0)
-
-		h.Run(40 * sim.Millisecond)
-		serializeSorted(&buf, h.Series())
-		for _, f := range h.Flows() {
-			fmt.Fprintf(&buf, "flow %d done=%v end=%d\n", f.ID, f.Done, int64(f.End))
+// shardsAgree fails t unless dump(n) equals dump(1) for every n.
+func shardsAgree(t *testing.T, what string, dump func(nshards int) string, counts ...int) {
+	t.Helper()
+	ref := dump(1)
+	if ref == "" {
+		t.Fatalf("%s: empty reference trace", what)
+	}
+	for _, n := range counts {
+		if dump(n) != ref {
+			t.Errorf("%s: %d-shard trace differs from single-engine reference", what, n)
 		}
-	})
-	return buf.String()
+	}
 }
 
 // TestGoldenShardsFig1 proves shards=1 vs shards=N byte-identity on the
@@ -102,29 +44,38 @@ func goldenFig9Shards(kind sim.SchedulerKind, nshards int) string {
 // stack, across every shard count the 3-switch topology admits.
 func TestGoldenShardsFig1(t *testing.T) {
 	for _, stack := range []string{"pHost", "AMRT"} {
-		ref := goldenFig1Shards(sim.SchedulerWheel, stack, 1)
-		if ref == "" {
-			t.Fatalf("Fig1 %s: empty reference trace", stack)
-		}
-		for _, n := range []int{2, 3} {
-			if got := goldenFig1Shards(sim.SchedulerWheel, stack, n); got != ref {
-				t.Errorf("Fig1 %s: %d-shard trace differs from single-engine reference", stack, n)
-			}
-		}
+		shardsAgree(t, "Fig1 "+stack, func(n int) string {
+			return goldenMotivation(sim.SchedulerWheel, fig1, stack, n)
+		}, 2, 3)
+	}
+}
+
+// TestGoldenShardsFig2 is the same proof on the Fig-2 fan (2 switches):
+// the figure ROADMAP item 1 reports as stalled, so the one a bisect will
+// lean on.
+func TestGoldenShardsFig2(t *testing.T) {
+	for _, stack := range []string{"pHost", "AMRT"} {
+		shardsAgree(t, "Fig2 "+stack, func(n int) string {
+			return goldenMotivation(sim.SchedulerWheel, fig2, stack, n)
+		}, 2)
 	}
 }
 
 // TestGoldenShardsFig9 proves shards=1 vs shards=N byte-identity on the
 // Fig-9 testbed (4 switches, two independent dumbbells).
 func TestGoldenShardsFig9(t *testing.T) {
-	ref := goldenFig9Shards(sim.SchedulerWheel, 1)
-	if ref == "" {
-		t.Fatal("Fig9: empty reference trace")
-	}
-	for _, n := range []int{2, 4} {
-		if got := goldenFig9Shards(sim.SchedulerWheel, n); got != ref {
-			t.Errorf("Fig9: %d-shard trace differs from single-engine reference", n)
-		}
+	shardsAgree(t, "Fig9", func(n int) string {
+		return goldenTestbed(sim.SchedulerWheel, fig9, "AMRT", n)
+	}, 2, 4)
+}
+
+// TestGoldenShardsFig11 is the same proof on the Fig-11 multi-bottleneck
+// testbed (3 switches; at 4 shards one shard owns nothing).
+func TestGoldenShardsFig11(t *testing.T) {
+	for _, stack := range []string{"pHost", "AMRT"} {
+		shardsAgree(t, "Fig11 "+stack, func(n int) string {
+			return goldenTestbed(sim.SchedulerWheel, fig11, stack, n)
+		}, 2, 4)
 	}
 }
 
@@ -132,10 +83,10 @@ func TestGoldenShardsFig9(t *testing.T) {
 // sharding*: the two schedulers must stay byte-identical when each
 // shard runs its own scheduler instance inside the time-window loop.
 func TestGoldenShardsWheelVsHeap(t *testing.T) {
-	if goldenFig1Shards(sim.SchedulerWheel, "AMRT", 3) != goldenFig1Shards(sim.SchedulerHeap, "AMRT", 3) {
+	if goldenMotivation(sim.SchedulerWheel, fig1, "AMRT", 3) != goldenMotivation(sim.SchedulerHeap, fig1, "AMRT", 3) {
 		t.Error("Fig1 3-shard trace differs between wheel and heap schedulers")
 	}
-	if goldenFig9Shards(sim.SchedulerWheel, 4) != goldenFig9Shards(sim.SchedulerHeap, 4) {
+	if goldenTestbed(sim.SchedulerWheel, fig9, "AMRT", 4) != goldenTestbed(sim.SchedulerHeap, fig9, "AMRT", 4) {
 		t.Error("Fig9 4-shard trace differs between wheel and heap schedulers")
 	}
 }
@@ -235,7 +186,7 @@ func TestGoldenShardsSIRD(t *testing.T) {
 	if got := goldenFatTreeIncast(sim.SchedulerHeap, "SIRD", 4, ""); got != ref {
 		t.Error("SIRD fat-tree incast: 4-shard heap dump differs from single-engine wheel reference")
 	}
-	if goldenFig1Shards(sim.SchedulerWheel, "SIRD", 3) != goldenFig1Shards(sim.SchedulerHeap, "SIRD", 3) {
+	if goldenMotivation(sim.SchedulerWheel, fig1, "SIRD", 3) != goldenMotivation(sim.SchedulerHeap, fig1, "SIRD", 3) {
 		t.Error("SIRD Fig1 3-shard trace differs between wheel and heap schedulers")
 	}
 }

@@ -39,10 +39,12 @@ func serializeSeries(buf *bytes.Buffer, series []*stats.Series) {
 	}
 }
 
-func goldenFig1(kind sim.SchedulerKind, stack string) string {
+// goldenMotivation serializes everything one of the motivation figure
+// bodies (fig1, fig2) produces at the given shard count.
+func goldenMotivation(kind sim.SchedulerKind, fig func(Stack, int) MotivationResult, stack string, nshards int) string {
 	var buf bytes.Buffer
 	underScheduler(kind, func() {
-		res := Fig1(MustStack(stack, StackOptions{}))
+		res := fig(MustStack(stack, StackOptions{}), nshards)
 		serializeSeries(&buf, res.FlowSeries)
 		serializeSeries(&buf, []*stats.Series{res.Util, res.LinkUtil})
 		res.Phases.Fprint(&buf)
@@ -50,10 +52,11 @@ func goldenFig1(kind sim.SchedulerKind, stack string) string {
 	return buf.String()
 }
 
-func goldenFig9(kind sim.SchedulerKind) string {
+// goldenTestbed is the same for the testbed figure bodies (fig9, fig11).
+func goldenTestbed(kind sim.SchedulerKind, fig func(Stack, int) TestbedResult, stack string, nshards int) string {
 	var buf bytes.Buffer
 	underScheduler(kind, func() {
-		res := Fig9(MustStack("AMRT", StackOptions{}))
+		res := fig(MustStack(stack, StackOptions{}), nshards)
 		serializeSeries(&buf, res.Series)
 		res.Summary.Fprint(&buf)
 		for _, f := range res.Flows {
@@ -65,8 +68,8 @@ func goldenFig9(kind sim.SchedulerKind) string {
 
 func TestGoldenTraceFig1(t *testing.T) {
 	for _, stack := range []string{"pHost", "AMRT"} {
-		wheel := goldenFig1(sim.SchedulerWheel, stack)
-		heap := goldenFig1(sim.SchedulerHeap, stack)
+		wheel := goldenMotivation(sim.SchedulerWheel, fig1, stack, 1)
+		heap := goldenMotivation(sim.SchedulerHeap, fig1, stack, 1)
 		if wheel != heap {
 			t.Errorf("Fig1 %s trace differs between wheel and heap schedulers", stack)
 		}
@@ -74,7 +77,7 @@ func TestGoldenTraceFig1(t *testing.T) {
 }
 
 func TestGoldenTraceFig9(t *testing.T) {
-	if goldenFig9(sim.SchedulerWheel) != goldenFig9(sim.SchedulerHeap) {
+	if goldenTestbed(sim.SchedulerWheel, fig9, "AMRT", 1) != goldenTestbed(sim.SchedulerHeap, fig9, "AMRT", 1) {
 		t.Error("Fig9 trace differs between wheel and heap schedulers")
 	}
 }

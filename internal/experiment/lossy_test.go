@@ -6,7 +6,6 @@ import (
 
 	"amrt/internal/netsim"
 	"amrt/internal/sim"
-	"amrt/internal/stats"
 	"amrt/internal/topo"
 	"amrt/internal/transport"
 )
@@ -31,19 +30,13 @@ func TestAllProtocolsSurviveRandomLoss(t *testing.T) {
 		proto := proto
 		t.Run(proto, func(t *testing.T) {
 			st := lossyStack(proto, 0.02)
-			sc := topo.DefaultScenario()
-			sc.SwitchQueue = st.SwitchQueue
-			sc.HostQueue = st.HostQueue
-			sc.Marker = st.Marker
-			s := topo.NewFanN(sc, 4)
-			col := stats.NewFCTCollector()
-			inst := st.New(s.Net, transport.Config{RTT: 100 * sim.Microsecond, Collector: col})
-			var flows []*transport.Flow
+			h := NewScenarioHarness(st, topo.DefaultScenario(), fanN(4), transport.Config{}, 1, 0, nil)
+			s := h.S
 			for i := 0; i < 4; i++ {
-				flows = append(flows, inst.AddFlow(netsim.FlowID(i+1), s.Senders[i], s.Receivers[i], 1_000_000, sim.Time(i)*20*sim.Microsecond))
+				h.AddFlow(netsim.FlowID(i+1), s.Senders[i], s.Receivers[i], 1_000_000, sim.Time(i)*20*sim.Microsecond)
 			}
-			s.Net.Run(20 * sim.Second)
-			for _, f := range flows {
+			h.Run(20 * sim.Second)
+			for _, f := range h.Flows() {
 				if !f.Done {
 					t.Fatalf("%v did not complete under 2%% loss", f)
 				}
@@ -72,14 +65,9 @@ func TestSingleFlowUnderHeavyLoss(t *testing.T) {
 		proto := proto
 		t.Run(proto, func(t *testing.T) {
 			st := lossyStack(proto, 0.05)
-			sc := topo.DefaultScenario()
-			sc.SwitchQueue = st.SwitchQueue
-			sc.HostQueue = st.HostQueue
-			sc.Marker = st.Marker
-			s := topo.NewFanN(sc, 1)
-			inst := st.New(s.Net, transport.Config{RTT: 100 * sim.Microsecond})
-			f := inst.AddFlow(1, s.Senders[0], s.Receivers[0], 2_000_000, 0)
-			s.Net.Run(30 * sim.Second)
+			h := NewScenarioHarness(st, topo.DefaultScenario(), fanN(1), transport.Config{}, 1, 0, nil)
+			f := h.AddFlow(1, h.S.Senders[0], h.S.Receivers[0], 2_000_000, 0)
+			h.Run(30 * sim.Second)
 			if !f.Done {
 				t.Fatal("flow did not complete under 5% loss")
 			}
@@ -96,14 +84,10 @@ func TestSingleFlowUnderHeavyLoss(t *testing.T) {
 // drops appear in the network drop counters.
 func TestLossAccounting(t *testing.T) {
 	st := lossyStack("AMRT", 0.1)
-	sc := topo.DefaultScenario()
-	sc.SwitchQueue = st.SwitchQueue
-	sc.HostQueue = st.HostQueue
-	sc.Marker = st.Marker
-	s := topo.NewFanN(sc, 1)
-	inst := st.New(s.Net, transport.Config{RTT: 100 * sim.Microsecond})
-	f := inst.AddFlow(1, s.Senders[0], s.Receivers[0], 500_000, 0)
-	s.Net.Run(20 * sim.Second)
+	h := NewScenarioHarness(st, topo.DefaultScenario(), fanN(1), transport.Config{}, 1, 0, nil)
+	s := h.S
+	f := h.AddFlow(1, s.Senders[0], s.Receivers[0], 500_000, 0)
+	h.Run(20 * sim.Second)
 	if !f.Done {
 		t.Fatal("flow incomplete")
 	}

@@ -31,30 +31,18 @@ func RelatedWorkTable() *Table {
 	}
 	results := Parallel(len(protos), func(i int) out {
 		st := MustStack(protos[i], StackOptions{})
-		sc := topo.DefaultScenario()
-		sc.SwitchQueue = st.SwitchQueue
-		sc.HostQueue = st.HostQueue
-		sc.Marker = st.Marker
-		s := topo.NewFanN(sc, 16)
 		col := stats.NewFCTCollector()
-		inst := st.New(s.Net, transport.Config{RTT: 100 * sim.Microsecond, Collector: col})
-		var down *netsim.Port
-		for _, pt := range s.Switches[1].Ports() {
-			if pt.Link().To.ID() == s.Receivers[0].ID() {
-				down = pt
-			}
-		}
-		mon := netsim.Attach(down)
+		h := NewScenarioHarness(st, topo.DefaultScenario(), fanN(16), transport.Config{Collector: col}, 1, 0, nil)
+		s := h.S
+		mon := netsim.Attach(h.Downlink(s.Receivers[0]))
 		btl := netsim.Attach(s.Bottlenecks[0])
-		specs := workload.Incast(seqInts(16), 0, 250_000, 0)
-		var flows []*transport.Flow
-		for _, fs := range specs {
-			flows = append(flows, inst.AddFlow(fs.ID, s.Senders[fs.Src], s.Receivers[0], fs.Size, fs.Start))
+		for _, fs := range workload.Incast(seqInts(16), 0, 250_000, 0) {
+			h.AddFlow(fs.ID, s.Senders[fs.Src], s.Receivers[0], fs.Size, fs.Start)
 		}
-		s.Net.Run(5 * sim.Second)
+		h.Run(5 * sim.Second)
 		var o out
 		o.afct = col.Mean()
-		for _, f := range flows {
+		for _, f := range h.Flows() {
 			if f.Done && f.FCT() > o.max {
 				o.max = f.FCT()
 			}

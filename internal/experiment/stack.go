@@ -18,19 +18,17 @@ import (
 	"amrt/internal/transport"
 )
 
-// Instance is the protocol surface the harness drives; every
+// Instance is the protocol surface the two harnesses drive; every
 // registered stack satisfies it, almost entirely through the embedded
-// transport.Kernel's flow lifecycle. The runner creates one instance per
+// transport.Kernel's flow lifecycle. A harness creates one instance per
 // engine shard: a flow's sender side lives on its source's instance
-// (AddFlow / AddPending), its receiver side on its destination's
+// (AddPending, Release), its receiver side on its destination's
 // (Adopt), and the two coincide on single-shard runs.
 type Instance interface {
 	Name() string
-	AddFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, start sim.Time) *transport.Flow
-	AddUnresponsiveFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, start sim.Time) *transport.Flow
-	// AddPending registers a dependent flow's sender side without
-	// scheduling a start; Release (on the same instance) starts it when
-	// the parent completes.
+	// AddPending registers a flow's sender side without scheduling a
+	// start; Release (on the same instance) starts it — during setup, or
+	// for a dependent flow when its parent completes.
 	AddPending(id netsim.FlowID, src, dst *netsim.Host, size int64, unresponsive bool) *transport.Flow
 	Release(f *transport.Flow, start sim.Time)
 	// Adopt registers a flow created by another instance on this

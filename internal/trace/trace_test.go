@@ -47,51 +47,6 @@ func TestWriteCSVSorted(t *testing.T) {
 	}
 }
 
-// End-to-end: trace an AMRT incast and verify the recorder sees starts,
-// completions, deliveries and drops that match the network counters.
-func TestRecorderEndToEnd(t *testing.T) {
-	cfg := core.DefaultConfig()
-	sc := topo.DefaultScenario()
-	sc.SwitchQueue = cfg.SwitchQueue
-	sc.HostQueue = cfg.HostQueue
-	sc.Marker = cfg.NewMarker
-	s := topo.NewFanN(sc, 4)
-	cfg.RTT = 100 * sim.Microsecond
-
-	rec := &Recorder{}
-	rec.Attach(s.Net, &cfg.Config)
-	p := core.New(s.Net, cfg)
-	var flows []*transport.Flow
-	for i := 0; i < 4; i++ {
-		f := p.AddFlow(netsim.FlowID(i+1), s.Senders[i], s.Receivers[0], 200_000, 0)
-		rec.RecordStart(f)
-		flows = append(flows, f)
-	}
-	s.Net.Run(2 * sim.Second)
-
-	sums := rec.Summaries()
-	if len(sums) != 4 {
-		t.Fatalf("summaries = %d", len(sums))
-	}
-	var delivered, dropped int
-	for _, sm := range sums {
-		if !sm.Done {
-			t.Errorf("flow %d not done in trace", sm.Flow)
-		}
-		if sm.Delivered < int(flows[0].NPkts) {
-			t.Errorf("flow %d delivered %d < %d packets", sm.Flow, sm.Delivered, flows[0].NPkts)
-		}
-		delivered += sm.Delivered
-		dropped += sm.Dropped
-	}
-	if int64(dropped) != s.Net.Dropped() {
-		t.Errorf("trace drops %d != network drops %d", dropped, s.Net.Dropped())
-	}
-	if dropped == 0 {
-		t.Error("incast should have dropped packets")
-	}
-}
-
 func TestAttachChainsHooks(t *testing.T) {
 	cfg := core.DefaultConfig()
 	sc := topo.DefaultScenario()

@@ -47,15 +47,14 @@ const (
 // events on itself).
 func (k *Kernel) Bind(h Hooks) { k.hooks = h }
 
-// AddFlow registers a flow on both endpoints of this instance and
-// schedules its start — the single-instance convenience path. The
-// sharded runner instead splits registration across instances with
-// AddPending/Release on the source shard and Adopt on the home shard.
+// AddFlow registers a flow with both ends on this instance and
+// schedules its start: the harnesses' sequence (AddPending on the source
+// side, Adopt on the home side, Release) for a stack's unit tests, which
+// have one kernel and no harness.
 func (k *Kernel) AddFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, start sim.Time) *Flow {
-	f := k.NewFlow(id, src, dst, size, start)
-	f.Released = true
-	k.install(src)
-	k.install(dst)
+	f := k.AddPending(id, src, dst, size, false)
+	k.Adopt(f)
+	f.Released, f.Start = true, start
 	k.Release(f, start)
 	return f
 }
@@ -69,8 +68,8 @@ func (k *Kernel) AddUnresponsiveFlow(id netsim.FlowID, src, dst *netsim.Host, si
 	return f
 }
 
-// AddPending registers a dependent flow's sender side without
-// scheduling a start; Release starts it when the parent completes.
+// AddPending registers a flow's sender side without scheduling a
+// start; Release starts it.
 func (k *Kernel) AddPending(id netsim.FlowID, src, dst *netsim.Host, size int64, unresponsive bool) *Flow {
 	f := k.NewFlow(id, src, dst, size, 0)
 	f.Unresponsive = unresponsive
