@@ -1,0 +1,52 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from this build's output")
+
+// TestCompareGolden pins `amrtsim -compare -workload WebServer -flows
+// 300` byte for byte. The five stacks run one after another in this
+// process, so every stack after the first draws its link jitter from
+// streams an earlier run handed back (netsim.Network.Release). The
+// golden is the output of the binary built at the commit before jitter
+// streams were recycled; a deliberate behaviour change (SimVersion bump)
+// regenerates it with -update.
+func TestCompareGolden(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := runMain([]string{"-compare", "-workload", "WebServer", "-flows", "300"}, &stdout, &stderr)
+	if code != 0 || stderr.Len() > 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr.String())
+	}
+	path := filepath.Join("testdata", "compare_webserver.golden")
+	if *update {
+		if err := os.WriteFile(path, stdout.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stdout.Bytes(), want) {
+		t.Errorf("amrtsim -compare differs from %s:\n%s", path, stdout.Bytes())
+	}
+}
+
+// TestCompareUnknownWorkloadIsOneLine: a mistyped -workload under
+// -compare is one line naming the workloads there are and exit status 1,
+// not a goroutine dump and no partial table.
+func TestCompareUnknownWorkloadIsOneLine(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := runMain([]string{"-compare", "-workload", "Bogus"}, &stdout, &stderr)
+	const want = `amrtsim: unknown workload "Bogus" (have [WebServer CacheFollower HadoopCluster WebSearch DataMining])` + "\n"
+	if code != 1 || stdout.Len() > 0 || stderr.String() != want {
+		t.Errorf("exit %d, stdout %q, stderr %q; want exit 1, no stdout, stderr %q", code, stdout.String(), stderr.String(), want)
+	}
+}

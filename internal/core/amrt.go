@@ -173,9 +173,13 @@ type receiver struct {
 	// srtt is the EWMA of observed recovery-grant→arrival delays.
 	srtt sim.Time
 	// reissuedAt remembers when each hole's recovery grant was emitted
-	// so a still-in-flight retransmission is not duplicated; inRecovery
-	// marks holes waiting in the recovery pacer's queue.
+	// so a still-in-flight retransmission is not duplicated; the
+	// reissued bit marks exactly its keys (except inside onTimeout's
+	// scan, which narrows it to the reissues still in flight), so an
+	// arrival searches reissuedAt only on a hit. inRecovery marks holes
+	// waiting in the recovery pacer's queue.
 	reissuedAt   transport.Sparse[sim.Time]
+	reissued     transport.Bitmap
 	inRecovery   transport.Bitmap
 	lastProgress sim.Time
 	timer        transport.RecvTimer // runs onTimeout
@@ -304,20 +308,19 @@ func (p *Protocol) onReceiverPkt(pkt *netsim.Packet) {
 	if r == nil || r.f.Done || pkt.Type == netsim.RTS {
 		return
 	}
-	// Nearly every arrival finds no retransmission outstanding: skip
-	// the scan then. (The inRecovery bit cannot stand in for it — it
-	// is cleared just before emitRecovery records the reissue.)
-	if r.reissuedAt.Len() > 0 {
-		if at, ok := r.reissuedAt.Get(pkt.Seq); ok {
-			// Recovery round-trip sample: grant reissue → arrival.
-			sample := p.Now() - at
-			if r.srtt == 0 {
-				r.srtt = sample
-			} else {
-				r.srtt = (7*r.srtt + sample) / 8
-			}
-			r.reissuedAt.Delete(pkt.Seq)
+	// Nearly every arrival answers no reissued grant: the bit says so
+	// without a scan. (The inRecovery bit cannot stand in for it — it is
+	// cleared just before emitRecovery records the reissue.)
+	if r.reissued.Clear(pkt.Seq) {
+		at, _ := r.reissuedAt.Get(pkt.Seq)
+		// Recovery round-trip sample: grant reissue → arrival.
+		sample := p.Now() - at
+		if r.srtt == 0 {
+			r.srtt = sample
+		} else {
+			r.srtt = (7*r.srtt + sample) / 8
 		}
+		r.reissuedAt.Delete(pkt.Seq)
 	}
 	if !r.rcvd.Set(pkt.Seq) {
 		return // duplicate: no grant, no progress
@@ -376,7 +379,7 @@ func (p *Protocol) newReceiver(f *transport.Flow) *receiver {
 		granted:      p.BlindPkts(f),
 		lastProgress: p.Now(),
 	}
-	transport.InitBitmaps(f.NPkts, &r.rcvd, &r.inRecovery)
+	transport.InitBitmaps(f.NPkts, &r.rcvd, &r.reissued, &r.inRecovery)
 	p.grantsInFlight += int64(r.granted)
 	p.Heard(f)
 	r.timer.Init(&p.Kernel, r)
@@ -403,18 +406,27 @@ func (p *Protocol) onTimeout(r *receiver) {
 	window := r.overdueWindow(p.Cfg.RTT)
 	overdue := r.grants.Before(now - window)
 	rp := p.recPacerFor(r.f.Dst)
+	// For the scan, the reissued bit marks only the reissues within the
+	// window, so a hole costs a bit test rather than a reissuedAt search;
+	// the full set is restored right after.
+	r.reissuedAt.Each(func(seq int32, at sim.Time) {
+		if now-at >= window {
+			r.reissued.Clear(seq)
+		}
+	})
 	queued := 0
 	for seq := r.rcvd.NextClear(0); seq >= 0 && seq < overdue && queued < cap; seq = r.rcvd.NextClear(seq + 1) {
 		if r.inRecovery.Get(seq) {
 			continue // already waiting in the pacer queue
 		}
-		if at, ok := r.reissuedAt.Get(seq); ok && now-at < window {
+		if r.reissued.Get(seq) {
 			continue // retransmission still plausibly in flight
 		}
 		r.inRecovery.Set(seq)
 		rp.queue.Push(recReq{r: r, seq: seq})
 		queued++
 	}
+	r.reissuedAt.Each(func(seq int32, _ sim.Time) { r.reissued.Set(seq) })
 	if queued > 0 {
 		rp.pacer.Kick()
 	}
@@ -446,6 +458,7 @@ func (p *Protocol) emitRecovery(rp *recPacer) bool {
 			continue
 		}
 		req.r.reissuedAt.Put(req.seq, p.Now())
+		req.r.reissued.Set(req.seq)
 		g := p.NewCtrl(netsim.Grant, req.r.f, req.seq, true)
 		req.r.f.Dst.Send(g)
 		p.RecoveryGrants++

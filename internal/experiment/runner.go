@@ -201,7 +201,11 @@ func (r LeafSpineRun) RunE() (RunResult, error) {
 	x.startAudit()
 	x.startMetrics()
 	x.execute()
-	return x.collect(), nil
+	res := x.collect()
+	// Nothing reads jitter after collect: the ports' streams go to the
+	// next run.
+	x.ls.Net.Release()
+	return res, nil
 }
 
 // run is one RunE call in progress. Its steps run in the order RunE

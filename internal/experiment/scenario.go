@@ -122,9 +122,13 @@ func (h *ScenarioHarness) TrackUtil(name string, port *netsim.Port, interval, ho
 }
 
 // Run executes the scenario to the horizon (the conservative
-// time-window loop when partitioned, the plain event loop otherwise).
+// time-window loop when partitioned, the plain event loop otherwise),
+// then releases the network (netsim.Network.Release): a harness runs
+// once, and its ports' jitter streams go to the next run. Ports,
+// monitors and flows stay readable.
 func (h *ScenarioHarness) Run(horizon sim.Time) {
 	h.S.Net.Run(horizon)
+	h.S.Net.Release()
 }
 
 // Flows returns the harness's flows in AddFlow order.

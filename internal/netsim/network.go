@@ -41,6 +41,9 @@ type Network struct {
 	// independent of event interleaving and of the shard count.
 	jitterMax  sim.Time
 	jitterSeed int64
+	// released is set by Release: the ports' jitter streams are gone, so
+	// the network may not run or draw again.
+	released bool
 
 	// BarrierHook, if non-nil, runs on the coordinator goroutine at every
 	// window barrier of a sharded run, after outboxes have drained and
@@ -446,6 +449,32 @@ func (s *Shard) noteNoRoute(pkt *Packet) {
 func (n *Network) SetJitter(max sim.Time, seed int64) {
 	n.jitterMax = max
 	n.jitterSeed = seed
+}
+
+// Release ends the network's run: every port hands its jitter stream
+// back to the process-wide free list, where the next network's ports
+// re-seed it (see Port.jitterRNG). Call it once nothing will run the
+// network again — the experiment runner does so as the last step of a
+// run, ScenarioHarness right after its one Run. A released network
+// panics on Run and on a jitter draw rather than restart a stream
+// silently; everything else it holds (counters, monitors, queues) stays
+// readable. A network that is never released keeps its streams.
+// Releasing twice is a no-op.
+func (n *Network) Release() {
+	n.released = true
+	fl := &jitterSources
+	fl.Lock()
+	defer fl.Unlock()
+	n.eachPort(func(p *Port) {
+		r := p.jitterRNG
+		if r == nil {
+			return
+		}
+		p.jitterRNG = nil
+		if len(fl.free) < maxFreeJitterSources {
+			fl.free = append(fl.free, r)
+		}
+	})
 }
 
 // SetECMPSalt replaces the network-wide ECMP hash salt. Every switch

@@ -137,9 +137,13 @@ type Packet struct {
 
 // The packet free list. Each shard recycles packets through its own
 // chain (linked through Packet.next, like a queue's fifo), so a run's
-// packets belong to the run: nothing is shared between simulations, the
-// collector cannot empty the list mid-run, and allocation counts repeat
-// exactly. An empty chain is refilled one slab at a time; slabs double
+// packets belong to the run: no packet is shared between simulations,
+// the collector cannot empty the list mid-run, and allocation counts
+// repeat exactly. (Ports' jitter generators are the one thing runs do
+// share, through jitterSources: a generator holds no pointer into the
+// run that used it, and re-seeding rewrites all of its state, so unlike
+// a stale packet it cannot carry anything from one run to the next.)
+// An empty chain is refilled one slab at a time; slabs double
 // from the 1 KB to the 8 KB size class, so a two-host run pays for a
 // dozen packets and a fabric-wide one makes one allocation per hundred.
 //

@@ -99,8 +99,12 @@ func (s *Shard) signalKey(from, to NodeID) uint64 {
 // quiescence). With one shard this is the single-engine reference path;
 // on a partitioned network it runs the conservative time-window loop.
 // On return every port's ended transmission is booked, so the exported
-// port counters can be read directly between runs.
+// port counters can be read directly between runs. Running a released
+// network (see Release) panics.
 func (n *Network) Run(until sim.Time) sim.Time {
+	if n.released {
+		panic("netsim: Run on a released network")
+	}
 	var now sim.Time
 	if len(n.shards) == 1 {
 		now = n.Engine.Run(until)

@@ -132,7 +132,7 @@ func (s *sender) demand(mss int) int64 {
 type rcvFlow struct {
 	p     *Protocol // for HandleEvent: the record is its own timeout event
 	f     *transport.Flow
-	rcvd  *transport.Bitmap
+	rcvd  transport.Bitmap
 	blind int32 // unscheduled prefix; pool credit covers seq >= blind
 
 	granted int32 // packets authorized (incl. unscheduled window)
@@ -164,9 +164,11 @@ type rcvFlow struct {
 	// recovery scan can tell which holes were authorized long enough ago
 	// to declare lost. reissuedAt remembers when each hole's resend
 	// grant went out, so a retransmission still plausibly in flight is
-	// not duplicated.
+	// not duplicated; the reissued bit marks exactly its keys, so an
+	// arrival or a hole scans it only on a hit.
 	grants     transport.GrantRing
 	reissuedAt transport.Sparse[sim.Time]
+	reissued   transport.Bitmap
 }
 
 // silenceEvidence is how many unanswered grants it takes before a
@@ -356,7 +358,7 @@ func (p *Protocol) onReceiverPkt(pkt *netsim.Packet) {
 		if !r.rcvd.Set(pkt.Seq) {
 			return
 		}
-		if r.reissuedAt.Len() > 0 { // rarely: skip the scan otherwise
+		if r.reissued.Clear(pkt.Seq) { // rarely: skip the scan otherwise
 			r.reissuedAt.Delete(pkt.Seq)
 		}
 		r.lastProgress = p.Now()
@@ -405,9 +407,10 @@ func (p *Protocol) newRcvFlow(f *transport.Flow) *rcvFlow {
 	now := p.Now()
 	blind := p.BlindPkts(f)
 	r := &rcvFlow{
-		p: p, f: f, rcvd: transport.NewBitmap(f.NPkts), blind: blind,
+		p: p, f: f, blind: blind,
 		granted: blind, lastArrival: now, lastProgress: now,
 	}
+	transport.InitBitmaps(f.NPkts, &r.rcvd, &r.reissued)
 	// Seed the grant-age ring so the unscheduled prefix (authorized at
 	// flow start) becomes recoverable one timeout window from now.
 	r.grants.Note(now, r.granted)
@@ -527,10 +530,13 @@ func (p *Protocol) onTimeout(r *rcvFlow) {
 	ps := p.poolOf(r.f.Dst)
 	issued := 0
 	for seq := r.rcvd.NextClear(0); seq >= 0 && seq < overdue && issued < cap; seq = r.rcvd.NextClear(seq + 1) {
-		if at, ok := r.reissuedAt.Get(seq); ok && now-at < window {
-			continue // retransmission still plausibly in flight
+		if r.reissued.Get(seq) {
+			if at, _ := r.reissuedAt.Get(seq); now-at < window {
+				continue // retransmission still plausibly in flight
+			}
 		}
 		r.reissuedAt.Put(seq, now)
+		r.reissued.Set(seq)
 		ps.recovery.Push(recReq{r: r, seq: seq})
 		issued++
 	}
