@@ -248,26 +248,3 @@ func TestDropTailProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func BenchmarkDropTailEnqueueDequeue(b *testing.B) {
-	b.ReportAllocs()
-	q := NewDropTail(1024)
-	p := dataPkt(1, 0, MSS)
-	for i := 0; i < b.N; i++ {
-		q.Enqueue(p, 0)
-		q.Dequeue()
-	}
-}
-
-func BenchmarkPriorityQueueEnqueueDequeue(b *testing.B) {
-	b.ReportAllocs()
-	q := NewPriority(1024)
-	d := dataPkt(1, 0, MSS)
-	c := ctrlPkt(Grant)
-	for i := 0; i < b.N; i++ {
-		q.Enqueue(d, 0)
-		q.Enqueue(c, 0)
-		q.Dequeue()
-		q.Dequeue()
-	}
-}

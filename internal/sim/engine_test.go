@@ -348,46 +348,3 @@ func TestEngineDeterminism(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkEngineScheduleRun(b *testing.B) {
-	for _, kind := range schedulerKinds {
-		kind := kind
-		b.Run(kind.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			e := NewEngineWith(kind)
-			rng := rand.New(rand.NewSource(1))
-			cnt := 0
-			var fn func()
-			fn = func() {
-				cnt++
-				if cnt < b.N {
-					e.Schedule(Time(rng.Intn(100)+1), fn)
-				}
-			}
-			e.Schedule(0, fn)
-			b.ResetTimer()
-			e.RunAll()
-		})
-	}
-}
-
-func BenchmarkEngineHeap64K(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	delays := make([]Time, 1<<16)
-	for i := range delays {
-		delays[i] = Time(rng.Intn(1 << 20))
-	}
-	for _, kind := range schedulerKinds {
-		kind := kind
-		b.Run(kind.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e := NewEngineWith(kind)
-				for _, d := range delays {
-					e.Schedule(d, func() {})
-				}
-				e.RunAll()
-			}
-		})
-	}
-}

@@ -1,0 +1,798 @@
+package amrt
+
+// Repository checks that run with the tier-1 suite: the exported-doc
+// lint, the dense-ID-map rule and the one-small-topology-harness rule
+// over the Go source, and the reference check over the prose. A test
+// runs in its package directory, here the repository root, so every
+// path below is relative to it. Each rule returns its findings as
+// "file:line: message" strings; the repository tests report each with
+// t.Error, and the fixture tests below trip every rule once on a tree of
+// their own, through the same functions.
+//
+// The rules read the files they check, so `go test` re-runs them when a
+// doc or a source file changes instead of reporting a cached pass.
+
+import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+
+	"amrt/internal/experiment"
+)
+
+// TestRepoLint holds the Go source to the three lint rules: every
+// exported identifier of every package of the module is documented, the
+// packet-path packages key no map by a dense ID, and small topologies
+// run only through experiment.ScenarioHarness.
+func TestRepoLint(t *testing.T) {
+	pkgs, err := packageDirs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	examples, err := filepath.Glob("examples/*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rules := []struct {
+		rule func(dir string) ([]string, error)
+		dirs []string
+	}{
+		{lintExportedDocs, pkgs},
+		{lintIDMaps, tablePackages},
+		{lintScenarioPreludes, append([]string{scenarioPackage}, examples...)},
+	}
+	for _, r := range rules {
+		for _, dir := range r.dirs {
+			report(t, dir, r.rule)
+		}
+	}
+}
+
+// TestRepoDocs holds docs/*.md and the top-level guides to the
+// reference check (docsFindings).
+func TestRepoDocs(t *testing.T) {
+	report(t, ".", docsFindings)
+}
+
+func report(t *testing.T, dir string, rule func(string) ([]string, error)) {
+	t.Helper()
+	findings, err := rule(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		t.Error(f)
+	}
+}
+
+// packageDirs returns every directory under root that belongs to the
+// module rooted there: it skips what the go tool skips (testdata, and
+// names starting with "." or "_") and every nested module, such as
+// benchmark/.
+func packageDirs(root string) ([]string, error) {
+	var dirs []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if path != root {
+			name := d.Name()
+			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+		}
+		dirs = append(dirs, path)
+		return nil
+	})
+	return dirs, err
+}
+
+// parseDir parses the non-test files of dir that keep accepts.
+func parseDir(dir string, keep func(fs.FileInfo) bool, mode parser.Mode) (*token.FileSet, []*ast.File, error) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go") && keep(fi)
+	}, mode)
+	if err != nil {
+		return nil, nil, err
+	}
+	var files []*ast.File
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			files = append(files, f)
+		}
+	}
+	return fset, files, nil
+}
+
+func allFiles(fs.FileInfo) bool { return true }
+
+// ---- lint ----
+
+// tablePackages are the packages that key state by flow or node ID on
+// the packet path and in the runner. Both ID spaces are dense per run,
+// so there the lint refuses a map keyed by either: transport.FlowTable
+// and transport.HostTable index a slice instead.
+var tablePackages = []string{
+	"internal/transport",
+	"internal/core",
+	"internal/phost",
+	"internal/homa",
+	"internal/ndp",
+	"internal/sird",
+	"internal/dctcp",
+	"internal/experiment",
+}
+
+// scenarioPackage holds experiment.ScenarioHarness in scenario.go; the
+// prelude rule covers it and every example.
+const scenarioPackage = "internal/experiment"
+
+// lintIDMaps reports every map[netsim.FlowID] or map[netsim.NodeID]
+// type in the non-test files of dir.
+func lintIDMaps(dir string) ([]string, error) {
+	fset, files, err := parseDir(dir, allFiles, 0)
+	if err != nil {
+		return nil, err
+	}
+	table := map[string]string{"FlowID": "transport.FlowTable", "NodeID": "transport.HostTable"}
+	var out []string
+	for _, file := range files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			m, ok := n.(*ast.MapType)
+			if !ok {
+				return true
+			}
+			key, ok := m.Key.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, ok := key.X.(*ast.Ident); ok && x.Name == "netsim" && table[key.Sel.Name] != "" {
+				out = append(out, fmt.Sprintf("%s: map keyed by netsim.%s: IDs are dense per run, use %s",
+					fset.Position(m.Pos()), key.Sel.Name, table[key.Sel.Name]))
+			}
+			return true
+		})
+	}
+	return out, nil
+}
+
+// scenarioBuilders are the topo constructors of the small figure
+// topologies; overlayFields are the three things a stack lays over one.
+var (
+	scenarioBuilders = map[string]bool{"NewChain": true, "NewFan": true, "NewFanN": true, "NewTestbedDynamic": true, "NewTestbedMultiBottleneck": true}
+	overlayFields    = map[string]bool{"SwitchQueue": true, "HostQueue": true, "Marker": true}
+)
+
+// selName returns Sel of a selector expression x.Sel, else "".
+func selName(e ast.Expr) string {
+	if sel, ok := e.(*ast.SelectorExpr); ok {
+		return sel.Sel.Name
+	}
+	return ""
+}
+
+// lintScenarioPreludes reports, in the non-test files of dir other than
+// the harness itself, every call of a small-topology constructor and
+// every assignment that copies a stack's queue factory or marker
+// (sc.SwitchQueue = st.SwitchQueue): both are the opening lines of a
+// hand-rolled scenario run, which experiment.ScenarioHarness replaces.
+// One call form is let through — inside the arguments of
+// NewScenarioHarness, where a function literal binds NewFanN's pair
+// count for the harness to call.
+func lintScenarioPreludes(dir string) ([]string, error) {
+	fset, files, err := parseDir(dir, func(fi fs.FileInfo) bool {
+		return !(dir == scenarioPackage && fi.Name() == "scenario.go")
+	}, 0)
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	complain := func(pos token.Pos, what string) {
+		out = append(out, fmt.Sprintf("%s: %s: run small topologies through experiment.NewScenarioHarness", fset.Position(pos), what))
+	}
+	for _, file := range files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "NewScenarioHarness" || selName(n.Fun) == "NewScenarioHarness" {
+					return false
+				}
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && scenarioBuilders[sel.Sel.Name] {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "topo" {
+						complain(n.Pos(), "topo."+sel.Sel.Name+" call")
+					}
+				}
+			case *ast.AssignStmt:
+				for i := 0; i < len(n.Lhs) && len(n.Lhs) == len(n.Rhs); i++ {
+					if from := selName(n.Rhs[i]); overlayFields[selName(n.Lhs[i])] && (overlayFields[from] || from == "NewMarker") {
+						complain(n.Lhs[i].Pos(), "overlay assignment of ."+from)
+					}
+				}
+			}
+			return true
+		})
+	}
+	return out, nil
+}
+
+// lintExportedDocs enforces the revive-style `exported` rule over the
+// non-test files of dir: every exported top-level type, function,
+// method, and grouped const/var block needs a doc comment, and
+// type/func comments must start with the identifier they document.
+func lintExportedDocs(dir string) ([]string, error) {
+	fset, files, err := parseDir(dir, allFiles, parser.ParseComments)
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	complain := func(pos token.Pos, format string, args ...any) {
+		out = append(out, fmt.Sprintf("%s: %s", fset.Position(pos), fmt.Sprintf(format, args...)))
+	}
+	for _, file := range files {
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if !d.Name.IsExported() || !exportedRecv(d) {
+					continue
+				}
+				if d.Doc == nil {
+					complain(d.Pos(), "exported %s %s has no doc comment", declKind(d), d.Name.Name)
+				} else if !docStartsWith(d.Doc, d.Name.Name) {
+					complain(d.Pos(), "doc comment of %s %s should start with %q", declKind(d), d.Name.Name, d.Name.Name)
+				} else if !docLineComments(d.Doc) {
+					complain(d.Doc.Pos(), "doc comment of %s %s should use // line comments", declKind(d), d.Name.Name)
+				}
+			case *ast.GenDecl:
+				switch d.Tok {
+				case token.TYPE:
+					for _, spec := range d.Specs {
+						ts := spec.(*ast.TypeSpec)
+						if !ts.Name.IsExported() {
+							continue
+						}
+						doc := ts.Doc
+						if doc == nil {
+							doc = d.Doc
+						}
+						if doc == nil {
+							complain(ts.Pos(), "exported type %s has no doc comment", ts.Name.Name)
+						} else if !docStartsWith(doc, ts.Name.Name) {
+							complain(ts.Pos(), "doc comment of type %s should start with %q", ts.Name.Name, ts.Name.Name)
+						} else if !docLineComments(doc) {
+							complain(doc.Pos(), "doc comment of type %s should use // line comments", ts.Name.Name)
+						}
+					}
+				case token.CONST, token.VAR:
+					// A group doc covers the block; otherwise each exported
+					// spec needs its own comment.
+					if d.Doc != nil {
+						continue
+					}
+					for _, spec := range d.Specs {
+						vs := spec.(*ast.ValueSpec)
+						if vs.Doc != nil || vs.Comment != nil {
+							continue
+						}
+						for _, name := range vs.Names {
+							if name.IsExported() {
+								complain(name.Pos(), "exported %s %s has no doc comment", d.Tok, name.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return out, nil
+}
+
+// exportedRecv reports whether a method's receiver type is exported
+// (functions without receivers count as exported scope).
+func exportedRecv(d *ast.FuncDecl) bool {
+	if d.Recv == nil || len(d.Recv.List) == 0 {
+		return true
+	}
+	t := d.Recv.List[0].Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	if g, ok := t.(*ast.IndexExpr); ok { // generic receiver T[P]
+		t = g.X
+	}
+	id, ok := t.(*ast.Ident)
+	return ok && id.IsExported()
+}
+
+func declKind(d *ast.FuncDecl) string {
+	if d.Recv != nil {
+		return "method"
+	}
+	return "function"
+}
+
+func docStartsWith(doc *ast.CommentGroup, name string) bool {
+	return strings.HasPrefix(strings.TrimSpace(doc.Text()), name)
+}
+
+// docLineComments reports whether every comment in the group is a //
+// line comment. A /* block */ doc comment parses and renders fine, but
+// it is one stray keystroke away from the `/ text` form that silently
+// detaches the doc from its declaration — the repo standardizes on line
+// comments so the lint can catch that class of damage.
+func docLineComments(doc *ast.CommentGroup) bool {
+	for _, c := range doc.List {
+		if !strings.HasPrefix(c.Text, "//") {
+			return false
+		}
+	}
+	return true
+}
+
+// ---- docs ----
+
+// docsCheckFiles are the top-level guides checked alongside docs/*.md:
+// together they form the complete prose surface of the repository.
+var docsCheckFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+
+// docsFindings checks docs/*.md under root plus the top-level guides
+// (docsCheckFiles), so the documentation cannot silently rot as the
+// code moves:
+//
+//  1. every `pkg.Identifier` reference inside backticks resolves to an
+//     identifier that actually exists in that package (only packages of
+//     the module are checked — shell commands, file names, and stdlib
+//     calls in backticks are ignored);
+//  2. every relative markdown link points at a file that exists;
+//  3. every simulation-version literal (amrt-sim/vN) matches the
+//     current SimVersion, so stale cache-key documentation is caught
+//     the moment the version bumps;
+//  4. every CLI flag mentioned in a code context (`-shards` inline, or
+//     a command line inside a fenced block) is defined by some binary
+//     under cmd/, so renaming or dropping a flag cannot leave the docs
+//     advertising it. Lines invoking foreign tools (curl, the go tool,
+//     pprof, `go run` of a package outside the module) are skipped, and
+//     a short allowlist covers `go test` flags the docs mention bare,
+//     like -race;
+//  5. no line enumerates all-but-one of the protocol comparison set,
+//     checked against the live stack registry — that is the signature
+//     of a full list that predates the newest protocol. Smaller
+//     subsets (a two-way contrast, the receiver-driven baseline trio)
+//     are legitimate prose and stay exempt.
+func docsFindings(root string) ([]string, error) {
+	idents, err := collectIdentifiers(root)
+	if err != nil {
+		return nil, err
+	}
+	flags, err := collectCLIFlags(root)
+	if err != nil {
+		return nil, err
+	}
+	files, err := filepath.Glob(filepath.Join(root, "docs", "*.md"))
+	if err != nil || len(files) == 0 {
+		return nil, fmt.Errorf("no docs/*.md files under %s", root)
+	}
+	for _, f := range docsCheckFiles {
+		files = append(files, filepath.Join(root, f))
+	}
+	var out []string
+	for _, path := range files {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, checkDoc(path, string(raw), idents, flags)...)
+	}
+	return out, nil
+}
+
+// checkDoc applies the five docs rules to one file.
+func checkDoc(path, text string, idents map[string]map[string]bool, flags map[string]bool) []string {
+	var out []string
+	inFence := false
+	for i, line := range strings.Split(text, "\n") {
+		complain := func(format string, args ...any) {
+			out = append(out, fmt.Sprintf("%s:%d: %s", path, i+1, fmt.Sprintf(format, args...)))
+		}
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			inFence = !inFence
+			continue
+		}
+		refs := codeRefs(line)
+		contexts := refs
+		if inFence {
+			contexts = []string{line}
+		}
+		for _, ctx := range contexts {
+			if foreignToolRe.MatchString(ctx) {
+				continue
+			}
+			for _, name := range flagMentions(ctx) {
+				if !flags[name] && !goTestFlags[name] {
+					complain("flag -%s is not defined by any cmd/ binary", name)
+				}
+			}
+		}
+		for _, ref := range refs {
+			pkg, names, ok := splitRef(ref)
+			if !ok {
+				continue
+			}
+			set := idents[pkg]
+			if set == nil {
+				continue // not a package of this repo
+			}
+			for _, name := range names {
+				if !set[name] {
+					complain("`%s` — %s has no identifier %q", ref, pkg, name)
+				}
+			}
+		}
+		for _, target := range relativeLinks(line) {
+			dest := filepath.Join(filepath.Dir(path), target)
+			if _, err := os.Stat(dest); err != nil {
+				complain("broken link %q (%s does not exist)", target, dest)
+			}
+		}
+		if ms := protocolMentions(line); len(ms) == len(protocolSet)-1 {
+			complain("protocol list %v is missing %v (registry comparison set: %v)", ms, missingProtocols(ms), protocolSet)
+		}
+		for _, v := range simVersionRe.FindAllString(line, -1) {
+			if v != SimVersion {
+				complain("stale simulation version %q (current is %q)", v, SimVersion)
+			}
+		}
+	}
+	return out
+}
+
+// backtickRe captures inline code spans; refRe matches qualified
+// identifier chains like sim.Engine, netsim.Packet.Release, or
+// sim.Engine.Run() inside them.
+var (
+	backtickRe = regexp.MustCompile("`([^`]+)`")
+	refRe      = regexp.MustCompile(`^([a-z][a-zA-Z0-9]*)((?:\.[A-Za-z_][A-Za-z0-9_]*)+)(?:\(\))?$`)
+	// linkRe captures markdown link targets; simVersionRe matches
+	// simulation-version literals wherever they appear in prose.
+	linkRe       = regexp.MustCompile(`\]\(([^)#]+)(?:#[^)]*)?\)`)
+	simVersionRe = regexp.MustCompile(`amrt-sim/v\d+`)
+)
+
+// relativeLinks extracts the markdown link targets of one line that
+// point into the repository: absolute URLs and pure-anchor links are
+// skipped.
+func relativeLinks(line string) []string {
+	var out []string
+	for _, m := range linkRe.FindAllStringSubmatch(line, -1) {
+		target := strings.TrimSpace(m[1])
+		if target == "" || strings.Contains(target, "://") || strings.HasPrefix(target, "mailto:") {
+			continue
+		}
+		out = append(out, target)
+	}
+	return out
+}
+
+// protocolSet is the live comparison set, straight from the stack
+// registry — the same list the figures and the public API derive from.
+var protocolSet = experiment.ProtocolNames()
+
+var protocolRes = func() []*regexp.Regexp {
+	res := make([]*regexp.Regexp, len(protocolSet))
+	for i, n := range protocolSet {
+		res[i] = regexp.MustCompile(`\b` + regexp.QuoteMeta(n) + `\b`)
+	}
+	return res
+}()
+
+// protocolMentions returns the comparison protocols named on the line,
+// in registry order.
+func protocolMentions(line string) []string {
+	var out []string
+	for i, re := range protocolRes {
+		if re.MatchString(line) {
+			out = append(out, protocolSet[i])
+		}
+	}
+	return out
+}
+
+// missingProtocols returns the comparison protocols absent from the
+// mentioned set.
+func missingProtocols(mentioned []string) []string {
+	have := map[string]bool{}
+	for _, m := range mentioned {
+		have[m] = true
+	}
+	var out []string
+	for _, n := range protocolSet {
+		if !have[n] {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+func codeRefs(line string) []string {
+	var out []string
+	for _, m := range backtickRe.FindAllStringSubmatch(line, -1) {
+		out = append(out, strings.TrimSpace(m[1]))
+	}
+	return out
+}
+
+// splitRef splits "pkg.A.B" into its package qualifier and the exported
+// identifiers to verify. Lower-case path components (field access into
+// unexported API) stop the chain; anything before the first dot must be
+// a plain package name.
+func splitRef(ref string) (pkg string, names []string, ok bool) {
+	m := refRe.FindStringSubmatch(ref)
+	if m == nil {
+		return "", nil, false
+	}
+	for _, part := range strings.Split(strings.TrimPrefix(m[2], "."), ".") {
+		if part == "" || part[0] < 'A' || part[0] > 'Z' {
+			break
+		}
+		names = append(names, part)
+	}
+	if len(names) == 0 {
+		return "", nil, false
+	}
+	return m[1], names, true
+}
+
+// collectIdentifiers parses every package of the module rooted at root
+// and returns, per package name, the set of exported identifiers:
+// top-level types, funcs, consts, vars, plus method and struct-field
+// names (docs refer to those as pkg.Type.Method).
+func collectIdentifiers(root string) (map[string]map[string]bool, error) {
+	dirs, err := packageDirs(root)
+	if err != nil {
+		return nil, err
+	}
+	out := map[string]map[string]bool{}
+	for _, dir := range dirs {
+		_, files, err := parseDir(dir, allFiles, 0)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %v", dir, err)
+		}
+		for _, file := range files {
+			set := out[file.Name.Name]
+			if set == nil {
+				set = map[string]bool{}
+				out[file.Name.Name] = set
+			}
+			addFileIdentifiers(set, file)
+		}
+	}
+	return out, nil
+}
+
+// flagTokRe matches a flag mention in a code context: a -name or --name
+// token at the start or after whitespace/quote/pipe/equals, so prose
+// hyphenations (receiver-driven) and diagram rules (----) never match.
+// foreignToolRe recognizes command lines that belong to other programs,
+// whose flags are not ours to verify: `go run ./cmd/amrtsim` runs a
+// binary of this module, `go run example.com/tool` does not.
+// goTestFlags are `go test` flags the docs legitimately mention bare,
+// outside any command line.
+var (
+	flagTokRe     = regexp.MustCompile("(?:^|[\\s\"'(|=`])--?([a-zA-Z][a-zA-Z0-9_-]*)")
+	foreignToolRe = regexp.MustCompile(`\b(?:(?:curl|gofmt|pprof|go (?:test|tool|vet|build))\b|go run +[^.\s])`)
+	goTestFlags   = map[string]bool{
+		"race": true, "bench": true, "benchmem": true, "benchtime": true,
+		"short": true, "run": true, "count": true, "v": true, "cover": true,
+	}
+)
+
+// flagMentions extracts the flag names mentioned in one code context,
+// with any =value suffix already stripped by the token pattern.
+func flagMentions(ctx string) []string {
+	var out []string
+	for _, m := range flagTokRe.FindAllStringSubmatch(ctx, -1) {
+		out = append(out, m[1])
+	}
+	return out
+}
+
+// flagDefName returns the flag-name argument of a flag-definition call
+// (flag.String, fs.Duration, flag.IntVar, ...), or "" if the call is
+// not one. Var-style definitions carry the name second.
+func flagDefName(call *ast.CallExpr) string {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	idx := 0
+	switch sel.Sel.Name {
+	case "String", "Bool", "Int", "Int64", "Uint", "Uint64", "Float64", "Duration":
+	case "StringVar", "BoolVar", "IntVar", "Int64Var", "UintVar", "Uint64Var",
+		"Float64Var", "DurationVar", "Var", "TextVar", "Func":
+		idx = 1
+	default:
+		return ""
+	}
+	if idx >= len(call.Args) {
+		return ""
+	}
+	lit, ok := call.Args[idx].(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return ""
+	}
+	name, err := strconv.Unquote(lit.Value)
+	if err != nil {
+		return ""
+	}
+	return name
+}
+
+// collectCLIFlags parses every binary under root/cmd and returns the
+// union of the flag names their flag sets define. The union (rather
+// than a per-binary map) keeps the docs free to mention a flag without
+// naming its binary on the same line.
+func collectCLIFlags(root string) (map[string]bool, error) {
+	cmds, err := filepath.Glob(filepath.Join(root, "cmd", "*"))
+	if err != nil {
+		return nil, err
+	}
+	out := map[string]bool{}
+	for _, dir := range cmds {
+		_, files, err := parseDir(dir, allFiles, 0)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %v", dir, err)
+		}
+		for _, file := range files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if name := flagDefName(call); name != "" {
+						out[name] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	return out, nil
+}
+
+func addFileIdentifiers(set map[string]bool, file *ast.File) {
+	for _, decl := range file.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			set[d.Name.Name] = true
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					set[s.Name.Name] = true
+					if st, ok := s.Type.(*ast.StructType); ok {
+						for _, f := range st.Fields.List {
+							for _, n := range f.Names {
+								set[n.Name] = true
+							}
+						}
+					}
+					if it, ok := s.Type.(*ast.InterfaceType); ok {
+						for _, m := range it.Methods.List {
+							for _, n := range m.Names {
+								set[n.Name] = true
+							}
+						}
+					}
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						set[n.Name] = true
+					}
+				}
+			}
+		}
+	}
+}
+
+// ---- every rule trips ----
+
+// writeTree creates files (path → content) under a fresh temporary
+// directory and returns it.
+func writeTree(t *testing.T, files map[string]string) string {
+	t.Helper()
+	root := t.TempDir()
+	for path, content := range files {
+		full := filepath.Join(root, path)
+		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(full, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return root
+}
+
+// expectOne fails unless findings is exactly one finding containing want.
+func expectOne(t *testing.T, findings []string, err error, want string) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 1 || !strings.Contains(findings[0], want) {
+		t.Errorf("findings %q, want exactly one containing %q", findings, want)
+	}
+}
+
+func TestLintRulesTrip(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rule func(string) ([]string, error)
+		src  string
+		want string
+	}{
+		{"undocumented export", lintExportedDocs,
+			"func Exported() {}\n",
+			"exported function Exported has no doc comment"},
+		{"doc without its name", lintExportedDocs,
+			"// does nothing.\ntype Exported int\n",
+			`doc comment of type Exported should start with "Exported"`},
+		{"block doc", lintExportedDocs,
+			"/* Exported does nothing. */\nfunc Exported() {}\n",
+			"should use // line comments"},
+		{"map keyed by flow ID", lintIDMaps,
+			"import \"amrt/internal/netsim\"\n\nvar byFlow map[netsim.FlowID]int\n",
+			"map keyed by netsim.FlowID"},
+		{"hand-rolled prelude", lintScenarioPreludes,
+			"import \"amrt/internal/topo\"\n\nfunc run() { topo.NewFanN(2) }\n",
+			"topo.NewFanN call"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := writeTree(t, map[string]string{"p/p.go": "package p\n\n" + tc.src})
+			got, err := tc.rule(filepath.Join(dir, "p"))
+			expectOne(t, got, err, tc.want)
+		})
+	}
+}
+
+func TestDocsRulesTrip(t *testing.T) {
+	tree := func(doc string) map[string]string {
+		return map[string]string{
+			"internal/pkg/pkg.go": "package pkg\n\n// Known is known.\ntype Known int\n",
+			"cmd/tool/main.go":    "package main\n\nimport \"flag\"\n\nvar known = flag.Bool(\"known\", false, \"\")\n",
+			"docs/guide.md":       doc,
+			"README.md":           "",
+			"DESIGN.md":           "",
+			"EXPERIMENTS.md":      "",
+		}
+	}
+	clean := "`pkg.Known` with `-known`, see [the guide](guide.md) and [the readme](../README.md).\n" +
+		"Cache keys carry `" + SimVersion + "`; run `go test -race` or `curl -X POST`.\n" +
+		"```\ngo run ./cmd/tool -known\ngo run example.com/tool -elsewhere\n```\n"
+	t.Run("clean", func(t *testing.T) {
+		got, err := docsFindings(writeTree(t, tree(clean)))
+		if err != nil || len(got) != 0 {
+			t.Errorf("clean fixture: findings %q, err %v", got, err)
+		}
+	})
+	for _, tc := range []struct{ name, doc, want string }{
+		{"unknown identifier", "`pkg.Unknown`", `pkg has no identifier "Unknown"`},
+		{"broken link", "[gone](missing.md)", `broken link "missing.md"`},
+		{"stale version", "amrt-sim/v1", `stale simulation version "amrt-sim/v1"`},
+		{"unknown flag inline", "`-bogus`", "flag -bogus is not defined"},
+		{"unknown flag on go run", "```\ngo run ./cmd/tool -known -bogus 1\n```", "flag -bogus is not defined"},
+		{"all-but-one protocol list", strings.Join(protocolSet[1:], ", "), "is missing [" + protocolSet[0] + "]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := docsFindings(writeTree(t, tree(tc.doc)))
+			expectOne(t, got, err, tc.want)
+		})
+	}
+}
