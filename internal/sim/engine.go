@@ -15,9 +15,9 @@ type SchedulerKind int32
 
 const (
 	// SchedulerWheel is the default: a hierarchical timing wheel with
-	// nanosecond-resolution buckets and a heap fallback for far-future
-	// events. O(1) schedule and near-O(1) dispatch on simulation
-	// workloads.
+	// 64 ns buckets, per-nanosecond chains for the tick being dispatched,
+	// and a heap fallback for far-future events. O(1) schedule and
+	// near-O(1) dispatch on simulation workloads.
 	SchedulerWheel SchedulerKind = iota
 	// SchedulerHeap is the original container/heap binary heap:
 	// O(log n) schedule and dispatch. Kept as the reference
@@ -73,8 +73,9 @@ type scheduler interface {
 	// including cancelled ones that have not been drained yet.
 	pending() int
 	// nextAt returns a lower bound on the time of the earliest pending
-	// event (exact for the heap, bucket-granular for the wheel) and
-	// whether any event is pending at all. Cancelled events may
+	// event (exact for the heap, and for the wheel while its current tick
+	// holds events; bucket-granular otherwise) and whether any event is
+	// pending at all. Cancelled events may
 	// contribute to the bound; it is only ever too early, never too
 	// late, which is what the sharded runtime's idle skip-ahead needs.
 	nextAt() (Time, bool)
@@ -332,8 +333,10 @@ func (e *Engine) scheduleSeq(at Time, seq uint64, h Handler, op int32, arg any) 
 
 // NextAt returns a lower bound on the time of the earliest pending
 // event and whether any event is pending. The bound is exact for the
-// heap scheduler and bucket-granular (at most one wheel-slot span early)
-// for the wheel; it is never later than the true earliest event. The
+// heap scheduler, and for the wheel while the wheel's current 64 ns tick
+// still holds events; otherwise the wheel's is bucket-granular (at most
+// one wheel-slot span early). It is never later than the true earliest
+// event. The
 // sharded runtime polls it at synchronization barriers to skip idle
 // windows.
 func (e *Engine) NextAt() (Time, bool) { return e.sched.nextAt() }
@@ -487,10 +490,11 @@ func (t *Timer) Active() bool {
 // cannot be confused). That keeps the struct at 64 bytes with the link.
 //
 // next is the intrusive link of whichever chain holds the event: a wheel
-// bucket or the engine's free chain. An event is in exactly one place at
-// a time — one wheel bucket, one (at, seq) heap (due, overflow, or the
-// heap scheduler's), the free chain, or being dispatched — and next is
-// nil everywhere but on a chain.
+// bucket, one of the wheel's due chains, or the engine's free chain. An
+// event is in exactly one place at a time — one wheel bucket, one due
+// chain, one (at, seq) heap (the wheel's overflow or the heap
+// scheduler's), the free chain, or being dispatched — and next is nil
+// everywhere but on a chain.
 type event struct {
 	at   Time
 	seq  uint64

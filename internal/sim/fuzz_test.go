@@ -192,10 +192,12 @@ func (r *fuzzScript) track(tm Timer) {
 }
 
 // auditWheel checks the wheel's structure, between two top-level records
-// and from inside every handler: the bucket chains and the two heaps hold
-// exactly the pending events (one held twice, or a chain that loops, makes
-// them hold more), heap entries carry no stale link, and the occupancy
-// bits match the bucket heads.
+// and from inside every handler: the bucket chains, the due chains and
+// the overflow heap hold exactly the pending events (one held twice, or a
+// chain that loops, makes them hold more), heap entries carry no stale
+// link, and the occupancy bits match the bucket and due-chain heads. Due
+// chain i holds only events at curTick<<6 + i, strictly ascending in seq,
+// and ends at dueTail[i].
 func (r *fuzzScript) auditWheel(w *wheelSched) {
 	held := 0
 	for l := range w.levels {
@@ -208,16 +210,34 @@ func (r *fuzzScript) auditWheel(w *wheelSched) {
 			}
 		}
 	}
-	for _, heap := range [][]*event{w.due, w.overflow} {
-		for _, ev := range heap {
-			if ev.next != nil {
-				r.t.Fatalf("wheel: event seq %#x sits in a heap with a stale link", ev.seq)
-			}
+	for i, head := range w.due {
+		if occ := w.dueOcc>>uint(i)&1 != 0; occ != (head != nil) {
+			r.t.Fatalf("wheel: due chain %d occupancy bit %v, chain present %v", i, occ, head != nil)
 		}
-		held += len(heap)
+		at := Time(w.curTick<<wheelTickShift + int64(i))
+		var last *event
+		for ev := head; ev != nil && held <= w.count; ev = ev.next {
+			if ev.at != at {
+				r.t.Fatalf("wheel: due chain %d holds an event at %v, want %v", i, ev.at, at)
+			}
+			if last != nil && ev.seq <= last.seq {
+				r.t.Fatalf("wheel: due chain %d has seq %#x after %#x", i, ev.seq, last.seq)
+			}
+			last = ev
+			held++
+		}
+		if w.dueTail[i] != last {
+			r.t.Fatalf("wheel: due chain %d ends at %p, its tail is %p", i, last, w.dueTail[i])
+		}
 	}
+	for _, ev := range w.overflow {
+		if ev.next != nil {
+			r.t.Fatalf("wheel: event seq %#x sits in the overflow heap with a stale link", ev.seq)
+		}
+	}
+	held += len(w.overflow)
 	if held != w.count {
-		r.t.Fatalf("wheel: buckets and heaps hold %d events, %d are pending", held, w.count)
+		r.t.Fatalf("wheel: buckets, due chains and overflow hold %d events, %d are pending", held, w.count)
 	}
 }
 
@@ -250,14 +270,14 @@ func (r *fuzzScript) run() {
 		}
 	}
 	if isWheel {
-		r.auditWheel(w) // nothing pending: every bucket and both heaps are empty
+		r.auditWheel(w) // nothing pending: every bucket, due chain and the overflow are empty
 	}
 }
 
 // FuzzSchedulerEquivalence drives the timing wheel, the heap and a naive
 // sorted-slice reference with one script of schedules (every band, both
 // event forms), reservations redeemed later (an older sequence number
-// entering a bucket, a cascading level or the current tick's heap),
+// entering a bucket, a cascading level or the current tick's due chains),
 // cancellations, schedules from inside handlers and Run calls with
 // mid-script horizons, at delays that cross every wheel-level boundary. All three must dispatch the same (at, seq) sequence, never
 // dispatch a cancelled event, and end with nothing pending and every
@@ -283,7 +303,7 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 	// TestReservedSeqDispatchesWhereEagerWould: two reservations in one
 	// tick; the first is redeemed at top level into a future bucket, the
 	// second from the handler of an event in that same tick — the older
-	// sequence number joins the heap the tick is dispatching from.
+	// sequence number joins the due chain the tick is dispatching from.
 	f.Add(join(fuzzRec(fuzzTyped, 2, 1320, fuzzReserve), fuzzRec(fuzzTypedMore, 2, 1321, fuzzReserve),
 		fuzzRec(fuzzFunc, 2, 1283, fuzzNest|fuzzRedeem), fuzzRec(fuzzTyped, 2, 1290, 0)))
 	// The same across levels: reservations in level 1, level 2 and the

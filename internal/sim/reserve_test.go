@@ -19,25 +19,35 @@ func (n named) HandleEvent(_ int32, arg any) { *n.trace = append(*n.trace, arg.(
 // reserved sequence number dispatches exactly where an eager
 // ScheduleEventAt at the reservation point would have put it — between
 // the same-instant events scheduled just before and just after that
-// point — whether it enters the current tick's heap from a handler, a
-// future level-0 bucket, a level that still has to cascade, or the
-// overflow heap, and on both schedulers.
+// point — whether it enters the current tick's due chains from a
+// handler, a future level-0 bucket, a level that still has to cascade,
+// or the overflow heap, and on both schedulers. Two cases add a
+// neighbour: an event queued at a later nanosecond of the target's tick,
+// which must still dispatch after the target's instant, and a keyed
+// event the redeeming handler files at Now, below its own seq, which
+// must dispatch right after that handler.
 func TestReservedSeqDispatchesWhereEagerWould(t *testing.T) {
 	const tick = Time(1) << wheelTickShift
 	cases := []struct {
 		name   string
 		redeem Time // when the reservation is turned into an event; -1: at top level, before Run
 		target Time
+		later  Time // if non-zero, an event "later" queued at this time before everything else
+		// keyedNow makes the redeeming handler also file a keyed event at
+		// Now, "keyed-now", whose key sorts below the handler's own seq.
+		keyedNow bool
 	}{
-		{"same instant, from a handler", 20*tick + 40, 20*tick + 40},
-		{"current tick, from a handler", 20*tick + 3, 20*tick + 40},
-		{"future level-0 bucket, from a handler", 100, 5000},
-		{"future level-0 bucket, before the run", -1, 500},
-		{"level 1, cascades", -1, 100 * Microsecond},
-		{"level 1, from a handler", 70 * Microsecond, 100 * Microsecond},
-		{"level 2, cascades twice", -1, 10 * Millisecond},
-		{"overflow", -1, 2 * Second},
-		{"overflow, from a handler", Second, 2 * Second},
+		{name: "same instant, from a handler", redeem: 20*tick + 40, target: 20*tick + 40},
+		{name: "current tick, from a handler", redeem: 20*tick + 3, target: 20*tick + 40},
+		{name: "current tick, an earlier nanosecond than a queued event", redeem: 20*tick + 3, target: 20*tick + 10, later: 20*tick + 40},
+		{name: "same instant, a keyed event at Now below the dispatching seq", redeem: 20*tick + 40, target: 20*tick + 40, keyedNow: true},
+		{name: "future level-0 bucket, from a handler", redeem: 100, target: 5000},
+		{name: "future level-0 bucket, before the run", redeem: -1, target: 500},
+		{name: "level 1, cascades", redeem: -1, target: 100 * Microsecond},
+		{name: "level 1, from a handler", redeem: 70 * Microsecond, target: 100 * Microsecond},
+		{name: "level 2, cascades twice", redeem: -1, target: 10 * Millisecond},
+		{name: "overflow", redeem: -1, target: 2 * Second},
+		{name: "overflow, from a handler", redeem: Second, target: 2 * Second},
 	}
 	for _, c := range cases {
 		run := func(kind SchedulerKind, eager bool) labels {
@@ -50,8 +60,17 @@ func TestReservedSeqDispatchesWhereEagerWould(t *testing.T) {
 					e.ScheduleEventSeq(c.target, seq, h, 0, "X")
 				}
 			}
+			if c.later != 0 {
+				e.ScheduleAt(c.later, trace.note("later"))
+			}
 			if c.redeem >= 0 {
-				e.ScheduleAt(c.redeem, func() { trace.note("redeem")(); redeem() })
+				e.ScheduleAt(c.redeem, func() {
+					trace.note("redeem")()
+					if c.keyedNow {
+						e.ScheduleKeyed(e.Now(), 3, trace.note("keyed-now"))
+					}
+					redeem()
+				})
 			}
 			e.ScheduleAt(c.target, trace.note("before"))
 			if eager {
@@ -75,6 +94,12 @@ func TestReservedSeqDispatchesWhereEagerWould(t *testing.T) {
 			} else {
 				want = slices.Insert(want, 0, "redeem")
 			}
+			if c.keyedNow {
+				want = slices.Insert(want, slices.Index(want, "redeem")+1, "keyed-now")
+			}
+		}
+		if c.later != 0 {
+			want = append(want, "later")
 		}
 		for _, kind := range schedulerKinds {
 			eager, lazy := run(kind, true), run(kind, false)

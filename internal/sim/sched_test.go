@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -25,7 +27,7 @@ func (s spawner) HandleEvent(op int32, _ any) { s(op, true) }
 
 // TestSchedulerEquivalence is the engine-level proof behind the
 // timing-wheel migration: a randomized storm of nested schedules and
-// cancellations — delays spanning the due heap, every wheel level, the
+// cancellations — delays spanning the due chains, every wheel level, the
 // top-region boundary, and the overflow heap — must dispatch in exactly
 // the same (time, identity) sequence on both schedulers. Half the events
 // are func() closures and half typed Handler events, interleaved at
@@ -286,6 +288,74 @@ func TestEngineFarFutureOrdering(t *testing.T) {
 	})
 }
 
+// orderCheck is a typed handler that counts its dispatches and records
+// the first one that does not follow its predecessor in (at, seq).
+type orderCheck struct {
+	e       *Engine
+	n       int
+	lastAt  Time
+	lastSeq uint64
+	err     string
+}
+
+func (c *orderCheck) HandleEvent(int32, any) {
+	at, seq := c.e.Now(), c.e.curSeq
+	if c.n > 0 && c.err == "" && (at < c.lastAt || at == c.lastAt && seq <= c.lastSeq) {
+		c.err = fmt.Sprintf("dispatch %d at (%v, %#x) after (%v, %#x)", c.n, at, seq, c.lastAt, c.lastSeq)
+	}
+	c.n++
+	c.lastAt, c.lastSeq = at, seq
+}
+
+// TestSameInstantStorm is the guard on filing into the wheel's due
+// chains: 200 k events on one instant, filed in each order the engine
+// produces — scheduled before Run in ascending seq, scheduled from a
+// handler at Now, and poured from a future bucket, which yields them in
+// descending seq — dispatch in exact (at, seq) order on both schedulers,
+// and the wheel takes well under a second for each. A chain filed by
+// walking from its head would take minutes.
+func TestSameInstantStorm(t *testing.T) {
+	const n = 200_000
+	ways := []struct {
+		name string
+		fill func(e *Engine, c *orderCheck) // schedules the storm's n events, each with handler c
+	}{
+		{"before Run, ascending", func(e *Engine, c *orderCheck) {
+			for i := 0; i < n; i++ {
+				e.ScheduleEvent(0, c, 0, nil)
+			}
+		}},
+		{"from a handler, at Now", func(e *Engine, c *orderCheck) {
+			e.ScheduleAt(1000, func() {
+				for i := 0; i < n; i++ {
+					e.ScheduleEvent(0, c, 0, nil)
+				}
+			})
+		}},
+		{"poured from a future bucket", func(e *Engine, c *orderCheck) {
+			for i := 0; i < n; i++ {
+				e.ScheduleEventAt(5000, c, 0, nil)
+			}
+		}},
+	}
+	for _, way := range ways {
+		for _, kind := range schedulerKinds {
+			e := NewEngineWith(kind)
+			c := &orderCheck{e: e}
+			way.fill(e, c)
+			start := time.Now()
+			e.RunAll()
+			took := time.Since(start)
+			if c.err != "" || c.n != n {
+				t.Errorf("%s on the %v: %d of %d events dispatched; %s", way.name, kind, c.n, n, c.err)
+			}
+			if kind == SchedulerWheel && took > time.Second {
+				t.Errorf("%s: the wheel took %v for %d same-instant events, want under 1 s", way.name, took, n)
+			}
+		}
+	}
+}
+
 // freeChain walks the engine's free chain and returns its events. It
 // fails the test on a cycle, which is also what an event pushed twice
 // would look like.
@@ -333,10 +403,10 @@ type nop struct{}
 func (nop) HandleEvent(int32, any) {}
 
 // TestWheelScheduleAllocs is the zero-allocation contract of the timing
-// wheel: buckets are chains through the events themselves, so once the
-// free chain and the due and overflow heaps have grown to their working
-// size, scheduling and draining events costs nothing — on every level
-// and through the overflow heap alike.
+// wheel: buckets and due chains are chains through the events
+// themselves, so once the free chain and the overflow heap have grown to
+// their working size, scheduling and draining events costs nothing — on
+// every level and through the overflow heap alike.
 func TestWheelScheduleAllocs(t *testing.T) {
 	const n = 100_000
 	e := NewEngineWith(SchedulerWheel)

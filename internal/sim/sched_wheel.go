@@ -18,27 +18,38 @@ import "math/bits"
 //
 // Determinism contract: dispatch order is exactly ascending (at, seq) —
 // byte-identical to heapSched. Buckets are unordered; ordering is
-// restored by pouring the current tick's bucket into a small (at, seq)
-// min-heap ("due") before dispatch, and events scheduled for the
-// current tick while it is dispatching join that heap directly. Because
-// level-0 buckets are a single tick wide and seq is globally monotonic,
+// restored when the cursor reaches a tick: its level-0 bucket is poured
+// into 64 "due" chains, one per nanosecond of the tick, each kept in
+// ascending seq, and events scheduled for the current tick while it is
+// dispatching join their chain directly. Dispatch takes the head of the
+// lowest occupied chain. Because level-0 buckets are a single tick wide,
 // no coarser bucket can ever mix two events across a time boundary
-// without the due heap re-separating them.
+// without the due chains re-separating them.
+//
+// Filing into a due chain is O(1) for the two orders events arrive in:
+// an event scheduled at the current instant draws the newest seq and is
+// appended at the chain's tail, and a bucket pours newest first, so its
+// events are prepended at the head. Anything else (a keyed arrival, a
+// reserved seq redeemed late, a cascaded bucket's mixed order) walks the
+// chain from its head; a chain holds the events of one nanosecond.
 //
 // A bucket is an intrusive chain: its slot holds the head event and the
 // rest hang off event.next, newest first. Placing an event is two pointer
 // writes and pouring a bucket walks and unlinks the chain, so the wheel
-// itself never allocates, however short-lived the engine; only the due
-// and overflow heaps are slices, and those grow once to their working
-// size.
+// itself never allocates, however short-lived the engine; only the
+// overflow heap is a slice, and it grows once to its working size.
 type wheelSched struct {
 	// curTick is the wheel cursor: floor(dispatch position / 64 ns).
 	// Invariants: curTick never exceeds the tick of the earliest pending
 	// event, and every pending event's tick is >= curTick.
 	curTick int64
 
-	// due holds the events of tick curTick, as a min-heap on (at, seq).
-	due []*event
+	// due[i] heads the chain of the events at curTick<<6 + i, linked
+	// through event.next in ascending seq; dueTail[i] is its last event
+	// and bit i of dueOcc is set iff the chain is non-empty.
+	due     [1 << wheelTickShift]*event
+	dueTail [1 << wheelTickShift]*event
+	dueOcc  uint64
 
 	// levels[l][s] heads the bucket chain for slot s of level l; occ[l]
 	// is the per-slot occupancy bitmap of level l.
@@ -71,7 +82,7 @@ func (w *wheelSched) schedule(ev *event, _ Time) {
 	w.insert(ev)
 }
 
-// insert places ev into due, a wheel bucket, or the overflow heap.
+// insert places ev into a due chain, a wheel bucket, or the overflow heap.
 //
 // Placement is by region, not distance: an event goes to the lowest
 // level whose *current rotation* contains its tick. That keeps every
@@ -90,7 +101,7 @@ func (w *wheelSched) insert(ev *event) {
 	case tick <= cur:
 		// Current tick (the engine guarantees at >= now, so tick is
 		// never truly below the cursor — only equal).
-		evheapPush(&w.due, ev)
+		w.pushDue(ev)
 	case tick>>wheelBits == cur>>wheelBits:
 		w.place(0, int(tick)&wheelMask, ev)
 	case tick>>(2*wheelBits) == cur>>(2*wheelBits):
@@ -117,9 +128,9 @@ func (w *wheelSched) take(level, s int) *event {
 }
 
 // nextAt implements scheduler: a lower bound on the earliest pending
-// event's time. The due and overflow heaps give exact times; wheel
-// buckets contribute their slot's start time, which undershoots by at
-// most the slot span. Levels need only be consulted until the first
+// event's time. The due chains and the overflow heap give exact times;
+// wheel buckets contribute their slot's start time, which undershoots by
+// at most the slot span. Levels need only be consulted until the first
 // occupied one, since every event in level l+1 lies beyond level l's
 // current rotation, but the overflow heap must always be folded in —
 // between runs it may hold events the cursor has since caught up to.
@@ -127,8 +138,8 @@ func (w *wheelSched) nextAt() (Time, bool) {
 	if w.count == 0 {
 		return 0, false
 	}
-	if len(w.due) > 0 {
-		return w.due[0].at, true
+	if w.dueOcc != 0 {
+		return w.due[bits.TrailingZeros64(w.dueOcc)].at, true
 	}
 	bound := Time(0)
 	have := false
@@ -161,12 +172,20 @@ func (w *wheelSched) nextAt() (Time, bool) {
 func (w *wheelSched) next(limit Time) *event {
 	limitTick := int64(limit) >> wheelTickShift
 	for {
-		if len(w.due) > 0 {
-			if w.due[0].at > limit {
+		if w.dueOcc != 0 {
+			i := bits.TrailingZeros64(w.dueOcc)
+			ev := w.due[i]
+			if ev.at > limit {
 				return nil
 			}
 			w.count--
-			return evheapPop(&w.due)
+			if w.due[i] = ev.next; ev.next == nil {
+				w.dueTail[i] = nil
+				w.dueOcc &^= 1 << uint(i)
+			} else {
+				ev.next = nil
+			}
+			return ev
 		}
 		if w.count == 0 {
 			return nil
@@ -236,18 +255,44 @@ func (w *wheelSched) clamp(limitTick int64) {
 }
 
 // dumpDue pours level-0 slot s (the bucket of tick curTick) into the
-// due heap, restoring exact (at, seq) order for dispatch.
+// due chains, restoring exact (at, seq) order for dispatch.
 func (w *wheelSched) dumpDue(s int) {
 	for ev := w.take(0, s); ev != nil; {
 		next := ev.next
 		ev.next = nil
-		evheapPush(&w.due, ev)
+		w.pushDue(ev)
 		ev = next
 	}
 }
 
+// pushDue files ev, an unlinked event of tick curTick, into the due
+// chain of its nanosecond at its seq. Appending after the tail and
+// prepending before the head are O(1); only an event that sorts strictly
+// inside the chain walks it.
+func (w *wheelSched) pushDue(ev *event) {
+	i := uint(ev.at) & (1<<wheelTickShift - 1)
+	tail := w.dueTail[i]
+	switch {
+	case tail == nil:
+		w.due[i], w.dueTail[i] = ev, ev
+		w.dueOcc |= 1 << i
+	case ev.seq > tail.seq:
+		tail.next = ev
+		w.dueTail[i] = ev
+	case ev.seq < w.due[i].seq:
+		ev.next = w.due[i]
+		w.due[i] = ev
+	default:
+		p := w.due[i]
+		for p.next.seq < ev.seq {
+			p = p.next
+		}
+		ev.next, p.next = p.next, ev
+	}
+}
+
 // cascade redistributes the bucket at (level, s) — whose span the cursor
-// has just reached — into the levels below it (or the due heap).
+// has just reached — into the levels below it (or the due chains).
 func (w *wheelSched) cascade(level, s int) {
 	for ev := w.take(level, s); ev != nil; {
 		next := ev.next
@@ -290,7 +335,7 @@ func (w *wheelSched) nextOcc(level, from int) (int, bool) {
 }
 
 // evheapPush and evheapPop maintain a binary min-heap of events ordered
-// by eventBefore, shared by the wheel's due/overflow heaps.
+// by eventBefore: the wheel's overflow heap and the heap scheduler.
 func evheapPush(h *[]*event, ev *event) {
 	items := append(*h, ev)
 	i := len(items) - 1
