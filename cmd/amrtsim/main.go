@@ -38,7 +38,6 @@ import (
 
 	"amrt"
 	"amrt/internal/faults"
-	"amrt/internal/sim"
 )
 
 func main() {
@@ -88,7 +87,6 @@ func runMain(args []string, stdout, stderr io.Writer) int {
 		faultSpec   = fs.String("faults", "", "fault-injection spec, e.g. 'link=leaf0->spine1,down=5ms,up=8ms;ctrl-loss=0.01' (grammar in docs/FAULTS.md)")
 		auditFlag   = fs.Bool("audit", false, "attach the runtime invariant auditor: conservation/queue-bound/grant-budget checks every metrics interval, panicking with a forensic dump on the first violation")
 		shards      = fs.Int("shards", 0, "engine shards for parallel execution (0 or 1 = single engine; results are byte-identical at every count, see docs/PARALLELISM.md)")
-		schedName   = fs.String("sched", "wheel", "event scheduler: wheel|heap (heap is the reference implementation; results are identical)")
 		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile  = fs.String("memprofile", "", "write a heap profile taken at exit to this file")
 	)
@@ -98,12 +96,6 @@ func runMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "amrtsim: invalid -faults: %v\n", err)
 		return 2
 	}
-	kind, err := sim.ParseSchedulerKind(*schedName)
-	if err != nil {
-		fmt.Fprintf(stderr, "amrtsim: %v\n", err)
-		return 2
-	}
-	sim.SetDefaultScheduler(kind)
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {

@@ -52,7 +52,6 @@ func main() {
 		metricsIvl = flag.Duration("metrics-interval", 100*time.Microsecond, "telemetry sampling period in virtual time")
 		faultSpec  = flag.String("faults", "", "fault-injection spec applied to every figure-12/13 run (grammar in docs/FAULTS.md)")
 		shards     = flag.Int("shards", 0, "engine shards per simulation of figures 12, 13, 14 and breakdown (0 or 1 = single engine; results are byte-identical at every count, see docs/PARALLELISM.md); every other figure runs one engine")
-		schedName  = flag.String("sched", "wheel", "event scheduler: wheel|heap (heap is the reference implementation; results are identical)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile taken at exit to this file")
 	)
@@ -66,12 +65,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	kind, err := sim.ParseSchedulerKind(*schedName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-		os.Exit(2)
-	}
-	sim.SetDefaultScheduler(kind)
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {

@@ -41,6 +41,9 @@ func render(t *testing.T, fig, proto string) []byte {
 // time-series CSVs. The goldens are the output of the binary built at
 // the commit before the figures moved onto the harness; a deliberate
 // behaviour change (SimVersion bump) regenerates them with -update.
+// Link-utilization CSVs also move when their sampler changes band: the
+// late-band TrackUtil tick books a transmission that ends on the tick's
+// nanosecond into the window it ended in (fig2_AMRT, 2.0 ms).
 func TestFiguresGolden(t *testing.T) {
 	cases := []struct{ fig, proto string }{
 		{"1", ""}, {"1", "AMRT"},

@@ -31,10 +31,10 @@
 //     to the receiving host's shard, so per-shard auditors check it too.
 //
 // All invariants hold between events, so the auditor runs as an
-// ordinary engine event. The counters it reads are plain int64
-// increments on paths that already touch hot state; with no auditor
-// attached the accounting costs no allocations and no branches beyond
-// the increments themselves.
+// ordinary engine event: its owner ticks Check in the engine's late
+// band. The counters it reads are plain int64 increments on paths that
+// already touch hot state; with no auditor attached the accounting costs
+// no allocations and no branches beyond the increments themselves.
 package audit
 
 import (
@@ -101,8 +101,8 @@ func (v *Violation) Error() string {
 
 // Auditor attaches invariant checks to a network, or — built with
 // NewShard — to one engine shard of a partitioned network. Create with
-// New or NewShard, start periodic checking with Start, or call Check
-// directly (e.g. one final check after the run).
+// New or NewShard and call Check: from a periodic tick (the experiment
+// runner's, through sim.Engine.Every) and once after the run.
 type Auditor struct {
 	// Net is the audited network.
 	Net *netsim.Network
@@ -165,21 +165,6 @@ func NewShard(sh *netsim.Shard, stack any) *Auditor {
 		}
 	}
 	return a
-}
-
-// Start schedules a check every interval (default 100µs if
-// non-positive) until the engine stops dispatching events. The first
-// check runs one interval in.
-func (a *Auditor) Start(interval sim.Time) {
-	if interval <= 0 {
-		interval = 100 * sim.Microsecond
-	}
-	var tick func()
-	tick = func() {
-		a.Check()
-		a.eng.Schedule(interval, tick)
-	}
-	a.eng.Schedule(interval, tick)
 }
 
 // Check runs every invariant once, returning the first violation found

@@ -18,6 +18,15 @@ func pairNet(qa netsim.Queue) (*netsim.Network, *netsim.Host, *netsim.Host) {
 	return n, a, b
 }
 
+// checkEvery ticks aud.Check every interval in the late band, the way
+// the experiment runner audits a run.
+func checkEvery(n *netsim.Network, aud *Auditor, interval sim.Time) {
+	n.Engine.Every(interval, interval, sim.Forever, sim.SubObserver, func() bool {
+		aud.Check()
+		return true
+	})
+}
+
 // TestCleanRunNoViolations drives a full AMRT transfer under continuous
 // auditing with the default fail-fast (panic) behaviour: reaching the
 // end proves every check passed.
@@ -27,7 +36,7 @@ func TestCleanRunNoViolations(t *testing.T) {
 	f := p.AddFlow(1, a, b, 1<<20, 0)
 
 	aud := New(n, p)
-	aud.Start(5 * sim.Microsecond)
+	checkEvery(n, aud, 5*sim.Microsecond)
 	n.Run(5 * sim.Millisecond)
 
 	if !f.Done || f.Outcome != transport.OutcomeCompleted {
@@ -56,7 +65,7 @@ func TestDoubleSendTripsGrantBudget(t *testing.T) {
 			got = v
 		}
 	}
-	aud.Start(5 * sim.Microsecond)
+	checkEvery(n, aud, 5*sim.Microsecond)
 
 	// Mid-run, send enough ungranted duplicates of seq 0 to exhaust
 	// whatever slack the ledger has, plus one.
@@ -113,7 +122,7 @@ func TestPacketLeakTripsPortConservation(t *testing.T) {
 			got = v
 		}
 	}
-	aud.Start(5 * sim.Microsecond)
+	checkEvery(n, aud, 5*sim.Microsecond)
 
 	for i := 0; i < 6; i++ {
 		pkt := netsim.NewPacket()

@@ -48,7 +48,10 @@ func runFanChaos(t *testing.T, proto, spec string) (*topo.Scenario, *faults.Plan
 		t.Fatal(err)
 	}
 	aud := audit.New(s.Net, inst)
-	aud.Start(100 * sim.Microsecond)
+	s.Net.Engine.Every(100*sim.Microsecond, 100*sim.Microsecond, horizon, subAudit, func() bool {
+		aud.Check()
+		return true
+	})
 	h.Run(horizon)
 	aud.Check() // end-of-run sweep; panics with a forensic dump on violation
 	for _, f := range flows {

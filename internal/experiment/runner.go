@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -81,24 +80,20 @@ type LeafSpineRun struct {
 	// accounting the checks read is maintained regardless, but the
 	// periodic sweep costs a few percent of wall time.
 	Audit bool
-
-	// StallRTTs is the flow-liveness watchdog window in base RTTs: a
-	// live flow with no data progress for this long, while both its
-	// access links are administratively up, is reported Stalled (a late
-	// completion clears the report). Default 128 — deliberately above
-	// the protocols' 64×RTT recovery-backoff cap, so a flow is only
-	// called stalled once every built-in recovery mechanism has had its
-	// chance. Negative disables the watchdog.
-	StallRTTs int
 }
 
-// Late-band sub-keys the runner schedules its per-shard observers under:
-// observer slots of the sim.SubObserver partition, above every fault
-// action of the same instant. metrics.StartUntil owns slot 1; (time,
-// sub) pairs must stay unique per engine.
+// Late-band sub-keys of every periodic observer in the module, one
+// sim.Engine.Every ticker each: observer slots of the sim.SubObserver
+// partition, so an observer sees the instant settled, after every
+// same-instant fault action. (time, sub) pairs must be unique per
+// engine; this block is the one place that is checked.
 const (
-	subWatchdog = sim.SubObserver | 2
-	subAudit    = sim.SubObserver | 3
+	subMetrics  = sim.SubObserver | 1 // run: each shard's metrics sample
+	subWatchdog = sim.SubObserver | 2 // run: each shard's stall watchdog
+	subAudit    = sim.SubObserver | 3 // run: each shard's invariant auditor
+	// ScenarioHarness.TrackUtil: the harness's n-th tracked port ticks
+	// under subUtil+n, so it must stay the last slot.
+	subUtil = sim.SubObserver | 4
 )
 
 // FlowOutcome is one flow's final disposition in a RunResult.
@@ -446,28 +441,19 @@ func (r *run) applyFaults() error {
 	return nil
 }
 
-// every runs an observer's work on eng once per interval of virtual
-// time, in the late band under sub. A finite-horizon run ticks to the
-// horizon unconditionally — a pure function of (interval, horizon),
-// identical at every shard count. An open-ended run (necessarily
-// single-shard) ticks while a responsive flow is live, so it terminates
-// once all are done; dependents awaiting release are not Done and keep
-// the ticks alive too.
-func (r *run) every(eng *sim.Engine, sub uint64, interval sim.Time, work func()) {
-	var tick func()
-	tick = func() {
-		work()
-		next := eng.Now() + interval
-		if r.horizon == sim.Forever {
-			if !r.anyLive() {
-				return
-			}
-		} else if next > r.horizon {
-			return
-		}
-		eng.ScheduleLate(next, sub, tick)
-	}
-	eng.ScheduleLate(interval, sub, tick)
+// every runs an observer's work on eng at first, first+interval, and so
+// on, in the late band under sub (sim.Engine.Every). A finite-horizon
+// run ticks to the horizon unconditionally — a pure function of (first,
+// interval, horizon), identical at every shard count. An open-ended run
+// (necessarily single-shard) ticks while a responsive flow is live, so
+// it terminates once all are done; dependents awaiting release are not
+// Done and keep the ticks alive too. This is where every observer of a
+// run — metrics, watchdog, auditor — is told to stop.
+func (r *run) every(eng *sim.Engine, sub uint64, first, interval sim.Time, work func(now sim.Time)) {
+	eng.Every(first, interval, r.horizon, sub, func() bool {
+		work(eng.Now())
+		return r.horizon != sim.Forever || r.anyLive()
+	})
 }
 
 func (r *run) anyLive() bool {
@@ -480,17 +466,15 @@ func (r *run) anyLive() bool {
 }
 
 // startWatchdog arms the flow-liveness watchdog: no data progress for
-// StallRTTs base RTTs while both access links are administratively up →
-// Stalled (a late completion, or resumed progress, clears the report).
+// DefaultStallRTTs base RTTs while both access links are
+// administratively up → Stalled (a late completion, or resumed progress,
+// clears the report).
 // One tick chain per shard, each inspecting only the flows homed there;
 // the access-link admin probes consult the fault plan's AdminDown
 // oracle — a pure function of the plan, safe from any shard — instead
 // of reading another shard's live port state.
 func (r *run) startWatchdog() {
 	window := r.stallWindow()
-	if window <= 0 {
-		return
-	}
 	for s, sh := range r.shards {
 		s := s
 		eng := sh.Eng()
@@ -500,8 +484,7 @@ func (r *run) startWatchdog() {
 		live := slices.DeleteFunc(slices.Clone(r.insts[s].OrderedFlows()), func(f *transport.Flow) bool {
 			return int(f.Home) != s || f.Unresponsive
 		})
-		r.every(eng, subWatchdog, window/4, func() {
-			now := eng.Now()
+		r.every(eng, subWatchdog, window/4, window/4, func(now sim.Time) {
 			n := 0
 			for _, f := range live {
 				if f.Done {
@@ -528,11 +511,8 @@ func (r *run) startWatchdog() {
 	}
 }
 
-// stallRTTs is the watchdog window in base RTTs, stallWindow in virtual
-// time; negative disables the watchdog.
-func (r *run) stallRTTs() int { return cmp.Or(r.StallRTTs, DefaultStallRTTs) }
-
-func (r *run) stallWindow() sim.Time { return sim.Time(r.stallRTTs()) * r.ls.RTT() }
+// stallWindow is the watchdog window in virtual time.
+func (r *run) stallWindow() sim.Time { return DefaultStallRTTs * r.ls.RTT() }
 
 // lastProgress is when f last moved: its last delivery, or its start.
 func lastProgress(f *transport.Flow) sim.Time { return max(f.LastProgress, f.Start) }
@@ -549,7 +529,7 @@ func (r *run) startAudit() {
 	interval := MetricsIntervalOrDefault(r.MetricsInterval)
 	start := func(aud *audit.Auditor, eng *sim.Engine) {
 		r.audits = append(r.audits, aud)
-		r.every(eng, subAudit, interval, func() { aud.Check() })
+		r.every(eng, subAudit, interval, interval, func(sim.Time) { aud.Check() })
 	}
 	if len(r.shards) == 1 {
 		start(audit.New(r.ls.Net, r.insts[0]), r.ls.Net.Engine)
@@ -564,7 +544,7 @@ func (r *run) startAudit() {
 }
 
 // startMetrics publishes the run's own counters and starts each
-// shard's sampling ticker.
+// shard's sampling ticker, whose first sample is at the run's start.
 func (r *run) startMetrics() {
 	if r.Metrics == nil {
 		return
@@ -579,14 +559,10 @@ func (r *run) startMetrics() {
 		})
 	}
 	interval := MetricsIntervalOrDefault(r.MetricsInterval)
-	if r.horizon == sim.Forever {
-		// Open-ended runs are single-shard; the legacy ticker stops on
-		// the queue-drain heuristic.
-		r.Metrics.Start(r.ls.Net.Engine, interval)
-		return
-	}
 	for s, sh := range r.shards {
-		r.parts[s].StartUntil(sh.Eng(), interval, r.horizon)
+		eng, reg := sh.Eng(), r.parts[s]
+		reg.Begin(eng.Now(), interval)
+		r.every(eng, subMetrics, eng.Now(), interval, reg.Sample)
 	}
 }
 
@@ -648,7 +624,7 @@ func (r *run) collect() RunResult {
 			// moved when the watchdog said it did.
 			o.Diagnosis = fmt.Sprintf(
 				"no data progress since %v (stall window %v = %d RTTs) with both access links up",
-				lastProgress(f), r.stallWindow(), r.stallRTTs())
+				lastProgress(f), r.stallWindow(), DefaultStallRTTs)
 			res.Stalled++
 		case transport.OutcomeKilledByCrash:
 			o.Diagnosis = "endpoint crashed before completion"
@@ -784,9 +760,12 @@ func globalAuditStack(insts []Instance, flows []*transport.Flow) any {
 	return ledgerView{flowsView{flows}, insts}
 }
 
-// DefaultStallRTTs is the watchdog window applied when StallRTTs is
-// zero: 128 base RTTs, double the 64×RTT cap on the protocols'
-// recovery backoff so built-in recovery always gets to act first.
+// DefaultStallRTTs is the flow-liveness watchdog window in base RTTs: a
+// live flow with no data progress for this long, while both its access
+// links are administratively up, is reported Stalled. 128 is double the
+// 64×RTT cap on the protocols' recovery backoff, so a flow is only
+// called stalled once every built-in recovery mechanism has had its
+// chance.
 const DefaultStallRTTs = 128
 
 // countOutcome counts responsive flows homed on the given shard that

@@ -31,6 +31,9 @@ type ScenarioHarness struct {
 	// a flow's tracker lives on its home (receiver) shard only, so no
 	// two engine goroutines share one.
 	trackers []transport.FlowTable[stats.FlowThroughput]
+
+	// tracked counts TrackUtil calls: each ticker takes its own sub-key.
+	tracked uint64
 }
 
 // fanN is topo.NewFanN with the pair count bound: the constructor shape
@@ -109,15 +112,21 @@ func (h *ScenarioHarness) Downlink(host *netsim.Host) *netsim.Port {
 }
 
 // TrackUtil attaches a monitor to port and samples its utilization
-// every interval up to horizon, ticking on the port owner's shard
-// engine (the only goroutine allowed to read the monitor mid-run). Call
-// it after the flows are added: the ticks order behind the flow starts
-// scheduled for the same instant. It returns the series.
+// every interval up to horizon, ticking in the late band of the port
+// owner's shard engine (the only goroutine allowed to read the monitor
+// mid-run); each sample resets the monitor's window. It returns the
+// series.
 func (h *ScenarioHarness) TrackUtil(name string, port *netsim.Port, interval, horizon sim.Time) *stats.Series {
 	mon := netsim.Attach(port)
-	u := stats.NewUtilizationSampler(interval)
-	s := u.Track(name, mon.Utilization, mon.ResetWindow)
-	u.Start(port.Shard().Eng(), horizon)
+	s := &stats.Series{Name: name}
+	eng := port.Shard().Eng()
+	eng.Every(interval, interval, horizon, subUtil+h.tracked, func() bool {
+		now := eng.Now()
+		s.Append(now, mon.Utilization(now))
+		mon.ResetWindow(now)
+		return true
+	})
+	h.tracked++
 	return s
 }
 

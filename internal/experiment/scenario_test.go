@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"amrt/internal/sim"
+	"amrt/internal/stats"
 	"amrt/internal/topo"
 	"amrt/internal/transport"
 )
@@ -53,5 +54,50 @@ func TestScenarioHarnessTrackers(t *testing.T) {
 	h.Run(sim.Millisecond)
 	if h.trackers != nil || h.Series() != nil {
 		t.Errorf("untracked run allocated trackers: %d tables, %d series", len(h.trackers), len(h.Series()))
+	}
+}
+
+// TestScenarioHarnessTrackUtil: a tracked port is sampled at interval,
+// 2·interval, … up to the horizon inclusive, each sample covering only
+// its own window (the monitor resets after every sample), and the same
+// series come out at every shard count, with two ports tracked on one
+// engine at one shard.
+func TestScenarioHarnessTrackUtil(t *testing.T) {
+	const interval, horizon = 100 * sim.Microsecond, 2 * sim.Millisecond
+	st := MustStack("AMRT", StackOptions{})
+	var ref []*stats.Series
+	for _, nshards := range []int{1, 2} {
+		h := NewScenarioHarness(st, topo.DefaultScenario(), topo.NewChain, transport.Config{}, nshards, 0, nil)
+		s := h.S
+		got := []*stats.Series{
+			h.TrackUtil("btl0", s.Bottlenecks[0], interval, horizon),
+			h.TrackUtil("btl1", s.Bottlenecks[1], interval, horizon),
+		}
+		h.AddFlow(1, s.Senders[0], s.Receivers[0], 10_000_000, 0) // crosses both bottlenecks
+		h.Run(horizon)
+
+		for _, u := range got {
+			if n := len(u.Points); n != 20 || u.Points[0].T != interval || u.Points[n-1].T != horizon {
+				t.Fatalf("%d shards: %s sampled %d times, %v…%v; want 20, %v…%v",
+					nshards, u.Name, n, u.Points[0].T, u.Points[n-1].T, interval, horizon)
+			}
+			for _, p := range u.Points {
+				if p.V < 0 || p.V > 1.01 {
+					t.Errorf("%d shards: %s sample %v at %v is not one window's utilization", nshards, u.Name, p.V, p.T)
+				}
+			}
+			if m := u.MeanBetween(500*sim.Microsecond, horizon+1); m < 0.5 {
+				t.Errorf("%d shards: %s mean utilization %.3f under a bulk flow", nshards, u.Name, m)
+			}
+		}
+		if ref == nil {
+			ref = got
+			continue
+		}
+		for i := range got {
+			if !slices.Equal(got[i].Points, ref[i].Points) {
+				t.Errorf("%d shards: %s differs from the single-engine series", nshards, got[i].Name)
+			}
+		}
 	}
 }

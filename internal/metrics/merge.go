@@ -6,56 +6,6 @@ import (
 	"amrt/internal/sim"
 )
 
-// lateSub is the per-engine late-band sub-key StartUntil's ticker
-// schedules under: observer slot 1 of the sim.SubObserver partition.
-// Other late-band observers on the same engine (the experiment runner's
-// watchdog and auditor ticks) must use different sub-keys so
-// (time, sub) pairs stay unique; the fault layer's end-of-instant
-// actions order below sim.SubObserver, so a sampler tick coinciding
-// with a fault event always sees the post-fault state.
-const lateSub = sim.SubObserver | 1
-
-// StartUntil installs a bounded sampling ticker on eng: one tick at the
-// current time plus one every interval, up to and including the last
-// tick at or before until. Unlike Start, the tick count is a pure
-// function of (start, interval, until) — it does not depend on when the
-// event queue happens to drain — and the ticks run in the engine's late
-// band, after every same-instant arrival, signal, and protocol event.
-// Both properties make the sampled output independent of how the
-// simulation is partitioned across engine shards, which is why sharded
-// runs require a finite horizon. Panics if called twice or with a
-// non-positive interval; no-op on a nil registry.
-func (r *Registry) StartUntil(eng *sim.Engine, interval, until sim.Time) {
-	if r == nil {
-		return
-	}
-	if interval <= 0 {
-		panic(fmt.Sprintf("metrics: non-positive sampling interval %v", interval))
-	}
-	if r.started {
-		panic("metrics: Start called twice")
-	}
-	r.started = true
-	r.interval = interval
-	r.startAt = eng.Now()
-	for _, s := range r.series {
-		s.alloc(r)
-	}
-	var tick func()
-	tick = func() {
-		now := eng.Now()
-		for _, s := range r.series {
-			s.push(now, s.sample(now))
-		}
-		if now+interval <= until {
-			eng.ScheduleLate(now+interval, lateSub, tick)
-		}
-	}
-	if r.startAt <= until {
-		eng.ScheduleLate(r.startAt, lateSub, tick)
-	}
-}
-
 // Merged combines per-shard registries into one equivalent to what a
 // single-shard run would have produced, for dumping. Instruments are
 // grouped by name across the parts:
@@ -68,14 +18,15 @@ func (r *Registry) StartUntil(eng *sim.Engine, interval, until sim.Time) {
 //     series — a port lives on one shard);
 //   - a series registered in several parts is summed pointwise, which
 //     requires the parts to share the tick timeline (same interval,
-//     first-sample time, and length — guaranteed when every part was
-//     started with StartUntil over the same span). Mismatched timelines
-//     panic.
+//     first-sample time, and length — guaranteed when every part began
+//     with the same start and interval and was sampled at the same
+//     instants, as the runner's per-shard tickers are). Mismatched
+//     timelines panic.
 //
 // Dumps iterate in sorted-name order, so the merged output does not
 // depend on the order shards registered or are passed in. The merged
-// registry is read-only in spirit: registering new instruments or
-// starting a ticker on it is a programmer error.
+// registry is read-only in spirit: registering new instruments on it or
+// sampling it is a programmer error.
 func Merged(parts ...*Registry) *Registry {
 	m := NewRegistry()
 	m.started = true

@@ -1,15 +1,16 @@
 // Package metrics is the simulator's unified telemetry layer: a
 // Registry of named counters, gauges, and fixed-interval time series
-// that any component can register against, sampled by a single ticker
-// on the simulation clock and dumped as JSON or CSV.
+// that any component can register against, sampled by one ticker on the
+// simulation clock and dumped as JSON or CSV.
 //
 // # Determinism contract
 //
 // All output is a pure function of (simulation config, seed):
 //
 //   - Sampling is driven by one ticker scheduled on the simulation
-//     engine — never by wall-clock time — so sample instants are
-//     virtual times, identical across runs and machines.
+//     engine (sim.Engine.Every, calling Registry.Sample) — never by
+//     wall-clock time — so sample instants are virtual times, identical
+//     across runs and machines.
 //   - Dumps iterate entries in sorted-name order and format numbers
 //     with Go's canonical shortest representation, so two runs with
 //     the same config and seed produce byte-identical files.
@@ -24,7 +25,7 @@
 // nil-safe methods (no locks, no map lookups — the engine is
 // single-threaded by construction), and CounterFunc/GaugeFunc bindings
 // cost nothing until a sample or dump reads them. Series samples land
-// in a fixed-capacity ring buffer allocated once at Start; when it
+// in a fixed-capacity ring buffer allocated once at Begin; when it
 // wraps, the oldest samples are discarded and counted in Dropped.
 //
 // A nil *Registry is a valid no-op sink: every registration method on
@@ -39,21 +40,15 @@ import (
 	"amrt/internal/sim"
 )
 
-// DefaultSeriesCap is the per-series ring capacity when Registry.
-// SeriesCap is unset: at the default 100 µs sampling interval it
-// retains ~0.8 s of history per series.
+// DefaultSeriesCap is the per-series ring capacity: at the default
+// 100 µs sampling interval it retains ~0.8 s of history per series.
 const DefaultSeriesCap = 8192
 
 // Registry holds a simulation's telemetry instruments. Create one per
-// simulation with NewRegistry, register instruments before Start, and
+// simulation with NewRegistry, register instruments before Begin, and
 // dump after the run. Registries are not safe for concurrent use — like
 // the engine they observe, they belong to one simulation goroutine.
 type Registry struct {
-	// SeriesCap bounds the samples retained per series (default
-	// DefaultSeriesCap). Set it before Start; the ring is allocated
-	// there.
-	SeriesCap int
-
 	names      map[string]bool
 	counters   []*Counter
 	counterFns []namedIntFn

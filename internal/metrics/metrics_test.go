@@ -27,7 +27,8 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	}
 	r.CounterFunc("cf", func() int64 { return 1 })
 	r.GaugeFunc("gf", func() float64 { return 1 })
-	r.Start(sim.NewEngine(), sim.Microsecond)
+	r.Begin(0, sim.Microsecond)
+	r.Sample(0)
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatalf("nil WriteJSON: %v", err)
@@ -73,6 +74,17 @@ func TestDuplicateNamePanics(t *testing.T) {
 	r.Series("x", func(sim.Time) float64 { return 0 })
 }
 
+// startSampler drives r the way the experiment runner does: Begin at the
+// engine's current time, then one Sample per late-band Every tick up to
+// until.
+func startSampler(eng *sim.Engine, r *Registry, interval, until sim.Time) {
+	r.Begin(eng.Now(), interval)
+	eng.Every(eng.Now(), interval, until, sim.SubObserver|1, func() bool {
+		r.Sample(eng.Now())
+		return true
+	})
+}
+
 func TestSamplerTicksOnSimClock(t *testing.T) {
 	eng := sim.NewEngine()
 	r := NewRegistry()
@@ -83,20 +95,20 @@ func TestSamplerTicksOnSimClock(t *testing.T) {
 		i := i
 		eng.Schedule(sim.Time(i)*50*sim.Microsecond, func() { v = float64(i) })
 	}
-	r.Start(eng, 100*sim.Microsecond)
+	startSampler(eng, r, 100*sim.Microsecond, sim.Millisecond)
 	eng.RunAll()
 
-	// Ticks at 0, 100µs, ..., up to the last tick with events pending.
-	if s.Len() < 10 {
-		t.Fatalf("too few samples: %d", s.Len())
+	// Ticks at 0, 100µs, ..., 1ms inclusive.
+	if s.Len() != 11 {
+		t.Fatalf("%d samples, want 11", s.Len())
 	}
 	vals := s.Values()
 	if vals[0] != 0 {
 		t.Fatalf("first sample %v, want 0 (tick at t=0)", vals[0])
 	}
-	// Sample i is taken at t=i*100µs, after the same-time bump (FIFO:
-	// the bump at t was scheduled before the ticker's t event).
-	if vals[1] != 2 || vals[5] != 10 {
+	// Sample i is taken at t=i*100µs, after the same-time bump: the
+	// ticks run in the late band.
+	if vals[1] != 2 || vals[5] != 10 || vals[10] != 20 {
 		t.Fatalf("samples misaligned: %v", vals)
 	}
 	if s.Interval() != 100*sim.Microsecond {
@@ -104,46 +116,48 @@ func TestSamplerTicksOnSimClock(t *testing.T) {
 	}
 }
 
+// TestSamplerTerminatesRunAll: an open-ended sampler whose tick stops
+// once nothing else is pending lets Engine.RunAll return, with a last
+// sample at the last event's instant.
 func TestSamplerTerminatesRunAll(t *testing.T) {
 	eng := sim.NewEngine()
 	r := NewRegistry()
-	r.Series("x", func(sim.Time) float64 { return 1 })
+	s := r.Series("x", func(sim.Time) float64 { return 1 })
 	eng.Schedule(sim.Millisecond, func() {})
-	r.Start(eng, 100*sim.Microsecond)
+	r.Begin(0, 100*sim.Microsecond)
+	eng.Every(0, 100*sim.Microsecond, sim.Forever, sim.SubObserver|1, func() bool {
+		r.Sample(eng.Now())
+		return eng.Pending() > 0
+	})
 	end := eng.RunAll() // must not spin forever
-	if end < sim.Millisecond {
-		t.Fatalf("ended at %v before last event", end)
+	if end != sim.Millisecond || s.Len() != 11 {
+		t.Fatalf("ended at %v with %d samples, want 1ms and 11", end, s.Len())
 	}
 }
 
 func TestRingEviction(t *testing.T) {
 	eng := sim.NewEngine()
 	r := NewRegistry()
-	r.SeriesCap = 4
 	var n float64
 	s := r.Series("n", func(sim.Time) float64 { n++; return n })
-	// Keep the engine busy for 10 ticks.
-	for i := 1; i <= 10; i++ {
-		eng.Schedule(sim.Time(i)*sim.Microsecond, func() {})
-	}
-	r.Start(eng, sim.Microsecond)
+	// DefaultSeriesCap+6 ticks: the ring wraps six times.
+	startSampler(eng, r, sim.Microsecond, (DefaultSeriesCap+5)*sim.Microsecond)
 	eng.RunAll()
 
-	if s.Len() != 4 {
-		t.Fatalf("retained %d, want 4", s.Len())
-	}
-	if s.Dropped() == 0 {
-		t.Fatal("expected evictions")
+	if s.Len() != DefaultSeriesCap || s.Dropped() != 6 {
+		t.Fatalf("retained %d, dropped %d, want %d and 6", s.Len(), s.Dropped(), DefaultSeriesCap)
 	}
 	vals := s.Values()
+	if vals[0] != 7 {
+		t.Fatalf("oldest retained sample %v, want 7", vals[0])
+	}
 	for i := 1; i < len(vals); i++ {
 		if vals[i] != vals[i-1]+1 {
-			t.Fatalf("ring order broken: %v", vals)
+			t.Fatalf("ring order broken at %d: %v after %v", i, vals[i], vals[i-1])
 		}
 	}
-	wantFirst := sim.Time(s.Dropped()) * sim.Microsecond
-	if s.FirstAt() != wantFirst {
-		t.Fatalf("FirstAt %v, want %v", s.FirstAt(), wantFirst)
+	if want := 6 * sim.Microsecond; s.FirstAt() != want {
+		t.Fatalf("FirstAt %v, want %v", s.FirstAt(), want)
 	}
 }
 
@@ -183,7 +197,7 @@ func run(t *testing.T) (string, string) {
 		at := sim.Time(rng.Int63n(int64(sim.Millisecond)))
 		eng.Schedule(at, func() { c.Inc(); depth = int64(eng.Pending()) })
 	}
-	r.Start(eng, 37*sim.Microsecond)
+	startSampler(eng, r, 37*sim.Microsecond, sim.Millisecond)
 	eng.RunAll()
 	var j, cs bytes.Buffer
 	if err := r.WriteJSON(&j); err != nil {

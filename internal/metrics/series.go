@@ -13,9 +13,9 @@ import (
 type SampleFunc func(now sim.Time) float64
 
 // TimeSeries is a fixed-interval series of samples in a ring buffer.
-// The ticker installed by Registry.Start calls the sample function once
-// per interval; when the ring is full the oldest sample is evicted and
-// counted in Dropped. The nil TimeSeries is valid and retains nothing.
+// Registry.Sample calls the sample function once per tick; when the ring
+// is full the oldest sample is evicted and counted in Dropped. The nil
+// TimeSeries is valid and retains nothing.
 type TimeSeries struct {
 	name   string
 	sample SampleFunc
@@ -29,7 +29,7 @@ type TimeSeries struct {
 	dropped int64
 }
 
-// Series registers a sampled time series. Register before Start so
+// Series registers a sampled time series. Register before Begin so
 // every series shares the full tick timeline (late registration is
 // allowed but the series simply starts at the next tick). On a nil
 // registry it returns nil, a valid no-op series.
@@ -50,11 +50,7 @@ func (r *Registry) Series(name string, sample SampleFunc) *TimeSeries {
 }
 
 func (s *TimeSeries) alloc(r *Registry) {
-	cap := r.SeriesCap
-	if cap <= 0 {
-		cap = DefaultSeriesCap
-	}
-	s.buf = make([]float64, cap)
+	s.buf = make([]float64, DefaultSeriesCap)
 	s.interval = r.interval
 }
 
@@ -97,7 +93,7 @@ func (s *TimeSeries) Dropped() int64 {
 	return s.dropped
 }
 
-// Interval returns the sampling period (0 before Start).
+// Interval returns the sampling period (0 before Begin).
 func (s *TimeSeries) Interval() sim.Time {
 	if s == nil {
 		return 0
@@ -133,15 +129,13 @@ func (s *TimeSeries) At(i int) float64 {
 	return s.buf[(s.head+i)%len(s.buf)]
 }
 
-// Start installs the registry's sampling ticker on eng: one immediate
-// tick plus one every interval, each sampling every registered series
-// in registration order. The ticker stops rescheduling itself when it
-// is the only pending event (so Engine.RunAll terminates) — in a
-// single-threaded simulation nothing can wake the network up again
-// once the event queue is otherwise empty. Start panics if called
-// twice or with a non-positive interval; it is a no-op on a nil
-// registry.
-func (r *Registry) Start(eng *sim.Engine, interval sim.Time) {
+// Begin fixes the registry's sampling timeline — samples at start,
+// start+interval, and so on — and allocates every registered series'
+// ring. The registry does not tick itself: its owner calls Sample at
+// those instants (the experiment runner does, through sim.Engine.Every).
+// Begin panics if called twice or with a non-positive interval; it is a
+// no-op on a nil registry.
+func (r *Registry) Begin(start, interval sim.Time) {
 	if r == nil {
 		return
 	}
@@ -149,29 +143,29 @@ func (r *Registry) Start(eng *sim.Engine, interval sim.Time) {
 		panic(fmt.Sprintf("metrics: non-positive sampling interval %v", interval))
 	}
 	if r.started {
-		panic("metrics: Start called twice")
+		panic("metrics: Begin called twice")
 	}
 	r.started = true
 	r.interval = interval
-	r.startAt = eng.Now()
+	r.startAt = start
 	for _, s := range r.series {
 		s.alloc(r)
 	}
-	var tick func()
-	tick = func() {
-		now := eng.Now()
-		for _, s := range r.series {
-			s.push(now, s.sample(now))
-		}
-		if eng.Pending() == 0 {
-			return
-		}
-		eng.Schedule(interval, tick)
-	}
-	eng.Schedule(0, tick)
 }
 
-// Interval returns the sampling period chosen at Start (0 before).
+// Sample records one sample of every registered series, in registration
+// order, taken at virtual time now. Call it only after Begin, which
+// allocates the rings; it is a no-op on a nil registry.
+func (r *Registry) Sample(now sim.Time) {
+	if r == nil {
+		return
+	}
+	for _, s := range r.series {
+		s.push(now, s.sample(now))
+	}
+}
+
+// Interval returns the sampling period chosen at Begin (0 before).
 func (r *Registry) Interval() sim.Time {
 	if r == nil {
 		return 0
@@ -179,7 +173,7 @@ func (r *Registry) Interval() sim.Time {
 	return r.interval
 }
 
-// StartAt returns the virtual time of the first tick.
+// StartAt returns the virtual time of the first sample.
 func (r *Registry) StartAt() sim.Time {
 	if r == nil {
 		return 0

@@ -25,24 +25,12 @@ const (
 	SchedulerHeap
 )
 
-// String returns the flag-friendly name ("wheel" or "heap").
+// String returns "wheel" or "heap".
 func (k SchedulerKind) String() string {
 	if k == SchedulerHeap {
 		return "heap"
 	}
 	return "wheel"
-}
-
-// ParseSchedulerKind parses "wheel" or "heap" (as accepted by the CLIs'
-// -sched flags).
-func ParseSchedulerKind(s string) (SchedulerKind, error) {
-	switch s {
-	case "wheel", "":
-		return SchedulerWheel, nil
-	case "heap":
-		return SchedulerHeap, nil
-	}
-	return SchedulerWheel, fmt.Errorf("sim: unknown scheduler %q (want wheel or heap)", s)
 }
 
 // defaultScheduler is what NewEngine uses. Atomic because engines are
@@ -55,8 +43,7 @@ func DefaultScheduler() SchedulerKind { return SchedulerKind(defaultScheduler.Lo
 
 // SetDefaultScheduler changes the scheduler NewEngine uses. It does not
 // affect engines that already exist; callers flipping it around a run
-// (the golden-trace tests, the CLIs' -sched flags) should restore it
-// afterwards.
+// (the golden-trace tests) should restore it afterwards.
 func SetDefaultScheduler(k SchedulerKind) { defaultScheduler.Store(int32(k)) }
 
 // scheduler is the event-queue contract shared by the timing wheel and
@@ -114,7 +101,8 @@ const (
 	// sub-keys at or above it are *observers* (metrics, watchdog, audit
 	// ticks) that must see the instant fully settled, including any
 	// same-instant fault action. Observers OR their small sub-key into
-	// SubObserver; actions draw plain counters below it.
+	// SubObserver (one table in internal/experiment lists them all);
+	// actions draw plain counters below it.
 	SubObserver uint64 = 1 << 32
 )
 
@@ -307,6 +295,32 @@ func (e *Engine) ScheduleLate(at Time, sub uint64, fn func()) Timer {
 		panic(fmt.Sprintf("sim: late subkey %#x overflows the late band", sub))
 	}
 	return e.scheduleSeq(at, SeqLate|sub, funcHandler(fn), 0, nil)
+}
+
+// Every runs tick in the late band under sub (see ScheduleLate) at first,
+// first+interval, first+2·interval, and so on, the last tick at or before
+// until; it stops early after a tick that returns false. Tick instants are
+// a pure function of (first, interval, until), never of what else is
+// pending, so an observer ticking through Every samples the same instants
+// at every shard count. first > until schedules nothing; interval <= 0
+// panics. It is the one periodic schedule of the module: every sampler,
+// auditor and watchdog ticks through it, each under its own sub.
+func (e *Engine) Every(first, interval, until Time, sub uint64, tick func() bool) {
+	if interval <= 0 {
+		panic(fmt.Sprintf("sim: non-positive tick interval %v", interval))
+	}
+	if first > until {
+		return
+	}
+	at := first
+	var fire func()
+	fire = func() {
+		if tick() && at <= until-interval {
+			at += interval
+			e.ScheduleLate(at, sub, fire)
+		}
+	}
+	e.ScheduleLate(first, sub, fire)
 }
 
 // funcHandler wraps fn for the func()-taking schedule calls. The nil

@@ -107,52 +107,6 @@ func SumSeries(name string, series ...*Series) *Series {
 	return out
 }
 
-// UtilizationSampler periodically samples a set of port monitors into
-// per-port utilization series, resetting windows after each sample.
-type UtilizationSampler struct {
-	Interval sim.Time
-	Series   []*Series
-	monitors []monitorRef
-}
-
-type monitorRef struct {
-	util func(now sim.Time) float64
-	rst  func(now sim.Time)
-	s    *Series
-}
-
-// NewUtilizationSampler returns a sampler with the given period.
-func NewUtilizationSampler(interval sim.Time) *UtilizationSampler {
-	return &UtilizationSampler{Interval: interval}
-}
-
-// Track adds a monitored quantity under the given series name.
-// utilization is read and then reset each interval.
-func (u *UtilizationSampler) Track(name string, util func(now sim.Time) float64, reset func(now sim.Time)) *Series {
-	s := &Series{Name: name}
-	u.Series = append(u.Series, s)
-	u.monitors = append(u.monitors, monitorRef{util: util, rst: reset, s: s})
-	return s
-}
-
-// Start schedules the periodic sampling on the engine until the horizon.
-func (u *UtilizationSampler) Start(e *sim.Engine, until sim.Time) {
-	var tick func()
-	tick = func() {
-		now := e.Now()
-		for _, m := range u.monitors {
-			m.s.Append(now, m.util(now))
-			if m.rst != nil {
-				m.rst(now)
-			}
-		}
-		if now+u.Interval <= until {
-			e.Schedule(u.Interval, tick)
-		}
-	}
-	e.Schedule(u.Interval, tick)
-}
-
 // FlowThroughput tracks per-flow received bytes and renders a
 // windowed-throughput series normalized to a reference rate, which is
 // how the paper's testbed figures present per-flow throughput.

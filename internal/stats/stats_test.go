@@ -206,28 +206,6 @@ func TestSumSeries(t *testing.T) {
 	}
 }
 
-func TestUtilizationSampler(t *testing.T) {
-	e := sim.NewEngine()
-	u := NewUtilizationSampler(10 * sim.Microsecond)
-	calls := 0
-	resets := 0
-	s := u.Track("port", func(now sim.Time) float64 {
-		calls++
-		return 0.5
-	}, func(now sim.Time) { resets++ })
-	u.Start(e, 100*sim.Microsecond)
-	e.RunAll()
-	if calls != 10 || resets != 10 {
-		t.Errorf("calls=%d resets=%d, want 10 each", calls, resets)
-	}
-	if len(s.Points) != 10 {
-		t.Errorf("series has %d points", len(s.Points))
-	}
-	if s.Points[0].T != 10*sim.Microsecond {
-		t.Errorf("first sample at %v", s.Points[0].T)
-	}
-}
-
 func TestFlowThroughput(t *testing.T) {
 	// 10µs windows at 10Gbps reference: 12500 bytes = 1.0.
 	ft := NewFlowThroughput("f1", 10*sim.Microsecond, 10*sim.Gbps)
