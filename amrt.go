@@ -271,12 +271,12 @@ type Config struct {
 	// plan's randomness derives from Seed unless the spec pins its own
 	// with a seed= clause.
 	Faults string
-	// Shards splits the simulation across per-core engine shards
-	// synchronized by conservative link-delay lookahead (see
-	// docs/PARALLELISM.md). It is a wall-clock knob only: results —
-	// flow outcomes, traces, metrics dumps — are byte-identical at
-	// every shard count, so it is deliberately excluded from the sweep
-	// cache key. 0 or 1 (the default) runs the single-engine golden
+	// Shards splits the simulation across engine shards synchronized
+	// by conservative link-delay lookahead (see docs/PARALLELISM.md).
+	// It is a determinism check, not a speedup: results — flow
+	// outcomes, traces, metrics dumps — are byte-identical at every
+	// shard count, so it is deliberately excluded from the sweep cache
+	// key. 0 or 1 (the default) runs the single-engine golden
 	// reference path. Fault plans combine freely with sharding: the
 	// fault layer homes every event to the shard owning the affected
 	// port, host, or switch (see docs/FAULTS.md).

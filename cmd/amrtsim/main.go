@@ -86,7 +86,7 @@ func runMain(args []string, stdout, stderr io.Writer) int {
 		metricsIvl  = fs.Duration("metrics-interval", 100*time.Microsecond, "telemetry sampling period in virtual time")
 		faultSpec   = fs.String("faults", "", "fault-injection spec, e.g. 'link=leaf0->spine1,down=5ms,up=8ms;ctrl-loss=0.01' (grammar in docs/FAULTS.md)")
 		auditFlag   = fs.Bool("audit", false, "attach the runtime invariant auditor: conservation/queue-bound/grant-budget checks every metrics interval, panicking with a forensic dump on the first violation")
-		shards      = fs.Int("shards", 0, "engine shards for parallel execution (0 or 1 = single engine; results are byte-identical at every count, see docs/PARALLELISM.md)")
+		shards      = fs.Int("shards", 0, "engine shards, a determinism check (0 or 1 = single engine; the output must be byte-identical at every count, see docs/PARALLELISM.md)")
 		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile  = fs.String("memprofile", "", "write a heap profile taken at exit to this file")
 	)

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -36,6 +37,24 @@ func TestCompareGolden(t *testing.T) {
 	}
 	if !bytes.Equal(stdout.Bytes(), want) {
 		t.Errorf("amrtsim -compare differs from %s:\n%s", path, stdout.Bytes())
+	}
+}
+
+// TestServeRefusesBadSpecs: the daemon's submission check (specToSweep,
+// then Validate; an error is HTTP 400) refuses a spec with the retired
+// shards axis and one whose seeds repeat once 0 counts as 1.
+func TestServeRefusesBadSpecs(t *testing.T) {
+	for spec, want := range map[string]string{
+		`{"shards":[2]}`:  `unknown field "shards"`,
+		`{"seeds":[0,1]}`: "seed 1 appears twice",
+	} {
+		sc, err := specToSweep([]byte(spec), servePolicy{})
+		if err == nil {
+			err = sc.Validate()
+		}
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("spec %s: err = %v, want it to contain %q", spec, err, want)
+		}
 	}
 }
 

@@ -34,7 +34,6 @@ type sweepSpec struct {
 	Loads      []float64 `json:"loads,omitempty"`
 	Seeds      []int64   `json:"seeds,omitempty"`
 	Faults     []string  `json:"faults,omitempty"`
-	Shards     []int     `json:"shards,omitempty"`
 
 	Flows        int          `json:"flows,omitempty"`
 	Pattern      string       `json:"pattern,omitempty"`
@@ -111,7 +110,6 @@ func specToSweep(raw json.RawMessage, pol servePolicy) (amrt.SweepConfig, error)
 		Loads:      spec.Loads,
 		Seeds:      spec.Seeds,
 		Faults:     spec.Faults,
-		Shards:     spec.Shards,
 		Base: amrt.Config{
 			Flows:            spec.Flows,
 			Pattern:          spec.Pattern,
@@ -199,16 +197,11 @@ func serveMain(args []string) int {
 			if err != nil {
 				return nil, err
 			}
+			// The job snapshot holds the ledger counters only.
 			sc.Progress = func(p amrt.SweepProgress) {
 				progress(campaign.Progress{
 					Done: p.Done, Total: p.Total,
 					Hits: p.CacheHits, Misses: p.CacheMisses, Failed: p.Failed,
-					Point: campaign.Point{
-						Protocol: p.Protocol, Workload: p.Workload,
-						Topology: p.Topology, Degree: p.Degree,
-						Load: p.Load, Seed: p.Seed, Faults: p.Faults,
-					},
-					FromCache: p.FromCache, Err: p.Err,
 				})
 			}
 			res, err := amrt.Sweep(ctx, sc)

@@ -16,7 +16,7 @@ import (
 )
 
 // sweepMain implements `amrtsim sweep`: expand a protocol × workload ×
-// topology × degree × load × fault × shard × seed grid, run it across
+// topology × degree × load × fault × seed grid, run it across
 // all cores with a resumable on-disk result cache, and emit the campaign
 // report as a table, JSON, and CSV. Ctrl-C cancels cleanly: completed
 // points stay cached, so re-invoking the same command resumes where
@@ -31,7 +31,6 @@ func sweepMain(args []string) int {
 		loads     = fs.String("loads", "0.5", "comma-separated offered-load fractions to sweep")
 		seeds     = fs.String("seeds", "1", "comma-separated RNG seeds per cell (CI half-widths need >= 2)")
 		faultsArg = fs.String("faults", "", "pipe-separated fault specs to sweep ('' = fault-free; grammar in docs/FAULTS.md)")
-		shardsArg = fs.String("shards", "", "comma-separated engine-shard counts to sweep ('' = single engine; results are byte-identical at every count, so this axis only varies wall-clock — see docs/PARALLELISM.md)")
 		auditArg  = fs.Bool("audit", false, "run every point with the runtime invariant auditor attached (part of the cache key; audited and unaudited campaigns never share entries)")
 		flows     = fs.Int("flows", 1000, "flows per point")
 		leaves    = fs.Int("leaves", 0, "leaf switches (0 = default 4)")
@@ -89,15 +88,6 @@ func sweepMain(args []string) int {
 	if *faultsArg != "" {
 		faultList = strings.Split(*faultsArg, "|")
 	}
-	shardList, err := parseInts(*shardsArg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "amrtsim sweep: -shards: %v\n", err)
-		return 2
-	}
-	var shardInts []int
-	for _, s := range shardList {
-		shardInts = append(shardInts, int(s))
-	}
 
 	sc := amrt.SweepConfig{
 		Protocols:  protoList,
@@ -107,7 +97,6 @@ func sweepMain(args []string) int {
 		Loads:      loadList,
 		Seeds:      seedList,
 		Faults:     faultList,
-		Shards:     shardInts,
 		Base: amrt.Config{
 			Flows: *flows,
 			Topology: amrt.Topology{
@@ -139,18 +128,7 @@ func sweepMain(args []string) int {
 			if p.FromCache {
 				src = "cached"
 			}
-			axes := ""
-			if p.Topology != "" {
-				axes += " topo=" + p.Topology
-			}
-			if p.Degree != 0 {
-				axes += fmt.Sprintf(" degree=%d", p.Degree)
-			}
-			if p.Shards != 0 {
-				axes += fmt.Sprintf(" shards=%d", p.Shards)
-			}
-			fmt.Fprintf(os.Stderr, "[%d/%d] %s %s%s load=%.2f seed=%d %s\n",
-				p.Done, p.Total, p.Protocol, p.Workload, axes, p.Load, p.Seed, src)
+			fmt.Fprintf(os.Stderr, "[%d/%d] %s %s\n", p.Done, p.Total, p.SweepCoord, src)
 		}
 	}
 
@@ -208,21 +186,7 @@ func printSweepFailures(res *amrt.SweepResult) {
 	}
 	fmt.Printf("FAILED %d/%d points (quarantined after retries):\n", len(res.Failed), res.TotalPoints)
 	for _, f := range res.Failed {
-		axes := ""
-		if f.Topology != "" {
-			axes += " topo=" + f.Topology
-		}
-		if f.Degree != 0 {
-			axes += fmt.Sprintf(" degree=%d", f.Degree)
-		}
-		if f.Faults != "" {
-			axes += " faults=" + f.Faults
-		}
-		if f.Shards != 0 {
-			axes += fmt.Sprintf(" shards=%d", f.Shards)
-		}
-		fmt.Printf("  %s %s%s load=%.2f seed=%d: %d attempts: %s\n",
-			f.Protocol, f.Workload, axes, f.Load, f.Seed, f.Attempts, f.Error)
+		fmt.Printf("  %s: %d attempts: %s\n", f.SweepCoord, f.Attempts, f.Error)
 	}
 }
 

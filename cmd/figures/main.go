@@ -22,6 +22,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -34,7 +35,7 @@ import (
 
 func main() {
 	var (
-		fig        = flag.String("fig", "all", "figure to regenerate: 1,2,5,7,9,11,12,13,14,ablation,h2h,all")
+		fig        = flag.String("fig", "all", "comma-separated figures to regenerate: "+strings.Join(figureNames, ",")+" or all")
 		proto      = flag.String("proto", "", "protocol for single-stack figures (1,2,9): pHost|Homa|NDP|AMRT|SIRD; default = figure's paper protocol")
 		loads      = flag.String("loads", "", "comma-separated loads for fig 12 (default 0.1,0.3,0.5,0.7)")
 		counts     = flag.String("counts", "100,200,400,800", "comma-separated flow counts for fig 13")
@@ -51,7 +52,6 @@ func main() {
 		metricsDir = flag.String("metrics", "", "directory to write one JSON telemetry dump per figure-12/13 run into (schema in docs/TELEMETRY.md)")
 		metricsIvl = flag.Duration("metrics-interval", 100*time.Microsecond, "telemetry sampling period in virtual time")
 		faultSpec  = flag.String("faults", "", "fault-injection spec applied to every figure-12/13 run (grammar in docs/FAULTS.md)")
-		shards     = flag.Int("shards", 0, "engine shards per simulation of figures 12, 13, 14 and breakdown (0 or 1 = single engine; results are byte-identical at every count, see docs/PARALLELISM.md); every other figure runs one engine")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile taken at exit to this file")
 	)
@@ -62,6 +62,11 @@ func main() {
 		os.Exit(2)
 	}
 	if err := checkProto(*proto); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	figs, err := parseFigs(*fig)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -118,17 +123,33 @@ func main() {
 	cfg.MetricsDir = *metricsDir
 	cfg.MetricsInterval = sim.FromDuration(*metricsIvl)
 	cfg.FaultSpec = *faultSpec
-	cfg.Shards = *shards
 
-	figs := strings.Split(*fig, ",")
-	if *fig == "all" {
-		figs = []string{"1", "2", "5", "7", "9", "11", "12", "13", "14", "ablation", "related", "incast", "breakdown", "h2h"}
-	}
 	for _, f := range figs {
 		start := time.Now()
-		runFigure(os.Stdout, strings.TrimSpace(f), cfg, *proto, *counts, *ratios, *csvDir, *plot)
+		runFigure(os.Stdout, f, cfg, *proto, *counts, *ratios, *csvDir, *plot)
 		fmt.Fprintf(os.Stderr, "[fig %s done in %v]\n", f, time.Since(start).Round(time.Millisecond))
 	}
+}
+
+// figureNames lists every figure runFigure knows, in `-fig all` order;
+// the -fig help text and parseFigs derive from it.
+var figureNames = []string{"1", "2", "5", "7", "9", "11", "12", "13", "14", "ablation", "related", "incast", "breakdown", "h2h"}
+
+// parseFigs expands -fig into figure names, refusing an unknown one
+// before any figure runs, so `-fig 12,bogus` fails before Fig 12's run,
+// not after it.
+func parseFigs(arg string) ([]string, error) {
+	if arg == "all" {
+		return figureNames, nil
+	}
+	figs := strings.Split(arg, ",")
+	for i, f := range figs {
+		figs[i] = strings.TrimSpace(f)
+		if !slices.Contains(figureNames, figs[i]) {
+			return nil, fmt.Errorf("figures: unknown figure %q (have %s)", figs[i], strings.Join(figureNames, ","))
+		}
+	}
+	return figs, nil
 }
 
 // checkProto resolves -proto before any figure runs, so a mistyped name

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"amrt/internal/experiment"
@@ -74,6 +76,23 @@ func TestFiguresGolden(t *testing.T) {
 				t.Errorf("figures -fig %s -proto %q differs from %s:\n%s", c.fig, c.proto, path, got)
 			}
 		})
+	}
+}
+
+// TestUnknownFigureIsOneLine: -fig is checked whole before any figure
+// runs, so `-fig 12,bogus` is one line naming the figures there are,
+// not Fig 12's full run followed by the error; `all` is every figure.
+func TestUnknownFigureIsOneLine(t *testing.T) {
+	figs, err := parseFigs("12, bogus")
+	want := `figures: unknown figure "bogus" (have ` + strings.Join(figureNames, ",") + ")"
+	if figs != nil || err == nil || err.Error() != want {
+		t.Errorf("parseFigs(12, bogus) = %q, %v; want nil, %s", figs, err, want)
+	}
+	if figs, err := parseFigs("12, h2h"); err != nil || !slices.Equal(figs, []string{"12", "h2h"}) {
+		t.Errorf("parseFigs(12, h2h) = %q, %v", figs, err)
+	}
+	if figs, err := parseFigs("all"); err != nil || !slices.Equal(figs, figureNames) {
+		t.Errorf("parseFigs(all) = %q, %v", figs, err)
 	}
 }
 

@@ -17,9 +17,13 @@ package campaign
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"strconv"
+	"strings"
 )
 
 // Point is one cell-instance of a sweep grid: a single simulation run.
+// It is the one declaration of a sweep coordinate; the root package's
+// reports embed it as amrt.SweepCoord.
 type Point struct {
 	Protocol string `json:"protocol"`
 	Workload string `json:"workload"`
@@ -30,14 +34,12 @@ type Point struct {
 	// matters for campaigns running the "incast" pattern.
 	Degree int     `json:"degree,omitempty"`
 	Load   float64 `json:"load"`
-	Seed   int64   `json:"seed"`
+	// Seed is zero only on a cell coordinate (Cell); amrt.Sweep never
+	// runs a point at seed 0.
+	Seed int64 `json:"seed,omitempty"`
 	// Faults is a fault-injection spec (docs/FAULTS.md); empty means a
 	// fault-free run.
 	Faults string `json:"faults,omitempty"`
-	// Shards is the engine-shard count; 0 means the base's count. It is
-	// a wall-clock knob only — results are shard-count independent — so
-	// cache keys exclude it while cells keep it as a coordinate.
-	Shards int `json:"shards,omitempty"`
 }
 
 // Cell is a Point stripped of its seed: the unit results are aggregated
@@ -45,6 +47,25 @@ type Point struct {
 func (p Point) Cell() Point {
 	p.Seed = 0
 	return p
+}
+
+// String renders the coordinate on one line: protocol and workload, then
+// key=value for every other field, each only when it is non-zero.
+func (p Point) String() string {
+	var parts []string
+	add := func(ok bool, s string) {
+		if ok {
+			parts = append(parts, s)
+		}
+	}
+	add(p.Protocol != "", p.Protocol)
+	add(p.Workload != "", p.Workload)
+	add(p.Topology != "", "topo="+p.Topology)
+	add(p.Degree != 0, "degree="+strconv.Itoa(p.Degree))
+	add(p.Load != 0, "load="+strconv.FormatFloat(p.Load, 'g', -1, 64))
+	add(p.Seed != 0, "seed="+strconv.FormatInt(p.Seed, 10))
+	add(p.Faults != "", "faults="+p.Faults)
+	return strings.Join(parts, " ")
 }
 
 // Grid declares a sweep campaign: the cartesian product of its axes.
@@ -62,16 +83,12 @@ type Grid struct {
 	// Faults lists fault specs to sweep; an empty slice means one
 	// fault-free axis value.
 	Faults []string
-	// Shards lists engine-shard counts to sweep; an empty slice means
-	// one base-count axis value.
-	Shards []int
 }
 
 // Expand enumerates the grid's points in deterministic paper order:
 // protocol outermost, then workload, topology, degree, load, fault
-// spec, shard count, and seed innermost — so all seeds of one cell are
-// adjacent and a partial campaign still yields fully-aggregated leading
-// cells.
+// spec, and seed innermost — so all seeds of one cell are adjacent and
+// a partial campaign still yields fully-aggregated leading cells.
 func (g Grid) Expand() []Point {
 	topos := g.Topologies
 	if len(topos) == 0 {
@@ -85,11 +102,7 @@ func (g Grid) Expand() []Point {
 	if len(faults) == 0 {
 		faults = []string{""}
 	}
-	shards := g.Shards
-	if len(shards) == 0 {
-		shards = []int{0}
-	}
-	n := len(g.Protocols) * len(g.Workloads) * len(topos) * len(degrees) * len(g.Loads) * len(faults) * len(shards) * len(g.Seeds)
+	n := len(g.Protocols) * len(g.Workloads) * len(topos) * len(degrees) * len(g.Loads) * len(faults) * len(g.Seeds)
 	out := make([]Point, 0, n)
 	for _, proto := range g.Protocols {
 		for _, wl := range g.Workloads {
@@ -97,15 +110,12 @@ func (g Grid) Expand() []Point {
 				for _, deg := range degrees {
 					for _, load := range g.Loads {
 						for _, f := range faults {
-							for _, sh := range shards {
-								for _, seed := range g.Seeds {
-									out = append(out, Point{
-										Protocol: proto, Workload: wl,
-										Topology: tp, Degree: deg,
-										Load: load, Seed: seed, Faults: f,
-										Shards: sh,
-									})
-								}
+							for _, seed := range g.Seeds {
+								out = append(out, Point{
+									Protocol: proto, Workload: wl,
+									Topology: tp, Degree: deg,
+									Load: load, Seed: seed, Faults: f,
+								})
 							}
 						}
 					}

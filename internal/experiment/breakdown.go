@@ -35,7 +35,7 @@ func SizeBreakdownTable(cfg SimConfig, workloadName string, load float64) *Table
 	type out struct{ rows []string }
 	results := Parallel(len(cfg.Protocols), func(i int) out {
 		st := MustStack(cfg.Protocols[i], StackOptions{})
-		res := LeafSpineRun{Topo: cfg.Topo, Stack: st, Flows: flows, Horizon: cfg.Horizon, Shards: cfg.Shards}.Run()
+		res := LeafSpineRun{Topo: cfg.Topo, Stack: st, Flows: flows, Horizon: cfg.Horizon}.Run()
 		small, rest := res.Collector.BySize(10_000)
 		medium, large := rest.BySize(1_000_000)
 		row := []string{st.Name}

@@ -47,13 +47,6 @@ type SimConfig struct {
 	// (default 100 µs).
 	MetricsDir      string
 	MetricsInterval sim.Time
-
-	// Shards is the engine-shard count each figure simulation runs with
-	// (0 or 1 = single-engine reference path; see docs/PARALLELISM.md).
-	// Results are byte-identical at every shard count, so this is purely
-	// a wall-clock knob; it composes with the run-level parallelism of
-	// Parallel, so total goroutines ≈ runs-in-flight × Shards.
-	Shards int
 }
 
 // DefaultSimConfig returns the scaled-down evaluation setup.

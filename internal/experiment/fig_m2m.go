@@ -94,7 +94,7 @@ func Fig14Cells(cfg SimConfig, ratios []float64) []M2MCell {
 		if horizon > 2*sim.Second {
 			horizon = 2 * sim.Second
 		}
-		return LeafSpineRun{Topo: tcfg, Stack: variants[s.vi].st, Flows: flows, Horizon: horizon, Shards: cfg.Shards}.Run()
+		return LeafSpineRun{Topo: tcfg, Stack: variants[s.vi].st, Flows: flows, Horizon: horizon}.Run()
 	})
 
 	// Average repeats.

@@ -48,7 +48,7 @@ func Fig12Cells(cfg SimConfig) []FCTCell {
 		})
 		res := LeafSpineRun{
 			Topo: cfg.Topo, Stack: s.st, Flows: flows, Horizon: cfg.Horizon,
-			Faults: cfg.newFaultPlan(), Shards: cfg.Shards,
+			Faults:  cfg.newFaultPlan(),
 			Metrics: cfg.newRunMetrics(), MetricsInterval: cfg.metricsInterval(),
 		}.Run()
 		dumpRunMetrics(cfg.MetricsDir,
@@ -140,7 +140,7 @@ func Fig13Cells(cfg SimConfig, flowCounts []int) []UtilCell {
 		})
 		res := LeafSpineRun{
 			Topo: cfg.Topo, Stack: s.st, Flows: flows, Horizon: cfg.Horizon,
-			Faults: cfg.newFaultPlan(), Shards: cfg.Shards,
+			Faults:  cfg.newFaultPlan(),
 			Metrics: cfg.newRunMetrics(), MetricsInterval: cfg.metricsInterval(),
 		}.Run()
 		dumpRunMetrics(cfg.MetricsDir,

@@ -30,7 +30,7 @@ type LeafSpineRun struct {
 
 	// Shards is the engine-shard count (see docs/PARALLELISM.md): 0 or 1
 	// runs the single-engine reference path; higher values partition the
-	// fabric across that many cores, hosts riding with their ToR, and run
+	// fabric across that many engines, hosts riding with their ToR, and run
 	// the conservative time-window loop. Results are byte-identical at
 	// every shard count, fault plans included. Sharded runs require a
 	// finite Horizon.

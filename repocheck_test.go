@@ -13,14 +13,17 @@ package amrt
 // doc or a source file changes instead of reporting a cached pass.
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -359,9 +362,10 @@ var docsCheckFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
 //     current SimVersion, so stale cache-key documentation is caught
 //     the moment the version bumps;
 //  4. every CLI flag mentioned in a code context (`-shards` inline, or
-//     a command line inside a fenced block) is defined by some binary
-//     under cmd/, so renaming or dropping a flag cannot leave the docs
-//     advertising it. Lines invoking foreign tools (curl, the go tool,
+//     a command line inside a fenced block) is defined by the command
+//     the context names (`figures`, `amrtsim sweep`), or by some binary
+//     under cmd/ when it names none, so renaming or dropping a flag
+//     cannot leave the docs advertising it. Lines invoking foreign tools (curl, the go tool,
 //     pprof, `go run` of a package outside the module) are skipped, and
 //     a short allowlist covers `go test` flags the docs mention bare,
 //     like -race;
@@ -398,7 +402,7 @@ func docsFindings(root string) ([]string, error) {
 }
 
 // checkDoc applies the five docs rules to one file.
-func checkDoc(path, text string, idents map[string]map[string]bool, flags map[string]bool) []string {
+func checkDoc(path, text string, idents map[string]map[string]bool, flags cliFlags) []string {
 	var out []string
 	inFence := false
 	for i, line := range strings.Split(text, "\n") {
@@ -418,9 +422,10 @@ func checkDoc(path, text string, idents map[string]map[string]bool, flags map[st
 			if foreignToolRe.MatchString(ctx) {
 				continue
 			}
+			allowed, by := flags.allowed(ctx)
 			for _, name := range flagMentions(ctx) {
-				if !flags[name] && !goTestFlags[name] {
-					complain("flag -%s is not defined by any cmd/ binary", name)
+				if !allowed[name] && !goTestFlags[name] {
+					complain("flag -%s is not defined by %s", name, by)
 				}
 			}
 		}
@@ -638,33 +643,109 @@ func flagDefName(call *ast.CallExpr) string {
 	return name
 }
 
+// cliFlags maps each command of the module — "figures", "amrtsim",
+// "amrtsim sweep" — to the set of flags it defines.
+type cliFlags map[string]map[string]bool
+
+// allowed returns the flags a code context may mention, and who defines
+// them for the finding's text: the flags of the commands the context
+// names, or every command's when it names none. The longest name wins,
+// so "amrtsim sweep -x" names `amrtsim sweep` and not also `amrtsim`.
+func (c cliFlags) allowed(ctx string) (map[string]bool, string) {
+	names := make([]string, 0, len(c))
+	for name := range c {
+		names = append(names, name)
+	}
+	slices.SortFunc(names, func(a, b string) int { return cmp.Or(len(b)-len(a), strings.Compare(a, b)) })
+	allowed := map[string]bool{}
+	var named []string
+	for _, name := range names {
+		re := regexp.MustCompile(`(?:^|[\s/])` + regexp.QuoteMeta(name) + `(?:\s|$)`)
+		if loc := re.FindStringIndex(ctx); loc != nil {
+			ctx = ctx[:loc[0]] + " " + ctx[loc[1]:]
+			named = append(named, "`"+name+"`")
+			maps.Copy(allowed, c[name])
+		}
+	}
+	if len(named) > 0 {
+		return allowed, strings.Join(named, " or ")
+	}
+	for _, set := range c {
+		maps.Copy(allowed, set)
+	}
+	return allowed, "any cmd/ binary"
+}
+
 // collectCLIFlags parses every binary under root/cmd and returns the
-// union of the flag names their flag sets define. The union (rather
-// than a per-binary map) keeps the docs free to mention a flag without
-// naming its binary on the same line.
-func collectCLIFlags(root string) (map[string]bool, error) {
+// flags each of its commands defines. A flag on a flag.NewFlagSet
+// belongs to the set's name ("amrtsim sweep"); a flag on the package's
+// default set belongs to the directory's name.
+func collectCLIFlags(root string) (cliFlags, error) {
 	cmds, err := filepath.Glob(filepath.Join(root, "cmd", "*"))
 	if err != nil {
 		return nil, err
 	}
-	out := map[string]bool{}
+	out := cliFlags{}
 	for _, dir := range cmds {
 		_, files, err := parseDir(dir, allFiles, 0)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", dir, err)
 		}
 		for _, file := range files {
+			// sets maps a flag-set variable to its command name; an
+			// assignment precedes its uses in the walk's source order.
+			sets := map[string]string{}
 			ast.Inspect(file, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					if name := flagDefName(call); name != "" {
-						out[name] = true
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					if id, name, ok := newFlagSet(n); ok {
+						sets[id] = name
 					}
+				case *ast.CallExpr:
+					name := flagDefName(n)
+					if name == "" {
+						break
+					}
+					cmd := filepath.Base(dir)
+					if id, ok := n.Fun.(*ast.SelectorExpr).X.(*ast.Ident); ok && sets[id.Name] != "" {
+						cmd = sets[id.Name]
+					}
+					if out[cmd] == nil {
+						out[cmd] = map[string]bool{}
+					}
+					out[cmd][name] = true
 				}
 				return true
 			})
 		}
 	}
 	return out, nil
+}
+
+// newFlagSet matches `v := flag.NewFlagSet("name", ...)` and returns the
+// variable and the set's name.
+func newFlagSet(a *ast.AssignStmt) (id, name string, ok bool) {
+	if len(a.Lhs) != 1 || len(a.Rhs) != 1 {
+		return "", "", false
+	}
+	v, ok := a.Lhs[0].(*ast.Ident)
+	if !ok {
+		return "", "", false
+	}
+	call, ok := a.Rhs[0].(*ast.CallExpr)
+	if !ok || len(call.Args) == 0 {
+		return "", "", false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "NewFlagSet" {
+		return "", "", false
+	}
+	lit, ok := call.Args[0].(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return "", "", false
+	}
+	name, err := strconv.Unquote(lit.Value)
+	return v.Name, name, err == nil
 }
 
 func addFileIdentifiers(set map[string]bool, file *ast.File) {
@@ -767,6 +848,7 @@ func TestDocsRulesTrip(t *testing.T) {
 		return map[string]string{
 			"internal/pkg/pkg.go": "package pkg\n\n// Known is known.\ntype Known int\n",
 			"cmd/tool/main.go":    "package main\n\nimport \"flag\"\n\nvar known = flag.Bool(\"known\", false, \"\")\n",
+			"cmd/tool/sub.go":     "package main\n\nimport \"flag\"\n\nfunc sub() {\n\tfs := flag.NewFlagSet(\"tool sub\", flag.ExitOnError)\n\tfs.Int(\"depth\", 0, \"\")\n}\n",
 			"docs/guide.md":       doc,
 			"README.md":           "",
 			"DESIGN.md":           "",
@@ -774,8 +856,8 @@ func TestDocsRulesTrip(t *testing.T) {
 		}
 	}
 	clean := "`pkg.Known` with `-known`, see [the guide](guide.md) and [the readme](../README.md).\n" +
-		"Cache keys carry `" + SimVersion + "`; run `go test -race` or `curl -X POST`.\n" +
-		"```\ngo run ./cmd/tool -known\ngo run example.com/tool -elsewhere\n```\n"
+		"Cache keys carry `" + SimVersion + "`; run `go test -race` or `curl -X POST`; `-depth` alone.\n" +
+		"```\ngo run ./cmd/tool -known\ngo run ./cmd/tool sub -depth 2\ngo run example.com/tool -elsewhere\n```\n"
 	t.Run("clean", func(t *testing.T) {
 		got, err := docsFindings(writeTree(t, tree(clean)))
 		if err != nil || len(got) != 0 {
@@ -788,6 +870,8 @@ func TestDocsRulesTrip(t *testing.T) {
 		{"stale version", "amrt-sim/v1", `stale simulation version "amrt-sim/v1"`},
 		{"unknown flag inline", "`-bogus`", "flag -bogus is not defined"},
 		{"unknown flag on go run", "```\ngo run ./cmd/tool -known -bogus 1\n```", "flag -bogus is not defined"},
+		{"another command's flag", "`tool -depth 2`", "flag -depth is not defined by `tool`"},
+		{"parent flag on a subcommand", "```\ntool sub -known\n```", "flag -known is not defined by `tool sub`"},
 		{"all-but-one protocol list", strings.Join(protocolSet[1:], ", "), "is missing [" + protocolSet[0] + "]"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

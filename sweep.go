@@ -40,24 +40,20 @@ type SweepConfig struct {
 	Loads []float64
 	// Seeds lists the RNG seeds each cell is repeated under; the
 	// per-cell summaries carry 95% confidence half-widths across them
-	// (default: Base.Seed).
+	// (default: Base.Seed). A 0 seed runs as seed 1, as in Config, and
+	// is reported as 1; a seed may appear once.
 	Seeds []int64
 	// Faults lists fault-injection specs to sweep; an empty string is
 	// a fault-free run (default: Base.Faults).
 	Faults []string
-	// Shards lists engine-shard counts to sweep; 0 is Base.Shards
-	// (default: one Base.Shards axis value). Shard count is a
-	// wall-clock knob — results are byte-identical at every value (see
-	// docs/PARALLELISM.md) — so it is excluded from the cache key: a
-	// cache populated at one shard count satisfies campaigns run at any
-	// other.
-	Shards []int
 
 	// Base supplies everything the axes do not: topology, flow count,
 	// Homa degree, timeout. Its Protocol/Workload/Load/Seed/Faults
 	// fields seed the axis defaults; its trace and metrics output
 	// paths are ignored — sweep points run without per-run dumps so
-	// results are cacheable byte-for-byte.
+	// results are cacheable byte-for-byte. Its Shards is honoured but
+	// kept out of the cache key: results are byte-identical at every
+	// shard count (docs/PARALLELISM.md), so one cache serves them all.
 	Base Config
 
 	// CacheDir, when set, is the resumable result cache: every
@@ -98,6 +94,13 @@ type SweepConfig struct {
 	Progress func(SweepProgress)
 }
 
+// SweepCoord is a sweep point's coordinate: protocol, workload,
+// topology spec, incast degree, load, seed and fault spec. It is
+// declared once, in internal/campaign, and embedded by SweepProgress,
+// SweepPoint, SweepCell (with Seed zero) and SweepFailure; its String
+// method renders it for progress and failure lines.
+type SweepCoord = campaign.Point
+
 // SweepProgress is one live-progress report: campaign position, cache
 // ledger so far, and the point that just resolved.
 type SweepProgress struct {
@@ -107,15 +110,9 @@ type SweepProgress struct {
 	CacheMisses int
 	// Failed counts points quarantined so far (always zero without
 	// SweepConfig.Quarantine).
-	Failed    int
-	Protocol  string
-	Workload  string
-	Topology  string
-	Degree    int
-	Load      float64
-	Seed      int64
-	Faults    string
-	Shards    int
+	Failed int
+	// SweepCoord is the point that just resolved.
+	SweepCoord
 	FromCache bool
 	// Err carries the point's final error text when this update
 	// reports a quarantined failure; empty on success.
@@ -133,17 +130,7 @@ type SweepStat struct {
 
 // SweepPoint is one completed run of a campaign.
 type SweepPoint struct {
-	Protocol string  `json:"protocol"`
-	Workload string  `json:"workload"`
-	Topology string  `json:"topology,omitempty"`
-	Degree   int     `json:"degree,omitempty"`
-	Load     float64 `json:"load"`
-	Seed     int64   `json:"seed"`
-	Faults   string  `json:"faults,omitempty"`
-	// Shards is the engine-shard count the point was declared with.
-	// Zero (the default axis) is omitted; the result bytes are
-	// identical at every value.
-	Shards int `json:"shards,omitempty"`
+	SweepCoord
 	// FromCache reports whether this point was rehydrated rather than
 	// computed. It is deliberately excluded from the serialized report:
 	// a resumed campaign must produce byte-identical output.
@@ -152,20 +139,12 @@ type SweepPoint struct {
 }
 
 // SweepCell aggregates one protocol × workload × topology × degree ×
-// load × faults × shards combination across its seeds: completion
-// times in microseconds, utilization as a fraction, counters summed.
-// Cells differing only in Shards carry identical measurements — the
-// axis exists to compare wall-clock cost, and keeping it a cell
-// coordinate makes the equality visible in the report.
+// load × faults combination across its seeds: completion times in
+// microseconds, utilization as a fraction, counters summed. Its
+// coordinate's Seed is zero and omitted from the report.
 type SweepCell struct {
-	Protocol string  `json:"protocol"`
-	Workload string  `json:"workload"`
-	Topology string  `json:"topology,omitempty"`
-	Degree   int     `json:"degree,omitempty"`
-	Load     float64 `json:"load"`
-	Faults   string  `json:"faults,omitempty"`
-	Shards   int     `json:"shards,omitempty"`
-	Seeds    int     `json:"seeds"`
+	SweepCoord
+	Seeds int `json:"seeds"`
 
 	AFCTUs      SweepStat `json:"afct_us"`
 	P99Us       SweepStat `json:"p99_us"`
@@ -187,16 +166,9 @@ type SweepCell struct {
 // attempt's error text. Failures only occur with
 // SweepConfig.Quarantine set; the strict default aborts instead.
 type SweepFailure struct {
-	Protocol string  `json:"protocol"`
-	Workload string  `json:"workload"`
-	Topology string  `json:"topology,omitempty"`
-	Degree   int     `json:"degree,omitempty"`
-	Load     float64 `json:"load"`
-	Seed     int64   `json:"seed"`
-	Faults   string  `json:"faults,omitempty"`
-	Shards   int     `json:"shards,omitempty"`
-	Attempts int     `json:"attempts"`
-	Error    string  `json:"error"`
+	SweepCoord
+	Attempts int    `json:"attempts"`
+	Error    string `json:"error"`
 }
 
 // SweepResult is a campaign report: every point in grid order, the
@@ -223,9 +195,10 @@ type SweepResult struct {
 }
 
 // Validate checks the campaign declaration: the failure policy fields
-// must be non-negative (ErrBadPolicy), the grid must expand to at
-// least one point, and every expanded point's Config must validate
-// (same typed sentinels as Config.Validate). Sweep validates before
+// must be non-negative (ErrBadPolicy), no seed may repeat on the Seeds
+// axis (0 counting as 1), the grid must expand to at least one point,
+// and every expanded point's Config must validate (same typed
+// sentinels as Config.Validate). Sweep validates before
 // executing; the daemon (`amrtsim serve`) calls this at job-submission
 // time so malformed specs are rejected with a 400 instead of a failed
 // job.
@@ -239,7 +212,15 @@ func (sc SweepConfig) Validate() error {
 	if sc.RetryBackoff < 0 {
 		return fmt.Errorf("%w: negative retry backoff %v", ErrBadPolicy, sc.RetryBackoff)
 	}
-	points := sc.grid().Expand()
+	g := sc.grid()
+	seen := map[int64]bool{}
+	for _, s := range g.Seeds {
+		if seen[s] {
+			return fmt.Errorf("amrt: sweep seed %d appears twice (a 0 seed runs as seed 1)", s)
+		}
+		seen[s] = true
+	}
+	points := g.Expand()
 	if len(points) == 0 {
 		return errors.New("amrt: empty sweep grid")
 	}
@@ -320,11 +301,7 @@ func Sweep(ctx context.Context, sc SweepConfig) (*SweepResult, error) {
 			hook(SweepProgress{
 				Done: p.Done, Total: p.Total,
 				CacheHits: p.Hits, CacheMisses: p.Misses, Failed: p.Failed,
-				Protocol: p.Point.Protocol, Workload: p.Point.Workload,
-				Topology: p.Point.Topology, Degree: p.Point.Degree,
-				Load: p.Point.Load, Seed: p.Point.Seed, Faults: p.Point.Faults,
-				Shards:    p.Point.Shards,
-				FromCache: p.FromCache, Err: p.Err,
+				SweepCoord: p.Point, FromCache: p.FromCache, Err: p.Err,
 			})
 		}
 	}
@@ -348,9 +325,7 @@ func (sc SweepConfig) grid() campaign.Grid {
 		Topologies: sc.Topologies,
 		Degrees:    sc.Degrees,
 		Loads:      sc.Loads,
-		Seeds:      sc.Seeds,
 		Faults:     sc.Faults,
-		Shards:     sc.Shards,
 	}
 	if len(g.Protocols) == 0 {
 		g.Protocols = Protocols()
@@ -361,8 +336,13 @@ func (sc SweepConfig) grid() campaign.Grid {
 	if len(g.Loads) == 0 {
 		g.Loads = []float64{base.Load}
 	}
-	if len(g.Seeds) == 0 {
+	if len(sc.Seeds) == 0 {
 		g.Seeds = []int64{base.Seed}
+	}
+	// Config.normalized runs seed 0 as seed 1; the point says so, so a
+	// report never shows a seed other than the one that ran.
+	for _, s := range sc.Seeds {
+		g.Seeds = append(g.Seeds, cmp.Or(s, 1))
 	}
 	if len(g.Faults) == 0 {
 		g.Faults = []string{base.Faults}
@@ -392,9 +372,6 @@ func (sc SweepConfig) pointConfig(p campaign.Point) (Config, error) {
 	if p.Degree != 0 {
 		c.IncastDegree = p.Degree
 	}
-	if p.Shards != 0 {
-		c.Shards = p.Shards
-	}
 	c.Load = p.Load
 	c.Seed = p.Seed
 	c.Faults = p.Faults
@@ -411,7 +388,7 @@ func (sc SweepConfig) pointConfig(p campaign.Point) (Config, error) {
 //
 // Shards is deliberately absent: the sharded engine produces
 // byte-identical results at every shard count (docs/PARALLELISM.md), so
-// a cache populated at one count must satisfy campaigns run at any
+// a cache populated at one Base.Shards must satisfy campaigns run at any
 // other — TestSweepCacheSharedAcrossShardCounts pins this down.
 func sweepKey(c Config) string {
 	// The builder's canonical string encodes every result-influencing
@@ -476,29 +453,15 @@ func buildSweepResult(total int, cres *campaign.Result) (*SweepResult, error) {
 		if err := json.Unmarshal(o.Payload, &r); err != nil {
 			return out, fmt.Errorf("amrt: decoding sweep point payload: %w", err)
 		}
-		out.Points = append(out.Points, SweepPoint{
-			Protocol: o.Point.Protocol, Workload: o.Point.Workload,
-			Topology: o.Point.Topology, Degree: o.Point.Degree,
-			Load: o.Point.Load, Seed: o.Point.Seed, Faults: o.Point.Faults,
-			Shards:    o.Point.Shards,
-			FromCache: o.FromCache, Result: r,
-		})
+		out.Points = append(out.Points, SweepPoint{SweepCoord: o.Point, FromCache: o.FromCache, Result: r})
 	}
 	for _, f := range cres.Failed {
-		out.Failed = append(out.Failed, SweepFailure{
-			Protocol: f.Point.Protocol, Workload: f.Point.Workload,
-			Topology: f.Point.Topology, Degree: f.Point.Degree,
-			Load: f.Point.Load, Seed: f.Point.Seed, Faults: f.Point.Faults,
-			Shards:   f.Point.Shards,
-			Attempts: f.Attempts, Error: f.Error,
-		})
+		out.Failed = append(out.Failed, SweepFailure{SweepCoord: f.Point, Attempts: f.Attempts, Error: f.Error})
 	}
 	for _, c := range cres.Cells {
 		out.Cells = append(out.Cells, SweepCell{
-			Protocol: c.Point.Protocol, Workload: c.Point.Workload,
-			Topology: c.Point.Topology, Degree: c.Point.Degree,
-			Load: c.Point.Load, Faults: c.Point.Faults,
-			Shards: c.Point.Shards, Seeds: c.Seeds,
+			SweepCoord:  c.Point,
+			Seeds:       c.Seeds,
 			AFCTUs:      sweepStat(c.AFCTUs),
 			P99Us:       sweepStat(c.P99Us),
 			Utilization: sweepStat(c.Utilization),
@@ -526,12 +489,11 @@ func (r *SweepResult) WriteJSON(w io.Writer) error {
 }
 
 // WriteCSV writes the per-cell aggregate table as CSV, one row per
-// protocol × workload × topology × degree × load × faults × shards
-// cell.
+// protocol × workload × topology × degree × load × faults cell.
 func (r *SweepResult) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	header := []string{
-		"protocol", "workload", "topology", "degree", "load", "faults", "shards", "seeds",
+		"protocol", "workload", "topology", "degree", "load", "faults", "seeds",
 		"afct_us_mean", "afct_us_ci95", "p99_us_mean", "p99_us_ci95",
 		"util_mean", "util_ci95", "completed", "total", "drops", "trims",
 		"deadline_total", "deadline_missed",
@@ -543,7 +505,7 @@ func (r *SweepResult) WriteCSV(w io.Writer) error {
 	for _, c := range r.Cells {
 		row := []string{
 			c.Protocol, c.Workload, c.Topology, strconv.Itoa(c.Degree),
-			f(c.Load), c.Faults, strconv.Itoa(c.Shards), strconv.Itoa(c.Seeds),
+			f(c.Load), c.Faults, strconv.Itoa(c.Seeds),
 			f(c.AFCTUs.Mean), f(c.AFCTUs.CI95), f(c.P99Us.Mean), f(c.P99Us.CI95),
 			f(c.Utilization.Mean), f(c.Utilization.CI95),
 			strconv.Itoa(c.Completed), strconv.Itoa(c.Total),

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -231,18 +232,17 @@ func TestSweepKeyDefaultHomaDegree(t *testing.T) {
 }
 
 // TestSweepCacheSharedAcrossShardCounts pins down sweepKey's deliberate
-// exclusion of the Shards axis: the sharded engine produces
-// byte-identical results at every shard count, so a 4-shard campaign
-// must fully hit a cache populated by a 1-shard campaign (same key ⇒
-// same bytes) and report the same measurements — Shards survives only
-// as a cell coordinate.
+// exclusion of Base.Shards: the sharded engine produces byte-identical
+// results at every shard count, so a campaign run at Base.Shards 4 must
+// fully hit a cache populated at Base.Shards 1 (same key ⇒ same bytes)
+// and report the same points.
 func TestSweepCacheSharedAcrossShardCounts(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
 	ctx := context.Background()
+	sc := smallSweep(dir)
 
-	one := smallSweep(dir)
-	one.Shards = []int{1}
-	first, err := Sweep(ctx, one)
+	sc.Base.Shards = 1
+	first, err := Sweep(ctx, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,9 +251,8 @@ func TestSweepCacheSharedAcrossShardCounts(t *testing.T) {
 			first.CacheHits, first.CacheMisses, first.TotalPoints)
 	}
 
-	four := smallSweep(dir)
-	four.Shards = []int{4}
-	second, err := Sweep(ctx, four)
+	sc.Base.Shards = 4
+	second, err := Sweep(ctx, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,74 +264,115 @@ func TestSweepCacheSharedAcrossShardCounts(t *testing.T) {
 		t.Fatalf("point counts differ: %d vs %d", len(second.Points), len(first.Points))
 	}
 	for i := range second.Points {
-		if second.Points[i].Result != first.Points[i].Result {
-			t.Errorf("point %d result differs between shard counts", i)
-		}
-		if second.Points[i].Shards != 4 || first.Points[i].Shards != 1 {
-			t.Errorf("point %d shard coordinates: got %d and %d, want 4 and 1",
-				i, second.Points[i].Shards, first.Points[i].Shards)
+		if second.Points[i].SweepCoord != first.Points[i].SweepCoord || second.Points[i].Result != first.Points[i].Result {
+			t.Errorf("point %d differs between shard counts:\n%+v\n%+v", i, first.Points[i], second.Points[i])
 		}
 	}
 }
 
-// TestSweepFaultsByShardsGrid pins the v9 lifting of the faults ×
-// shards restriction at the sweep layer: a campaign crossing fault
-// specs with shard counts expands, validates, and runs — no
-// ErrBadShards — and a repeated run reports 100% cache hits. Because
-// the cache key excludes Shards (fault results are shard-count
-// independent too), the faulted 2-shard points rehydrate from the
-// same entries as their 1-shard twins and carry identical results.
+// TestSweepFaultsByShardsGrid: a grid crossing fault specs runs at any
+// Base.Shards — no ErrBadShards — and, fault cells included, gives the
+// same points whether computed at 2 shards or at 1, so a cache
+// populated at one shard count serves the other with all hits.
 func TestSweepFaultsByShardsGrid(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
 	ctx := context.Background()
 	sc := smallSweep(dir)
 	sc.Seeds = []int64{1}
 	sc.Faults = []string{"", "ctrl-loss=0.01"}
-	sc.Shards = []int{1, 2}
 
-	first, err := Sweep(ctx, sc)
+	sc.Base.Shards = 2
+	sharded, err := Sweep(ctx, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 protocols × 1 load × 1 seed × 2 fault specs × 2 shard counts.
-	if first.TotalPoints != 8 {
-		t.Fatalf("campaign expanded to %d points, want 8", first.TotalPoints)
+	// 2 protocols × 1 load × 1 seed × 2 fault specs.
+	if sharded.TotalPoints != 4 || sharded.CacheMisses != 4 {
+		t.Fatalf("2-shard campaign: %d misses of %d points, want 4 of 4",
+			sharded.CacheMisses, sharded.TotalPoints)
 	}
 
-	second, err := Sweep(ctx, sc)
+	// Computed afresh at one shard, the points must match the sharded run.
+	sc.Base.Shards = 1
+	sc.CacheDir = ""
+	single, err := Sweep(ctx, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.CacheHits != second.TotalPoints || second.CacheMisses != 0 {
-		t.Fatalf("repeated faults×shards campaign: %d hits, %d misses of %d points, want all hits",
-			second.CacheHits, second.CacheMisses, second.TotalPoints)
+	sc.CacheDir = dir
+	cached, err := Sweep(ctx, sc)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if cached.CacheHits != cached.TotalPoints || cached.CacheMisses != 0 {
+		t.Fatalf("1-shard campaign against 2-shard cache: %d hits, %d misses of %d points, want all hits",
+			cached.CacheHits, cached.CacheMisses, cached.TotalPoints)
+	}
+	same := func(a, b SweepPoint) bool { return a.SweepCoord == b.SweepCoord && a.Result == b.Result }
+	for i := range sharded.Points {
+		if !same(single.Points[i], sharded.Points[i]) || !same(cached.Points[i], sharded.Points[i]) {
+			t.Errorf("point %d differs between shard counts:\n2 shards: %+v\n1 shard:  %+v\ncached:   %+v",
+				i, sharded.Points[i], single.Points[i], cached.Points[i])
+		}
+	}
+}
 
-	// Group points by (protocol, faults): the 1-shard and 2-shard
-	// members of each group must report identical results.
-	type cell struct {
-		proto, faults string
+// TestSweepSeedZeroRunsAsOne: Config runs seed 0 as seed 1, so a grid
+// reports such a point as seed 1, and a Seeds axis naming both 0 and 1
+// — the same run twice, which would aggregate as two seeds with a zero
+// confidence interval — is refused, naming the seed.
+func TestSweepSeedZeroRunsAsOne(t *testing.T) {
+	sc := smallSweep("")
+	sc.Protocols = []string{"AMRT"}
+	sc.Seeds = []int64{0}
+	res, err := Sweep(context.Background(), sc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	byCell := map[cell]map[int]Result{}
-	for _, p := range second.Points {
-		c := cell{p.Protocol, p.Faults}
-		if byCell[c] == nil {
-			byCell[c] = map[int]Result{}
-		}
-		byCell[c][p.Shards] = p.Result
+	if got := res.Points[0].Seed; got != 1 {
+		t.Errorf("seed 0 point reported as seed %d, want 1", got)
 	}
-	if len(byCell) != 4 {
-		t.Fatalf("campaign covered %d (protocol, faults) cells, want 4", len(byCell))
+	sc.Seeds = []int64{0, 1}
+	if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "seed 1 appears twice") {
+		t.Errorf("Validate with Seeds {0, 1} = %v, want a repeated seed 1 error", err)
 	}
-	for c, byShards := range byCell {
-		if len(byShards) != 2 {
-			t.Errorf("cell %+v has %d shard coordinates, want 2", c, len(byShards))
-			continue
+}
+
+// TestSweepCoordString: the one rendering of a coordinate, which the
+// CLI's progress and FAILED lines print, shows every non-zero field and
+// no zero one.
+func TestSweepCoordString(t *testing.T) {
+	fields := []struct {
+		set  func(*SweepCoord)
+		want string
+	}{
+		{func(c *SweepCoord) { c.Protocol = "NDP" }, "NDP"},
+		{func(c *SweepCoord) { c.Workload = "WebServer" }, "WebServer"},
+		{func(c *SweepCoord) { c.Topology = "fattree:k=4" }, "topo=fattree:k=4"},
+		{func(c *SweepCoord) { c.Degree = 8 }, "degree=8"},
+		{func(c *SweepCoord) { c.Load = 0.35 }, "load=0.35"},
+		{func(c *SweepCoord) { c.Seed = 2 }, "seed=2"},
+		{func(c *SweepCoord) { c.Faults = "ctrl-loss=0.01" }, "faults=ctrl-loss=0.01"},
+	}
+	if n := reflect.TypeOf(SweepCoord{}).NumField(); n != len(fields) {
+		t.Fatalf("SweepCoord has %d fields, the test covers %d", n, len(fields))
+	}
+	if got := (SweepCoord{}).String(); got != "" {
+		t.Errorf("zero coordinate renders %q, want empty", got)
+	}
+	var all SweepCoord
+	var want []string
+	for _, f := range fields {
+		var one SweepCoord
+		f.set(&one)
+		if got := one.String(); got != f.want {
+			t.Errorf("coordinate with one field set renders %q, want %q", got, f.want)
 		}
-		if byShards[1] != byShards[2] {
-			t.Errorf("cell %+v: 1-shard and 2-shard results differ:\n%+v\n%+v",
-				c, byShards[1], byShards[2])
-		}
+		f.set(&all)
+		want = append(want, f.want)
+	}
+	if got := all.String(); got != strings.Join(want, " ") {
+		t.Errorf("full coordinate renders %q, want %q", got, strings.Join(want, " "))
 	}
 }
 
