@@ -356,7 +356,7 @@ func (c Config) Validate() error {
 	if workload.ByName(c.Workload) == nil {
 		return fmt.Errorf("%w %q (have %v)", ErrUnknownWorkload, c.Workload, Workloads())
 	}
-	if c.Load <= 0 || c.Load > 1 {
+	if !(c.Load > 0 && c.Load <= 1) { // NaN fails too
 		return fmt.Errorf("%w: %v", ErrBadLoad, c.Load)
 	}
 	if c.Flows < 0 {

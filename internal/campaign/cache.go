@@ -8,20 +8,31 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 )
 
 // envelopeVersion is the on-disk cache entry format; bump on layout
-// changes so old entries read as misses instead of garbage.
-const envelopeVersion = 1
+// changes so old entries read as misses instead of garbage. Version 2
+// is a header line (headerLine) followed by the raw payload; version 1
+// wrapped the payload in a JSON envelope.
+const envelopeVersion = 2
 
-// envelope is the JSON wrapper around a cached payload. The payload's
-// own SHA-256 rides along so rehydration is verified byte-identical:
-// a truncated or bit-rotted entry reads as a miss, never as data.
-type envelope struct {
-	Version int             `json:"version"`
-	Key     string          `json:"key"`
-	SHA256  string          `json:"sha256"`
-	Result  json.RawMessage `json:"result"`
+// headerLine appends to dst the first line of the entry that stores
+// payload under key, a one-line JSON object without its newline:
+//
+//	{"version":2,"key":"<key>","sha256":"<hex SHA-256 of payload>"}
+//
+// The checksum makes rehydration verified byte-identical: a truncated
+// or bit-rotted entry reads as a miss, never as data.
+func headerLine(dst []byte, key string, payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	dst = append(dst, `{"version":`...)
+	dst = strconv.AppendInt(dst, envelopeVersion, 10)
+	dst = append(dst, `,"key":"`...)
+	dst = append(dst, key...)
+	dst = append(dst, `","sha256":"`...)
+	dst = hex.AppendEncode(dst, sum[:])
+	return append(dst, `"}`...)
 }
 
 // Cache is a content-addressed on-disk result store. Entries live at
@@ -73,9 +84,11 @@ func (c *Cache) path(key string) string {
 }
 
 // Get returns the payload stored under key. Any failure — malformed
-// key, missing entry, unreadable file, envelope/key/checksum mismatch —
+// key, missing entry, unreadable file, header/key/checksum mismatch —
 // reports a miss; the caller recomputes and overwrites, which is the
-// safe resolution for every corruption mode.
+// safe resolution for every corruption mode. The payload is never
+// parsed: the header line must equal the one Put would write for this
+// key and the payload's checksum, and the payload is returned as stored.
 func (c *Cache) Get(key string) ([]byte, bool) {
 	if validateKey(key) != nil {
 		return nil, false
@@ -84,24 +97,18 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	if err != nil {
 		return nil, false
 	}
-	var env envelope
-	if err := json.Unmarshal(raw, &env); err != nil {
+	line, payload, found := bytes.Cut(raw, []byte{'\n'})
+	var want [256]byte
+	if !found || !bytes.Equal(line, headerLine(want[:0], key, payload)) {
 		return nil, false
 	}
-	if env.Version != envelopeVersion || env.Key != key {
-		return nil, false
-	}
-	sum := sha256.Sum256(env.Result)
-	if hex.EncodeToString(sum[:]) != env.SHA256 {
-		return nil, false
-	}
-	return env.Result, true
+	return payload, true
 }
 
-// Put stores payload under key, atomically replacing any prior entry.
-// The key must satisfy the shape validateKey enforces (≥ 2 characters
-// of [0-9A-Za-z_-]); the payload must be valid JSON (it is embedded raw
-// in the envelope).
+// Put stores payload under key, atomically replacing any prior entry:
+// one header line, then the payload bytes as given. The key must
+// satisfy the shape validateKey enforces (≥ 2 characters of
+// [0-9A-Za-z_-]); the payload must be valid JSON.
 func (c *Cache) Put(key string, payload []byte) error {
 	if err := validateKey(key); err != nil {
 		return err
@@ -109,19 +116,7 @@ func (c *Cache) Put(key string, payload []byte) error {
 	if !json.Valid(payload) {
 		return fmt.Errorf("campaign: cache payload for %s is not valid JSON", key)
 	}
-	sum := sha256.Sum256(payload)
-	env := envelope{
-		Version: envelopeVersion,
-		Key:     key,
-		SHA256:  hex.EncodeToString(sum[:]),
-		Result:  json.RawMessage(payload),
-	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(&env); err != nil {
-		return fmt.Errorf("campaign: encode cache entry: %w", err)
-	}
+	entry := append(append(headerLine(nil, key, payload), '\n'), payload...)
 	dir := filepath.Dir(c.path(key))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("campaign: cache shard dir: %w", err)
@@ -134,7 +129,7 @@ func (c *Cache) Put(key string, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("campaign: cache temp file: %w", err)
 	}
-	_, werr := tmp.Write(buf.Bytes())
+	_, werr := tmp.Write(entry)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())

@@ -11,7 +11,8 @@ import (
 
 // Metrics is the numeric slice of one run's result that aggregation
 // needs: completion times in microseconds, utilization, and the
-// bookkeeping counters. The full result stays opaque payload bytes.
+// bookkeeping counters. The full result stays opaque payload bytes (or
+// the caller's decoded value, see Outcome.Value).
 type Metrics struct {
 	AFCTUs      float64
 	P99Us       float64
@@ -28,10 +29,14 @@ type Metrics struct {
 
 // Outcome is one completed point: its payload (canonical result JSON),
 // its aggregation metrics, and whether it was served from the cache.
+// Value is what Config.Decode made of a cache hit's payload, so the
+// caller need not decode it again; it is nil for a computed point,
+// whose Run returned only bytes and metrics.
 type Outcome struct {
 	Point     Point
 	Payload   []byte
 	Metrics   Metrics
+	Value     any
 	FromCache bool
 }
 
@@ -90,9 +95,11 @@ type Config struct {
 	// Run computes one point: canonical payload bytes plus metrics.
 	// It must honor ctx for prompt cancellation.
 	Run func(ctx context.Context, p Point) ([]byte, Metrics, error)
-	// Decode rehydrates Metrics from cached payload bytes (required
-	// when Cache is set).
-	Decode func(payload []byte) (Metrics, error)
+	// Decode rehydrates a cached payload into the caller's value and
+	// its Metrics (required when Cache is set). It runs once per cache
+	// hit; the value rides on Outcome.Value. An error makes the hit a
+	// miss.
+	Decode func(payload []byte) (any, Metrics, error)
 	// Progress, when non-nil, observes every resolved point.
 	Progress func(Progress)
 	// Policy is the failure policy; the zero value is strict
@@ -184,6 +191,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		return o
 	})
+	res.Points = make([]Outcome, 0, len(outcomes))
 	for _, o := range outcomes {
 		if o != nil {
 			res.Points = append(res.Points, *o)
@@ -212,9 +220,9 @@ func runPoint(ctx context.Context, cfg Config, p Point) (*Outcome, error) {
 	if cfg.Cache != nil {
 		key = cfg.Key(p)
 		if payload, ok := cfg.Cache.Get(key); ok {
-			m, err := cfg.Decode(payload)
+			v, m, err := cfg.Decode(payload)
 			if err == nil {
-				return &Outcome{Point: p, Payload: payload, Metrics: m, FromCache: true}, nil
+				return &Outcome{Point: p, Payload: payload, Metrics: m, Value: v, FromCache: true}, nil
 			}
 			// An entry whose payload no longer decodes (schema drift
 			// without a SimVersion bump) degrades to a miss.
@@ -238,36 +246,36 @@ func runPoint(ctx context.Context, cfg Config, p Point) (*Outcome, error) {
 // Aggregate groups outcomes by cell (Point.Cell, i.e. seed stripped) in
 // first-seen order and summarizes each group's metrics across seeds.
 func Aggregate(points []Outcome) []Cell {
-	var order []Point
-	groups := map[Point][]Outcome{}
-	for _, o := range points {
+	cellOf := map[Point]int{}
+	var members [][]int // per cell, the indices of its outcomes
+	for i, o := range points {
 		c := o.Point.Cell()
-		if _, seen := groups[c]; !seen {
-			order = append(order, c)
+		k, seen := cellOf[c]
+		if !seen {
+			k = len(members)
+			cellOf[c] = k
+			members = append(members, nil)
 		}
-		groups[c] = append(groups[c], o)
+		members[k] = append(members[k], i)
 	}
-	cells := make([]Cell, 0, len(order))
-	for _, c := range order {
-		g := groups[c]
-		cell := Cell{Point: c, Seeds: len(g)}
-		afct := make([]float64, 0, len(g))
-		p99 := make([]float64, 0, len(g))
-		util := make([]float64, 0, len(g))
-		for _, o := range g {
-			afct = append(afct, o.Metrics.AFCTUs)
-			p99 = append(p99, o.Metrics.P99Us)
-			util = append(util, o.Metrics.Utilization)
-			cell.Completed += o.Metrics.Completed
-			cell.Total += o.Metrics.Total
-			cell.Drops += o.Metrics.Drops
-			cell.Trims += o.Metrics.Trims
-			cell.DeadlineTotal += o.Metrics.DeadlineTotal
-			cell.DeadlineMissed += o.Metrics.DeadlineMissed
+	cells := make([]Cell, 0, len(members))
+	for _, m := range members {
+		n := len(m)
+		cell := Cell{Point: points[m[0]].Point.Cell(), Seeds: n}
+		xs := make([]float64, 3*n) // the AFCT, p99 and utilization columns
+		for j, i := range m {
+			mt := &points[i].Metrics
+			xs[j], xs[n+j], xs[2*n+j] = mt.AFCTUs, mt.P99Us, mt.Utilization
+			cell.Completed += mt.Completed
+			cell.Total += mt.Total
+			cell.Drops += mt.Drops
+			cell.Trims += mt.Trims
+			cell.DeadlineTotal += mt.DeadlineTotal
+			cell.DeadlineMissed += mt.DeadlineMissed
 		}
-		cell.AFCTUs = stats.Describe(afct)
-		cell.P99Us = stats.Describe(p99)
-		cell.Utilization = stats.Describe(util)
+		cell.AFCTUs = stats.Describe(xs[:n])
+		cell.P99Us = stats.Describe(xs[n : 2*n])
+		cell.Utilization = stats.Describe(xs[2*n:])
 		cells = append(cells, cell)
 	}
 	return cells

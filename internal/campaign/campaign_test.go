@@ -1,7 +1,10 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -36,10 +39,10 @@ func fakeRun(computes *atomic.Int64) func(context.Context, Point) ([]byte, Metri
 	}
 }
 
-func decodeMetrics(payload []byte) (Metrics, error) {
+func decodeMetrics(payload []byte) (any, Metrics, error) {
 	var m Metrics
 	err := json.Unmarshal(payload, &m)
-	return m, err
+	return m, m, err
 }
 
 func TestExpandOrderAndCount(t *testing.T) {
@@ -76,38 +79,94 @@ func TestKeyDigest(t *testing.T) {
 	}
 }
 
+// TestCacheRoundTripAndCorruption: a stored payload reads back as
+// stored, and every way an entry can be damaged or stale reads as a
+// miss, after which a campaign recomputes the point and leaves a valid
+// entry behind.
 func TestCacheRoundTripAndCorruption(t *testing.T) {
-	c, err := NewCache(filepath.Join(t.TempDir(), "cache"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := Key("v1", "x")
+	var computes atomic.Int64
+	cfg := campaignConfig(t, filepath.Join(t.TempDir(), "cache"), &computes)
+	cfg.Points = cfg.Points[:1]
+	c, key := cfg.Cache, cfg.Key(cfg.Points[0])
 	if _, ok := c.Get(key); ok {
 		t.Fatal("empty cache reported a hit")
 	}
-	payload := []byte(`{"a":1}`)
-	if err := c.Put(key, payload); err != nil {
+	if _, err := Run(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := c.Get(key)
-	if !ok || string(got) != string(payload) {
-		t.Fatalf("Get = %q, %v", got, ok)
+	payload, ok := c.Get(key)
+	if !ok || c.Len() != 1 {
+		t.Fatalf("Get after a computed point: ok=%v, %d entries", ok, c.Len())
 	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d, want 1", c.Len())
-	}
-
-	// Tampered entries must read as misses, not as data.
 	path := filepath.Join(c.Dir(), key[:2], key+".json")
-	raw, err := os.ReadFile(path)
+	good, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, []byte(`{"a":2}`+string(raw[8:])), 0o644); err != nil {
+	headerLen := bytes.IndexByte(good, '\n')
+	if headerLen < 0 || !bytes.Equal(good[headerLen+1:], payload) {
+		t.Fatalf("entry is not a header line and the raw payload:\n%s", good)
+	}
+	sum := sha256.Sum256(payload)
+	v1 := new(bytes.Buffer)
+	enc := json.NewEncoder(v1)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(struct {
+		Version int             `json:"version"`
+		Key     string          `json:"key"`
+		SHA256  string          `json:"sha256"`
+		Result  json.RawMessage `json:"result"`
+	}{1, key, hex.EncodeToString(sum[:]), payload}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Get(key); ok {
-		t.Error("corrupted entry reported a hit")
+
+	cases := []struct {
+		name  string
+		entry func() []byte
+	}{
+		{"empty file", func() []byte { return nil }},
+		{"payload truncated mid-way", func() []byte { return good[:headerLen+1+len(payload)/2] }},
+		{"one flipped payload byte", func() []byte {
+			b := bytes.Clone(good)
+			b[headerLen+1+len(payload)/2] ^= 0x01
+			return b
+		}},
+		{"header naming another key", func() []byte {
+			return bytes.Replace(good, []byte(key), []byte(Key("test-v1", "other")), 1)
+		}},
+		{"no header/payload separator", func() []byte {
+			return bytes.Replace(good, []byte("\n"), nil, 1)
+		}},
+		{"version-1 entry", v1.Bytes},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := os.WriteFile(path, tc.entry(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := c.Get(key); ok {
+				t.Fatal("damaged entry reported a hit")
+			}
+			computes.Store(0)
+			res, err := Run(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Misses != 1 || computes.Load() != 1 {
+				t.Fatalf("re-run: %d misses, %d computes, want 1 and 1", res.Misses, computes.Load())
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, good) {
+				t.Fatalf("re-run left entry %q (%v), want the original", got, err)
+			}
+		})
+	}
+
+	// An intact entry whose payload no longer decodes is a miss too.
+	if err := c.Put(key, []byte(`"stale schema"`)); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := Run(context.Background(), cfg); err != nil || res.Misses != 1 {
+		t.Fatalf("undecodable entry: %v, result %+v, want one miss", err, res)
 	}
 
 	if err := c.Put(key, []byte("not json")); err == nil {
@@ -172,6 +231,11 @@ func TestRunCacheAccountingAndResume(t *testing.T) {
 		}
 		if !res2.Points[i].FromCache {
 			t.Errorf("point %d not served from cache on resume", i)
+		}
+		// A hit carries Decode's value; a computed point carries none.
+		if res.Points[i].Value != nil || res2.Points[i].Value != res2.Points[i].Metrics {
+			t.Errorf("point %d: computed value %v, rehydrated value %v, want nil and the metrics",
+				i, res.Points[i].Value, res2.Points[i].Value)
 		}
 	}
 	a, _ := json.Marshal(res.Cells)

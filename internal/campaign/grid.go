@@ -132,12 +132,13 @@ func (g Grid) Expand() []Point {
 // (amrt.SimVersion) is folded in so cache entries from an older
 // simulation generation can never satisfy a newer binary.
 func Key(version string, fields ...string) string {
-	h := sha256.New()
-	h.Write([]byte(version))
-	h.Write([]byte{0})
+	// A typical key's input fits the stack buffer; a longer one spills.
+	var buf [512]byte
+	b := append(buf[:0], version...)
+	b = append(b, 0)
 	for _, f := range fields {
-		h.Write([]byte(f))
-		h.Write([]byte{0})
+		b = append(append(b, f...), 0)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }

@@ -143,12 +143,14 @@ func AllStacks(opts StackOptions) []Stack {
 // whose options are set in opts, or "" if opts carries nothing foreign.
 // Validation uses it to reject, e.g., SIRD knobs on an AMRT run.
 func ForeignOption(name string, opts StackOptions) string {
-	for _, n := range StackNames() {
-		if n == name {
-			continue
-		}
-		if probe := registry[n].OptionsSet; probe != nil && probe(opts) {
-			return n
+	for _, names := range [...][]string{compareBy, relatedBy} {
+		for _, n := range names {
+			if n == name {
+				continue
+			}
+			if probe := registry[n].OptionsSet; probe != nil && probe(opts) {
+				return n
+			}
 		}
 	}
 	return ""

@@ -3,6 +3,7 @@ package netsim
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"amrt/internal/sim"
 )
@@ -128,7 +129,7 @@ func TestFreeListRecyclesZeroed(t *testing.T) {
 	sh := New().Shard(0)
 	pkt := sh.NewPacket()
 	*pkt = Packet{Flow: 7, Type: Grant, Seq: 3, Size: MSS, Prio: PrioData, Src: 1, Dst: 2,
-		CE: true, Echo: true, Count: 2, Trimmed: true, Hops: 4, FlowSize: 9, Demand: 8, SentAt: 5}
+		CE: true, Echo: true, Count: 2, Trimmed: true, Hops: 4, FlowSize: 9, Demand: 8}
 	sh.ReleasePacket(pkt)
 	released := *pkt
 	released.next = nil
@@ -137,6 +138,15 @@ func TestFreeListRecyclesZeroed(t *testing.T) {
 	}
 	if again := sh.NewPacket(); again != pkt || *again != (Packet{}) {
 		t.Errorf("NewPacket after a release returned %p %+v, want %p zeroed", again, *again, pkt)
+	}
+}
+
+// TestPacketIsOneCacheLine: a Packet is exactly 64 bytes, so a slab
+// holds a power-of-two count of them and one packet never straddles two
+// cache lines of its slab. A new field that grows it must say why.
+func TestPacketIsOneCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(Packet{}); size != 64 {
+		t.Errorf("a Packet is %d bytes, want 64", size)
 	}
 }
 

@@ -60,7 +60,6 @@ func (h *Host) Send(pkt *Packet) {
 	if h.nic == nil {
 		panic(fmt.Sprintf("netsim: host %s is not connected", h.name))
 	}
-	pkt.SentAt = h.shard.eng.Now()
 	h.shard.Injected++
 	h.nic.Send(pkt)
 }

@@ -13,8 +13,6 @@ package netsim
 import (
 	"fmt"
 	"unsafe"
-
-	"amrt/internal/sim"
 )
 
 // NodeID identifies a host or switch within a Network.
@@ -84,34 +82,12 @@ const (
 // must not retain a *Packet past their own return — copy the struct (or
 // the fields needed) instead.
 type Packet struct {
+	// The fields are ordered widest first, so the struct is exactly one
+	// 64-byte cache line and fills its slabs without padding
+	// (TestPacketIsOneCacheLine).
+
 	Flow FlowID
-	Type PacketType
-	Seq  int32 // data packet index within the flow (0-based)
-	Size int   // bytes on the wire
-	Prio uint8 // strict-priority level, 0 highest
-
-	Src, Dst NodeID // source and destination hosts
-
-	// CE is the anti-ECN congestion-experienced bit. Per the paper the
-	// sender initializes it to 1 (spare bandwidth assumed); each egress
-	// port ANDs in its own observation, so it survives end-to-end only
-	// if every hop saw an idle gap of at least one MSS.
-	CE bool
-
-	// Echo is the ECN-Echo flag on grants: the receiver copies the CE
-	// bit of the data packet that triggered the grant.
-	Echo bool
-
-	// Count is the number of data packets a grant authorizes (Homa
-	// bursts several; AMRT encodes 1 or GrantBurst via Echo instead).
-	Count int16
-
-	// Trimmed marks an NDP data packet whose payload was cut; only the
-	// header is forwarded and the receiver must request retransmission.
-	Trimmed bool
-
-	// Hops counts switch traversals, for path-length assertions.
-	Hops int8
+	Size int // bytes on the wire
 
 	// FlowSize carries the total flow length in bytes on RTS and
 	// first-window data packets so the receiver can size its state.
@@ -124,15 +100,36 @@ type Packet struct {
 	// that do not advertise leave it zero.
 	Demand int64
 
-	// SentAt is the time the packet was first enqueued at its source
-	// host NIC; used for latency accounting.
-	SentAt sim.Time
-
 	// next links the packet into the fifo of the queue that holds it; nil
-	// while the packet is on a link or with a transport. (Hops sits in
-	// the padding after Trimmed so the link does not grow the struct
-	// past its 80-byte size class.)
+	// while the packet is on a link or with a transport.
 	next *Packet
+
+	Seq      int32  // data packet index within the flow (0-based)
+	Src, Dst NodeID // source and destination hosts
+
+	// Count is the number of data packets a grant authorizes (Homa
+	// bursts several; AMRT encodes 1 or GrantBurst via Echo instead).
+	Count int16
+
+	Type PacketType
+	Prio uint8 // strict-priority level, 0 highest
+
+	// CE is the anti-ECN congestion-experienced bit. Per the paper the
+	// sender initializes it to 1 (spare bandwidth assumed); each egress
+	// port ANDs in its own observation, so it survives end-to-end only
+	// if every hop saw an idle gap of at least one MSS.
+	CE bool
+
+	// Echo is the ECN-Echo flag on grants: the receiver copies the CE
+	// bit of the data packet that triggered the grant.
+	Echo bool
+
+	// Trimmed marks an NDP data packet whose payload was cut; only the
+	// header is forwarded and the receiver must request retransmission.
+	Trimmed bool
+
+	// Hops counts switch traversals, for path-length assertions.
+	Hops int8
 }
 
 // The packet free list. Each shard recycles packets through its own

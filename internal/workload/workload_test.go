@@ -150,6 +150,12 @@ func TestByNameAndAbbrev(t *testing.T) {
 	if Abbrev("DataMining") != "DM" || Abbrev("x") != "x" {
 		t.Error("Abbrev broken")
 	}
+	// The catalog's names are the ones the constructors give.
+	for _, w := range All() {
+		if got := ByName(w.Name()); got == nil || got.Name() != w.Name() {
+			t.Errorf("ByName(%q) = %v", w.Name(), got)
+		}
+	}
 }
 
 func TestGeneratePoissonLoad(t *testing.T) {

@@ -71,17 +71,36 @@ func DataMining() *Empirical {
 	})
 }
 
+// catalog lists the workloads in the order the figures present them
+// (WSv, CF, HC, WSc, DM), each with its paper abbreviation and its
+// constructor.
+var catalog = [...]struct {
+	name, abbrev string
+	build        func() *Empirical
+}{
+	{"WebServer", "WSv", WebServer},
+	{"CacheFollower", "CF", CacheFollower},
+	{"HadoopCluster", "HC", HadoopCluster},
+	{"WebSearch", "WSc", WebSearch},
+	{"DataMining", "DM", DataMining},
+}
+
 // All returns the five workloads in the order the figures present them:
 // WSv, CF, HC, WSc, DM.
 func All() []*Empirical {
-	return []*Empirical{WebServer(), CacheFollower(), HadoopCluster(), WebSearch(), DataMining()}
+	out := make([]*Empirical, len(catalog))
+	for i, w := range catalog {
+		out[i] = w.build()
+	}
+	return out
 }
 
-// ByName returns the workload with the given name, or nil.
+// ByName returns the workload with the given name, or nil. It builds
+// only that workload.
 func ByName(name string) *Empirical {
-	for _, w := range All() {
-		if w.Name() == name {
-			return w
+	for _, w := range catalog {
+		if w.name == name {
+			return w.build()
 		}
 	}
 	return nil
@@ -89,17 +108,10 @@ func ByName(name string) *Empirical {
 
 // Abbrev returns the paper's abbreviation for a workload name.
 func Abbrev(name string) string {
-	switch name {
-	case "WebServer":
-		return "WSv"
-	case "CacheFollower":
-		return "CF"
-	case "HadoopCluster":
-		return "HC"
-	case "WebSearch":
-		return "WSc"
-	case "DataMining":
-		return "DM"
+	for _, w := range catalog {
+		if w.name == name {
+			return w.abbrev
+		}
 	}
 	return name
 }

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"time"
 
@@ -195,69 +196,85 @@ type SweepResult struct {
 }
 
 // Validate checks the campaign declaration: the failure policy fields
-// must be non-negative (ErrBadPolicy), no seed may repeat on the Seeds
-// axis (0 counting as 1), the grid must expand to at least one point,
-// and every expanded point's Config must validate (same typed
-// sentinels as Config.Validate). Sweep validates before
-// executing; the daemon (`amrtsim serve`) calls this at job-submission
-// time so malformed specs are rejected with a 400 instead of a failed
-// job.
+// must be non-negative (ErrBadPolicy), the grid must expand to at least
+// one point, every expanded point's Config must validate (same typed
+// sentinels as Config.Validate), and no two points may be the same run.
+// Two points are the same run when their cache keys match: a value
+// repeated on any axis, a 0 seed beside seed 1, or an axis value that
+// names the base's own default (a degree, a topology spec). Counted
+// twice, such a run would pass for two seeds with a zero confidence
+// interval. Sweep validates before executing; the daemon (`amrtsim
+// serve`) calls this at job-submission time so malformed specs are
+// rejected with a 400 instead of a failed job.
 func (sc SweepConfig) Validate() error {
-	if sc.Retries < 0 {
-		return fmt.Errorf("%w: negative retries %d", ErrBadPolicy, sc.Retries)
-	}
-	if sc.CellTimeout < 0 {
-		return fmt.Errorf("%w: negative cell timeout %v", ErrBadPolicy, sc.CellTimeout)
-	}
-	if sc.RetryBackoff < 0 {
-		return fmt.Errorf("%w: negative retry backoff %v", ErrBadPolicy, sc.RetryBackoff)
-	}
-	g := sc.grid()
-	seen := map[int64]bool{}
-	for _, s := range g.Seeds {
-		if seen[s] {
-			return fmt.Errorf("amrt: sweep seed %d appears twice (a 0 seed runs as seed 1)", s)
-		}
-		seen[s] = true
-	}
-	points := g.Expand()
-	if len(points) == 0 {
-		return errors.New("amrt: empty sweep grid")
-	}
-	for _, p := range points {
-		cfg, err := sc.pointConfig(p)
-		if err != nil {
-			return err
-		}
-		if err := cfg.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, _, err := sc.resolve()
+	return err
 }
 
-// Sweep expands the campaign grid, validates every point up front
-// (typed errors, see Config.Validate), and executes the points across
-// the worker pool with per-point result caching under CacheDir. On
-// context cancellation it stops dispatching promptly, aborts in-flight
-// simulations via the engine interrupt, and returns the completed
-// points — already aggregated — together with ctx.Err(), so an
-// interrupted campaign plus its cache is a resumable checkpoint, not
+// sweepPoint is one resolved grid point: its normalized, validated
+// Config and that Config's cache key.
+type sweepPoint struct {
+	cfg Config
+	key string
+}
+
+// resolve checks the declaration (see Validate) and resolves the grid
+// once: the expanded points and, index for index, each point's Config
+// and cache key.
+func (sc SweepConfig) resolve() ([]campaign.Point, []sweepPoint, error) {
+	if sc.Retries < 0 {
+		return nil, nil, fmt.Errorf("%w: negative retries %d", ErrBadPolicy, sc.Retries)
+	}
+	if sc.CellTimeout < 0 {
+		return nil, nil, fmt.Errorf("%w: negative cell timeout %v", ErrBadPolicy, sc.CellTimeout)
+	}
+	if sc.RetryBackoff < 0 {
+		return nil, nil, fmt.Errorf("%w: negative retry backoff %v", ErrBadPolicy, sc.RetryBackoff)
+	}
+	points := sc.grid().Expand()
+	if len(points) == 0 {
+		return nil, nil, errors.New("amrt: empty sweep grid")
+	}
+	resolved := make([]sweepPoint, len(points))
+	first := make(map[string]int, len(points))
+	for i, p := range points {
+		cfg, err := sc.pointConfig(p)
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := cfg.Validate(); err != nil {
+			return nil, nil, err
+		}
+		key := sweepKey(cfg)
+		if j, dup := first[key]; dup {
+			return nil, nil, fmt.Errorf("amrt: sweep points %q and %q are the same run (a repeated axis value, a 0 seed beside 1, or the base's own default)",
+				points[j], p)
+		}
+		first[key] = i
+		resolved[i] = sweepPoint{cfg: cfg, key: key}
+	}
+	return points, resolved, nil
+}
+
+// Sweep expands the campaign grid, validates and resolves every point
+// once up front (typed errors, see Validate), and executes the points
+// across the worker pool with per-point result caching under CacheDir.
+// On context cancellation it stops dispatching promptly, aborts
+// in-flight simulations via the engine interrupt, and returns the
+// completed points — already aggregated — together with ctx.Err(), so
+// an interrupted campaign plus its cache is a resumable checkpoint, not
 // lost work. Point failures follow the CellTimeout / Retries /
 // Quarantine policy fields; the zero policy aborts the campaign on the
 // first failing point.
 func Sweep(ctx context.Context, sc SweepConfig) (*SweepResult, error) {
-	if err := sc.Validate(); err != nil {
+	points, resolved, err := sc.resolve()
+	if err != nil {
 		return nil, err
 	}
-	points := sc.grid().Expand()
-	// Every point validated above, so pointConfig cannot fail below.
-	mustConfig := func(p campaign.Point) Config {
-		cfg, err := sc.pointConfig(p)
-		if err != nil {
-			panic(fmt.Sprintf("amrt: validated sweep point failed to resolve: %v", err))
-		}
-		return cfg
+	// resolve refused repeated keys, so every coordinate is distinct.
+	byPoint := make(map[campaign.Point]*sweepPoint, len(points))
+	for i, p := range points {
+		byPoint[p] = &resolved[i]
 	}
 	ccfg := campaign.Config{
 		Points:  points,
@@ -268,9 +285,9 @@ func Sweep(ctx context.Context, sc SweepConfig) (*SweepResult, error) {
 			CellTimeout: sc.CellTimeout,
 			Quarantine:  sc.Quarantine,
 		},
-		Key: func(p campaign.Point) string { return sweepKey(mustConfig(p)) },
+		Key: func(p campaign.Point) string { return byPoint[p].key },
 		Run: func(ctx context.Context, p campaign.Point) ([]byte, campaign.Metrics, error) {
-			res, err := RunContext(ctx, mustConfig(p))
+			res, err := RunContext(ctx, byPoint[p].cfg)
 			if err != nil {
 				return nil, campaign.Metrics{}, err
 			}
@@ -280,13 +297,7 @@ func Sweep(ctx context.Context, sc SweepConfig) (*SweepResult, error) {
 			}
 			return payload, metricsOf(res), nil
 		},
-		Decode: func(payload []byte) (campaign.Metrics, error) {
-			var r Result
-			if err := json.Unmarshal(payload, &r); err != nil {
-				return campaign.Metrics{}, err
-			}
-			return metricsOf(r), nil
-		},
+		Decode: decodePoint,
 	}
 	if sc.CacheDir != "" {
 		cache, err := campaign.NewCache(sc.CacheDir)
@@ -440,7 +451,20 @@ func metricsOf(r Result) campaign.Metrics {
 	}
 }
 
+// decodePoint is the one place a sweep payload is unmarshalled: the
+// campaign's Decode for a cache hit, and buildSweepResult's for a
+// computed point, so both reach the report through the same bytes.
+func decodePoint(payload []byte) (any, campaign.Metrics, error) {
+	r := new(Result)
+	if err := json.Unmarshal(payload, r); err != nil {
+		return nil, campaign.Metrics{}, err
+	}
+	return r, metricsOf(*r), nil
+}
+
 // buildSweepResult converts the campaign outcome into the public report.
+// A cache hit's Result was decoded by the campaign; only computed
+// points are decoded here.
 func buildSweepResult(total int, cres *campaign.Result) (*SweepResult, error) {
 	out := &SweepResult{
 		Version:     SimVersion,
@@ -448,16 +472,22 @@ func buildSweepResult(total int, cres *campaign.Result) (*SweepResult, error) {
 		CacheHits:   cres.Hits,
 		CacheMisses: cres.Misses,
 	}
+	// slices.Grow keeps an empty report's slices nil, serialized as null.
+	out.Points = slices.Grow(out.Points, len(cres.Points))
 	for _, o := range cres.Points {
-		var r Result
-		if err := json.Unmarshal(o.Payload, &r); err != nil {
-			return out, fmt.Errorf("amrt: decoding sweep point payload: %w", err)
+		v := o.Value
+		if v == nil {
+			var err error
+			if v, _, err = decodePoint(o.Payload); err != nil {
+				return out, fmt.Errorf("amrt: decoding sweep point payload: %w", err)
+			}
 		}
-		out.Points = append(out.Points, SweepPoint{SweepCoord: o.Point, FromCache: o.FromCache, Result: r})
+		out.Points = append(out.Points, SweepPoint{SweepCoord: o.Point, FromCache: o.FromCache, Result: *v.(*Result)})
 	}
 	for _, f := range cres.Failed {
 		out.Failed = append(out.Failed, SweepFailure{SweepCoord: f.Point, Attempts: f.Attempts, Error: f.Error})
 	}
+	out.Cells = slices.Grow(out.Cells, len(cres.Cells))
 	for _, c := range cres.Cells {
 		out.Cells = append(out.Cells, SweepCell{
 			SweepCoord:  c.Point,

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -58,26 +59,66 @@ func TestSweepCacheResumeByteIdentical(t *testing.T) {
 
 	// The serialized reports must be byte-identical: cache ledger and
 	// FromCache flags are run mechanics, excluded from serialization.
-	var a, b bytes.Buffer
-	if err := first.WriteJSON(&a); err != nil {
+	sameReports(t, first, second)
+}
+
+// sameReports fails the test unless got's WriteJSON and WriteCSV bytes
+// equal want's.
+func sameReports(t *testing.T, want, got *SweepResult) {
+	t.Helper()
+	for _, w := range []struct {
+		name  string
+		write func(*SweepResult, io.Writer) error
+	}{{"JSON", (*SweepResult).WriteJSON}, {"CSV", (*SweepResult).WriteCSV}} {
+		var a, b bytes.Buffer
+		if err := w.write(want, &a); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.write(got, &b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("%s report differs:\n%s\nwant:\n%s", w.name, b.Bytes(), a.Bytes())
+		}
+	}
+}
+
+// TestSweepPartlyCachedReportsSameBytes: a re-run that finds some of
+// its entries and recomputes the rest — the one place a report mixes
+// decoded hits with computed points — writes the cold run's bytes.
+func TestSweepPartlyCachedReportsSameBytes(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	ctx := context.Background()
+	sc := smallSweep(dir)
+	cold, err := Sweep(ctx, sc)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := second.WriteJSON(&b); err != nil {
+	_, resolved, err := sc.resolve()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("resumed campaign JSON report differs from computed report")
+	deleted := map[int]bool{0: true, 3: true}
+	for i := range deleted {
+		key := resolved[i].key
+		if err := os.Remove(filepath.Join(dir, key[:2], key+".json")); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var ac, bc bytes.Buffer
-	if err := first.WriteCSV(&ac); err != nil {
+	mixed, err := Sweep(ctx, sc)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := second.WriteCSV(&bc); err != nil {
-		t.Fatal(err)
+	if mixed.CacheMisses != 2 || mixed.CacheHits != mixed.TotalPoints-2 {
+		t.Fatalf("re-run: %d hits, %d misses of %d points, want %d and 2",
+			mixed.CacheHits, mixed.CacheMisses, mixed.TotalPoints, mixed.TotalPoints-2)
 	}
-	if !bytes.Equal(ac.Bytes(), bc.Bytes()) {
-		t.Error("resumed campaign CSV report differs from computed report")
+	for i, p := range mixed.Points {
+		if p.FromCache == deleted[i] {
+			t.Errorf("point %d (%s): FromCache %v", i, p.SweepCoord, p.FromCache)
+		}
 	}
+	sameReports(t, cold, mixed)
 }
 
 func TestSweepCachedPointMatchesFreshRecompute(t *testing.T) {
@@ -320,7 +361,7 @@ func TestSweepFaultsByShardsGrid(t *testing.T) {
 // TestSweepSeedZeroRunsAsOne: Config runs seed 0 as seed 1, so a grid
 // reports such a point as seed 1, and a Seeds axis naming both 0 and 1
 // — the same run twice, which would aggregate as two seeds with a zero
-// confidence interval — is refused, naming the seed.
+// confidence interval — is refused, naming the point.
 func TestSweepSeedZeroRunsAsOne(t *testing.T) {
 	sc := smallSweep("")
 	sc.Protocols = []string{"AMRT"}
@@ -333,8 +374,46 @@ func TestSweepSeedZeroRunsAsOne(t *testing.T) {
 		t.Errorf("seed 0 point reported as seed %d, want 1", got)
 	}
 	sc.Seeds = []int64{0, 1}
-	if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "seed 1 appears twice") {
-		t.Errorf("Validate with Seeds {0, 1} = %v, want a repeated seed 1 error", err)
+	if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "seed=1") {
+		t.Errorf("Validate with Seeds {0, 1} = %v, want a repeated seed=1 point error", err)
+	}
+}
+
+// TestSweepRefusesDuplicatePoints: a grid in which two points are the
+// same run — a value repeated on any axis, or an axis value that names
+// what the base runs anyway — is refused before anything runs, naming
+// both coordinates. Counted twice, the run would pass for two seeds.
+func TestSweepRefusesDuplicatePoints(t *testing.T) {
+	const one = "AMRT WebServer load=0.4 seed=1"
+	cases := []struct {
+		name string
+		set  func(*SweepConfig)
+		a, b string
+	}{
+		{"repeated load", func(sc *SweepConfig) { sc.Loads = []float64{0.4, 0.4} }, one, one},
+		{"repeated protocol", func(sc *SweepConfig) { sc.Protocols = []string{"AMRT", "AMRT"}; sc.Seeds = []int64{1, 2} }, one, one},
+		{"repeated workload", func(sc *SweepConfig) { sc.Workloads = []string{"WebServer", "WebServer"} }, one, one},
+		{"repeated fault spec", func(sc *SweepConfig) { sc.Faults = []string{"", ""} }, one, one},
+		{"seed 0 beside 1", func(sc *SweepConfig) { sc.Seeds = []int64{0, 1} }, one, one},
+		{"the base's degree", func(sc *SweepConfig) { sc.Degrees = []int{0, 32} },
+			one, "AMRT WebServer degree=32 load=0.4 seed=1"},
+		{"the base's topology", func(sc *SweepConfig) { sc.Topologies = []string{"", "leafspine:leaves=2,spines=2,hosts=5"} },
+			one, "AMRT WebServer topo=leafspine:leaves=2,spines=2,hosts=5 load=0.4 seed=1"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := smallSweep("")
+			sc.Protocols, sc.Seeds = []string{"AMRT"}, []int64{1}
+			tc.set(&sc)
+			want := fmt.Sprintf("%q and %q", tc.a, tc.b)
+			if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("Validate = %v, want an error naming %s", err, want)
+			}
+			sc.Progress = func(p SweepProgress) { t.Errorf("point %s ran", p.SweepCoord) }
+			if res, err := Sweep(context.Background(), sc); res != nil || err == nil {
+				t.Errorf("Sweep = %v, %v; want no result and the error", res, err)
+			}
+		})
 	}
 }
 

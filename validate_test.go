@@ -3,6 +3,7 @@ package amrt
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -23,6 +24,7 @@ func TestValidateErrorTable(t *testing.T) {
 		{"unknown workload", Config{Workload: "nope"}, ErrUnknownWorkload},
 		{"load negative", Config{Load: -0.1}, ErrBadLoad},
 		{"load above one", Config{Load: 1.5}, ErrBadLoad},
+		{"load NaN", Config{Load: math.NaN()}, ErrBadLoad},
 		{"flows negative", Config{Flows: -5}, ErrBadFlows},
 		{"bad fault spec", Config{Faults: "link=???"}, ErrBadFaultSpec},
 		{"unknown fault class", Config{Faults: "meteor=1"}, ErrBadFaultSpec},
