@@ -86,7 +86,7 @@ var (
 
 // Protocols returns the supported comparison transports in the order
 // the figures present them (pHost, Homa, NDP, AMRT, SIRD), derived from
-// the experiment stack registry.
+// the experiment stack table.
 func Protocols() []string {
 	return experiment.ProtocolNames()
 }
@@ -162,39 +162,7 @@ type Topology struct {
 // selected protocol: Validate rejects fields aimed at a different stack
 // with ErrBadStackOption, so a typo'd configuration fails loudly
 // instead of silently running defaults.
-type StackOptions struct {
-	// HomaDegree sets Homa's overcommitment level — how many senders
-	// one receiver grants simultaneously (default 2).
-	HomaDegree int
-	// SIRDPoolBytes bounds each SIRD receiver's outstanding scheduled
-	// credit in bytes; 0 (the default) sizes the pool automatically at
-	// 1.5× the downlink bandwidth-delay product.
-	SIRDPoolBytes int64
-	// SIRDStalenessRTTs is how long SIRD trusts a sender's demand
-	// advertisement before falling back to the receiver's own estimate,
-	// in RTTs (default 8).
-	SIRDStalenessRTTs int
-}
-
-// internal maps the public options onto the experiment layer's shared
-// options struct.
-func (o StackOptions) internal() experiment.StackOptions {
-	return experiment.StackOptions{
-		HomaDegree:        o.HomaDegree,
-		SIRDPoolBytes:     o.SIRDPoolBytes,
-		SIRDStalenessRTTs: o.SIRDStalenessRTTs,
-	}
-}
-
-// optionsFromInternal is internal's inverse, used when Compare narrows
-// the shared options per protocol leg through the registry.
-func optionsFromInternal(o experiment.StackOptions) StackOptions {
-	return StackOptions{
-		HomaDegree:        o.HomaDegree,
-		SIRDPoolBytes:     o.SIRDPoolBytes,
-		SIRDStalenessRTTs: o.SIRDStalenessRTTs,
-	}
-}
+type StackOptions = experiment.StackOptions
 
 // Config describes one simulation run.
 type Config struct {
@@ -346,11 +314,7 @@ func (c Config) Validate() error {
 	if !experiment.HasStack(c.Protocol) {
 		return fmt.Errorf("%w %q (have %v)", ErrUnknownProtocol, c.Protocol, experiment.StackNames())
 	}
-	if foreign := experiment.ForeignOption(c.Protocol, c.Options.internal()); foreign != "" {
-		return fmt.Errorf("%w: Options carries %s knobs but Protocol is %q",
-			ErrBadStackOption, foreign, c.Protocol)
-	}
-	if err := experiment.CheckOptions(c.Protocol, c.Options.internal()); err != nil {
+	if err := experiment.CheckOptions(c.Protocol, c.Options); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadStackOption, err)
 	}
 	if workload.ByName(c.Workload) == nil {
@@ -403,21 +367,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w %q (have %v)", ErrUnknownPattern, c.Pattern, Patterns())
 	}
 	return nil
-}
-
-// compareValidate validates a comparison configuration: everything
-// Validate checks except the foreign-option rule — a comparison's
-// shared Options struct may legitimately carry knobs for several
-// protocols at once — while each protocol still value-checks its own
-// fields.
-func (c Config) compareValidate() error {
-	for _, p := range experiment.ProtocolNames() {
-		if err := experiment.CheckOptions(p, c.Options.internal()); err != nil {
-			return fmt.Errorf("%w: %v", ErrBadStackOption, err)
-		}
-	}
-	c.Options = StackOptions{}
-	return c.Validate()
 }
 
 // Result summarizes one run.
@@ -473,7 +422,7 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	cfg = cfg.normalized()
-	st, err := experiment.NewStack(cfg.Protocol, cfg.Options.internal())
+	st, err := experiment.NewStack(cfg.Protocol, cfg.Options)
 	if err != nil {
 		return Result{}, fmt.Errorf("%w %q (have %v)", ErrUnknownProtocol, cfg.Protocol, experiment.StackNames())
 	}
@@ -630,26 +579,30 @@ func writeMetrics(cfg Config, reg *metrics.Registry) error {
 // CompareContext runs the same traffic under every protocol and returns
 // the results in paper order (pHost, Homa, NDP, AMRT, SIRD — the order
 // Protocols() reports), so figure code indexes results without a map
-// sort. A shared Options struct is narrowed to each leg's own fields
-// through the stack registry, so comparison runs may carry knobs for
-// several protocols at once. Trace and metrics output paths get the
-// protocol name spliced in before the extension (out.json →
-// out.AMRT.json, extensionless out → out.AMRT) so the runs do not
-// overwrite each other. On a cancelled context it returns the protocols
-// completed so far plus ctx.Err().
+// sort. cfg.Protocol is ignored. A shared Options struct is narrowed to
+// each leg's own fields, so comparison runs may carry knobs for several
+// protocols at once; every leg's Config is validated before any leg
+// runs. Trace and metrics output paths get the protocol name spliced in
+// before the extension (out.json → out.AMRT.json, extensionless out →
+// out.AMRT) so the runs do not overwrite each other. On a cancelled
+// context it returns the protocols completed so far plus ctx.Err().
 func CompareContext(ctx context.Context, cfg Config) ([]Result, error) {
-	if err := cfg.compareValidate(); err != nil {
-		return nil, err
-	}
 	names := experiment.ProtocolNames()
-	out := make([]Result, 0, len(names))
-	for _, p := range names {
+	legs := make([]Config, len(names))
+	for i, p := range names {
 		c := cfg
 		c.Protocol = p
-		c.Options = optionsFromInternal(experiment.NarrowOptions(p, cfg.Options.internal()))
+		c.Options = experiment.NarrowOptions(p, cfg.Options)
 		c.TracePath = withProtoSuffix(cfg.TracePath, p)
 		c.MetricsPath = withProtoSuffix(cfg.MetricsPath, p)
 		c.MetricsCSVPath = withProtoSuffix(cfg.MetricsCSVPath, p)
+		if err := c.Validate(); err != nil {
+			return nil, err
+		}
+		legs[i] = c
+	}
+	out := make([]Result, 0, len(legs))
+	for _, c := range legs {
 		r, err := RunContext(ctx, c)
 		if err != nil {
 			return out, err

@@ -34,9 +34,11 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"amrt"
+	"amrt/internal/experiment"
 	"amrt/internal/faults"
 )
 
@@ -57,8 +59,8 @@ func runMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("amrtsim", flag.ExitOnError)
 	fs.SetOutput(stderr)
 	var (
-		proto       = fs.String("proto", "AMRT", "protocol: pHost|Homa|NDP|AMRT|SIRD")
-		wl          = fs.String("workload", "WebSearch", "workload: WebServer|CacheFollower|HadoopCluster|WebSearch|DataMining")
+		proto       = fs.String("proto", "AMRT", "protocol: "+strings.Join(experiment.StackNames(), "|"))
+		wl          = fs.String("workload", "WebSearch", "workload: "+strings.Join(amrt.Workloads(), "|"))
 		load        = fs.Float64("load", 0.5, "offered load fraction (0,1]")
 		flows       = fs.Int("flows", 1000, "number of flows")
 		seed        = fs.Int64("seed", 1, "RNG seed")

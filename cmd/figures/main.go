@@ -36,7 +36,7 @@ import (
 func main() {
 	var (
 		fig        = flag.String("fig", "all", "comma-separated figures to regenerate: "+strings.Join(figureNames, ",")+" or all")
-		proto      = flag.String("proto", "", "protocol for single-stack figures (1,2,9): pHost|Homa|NDP|AMRT|SIRD; default = figure's paper protocol")
+		proto      = flag.String("proto", "", "protocol for single-stack figures (1,2,9): "+strings.Join(experiment.StackNames(), "|")+"; default = figure's paper protocol")
 		loads      = flag.String("loads", "", "comma-separated loads for fig 12 (default 0.1,0.3,0.5,0.7)")
 		counts     = flag.String("counts", "100,200,400,800", "comma-separated flow counts for fig 13")
 		ratios     = flag.String("ratios", "0.1,0.3,0.5,0.7,0.9,1.0", "responsive ratios for fig 14")

@@ -80,14 +80,8 @@ func (c Config) withDefaults() Config {
 // SwitchQueue builds the AMRT switch egress queue: strict priority with
 // a roomy control band and the paper's tiny data cap.
 func (c Config) SwitchQueue() netsim.Queue {
-	cc, dc := c.CtrlQueueCap, c.DataQueueCap
-	if cc == 0 {
-		cc = DefaultConfig().CtrlQueueCap
-	}
-	if dc == 0 {
-		dc = DefaultConfig().DataQueueCap
-	}
-	return netsim.NewPriority(cc, dc, dc)
+	cc := c.withDefaults()
+	return netsim.NewPriority(cc.CtrlQueueCap, cc.DataQueueCap, cc.DataQueueCap)
 }
 
 // HostQueue builds the host NIC queue: large, since the sender may

@@ -38,7 +38,7 @@ func MarkingAblation() *Table {
 		if mut != nil {
 			mut(&cfg)
 		}
-		return variant{name: name, st: MustStack("AMRT", StackOptions{AMRT: cfg})}
+		return variant{name: name, st: amrtStack(cfg)}
 	}
 	variants := []variant{
 		mk("AMRT default (gap=1.0, AND, burst=2)", nil),
@@ -85,7 +85,7 @@ func QueueCapAblation() *Table {
 	results := Parallel(len(caps), func(i int) out {
 		cfg := core.DefaultConfig()
 		cfg.DataQueueCap = caps[i]
-		st := MustStack("AMRT", StackOptions{AMRT: cfg})
+		st := amrtStack(cfg)
 		col := stats.NewFCTCollector()
 		h := NewScenarioHarness(st, topo.DefaultScenario(), fanN(8), transport.Config{Collector: col}, 1, 0, nil)
 		s := h.S

@@ -43,7 +43,7 @@ func TestHeadToHeadSIRDBufferVsAMRT(t *testing.T) {
 }
 
 // TestHeadToHeadProtocolsFromRegistry checks the comparison legs come
-// from the registry in presentation order — pHost before AMRT before
+// from the stack table in presentation order — pHost before AMRT before
 // SIRD — rather than a hand-kept list.
 func TestHeadToHeadProtocolsFromRegistry(t *testing.T) {
 	got := HeadToHeadProtocols()

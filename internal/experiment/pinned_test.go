@@ -164,7 +164,7 @@ func runPinnedCell(t *testing.T, stack string, c pinnedCell) pin {
 // TestPinnedRunDigests is the tree's absolute golden. Every other
 // golden is relative (wheel == heap, N shards == 1, run twice), so a
 // change that shifts an event's sequence draw the same way on both
-// sides passes them all; this one compares each registered stack's
+// sides passes them all; this one compares each stack's
 // output on four small cells against digests committed to testdata.
 // A behaviour change bumps amrt.SimVersion and regenerates the pins:
 //

@@ -19,7 +19,7 @@ import (
 )
 
 // Instance is the protocol surface the two harnesses drive; every
-// registered stack satisfies it, almost entirely through the embedded
+// stack in the table satisfies it, almost entirely through the embedded
 // transport.Kernel's flow lifecycle. A harness creates one instance per
 // engine shard: a flow's sender side lives on its source's instance
 // (AddPending, Release), its receiver side on its destination's
@@ -60,163 +60,258 @@ type Stack struct {
 	New         func(net *netsim.Network, base transport.Config) Instance
 }
 
-// StackOptions tune protocol-specific knobs. One struct is shared by
-// every stack: each constructor reads only its own fields, and the
-// public validation layer uses the registry's OptionsSet/Narrow hooks
-// to reject or strip fields aimed at a different protocol.
+// StackOptions tune protocol-specific knobs; amrt.StackOptions is this
+// type. One struct is shared by every stack: each row of the stack
+// table reads only its own fields (NarrowOptions), and CheckOptions
+// rejects fields aimed at a different protocol.
 type StackOptions struct {
-	// HomaDegree is the overcommitment degree (default 2).
+	// HomaDegree sets Homa's overcommitment level — how many senders
+	// one receiver grants simultaneously (default 2).
 	HomaDegree int
 	// SIRDPoolBytes bounds each SIRD receiver's outstanding scheduled
-	// credit in bytes (default 0 = 1.5× the downlink BDP).
+	// credit in bytes; 0 (the default) sizes the pool automatically at
+	// 1.5× the downlink bandwidth-delay product.
 	SIRDPoolBytes int64
 	// SIRDStalenessRTTs is how long SIRD trusts a sender's demand
-	// advertisement, in RTTs (default 8).
+	// advertisement before falling back to the receiver's own estimate,
+	// in RTTs (default 8).
 	SIRDStalenessRTTs int
-	// AMRT overrides for the ablation study; zero values keep the
-	// paper's defaults.
-	AMRT core.Config
 }
 
-// The five comparison protocols (presentation order 0–4) plus the
-// related-work contrast register themselves here; everything else —
-// ProtocolNames, AllStacks, amrt.Validate, the CLIs, the docs checker —
-// derives from the registry.
-func init() {
-	Register(Descriptor{
-		Name: "pHost", Order: 0,
-		Build: func(StackOptions) Stack {
-			cfg := phost.DefaultConfig()
-			return Stack{
-				Name:        "pHost",
-				SwitchQueue: cfg.SwitchQueue,
-				HostQueue:   cfg.HostQueue,
-				New: func(net *netsim.Network, base transport.Config) Instance {
-					c := phost.DefaultConfig()
-					c.Config = base
-					return phost.New(net, c)
-				},
-			}
-		},
-	})
-	Register(Descriptor{
-		Name: "Homa", Order: 1,
-		Build: func(opts StackOptions) Stack {
+// check rejects negative values, whichever stack reads the field.
+func (o StackOptions) check() error {
+	if o.HomaDegree < 0 {
+		return fmt.Errorf("HomaDegree %d must be non-negative", o.HomaDegree)
+	}
+	if o.SIRDPoolBytes < 0 {
+		return fmt.Errorf("SIRDPoolBytes %d must be non-negative", o.SIRDPoolBytes)
+	}
+	if o.SIRDStalenessRTTs < 0 {
+		return fmt.Errorf("SIRDStalenessRTTs %d must be non-negative", o.SIRDStalenessRTTs)
+	}
+	return nil
+}
+
+// stackRow is one protocol stack of the table.
+type stackRow struct {
+	name string
+	// related marks stacks outside the paper's head-to-head comparison
+	// (DCTCP): excluded from ProtocolNames/AllStacks, still buildable by
+	// name through NewStack.
+	related bool
+	// build resolves the stack's package config once; every instance
+	// starts from a copy of it.
+	build func(StackOptions) Stack
+	// narrow returns the options the stack reads; nil means none.
+	narrow func(StackOptions) StackOptions
+}
+
+func (r stackRow) options(opts StackOptions) StackOptions {
+	if r.narrow == nil {
+		return StackOptions{}
+	}
+	return r.narrow(opts)
+}
+
+// stackTable is the one list of protocol stacks: the paper's five
+// comparison protocols in presentation order, then the related-work
+// contrast. ProtocolNames, AllStacks, amrt.Validate, the CLIs and the
+// docs checker all read it, so adding a protocol is adding a row.
+var stackTable = [...]stackRow{
+	{name: "pHost", build: func(StackOptions) Stack {
+		cfg := phost.DefaultConfig()
+		return Stack{
+			Name:        "pHost",
+			SwitchQueue: cfg.SwitchQueue,
+			HostQueue:   cfg.HostQueue,
+			New: func(net *netsim.Network, base transport.Config) Instance {
+				c := cfg
+				c.Config = base
+				return phost.New(net, c)
+			},
+		}
+	}},
+	{
+		name: "Homa",
+		build: func(opts StackOptions) Stack {
 			cfg := homa.DefaultConfig()
 			if opts.HomaDegree > 0 {
 				cfg.Degree = opts.HomaDegree
 			}
-			deg := cfg.Degree
 			return Stack{
 				Name:        "Homa",
 				SwitchQueue: cfg.SwitchQueue,
 				HostQueue:   cfg.HostQueue,
 				New: func(net *netsim.Network, base transport.Config) Instance {
-					c := homa.DefaultConfig()
-					c.Degree = deg
+					c := cfg
 					c.Config = base
 					return homa.New(net, c)
 				},
 			}
 		},
-		OptionsSet: func(opts StackOptions) bool { return opts.HomaDegree != 0 },
-		Narrow:     func(opts StackOptions) StackOptions { return StackOptions{HomaDegree: opts.HomaDegree} },
-		CheckOptions: func(opts StackOptions) error {
-			if opts.HomaDegree < 0 {
-				return fmt.Errorf("HomaDegree %d must be non-negative", opts.HomaDegree)
-			}
-			return nil
-		},
-	})
-	Register(Descriptor{
-		Name: "NDP", Order: 2,
-		Build: func(StackOptions) Stack {
-			cfg := ndp.DefaultConfig()
-			return Stack{
-				Name:        "NDP",
-				SwitchQueue: cfg.SwitchQueue,
-				HostQueue:   cfg.HostQueue,
-				New: func(net *netsim.Network, base transport.Config) Instance {
-					c := ndp.DefaultConfig()
-					c.Config = base
-					return ndp.New(net, c)
-				},
-			}
-		},
-	})
-	Register(Descriptor{
-		Name: "AMRT", Order: 3,
-		Build: func(opts StackOptions) Stack {
-			cfg := opts.AMRT.WithDefaults()
-			return Stack{
-				Name:        "AMRT",
-				SwitchQueue: cfg.SwitchQueue,
-				HostQueue:   cfg.HostQueue,
-				Marker:      cfg.NewMarker,
-				New: func(net *netsim.Network, base transport.Config) Instance {
-					c := cfg
-					c.Config = base
-					return core.New(net, c)
-				},
-			}
-		},
-		// core.Config is internal (ablation only) and not comparable, so
-		// AMRT exposes no public options to probe or narrow.
-		Narrow: func(opts StackOptions) StackOptions { return StackOptions{AMRT: opts.AMRT} },
-	})
-	Register(Descriptor{
-		Name: "SIRD", Order: 4,
-		Build: func(opts StackOptions) Stack {
+		narrow: func(opts StackOptions) StackOptions { return StackOptions{HomaDegree: opts.HomaDegree} },
+	},
+	{name: "NDP", build: func(StackOptions) Stack {
+		cfg := ndp.DefaultConfig()
+		return Stack{
+			Name:        "NDP",
+			SwitchQueue: cfg.SwitchQueue,
+			HostQueue:   cfg.HostQueue,
+			New: func(net *netsim.Network, base transport.Config) Instance {
+				c := cfg
+				c.Config = base
+				return ndp.New(net, c)
+			},
+		}
+	}},
+	{name: "AMRT", build: func(StackOptions) Stack { return amrtStack(core.DefaultConfig()) }},
+	{
+		name: "SIRD",
+		build: func(opts StackOptions) Stack {
 			cfg := sird.DefaultConfig()
 			cfg.PoolBytes = opts.SIRDPoolBytes
 			if opts.SIRDStalenessRTTs > 0 {
 				cfg.StalenessRTTs = opts.SIRDStalenessRTTs
 			}
-			pool, stale := cfg.PoolBytes, cfg.StalenessRTTs
 			return Stack{
 				Name:        "SIRD",
 				SwitchQueue: cfg.SwitchQueue,
 				HostQueue:   cfg.HostQueue,
 				New: func(net *netsim.Network, base transport.Config) Instance {
-					c := sird.DefaultConfig()
-					c.PoolBytes, c.StalenessRTTs = pool, stale
+					c := cfg
 					c.Config = base
 					return sird.New(net, c)
 				},
 			}
 		},
-		OptionsSet: func(opts StackOptions) bool {
-			return opts.SIRDPoolBytes != 0 || opts.SIRDStalenessRTTs != 0
-		},
-		Narrow: func(opts StackOptions) StackOptions {
+		narrow: func(opts StackOptions) StackOptions {
 			return StackOptions{SIRDPoolBytes: opts.SIRDPoolBytes, SIRDStalenessRTTs: opts.SIRDStalenessRTTs}
 		},
-		CheckOptions: func(opts StackOptions) error {
-			if opts.SIRDPoolBytes < 0 {
-				return fmt.Errorf("SIRDPoolBytes %d must be non-negative", opts.SIRDPoolBytes)
-			}
-			if opts.SIRDStalenessRTTs < 0 {
-				return fmt.Errorf("SIRDStalenessRTTs %d must be non-negative", opts.SIRDStalenessRTTs)
-			}
-			return nil
+	},
+	// Not part of the paper's five-way comparison; used by the
+	// related-work contrast (reactive sender-based control).
+	{name: "DCTCP", related: true, build: func(StackOptions) Stack {
+		cfg := dctcp.DefaultConfig()
+		return Stack{
+			Name:        "DCTCP",
+			SwitchQueue: cfg.SwitchQueue,
+			HostQueue:   cfg.HostQueue,
+			New: func(net *netsim.Network, base transport.Config) Instance {
+				c := cfg
+				c.Config = base
+				return dctcp.New(net, c)
+			},
+		}
+	}},
+}
+
+// amrtStack builds AMRT from cfg, zero fields at the paper's defaults:
+// the table's row and the ablation variants.
+func amrtStack(cfg core.Config) Stack {
+	cfg = cfg.WithDefaults()
+	return Stack{
+		Name:        "AMRT",
+		SwitchQueue: cfg.SwitchQueue,
+		HostQueue:   cfg.HostQueue,
+		Marker:      cfg.NewMarker,
+		New: func(net *netsim.Network, base transport.Config) Instance {
+			c := cfg
+			c.Config = base
+			return core.New(net, c)
 		},
-	})
-	Register(Descriptor{
-		// Not part of the paper's five-way comparison; used by the
-		// related-work contrast (reactive sender-based control).
-		Name: "DCTCP", Order: 0, Related: true,
-		Build: func(StackOptions) Stack {
-			cfg := dctcp.DefaultConfig()
-			return Stack{
-				Name:        "DCTCP",
-				SwitchQueue: cfg.SwitchQueue,
-				HostQueue:   cfg.HostQueue,
-				New: func(net *netsim.Network, base transport.Config) Instance {
-					c := dctcp.DefaultConfig()
-					c.Config = base
-					return dctcp.New(net, c)
-				},
+	}
+}
+
+func lookupStack(name string) (stackRow, bool) {
+	for _, r := range stackTable {
+		if r.name == name {
+			return r, true
+		}
+	}
+	return stackRow{}, false
+}
+
+func stackNames(related bool) []string {
+	out := make([]string, 0, len(stackTable))
+	for _, r := range stackTable {
+		if r.related == related {
+			out = append(out, r.name)
+		}
+	}
+	return out
+}
+
+// ProtocolNames returns the comparison protocols in the order the
+// paper's figures present them. The slice is a copy; callers may keep
+// or mutate it.
+func ProtocolNames() []string { return stackNames(false) }
+
+// RelatedNames returns the related-work stacks (outside the comparison
+// set) in their own presentation order.
+func RelatedNames() []string { return stackNames(true) }
+
+// StackNames returns every stack: the comparison set in presentation
+// order followed by the related-work set.
+func StackNames() []string { return append(ProtocolNames(), RelatedNames()...) }
+
+// HasStack reports whether name is a stack (comparison or related).
+func HasStack(name string) bool {
+	_, ok := lookupStack(name)
+	return ok
+}
+
+// NewStack builds the named protocol stack. Unknown names return an
+// error; foreign options do not — comparison runs hand one shared
+// options struct to every stack and each reads only its own fields (use
+// CheckOptions to validate user input).
+func NewStack(name string, opts StackOptions) (Stack, error) {
+	r, ok := lookupStack(name)
+	if !ok {
+		return Stack{}, fmt.Errorf("experiment: unknown protocol %q (have %v)", name, StackNames())
+	}
+	return r.build(opts), nil
+}
+
+// MustStack is NewStack for callers whose protocol name is a literal
+// (figures, benchmarks, tests); it panics on an unknown name.
+func MustStack(name string, opts StackOptions) Stack {
+	st, err := NewStack(name, opts)
+	if err != nil {
+		panic(err)
+	}
+	return st
+}
+
+// AllStacks returns the comparison stacks in presentation order, all
+// built from the same shared options.
+func AllStacks(opts StackOptions) []Stack {
+	var out []Stack
+	for _, r := range stackTable {
+		if !r.related {
+			out = append(out, r.build(opts))
+		}
+	}
+	return out
+}
+
+// NarrowOptions returns the fields of opts the named stack reads; a
+// comparison or a sweep hands each leg its own share of one shared
+// options struct this way.
+func NarrowOptions(name string, opts StackOptions) StackOptions {
+	r, _ := lookupStack(name)
+	return r.options(opts)
+}
+
+// CheckOptions validates user options for the named stack: a field the
+// stack does not read is an error naming the stack that does (SIRD
+// knobs on an AMRT run), and no value may be negative.
+func CheckOptions(name string, opts StackOptions) error {
+	if NarrowOptions(name, opts) != opts {
+		for _, r := range stackTable {
+			if r.name != name && r.options(opts) != (StackOptions{}) {
+				return fmt.Errorf("Options carries %s knobs but Protocol is %q", r.name, name)
 			}
-		},
-	})
+		}
+	}
+	return opts.check()
 }

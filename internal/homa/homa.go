@@ -35,14 +35,15 @@ func DefaultConfig() Config {
 }
 
 func (c Config) withDefaults() Config {
+	d := DefaultConfig()
 	if c.Degree == 0 {
-		c.Degree = 2
+		c.Degree = d.Degree
 	}
 	if c.QueueCap == 0 {
-		c.QueueCap = 128
+		c.QueueCap = d.QueueCap
 	}
 	if c.TimeoutRTTs == 0 {
-		c.TimeoutRTTs = 3
+		c.TimeoutRTTs = d.TimeoutRTTs
 	}
 	return c
 }
@@ -50,10 +51,7 @@ func (c Config) withDefaults() Config {
 // SwitchQueue builds Homa's switch buffer: control above unscheduled
 // above scheduled, data levels sharing the configured cap.
 func (c Config) SwitchQueue() netsim.Queue {
-	cap := c.QueueCap
-	if cap == 0 {
-		cap = 128
-	}
+	cap := c.withDefaults().QueueCap
 	return netsim.NewPriority(256, cap, cap)
 }
 

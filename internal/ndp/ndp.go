@@ -30,11 +30,12 @@ func DefaultConfig() Config {
 }
 
 func (c Config) withDefaults() Config {
+	d := DefaultConfig()
 	if c.TrimThreshold == 0 {
-		c.TrimThreshold = 8
+		c.TrimThreshold = d.TrimThreshold
 	}
 	if c.CtrlQueueCap == 0 {
-		c.CtrlQueueCap = 256
+		c.CtrlQueueCap = d.CtrlQueueCap
 	}
 	return c
 }

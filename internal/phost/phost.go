@@ -35,11 +35,12 @@ func DefaultConfig() Config {
 }
 
 func (c Config) withDefaults() Config {
+	d := DefaultConfig()
 	if c.QueueCap == 0 {
-		c.QueueCap = 12
+		c.QueueCap = d.QueueCap
 	}
 	if c.TimeoutRTTs == 0 {
-		c.TimeoutRTTs = 3
+		c.TimeoutRTTs = d.TimeoutRTTs
 	}
 	return c
 }
@@ -47,10 +48,7 @@ func (c Config) withDefaults() Config {
 // SwitchQueue builds pHost's switch buffer: control packets bypass data
 // in a strict-priority queue with a shared drop-tail cap for data.
 func (c Config) SwitchQueue() netsim.Queue {
-	cap := c.QueueCap
-	if cap == 0 {
-		cap = 12
-	}
+	cap := c.withDefaults().QueueCap
 	return netsim.NewPriority(256, cap, cap)
 }
 

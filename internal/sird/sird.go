@@ -65,14 +65,15 @@ func (c Config) withDefaults() Config {
 	if c.BlindWindow == 0 {
 		c.BlindWindow = sirdBlindPkts
 	}
+	d := DefaultConfig()
 	if c.StalenessRTTs == 0 {
-		c.StalenessRTTs = 8
+		c.StalenessRTTs = d.StalenessRTTs
 	}
 	if c.QueueCap == 0 {
-		c.QueueCap = 8
+		c.QueueCap = d.QueueCap
 	}
 	if c.TimeoutRTTs == 0 {
-		c.TimeoutRTTs = 3
+		c.TimeoutRTTs = d.TimeoutRTTs
 	}
 	return c
 }
@@ -84,11 +85,8 @@ func (c Config) withDefaults() Config {
 // cost little goodput while capping occupancy below the single-level
 // baselines'.
 func (c Config) SwitchQueue() netsim.Queue {
-	cap := c.QueueCap
-	if cap == 0 {
-		cap = 8
-	}
-	return netsim.NewPriority(256, (cap+1)/2, (cap+1)/2)
+	half := (c.withDefaults().QueueCap + 1) / 2
+	return netsim.NewPriority(256, half, half)
 }
 
 // HostQueue builds the host NIC queue.

@@ -370,7 +370,7 @@ var docsCheckFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
 //     a short allowlist covers `go test` flags the docs mention bare,
 //     like -race;
 //  5. no line enumerates all-but-one of the protocol comparison set,
-//     checked against the live stack registry — that is the signature
+//     checked against the live stack table — that is the signature
 //     of a full list that predates the newest protocol. Smaller
 //     subsets (a two-way contrast, the receiver-driven baseline trio)
 //     are legitimate prose and stay exempt.
@@ -490,7 +490,7 @@ func relativeLinks(line string) []string {
 }
 
 // protocolSet is the live comparison set, straight from the stack
-// registry — the same list the figures and the public API derive from.
+// table — the same list the figures and the public API derive from.
 var protocolSet = experiment.ProtocolNames()
 
 var protocolRes = func() []*regexp.Regexp {
@@ -502,7 +502,7 @@ var protocolRes = func() []*regexp.Regexp {
 }()
 
 // protocolMentions returns the comparison protocols named on the line,
-// in registry order.
+// in table order.
 func protocolMentions(line string) []string {
 	var out []string
 	for i, re := range protocolRes {

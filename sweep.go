@@ -14,6 +14,8 @@ import (
 
 	"amrt/internal/campaign"
 	"amrt/internal/experiment"
+	"amrt/internal/homa"
+	"amrt/internal/sird"
 	"amrt/internal/stats"
 )
 
@@ -371,7 +373,7 @@ func (sc SweepConfig) pointConfig(p campaign.Point) (Config, error) {
 	// The shared Base options are narrowed to each leg's own fields,
 	// exactly as Compare does: a grid spanning Homa and SIRD may carry
 	// knobs for both without tripping ErrBadStackOption on either.
-	c.Options = optionsFromInternal(experiment.NarrowOptions(p.Protocol, sc.Base.Options.internal()))
+	c.Options = experiment.NarrowOptions(p.Protocol, sc.Base.Options)
 	c.Workload = p.Workload
 	if p.Topology != "" {
 		t, err := ParseTopology(p.Topology)
@@ -424,11 +426,11 @@ func sweepKey(c Config) string {
 		"rpcrequest="+strconv.FormatInt(c.RPCRequestBytes, 10),
 		"rpcresponse="+strconv.FormatInt(c.RPCResponseBytes, 10),
 		"rpcdeadline="+strconv.FormatInt(c.RPCDeadline.Nanoseconds(), 10),
-		// The effective degree: an unset option runs Homa's default, 2,
-		// and caches as it.
-		"homadegree="+strconv.Itoa(cmp.Or(c.Options.HomaDegree, 2)),
+		// The effective degree and staleness window: an unset option
+		// runs the stack's default and caches as it.
+		"homadegree="+strconv.Itoa(cmp.Or(c.Options.HomaDegree, homa.DefaultConfig().Degree)),
 		"sirdpool="+strconv.FormatInt(c.Options.SIRDPoolBytes, 10),
-		"sirdstaleness="+strconv.Itoa(c.Options.SIRDStalenessRTTs),
+		"sirdstaleness="+strconv.Itoa(cmp.Or(c.Options.SIRDStalenessRTTs, sird.DefaultConfig().StalenessRTTs)),
 		"timeout="+strconv.FormatInt(c.Timeout.Nanoseconds(), 10),
 		"faults="+c.Faults,
 		"audit="+strconv.FormatBool(c.Audit),
