@@ -82,9 +82,9 @@ type Protocol struct {
 
 type sender struct {
 	f     *transport.Flow
-	acked *transport.Bitmap
+	acked transport.Bitmap
 	// sent marks sequences transmitted at least once.
-	sent *transport.Bitmap
+	sent transport.Bitmap
 	next int32 // next never-sent sequence
 
 	cwnd     float64
@@ -105,13 +105,15 @@ type sender struct {
 
 type rcvFlow struct {
 	f    *transport.Flow
-	rcvd *transport.Bitmap
+	rcvd transport.Bitmap
 }
 
 // newRcvFlow builds f's receiver record. No Heard: a DCTCP sender
 // announces nothing that needs confirming.
 func newRcvFlow(f *transport.Flow) *rcvFlow {
-	return &rcvFlow{f: f, rcvd: transport.NewBitmap(f.NPkts)}
+	r := &rcvFlow{f: f}
+	transport.InitBitmaps(f.NPkts, &r.rcvd)
+	return r
 }
 
 // New creates a DCTCP instance on the network.
@@ -138,12 +140,11 @@ func (p *Protocol) startFlow(f *transport.Flow) {
 	}
 	s := &sender{
 		f:        f,
-		acked:    transport.NewBitmap(f.NPkts),
-		sent:     transport.NewBitmap(f.NPkts),
 		cwnd:     p.cfg.InitCwnd,
 		ssthresh: 1 << 20,
 		winSize:  int(p.cfg.InitCwnd),
 	}
+	transport.InitBitmaps(f.NPkts, &s.acked, &s.sent)
 	p.senders.Put(f.ID, s)
 	s.lastProgress = p.Now()
 	s.onRTO = func() { p.onRTO(s) }

@@ -94,7 +94,7 @@ type sender struct {
 type rcvFlow struct {
 	p            *Protocol // for HandleEvent: the record is its own timeout event
 	f            *transport.Flow
-	rcvd         *transport.Bitmap
+	rcvd         transport.Bitmap
 	granted      int32 // packets authorized (incl. unscheduled window)
 	lastProgress sim.Time
 	timer        transport.RecvTimer // runs onTimeout
@@ -233,9 +233,9 @@ func (p *Protocol) onReceiverPkt(pkt *netsim.Packet) {
 // and lists it with its host's scheduler.
 func (p *Protocol) newRcvFlow(f *transport.Flow) *rcvFlow {
 	r := &rcvFlow{
-		p: p, f: f, rcvd: transport.NewBitmap(f.NPkts),
-		granted: p.BlindPkts(f), lastProgress: p.Now(),
+		p: p, f: f, granted: p.BlindPkts(f), lastProgress: p.Now(),
 	}
+	transport.InitBitmaps(f.NPkts, &r.rcvd)
 	hf := p.byHost.GetOrBuild(f.Dst.ID(), func() *hostFlows { return new(hostFlows) })
 	hf.flows = append(hf.flows, r)
 	p.Heard(f)

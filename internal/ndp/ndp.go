@@ -76,7 +76,7 @@ type sender struct {
 type rcvFlow struct {
 	p            *Protocol // for HandleEvent: the record is its own timeout event
 	f            *transport.Flow
-	rcvd         *transport.Bitmap
+	rcvd         transport.Bitmap
 	pullBudget   int32 // packets still to be triggered by pulls
 	lastProgress sim.Time
 	timer        transport.RecvTimer // runs onTimeout
@@ -234,10 +234,11 @@ func (p *Protocol) onHeader(r *rcvFlow, pkt *netsim.Packet) {
 // everything past the blind window is still to be pulled.
 func (p *Protocol) newRcvFlow(f *transport.Flow) *rcvFlow {
 	r := &rcvFlow{
-		p: p, f: f, rcvd: transport.NewBitmap(f.NPkts),
+		p: p, f: f,
 		pullBudget:   f.NPkts - p.BlindPkts(f),
 		lastProgress: p.Now(),
 	}
+	transport.InitBitmaps(f.NPkts, &r.rcvd)
 	p.Heard(f)
 	r.timer.Init(&p.Kernel, r)
 	r.timer.Arm()

@@ -286,12 +286,7 @@ func (p *Protocol) emitToken(ps *pacerState) bool {
 // nextTokenable returns the first sequence neither received nor awaiting
 // arrival, or -1.
 func (p *Protocol) nextTokenable(r *rcvFlow) int32 {
-	for seq := r.rcvd.NextClear(0); seq >= 0; seq = r.rcvd.NextClear(seq + 1) {
-		if !r.inflight.Get(seq) {
-			return seq
-		}
-	}
-	return -1
+	return r.rcvd.NextClearBoth(&r.inflight, 0)
 }
 
 // trackPending arms the per-token expiry: if the packet does not arrive

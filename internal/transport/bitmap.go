@@ -1,22 +1,37 @@
 package transport
 
-// Bitmap tracks which data packets of a flow have been received. The
-// zero value is unusable; create with NewBitmap or InitBitmaps.
+import "math/bits"
+
+// Bitmap is a fixed-length set of packet sequence numbers of one flow:
+// received, in flight, reissued, whatever its owner tracks. The zero
+// value is unusable; make bitmaps with InitBitmaps, inside the record
+// that owns them.
+//
+// A bitmap of at most 64 bits keeps its one word inside the struct, so
+// an initialised Bitmap must not be copied: the copy would still point
+// at the original's word.
 type Bitmap struct {
-	words []uint64
-	n     int32 // capacity in bits
-	set   int32 // number of set bits
+	words  []uint64
+	inline [1]uint64 // words of a bitmap of ≤ 64 bits
+	n      int32     // capacity in bits
+	set    int32     // number of set bits
+	// low is the low-water word index: every word below it is full, so
+	// a scan for a clear bit starts there.
+	low int32
 }
 
-// NewBitmap returns a bitmap for n packets.
-func NewBitmap(n int32) *Bitmap {
-	return &Bitmap{words: make([]uint64, (n+63)/64), n: n}
-}
-
-// InitBitmaps makes each of bs an empty bitmap of n bits, all of them
-// over one backing array: a record that embeds several bitmaps by value
-// pays one allocation for the lot.
+// InitBitmaps makes each of bs an empty bitmap of n bits. A bitmap of
+// n ≤ 64 bits keeps its word inline and allocates nothing; longer ones
+// share one backing array, so a record that embeds several bitmaps by
+// value pays one allocation for the lot.
 func InitBitmaps(n int32, bs ...*Bitmap) {
+	if n <= 64 {
+		for _, b := range bs {
+			*b = Bitmap{n: n}
+			b.words = b.inline[:]
+		}
+		return
+	}
 	w := int(n+63) / 64
 	words := make([]uint64, w*len(bs))
 	for i, b := range bs {
@@ -35,6 +50,11 @@ func (b *Bitmap) Set(i int32) bool {
 	}
 	b.words[w] |= m
 	b.set++
+	if w == b.low {
+		for int(b.low) < len(b.words) && b.words[b.low] == ^uint64(0) {
+			b.low++
+		}
+	}
 	return true
 }
 
@@ -49,6 +69,7 @@ func (b *Bitmap) Clear(i int32) bool {
 	}
 	b.words[w] &^= m
 	b.set--
+	b.low = min(b.low, w)
 	return true
 }
 
@@ -70,17 +91,44 @@ func (b *Bitmap) Len() int32 { return b.n }
 func (b *Bitmap) Full() bool { return b.set == b.n }
 
 // NextClear returns the first clear bit at or after from, or -1 if none.
+// A negative from counts as 0.
 func (b *Bitmap) NextClear(from int32) int32 {
-	for i := from; i < b.n; i++ {
-		w := b.words[i/64]
-		if w == ^uint64(0) {
-			// Skip the rest of a fully set word.
-			i = (i/64+1)*64 - 1
-			continue
+	return b.scan(nil, from)
+}
+
+// NextClearBoth returns the first bit at or after from that is clear in
+// both b and o, or -1 if none, in one word scan over b | o: the first
+// sequence neither received nor in flight, say. o must be as long as b.
+// A negative from counts as 0.
+func (b *Bitmap) NextClearBoth(o *Bitmap, from int32) int32 {
+	return b.scan(o, from)
+}
+
+// scan is NextClear over the union of b and o (nil: b alone). It starts
+// at the higher of from's word and the low-water marks, below which
+// every word of b (or of o) is full and so holds no answer.
+func (b *Bitmap) scan(o *Bitmap, from int32) int32 {
+	from = max(from, 0)
+	w, low := from/64, b.low
+	if o != nil {
+		low = max(low, o.low)
+	}
+	mask := ^uint64(0) << (uint(from) % 64)
+	if w < low {
+		w, mask = low, ^uint64(0)
+	}
+	for ; int(w) < len(b.words); w++ {
+		x := b.words[w]
+		if o != nil {
+			x |= o.words[w]
 		}
-		if w&(uint64(1)<<(uint(i)%64)) == 0 {
-			return i
+		if free := ^x & mask; free != 0 {
+			if i := w*64 + int32(bits.TrailingZeros64(free)); i < b.n {
+				return i
+			}
+			return -1
 		}
+		mask = ^uint64(0)
 	}
 	return -1
 }

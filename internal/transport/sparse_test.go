@@ -93,63 +93,3 @@ func TestSparseAgainstMap(t *testing.T) {
 		}
 	}
 }
-
-func TestBitmapClear(t *testing.T) {
-	b := NewBitmap(130)
-	for _, i := range []int32{0, 63, 64, 129} {
-		b.Set(i)
-	}
-	if !b.Clear(64) || b.Get(64) || b.Count() != 3 {
-		t.Errorf("Clear(64): Get = %v, Count = %d, want false, 3", b.Get(64), b.Count())
-	}
-	if b.Clear(64) || b.Clear(5) {
-		t.Error("Clear of a clear bit should report false")
-	}
-	if b.Clear(-1) || b.Clear(130) || b.Count() != 3 {
-		t.Errorf("out-of-range Clear should report false and change nothing, Count = %d", b.Count())
-	}
-	if got := b.NextClear(63); got != 64 {
-		t.Errorf("NextClear(63) = %d, want the cleared 64", got)
-	}
-	for i := int32(0); i < 130; i++ {
-		b.Set(i)
-	}
-	if !b.Full() {
-		t.Fatal("bitmap should be full")
-	}
-	if !b.Clear(129) || b.Full() || b.NextClear(0) != 129 {
-		t.Errorf("after Clear(129): Full = %v, NextClear(0) = %d, want false, 129", b.Full(), b.NextClear(0))
-	}
-	if !b.Set(129) || !b.Full() || b.NextClear(0) != -1 {
-		t.Error("setting the cleared bit again should fill the bitmap")
-	}
-}
-
-// TestInitBitmaps: bitmaps initialized together share one allocation
-// but no bits, at sizes on either side of a word boundary.
-func TestInitBitmaps(t *testing.T) {
-	for _, n := range []int32{1, 64, 65, 200} {
-		var a, b Bitmap
-		InitBitmaps(n, &a, &b)
-		if a.Len() != n || b.Len() != n || a.Count() != 0 || b.Count() != 0 {
-			t.Fatalf("n=%d: fresh bitmaps have Len %d, %d and Count %d, %d", n, a.Len(), b.Len(), a.Count(), b.Count())
-		}
-		for i := int32(0); i < n; i++ {
-			a.Set(i)
-		}
-		if !a.Full() || b.Count() != 0 || b.NextClear(0) != 0 {
-			t.Errorf("n=%d: filling one bitmap leaked into the other (Count %d)", n, b.Count())
-		}
-		b.Set(n - 1)
-		a.Clear(n - 1)
-		if !b.Get(n-1) || a.Get(n-1) {
-			t.Errorf("n=%d: last bits of the two bitmaps are not independent", n)
-		}
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		var a, b Bitmap
-		InitBitmaps(200, &a, &b)
-	}); allocs != 1 {
-		t.Errorf("InitBitmaps of two bitmaps allocates %v times, want 1", allocs)
-	}
-}

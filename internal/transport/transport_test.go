@@ -2,84 +2,11 @@ package transport
 
 import (
 	"testing"
-	"testing/quick"
 
 	"amrt/internal/netsim"
 	"amrt/internal/sim"
 	"amrt/internal/stats"
 )
-
-func TestBitmapBasics(t *testing.T) {
-	b := NewBitmap(130)
-	if b.Len() != 130 || b.Count() != 0 || b.Full() {
-		t.Fatal("fresh bitmap state wrong")
-	}
-	if !b.Set(0) || !b.Set(64) || !b.Set(129) {
-		t.Fatal("Set returned false for new bits")
-	}
-	if b.Set(64) {
-		t.Error("double Set should report false")
-	}
-	if b.Count() != 3 {
-		t.Errorf("Count = %d", b.Count())
-	}
-	if !b.Get(64) || b.Get(63) {
-		t.Error("Get wrong")
-	}
-	if b.Set(-1) || b.Set(130) {
-		t.Error("out-of-range Set should report false")
-	}
-	if b.Get(-1) || b.Get(130) {
-		t.Error("out-of-range Get should report false")
-	}
-}
-
-func TestBitmapNextClear(t *testing.T) {
-	b := NewBitmap(200)
-	for i := int32(0); i < 150; i++ {
-		b.Set(i)
-	}
-	if got := b.NextClear(0); got != 150 {
-		t.Errorf("NextClear(0) = %d, want 150", got)
-	}
-	b.Set(150)
-	if got := b.NextClear(100); got != 151 {
-		t.Errorf("NextClear(100) = %d, want 151", got)
-	}
-	for i := int32(151); i < 200; i++ {
-		b.Set(i)
-	}
-	if got := b.NextClear(0); got != -1 {
-		t.Errorf("NextClear on full = %d", got)
-	}
-	if !b.Full() {
-		t.Error("bitmap should be full")
-	}
-}
-
-func TestBitmapNextClearProperty(t *testing.T) {
-	f := func(setBits []uint16, from uint16) bool {
-		const n = 512
-		b := NewBitmap(n)
-		model := map[int32]bool{}
-		for _, s := range setBits {
-			i := int32(s % n)
-			b.Set(i)
-			model[i] = true
-		}
-		start := int32(from % n)
-		got := b.NextClear(start)
-		for i := start; i < n; i++ {
-			if !model[i] {
-				return got == i
-			}
-		}
-		return got == -1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestPacerSpacing(t *testing.T) {
 	e := sim.NewEngine()
