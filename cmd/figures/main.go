@@ -15,6 +15,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -70,6 +71,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	loadList, countList, ratioList, err := parseSweep(*loads, *counts, *ratios)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -102,8 +108,8 @@ func main() {
 		cfg = experiment.PaperSimConfig()
 	}
 	cfg.Seed = *seed
-	if *loads != "" {
-		cfg.Loads = parseFloats(*loads)
+	if loadList != nil {
+		cfg.Loads = loadList
 	}
 	if *flows > 0 {
 		cfg.FlowsPerRun = *flows
@@ -124,16 +130,134 @@ func main() {
 	cfg.MetricsInterval = sim.FromDuration(*metricsIvl)
 	cfg.FaultSpec = *faultSpec
 
+	args := figArgs{cfg: cfg, proto: *proto, counts: countList, ratios: ratioList, csvDir: *csvDir, plot: *plot}
 	for _, f := range figs {
 		start := time.Now()
-		runFigure(os.Stdout, f, cfg, *proto, *counts, *ratios, *csvDir, *plot)
+		runFigure(os.Stdout, f, args)
 		fmt.Fprintf(os.Stderr, "[fig %s done in %v]\n", f, time.Since(start).Round(time.Millisecond))
 	}
 }
 
-// figureNames lists every figure runFigure knows, in `-fig all` order;
-// the -fig help text and parseFigs derive from it.
-var figureNames = []string{"1", "2", "5", "7", "9", "11", "12", "13", "14", "ablation", "related", "incast", "breakdown", "h2h"}
+// figArgs is what a figure reads from the command line.
+type figArgs struct {
+	cfg    experiment.SimConfig
+	proto  string    // has passed checkProto; "" runs each figure's paper protocol
+	counts []int     // Fig 13's flow counts
+	ratios []float64 // Fig 14's responsive ratios
+	csvDir string
+	plot   bool
+}
+
+// stack returns the -proto stack, or def when -proto is unset.
+func (a figArgs) stack(def string) experiment.Stack {
+	return experiment.MustStack(cmp.Or(a.proto, def), experiment.StackOptions{})
+}
+
+// tables prints each table to w and writes it to the -csv directory.
+func (a figArgs) tables(w io.Writer, ts ...*experiment.Table) {
+	for _, t := range ts {
+		t.Fprint(w)
+		writeCSV(a.csvDir, t.Title, t.WriteCSV)
+	}
+}
+
+// figure is one row of the figure table: its -fig name and the
+// function that regenerates it and prints its tables (and charts,
+// with -plot) to w.
+type figure struct {
+	name   string
+	render func(w io.Writer, a figArgs)
+}
+
+// figures is the one list of figures, in `-fig all` order; the -fig
+// help text, parseFigs and runFigure all read it.
+var figures = []figure{
+	{"1", func(w io.Writer, a figArgs) {
+		motivation(w, a, "fig1", "bottleneck-0 goodput utilization", experiment.Fig1(a.stack("pHost")))
+	}},
+	{"2", func(w io.Writer, a figArgs) {
+		motivation(w, a, "fig2", "bottleneck goodput utilization", experiment.Fig2(a.stack("pHost")))
+	}},
+	{"5", func(w io.Writer, a figArgs) {
+		experiment.Fig5Table(experiment.Fig5([][2]int{{6, 2}, {6, 4}, {10, 4}, {10, 8}, {20, 10}})).Fprint(w)
+	}},
+	{"7", func(w io.Writer, a figArgs) { a.tables(w, experiment.Fig7Tables()...) }},
+	{"9", func(w io.Writer, a figArgs) { testbed(w, a, "fig9", "", experiment.Fig9(a.stack("AMRT"))) }},
+	{"11", func(w io.Writer, a figArgs) {
+		results, summary := experiment.Fig11All()
+		for _, r := range results {
+			testbed(w, a, "fig11", "["+r.Stack+"]\n", r)
+		}
+		a.tables(w, summary)
+	}},
+	{"12", func(w io.Writer, a figArgs) {
+		a.tables(w, experiment.Fig12Tables(a.cfg, experiment.Fig12Cells(a.cfg))...)
+	}},
+	{"13", func(w io.Writer, a figArgs) {
+		a.tables(w, experiment.Fig13Tables(a.cfg, a.counts, experiment.Fig13Cells(a.cfg, a.counts))...)
+	}},
+	{"14", func(w io.Writer, a figArgs) {
+		a.tables(w, experiment.Fig14Tables(a.cfg, a.ratios, experiment.Fig14Cells(a.cfg, a.ratios))...)
+	}},
+	{"ablation", func(w io.Writer, a figArgs) {
+		experiment.MarkingAblation().Fprint(w)
+		experiment.QueueCapAblation().Fprint(w)
+	}},
+	{"related", func(w io.Writer, a figArgs) { experiment.RelatedWorkTable().Fprint(w) }},
+	{"incast", func(w io.Writer, a figArgs) {
+		a.tables(w, experiment.IncastTable([]int{4, 8, 16, 32, 64}, 250_000))
+	}},
+	{"breakdown", func(w io.Writer, a figArgs) {
+		for _, wl := range a.cfg.Workloads {
+			a.tables(w, experiment.SizeBreakdownTable(a.cfg, wl, 0.5))
+		}
+	}},
+	{"h2h", func(w io.Writer, a figArgs) {
+		a.tables(w, experiment.HeadToHeadTable(experiment.HeadToHead(experiment.StackOptions{})))
+	}},
+}
+
+// figureNames lists the figure table's names in `-fig all` order.
+var figureNames = func() []string {
+	names := make([]string, len(figures))
+	for i, f := range figures {
+		names[i] = f.name
+	}
+	return names
+}()
+
+// motivation prints a §2 motivation figure's phase table (and chart,
+// with -plot) and writes its series to the -csv directory.
+func motivation(w io.Writer, a figArgs, prefix, ylabel string, res experiment.MotivationResult) {
+	res.Phases.Fprint(w)
+	if a.plot {
+		fmt.Fprintln(w, stats.RenderASCII(stats.PlotOptions{YMax: 1.1, YLabel: ylabel}, res.Util))
+	}
+	prefix += "_" + res.Stack + "_"
+	dumpSeries(a.csvDir, prefix+"util", res.Util)
+	dumpSeries(a.csvDir, prefix+"linkutil", res.LinkUtil)
+	for _, s := range res.FlowSeries {
+		dumpSeries(a.csvDir, prefix+s.Name, s)
+	}
+}
+
+// testbed prints a §7 testbed figure's summary (and chart under
+// header, with -plot) and writes its series to the -csv directory.
+func testbed(w io.Writer, a figArgs, prefix, header string, res experiment.TestbedResult) {
+	res.Summary.Fprint(w)
+	if a.plot {
+		fmt.Fprint(w, header, stats.RenderASCII(stats.PlotOptions{YMax: 1.1, YLabel: "normalized throughput"}, res.Series...), "\n")
+	}
+	for _, s := range res.Series {
+		dumpSeries(a.csvDir, prefix+"_"+res.Stack+"_"+s.Name, s)
+	}
+}
+
+// runFigure regenerates one figure, which has passed parseFigs, and
+// prints it to w.
+func runFigure(w io.Writer, fig string, a figArgs) {
+	figures[slices.IndexFunc(figures, func(f figure) bool { return f.name == fig })].render(w, a)
+}
 
 // parseFigs expands -fig into figure names, refusing an unknown one
 // before any figure runs, so `-fig 12,bogus` fails before Fig 12's run,
@@ -164,142 +288,50 @@ func checkProto(proto string) error {
 	return nil
 }
 
-// runFigure regenerates one figure and prints its tables (and charts,
-// with plot) to w; proto has passed checkProto.
-func runFigure(w io.Writer, fig string, cfg experiment.SimConfig, proto, counts, ratios, csvDir string, plot bool) {
-	stackOr := func(def string) experiment.Stack {
-		if proto != "" {
-			return experiment.MustStack(proto, experiment.StackOptions{})
-		}
-		return experiment.MustStack(def, experiment.StackOptions{})
+// parseSweep parses and range-checks -loads, -counts and -ratios before
+// any figure runs: loads in (0, 1], flow counts of at least 1, ratios
+// in [0, 1]. An empty -loads is nil, the configuration's default loads.
+func parseSweep(loads, counts, ratios string) (ls []float64, cs []int, rs []float64, err error) {
+	float := func(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
+	if loads != "" {
+		ls, err = parseList("loads", loads, float, func(v float64) bool { return v > 0 && v <= 1 }, "a load in (0, 1]")
 	}
-	switch fig {
-	case "1":
-		res := experiment.Fig1(stackOr("pHost"))
-		res.Phases.Fprint(w)
-		if plot {
-			fmt.Fprintln(w, stats.RenderASCII(stats.PlotOptions{YMax: 1.1, YLabel: "bottleneck-0 goodput utilization"}, res.Util))
-		}
-		dumpSeries(csvDir, "fig1_"+res.Stack+"_util", res.Util)
-		dumpSeries(csvDir, "fig1_"+res.Stack+"_linkutil", res.LinkUtil)
-		for _, s := range res.FlowSeries {
-			dumpSeries(csvDir, "fig1_"+res.Stack+"_"+s.Name, s)
-		}
-	case "2":
-		res := experiment.Fig2(stackOr("pHost"))
-		res.Phases.Fprint(w)
-		if plot {
-			fmt.Fprintln(w, stats.RenderASCII(stats.PlotOptions{YMax: 1.1, YLabel: "bottleneck goodput utilization"}, res.Util))
-		}
-		dumpSeries(csvDir, "fig2_"+res.Stack+"_util", res.Util)
-		dumpSeries(csvDir, "fig2_"+res.Stack+"_linkutil", res.LinkUtil)
-		for _, s := range res.FlowSeries {
-			dumpSeries(csvDir, "fig2_"+res.Stack+"_"+s.Name, s)
-		}
-	case "5":
-		rows := experiment.Fig5([][2]int{{6, 2}, {6, 4}, {10, 4}, {10, 8}, {20, 10}})
-		experiment.Fig5Table(rows).Fprint(w)
-	case "7":
-		for _, t := range experiment.Fig7Tables() {
-			t.Fprint(w)
-			dumpTable(csvDir, t)
-		}
-	case "9":
-		res := experiment.Fig9(stackOr("AMRT"))
-		res.Summary.Fprint(w)
-		if plot {
-			fmt.Fprintln(w, stats.RenderASCII(stats.PlotOptions{YMax: 1.1, YLabel: "normalized throughput"}, res.Series...))
-		}
-		for _, s := range res.Series {
-			dumpSeries(csvDir, "fig9_"+res.Stack+"_"+s.Name, s)
-		}
-	case "11":
-		results, cmp := experiment.Fig11All()
-		for _, r := range results {
-			r.Summary.Fprint(w)
-			if plot {
-				fmt.Fprintf(w, "[%s]\n%s\n", r.Stack,
-					stats.RenderASCII(stats.PlotOptions{YMax: 1.1, YLabel: "normalized throughput"}, r.Series...))
-			}
-			for _, s := range r.Series {
-				dumpSeries(csvDir, "fig11_"+r.Stack+"_"+s.Name, s)
-			}
-		}
-		cmp.Fprint(w)
-		dumpTable(csvDir, cmp)
-	case "12":
-		cells := experiment.Fig12Cells(cfg)
-		for _, t := range experiment.Fig12Tables(cfg, cells) {
-			t.Fprint(w)
-			dumpTable(csvDir, t)
-		}
-	case "13":
-		fc := parseInts(counts)
-		cells := experiment.Fig13Cells(cfg, fc)
-		for _, t := range experiment.Fig13Tables(cfg, fc, cells) {
-			t.Fprint(w)
-			dumpTable(csvDir, t)
-		}
-	case "14":
-		rs := parseFloats(ratios)
-		cells := experiment.Fig14Cells(cfg, rs)
-		for _, t := range experiment.Fig14Tables(cfg, rs, cells) {
-			t.Fprint(w)
-			dumpTable(csvDir, t)
-		}
-	case "ablation":
-		experiment.MarkingAblation().Fprint(w)
-		experiment.QueueCapAblation().Fprint(w)
-	case "related":
-		experiment.RelatedWorkTable().Fprint(w)
-	case "breakdown":
-		for _, wl := range cfg.Workloads {
-			tb := experiment.SizeBreakdownTable(cfg, wl, 0.5)
-			tb.Fprint(w)
-			dumpTable(csvDir, tb)
-		}
-	case "incast":
-		tb := experiment.IncastTable([]int{4, 8, 16, 32, 64}, 250_000)
-		tb.Fprint(w)
-		dumpTable(csvDir, tb)
-	case "h2h":
-		tb := experiment.HeadToHeadTable(experiment.HeadToHead(experiment.StackOptions{}))
-		tb.Fprint(w)
-		dumpTable(csvDir, tb)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown figure %q\n", fig)
-		os.Exit(2)
+	if err == nil {
+		cs, err = parseList("counts", counts, strconv.Atoi, func(v int) bool { return v >= 1 }, "a flow count of at least 1")
 	}
+	if err == nil {
+		rs, err = parseList("ratios", ratios, float, func(v float64) bool { return v >= 0 && v <= 1 }, "a ratio in [0, 1]")
+	}
+	return ls, cs, rs, err
 }
 
-func parseFloats(s string) []float64 {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad float %q: %v\n", part, err)
-			os.Exit(2)
+// parseList parses the comma-separated values of -name, refusing the
+// first one that does not parse or is not ok with one line that says
+// what the flag wants.
+func parseList[T any](name, arg string, parse func(string) (T, error), ok func(T) bool, want string) ([]T, error) {
+	var out []T
+	for _, part := range strings.Split(arg, ",") {
+		part = strings.TrimSpace(part)
+		v, err := parse(part)
+		if err != nil || !ok(v) {
+			return nil, fmt.Errorf("figures: bad -%s value %q: want %s", name, part, want)
 		}
 		out = append(out, v)
 	}
-	return out
+	return out, nil
 }
 
-func parseInts(s string) []int {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad int %q: %v\n", part, err)
-			os.Exit(2)
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
+// dumpSeries writes s as dir/<name>.csv; see writeCSV.
 func dumpSeries(dir, name string, s *stats.Series) {
-	if dir == "" || s == nil {
+	if s != nil {
+		writeCSV(dir, name, s.WriteCSV)
+	}
+}
+
+// writeCSV writes dir/<name>.csv through write, reporting a failure on
+// stderr; an empty dir writes nothing.
+func writeCSV(dir, name string, write func(io.Writer) error) {
+	if dir == "" {
 		return
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -312,26 +344,7 @@ func dumpSeries(dir, name string, s *stats.Series) {
 		return
 	}
 	defer f.Close()
-	if err := s.WriteCSV(f); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-	}
-}
-
-func dumpTable(dir string, t *experiment.Table) {
-	if dir == "" {
-		return
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return
-	}
-	f, err := os.Create(filepath.Join(dir, sanitize(t.Title)+".csv"))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return
-	}
-	defer f.Close()
-	if err := t.WriteCSV(f); err != nil {
+	if err := write(f); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 	}
 }

@@ -16,38 +16,26 @@ import (
 // the heavy tail (≥1 MB). Receiver-driven designs are judged on keeping
 // the short-flow tail flat while the large flows fight for bandwidth.
 func SizeBreakdownTable(cfg SimConfig, workloadName string, load float64) *Table {
-	w := workload.ByName(workloadName)
-	if w == nil {
-		panic(fmt.Sprintf("experiment: unknown workload %q", workloadName))
-	}
+	w := mustWorkload(workloadName)
 	t := &Table{
 		Title: fmt.Sprintf("FCT by flow size — %s @ load %.1f (ms, mean / p99)", workloadName, load),
 		Cols:  []string{"proto", "<10KB mean", "<10KB p99", "10KB-1MB mean", "10KB-1MB p99", ">=1MB mean", ">=1MB p99"},
 	}
-	flows := workload.GeneratePoisson(workload.PoissonConfig{
-		Hosts:    cfg.Topo.Hosts(),
-		Load:     load,
-		HostRate: cfg.Topo.HostRate,
-		Dist:     w,
-		Count:    cfg.flowCount(w.Mean()),
-		Seed:     sim.SubSeed(cfg.Seed, "breakdown-"+workloadName),
-	})
-	type out struct{ rows []string }
-	results := Parallel(len(cfg.Protocols), func(i int) out {
-		st := MustStack(cfg.Protocols[i], StackOptions{})
-		res := LeafSpineRun{Topo: cfg.Topo, Stack: st, Flows: flows, Horizon: cfg.Horizon}.Run()
+	flows := cfg.poissonFlows(w, load, cfg.flowCount(w.Mean()), "breakdown-"+workloadName)
+	cells := make([]cell, len(cfg.Protocols))
+	for i, p := range cfg.Protocols {
+		cells[i] = cell{run: LeafSpineRun{Topo: cfg.Topo, Stack: MustStack(p, StackOptions{}), Horizon: cfg.Horizon}, flows: flows}
+	}
+	for _, res := range runCells("", cells) {
 		small, rest := res.Collector.BySize(10_000)
 		medium, large := rest.BySize(1_000_000)
-		row := []string{st.Name}
+		row := []string{res.Stack}
 		for _, c := range []*stats.FCTCollector{small, medium, large} {
 			row = append(row,
 				fmt.Sprintf("%.3f", c.Mean().Milliseconds()),
 				fmt.Sprintf("%.3f", c.P99().Milliseconds()))
 		}
-		return out{rows: row}
-	})
-	for _, r := range results {
-		t.AddRow(r.rows...)
+		t.AddRow(row...)
 	}
 	return t
 }

@@ -2,8 +2,9 @@ package experiment
 
 import (
 	"fmt"
+	"strconv"
 
-	"amrt/internal/sim"
+	"amrt/internal/metrics"
 	"amrt/internal/workload"
 )
 
@@ -17,83 +18,76 @@ type FCTCell struct {
 
 // Fig12Cells reproduces Fig. 12: average and 99th-percentile FCT under
 // the five realistic workloads with increasing load, for all four
-// protocols. All protocols see byte-identical flow sequences.
+// protocols. All protocols see byte-identical flow sequences. Cells
+// come in workload, load, protocol order.
 func Fig12Cells(cfg SimConfig) []FCTCell {
-	type spec struct {
-		w    *workload.Empirical
-		load float64
-		st   Stack
+	var out []FCTCell
+	for _, c := range cfg.poissonCells("fig12", len(cfg.Loads), func(w *workload.Empirical, i int) (float64, int, string) {
+		return cfg.Loads[i], cfg.flowCount(w.Mean()), fmt.Sprintf("%.2f", cfg.Loads[i])
+	}) {
+		out = append(out, FCTCell{Workload: c.workload, Load: cfg.Loads[c.point], Proto: c.res.Stack, Res: c.res})
 	}
-	var specs []spec
-	for _, wname := range cfg.Workloads {
-		w := workload.ByName(wname)
-		if w == nil {
-			panic(fmt.Sprintf("experiment: unknown workload %q", wname))
-		}
-		for _, load := range cfg.Loads {
-			for _, pname := range cfg.Protocols {
-				specs = append(specs, spec{w: w, load: load, st: MustStack(pname, StackOptions{})})
+	return out
+}
+
+// poissonCell is one run of poissonCells' grid.
+type poissonCell struct {
+	workload string
+	point    int
+	res      RunResult
+}
+
+// poissonCells runs Fig 12's or 13's grid: each of c's workloads, each
+// of n points, every protocol, with c's fault plan and -metrics
+// registry attached. point(w, i) is the i-th point's load, flow count
+// and label, which names it in the flows' seed and the dump file.
+func (c SimConfig) poissonCells(fig string, n int, point func(w *workload.Empirical, i int) (load float64, count int, label string)) []poissonCell {
+	var cells []cell
+	var out []poissonCell
+	for _, wname := range c.Workloads {
+		w := mustWorkload(wname)
+		for i := 0; i < n; i++ {
+			load, count, label := point(w, i)
+			flows := c.poissonFlows(w, load, count, fmt.Sprintf("%s-%s-%s", fig, w.Name(), label))
+			for _, p := range c.Protocols {
+				run := LeafSpineRun{Topo: c.Topo, Stack: MustStack(p, StackOptions{}), Horizon: c.Horizon,
+					Faults: c.newFaultPlan(), MetricsInterval: c.MetricsInterval}
+				if c.MetricsDir != "" {
+					run.Metrics = metrics.NewRegistry()
+				}
+				name := fmt.Sprintf("%s_%s_%s_%s", fig, w.Name(), label, run.Stack.Name)
+				cells = append(cells, cell{run: run, flows: flows, name: name})
+				out = append(out, poissonCell{workload: w.Name(), point: i})
 			}
 		}
 	}
-	results := Parallel(len(specs), func(i int) RunResult {
-		s := specs[i]
-		flows := workload.GeneratePoisson(workload.PoissonConfig{
-			Hosts:    cfg.Topo.Hosts(),
-			Load:     s.load,
-			HostRate: cfg.Topo.HostRate,
-			Dist:     s.w,
-			Count:    cfg.flowCount(s.w.Mean()),
-			Seed:     sim.SubSeed(cfg.Seed, fmt.Sprintf("fig12-%s-%.2f", s.w.Name(), s.load)),
-		})
-		res := LeafSpineRun{
-			Topo: cfg.Topo, Stack: s.st, Flows: flows, Horizon: cfg.Horizon,
-			Faults:  cfg.newFaultPlan(),
-			Metrics: cfg.newRunMetrics(), MetricsInterval: cfg.metricsInterval(),
-		}.Run()
-		dumpRunMetrics(cfg.MetricsDir,
-			fmt.Sprintf("fig12_%s_%.2f_%s", s.w.Name(), s.load, s.st.Name), res.Metrics)
-		return res
-	})
-	cells := make([]FCTCell, len(specs))
-	for i, s := range specs {
-		cells[i] = FCTCell{Workload: s.w.Name(), Load: s.load, Proto: s.st.Name, Res: results[i]}
+	for i, res := range runCells(c.MetricsDir, cells) {
+		out[i].res = res
 	}
-	return cells
+	return out
 }
 
 // Fig12Tables renders one table per workload: rows are loads, columns
-// are per-protocol AFCT and p99 in milliseconds.
+// are per-protocol AFCT and p99 in milliseconds. cells are
+// Fig12Cells(cfg).
 func Fig12Tables(cfg SimConfig, cells []FCTCell) []*Table {
-	var tables []*Table
-	for _, wname := range cfg.Workloads {
-		t := &Table{Title: fmt.Sprintf("Fig 12 — FCT, %s (%s)", wname, workload.Abbrev(wname))}
-		t.Cols = []string{"load"}
-		for _, p := range cfg.Protocols {
-			t.Cols = append(t.Cols, p+" AFCT(ms)", p+" p99(ms)")
-		}
-		for _, load := range cfg.Loads {
-			row := []string{fmt.Sprintf("%.1f", load)}
-			for _, p := range cfg.Protocols {
-				c := findCell(cells, wname, load, p)
-				row = append(row,
-					fmt.Sprintf("%.3f", c.Res.AFCT.Milliseconds()),
-					fmt.Sprintf("%.3f", c.Res.P99.Milliseconds()))
-			}
-			t.AddRow(row...)
-		}
-		tables = append(tables, t)
-	}
-	return tables
+	return poissonTables(cfg, "Fig 12 — FCT, %s (%s)", "load", decimalLabels(cfg.Loads), []string{" AFCT(ms)", " p99(ms)"}, cells,
+		func(c FCTCell) []string {
+			return []string{fmt.Sprintf("%.3f", c.Res.AFCT.Milliseconds()), fmt.Sprintf("%.3f", c.Res.P99.Milliseconds())}
+		})
 }
 
-func findCell(cells []FCTCell, w string, load float64, p string) FCTCell {
-	for _, c := range cells {
-		if c.Workload == w && c.Load == load && c.Proto == p {
-			return c
-		}
+// poissonTables renders a poissonCells grid as one table per workload:
+// a row per point, labelled rows, under corner, and per protocol one
+// column per unit, filled from value.
+func poissonTables[C any](cfg SimConfig, title, corner string, rows, units []string, cells []C, value func(C) []string) []*Table {
+	var tables []*Table
+	for wi, wname := range cfg.Workloads {
+		block := cells[wi*len(rows)*len(cfg.Protocols):]
+		tables = append(tables, gridTable(fmt.Sprintf(title, wname, workload.Abbrev(wname)), corner, rows, cfg.Protocols, units,
+			func(r, c int) []string { return value(block[r*len(cfg.Protocols)+c]) }))
 	}
-	panic(fmt.Sprintf("experiment: missing cell %s/%.2f/%s", w, load, p))
+	return tables
 }
 
 // UtilCell is one (workload, flow count, protocol) point of Fig. 13.
@@ -109,73 +103,26 @@ type UtilCell struct {
 const Fig13Load = 0.6
 
 // Fig13Cells reproduces Fig. 13: bottleneck-link utilization with an
-// increasing number of flows under the five workloads.
+// increasing number of flows under the five workloads. Cells come in
+// workload, flow count, protocol order.
 func Fig13Cells(cfg SimConfig, flowCounts []int) []UtilCell {
-	type spec struct {
-		w  *workload.Empirical
-		n  int
-		st Stack
+	var out []UtilCell
+	for _, c := range cfg.poissonCells("fig13", len(flowCounts), func(_ *workload.Empirical, i int) (float64, int, string) {
+		return Fig13Load, flowCounts[i], strconv.Itoa(flowCounts[i])
+	}) {
+		out = append(out, UtilCell{Workload: c.workload, Flows: flowCounts[c.point], Proto: c.res.Stack, Res: c.res})
 	}
-	var specs []spec
-	for _, wname := range cfg.Workloads {
-		w := workload.ByName(wname)
-		if w == nil {
-			panic(fmt.Sprintf("experiment: unknown workload %q", wname))
-		}
-		for _, n := range flowCounts {
-			for _, pname := range cfg.Protocols {
-				specs = append(specs, spec{w: w, n: n, st: MustStack(pname, StackOptions{})})
-			}
-		}
-	}
-	results := Parallel(len(specs), func(i int) RunResult {
-		s := specs[i]
-		flows := workload.GeneratePoisson(workload.PoissonConfig{
-			Hosts:    cfg.Topo.Hosts(),
-			Load:     Fig13Load,
-			HostRate: cfg.Topo.HostRate,
-			Dist:     s.w,
-			Count:    s.n,
-			Seed:     sim.SubSeed(cfg.Seed, fmt.Sprintf("fig13-%s-%d", s.w.Name(), s.n)),
-		})
-		res := LeafSpineRun{
-			Topo: cfg.Topo, Stack: s.st, Flows: flows, Horizon: cfg.Horizon,
-			Faults:  cfg.newFaultPlan(),
-			Metrics: cfg.newRunMetrics(), MetricsInterval: cfg.metricsInterval(),
-		}.Run()
-		dumpRunMetrics(cfg.MetricsDir,
-			fmt.Sprintf("fig13_%s_%d_%s", s.w.Name(), s.n, s.st.Name), res.Metrics)
-		return res
-	})
-	cells := make([]UtilCell, len(specs))
-	for i, s := range specs {
-		cells[i] = UtilCell{Workload: s.w.Name(), Flows: s.n, Proto: s.st.Name, Res: results[i]}
-	}
-	return cells
+	return out
 }
 
 // Fig13Tables renders one table per workload: rows are flow counts,
-// columns per-protocol bottleneck utilization.
+// columns per-protocol bottleneck utilization. cells are
+// Fig13Cells(cfg, flowCounts).
 func Fig13Tables(cfg SimConfig, flowCounts []int, cells []UtilCell) []*Table {
-	var tables []*Table
-	for _, wname := range cfg.Workloads {
-		t := &Table{Title: fmt.Sprintf("Fig 13 — bottleneck utilization, %s (%s)", wname, workload.Abbrev(wname))}
-		t.Cols = []string{"flows"}
-		for _, p := range cfg.Protocols {
-			t.Cols = append(t.Cols, p+" util")
-		}
-		for _, n := range flowCounts {
-			row := []string{fmt.Sprintf("%d", n)}
-			for _, p := range cfg.Protocols {
-				for _, c := range cells {
-					if c.Workload == wname && c.Flows == n && c.Proto == p {
-						row = append(row, fmt.Sprintf("%.3f", c.Res.Utilization))
-					}
-				}
-			}
-			t.AddRow(row...)
-		}
-		tables = append(tables, t)
+	rows := make([]string, len(flowCounts))
+	for i, n := range flowCounts {
+		rows[i] = strconv.Itoa(n)
 	}
-	return tables
+	return poissonTables(cfg, "Fig 13 — bottleneck utilization, %s (%s)", "flows", rows, []string{" util"}, cells,
+		func(c UtilCell) []string { return []string{fmt.Sprintf("%.3f", c.Res.Utilization)} })
 }

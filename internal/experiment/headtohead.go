@@ -49,39 +49,42 @@ func HeadToHeadProtocols() []string {
 	return out
 }
 
-// headToHeadWorkloads builds the two fat-tree cells on the given
-// topology. The incast cell matches the SIRD golden-shard cell, so the
-// figure and the byte-identity proof exercise the same scenario.
-func headToHeadWorkloads(cfg topo.FatTreeConfig) []struct {
+// headToHeadWorkload is one traffic shape of the comparison.
+type headToHeadWorkload struct {
 	name    string
-	flows   []workload.FlowSpec
+	flows   func() []workload.FlowSpec
 	horizon sim.Time
-} {
-	return []struct {
-		name    string
-		flows   []workload.FlowSpec
-		horizon sim.Time
-	}{
+}
+
+// headToHeadWorkloads returns the two fat-tree workloads on the given
+// topology. The incast matches the SIRD golden-shard cell, so the
+// figure and the byte-identity proof exercise the same scenario.
+func headToHeadWorkloads(cfg topo.FatTreeConfig) []headToHeadWorkload {
+	return []headToHeadWorkload{
 		{
 			name: "incast",
-			flows: workload.GenerateIncast(workload.IncastConfig{
-				Hosts:    cfg.Hosts(),
-				Degree:   8,
-				Bytes:    64 << 10,
-				Load:     0.6,
-				HostRate: cfg.HostRate,
-				Count:    64,
-				Seed:     7,
-			}),
+			flows: func() []workload.FlowSpec {
+				return workload.GenerateIncast(workload.IncastConfig{
+					Hosts:    cfg.Hosts(),
+					Degree:   8,
+					Bytes:    64 << 10,
+					Load:     0.6,
+					HostRate: cfg.HostRate,
+					Count:    64,
+					Seed:     7,
+				})
+			},
 			horizon: 20 * sim.Millisecond,
 		},
 		{
 			name: "shuffle",
-			flows: workload.GenerateShuffle(workload.ShuffleConfig{
-				Hosts: cfg.Hosts(),
-				Width: 4,
-				Bytes: 128 << 10,
-			}),
+			flows: func() []workload.FlowSpec {
+				return workload.GenerateShuffle(workload.ShuffleConfig{
+					Hosts: cfg.Hosts(),
+					Width: 4,
+					Bytes: 128 << 10,
+				})
+			},
 			horizon: 20 * sim.Millisecond,
 		},
 	}
@@ -95,32 +98,21 @@ func headToHeadWorkloads(cfg topo.FatTreeConfig) []struct {
 func HeadToHead(opts StackOptions) []HeadToHeadCell {
 	cfg := topo.DefaultFatTree()
 	cfg.K = 4
-	cells := headToHeadWorkloads(cfg)
-	protos := HeadToHeadProtocols()
-
-	type spec struct{ wi, pi int }
-	var specs []spec
-	for wi := range cells {
-		for pi := range protos {
-			specs = append(specs, spec{wi, pi})
+	var cells []cell
+	var names []string
+	for _, wl := range headToHeadWorkloads(cfg) {
+		for _, p := range HeadToHeadProtocols() {
+			cells = append(cells, cell{
+				run:   LeafSpineRun{Topo: cfg, Stack: MustStack(p, opts), Horizon: wl.horizon, Audit: true},
+				flows: wl.flows,
+			})
+			names = append(names, wl.name)
 		}
 	}
-	results := Parallel(len(specs), func(i int) RunResult {
-		s := specs[i]
-		return LeafSpineRun{
-			Topo:    cfg,
-			Stack:   MustStack(protos[s.pi], opts),
-			Flows:   cells[s.wi].flows,
-			Horizon: cells[s.wi].horizon,
-			Audit:   true,
-		}.Run()
-	})
-
-	out := make([]HeadToHeadCell, len(specs))
-	for i, s := range specs {
-		r := results[i]
+	out := make([]HeadToHeadCell, len(cells))
+	for i, r := range runCells("", cells) {
 		out[i] = HeadToHeadCell{
-			Workload:    cells[s.wi].name,
+			Workload:    names[i],
 			Stack:       r.Stack,
 			Utilization: r.Utilization,
 			AFCT:        r.AFCT,

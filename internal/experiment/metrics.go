@@ -1,53 +1,10 @@
 package experiment
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 
-	"amrt/internal/metrics"
 	"amrt/internal/sim"
 )
-
-// newRunMetrics builds the optional per-run registry for a SimConfig
-// sweep: nil when MetricsDir is unset, otherwise a fresh registry whose
-// dump runSpec's simulation will fill.
-func (c SimConfig) newRunMetrics() *metrics.Registry {
-	if c.MetricsDir == "" {
-		return nil
-	}
-	return metrics.NewRegistry()
-}
-
-// WriteMetricsDump writes reg as <dir>/<name>.metrics.json, creating
-// dir if needed. It is a no-op on a nil registry.
-func WriteMetricsDump(dir, name string, reg *metrics.Registry) error {
-	if reg == nil {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, metricsFileName(name)))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := reg.WriteJSON(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// dumpRunMetrics is WriteMetricsDump with errors reported to stderr —
-// sweep workers should not abort a figure because one telemetry file
-// failed to write.
-func dumpRunMetrics(dir, name string, reg *metrics.Registry) {
-	if err := WriteMetricsDump(dir, name, reg); err != nil {
-		fmt.Fprintf(os.Stderr, "experiment: writing metrics %s: %v\n", name, err)
-	}
-}
 
 // metricsFileName maps a run label to a safe file name.
 func metricsFileName(name string) string {
@@ -78,10 +35,4 @@ func MetricsIntervalOrDefault(iv sim.Time) sim.Time {
 		return iv
 	}
 	return DefaultMetricsInterval
-}
-
-// metricsInterval returns the configured sampling period with the
-// default applied.
-func (c SimConfig) metricsInterval() sim.Time {
-	return MetricsIntervalOrDefault(c.MetricsInterval)
 }
