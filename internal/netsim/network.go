@@ -446,35 +446,34 @@ func (s *Shard) noteNoRoute(pkt *Packet) {
 // name, so the draw a delivery sees depends only on that link's own
 // packet sequence — never on event interleaving across links — which
 // keeps jitter identical across scheduler kinds and shard counts.
+//
+// SetJitter is a construction-time setting: it panics once any port of
+// the network has drawn (or the network was released), because a
+// stream draws a batch ahead under the bound it was armed with and
+// those draws cannot be re-drawn under another. Calling it again before
+// the first delivery simply replaces the setting.
 func (n *Network) SetJitter(max sim.Time, seed int64) {
+	drawn := n.released
+	n.eachPort(func(p *Port) { drawn = drawn || p.jit != nil })
+	if drawn {
+		panic("netsim: SetJitter after a port has drawn jitter")
+	}
 	n.jitterMax = max
 	n.jitterSeed = seed
 }
 
 // Release ends the network's run: every port hands its jitter stream
 // back to the process-wide free list, where the next network's ports
-// re-seed it (see Port.jitterRNG). Call it once nothing will run the
+// re-seed it (see Port.jit). Call it once nothing will run the
 // network again — the experiment runner does so as the last step of a
 // run, ScenarioHarness right after its one Run. A released network
 // panics on Run and on a jitter draw rather than restart a stream
-// silently; everything else it holds (counters, monitors, queues) stays
-// readable. A network that is never released keeps its streams.
-// Releasing twice is a no-op.
+// silently, even where a stream had buffered draws left; everything
+// else it holds (counters, monitors, queues) stays readable. A network
+// that is never released keeps its streams. Releasing twice is a no-op.
 func (n *Network) Release() {
 	n.released = true
-	fl := &jitterSources
-	fl.Lock()
-	defer fl.Unlock()
-	n.eachPort(func(p *Port) {
-		r := p.jitterRNG
-		if r == nil {
-			return
-		}
-		p.jitterRNG = nil
-		if len(fl.free) < maxFreeJitterSources {
-			fl.free = append(fl.free, r)
-		}
-	})
+	n.releaseJitter()
 }
 
 // SetECMPSalt replaces the network-wide ECMP hash salt. Every switch

@@ -88,17 +88,34 @@ type Switch struct {
 	// Network.Partition); always shard 0 on an unpartitioned network.
 	shard *Shard
 	ports []*Port
-	// routes[dst] is the equal-cost egress set toward host dst. Node IDs
-	// are dense (Network.nextID), so the per-hop lookup is a slice index;
-	// AddRoute grows the table to the network's current ID count.
-	routes [][]*Port
-	// routeArena backs every route set, so a switch's table is written
-	// into a few doubling arrays instead of one growing slice per
-	// destination. The set of tailDst is the arena's tail and grows in
-	// place. A set never moves once another destination has followed
-	// it; after the arena reallocates, earlier sets keep the old array.
+	// routeOf[dst] indexes dst's equal-cost egress set in routeSets. Node
+	// IDs are dense (Network.nextID), so the per-hop lookup is a slice
+	// index; AddRoute grows the table to the network's current ID count.
+	// Set 0 is the empty set: no route.
+	routeOf []uint32
+	// routeSets holds each distinct route set once: a fabric switch has
+	// a handful (its uplinks, and one per downlink) however many hosts
+	// it routes to. Every set is a span of routeArena, so a switch's
+	// whole table is three arrays, not one slice per destination. See
+	// AddRoute.
+	routeSets  []routeSet
 	routeArena []*Port
-	tailDst    NodeID
+	// downPorts counts the switch's ports that are administratively
+	// down. SetAdminDown, the only writer of Port.down, keeps it on the
+	// switch's own shard; while it is zero, Receive skips the per-route
+	// liveness scan.
+	downPorts int
+}
+
+// routeSet is one candidate list of a switch: routeArena[off : off+n].
+// Sets form a trie over AddRoute order: child heads the chain (through
+// sibling) of the sets that are this one plus one more port, so adding
+// a port to a destination finds "old set + p" if any destination has
+// already reached it. Index 0 (the empty set, the root) is never a
+// child, so 0 ends a chain.
+type routeSet struct {
+	off, n         uint32
+	child, sibling uint32
 }
 
 // ID implements Node.
@@ -114,35 +131,64 @@ func (s *Switch) Ports() []*Port { return s.ports }
 // whose goroutine owns the switch, its ports, and its queues.
 func (s *Switch) Shard() *Shard { return s.shard }
 
-// AddRoute registers an equal-cost egress port for a destination host,
-// which must already exist. Route sets live back to back in one arena
-// per switch: adding a destination's ports consecutively, as
-// InstallShortestPathRoutes does, extends its set in place, while
-// returning to an earlier destination first copies its set to the
-// arena's tail (correct, but the old copy is wasted).
+// AddRoute registers an equal-cost egress port of the switch for a
+// destination host, which must already exist; the candidate order is
+// the order of the calls. Destinations whose routes are the same ports
+// in the same order share one set: AddRoute moves dst from its set to
+// that set plus p, found among the set's one-port extensions or, if no
+// destination has reached it yet, created at the arena's tail — in
+// place when the old set is the tail, as adding a destination's ports
+// consecutively makes it (InstallShortestPathRoutes does), and
+// otherwise as a copy. A set is never written once created, so one
+// destination's AddRoute never changes another's routes.
 func (s *Switch) AddRoute(dst NodeID, p *Port) {
-	if n := int(s.net.nextID); len(s.routes) < n {
-		s.routes = append(s.routes, make([][]*Port, n-len(s.routes))...)
+	if p.owner != Node(s) {
+		panic(fmt.Sprintf("netsim: switch %s routes through %v, a port it does not own", s.name, p))
 	}
-	set := s.routes[dst]
-	if len(set) > 0 && dst != s.tailDst {
-		s.routeArena = append(s.routeArena, set...)
+	if n := int(s.net.nextID); len(s.routeOf) < n {
+		s.routeOf = append(s.routeOf, make([]uint32, n-len(s.routeOf))...)
 	}
-	s.tailDst = dst
+	if s.routeSets == nil {
+		// A fabric switch reaches every destination through one of its
+		// ports or through one chain of them (its uplinks, added in
+		// place): one set per port past the root, one arena slot each.
+		s.routeSets = make([]routeSet, 1, len(s.ports)+1)
+		s.routeArena = make([]*Port, 0, len(s.ports))
+	}
+	cur := s.routeOf[dst]
+	for c := s.routeSets[cur].child; c != 0; c = s.routeSets[c].sibling {
+		if set := s.routeSets[c]; s.routeArena[set.off+set.n-1] == p {
+			s.routeOf[dst] = c
+			return
+		}
+	}
+	old := s.routeSets[cur]
+	set := routeSet{off: old.off, n: old.n + 1, sibling: old.child}
+	if tail := uint32(len(s.routeArena)); old.off+old.n != tail {
+		set.off = tail
+		s.routeArena = append(s.routeArena, s.routeArena[old.off:old.off+old.n]...)
+	}
 	s.routeArena = append(s.routeArena, p)
-	end := len(s.routeArena)
-	s.routes[dst] = s.routeArena[end-len(set)-1 : end : end]
+	id := uint32(len(s.routeSets))
+	s.routeSets = append(s.routeSets, set)
+	s.routeSets[cur].child = id
+	s.routeOf[dst] = id
 }
 
 // Routes returns the candidate egress ports for a destination, or nil
 // if there are none (including a dst outside the network's ID range).
-// The result aliases the switch's route arena: read it, do not append
-// to it (its capacity equals its length, so an append copies).
+// The result aliases the switch's route arena, and destinations with
+// the same routes get the same storage: read it, do not append to it
+// (its capacity equals its length, so an append copies).
 func (s *Switch) Routes(dst NodeID) []*Port {
-	if dst < 0 || int(dst) >= len(s.routes) {
+	if dst < 0 || int(dst) >= len(s.routeOf) {
 		return nil
 	}
-	return s.routes[dst]
+	set := s.routeSets[s.routeOf[dst]]
+	if set.n == 0 {
+		return nil
+	}
+	return s.routeArena[set.off : set.off+set.n : set.off+set.n]
 }
 
 // Receive implements Node: ECMP-forward toward the packet destination,
@@ -156,10 +202,13 @@ func (s *Switch) Receive(pkt *Packet) {
 	if len(cands) == 0 {
 		panic(fmt.Sprintf("netsim: switch %s has no route to host %d (packet %v)", s.name, pkt.Dst, pkt))
 	}
-	up := 0
-	for _, c := range cands {
-		if !c.down {
-			up++
+	up := len(cands)
+	if s.downPorts > 0 {
+		up = 0
+		for _, c := range cands {
+			if !c.down {
+				up++
+			}
 		}
 	}
 	switch {

@@ -136,10 +136,11 @@ type Packet struct {
 // chain (linked through Packet.next, like a queue's fifo), so a run's
 // packets belong to the run: no packet is shared between simulations,
 // the collector cannot empty the list mid-run, and allocation counts
-// repeat exactly. (Ports' jitter generators are the one thing runs do
-// share, through jitterSources: a generator holds no pointer into the
-// run that used it, and re-seeding rewrites all of its state, so unlike
-// a stale packet it cannot carry anything from one run to the next.)
+// repeat exactly. (Ports' jitter streams are the one thing runs do
+// share, through jitterStreams: a stream holds no pointer into the run
+// that used it, re-seeding rewrites all of its generator's state, and
+// arming discards the draws it had buffered, so unlike a stale packet it
+// cannot carry anything from one run to the next.)
 // An empty chain is refilled one slab at a time; slabs double
 // from the 1 KB to the 8 KB size class, so a two-host run pays for a
 // dozen packets and a fabric-wide one makes one allocation per hundred.

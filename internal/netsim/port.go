@@ -2,8 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"math/rand"
-	"sync"
 
 	"amrt/internal/sim"
 )
@@ -43,16 +41,17 @@ type Port struct {
 	// partition. See the key layout in parallel.go.
 	linkID  uint64
 	linkSeq uint64
-	// jitterRNG is the port's private jitter stream, derived from the
-	// network jitter seed and the port name so draws are independent of
-	// the order ports transmit in (and hence of the shard count). The
-	// generator itself is not the run's: the first draw takes one off the
-	// process-wide free list (jitterSources) and re-seeds it, and
-	// Network.Release hands it back for the next run's ports. Generators
+	// jit is the port's private jitter stream, derived from the network
+	// jitter seed and the port name so draws are independent of the
+	// order ports transmit in (and hence of the shard count). The stream
+	// itself is not the run's: the first draw takes one off the
+	// process-wide free list (jitterStreams) and re-seeds it, and
+	// Network.Release hands it back for the next run's ports. Streams
 	// are the one thing runs share, and safely: re-seeding rewrites all
-	// of a generator's state, so a recycled stream draws exactly what a
-	// new one would, and which generator a port gets never shows.
-	jitterRNG *rand.Rand
+	// of a generator's state and arming discards the buffered draws, so
+	// a recycled stream draws exactly what a new one would, and which
+	// stream a port gets never shows.
+	jit *jitterStream
 
 	// down is the administrative state: a down port parks its queue
 	// (the transmitter halts; arriving packets still enqueue subject to
@@ -171,6 +170,13 @@ func (p *Port) SetAdminDown(down bool) {
 		return
 	}
 	p.down = down
+	if sw, ok := p.owner.(*Switch); ok {
+		if down {
+			sw.downPorts++
+		} else {
+			sw.downPorts--
+		}
+	}
 	if !down {
 		p.trySend()
 	}
@@ -350,52 +356,14 @@ func (p *Port) deliver(pkt *Packet) {
 // seeded stream so the draw sequence depends only on the port's own
 // transmissions.
 func (p *Port) jitter() sim.Time {
-	max := p.net.jitterMax
-	if max <= 0 {
-		return 0
-	}
-	if p.jitterRNG == nil {
-		if p.net.released {
-			panic(fmt.Sprintf("netsim: port %s draws jitter on a released network", p.name))
+	s := p.jit
+	if s == nil {
+		if p.net.jitterMax <= 0 {
+			return 0
 		}
-		p.jitterRNG = takeJitterSource(sim.SubSeed(p.net.jitterSeed, "jitter."+p.name))
+		s = p.startJitter()
 	}
-	return sim.Time(p.jitterRNG.Int63n(int64(max))) + 1
-}
-
-// jitterSources is the free list of jitter generators (see
-// Port.jitterRNG). A math/rand source is 4.9 KB, and a campaign builds
-// hundreds of short-lived networks with a hundred-odd ports each. Shard
-// goroutines and campaign workers take from it concurrently, at a port's
-// first draw only.
-var jitterSources struct {
-	sync.Mutex
-	free []*rand.Rand
-}
-
-// maxFreeJitterSources bounds the list, ≈ 5 MB of generators: more than
-// the 768 ports of a k=8 fat-tree, so a campaign of those recycles every
-// stream, and a few networks' worth for campaigns of smaller fabrics
-// running side by side. A release onto a full list leaves the rest to
-// the collector.
-const maxFreeJitterSources = 1024
-
-// takeJitterSource returns a generator seeded with seed: recycled from
-// the free list, or new when the list is empty.
-func takeJitterSource(seed int64) *rand.Rand {
-	fl := &jitterSources
-	fl.Lock()
-	n := len(fl.free)
-	if n == 0 {
-		fl.Unlock()
-		return sim.NewRNG(seed)
-	}
-	r := fl.free[n-1]
-	fl.free[n-1] = nil
-	fl.free = fl.free[:n-1]
-	fl.Unlock()
-	r.Seed(seed)
-	return r
+	return s.next()
 }
 
 // String implements fmt.Stringer.

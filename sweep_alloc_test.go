@@ -11,13 +11,13 @@ import (
 
 // TestSweepRecyclesJitterStreams: one campaign of the benchmark's
 // sweep_cold grid — five stacks × WebServer × three loads × two seeds,
-// 400 flows a cell, two workers, into an empty cache — creates new
-// per-port jitter generators for at most two networks' worth of ports.
-// Every other cell re-seeds generators a finished cell handed back
-// (netsim.Network.Release); without that the grid creates one per port
-// per cell, fifteen times the bound. The count is exact: allocations
-// under math/rand.NewSource called from a port's jitter draw, in a
-// profile sampling every allocation.
+// 400 flows a cell, two workers, into an empty cache — mints new
+// per-port jitter streams for at most two networks' worth of ports.
+// Every other cell re-seeds streams a finished cell handed back
+// (netsim.Network.Release); without that the grid mints one per port
+// per cell, fifteen times the bound. The count is exact: stream objects
+// allocated by netsim's takeJitterStream, in a profile sampling every
+// allocation.
 func TestSweepRecyclesJitterStreams(t *testing.T) {
 	sc := SweepConfig{
 		Protocols: Protocols(),
@@ -40,26 +40,29 @@ func TestSweepRecyclesJitterStreams(t *testing.T) {
 
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
-	before := newSources(t)
+	before := newStreams(t)
 	res, err := Sweep(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	minted := newSources(t) - before
+	minted := newStreams(t) - before
 	if res.CacheMisses != 30 || len(res.Points) != 30 {
 		t.Fatalf("campaign computed %d of %d points, want 30", res.CacheMisses, len(res.Points))
 	}
 	if limit := int64(sc.Workers * ports); minted > limit {
-		t.Errorf("30 cells of %d ports created %d jitter generators, want at most %d (%d workers' networks)",
+		t.Errorf("30 cells of %d ports minted %d jitter streams, want at most %d (%d workers' networks)",
 			ports, minted, limit, sc.Workers)
 	}
 }
 
-// newSources returns how many math/rand sources netsim's port jitter has
-// allocated while the memory profile recorded them, as of a collection
-// it runs first (the profile publishes at the end of a cycle). Other
-// sources — the workload generators' — do not count.
-func newSources(t *testing.T) int64 {
+// newStreams returns how many jitter streams netsim has minted while the
+// memory profile recorded them, as of a collection it runs first (the
+// profile publishes at the end of a cycle). It counts the objects
+// netsim's takeJitterStream allocates itself, the streams: not the
+// math/rand source each one wraps, nor any other source — the workload
+// generators' — nor the runtime's one-time cache for the type assertion
+// there.
+func newStreams(t *testing.T) int64 {
 	t.Helper()
 	runtime.GC()
 	n, _ := runtime.MemProfile(nil, true)
@@ -74,15 +77,8 @@ func newSources(t *testing.T) int64 {
 	}
 	var total int64
 	for i := range recs {
-		source, jitter := false, false
-		frames := runtime.CallersFrames(recs[i].Stack())
-		for more := true; more; {
-			var f runtime.Frame
-			f, more = frames.Next()
-			source = source || f.Function == "math/rand.NewSource"
-			jitter = jitter || f.Function == "amrt/internal/netsim.(*Port).jitter"
-		}
-		if source && jitter {
+		f, _ := runtime.CallersFrames(recs[i].Stack()).Next()
+		if f.Function == "amrt/internal/netsim.takeJitterStream" {
 			total += recs[i].AllocObjects
 		}
 	}
