@@ -32,7 +32,7 @@ func main() {
 		st := experiment.MustStack(proto, experiment.StackOptions{})
 		col := stats.NewFCTCollector()
 		h := experiment.NewScenarioHarness(st, topo.DefaultScenario(),
-			func(c topo.ScenarioConfig) *topo.Scenario { return topo.NewFanN(c, fanIn) },
+			func(c topo.ScenarioConfig, ov topo.Overlay) *topo.Scenario { return topo.NewFanN(c, ov, fanIn) },
 			transport.Config{Collector: col}, 1, 0, nil)
 		s := h.S
 		mon := netsim.Attach(h.Downlink(s.Receivers[0]))

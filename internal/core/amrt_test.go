@@ -10,14 +10,16 @@ import (
 	"amrt/internal/transport"
 )
 
+// overlay is cfg's switch queues, host queues and marker, for a topo
+// builder.
+func overlay(cfg Config) topo.Overlay {
+	return topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue, Marker: cfg.NewMarker}
+}
+
 // newFan builds a Fig-2-style fan with AMRT queues and markers.
 func newFan(pairs int) (*topo.Scenario, *Protocol, *stats.FCTCollector) {
 	cfg := DefaultConfig()
-	sc := topo.DefaultScenario()
-	sc.SwitchQueue = cfg.SwitchQueue
-	sc.HostQueue = cfg.HostQueue
-	sc.Marker = cfg.NewMarker
-	s := topo.NewFanN(sc, pairs)
+	s := topo.NewFanN(topo.DefaultScenario(), overlay(cfg), pairs)
 	col := stats.NewFCTCollector()
 	cfg.Collector = col
 	cfg.RTT = 100 * sim.Microsecond
@@ -105,11 +107,7 @@ func TestAntiECNRampFillsIdleLink(t *testing.T) {
 	// 12.5µs = 9.6% utilization); AMRT must converge to line rate.
 	cfg := DefaultConfig()
 	cfg.BlindWindow = 8
-	sc := topo.DefaultScenario()
-	sc.SwitchQueue = cfg.SwitchQueue
-	sc.HostQueue = cfg.HostQueue
-	sc.Marker = cfg.NewMarker
-	s := topo.NewFanN(sc, 1)
+	s := topo.NewFanN(topo.DefaultScenario(), overlay(cfg), 1)
 	cfg.RTT = 100 * sim.Microsecond
 	p := New(s.Net, cfg)
 	f := p.AddFlow(1, s.Senders[0], s.Receivers[0], 8_000_000, 0)
@@ -166,11 +164,7 @@ func TestIncastLossRecovery(t *testing.T) {
 	// receiver: the 8-packet data cap must drop most of it and the
 	// timeout path must still complete every flow.
 	cfg := DefaultConfig()
-	sc := topo.DefaultScenario()
-	sc.SwitchQueue = cfg.SwitchQueue
-	sc.HostQueue = cfg.HostQueue
-	sc.Marker = cfg.NewMarker
-	s := topo.NewFanN(sc, 8)
+	s := topo.NewFanN(topo.DefaultScenario(), overlay(cfg), 8)
 	cfg.RTT = 100 * sim.Microsecond
 	p := New(s.Net, cfg)
 	var flows []*transport.Flow
@@ -226,11 +220,7 @@ func TestMultiBottleneckReclaim(t *testing.T) {
 	// When f2/f3 squeeze f0 at the second bottleneck, f1 must take over
 	// the released first-bottleneck bandwidth.
 	cfg := DefaultConfig()
-	sc := topo.DefaultScenario()
-	sc.SwitchQueue = cfg.SwitchQueue
-	sc.HostQueue = cfg.HostQueue
-	sc.Marker = cfg.NewMarker
-	s := topo.NewChain(sc)
+	s := topo.NewChain(topo.DefaultScenario(), overlay(cfg))
 	cfg.RTT = 100 * sim.Microsecond
 	col := stats.NewFCTCollector()
 	cfg.Collector = col
@@ -260,11 +250,7 @@ func TestMarkedGrantEchoImpliesCE(t *testing.T) {
 	// directions of one under-utilized flow and cross-check.
 	cfg := DefaultConfig()
 	cfg.BlindWindow = 8
-	sc := topo.DefaultScenario()
-	sc.SwitchQueue = cfg.SwitchQueue
-	sc.HostQueue = cfg.HostQueue
-	sc.Marker = cfg.NewMarker
-	s := topo.NewFanN(sc, 1)
+	s := topo.NewFanN(topo.DefaultScenario(), overlay(cfg), 1)
 	cfg.RTT = 100 * sim.Microsecond
 	ceArrivals := 0
 	cfg.OnData = func(f *transport.Flow, pkt *netsim.Packet) {
@@ -302,11 +288,7 @@ func TestRecoveryPacedNoDuplicateStorm(t *testing.T) {
 	// duplicate wildly: total data deliveries (first + dup) stay within
 	// 1.5× the payload packet count.
 	cfg := DefaultConfig()
-	sc := topo.DefaultScenario()
-	sc.SwitchQueue = cfg.SwitchQueue
-	sc.HostQueue = cfg.HostQueue
-	sc.Marker = cfg.NewMarker
-	s := topo.NewFanN(sc, 8)
+	s := topo.NewFanN(topo.DefaultScenario(), overlay(cfg), 8)
 	cfg.RTT = 100 * sim.Microsecond
 	p := New(s.Net, cfg)
 	var flows []*transport.Flow

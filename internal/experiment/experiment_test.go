@@ -356,7 +356,7 @@ func TestFig14TopoShape(t *testing.T) {
 	if tc.Leaves != 3 || tc.HostsPerLeaf != 20 {
 		t.Errorf("Fig14 topology wrong: %+v", tc)
 	}
-	ls := topo.NewLeafSpine(tc)
+	ls := tc.Build(topo.Overlay{})
 	if len(ls.Hosts) != 60 {
 		t.Errorf("hosts = %d", len(ls.Hosts))
 	}

@@ -255,11 +255,7 @@ type depChild struct {
 // build constructs the fabric with the stack's overlay (switch queues
 // wrapped by the fault plan's loss processes) and partitions it.
 func (r *run) build() error {
-	ov := topo.Overlay{
-		HostQueue:   r.Stack.HostQueue,
-		SwitchQueue: r.Stack.SwitchQueue,
-		Marker:      r.Stack.Marker,
-	}
+	ov := r.Stack.Overlay
 	if r.Faults != nil {
 		ov.SwitchQueue = r.Faults.WrapQueues(ov.SwitchQueue)
 	}

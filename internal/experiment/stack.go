@@ -15,6 +15,7 @@ import (
 	"amrt/internal/phost"
 	"amrt/internal/sim"
 	"amrt/internal/sird"
+	"amrt/internal/topo"
 	"amrt/internal/transport"
 )
 
@@ -50,14 +51,12 @@ type Instance interface {
 }
 
 // Stack bundles everything needed to put one protocol on a topology:
-// its queue disciplines, its optional egress marker, and its
-// constructor.
+// the overlay a builder lays over it (queue disciplines and optional
+// egress marker) and its constructor.
 type Stack struct {
-	Name        string
-	SwitchQueue netsim.QueueFactory
-	HostQueue   netsim.QueueFactory
-	Marker      func() netsim.DequeueMarker
-	New         func(net *netsim.Network, base transport.Config) Instance
+	Name string
+	topo.Overlay
+	New func(net *netsim.Network, base transport.Config) Instance
 }
 
 // StackOptions tune protocol-specific knobs; amrt.StackOptions is this
@@ -121,9 +120,8 @@ var stackTable = [...]stackRow{
 	{name: "pHost", build: func(StackOptions) Stack {
 		cfg := phost.DefaultConfig()
 		return Stack{
-			Name:        "pHost",
-			SwitchQueue: cfg.SwitchQueue,
-			HostQueue:   cfg.HostQueue,
+			Name:    "pHost",
+			Overlay: topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue},
 			New: func(net *netsim.Network, base transport.Config) Instance {
 				c := cfg
 				c.Config = base
@@ -139,9 +137,8 @@ var stackTable = [...]stackRow{
 				cfg.Degree = opts.HomaDegree
 			}
 			return Stack{
-				Name:        "Homa",
-				SwitchQueue: cfg.SwitchQueue,
-				HostQueue:   cfg.HostQueue,
+				Name:    "Homa",
+				Overlay: topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue},
 				New: func(net *netsim.Network, base transport.Config) Instance {
 					c := cfg
 					c.Config = base
@@ -154,9 +151,8 @@ var stackTable = [...]stackRow{
 	{name: "NDP", build: func(StackOptions) Stack {
 		cfg := ndp.DefaultConfig()
 		return Stack{
-			Name:        "NDP",
-			SwitchQueue: cfg.SwitchQueue,
-			HostQueue:   cfg.HostQueue,
+			Name:    "NDP",
+			Overlay: topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue},
 			New: func(net *netsim.Network, base transport.Config) Instance {
 				c := cfg
 				c.Config = base
@@ -174,9 +170,8 @@ var stackTable = [...]stackRow{
 				cfg.StalenessRTTs = opts.SIRDStalenessRTTs
 			}
 			return Stack{
-				Name:        "SIRD",
-				SwitchQueue: cfg.SwitchQueue,
-				HostQueue:   cfg.HostQueue,
+				Name:    "SIRD",
+				Overlay: topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue},
 				New: func(net *netsim.Network, base transport.Config) Instance {
 					c := cfg
 					c.Config = base
@@ -193,9 +188,8 @@ var stackTable = [...]stackRow{
 	{name: "DCTCP", related: true, build: func(StackOptions) Stack {
 		cfg := dctcp.DefaultConfig()
 		return Stack{
-			Name:        "DCTCP",
-			SwitchQueue: cfg.SwitchQueue,
-			HostQueue:   cfg.HostQueue,
+			Name:    "DCTCP",
+			Overlay: topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue},
 			New: func(net *netsim.Network, base transport.Config) Instance {
 				c := cfg
 				c.Config = base
@@ -210,10 +204,8 @@ var stackTable = [...]stackRow{
 func amrtStack(cfg core.Config) Stack {
 	cfg = cfg.WithDefaults()
 	return Stack{
-		Name:        "AMRT",
-		SwitchQueue: cfg.SwitchQueue,
-		HostQueue:   cfg.HostQueue,
-		Marker:      cfg.NewMarker,
+		Name:    "AMRT",
+		Overlay: topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue, Marker: cfg.NewMarker},
 		New: func(net *netsim.Network, base transport.Config) Instance {
 			c := cfg
 			c.Config = base

@@ -13,10 +13,7 @@ import (
 func newFan(pairs, degree int) (*topo.Scenario, *Protocol) {
 	cfg := DefaultConfig()
 	cfg.Degree = degree
-	sc := topo.DefaultScenario()
-	sc.SwitchQueue = cfg.SwitchQueue
-	sc.HostQueue = cfg.HostQueue
-	s := topo.NewFanN(sc, pairs)
+	s := topo.NewFanN(topo.DefaultScenario(), topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue}, pairs)
 	cfg.RTT = 100 * sim.Microsecond
 	cfg.Collector = stats.NewFCTCollector()
 	return s, New(s.Net, cfg)

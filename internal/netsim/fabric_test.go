@@ -15,9 +15,9 @@ func fabrics() map[string]*netsim.Network {
 	ft := topo.DefaultFatTree()
 	ft.K = 8
 	return map[string]*netsim.Network{
-		"leafspine": topo.NewLeafSpine(topo.DefaultLeafSpine()).Net,
-		"fattree8":  topo.NewFatTree(ft).Net,
-		"clos":      topo.NewClos(topo.DefaultClos()).Net,
+		"leafspine": topo.DefaultLeafSpine().Build(topo.Overlay{}).Net,
+		"fattree8":  ft.Build(topo.Overlay{}).Net,
+		"clos":      topo.DefaultClos().Build(topo.Overlay{}).Net,
 	}
 }
 
@@ -105,7 +105,7 @@ func TestBuilderRoutesInterned(t *testing.T) {
 func BenchmarkSwitchReceive(b *testing.B) {
 	ft := topo.DefaultFatTree()
 	ft.K = 8
-	n := topo.NewFatTree(ft).Net
+	n := ft.Build(topo.Overlay{}).Net
 	sws, hosts := n.Switches(), n.Hosts()
 	const round = 1 << 12
 	type hop struct {

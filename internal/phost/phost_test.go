@@ -10,12 +10,14 @@ import (
 	"amrt/internal/transport"
 )
 
+// overlay is cfg's switch and host queues, for a topo builder.
+func overlay(cfg Config) topo.Overlay {
+	return topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue}
+}
+
 func newFan(pairs int) (*topo.Scenario, *Protocol, *stats.FCTCollector) {
 	cfg := DefaultConfig()
-	sc := topo.DefaultScenario()
-	sc.SwitchQueue = cfg.SwitchQueue
-	sc.HostQueue = cfg.HostQueue
-	s := topo.NewFanN(sc, pairs)
+	s := topo.NewFanN(topo.DefaultScenario(), overlay(cfg), pairs)
 	col := stats.NewFCTCollector()
 	cfg.Collector = col
 	cfg.RTT = 100 * sim.Microsecond
@@ -64,10 +66,7 @@ func TestConservativeNoRampFromSmallWindow(t *testing.T) {
 	// never exceed one per arrival, so the window cannot grow.
 	cfg := DefaultConfig()
 	cfg.BlindWindow = 8
-	sc := topo.DefaultScenario()
-	sc.SwitchQueue = cfg.SwitchQueue
-	sc.HostQueue = cfg.HostQueue
-	s := topo.NewFanN(sc, 1)
+	s := topo.NewFanN(topo.DefaultScenario(), overlay(cfg), 1)
 	cfg.RTT = 100 * sim.Microsecond
 	p := New(s.Net, cfg)
 	f := p.AddFlow(1, s.Senders[0], s.Receivers[0], 2_000_000, 0)
@@ -86,10 +85,7 @@ func TestSRPTPreemptsAtSharedReceiver(t *testing.T) {
 	// Fig. 11(a): a short flow to the same receiver takes the whole
 	// link; the long flow resumes after it completes.
 	cfg := DefaultConfig()
-	sc := topo.DefaultScenario()
-	sc.SwitchQueue = cfg.SwitchQueue
-	sc.HostQueue = cfg.HostQueue
-	s := topo.NewFanN(sc, 2)
+	s := topo.NewFanN(topo.DefaultScenario(), overlay(cfg), 2)
 	cfg.RTT = 100 * sim.Microsecond
 	p := New(s.Net, cfg)
 	long := p.AddFlow(1, s.Senders[0], s.Receivers[0], 20_000_000, 0)
@@ -135,10 +131,7 @@ func TestLossRecoveryViaExpiry(t *testing.T) {
 	// Incast losses at the 128-packet buffer must be recovered (slowly)
 	// through token expiry.
 	cfg := DefaultConfig()
-	sc := topo.DefaultScenario()
-	sc.SwitchQueue = cfg.SwitchQueue
-	sc.HostQueue = cfg.HostQueue
-	s := topo.NewFanN(sc, 8)
+	s := topo.NewFanN(topo.DefaultScenario(), overlay(cfg), 8)
 	cfg.RTT = 100 * sim.Microsecond
 	p := New(s.Net, cfg)
 	var flows []*transport.Flow
@@ -187,10 +180,8 @@ func TestTokenPacingRespectsDownlinkRate(t *testing.T) {
 	// reorder under jitter, which would corrupt the measurement).
 	cfg := DefaultConfig()
 	sc := topo.DefaultScenario()
-	sc.SwitchQueue = cfg.SwitchQueue
-	sc.HostQueue = cfg.HostQueue
 	sc.Jitter = 0
-	s := topo.NewFanN(sc, 1)
+	s := topo.NewFanN(sc, overlay(cfg), 1)
 	cfg.RTT = 100 * sim.Microsecond
 	p := New(s.Net, cfg)
 	f := p.AddFlow(1, s.Senders[0], s.Receivers[0], 3_000_000, 0)

@@ -16,10 +16,7 @@ const rtt = 100 * sim.Microsecond
 // SIRD's queues and a SIRD instance on it.
 func newFan(pairs int) (*topo.Scenario, *Protocol) {
 	cfg := DefaultConfig()
-	sc := topo.DefaultScenario()
-	sc.SwitchQueue = cfg.SwitchQueue
-	sc.HostQueue = cfg.HostQueue
-	s := topo.NewFanN(sc, pairs)
+	s := topo.NewFanN(topo.DefaultScenario(), topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue}, pairs)
 	cfg.RTT = rtt
 	return s, New(s.Net, cfg)
 }

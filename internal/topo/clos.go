@@ -44,20 +44,10 @@ type ClosConfig struct {
 	// (+serialization). Default ≈ 8.33 µs for a ~100 µs cross-pod RTT.
 	LinkDelay sim.Time
 
-	// HostQueue and SwitchQueue build the egress queues; nil means a
-	// 128-packet drop-tail. The experiment runner fills them from the
-	// protocol stack via Overlay.
-	HostQueue   netsim.QueueFactory
-	SwitchQueue netsim.QueueFactory
-
 	// Jitter is the per-delivery random delay bound (see
 	// netsim.Network.SetJitter); JitterSeed seeds its stream.
 	Jitter     sim.Time
 	JitterSeed int64
-
-	// Marker, if non-nil, is called per switch egress port to attach a
-	// dequeue marker (AMRT's anti-ECN marker). Host NICs never mark.
-	Marker func() netsim.DequeueMarker
 }
 
 // DefaultClos is a 2:1-oversubscribed 64-host heterogeneous fabric:
@@ -125,70 +115,42 @@ func (c ClosConfig) Canonical() string {
 	)
 }
 
-// Build implements Builder: it copies the overlay into the config and
-// builds the fabric.
+// Build implements Builder: the three-tier Clos on a fresh network with
+// ov laid over it and shortest-path ECMP routes installed. Switch names
+// are "leafP.I", "aggP.I" (pod P, index I) and "coreI"; host names are
+// "hP.L.I" (pod, leaf, index) — the names the fault-spec grammar
+// resolves against. It panics on non-positive dimensions.
 func (c ClosConfig) Build(ov Overlay) *Fabric {
-	c.HostQueue, c.SwitchQueue, c.Marker = ov.HostQueue, ov.SwitchQueue, ov.Marker
-	return NewClos(c)
-}
-
-// NewClos builds the three-tier Clos on a fresh network and installs
-// shortest-path ECMP routes. Switch names are "leafP.I", "aggP.I"
-// (pod P, index I) and "coreI"; host names are "hP.L.I" (pod, leaf,
-// index) — the names the fault-spec grammar resolves against. It
-// panics on non-positive dimensions.
-func NewClos(cfg ClosConfig) *Fabric {
-	if cfg.Pods <= 0 || cfg.LeavesPerPod <= 0 || cfg.AggsPerPod <= 0 ||
-		cfg.Cores <= 0 || cfg.HostsPerLeaf <= 0 {
+	if c.Pods <= 0 || c.LeavesPerPod <= 0 || c.AggsPerPod <= 0 ||
+		c.Cores <= 0 || c.HostsPerLeaf <= 0 {
 		panic("topo: clos dimensions must be positive")
 	}
-	cfg = cfg.withDefaults()
-	hq := defaultQueue(cfg.HostQueue)
-	sq := defaultQueue(cfg.SwitchQueue)
-	n := netsim.New()
-	if cfg.Jitter > 0 {
-		n.SetJitter(cfg.Jitter, cfg.JitterSeed)
-	}
-	mark := func(p *netsim.Port) {
-		if cfg.Marker != nil {
-			p.Marker = cfg.Marker()
-		}
-	}
-
-	f := &Fabric{Net: n, AccessRate: cfg.HostRate, BaseRTT: 12 * cfg.LinkDelay}
-	cores := make([]*netsim.Switch, cfg.Cores)
+	c = c.withDefaults()
+	w := newWiring(ov, c.LinkDelay, c.Jitter, c.JitterSeed)
+	n := w.net
+	f := &Fabric{Net: n, AccessRate: c.HostRate, BaseRTT: 12 * c.LinkDelay}
+	cores := make([]*netsim.Switch, c.Cores)
 	for i := range cores {
 		cores[i] = n.NewSwitch(fmt.Sprintf("core%d", i))
 	}
-	for p := 0; p < cfg.Pods; p++ {
-		aggs := make([]*netsim.Switch, cfg.AggsPerPod)
+	for p := 0; p < c.Pods; p++ {
+		aggs := make([]*netsim.Switch, c.AggsPerPod)
 		for i := range aggs {
 			aggs[i] = n.NewSwitch(fmt.Sprintf("agg%d.%d", p, i))
 		}
-		for l := 0; l < cfg.LeavesPerPod; l++ {
+		for l := 0; l < c.LeavesPerPod; l++ {
 			leaf := n.NewSwitch(fmt.Sprintf("leaf%d.%d", p, l))
-			for h := 0; h < cfg.HostsPerLeaf; h++ {
-				host := n.NewHost(fmt.Sprintf("h%d.%d.%d", p, l, h))
-				n.AttachPort(host, leaf, cfg.HostRate, cfg.LinkDelay, hq())
-				down := n.AttachPort(leaf, host, cfg.HostRate, cfg.LinkDelay, sq())
-				mark(down)
-				f.Hosts = append(f.Hosts, host)
-				f.HostDownlinks = append(f.HostDownlinks, down)
+			for h := 0; h < c.HostsPerLeaf; h++ {
+				f.attach(w.host(leaf, fmt.Sprintf("h%d.%d.%d", p, l, h), c.HostRate))
 			}
 			for _, agg := range aggs {
-				up := n.AttachPort(leaf, agg, cfg.FabricRate, cfg.LinkDelay, sq())
-				down := n.AttachPort(agg, leaf, cfg.FabricRate, cfg.LinkDelay, sq())
-				mark(up)
-				mark(down)
+				w.link(leaf, agg, c.FabricRate)
 			}
 			f.Switches = append(f.Switches, leaf)
 		}
 		for _, agg := range aggs {
 			for _, core := range cores {
-				up := n.AttachPort(agg, core, cfg.CoreRate, cfg.LinkDelay, sq())
-				down := n.AttachPort(core, agg, cfg.CoreRate, cfg.LinkDelay, sq())
-				mark(up)
-				mark(down)
+				w.link(agg, core, c.CoreRate)
 			}
 		}
 		f.Switches = append(f.Switches, aggs...)

@@ -9,11 +9,12 @@ import (
 	"amrt/internal/sim"
 )
 
-// Overlay carries the per-stack pieces a fabric builder weaves into the
-// topology: the queue disciplines and the optional egress marker. The
-// experiment runner fills it from the protocol stack (and wraps the
-// switch queue factory with the fault plan's loss processes) before
-// handing it to Builder.Build.
+// Overlay carries the per-stack pieces every builder in this package —
+// fabric or small scenario — weaves into the topology: the queue
+// disciplines and the optional egress marker. It is the only way they
+// reach a topology; the experiment runner passes its stack's overlay
+// (switch queue factory wrapped by the fault plan's loss processes) to
+// Builder.Build, ScenarioHarness to the scenario constructor.
 type Overlay struct {
 	// HostQueue builds host NIC egress queues; nil means a 128-packet
 	// drop-tail.
@@ -25,6 +26,66 @@ type Overlay struct {
 	// Marker, if non-nil, is called per switch egress port to attach a
 	// dequeue marker (AMRT's anti-ECN marker). Host NICs never mark.
 	Marker func() netsim.DequeueMarker
+}
+
+// wiring lays an overlay on a fresh network. Every builder creates its
+// nodes on net and cables them only through host and link, so the
+// queue defaults, the marker-placement rule and the order in which the
+// queue factories are called — the fault plan seeds the k-th switch
+// queue from k — live here once.
+type wiring struct {
+	net   *netsim.Network
+	delay sim.Time // one-way propagation delay of every link
+	ov    Overlay
+}
+
+// newWiring creates the network with its delivery jitter (none when
+// jitter is 0) and fills the overlay's nil queue factories with the
+// 128-packet drop-tail.
+func newWiring(ov Overlay, delay, jitter sim.Time, jitterSeed int64) wiring {
+	dropTail := func() netsim.Queue { return netsim.NewDropTail(128) }
+	if ov.HostQueue == nil {
+		ov.HostQueue = dropTail
+	}
+	if ov.SwitchQueue == nil {
+		ov.SwitchQueue = dropTail
+	}
+	w := wiring{net: netsim.New(), delay: delay, ov: ov}
+	if jitter > 0 {
+		w.net.SetJitter(jitter, jitterSeed)
+	}
+	return w
+}
+
+// host adds a host named name under sw with a link of the given rate
+// each way: its NIC gets a host queue, the switch's downlink toward it
+// a switch queue and the marker. It returns the host and the downlink.
+func (w *wiring) host(sw *netsim.Switch, name string, rate sim.Rate) (*netsim.Host, *netsim.Port) {
+	h := w.net.NewHost(name)
+	w.net.AttachPort(h, sw, rate, w.delay, w.ov.HostQueue())
+	down := w.net.AttachPort(sw, h, rate, w.delay, w.ov.SwitchQueue())
+	w.mark(down)
+	return h, down
+}
+
+// link joins two switches with a port each way, each with a switch
+// queue and the marker, and returns the a→b port.
+func (w *wiring) link(a, b *netsim.Switch, rate sim.Rate) *netsim.Port {
+	ab := w.net.AttachPort(a, b, rate, w.delay, w.ov.SwitchQueue())
+	ba := w.net.AttachPort(b, a, rate, w.delay, w.ov.SwitchQueue())
+	w.mark(ab)
+	w.mark(ba)
+	return ab
+}
+
+// mark attaches the overlay's marker to a switch egress port. Host NICs
+// never mark: §3 places anti-ECN marking in switches, and a sender's
+// own back-to-back output would otherwise clear CE before the network
+// ever saw the packet.
+func (w *wiring) mark(p *netsim.Port) {
+	if w.ov.Marker != nil {
+		p.Marker = w.ov.Marker()
+	}
 }
 
 // Fabric is a built topology in the shape the experiment runner drives:
@@ -40,7 +101,9 @@ type Fabric struct {
 	// HostDownlinks[i] is the last-hop switch egress port toward
 	// Hosts[i] — the bottleneck port the utilization metric monitors.
 	HostDownlinks []*netsim.Port
-	// Switches lists every switch of the fabric, access tier first.
+	// Switches lists every switch of the fabric. Leaf–spine lists the
+	// leaves, then the spines; fat-tree and Clos list them pod by pod,
+	// access switches before aggregation, with the cores last.
 	Switches []*netsim.Switch
 	// AccessRate is the host access-link rate, the denominator of the
 	// per-downlink utilization metric.
@@ -49,6 +112,12 @@ type Fabric struct {
 	// hosts (no queueing or serialization), used for BDP sizing and
 	// protocol timeout scheduling.
 	BaseRTT sim.Time
+}
+
+// attach appends a host and its downlink, in host index order.
+func (f *Fabric) attach(h *netsim.Host, down *netsim.Port) {
+	f.Hosts = append(f.Hosts, h)
+	f.HostDownlinks = append(f.HostDownlinks, down)
 }
 
 // Downlink returns the last-hop switch egress port feeding host i.
@@ -78,33 +147,6 @@ type Builder interface {
 	Canonical() string
 }
 
-// AccessRate implements Builder: the host <-> leaf link rate.
-func (c LeafSpineConfig) AccessRate() sim.Rate { return c.HostRate }
-
-// Canonical implements Builder.
-func (c LeafSpineConfig) Canonical() string {
-	return canon("leafspine",
-		"leaves", c.Leaves, "spines", c.Spines, "hostsperleaf", c.HostsPerLeaf,
-		"hostrate", int64(c.HostRate), "fabricrate", int64(c.FabricRate),
-		"linkdelay", int64(c.LinkDelay), "jitter", int64(c.Jitter), "jitterseed", c.JitterSeed,
-	)
-}
-
-// Build implements Builder: it copies the overlay into the config and
-// builds the two-tier fabric.
-func (c LeafSpineConfig) Build(ov Overlay) *Fabric {
-	c.HostQueue, c.SwitchQueue, c.Marker = ov.HostQueue, ov.SwitchQueue, ov.Marker
-	t := NewLeafSpine(c)
-	return &Fabric{
-		Net:           t.Net,
-		Hosts:         t.Hosts,
-		HostDownlinks: t.HostDownlinks,
-		Switches:      append(append([]*netsim.Switch{}, t.Leaves...), t.Spines...),
-		AccessRate:    c.HostRate,
-		BaseRTT:       t.RTT(),
-	}
-}
-
 // canon encodes a topology kind plus alternating name/value pairs into
 // the canonical cache-key form "kind:name=value,name=value,...".
 // Values must be int, int64, or sim-typed integers already converted.
@@ -127,13 +169,4 @@ func canon(kind string, pairs ...any) string {
 		}
 	}
 	return b.String()
-}
-
-// defaultQueue returns q, or the standard 128-packet drop-tail factory
-// when q is nil.
-func defaultQueue(q netsim.QueueFactory) netsim.QueueFactory {
-	if q != nil {
-		return q
-	}
-	return func() netsim.Queue { return netsim.NewDropTail(128) }
 }

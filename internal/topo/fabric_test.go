@@ -23,7 +23,7 @@ func TestFatTreeShape(t *testing.T) {
 	for _, k := range []int{4, 8} {
 		cfg := DefaultFatTree()
 		cfg.K = k
-		f := NewFatTree(cfg)
+		f := cfg.Build(Overlay{})
 		CheckConnected(f.Net)
 
 		half := k / 2
@@ -136,14 +136,14 @@ func TestFatTreeInvalidArityPanics(t *testing.T) {
 			}()
 			cfg := DefaultFatTree()
 			cfg.K = k
-			NewFatTree(cfg)
+			cfg.Build(Overlay{})
 		}()
 	}
 }
 
 func TestClosShape(t *testing.T) {
 	cfg := DefaultClos()
-	f := NewClos(cfg)
+	f := cfg.Build(Overlay{})
 	CheckConnected(f.Net)
 
 	wantHosts := cfg.Pods * cfg.LeavesPerPod * cfg.HostsPerLeaf
@@ -215,5 +215,5 @@ func TestClosInvalidDimensionsPanics(t *testing.T) {
 			t.Error("zero AggsPerPod did not panic")
 		}
 	}()
-	NewClos(cfg)
+	cfg.Build(Overlay{})
 }

@@ -31,20 +31,10 @@ type FatTreeConfig struct {
 	// ~100 µs cross-pod RTT.
 	LinkDelay sim.Time
 
-	// HostQueue and SwitchQueue build the egress queues; nil means a
-	// 128-packet drop-tail. The experiment runner fills them from the
-	// protocol stack via Overlay.
-	HostQueue   netsim.QueueFactory
-	SwitchQueue netsim.QueueFactory
-
 	// Jitter is the per-delivery random delay bound (see
 	// netsim.Network.SetJitter); JitterSeed seeds its stream.
 	Jitter     sim.Time
 	JitterSeed int64
-
-	// Marker, if non-nil, is called per switch egress port to attach a
-	// dequeue marker (AMRT's anti-ECN marker). Host NICs never mark.
-	Marker func() netsim.DequeueMarker
 }
 
 // DefaultFatTree is the smallest legal fat-tree: K=4 (16 hosts),
@@ -103,37 +93,20 @@ func (c FatTreeConfig) Canonical() string {
 	)
 }
 
-// Build implements Builder: it copies the overlay into the config and
-// builds the tree.
+// Build implements Builder: the k-ary fat-tree on a fresh network with
+// ov laid over it and shortest-path ECMP routes installed. Switch names
+// are "edgeP.I", "aggP.I" (pod P, index I) and "coreI"; host names are
+// "hP.E.I" (pod, edge, index) — the names the fault-spec grammar
+// resolves against. It panics if K is odd or below 4.
 func (c FatTreeConfig) Build(ov Overlay) *Fabric {
-	c.HostQueue, c.SwitchQueue, c.Marker = ov.HostQueue, ov.SwitchQueue, ov.Marker
-	return NewFatTree(c)
-}
-
-// NewFatTree builds the k-ary fat-tree on a fresh network and installs
-// shortest-path ECMP routes. Switch names are "edgeP.I", "aggP.I"
-// (pod P, index I) and "coreI"; host names are "hP.E.I" (pod, edge,
-// index) — the names the fault-spec grammar resolves against. It
-// panics if K is odd or below 4.
-func NewFatTree(cfg FatTreeConfig) *Fabric {
-	if cfg.K < 4 || cfg.K%2 != 0 {
-		panic(fmt.Sprintf("topo: fat-tree arity K=%d must be even and >= 4", cfg.K))
+	if c.K < 4 || c.K%2 != 0 {
+		panic(fmt.Sprintf("topo: fat-tree arity K=%d must be even and >= 4", c.K))
 	}
-	cfg = cfg.withDefaults()
-	hq := defaultQueue(cfg.HostQueue)
-	sq := defaultQueue(cfg.SwitchQueue)
-	n := netsim.New()
-	if cfg.Jitter > 0 {
-		n.SetJitter(cfg.Jitter, cfg.JitterSeed)
-	}
-	mark := func(p *netsim.Port) {
-		if cfg.Marker != nil {
-			p.Marker = cfg.Marker()
-		}
-	}
-
-	k, half := cfg.K, cfg.K/2
-	f := &Fabric{Net: n, AccessRate: cfg.HostRate, BaseRTT: 12 * cfg.LinkDelay}
+	c = c.withDefaults()
+	w := newWiring(ov, c.LinkDelay, c.Jitter, c.JitterSeed)
+	n := w.net
+	k, half := c.K, c.K/2
+	f := &Fabric{Net: n, AccessRate: c.HostRate, BaseRTT: 12 * c.LinkDelay}
 
 	cores := make([]*netsim.Switch, half*half)
 	for i := range cores {
@@ -148,29 +121,17 @@ func NewFatTree(cfg FatTreeConfig) *Fabric {
 		}
 		for e, edge := range edges {
 			for h := 0; h < half; h++ {
-				host := n.NewHost(fmt.Sprintf("h%d.%d.%d", p, e, h))
-				n.AttachPort(host, edge, cfg.HostRate, cfg.LinkDelay, hq())
-				down := n.AttachPort(edge, host, cfg.HostRate, cfg.LinkDelay, sq())
-				mark(down)
-				f.Hosts = append(f.Hosts, host)
-				f.HostDownlinks = append(f.HostDownlinks, down)
+				f.attach(w.host(edge, fmt.Sprintf("h%d.%d.%d", p, e, h), c.HostRate))
 			}
 			for _, agg := range aggs {
-				up := n.AttachPort(edge, agg, cfg.AggRate, cfg.LinkDelay, sq())
-				down := n.AttachPort(agg, edge, cfg.AggRate, cfg.LinkDelay, sq())
-				mark(up)
-				mark(down)
+				w.link(edge, agg, c.AggRate)
 			}
 		}
 		// Aggregation switch i of every pod uplinks to the i-th stripe
 		// of core switches: cores [i·K/2, (i+1)·K/2).
 		for i, agg := range aggs {
-			for j := 0; j < half; j++ {
-				core := cores[i*half+j]
-				up := n.AttachPort(agg, core, cfg.CoreRate, cfg.LinkDelay, sq())
-				down := n.AttachPort(core, agg, cfg.CoreRate, cfg.LinkDelay, sq())
-				mark(up)
-				mark(down)
+			for _, core := range cores[i*half : (i+1)*half] {
+				w.link(agg, core, c.CoreRate)
 			}
 		}
 		f.Switches = append(f.Switches, edges...)

@@ -3,7 +3,6 @@ package topo
 import (
 	"fmt"
 
-	"amrt/internal/netsim"
 	"amrt/internal/sim"
 )
 
@@ -23,23 +22,10 @@ type LeafSpineConfig struct {
 	// 4-hop cross-rack path has RTT = 8×LinkDelay (+serialization).
 	LinkDelay sim.Time
 
-	// HostQueue and SwitchQueue build the egress queues; nil means a
-	// 128-packet drop-tail. Protocols override SwitchQueue (trimming for
-	// NDP, priority+cap for AMRT, ...).
-	HostQueue   netsim.QueueFactory
-	SwitchQueue netsim.QueueFactory
-
 	// Jitter is the per-delivery random delay bound (see
 	// netsim.Network.SetJitter); JitterSeed seeds its stream.
 	Jitter     sim.Time
 	JitterSeed int64
-
-	// Marker, if non-nil, is called per switch egress port to attach a
-	// dequeue marker (AMRT's anti-ECN marker). Host NICs never mark:
-	// §3 places the mechanism in switches, and a sender's own
-	// back-to-back output would otherwise clear CE before the network
-	// ever saw the packet.
-	Marker func() netsim.DequeueMarker
 }
 
 // DefaultLeafSpine is the scaled-down default evaluation fabric.
@@ -65,76 +51,43 @@ func PaperLeafSpine() LeafSpineConfig {
 // Hosts returns the total host count of the configured fabric.
 func (c LeafSpineConfig) Hosts() int { return c.Leaves * c.HostsPerLeaf }
 
-// LeafSpine is a built fabric.
-type LeafSpine struct {
-	Net    *netsim.Network
-	Cfg    LeafSpineConfig
-	Hosts  []*netsim.Host // hosts of leaf l occupy [l*H, (l+1)*H)
-	Leaves []*netsim.Switch
-	Spines []*netsim.Switch
+// AccessRate implements Builder: the host <-> leaf link rate.
+func (c LeafSpineConfig) AccessRate() sim.Rate { return c.HostRate }
 
-	// HostDownlinks[i] is the leaf egress port toward host i — the
-	// "bottleneck" port the utilization figures monitor.
-	HostDownlinks []*netsim.Port
+// Canonical implements Builder.
+func (c LeafSpineConfig) Canonical() string {
+	return canon("leafspine",
+		"leaves", c.Leaves, "spines", c.Spines, "hostsperleaf", c.HostsPerLeaf,
+		"hostrate", int64(c.HostRate), "fabricrate", int64(c.FabricRate),
+		"linkdelay", int64(c.LinkDelay), "jitter", int64(c.Jitter), "jitterseed", c.JitterSeed,
+	)
 }
 
-// NewLeafSpine builds the fabric on a fresh network and installs routes.
-func NewLeafSpine(cfg LeafSpineConfig) *LeafSpine {
-	if cfg.Leaves <= 0 || cfg.Spines <= 0 || cfg.HostsPerLeaf <= 0 {
+// Build implements Builder: the two-tier fabric on a fresh network with
+// ov laid over it and routes installed. Switch names are "leafL" and
+// "spineS"; host names are "hL.I" (leaf, index). It panics on
+// non-positive dimensions.
+func (c LeafSpineConfig) Build(ov Overlay) *Fabric {
+	if c.Leaves <= 0 || c.Spines <= 0 || c.HostsPerLeaf <= 0 {
 		panic("topo: leaf-spine dimensions must be positive")
 	}
-	hq := cfg.HostQueue
-	if hq == nil {
-		hq = func() netsim.Queue { return netsim.NewDropTail(128) }
+	w := newWiring(ov, c.LinkDelay, c.Jitter, c.JitterSeed)
+	f := &Fabric{Net: w.net, AccessRate: c.HostRate, BaseRTT: 8 * c.LinkDelay}
+	for l := 0; l < c.Leaves; l++ {
+		f.Switches = append(f.Switches, w.net.NewSwitch(fmt.Sprintf("leaf%d", l)))
 	}
-	sq := cfg.SwitchQueue
-	if sq == nil {
-		sq = func() netsim.Queue { return netsim.NewDropTail(128) }
+	for s := 0; s < c.Spines; s++ {
+		f.Switches = append(f.Switches, w.net.NewSwitch(fmt.Sprintf("spine%d", s)))
 	}
-	t := &LeafSpine{Net: netsim.New(), Cfg: cfg}
-	if cfg.Jitter > 0 {
-		t.Net.SetJitter(cfg.Jitter, cfg.JitterSeed)
-	}
-	for l := 0; l < cfg.Leaves; l++ {
-		t.Leaves = append(t.Leaves, t.Net.NewSwitch(fmt.Sprintf("leaf%d", l)))
-	}
-	for s := 0; s < cfg.Spines; s++ {
-		t.Spines = append(t.Spines, t.Net.NewSwitch(fmt.Sprintf("spine%d", s)))
-	}
-	mark := func(p *netsim.Port) {
-		if cfg.Marker != nil {
-			p.Marker = cfg.Marker()
+	leaves, spines := f.Switches[:c.Leaves], f.Switches[c.Leaves:]
+	for l, leaf := range leaves {
+		for h := 0; h < c.HostsPerLeaf; h++ {
+			f.attach(w.host(leaf, fmt.Sprintf("h%d.%d", l, h), c.HostRate))
+		}
+		for _, spine := range spines {
+			w.link(leaf, spine, c.FabricRate)
 		}
 	}
-	for l, leaf := range t.Leaves {
-		for h := 0; h < cfg.HostsPerLeaf; h++ {
-			host := t.Net.NewHost(fmt.Sprintf("h%d.%d", l, h))
-			t.Net.AttachPort(host, leaf, cfg.HostRate, cfg.LinkDelay, hq())
-			down := t.Net.AttachPort(leaf, host, cfg.HostRate, cfg.LinkDelay, sq())
-			mark(down)
-			t.Hosts = append(t.Hosts, host)
-			t.HostDownlinks = append(t.HostDownlinks, down)
-		}
-		for _, spine := range t.Spines {
-			up := t.Net.AttachPort(leaf, spine, cfg.FabricRate, cfg.LinkDelay, sq())
-			down := t.Net.AttachPort(spine, leaf, cfg.FabricRate, cfg.LinkDelay, sq())
-			mark(up)
-			mark(down)
-		}
-	}
-	InstallShortestPathRoutes(t.Net)
-	return t
+	InstallShortestPathRoutes(w.net)
+	return f
 }
-
-// HostsOfLeaf returns the hosts attached to leaf l.
-func (t *LeafSpine) HostsOfLeaf(l int) []*netsim.Host {
-	h := t.Cfg.HostsPerLeaf
-	return t.Hosts[l*h : (l+1)*h]
-}
-
-// Downlink returns the leaf egress port feeding host i.
-func (t *LeafSpine) Downlink(i int) *netsim.Port { return t.HostDownlinks[i] }
-
-// RTT returns the propagation round-trip time of a cross-rack path
-// (host-leaf-spine-leaf-host and back): 8 × LinkDelay.
-func (t *LeafSpine) RTT() sim.Time { return 8 * t.Cfg.LinkDelay }

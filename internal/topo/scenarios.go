@@ -13,10 +13,6 @@ type ScenarioConfig struct {
 	Rate      sim.Rate // every link
 	LinkDelay sim.Time // one-way, per link
 
-	HostQueue   netsim.QueueFactory
-	SwitchQueue netsim.QueueFactory
-	Marker      func() netsim.DequeueMarker
-
 	// Jitter is the per-delivery random delay bound (see
 	// netsim.Network.SetJitter); JitterSeed seeds its stream.
 	Jitter     sim.Time
@@ -48,33 +44,29 @@ func TestbedScenario() ScenarioConfig {
 	return c
 }
 
-func (c ScenarioConfig) hostQueue() netsim.QueueFactory {
-	if c.HostQueue != nil {
-		return c.HostQueue
-	}
-	return func() netsim.Queue { return netsim.NewDropTail(128) }
+// smallWiring is the wiring of a small topology: every link at one rate.
+type smallWiring struct {
+	wiring
+	rate sim.Rate
 }
 
-func (c ScenarioConfig) switchQueue() netsim.QueueFactory {
-	if c.SwitchQueue != nil {
-		return c.SwitchQueue
-	}
-	return func() netsim.Queue { return netsim.NewDropTail(128) }
+// wire starts a small topology on a fresh network with ov laid over it.
+func (c ScenarioConfig) wire(ov Overlay) smallWiring {
+	return smallWiring{newWiring(ov, c.LinkDelay, c.Jitter, c.JitterSeed), c.Rate}
 }
 
-// newNet builds the scenario network with jitter applied.
-func (c ScenarioConfig) newNet() *netsim.Network {
-	n := netsim.New()
-	if c.Jitter > 0 {
-		n.SetJitter(c.Jitter, c.JitterSeed)
-	}
-	return n
+// add attaches a host named name to sw and returns it.
+func (w *smallWiring) add(sw *netsim.Switch, name string) *netsim.Host {
+	h, _ := w.host(sw, name, w.rate)
+	return h
 }
+
+// connect joins two switches and returns the a→b port.
+func (w *smallWiring) connect(a, b *netsim.Switch) *netsim.Port { return w.link(a, b, w.rate) }
 
 // Scenario is a built small topology with named hosts.
 type Scenario struct {
 	Net       *netsim.Network
-	Cfg       ScenarioConfig
 	Senders   []*netsim.Host
 	Receivers []*netsim.Host
 	Switches  []*netsim.Switch
@@ -84,33 +76,6 @@ type Scenario struct {
 	Bottlenecks []*netsim.Port
 }
 
-func (c ScenarioConfig) mark(p *netsim.Port) {
-	if c.Marker != nil {
-		p.Marker = c.Marker()
-	}
-}
-
-// addHost attaches a host to sw with symmetric links and returns it.
-// Only the switch-side egress gets a marker: §3 places anti-ECN marking
-// in switches, and a sender NIC marking its own back-to-back output
-// would clear CE before the network saw the packet.
-func (c ScenarioConfig) addHost(n *netsim.Network, sw *netsim.Switch, name string) *netsim.Host {
-	h := n.NewHost(name)
-	n.AttachPort(h, sw, c.Rate, c.LinkDelay, c.hostQueue()())
-	down := n.AttachPort(sw, h, c.Rate, c.LinkDelay, c.switchQueue()())
-	c.mark(down)
-	return h
-}
-
-// connect joins two switches with symmetric links and returns the a→b port.
-func (c ScenarioConfig) connect(n *netsim.Network, a, b *netsim.Switch) *netsim.Port {
-	ab := n.AttachPort(a, b, c.Rate, c.LinkDelay, c.switchQueue()())
-	ba := n.AttachPort(b, a, c.Rate, c.LinkDelay, c.switchQueue()())
-	c.mark(ab)
-	c.mark(ba)
-	return ab
-}
-
 // NewChain builds the Fig. 1 multi-bottleneck scenario:
 //
 //	S0,S1 @SW0 --btl0--> SW1 (R1 here; S2,S3 here) --btl1--> SW2 (R0,R2,R3)
@@ -118,28 +83,27 @@ func (c ScenarioConfig) connect(n *netsim.Network, a, b *netsim.Switch) *netsim.
 // Flow f0: S0→R0 crosses both bottlenecks; f1: S1→R1 crosses btl0;
 // f2: S2→R2 and f3: S3→R3 cross btl1. Bottlenecks[0] is SW0→SW1,
 // Bottlenecks[1] is SW1→SW2.
-func NewChain(cfg ScenarioConfig) *Scenario {
-	n := cfg.newNet()
+func NewChain(cfg ScenarioConfig, ov Overlay) *Scenario {
+	w := cfg.wire(ov)
+	n := w.net
 	sw0 := n.NewSwitch("sw0")
 	sw1 := n.NewSwitch("sw1")
 	sw2 := n.NewSwitch("sw2")
-	s := &Scenario{Net: n, Cfg: cfg, Switches: []*netsim.Switch{sw0, sw1, sw2}}
+	s := &Scenario{Net: n, Switches: []*netsim.Switch{sw0, sw1, sw2}}
 
 	s.Senders = []*netsim.Host{
-		cfg.addHost(n, sw0, "S0"),
-		cfg.addHost(n, sw0, "S1"),
-		cfg.addHost(n, sw1, "S2"),
-		cfg.addHost(n, sw1, "S3"),
+		w.add(sw0, "S0"),
+		w.add(sw0, "S1"),
+		w.add(sw1, "S2"),
+		w.add(sw1, "S3"),
 	}
 	s.Receivers = []*netsim.Host{
-		cfg.addHost(n, sw2, "R0"),
-		cfg.addHost(n, sw1, "R1"),
-		cfg.addHost(n, sw2, "R2"),
-		cfg.addHost(n, sw2, "R3"),
+		w.add(sw2, "R0"),
+		w.add(sw1, "R1"),
+		w.add(sw2, "R2"),
+		w.add(sw2, "R3"),
 	}
-	btl0 := cfg.connect(n, sw0, sw1)
-	btl1 := cfg.connect(n, sw1, sw2)
-	s.Bottlenecks = []*netsim.Port{btl0, btl1}
+	s.Bottlenecks = []*netsim.Port{w.connect(sw0, sw1), w.connect(sw1, sw2)}
 	InstallShortestPathRoutes(n)
 	return s
 }
@@ -147,21 +111,22 @@ func NewChain(cfg ScenarioConfig) *Scenario {
 // NewFan builds the Fig. 2 dynamic-traffic scenario: four senders on one
 // switch, four receivers on another, a single shared bottleneck between.
 // Bottlenecks[0] is the shared link.
-func NewFan(cfg ScenarioConfig) *Scenario {
-	return NewFanN(cfg, 4)
+func NewFan(cfg ScenarioConfig, ov Overlay) *Scenario {
+	return NewFanN(cfg, ov, 4)
 }
 
 // NewFanN is NewFan with a configurable number of sender/receiver pairs.
-func NewFanN(cfg ScenarioConfig, pairs int) *Scenario {
-	n := cfg.newNet()
+func NewFanN(cfg ScenarioConfig, ov Overlay, pairs int) *Scenario {
+	w := cfg.wire(ov)
+	n := w.net
 	swA := n.NewSwitch("swA")
 	swB := n.NewSwitch("swB")
-	s := &Scenario{Net: n, Cfg: cfg, Switches: []*netsim.Switch{swA, swB}}
+	s := &Scenario{Net: n, Switches: []*netsim.Switch{swA, swB}}
 	for i := 0; i < pairs; i++ {
-		s.Senders = append(s.Senders, cfg.addHost(n, swA, fmt.Sprintf("S%d", i)))
-		s.Receivers = append(s.Receivers, cfg.addHost(n, swB, fmt.Sprintf("R%d", i)))
+		s.Senders = append(s.Senders, w.add(swA, fmt.Sprintf("S%d", i)))
+		s.Receivers = append(s.Receivers, w.add(swB, fmt.Sprintf("R%d", i)))
 	}
-	s.Bottlenecks = []*netsim.Port{cfg.connect(n, swA, swB)}
+	s.Bottlenecks = []*netsim.Port{w.connect(swA, swB)}
 	InstallShortestPathRoutes(n)
 	return s
 }
@@ -169,32 +134,33 @@ func NewFanN(cfg ScenarioConfig, pairs int) *Scenario {
 // NewTestbedDynamic builds the Fig. 8 testbed: two independent
 // dumbbells. f1,f2 (S0,S1→R0,R1) share Bottlenecks[0]; f3,f4 (S2,S3→
 // R2,R3) share Bottlenecks[1].
-func NewTestbedDynamic(cfg ScenarioConfig) *Scenario {
-	n := cfg.newNet()
+func NewTestbedDynamic(cfg ScenarioConfig, ov Overlay) *Scenario {
+	w := cfg.wire(ov)
+	n := w.net
 	swA1 := n.NewSwitch("swA1")
 	swB1 := n.NewSwitch("swB1")
 	swA2 := n.NewSwitch("swA2")
 	swB2 := n.NewSwitch("swB2")
-	s := &Scenario{Net: n, Cfg: cfg, Switches: []*netsim.Switch{swA1, swB1, swA2, swB2}}
+	s := &Scenario{Net: n, Switches: []*netsim.Switch{swA1, swB1, swA2, swB2}}
 	s.Senders = []*netsim.Host{
-		cfg.addHost(n, swA1, "S0"),
-		cfg.addHost(n, swA1, "S1"),
-		cfg.addHost(n, swA2, "S2"),
-		cfg.addHost(n, swA2, "S3"),
+		w.add(swA1, "S0"),
+		w.add(swA1, "S1"),
+		w.add(swA2, "S2"),
+		w.add(swA2, "S3"),
 	}
 	s.Receivers = []*netsim.Host{
-		cfg.addHost(n, swB1, "R0"),
-		cfg.addHost(n, swB1, "R1"),
-		cfg.addHost(n, swB2, "R2"),
-		cfg.addHost(n, swB2, "R3"),
+		w.add(swB1, "R0"),
+		w.add(swB1, "R1"),
+		w.add(swB2, "R2"),
+		w.add(swB2, "R3"),
 	}
 	s.Bottlenecks = []*netsim.Port{
-		cfg.connect(n, swA1, swB1),
-		cfg.connect(n, swA2, swB2),
+		w.connect(swA1, swB1),
+		w.connect(swA2, swB2),
 	}
 	// A cross-link keeps the network connected (the testbed is one
 	// fabric); no experiment flow crosses it.
-	cfg.connect(n, swB1, swA2)
+	w.connect(swB1, swA2)
 	InstallShortestPathRoutes(n)
 	return s
 }
@@ -209,34 +175,24 @@ func NewTestbedDynamic(cfg ScenarioConfig) *Scenario {
 // f4: S3@SW1 → R3@SW2 (shares btlB with f3)
 //
 // Bottlenecks[0]=btlA, Bottlenecks[1]=btlB, Bottlenecks[2]=R0 downlink.
-func NewTestbedMultiBottleneck(cfg ScenarioConfig) *Scenario {
-	n := cfg.newNet()
+func NewTestbedMultiBottleneck(cfg ScenarioConfig, ov Overlay) *Scenario {
+	w := cfg.wire(ov)
+	n := w.net
 	sw0 := n.NewSwitch("sw0")
 	sw1 := n.NewSwitch("sw1")
 	sw2 := n.NewSwitch("sw2")
-	s := &Scenario{Net: n, Cfg: cfg, Switches: []*netsim.Switch{sw0, sw1, sw2}}
+	s := &Scenario{Net: n, Switches: []*netsim.Switch{sw0, sw1, sw2}}
 	s.Senders = []*netsim.Host{
-		cfg.addHost(n, sw0, "S0"),
-		cfg.addHost(n, sw0, "S1"),
-		cfg.addHost(n, sw1, "S2"),
-		cfg.addHost(n, sw1, "S3"),
+		w.add(sw0, "S0"),
+		w.add(sw0, "S1"),
+		w.add(sw1, "S2"),
+		w.add(sw1, "S3"),
 	}
-	r0 := cfg.addHost(n, sw2, "R0")
-	r1 := cfg.addHost(n, sw1, "R1")
-	r3 := cfg.addHost(n, sw2, "R3")
+	r0, r0Down := w.host(sw2, "R0", w.rate)
+	r1 := w.add(sw1, "R1")
+	r3 := w.add(sw2, "R3")
 	s.Receivers = []*netsim.Host{r0, r1, r0, r3} // per-flow receivers: f3 targets R0
-	btlA := cfg.connect(n, sw0, sw1)
-	btlB := cfg.connect(n, sw1, sw2)
+	s.Bottlenecks = []*netsim.Port{w.connect(sw0, sw1), w.connect(sw1, sw2), r0Down}
 	InstallShortestPathRoutes(n)
-	// R0's downlink is sw2's port toward r0: the first port of sw2 whose
-	// link terminates at r0.
-	var r0Down *netsim.Port
-	for _, p := range sw2.Ports() {
-		if p.Link().To.ID() == r0.ID() {
-			r0Down = p
-			break
-		}
-	}
-	s.Bottlenecks = []*netsim.Port{btlA, btlB, r0Down}
 	return s
 }

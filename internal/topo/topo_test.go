@@ -7,35 +7,45 @@ import (
 	"amrt/internal/sim"
 )
 
+// leafSpine builds cfg without an overlay.
+func leafSpine(cfg LeafSpineConfig) *Fabric { return cfg.Build(Overlay{}) }
+
+// hostOfLeaf returns host i of leaf l: hosts are leaf-major.
+func hostOfLeaf(cfg LeafSpineConfig, f *Fabric, l, i int) *netsim.Host {
+	return f.Hosts[l*cfg.HostsPerLeaf+i]
+}
+
 func TestLeafSpineRoutesComplete(t *testing.T) {
-	ls := NewLeafSpine(DefaultLeafSpine())
+	cfg := DefaultLeafSpine()
+	ls := leafSpine(cfg)
 	CheckConnected(ls.Net)
 	if len(ls.Hosts) != 40 {
 		t.Fatalf("hosts = %d, want 40", len(ls.Hosts))
 	}
 	// A leaf reaches a remote host through every spine (ECMP width =
 	// #spines) and a local host through exactly one port.
-	leaf0 := ls.Leaves[0]
-	remote := ls.HostsOfLeaf(1)[0]
-	local := ls.HostsOfLeaf(0)[0]
-	if got := len(leaf0.Routes(remote.ID())); got != ls.Cfg.Spines {
-		t.Errorf("leaf0 routes to remote host = %d, want %d", got, ls.Cfg.Spines)
+	leaf0 := ls.Switches[0]
+	remote := hostOfLeaf(cfg, ls, 1, 0)
+	local := hostOfLeaf(cfg, ls, 0, 0)
+	if got := len(leaf0.Routes(remote.ID())); got != cfg.Spines {
+		t.Errorf("leaf0 routes to remote host = %d, want %d", got, cfg.Spines)
 	}
 	if got := len(leaf0.Routes(local.ID())); got != 1 {
 		t.Errorf("leaf0 routes to local host = %d, want 1", got)
 	}
 	// A spine reaches any host through exactly one leaf.
 	for _, h := range ls.Hosts[:5] {
-		if got := len(ls.Spines[0].Routes(h.ID())); got != 1 {
+		if got := len(ls.Switches[cfg.Leaves].Routes(h.ID())); got != 1 {
 			t.Errorf("spine routes to %s = %d, want 1", h.Name(), got)
 		}
 	}
 }
 
 func TestLeafSpineCrossRackRTT(t *testing.T) {
-	ls := NewLeafSpine(DefaultLeafSpine())
-	src := ls.HostsOfLeaf(0)[0]
-	dst := ls.HostsOfLeaf(1)[0]
+	cfg := DefaultLeafSpine()
+	ls := leafSpine(cfg)
+	src := hostOfLeaf(cfg, ls, 0, 0)
+	dst := hostOfLeaf(cfg, ls, 1, 0)
 	var fwd, back sim.Time
 	dst.Handler = func(pkt *netsim.Packet) {
 		fwd = ls.Net.Engine.Now()
@@ -64,9 +74,10 @@ func TestLeafSpineCrossRackRTT(t *testing.T) {
 }
 
 func TestLeafSpineIntraLeafStaysLocal(t *testing.T) {
-	ls := NewLeafSpine(DefaultLeafSpine())
-	src := ls.HostsOfLeaf(0)[0]
-	dst := ls.HostsOfLeaf(0)[1]
+	cfg := DefaultLeafSpine()
+	ls := leafSpine(cfg)
+	src := hostOfLeaf(cfg, ls, 0, 0)
+	dst := hostOfLeaf(cfg, ls, 0, 1)
 	var hops int8
 	dst.Handler = func(pkt *netsim.Packet) { hops = pkt.Hops }
 	ls.Net.Engine.Schedule(0, func() {
@@ -82,11 +93,10 @@ func TestLeafSpineIntraLeafStaysLocal(t *testing.T) {
 func TestLeafSpineMarkerInstalled(t *testing.T) {
 	cfg := DefaultLeafSpine()
 	markers := 0
-	cfg.Marker = func() netsim.DequeueMarker {
+	ls := cfg.Build(Overlay{Marker: func() netsim.DequeueMarker {
 		markers++
 		return netsim.NewAntiECNMarker()
-	}
-	ls := NewLeafSpine(cfg)
+	}})
 	if ls.Downlink(0).Marker == nil {
 		t.Error("downlink has no marker")
 	}
@@ -104,9 +114,10 @@ func TestLeafSpineMarkerInstalled(t *testing.T) {
 }
 
 func TestLeafSpineECMPSpreadsFlows(t *testing.T) {
-	ls := NewLeafSpine(DefaultLeafSpine())
-	src := ls.HostsOfLeaf(0)[0]
-	dst := ls.HostsOfLeaf(1)[0]
+	cfg := DefaultLeafSpine()
+	ls := leafSpine(cfg)
+	src := hostOfLeaf(cfg, ls, 0, 0)
+	dst := hostOfLeaf(cfg, ls, 1, 0)
 	dst.Handler = func(pkt *netsim.Packet) {}
 	for f := 0; f < 256; f++ {
 		f := f
@@ -118,18 +129,18 @@ func TestLeafSpineECMPSpreadsFlows(t *testing.T) {
 	ls.Net.Run(sim.Second)
 	// Count spine usage via leaf0 uplink ports.
 	used := 0
-	for _, p := range ls.Leaves[0].Ports() {
+	for _, p := range ls.Switches[0].Ports() {
 		if _, isSwitch := p.Link().To.(*netsim.Switch); isSwitch && p.TxPackets > 0 {
 			used++
 		}
 	}
-	if used != ls.Cfg.Spines {
-		t.Errorf("flows used %d spines, want all %d", used, ls.Cfg.Spines)
+	if used != cfg.Spines {
+		t.Errorf("flows used %d spines, want all %d", used, cfg.Spines)
 	}
 }
 
 func TestChainTopologyPaths(t *testing.T) {
-	s := NewChain(DefaultScenario())
+	s := NewChain(DefaultScenario(), Overlay{})
 	CheckConnected(s.Net)
 	if len(s.Bottlenecks) != 2 {
 		t.Fatal("chain must expose 2 bottlenecks")
@@ -169,7 +180,7 @@ func TestChainTopologyPaths(t *testing.T) {
 }
 
 func TestFanSharedBottleneck(t *testing.T) {
-	s := NewFan(DefaultScenario())
+	s := NewFan(DefaultScenario(), Overlay{})
 	CheckConnected(s.Net)
 	if len(s.Senders) != 4 || len(s.Receivers) != 4 {
 		t.Fatal("fan should have 4 pairs")
@@ -194,7 +205,7 @@ func TestFanSharedBottleneck(t *testing.T) {
 }
 
 func TestTestbedDynamicIndependentBottlenecks(t *testing.T) {
-	s := NewTestbedDynamic(TestbedScenario())
+	s := NewTestbedDynamic(TestbedScenario(), Overlay{})
 	CheckConnected(s.Net)
 	for i := range s.Receivers {
 		s.Receivers[i].Handler = func(pkt *netsim.Packet) {}
@@ -213,7 +224,7 @@ func TestTestbedDynamicIndependentBottlenecks(t *testing.T) {
 }
 
 func TestTestbedMultiBottleneckLayout(t *testing.T) {
-	s := NewTestbedMultiBottleneck(TestbedScenario())
+	s := NewTestbedMultiBottleneck(TestbedScenario(), Overlay{})
 	if s.Receivers[0] != s.Receivers[2] {
 		t.Error("f1 and f3 must share a destination host (SRPT competition)")
 	}
@@ -246,7 +257,7 @@ func TestTestbedMultiBottleneckLayout(t *testing.T) {
 }
 
 func TestFanNCustomPairs(t *testing.T) {
-	s := NewFanN(DefaultScenario(), 8)
+	s := NewFanN(DefaultScenario(), Overlay{}, 8)
 	if len(s.Senders) != 8 || len(s.Receivers) != 8 {
 		t.Error("NewFanN should honor the pair count")
 	}
@@ -259,7 +270,7 @@ func TestLeafSpineInvalidConfigPanics(t *testing.T) {
 			t.Error("zero-leaf config did not panic")
 		}
 	}()
-	NewLeafSpine(LeafSpineConfig{Spines: 1, HostsPerLeaf: 1})
+	leafSpine(LeafSpineConfig{Spines: 1, HostsPerLeaf: 1})
 }
 
 func TestPaperLeafSpineShape(t *testing.T) {
@@ -270,7 +281,7 @@ func TestPaperLeafSpineShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping full-size build in -short mode")
 	}
-	ls := NewLeafSpine(cfg)
+	ls := leafSpine(cfg)
 	if len(ls.Hosts) != 400 {
 		t.Errorf("paper topology hosts = %d, want 400", len(ls.Hosts))
 	}

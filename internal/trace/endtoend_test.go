@@ -24,7 +24,7 @@ func TestRecorderEndToEnd(t *testing.T) {
 		return newInstance(net, base)
 	}
 	h := experiment.NewScenarioHarness(st, topo.DefaultScenario(),
-		func(c topo.ScenarioConfig) *topo.Scenario { return topo.NewFanN(c, 4) },
+		func(c topo.ScenarioConfig, ov topo.Overlay) *topo.Scenario { return topo.NewFanN(c, ov, 4) },
 		transport.Config{}, 1, 0, nil)
 	s := h.S
 	for i := 0; i < 4; i++ {

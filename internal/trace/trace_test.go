@@ -49,10 +49,7 @@ func TestWriteCSVSorted(t *testing.T) {
 
 func TestAttachChainsHooks(t *testing.T) {
 	cfg := core.DefaultConfig()
-	sc := topo.DefaultScenario()
-	sc.SwitchQueue = cfg.SwitchQueue
-	sc.HostQueue = cfg.HostQueue
-	s := topo.NewFanN(sc, 1)
+	s := topo.NewFanN(topo.DefaultScenario(), topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue}, 1)
 	cfg.RTT = 100 * sim.Microsecond
 	prevData, prevDone := 0, 0
 	cfg.OnData = func(*transport.Flow, *netsim.Packet) { prevData++ }

@@ -188,9 +188,10 @@ func selName(e ast.Expr) string {
 
 // lintScenarioPreludes reports, in the non-test files of dir other than
 // the harness itself, every call of a small-topology constructor and
-// every assignment that copies a stack's queue factory or marker
-// (sc.SwitchQueue = st.SwitchQueue): both are the opening lines of a
-// hand-rolled scenario run, which experiment.ScenarioHarness replaces.
+// every assignment that copies a stack's queue factory or marker out of
+// its Overlay (ov.SwitchQueue = st.SwitchQueue): both are the opening
+// lines of a hand-rolled scenario run, which experiment.ScenarioHarness
+// replaces.
 // One call form is let through — inside the arguments of
 // NewScenarioHarness, where a function literal binds NewFanN's pair
 // count for the harness to call.
