@@ -64,9 +64,11 @@ var (
 	ErrBadLoad = errors.New("load out of range (0,1]")
 	// ErrBadFlows reports a negative Config.Flows.
 	ErrBadFlows = errors.New("negative flow count")
-	// ErrBadTopology reports a Config.Topology with an unknown Kind or
-	// invalid dimensions (e.g. an odd fat-tree arity), or a topology
-	// spec string that does not parse (see ParseTopology).
+	// ErrBadTopology reports a Config.Topology with an unknown Kind,
+	// invalid dimensions (e.g. an odd or negative fat-tree arity), a
+	// negative RTT or a rate the Kind reads that is not finite and
+	// positive, or a topology spec string that does not parse (see
+	// ParseTopology).
 	ErrBadTopology = errors.New("bad topology")
 	// ErrUnknownPattern reports a Config.Pattern outside Patterns().
 	ErrUnknownPattern = errors.New("unknown traffic pattern")
@@ -82,6 +84,9 @@ var (
 	// different protocol than Config.Protocol (e.g. SIRDPoolBytes on a
 	// Homa run) or holds an invalid value.
 	ErrBadStackOption = errors.New("bad stack option")
+	// ErrBadDuration reports a negative Config.Timeout or
+	// Config.MetricsInterval.
+	ErrBadDuration = errors.New("negative duration")
 )
 
 // Protocols returns the supported comparison transports in the order
@@ -305,8 +310,10 @@ func (c Config) normalized() Config {
 
 // Validate checks the configuration after default-filling and reports
 // the first problem as an error wrapping one of the package's typed
-// sentinels (ErrUnknownProtocol, ErrUnknownWorkload, ErrBadFaultSpec,
-// ErrBadLoad, ErrBadFlows), so callers can branch with errors.Is. The
+// sentinels (ErrUnknownProtocol, ErrBadStackOption, ErrUnknownWorkload,
+// ErrBadLoad, ErrBadFlows, ErrBadDuration, ErrBadFaultSpec,
+// ErrBadShards, ErrBadTopology, ErrBadPattern, ErrUnknownPattern), so
+// callers can branch with errors.Is. The
 // zero Config is valid. RunContext, CompareContext, and Sweep validate
 // before running — user input never panics.
 func (c Config) Validate() error {
@@ -325,6 +332,12 @@ func (c Config) Validate() error {
 	}
 	if c.Flows < 0 {
 		return fmt.Errorf("%w: %d", ErrBadFlows, c.Flows)
+	}
+	if c.Timeout < 0 {
+		return fmt.Errorf("%w: Timeout %v", ErrBadDuration, c.Timeout)
+	}
+	if c.MetricsInterval < 0 {
+		return fmt.Errorf("%w: MetricsInterval %v", ErrBadDuration, c.MetricsInterval)
 	}
 	if c.Faults != "" {
 		if _, err := faults.Parse(c.Faults); err != nil {

@@ -1,12 +1,18 @@
 package amrt
 
-import "testing"
+import (
+	"errors"
+	"strconv"
+	"strings"
+	"testing"
+)
 
 // FuzzParseTopology hammers the topology-spec grammar with arbitrary
 // input. The contract: ParseTopology never panics, a rejected spec
 // wraps ErrBadTopology, and an accepted spec resolves to a buildable
-// topology whose re-parse accepts the same bytes (sweep specs travel
-// as raw strings through serve job payloads and cache keys).
+// topology with positive rates on every tier whose re-parse accepts the
+// same bytes (sweep specs travel as raw strings through serve job
+// payloads and cache keys).
 func FuzzParseTopology(f *testing.F) {
 	// Seed corpus: the documented example specs (docs/TOPOLOGIES.md and
 	// the ParseTopology doc comment) plus separator edge shapes.
@@ -27,12 +33,18 @@ func FuzzParseTopology(f *testing.F) {
 		"fattree:k=3",
 		"ring:n=8",
 		":k=4",
+		"fattree:fabric=inf",
+		"leafspine:gbps=1e300",
+		"clos:core=NaN",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
 		t1, err := ParseTopology(spec)
 		if err != nil {
+			if !errors.Is(err, ErrBadTopology) {
+				t.Fatalf("ParseTopology(%q) = %v, want an ErrBadTopology", spec, err)
+			}
 			return
 		}
 		t2, err := ParseTopology(spec)
@@ -41,6 +53,19 @@ func FuzzParseTopology(f *testing.F) {
 		}
 		if t1 != t2 {
 			t.Fatalf("ParseTopology(%q) is not stable: %+v vs %+v", spec, t1, t2)
+		}
+		// An accepted spec resolves to positive rates on every tier: the
+		// canonical form lists each rate after defaulting.
+		b, err := t1.builder()
+		if err != nil {
+			t.Fatalf("ParseTopology(%q) accepted a spec its builder rejects: %v", spec, err)
+		}
+		_, fields, _ := strings.Cut(b.Canonical(), ":")
+		for _, kv := range strings.Split(fields, ",") {
+			key, val, _ := strings.Cut(kv, "=")
+			if r, err := strconv.ParseInt(val, 10, 64); strings.HasSuffix(key, "rate") && (err != nil || r <= 0) {
+				t.Fatalf("ParseTopology(%q) resolves %s=%s, want a positive rate", spec, key, val)
+			}
 		}
 	})
 }

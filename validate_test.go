@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 )
 
 func TestValidateErrorTable(t *testing.T) {
@@ -35,6 +36,18 @@ func TestValidateErrorTable(t *testing.T) {
 		{"sird knob on homa run", Config{Protocol: "Homa", Options: StackOptions{SIRDStalenessRTTs: 4}}, ErrBadStackOption},
 		{"negative homa degree", Config{Protocol: "Homa", Options: StackOptions{HomaDegree: -2}}, ErrBadStackOption},
 		{"negative sird pool", Config{Protocol: "SIRD", Options: StackOptions{SIRDPoolBytes: -1}}, ErrBadStackOption},
+		{"negative timeout", Config{Timeout: -time.Second}, ErrBadDuration},
+		{"negative metrics interval", Config{MetricsInterval: -time.Microsecond}, ErrBadDuration},
+		{"tiered fat-tree", Config{Topology: Topology{Kind: "fattree", LinkGbps: 25, FabricGbps: 100, CoreGbps: 400, RTT: 50 * time.Microsecond}}, nil},
+		{"negative fat-tree arity", Config{Topology: Topology{Kind: "fattree", K: -2}}, ErrBadTopology},
+		{"negative rtt", Config{Topology: Topology{RTT: -time.Microsecond}}, ErrBadTopology},
+		{"negative link rate", Config{Topology: Topology{LinkGbps: -10}}, ErrBadTopology},
+		{"negative fabric rate", Config{Topology: Topology{Kind: "fattree", FabricGbps: -1}}, ErrBadTopology},
+		{"negative core rate", Config{Topology: Topology{Kind: "clos", CoreGbps: -1}}, ErrBadTopology},
+		{"NaN core rate", Config{Topology: Topology{Kind: "clos", CoreGbps: math.NaN()}}, ErrBadTopology},
+		{"infinite fabric rate", Config{Topology: Topology{Kind: "fattree", FabricGbps: math.Inf(1)}}, ErrBadTopology},
+		{"overflowing link rate", Config{Topology: Topology{LinkGbps: 1e300}}, ErrBadTopology},
+		{"sub-bit/s link rate", Config{Topology: Topology{LinkGbps: 1e-12}}, ErrBadTopology},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
