@@ -2,6 +2,8 @@ package amrt
 
 import (
 	"errors"
+	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 	"testing"
@@ -36,6 +38,11 @@ func FuzzParseTopology(f *testing.F) {
 		"fattree:fabric=inf",
 		"leafspine:gbps=1e300",
 		"clos:core=NaN",
+		"leafspine:rtt=1s",
+		"leafspine:gbps=1e6",
+		"fattree:core=1e6",
+		"clos:fabric=2e5,rtt=100us",
+		"leafspine:gbps=9,rtt=1s",
 	} {
 		f.Add(seed)
 	}
@@ -54,17 +61,37 @@ func FuzzParseTopology(f *testing.F) {
 		if t1 != t2 {
 			t.Fatalf("ParseTopology(%q) is not stable: %+v vs %+v", spec, t1, t2)
 		}
-		// An accepted spec resolves to positive rates on every tier: the
-		// canonical form lists each rate after defaulting.
+		// An accepted spec resolves to positive rates on every tier, each
+		// with a bandwidth-delay product (bit/s × ns of the fabric's RTT)
+		// that fits int64: the canonical form lists each rate after
+		// defaulting, and the link delay.
 		b, err := t1.builder()
 		if err != nil {
 			t.Fatalf("ParseTopology(%q) accepted a spec its builder rejects: %v", spec, err)
 		}
-		_, fields, _ := strings.Cut(b.Canonical(), ":")
+		kind, fields, _ := strings.Cut(b.Canonical(), ":")
+		var rates []uint64
+		var rtt uint64
 		for _, kv := range strings.Split(fields, ",") {
 			key, val, _ := strings.Cut(kv, "=")
-			if r, err := strconv.ParseInt(val, 10, 64); strings.HasSuffix(key, "rate") && (err != nil || r <= 0) {
-				t.Fatalf("ParseTopology(%q) resolves %s=%s, want a positive rate", spec, key, val)
+			n, err := strconv.ParseInt(val, 10, 64)
+			switch {
+			case strings.HasSuffix(key, "rate"):
+				if err != nil || n <= 0 {
+					t.Fatalf("ParseTopology(%q) resolves %s=%s, want a positive rate", spec, key, val)
+				}
+				rates = append(rates, uint64(n))
+			case key == "linkdelay":
+				hops := uint64(12)
+				if kind == "leafspine" {
+					hops = 8
+				}
+				rtt = hops * uint64(n)
+			}
+		}
+		for _, r := range rates {
+			if hi, lo := bits.Mul64(r, rtt); hi != 0 || lo > math.MaxInt64 {
+				t.Fatalf("ParseTopology(%q) accepts rate %d bit/s × RTT %d ns, which overflows int64", spec, r, rtt)
 			}
 		}
 	})

@@ -61,6 +61,9 @@ type Protocol struct {
 	cfg       Config
 	receivers transport.FlowTable[rcvFlow]
 	pacers    transport.HostTable[pacerState]
+	// expiries times every token this instance has in flight
+	// (expiry.go).
+	expiries expiryQueue
 
 	// TokensSent counts tokens issued; TokensExpired counts per-token
 	// timeouts (a proxy for wasted downlink allocation).
@@ -69,15 +72,15 @@ type Protocol struct {
 }
 
 type rcvFlow struct {
-	p    *Protocol // for HandleEvent: a token's expiry is a typed event on its flow
 	f    *transport.Flow
 	rcvd transport.Bitmap
 	// inflight marks the sequences tokened (or sent unscheduled) and
-	// awaiting arrival; pending holds their expiry timers. The token
-	// scheduler tests membership for every hole of every flow, so that
-	// is a bit test; the timers are touched only on arrival and expiry.
+	// awaiting arrival, each with an entry in the instance's expiry
+	// queue. The token scheduler tests membership for every hole of
+	// every flow, so that is a bit test.
 	inflight transport.Bitmap
-	pending  transport.Sparse[sim.Timer]
+	// removed is set when the record ends; its queued expiries are dead.
+	removed bool
 	// lastArrival and tokensSinceArrival drive the unresponsive-source
 	// test: a flow is skipped by the token scheduler only when several
 	// tokens have gone unanswered for TimeoutRTTs×RTT — mere silence is
@@ -107,16 +110,19 @@ type pacerState struct {
 	flows []*rcvFlow
 	// credits implement the arrival clocking the paper ascribes to
 	// receiver-driven transports: one token may be issued per data
-	// arrival (or per expired token, so losses are eventually retried),
-	// never faster than the downlink packet rate. SRPT decides which
-	// flow the credit goes to, which is how a newly arrived short flow
-	// preempts a long one at a shared receiver.
+	// arrival, never faster than the downlink packet rate. An expired
+	// token mints none: its hole rejoins the tokenable pool and waits for
+	// an arrival's credit, or for probe when the whole flow has stalled
+	// (whether expiries should refund is ROADMAP item 2(a)). SRPT decides
+	// which flow the credit goes to, which is how a newly arrived short
+	// flow preempts a long one at a shared receiver.
 	credits int
 }
 
 // New creates a pHost instance on the network.
 func New(net *netsim.Network, cfg Config) *Protocol {
 	p := &Protocol{Kernel: transport.NewKernel(net, cfg.Config), cfg: cfg.withDefaults()}
+	p.expiries = expiryQueue{eng: p.Engine(), expire: p.expire}
 	// No DropSender: pHost senders are stateless (every token names its
 	// sequence).
 	p.Bind(transport.Hooks{
@@ -148,15 +154,15 @@ func (p *Protocol) GrantAuthority() int64 {
 }
 
 // hostCrashed zeroes the crashed host's banked arrival credits; its
-// bitmaps and pending-token timers went flow by flow (dropRcvState).
+// bitmaps and pending token expiries went flow by flow (dropRcvState).
 func (p *Protocol) hostCrashed(h *netsim.Host) {
 	if ps := p.pacers.Get(h.ID()); ps != nil {
 		ps.credits = 0
 	}
 }
 
-// dropRcvState forgets flow f's receiver state (pending timers
-// cancelled, pacer list pruned). No-op if no state exists.
+// dropRcvState forgets flow f's receiver state (pending expiries dead,
+// pacer list pruned). No-op if no state exists.
 func (p *Protocol) dropRcvState(f *transport.Flow) {
 	if r := p.receivers.Drop(f.ID); r != nil {
 		p.removeFlow(r)
@@ -186,9 +192,7 @@ func (p *Protocol) onReceiverPkt(pkt *netsim.Packet) {
 		return
 	}
 	if r.inflight.Clear(pkt.Seq) {
-		tm, _ := r.pending.Get(pkt.Seq)
-		tm.Cancel()
-		r.pending.Delete(pkt.Seq)
+		p.expiries.arrived(r, pkt.Seq)
 	}
 	r.lastArrival = p.Now()
 	r.tokensSinceArrival = 0
@@ -202,7 +206,7 @@ func (p *Protocol) onReceiverPkt(pkt *netsim.Packet) {
 		p.Complete(r.f)
 		p.removeFlow(r)
 		// The record ends with the flow: the lookup answers nil for a
-		// Done flow and removeFlow cancelled every expiry.
+		// Done flow and removeFlow killed every expiry.
 		p.receivers.Drop(r.f.ID)
 		return
 	}
@@ -227,7 +231,7 @@ func (ps *pacerState) addCredit(cap int) {
 // newRcvFlow builds f's receiver record (transport.Receiver stores it)
 // and enters it in its host's token scheduler.
 func (p *Protocol) newRcvFlow(f *transport.Flow) *rcvFlow {
-	r := &rcvFlow{p: p, f: f, lastArrival: p.Now()}
+	r := &rcvFlow{f: f, lastArrival: p.Now()}
 	transport.InitBitmaps(f.NPkts, &r.rcvd, &r.inflight)
 	p.Heard(f)
 	// The unscheduled first window is in flight: treat it as tokened so
@@ -292,20 +296,18 @@ func (p *Protocol) nextTokenable(r *rcvFlow) int32 {
 // trackPending arms the per-token expiry: if the packet does not arrive
 // within TimeoutRTTs×RTT the source is deemed unresponsive and the flow
 // is blacklisted for the same period (the token becomes reissuable after
-// that). The expiry is a typed event on the flow with the sequence
-// number as its op, so a token costs no closure.
+// that). The expiry is an entry in the instance's expiry queue, not an
+// engine event of its own.
 func (p *Protocol) trackPending(r *rcvFlow, seq int32) {
 	timeout := sim.Time(p.cfg.TimeoutRTTs) * p.Cfg.RTT
 	r.tokensSinceArrival++
 	r.inflight.Set(seq)
-	r.pending.Put(seq, p.Engine().ScheduleEvent(timeout, r, seq, nil))
+	p.expiries.push(r, seq, timeout)
 }
 
-// HandleEvent implements sim.Handler: the token for sequence seq expired.
-func (r *rcvFlow) HandleEvent(seq int32, _ any) {
-	p := r.p
+// expire runs when the token for r's sequence seq expired.
+func (p *Protocol) expire(r *rcvFlow, seq int32) {
 	r.inflight.Clear(seq)
-	r.pending.Delete(seq)
 	p.TokensExpired++
 	if r.f.Done {
 		return
@@ -315,7 +317,7 @@ func (r *rcvFlow) HandleEvent(seq int32, _ any) {
 	// new-sequence tokens — pHost's pacer bounds total token rate). A
 	// fully stalled flow is kept alive by a probe.
 	ps := p.pacerOf(r.f.Dst)
-	if r.pending.Len() == 0 {
+	if r.inflight.Count() == 0 {
 		p.probe(ps, r)
 	}
 	ps.pacer.Kick()
@@ -326,7 +328,7 @@ func (r *rcvFlow) HandleEvent(seq int32, _ any) {
 // from regular tokens): one direct token per timeout period, the
 // slow-retry behaviour of a paced receiver toward a silent source.
 func (p *Protocol) probe(ps *pacerState, r *rcvFlow) {
-	if r.f.Done || r.pending.Len() > 0 {
+	if r.f.Done || r.inflight.Count() > 0 {
 		return
 	}
 	if seq := p.nextTokenable(r); seq >= 0 {
@@ -338,7 +340,8 @@ func (p *Protocol) probe(ps *pacerState, r *rcvFlow) {
 }
 
 func (p *Protocol) removeFlow(r *rcvFlow) {
-	r.pending.Each(func(_ int32, tm sim.Timer) { tm.Cancel() })
+	r.removed = true
+	p.expiries.dropped(r)
 	ps := p.pacerOf(r.f.Dst)
 	ps.flows = slices.DeleteFunc(ps.flows, func(x *rcvFlow) bool { return x == r })
 	ps.pacer.Kick()

@@ -234,8 +234,10 @@ func (e *Engine) ScheduleEventAt(at Time, h Handler, op int32, arg any) Timer {
 // ScheduleEventSeq, or never schedule one and ask Passed whether the
 // place has gone by. Either way every other event's sequence number —
 // and so the whole dispatch order — is what it would have been had the
-// event been scheduled eagerly. The port's transmit completion uses it
-// to exist only when a packet is waiting for it.
+// event been scheduled eagerly. It has two users: the port's transmit
+// completion, to exist only when a packet is waiting for it, and
+// pHost's token expiries, which reserve one position per token and keep
+// one event for a whole queue of them (internal/phost/expiry.go).
 func (e *Engine) ReserveSeq() uint64 {
 	seq := e.seq
 	e.seq++

@@ -1,13 +1,15 @@
 package transport
 
 // Sparse maps packet sequence numbers to values for the few sequences
-// of a flow that are in an exceptional state at once — awaiting a
-// retransmission, holding a token's expiry timer. It is an unordered
-// slice searched linearly: at the handful of entries a flow carries
-// that beats a map's hashing, and an empty one costs nothing, where a
-// map per flow is several allocations before the first insert. Where
-// membership is tested for every packet of a flow, keep a Bitmap beside
-// it and consult the Sparse only on a hit. The zero value is empty.
+// of a flow that are in an exceptional state at once: core's and SIRD's
+// reissue times of the sequences awaiting a retransmission. (pHost's
+// token expiries live in its own queue, internal/phost/expiry.go.) It
+// is an unordered slice searched linearly: at the handful of entries a
+// flow carries that beats a map's hashing, and an empty one costs
+// nothing, where a map per flow is several allocations before the first
+// insert. Where membership is tested for every packet of a flow, keep a
+// Bitmap beside it and consult the Sparse only on a hit. The zero value
+// is empty.
 type Sparse[V any] struct {
 	ents []sparseEnt[V]
 }

@@ -21,10 +21,12 @@ func TopologyKinds() []string {
 // builder resolves the Topology into a concrete, fully-defaulted
 // fabric builder, or an error wrapping ErrBadTopology. Zero fields keep
 // the kind's defaults; every other value the kind reads must be valid:
-// dimensions positive, RTT not negative, and each rate finite and
+// dimensions positive, RTT not negative, each rate finite and
 // convertible to a positive sim.Rate (NaN or a negative rate would
 // otherwise fall back to the default silently, and an overflowing one
-// crash the engine).
+// crash the engine), and each rate times the fabric's RTT within
+// int64: the stacks size their windows with sim.Rate.BytesIn, whose
+// bit/s × ns product would otherwise wrap into a nonsense BDP.
 func (t Topology) builder() (topo.Builder, error) {
 	kind := t.Kind
 	if kind == "" {
@@ -45,6 +47,8 @@ func (t Topology) builder() (topo.Builder, error) {
 		}
 	}
 	var b topo.Builder
+	var rtt sim.Time      // the fabric's BaseRTT
+	var rates [3]sim.Rate // the resolved rates of its tiers
 	switch kind {
 	case "leafspine":
 		cfg := topo.DefaultLeafSpine()
@@ -69,7 +73,7 @@ func (t Topology) builder() (topo.Builder, error) {
 			cfg.LinkDelay = sim.FromDuration(t.RTT) / 8
 		}
 		cfg.Jitter = cfg.HostRate.TxTime(netsim.MSS) / 2
-		b = cfg
+		b, rtt, rates = cfg, 8*cfg.LinkDelay, [3]sim.Rate{cfg.HostRate, cfg.FabricRate}
 	case "fattree":
 		cfg := topo.DefaultFatTree()
 		if t.K != 0 {
@@ -85,7 +89,7 @@ func (t Topology) builder() (topo.Builder, error) {
 			cfg.LinkDelay = sim.FromDuration(t.RTT) / 12
 		}
 		cfg.Jitter = cfg.HostRate.TxTime(netsim.MSS) / 2
-		b = cfg
+		b, rtt, rates = cfg, 12*cfg.LinkDelay, [3]sim.Rate{cfg.HostRate, cfg.AggRate, cfg.CoreRate}
 	case "clos":
 		cfg := topo.DefaultClos()
 		if t.Pods > 0 {
@@ -113,12 +117,17 @@ func (t Topology) builder() (topo.Builder, error) {
 			cfg.LinkDelay = sim.FromDuration(t.RTT) / 12
 		}
 		cfg.Jitter = cfg.HostRate.TxTime(netsim.MSS) / 2
-		b = cfg
+		b, rtt, rates = cfg, 12*cfg.LinkDelay, [3]sim.Rate{cfg.HostRate, cfg.FabricRate, cfg.CoreRate}
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %q (have %v)", ErrBadTopology, t.Kind, TopologyKinds())
 	}
 	if bad != nil {
 		return nil, bad
+	}
+	for _, r := range rates {
+		if r > 0 && int64(rtt) > math.MaxInt64/int64(r) {
+			return nil, fmt.Errorf("%w: %v × RTT %v overflows the bandwidth-delay product", ErrBadTopology, r, rtt)
+		}
 	}
 	return b, nil
 }

@@ -48,6 +48,11 @@ func TestValidateErrorTable(t *testing.T) {
 		{"infinite fabric rate", Config{Topology: Topology{Kind: "fattree", FabricGbps: math.Inf(1)}}, ErrBadTopology},
 		{"overflowing link rate", Config{Topology: Topology{LinkGbps: 1e300}}, ErrBadTopology},
 		{"sub-bit/s link rate", Config{Topology: Topology{LinkGbps: 1e-12}}, ErrBadTopology},
+		{"10 Gbit/s at 1s RTT overflows the BDP", Config{Topology: Topology{RTT: time.Second}}, ErrBadTopology},
+		{"1 Pbit/s at the default RTT overflows the BDP", Config{Topology: Topology{LinkGbps: 1e6}}, ErrBadTopology},
+		{"fat-tree core rate overflows the BDP", Config{Topology: Topology{Kind: "fattree", CoreGbps: 1e6}}, ErrBadTopology},
+		{"clos fabric rate overflows the BDP", Config{Topology: Topology{Kind: "clos", FabricGbps: 2e5}}, ErrBadTopology},
+		{"9 Gbit/s at 1s RTT fits the BDP", Config{Topology: Topology{LinkGbps: 9, RTT: time.Second}}, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
