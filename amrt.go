@@ -345,7 +345,7 @@ func (c Config) Validate() error {
 		}
 	}
 	if c.Shards < 0 || c.Shards > 256 {
-		return fmt.Errorf("%w: %d (want 1..256)", ErrBadShards, c.Shards)
+		return fmt.Errorf("%w: %d (want 0..256)", ErrBadShards, c.Shards)
 	}
 	b, err := c.Topology.builder()
 	if err != nil {

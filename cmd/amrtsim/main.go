@@ -129,6 +129,21 @@ func runMain(args []string, stdout, stderr io.Writer) int {
 		Leaves: *leaves, Spines: *spines, HostsPerLeaf: *hosts, LinkGbps: *gbps,
 	}
 	if *topoSpec != "" {
+		// The spec names the whole fabric; a leaf-spine flag beside it
+		// would be silently overwritten, so it is refused instead.
+		var clash string
+		fs.Visit(func(fl *flag.Flag) {
+			switch fl.Name {
+			case "leaves", "spines", "hostsPerLeaf", "gbps":
+				if clash == "" {
+					clash = fl.Name
+				}
+			}
+		})
+		if clash != "" {
+			fmt.Fprintf(stderr, "amrtsim: -%s cannot be combined with -topo (put it in the spec, see docs/TOPOLOGIES.md)\n", clash)
+			return 2
+		}
 		t, err := amrt.ParseTopology(*topoSpec)
 		if err != nil {
 			fmt.Fprintf(stderr, "amrtsim: invalid -topo: %v\n", err)

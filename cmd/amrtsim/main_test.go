@@ -61,6 +61,21 @@ func TestServeRefusesBadSpecs(t *testing.T) {
 	}
 }
 
+// TestTopoRejectsLeafSpineFlags: -topo names the whole fabric, so a
+// leaf-spine flag set beside it is one line and exit status 2 instead of
+// being silently ignored, whatever its value.
+func TestTopoRejectsLeafSpineFlags(t *testing.T) {
+	for _, fl := range []string{"-leaves=2", "-spines=0", "-hostsPerLeaf=8", "-gbps=25"} {
+		var stdout, stderr bytes.Buffer
+		name := strings.SplitN(fl, "=", 2)[0]
+		code := runMain([]string{"-topo", "fattree:k=4", fl, "-flows", "10"}, &stdout, &stderr)
+		want := "amrtsim: " + name + " cannot be combined with -topo (put it in the spec, see docs/TOPOLOGIES.md)\n"
+		if code != 2 || stdout.Len() > 0 || stderr.String() != want {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 2, no stdout, stderr %q", fl, code, stdout.String(), stderr.String(), want)
+		}
+	}
+}
+
 // TestCompareUnknownWorkloadIsOneLine: a mistyped -workload under
 // -compare is one line naming the workloads there are and exit status 1,
 // not a goroutine dump and no partial table.

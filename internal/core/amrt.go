@@ -100,7 +100,6 @@ func (c Config) NewMarker() netsim.DequeueMarker {
 type Protocol struct {
 	transport.Kernel
 	cfg       Config
-	senders   transport.FlowTable[sender]
 	receivers transport.FlowTable[receiver]
 
 	// GrantsSent and MarkedGrants count receiver-side grant traffic.
@@ -144,11 +143,6 @@ type recPacer struct {
 type recReq struct {
 	r   *receiver
 	seq int32
-}
-
-type sender struct {
-	f    *transport.Flow
-	next int32 // next unsent sequence number
 }
 
 type receiver struct {
@@ -195,7 +189,7 @@ func New(net *netsim.Network, cfg Config) *Protocol {
 	p := &Protocol{Kernel: transport.NewKernel(net, cfg.Config), cfg: cfg.withDefaults()}
 	p.Bind(transport.Hooks{
 		ToSender: p.onSenderPkt, ToReceiver: p.onReceiverPkt, Start: p.startFlow,
-		DropSender: p.dropSender, DropReceiver: p.dropRcvState, HostCrashed: p.hostCrashed,
+		DropReceiver: p.dropRcvState, HostCrashed: p.hostCrashed,
 	})
 	if m := cfg.Metrics; m != nil {
 		m.CounterFunc("amrt.grants_sent", func() int64 { return p.GrantsSent })
@@ -215,12 +209,10 @@ func New(net *netsim.Network, cfg Config) *Protocol {
 func (p *Protocol) Name() string { return "AMRT" }
 
 func (p *Protocol) startFlow(f *transport.Flow) {
-	s := &sender{f: f}
-	p.senders.Put(f.ID, s)
 	p.Announce(f)
 	// Blind first window (§6): start immediately rather than waiting a
 	// full RTT for grants; the tiny switch data cap bounds the damage.
-	s.next = p.SendBlind(f, netsim.PrioData)
+	p.SendBlind(f, netsim.PrioData)
 }
 
 // GrantAuthority returns the number of data packets the receivers'
@@ -234,8 +226,6 @@ func (p *Protocol) GrantAuthority() int64 {
 		p.MarkedGrants*int64(p.cfg.GrantBurst) +
 		p.RecoveryGrants
 }
-
-func (p *Protocol) dropSender(f *transport.Flow) { p.senders.Drop(f.ID) }
 
 // dropRcvState forgets flow f's receiver (timer cancelled,
 // grants-in-flight ledger rebalanced). No-op if no state exists.
@@ -267,16 +257,13 @@ func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
 	if pkt.Type != netsim.Grant {
 		return
 	}
-	s := p.senders.Get(pkt.Flow)
-	if s == nil || s.f.Unresponsive {
+	f := p.Sender(pkt.Flow)
+	if f == nil {
 		return
 	}
 	if pkt.Seq >= 0 {
 		// Recovery grant: (re)transmit the named packet.
-		s.f.Src.Send(p.NewData(s.f, pkt.Seq, netsim.PrioData))
-		if pkt.Seq >= s.next {
-			s.next = pkt.Seq + 1
-		}
+		f.Src.Send(p.ResendData(f, pkt.Seq, netsim.PrioData))
 		return
 	}
 	// Normal grant: a marked grant (ECN-Echo set) authorizes GrantBurst
@@ -286,9 +273,10 @@ func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
 	if pkt.Echo {
 		n = p.cfg.GrantBurst
 	}
-	for i := 0; i < n && s.next < s.f.NPkts; i++ {
-		s.f.Src.Send(p.NewData(s.f, s.next, netsim.PrioData))
-		s.next++
+	for ; n > 0; n-- {
+		if out := p.NextData(f, netsim.PrioData); out != nil {
+			f.Src.Send(out)
+		}
 	}
 }
 

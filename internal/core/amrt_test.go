@@ -357,7 +357,9 @@ func TestAddFlowValidation(t *testing.T) {
 // TestReceiverRecordEndsWithFlow: a receiver record — bitmaps, recovery
 // set, timer — is dropped when its flow completes, and what arrives
 // afterwards (a duplicate data packet, a late RTS) finds the flow Done:
-// no record is rebuilt, nothing is sent, nothing is scheduled.
+// no record is rebuilt, nothing is sent, nothing is scheduled. The
+// sender side does not end with the flow: a late recovery grant for a
+// completed flow still retransmits.
 func TestReceiverRecordEndsWithFlow(t *testing.T) {
 	s, p, _ := newFan(8)
 	var flows []*transport.Flow
@@ -376,8 +378,10 @@ func TestReceiverRecordEndsWithFlow(t *testing.T) {
 	if p.receivers.Len() != 0 {
 		t.Fatalf("%d receiver records outlive their flows", p.receivers.Len())
 	}
-	if p.senders.Len() != len(flows) {
-		t.Errorf("%d sender records, want all %d kept (a late recovery grant still retransmits)", p.senders.Len(), len(flows))
+	for _, f := range flows {
+		if p.Sender(f.ID) != f {
+			t.Errorf("%v: sender lookup nil after completion, want it kept (a late recovery grant still retransmits)", f)
+		}
 	}
 	f := flows[3]
 	events, injected, grants, recov := s.Net.Engine.Executed, s.Net.Injected(), p.GrantsSent, p.RecoveryGrants
@@ -393,5 +397,40 @@ func TestReceiverRecordEndsWithFlow(t *testing.T) {
 	}
 	if s.Net.Engine.Executed != events {
 		t.Errorf("late packets scheduled %d events", s.Net.Engine.Executed-events)
+	}
+	built := p.DataPktsBuilt
+	f.Src.Receive(p.NewCtrl(netsim.Grant, f, 3, true))
+	s.Net.Run(sim.Forever)
+	if s.Net.Injected() != injected+1 || p.DataPktsBuilt != built+1 || p.GrantsSent != grants {
+		t.Errorf("a late recovery grant: injected %d→%d, data built %d→%d, grants %d→%d; want one retransmission, unanswered",
+			injected, s.Net.Injected(), built, p.DataPktsBuilt, grants, p.GrantsSent)
+	}
+}
+
+// TestStartAllocs: once warm, a flow's start — its announce and its
+// blind window — allocates nothing: the send cursor lives on the flow,
+// so there is no sender record to build. The flows are registered on
+// the sender side only, so the destination answers nothing and builds
+// no receiver record either.
+func TestStartAllocs(t *testing.T) {
+	s, p, _ := newFan(1)
+	const runs = 100
+	var flows []*transport.Flow
+	for id := netsim.FlowID(1); id <= runs+1; id++ { // AllocsPerRun warms up with one more
+		flows = append(flows, p.AddPending(id, s.Senders[0], s.Receivers[0], 100_000, false))
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		p.Release(flows[next], p.Now())
+		next++
+		s.Net.Run(p.Now() + 10*p.Cfg.RTT)
+	})
+	if allocs != 0 {
+		t.Errorf("a flow's start: %.1f allocs, want 0", allocs)
+	}
+	for _, f := range flows {
+		if !f.SenderStarted || f.SendNext != p.BlindPkts(f) {
+			t.Fatalf("%v: started %v, cursor %d; want started past its %d-packet blind window", f, f.SenderStarted, f.SendNext, p.BlindPkts(f))
+		}
 	}
 }

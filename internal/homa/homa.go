@@ -62,7 +62,6 @@ func (c Config) HostQueue() netsim.Queue { return netsim.NewPriority(1024) }
 type Protocol struct {
 	transport.Kernel
 	cfg       Config
-	senders   transport.FlowTable[sender]
 	receivers transport.FlowTable[rcvFlow]
 	byHost    transport.HostTable[hostFlows]
 	// active is regrant's scratch slice. regrant runs on every data
@@ -85,11 +84,6 @@ type Protocol struct {
 // hostFlows is one receiving host's scheduler list: its unfinished
 // messages, in arrival order.
 type hostFlows struct{ flows []*rcvFlow }
-
-type sender struct {
-	f    *transport.Flow
-	next int32
-}
 
 type rcvFlow struct {
 	p            *Protocol // for HandleEvent: the record is its own timeout event
@@ -116,7 +110,7 @@ func New(net *netsim.Network, cfg Config) *Protocol {
 	p := &Protocol{Kernel: transport.NewKernel(net, cfg.Config), cfg: cfg.withDefaults()}
 	p.Bind(transport.Hooks{
 		ToSender: p.onSenderPkt, ToReceiver: p.onReceiverPkt, Start: p.startFlow,
-		DropSender: p.dropSender, DropReceiver: p.dropRcvState, HostCrashed: p.hostCrashed,
+		DropReceiver: p.dropRcvState, HostCrashed: p.hostCrashed,
 	})
 	if m := cfg.Metrics; m != nil {
 		m.CounterFunc("homa.grants_sent", func() int64 { return p.GrantsSent })
@@ -134,11 +128,9 @@ func (p *Protocol) Name() string { return "Homa" }
 func (p *Protocol) Degree() int { return p.cfg.Degree }
 
 func (p *Protocol) startFlow(f *transport.Flow) {
-	s := &sender{f: f}
-	p.senders.Put(f.ID, s)
 	p.Announce(f)
 	// Unscheduled window at high priority.
-	s.next = p.SendBlind(f, netsim.PrioHigh)
+	p.SendBlind(f, netsim.PrioHigh)
 }
 
 // GrantAuthority returns the data packets authorized so far: the
@@ -148,8 +140,6 @@ func (p *Protocol) startFlow(f *transport.Flow) {
 func (p *Protocol) GrantAuthority() int64 {
 	return p.UnsolicitedPkts + p.GrantedPkts + p.ResendGrants
 }
-
-func (p *Protocol) dropSender(f *transport.Flow) { p.senders.Drop(f.ID) }
 
 // dropRcvState forgets flow f's receiver state (timer cancelled,
 // per-host scheduler list pruned) and notes the host for hostCrashed.
@@ -186,22 +176,20 @@ func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
 	if pkt.Type != netsim.Grant {
 		return
 	}
-	s := p.senders.Get(pkt.Flow)
-	if s == nil || s.f.Unresponsive {
+	f := p.Sender(pkt.Flow)
+	if f == nil {
 		return
 	}
 	if pkt.Seq >= 0 {
 		// Resend request for a specific packet (scheduled priority).
-		s.f.Src.Send(p.NewData(s.f, pkt.Seq, netsim.PrioData))
-		if pkt.Seq >= s.next {
-			s.next = pkt.Seq + 1
-		}
+		f.Src.Send(p.ResendData(f, pkt.Seq, netsim.PrioData))
 		return
 	}
 	// Window grant: Count packets, sent as a burst at scheduled priority.
-	for i := int16(0); i < pkt.Count && s.next < s.f.NPkts; i++ {
-		s.f.Src.Send(p.NewData(s.f, s.next, netsim.PrioData))
-		s.next++
+	for n := pkt.Count; n > 0; n-- {
+		if out := p.NextData(f, netsim.PrioData); out != nil {
+			f.Src.Send(out)
+		}
 	}
 }
 

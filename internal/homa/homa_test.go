@@ -222,3 +222,31 @@ func TestFinishedRecordStillAnswersRTS(t *testing.T) {
 	}
 	p.Shard().ReleasePacket(rts)
 }
+
+// TestStartAllocs: once warm, a flow's start — its announce and its
+// blind window — allocates nothing: the send cursor lives on the flow,
+// so there is no sender record to build. The flows are registered on
+// the sender side only, so the destination answers nothing and builds
+// no receiver record either.
+func TestStartAllocs(t *testing.T) {
+	s, p := newFan(1, 2)
+	const runs = 100
+	var flows []*transport.Flow
+	for id := netsim.FlowID(1); id <= runs+1; id++ { // AllocsPerRun warms up with one more
+		flows = append(flows, p.AddPending(id, s.Senders[0], s.Receivers[0], 100_000, false))
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		p.Release(flows[next], p.Now())
+		next++
+		s.Net.Run(p.Now() + 10*p.Cfg.RTT)
+	})
+	if allocs != 0 {
+		t.Errorf("a flow's start: %.1f allocs, want 0", allocs)
+	}
+	for _, f := range flows {
+		if !f.SenderStarted || f.SendNext != p.BlindPkts(f) {
+			t.Fatalf("%v: started %v, cursor %d; want started past its %d-packet blind window", f, f.SenderStarted, f.SendNext, p.BlindPkts(f))
+		}
+	}
+}

@@ -54,9 +54,11 @@ func (c Config) HostQueue() netsim.Queue { return netsim.NewPriority(2048) }
 type Protocol struct {
 	transport.Kernel
 	cfg       Config
-	senders   transport.FlowTable[sender]
 	receivers transport.FlowTable[rcvFlow]
 	pullers   transport.HostTable[puller]
+	// rtx holds a sender's NACKed sequences awaiting a pull, built on the
+	// flow's first NACK; the send cursor itself lives on the flow.
+	rtx transport.FlowTable[transport.FIFO[int32]]
 
 	// PullsSent and NacksSent count receiver control traffic; Trims is
 	// maintained by the switch queues (sum over ports if needed).
@@ -65,12 +67,6 @@ type Protocol struct {
 	// PullsReplenished counts timeout-driven pull reissues for the
 	// unsent tail (lost-pull recovery).
 	PullsReplenished int64
-}
-
-type sender struct {
-	f    *transport.Flow
-	next int32
-	rtx  transport.FIFO[int32] // NACKed sequences awaiting a pull
 }
 
 type rcvFlow struct {
@@ -97,7 +93,7 @@ func New(net *netsim.Network, cfg Config) *Protocol {
 	p := &Protocol{Kernel: transport.NewKernel(net, cfg.Config), cfg: cfg.withDefaults()}
 	p.Bind(transport.Hooks{
 		ToSender: p.onSenderPkt, ToReceiver: p.onReceiverPkt, Start: p.startFlow,
-		DropSender: p.dropSender, DropReceiver: p.dropRcvState, HostCrashed: p.hostCrashed,
+		DropReceiver: p.dropRcvState, HostCrashed: p.hostCrashed,
 	})
 	if m := cfg.Metrics; m != nil {
 		m.CounterFunc("ndp.pulls_sent", func() int64 { return p.PullsSent })
@@ -112,10 +108,8 @@ func New(net *netsim.Network, cfg Config) *Protocol {
 func (p *Protocol) Name() string { return "NDP" }
 
 func (p *Protocol) startFlow(f *transport.Flow) {
-	s := &sender{f: f}
-	p.senders.Put(f.ID, s)
 	p.Announce(f)
-	s.next = p.SendBlind(f, netsim.PrioData)
+	p.SendBlind(f, netsim.PrioData)
 }
 
 // GrantAuthority returns the data packets authorized so far: the blind
@@ -125,9 +119,6 @@ func (p *Protocol) startFlow(f *transport.Flow) {
 func (p *Protocol) GrantAuthority() int64 {
 	return p.UnsolicitedPkts + p.PullsSent
 }
-
-// dropSender forgets f's send cursor and retransmit queue.
-func (p *Protocol) dropSender(f *transport.Flow) { p.senders.Drop(f.ID) }
 
 // hostCrashed empties the crashed host's pull pacer queue (flow refs,
 // no packets): emitPull skips Done flows, but stale entries for crashed
@@ -147,24 +138,28 @@ func (p *Protocol) dropRcvState(f *transport.Flow) {
 }
 
 func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
-	s := p.senders.Get(pkt.Flow)
-	if s == nil || s.f.Unresponsive {
+	f := p.Sender(pkt.Flow)
+	if f == nil {
 		return
 	}
 	switch pkt.Type {
 	case netsim.Nack:
 		// The named packet was trimmed: queue it for retransmission on
 		// the next pull.
-		s.rtx.Push(pkt.Seq)
+		q := p.rtx.Get(f.ID)
+		if q == nil {
+			q = new(transport.FIFO[int32])
+			p.rtx.Put(f.ID, q)
+		}
+		q.Push(pkt.Seq)
 	case netsim.Pull:
 		// One pull, one packet: retransmissions first, then new data.
-		if s.rtx.Len() > 0 {
-			s.f.Src.Send(p.NewData(s.f, s.rtx.Pop(), netsim.PrioData))
+		if q := p.rtx.Get(f.ID); q != nil && q.Len() > 0 {
+			f.Src.Send(p.ResendData(f, q.Pop(), netsim.PrioData))
 			return
 		}
-		if s.next < s.f.NPkts {
-			s.f.Src.Send(p.NewData(s.f, s.next, netsim.PrioData))
-			s.next++
+		if out := p.NextData(f, netsim.PrioData); out != nil {
+			f.Src.Send(out)
 			return
 		}
 		// Surplus pull with nothing left unsent: echo the send cursor as
@@ -176,8 +171,8 @@ func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
 		// cursor — and, if the echoed sequence itself is missing, draws
 		// an immediate NACK — so the next round retransmits the real
 		// holes.
-		if s.next > 0 {
-			s.f.Src.Send(p.NewCtrl(netsim.Header, s.f, s.next-1, false))
+		if f.SendNext > 0 {
+			f.Src.Send(p.NewCtrl(netsim.Header, f, f.SendNext-1, false))
 		}
 	}
 }

@@ -123,8 +123,8 @@ type pacerState struct {
 func New(net *netsim.Network, cfg Config) *Protocol {
 	p := &Protocol{Kernel: transport.NewKernel(net, cfg.Config), cfg: cfg.withDefaults()}
 	p.expiries = expiryQueue{eng: p.Engine(), expire: p.expire}
-	// No DropSender: pHost senders are stateless (every token names its
-	// sequence).
+	// The sender side is stateless: every token names its sequence, so
+	// no handler reads the send cursor.
 	p.Bind(transport.Hooks{
 		ToSender: p.onSenderPkt, ToReceiver: p.onReceiverPkt, Start: p.startFlow,
 		DropReceiver: p.dropRcvState, HostCrashed: p.hostCrashed,

@@ -96,7 +96,6 @@ func (c Config) HostQueue() netsim.Queue { return netsim.NewPriority(1024) }
 type Protocol struct {
 	transport.Kernel
 	cfg       Config
-	senders   transport.FlowTable[sender]
 	receivers transport.FlowTable[rcvFlow]
 	pools     transport.HostTable[poolState]
 
@@ -112,19 +111,15 @@ type Protocol struct {
 	PoolReclaims int64
 }
 
-type sender struct {
-	f    *transport.Flow
-	next int32
-}
-
 // demand returns the sender's current backlog advertisement: bytes of
-// the flow not yet handed to the NIC. Resends do not change it — the
-// backlog is about first transmissions.
-func (s *sender) demand(mss int) int64 {
-	if s.next >= s.f.NPkts {
+// the flow not yet handed to the NIC, Size − SendNext×MSS. A resend
+// moves the cursor only when it names a packet never sent — the backlog
+// is about first transmissions.
+func demand(f *transport.Flow, mss int) int64 {
+	if f.SendNext >= f.NPkts {
 		return 0
 	}
-	return s.f.Size - int64(s.next)*int64(mss)
+	return f.Size - int64(f.SendNext)*int64(mss)
 }
 
 type rcvFlow struct {
@@ -219,7 +214,7 @@ func New(net *netsim.Network, cfg Config) *Protocol {
 	// dropRcvState returns each member's charge.
 	p.Bind(transport.Hooks{
 		ToSender: p.onSenderPkt, ToReceiver: p.onReceiverPkt, Start: p.startFlow,
-		StampRTS: p.stampRTS, DropSender: p.dropSender, DropReceiver: p.dropRcvState,
+		StampRTS: p.stampRTS, DropReceiver: p.dropRcvState,
 	})
 	if m := cfg.Metrics; m != nil {
 		m.CounterFunc("sird.grants_sent", func() int64 { return p.GrantsSent })
@@ -234,17 +229,16 @@ func New(net *netsim.Network, cfg Config) *Protocol {
 func (p *Protocol) Name() string { return "SIRD" }
 
 func (p *Protocol) startFlow(f *transport.Flow) {
-	s := &sender{f: f}
-	p.senders.Put(f.ID, s)
 	p.Announce(f) // stamped with the full size: nothing handed to the NIC yet
 	if f.Unresponsive {
 		return
 	}
-	// Unscheduled window at high priority, demand piggybacked.
+	// Kernel.SendBlind at high priority, demand piggybacked: stamped before
+	// the cursor passes the packet (a granted one after it).
 	blind := p.BlindPkts(f)
-	for ; s.next < blind; s.next++ {
-		pkt := p.NewData(f, s.next, netsim.PrioHigh)
-		pkt.Demand = s.demand(p.Cfg.MSS)
+	for ; f.SendNext < blind; f.SendNext++ {
+		pkt := p.NewData(f, f.SendNext, netsim.PrioHigh)
+		pkt.Demand = demand(f, p.Cfg.MSS)
 		f.Src.Send(pkt)
 	}
 	p.UnsolicitedPkts += int64(blind)
@@ -282,14 +276,12 @@ func (p *Protocol) CreditLedger() (outstanding, bound int64) {
 }
 
 // stampRTS advertises the sender's backlog on every RTS, first and
-// re-announced alike (the sender record outlives the announce chain).
+// re-announced alike (the cursor outlives the announce chain).
 // An unresponsive sender keeps advertising its full size, drawing a few
 // grants' worth of pool credit that the timeout path then reclaims.
 func (p *Protocol) stampRTS(f *transport.Flow, rts *netsim.Packet) {
-	rts.Demand = p.senders.Get(f.ID).demand(p.Cfg.MSS)
+	rts.Demand = demand(f, p.Cfg.MSS)
 }
-
-func (p *Protocol) dropSender(f *transport.Flow) { p.senders.Drop(f.ID) }
 
 // dropRcvState forgets flow f's receiver state: timer cancelled, pool
 // membership pruned, charged credit returned. No-op if no state exists.
@@ -315,26 +307,23 @@ func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
 	if pkt.Type != netsim.Grant {
 		return
 	}
-	s := p.senders.Get(pkt.Flow)
-	if s == nil || s.f.Unresponsive {
+	f := p.Sender(pkt.Flow)
+	if f == nil {
 		return
 	}
 	if pkt.Seq >= 0 {
 		// Resend request for a specific packet (scheduled priority).
-		if pkt.Seq >= s.next {
-			s.next = pkt.Seq + 1
-		}
-		out := p.NewData(s.f, pkt.Seq, netsim.PrioData)
-		out.Demand = s.demand(p.Cfg.MSS)
-		s.f.Src.Send(out)
+		out := p.ResendData(f, pkt.Seq, netsim.PrioData)
+		out.Demand = demand(f, p.Cfg.MSS)
+		f.Src.Send(out)
 		return
 	}
-	// Pool grant: Count packets from next, scheduled priority.
-	for i := int16(0); i < pkt.Count && s.next < s.f.NPkts; i++ {
-		out := p.NewData(s.f, s.next, netsim.PrioData)
-		s.next++
-		out.Demand = s.demand(p.Cfg.MSS)
-		s.f.Src.Send(out)
+	// Pool grant: Count packets from the cursor, scheduled priority.
+	for n := pkt.Count; n > 0; n-- {
+		if out := p.NextData(f, netsim.PrioData); out != nil {
+			out.Demand = demand(f, p.Cfg.MSS)
+			f.Src.Send(out)
+		}
 	}
 }
 

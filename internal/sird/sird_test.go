@@ -67,7 +67,8 @@ func TestPoolBoundHoldsAcrossIncast(t *testing.T) {
 }
 
 // rtsTap records, on a sender's NIC, the demand each departing RTS
-// carries beside the sender's actual backlog at that instant.
+// carries beside the sender's actual backlog at that instant, read off
+// the flow's send cursor.
 type rtsTap struct {
 	p             *Protocol
 	carried, owed []int64
@@ -76,7 +77,8 @@ type rtsTap struct {
 func (tap *rtsTap) OnDequeue(_ *netsim.Port, pkt *netsim.Packet, _ sim.Time) {
 	if pkt.Type == netsim.RTS {
 		tap.carried = append(tap.carried, pkt.Demand)
-		tap.owed = append(tap.owed, tap.p.senders.Get(pkt.Flow).demand(tap.p.Cfg.MSS))
+		f := tap.p.Flow(pkt.Flow)
+		tap.owed = append(tap.owed, f.Size-int64(f.SendNext)*int64(tap.p.Cfg.MSS))
 	}
 }
 
@@ -168,7 +170,7 @@ func TestSenderCrashReturnsCredit(t *testing.T) {
 	if out, _ := p.CreditLedger(); out != survivors {
 		t.Errorf("outstanding credit %d after the crash, want the survivors' %d", out, survivors)
 	}
-	if slices.Contains(ps.flows, doomed) || p.receivers.Get(flows[0].ID) != nil || p.senders.Get(flows[0].ID) != nil {
+	if slices.Contains(ps.flows, doomed) || p.receivers.Get(flows[0].ID) != nil || p.Sender(flows[0].ID) != nil {
 		t.Error("crashed sender's flow still has pool membership, receiver or sender state")
 	}
 	if flows[0].Outcome != transport.OutcomeKilledByCrash {
@@ -201,5 +203,33 @@ func TestFinishedRecordStillAnswersRTS(t *testing.T) {
 	s.Net.Run(sim.Forever)
 	if got := s.Net.Engine.Executed - events; got != 1 {
 		t.Errorf("a late RTS on a finished flow scheduled %d events, want the pacer's 1", got)
+	}
+}
+
+// TestStartAllocs: once warm, a flow's start — its announce and its
+// blind window — allocates nothing: the send cursor lives on the flow,
+// so there is no sender record to build. The flows are registered on
+// the sender side only, so the destination answers nothing and builds
+// no receiver record either.
+func TestStartAllocs(t *testing.T) {
+	s, p := newFan(1)
+	const runs = 100
+	var flows []*transport.Flow
+	for id := netsim.FlowID(1); id <= runs+1; id++ { // AllocsPerRun warms up with one more
+		flows = append(flows, p.AddPending(id, s.Senders[0], s.Receivers[0], 100_000, false))
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		p.Release(flows[next], p.Now())
+		next++
+		s.Net.Run(p.Now() + 10*p.Cfg.RTT)
+	})
+	if allocs != 0 {
+		t.Errorf("a flow's start: %.1f allocs, want 0", allocs)
+	}
+	for _, f := range flows {
+		if !f.SenderStarted || f.SendNext != p.BlindPkts(f) {
+			t.Fatalf("%v: started %v, cursor %d; want started past its %d-packet blind window", f, f.SenderStarted, f.SendNext, p.BlindPkts(f))
+		}
 	}
 }

@@ -74,7 +74,8 @@ type Flow struct {
 	// Ownership: ID/Src/Dst/Size/NPkts/Unresponsive are immutable after
 	// setup. The home (receiver) shard owns Done, End, Outcome,
 	// LastProgress, Released, and — for dependent flows — Start. The
-	// source shard owns SenderStarted, SenderHeard, and SenderDone.
+	// source shard owns SenderStarted, SendNext, SenderHeard, SenderDone
+	// and SenderDead.
 	// Single-shard runs collapse both sides onto one engine and nothing
 	// changes.
 
@@ -93,6 +94,9 @@ type Flow struct {
 	// re-announce (the pending start event will do it), and triggering
 	// one early would move the flow's effective start.
 	SenderStarted bool
+	// SendNext is the send cursor, the next sequence never yet sent: the
+	// one sender record every stack but DCTCP shares (Kernel.Sender).
+	SendNext int32
 	// SenderHeard is set on the source shard when any receiver-to-sender
 	// control packet (grant, token, pull, ack) reaches the sender — the
 	// sender-local proof that its announcement got through, which stops
@@ -104,6 +108,9 @@ type Flow struct {
 	// stops re-announcement, covering flows so short they finish inside
 	// the blind window without a single grant.
 	SenderDone bool
+	// SenderDead is set by the crash pass when the source dies before
+	// SenderDone: the cursor died with it, and Kernel.Sender answers nil.
+	SenderDead bool
 }
 
 // FCT returns the flow completion time (valid once Done).

@@ -120,8 +120,8 @@ func (k *Kernel) Shard() *netsim.Shard { return k.shard }
 func (k *Kernel) OwnsReceiver(f *Flow) bool { return k.shard.Owns(f.Dst) }
 
 // OwnsSender reports whether this kernel's shard owns the flow's
-// sender-side state — the shard that may write SenderHeard and
-// SenderDone and drive the RTS re-announce chain.
+// sender-side state — the shard that may write SendNext and the
+// Sender* flags and drive the RTS re-announce chain.
 func (k *Kernel) OwnsSender(f *Flow) bool { return k.shard.Owns(f.Src) }
 
 // Now returns the current virtual time on the kernel's shard.
@@ -231,18 +231,48 @@ func (k *Kernel) BlindPkts(f *Flow) int32 {
 }
 
 // SendBlind sends f's unsolicited first window at priority prio, counts
-// it against the grant budget, and returns its length — the sender's
-// next unsent sequence. An unresponsive sender's window is empty.
-func (k *Kernel) SendBlind(f *Flow, prio uint8) int32 {
+// it against the grant budget, and moves the send cursor past it. An
+// unresponsive sender's window is empty.
+func (k *Kernel) SendBlind(f *Flow, prio uint8) {
 	if f.Unresponsive {
-		return 0
+		return
 	}
 	blind := k.BlindPkts(f)
-	for seq := int32(0); seq < blind; seq++ {
-		f.Src.Send(k.NewData(f, seq, prio))
+	for ; f.SendNext < blind; f.SendNext++ {
+		f.Src.Send(k.NewData(f, f.SendNext, prio))
 	}
 	k.UnsolicitedPkts += int64(blind)
-	return blind
+}
+
+// Sender is the lookup every stack's sender handler starts with: flow
+// id if this kernel owns its sender and that sender has started, is
+// responsive and has not crashed (SenderDead); otherwise nil.
+func (k *Kernel) Sender(id netsim.FlowID) *Flow {
+	f := k.flows.Get(id)
+	if f == nil || !k.OwnsSender(f) || !f.SenderStarted || f.Unresponsive || f.SenderDead {
+		return nil
+	}
+	return f
+}
+
+// ResendData builds data packet seq of f for a resend request and moves
+// the send cursor past seq if it was not there yet (a lost grant may
+// leave a named packet unsent): new data resumes after it.
+func (k *Kernel) ResendData(f *Flow, seq int32, prio uint8) *netsim.Packet {
+	if seq >= f.SendNext {
+		f.SendNext = seq + 1
+	}
+	return k.NewData(f, seq, prio)
+}
+
+// NextData builds f's next never-sent data packet and advances the send
+// cursor, or returns nil once all NPkts have been sent.
+func (k *Kernel) NextData(f *Flow, prio uint8) *netsim.Packet {
+	if f.SendNext >= f.NPkts {
+		return nil
+	}
+	f.SendNext++
+	return k.NewData(f, f.SendNext-1, prio)
 }
 
 // NewData builds data packet seq of flow f. CE starts true: the

@@ -7,24 +7,23 @@ import (
 
 // Hooks is what a stack plugs into the kernel's flow lifecycle, bound
 // once in its constructor (Kernel.Bind). The kernel owns registration,
-// the start event, the RTS announce chain and the host-crash pass; a
-// stack owns its sender and receiver records, its packet handlers and
-// its scheduling. Nothing here runs per packet: install hands the two
-// packet handlers to the host dispatcher as they are.
+// the start event, the RTS announce chain, the send cursor
+// (Flow.SendNext, found through Sender) and the host-crash pass; a stack
+// owns its receiver records, its packet handlers and its scheduling.
+// Nothing here runs per packet: install hands the two packet handlers to
+// the host dispatcher as they are.
 type Hooks struct {
 	// ToSender and ToReceiver are the stack's packet handlers.
 	ToSender, ToReceiver func(pkt *netsim.Packet)
 	// Start runs on the source shard when the flow's start event fires:
-	// create the sender record, call Kernel.Announce, send the
-	// unsolicited window.
+	// call Kernel.Announce, send the unsolicited window.
 	Start func(f *Flow)
 	// StampRTS, if non-nil, decorates every RTS — first and re-announced
 	// — before it is sent (SIRD's demand advertisement).
 	StampRTS func(f *Flow, rts *netsim.Packet)
-	// DropSender, if non-nil, forgets f's sender record (its source
-	// crashed). DropReceiver forgets f's receiver record, cancelling its
-	// timers; it must be a no-op when no record exists.
-	DropSender, DropReceiver func(f *Flow)
+	// DropReceiver forgets f's receiver record, cancelling its timers;
+	// it must be a no-op when no record exists.
+	DropReceiver func(f *Flow)
 	// HostCrashed, if non-nil, runs once after the per-flow crash pass
 	// for per-host state: pacer queues, banked credits, freed slots.
 	HostCrashed func(h *netsim.Host)
@@ -216,11 +215,9 @@ func (k *Kernel) OnHostCrash(h *netsim.Host) {
 				k.Abort(f)
 			}
 			if k.OwnsSender(f) && !f.SenderDone {
-				if k.hooks.DropSender != nil {
-					k.hooks.DropSender(f)
-				}
-				// The flow can never finish; stop the announce chain.
-				f.SenderDone = true
+				// The cursor died with the host (Sender answers nil), and
+				// the flow can never finish: stop the announce chain.
+				f.SenderDead, f.SenderDone = true, true
 			}
 		case f.Dst:
 			if k.OwnsReceiver(f) && !f.Done {

@@ -33,7 +33,6 @@ func newFakeStack(n *netsim.Network, sh *netsim.Shard, log *[]string) *fakeStack
 			s.SendBlind(f, netsim.PrioData)
 		},
 		StampRTS:     func(f *Flow, rts *netsim.Packet) { s.rtsAt = append(s.rtsAt, s.Now()) },
-		DropSender:   func(f *Flow) { s.note("drop-sender flow %d", f.ID) },
 		DropReceiver: func(f *Flow) { s.note("drop-receiver flow %d", f.ID) },
 		HostCrashed:  func(h *netsim.Host) { s.note("host-crashed %s", h.Name()) },
 	})
@@ -148,7 +147,9 @@ func countSuffix(log []string, suffix string) (n int) {
 
 // TestCrashPassOwnershipMatrix splits two hosts over two shards, one
 // instance each, and crashes a: every flow half is dropped by exactly
-// the instance owning it, and each instance hears HostCrashed once.
+// the instance owning it, and each instance hears HostCrashed once. The
+// outgoing flow's sender is dead; the completed one's stays live (the
+// crash pass marks only a sender the completion signal has not reached).
 func TestCrashPassOwnershipMatrix(t *testing.T) {
 	n, a, b := newLifecycleNet()
 	n.Partition(2, func(node netsim.Node) int {
@@ -178,7 +179,7 @@ func TestCrashPassOwnershipMatrix(t *testing.T) {
 	sa.OnHostCrash(a)
 	sb.OnHostCrash(a)
 
-	wantA := []string{"0 drop-sender flow 1", "0 drop-receiver flow 2", "0 host-crashed a"}
+	wantA := []string{"0 drop-receiver flow 2", "0 host-crashed a"}
 	wantB := []string{"0 drop-receiver flow 1", "0 host-crashed a"}
 	if !slices.Equal(logA, wantA) {
 		t.Errorf("instance owning a: %q, want %q", logA, wantA)
@@ -186,18 +187,99 @@ func TestCrashPassOwnershipMatrix(t *testing.T) {
 	if !slices.Equal(logB, wantB) {
 		t.Errorf("instance owning b: %q, want %q", logB, wantB)
 	}
-	if !out.Done || out.Outcome != OutcomeKilledByCrash || !out.SenderDone {
-		t.Errorf("outgoing flow: done=%v outcome=%v senderDone=%v, want killed on both sides", out.Done, out.Outcome, out.SenderDone)
+	if !out.Done || out.Outcome != OutcomeKilledByCrash || !out.SenderDone || !out.SenderDead || sa.Sender(out.ID) != nil {
+		t.Errorf("outgoing flow: done=%v outcome=%v senderDone=%v senderDead=%v, want killed on both sides", out.Done, out.Outcome, out.SenderDone, out.SenderDead)
 	}
-	if in.Done || in.SenderDone || in.SenderHeard {
-		t.Errorf("incoming flow: done=%v senderDone=%v heard=%v, want alive and re-announcing", in.Done, in.SenderDone, in.SenderHeard)
+	if in.Done || in.SenderDone || in.SenderHeard || in.SenderDead || sb.Sender(in.ID) != in {
+		t.Errorf("incoming flow: done=%v senderDone=%v heard=%v senderDead=%v, want alive and re-announcing", in.Done, in.SenderDone, in.SenderHeard, in.SenderDead)
 	}
-	if over.Outcome != OutcomeCompleted {
-		t.Errorf("completed flow's outcome rewritten to %v", over.Outcome)
+	if over.Outcome != OutcomeCompleted || over.SenderDead || sa.Sender(over.ID) != over {
+		t.Errorf("completed flow: outcome %v, senderDead=%v; want completed and its sender still answering", over.Outcome, over.SenderDead)
+	}
+	if sb.Sender(out.ID) != nil || sa.Sender(in.ID) != nil {
+		t.Error("a sender found through the instance that does not own it")
 	}
 	// Only the sender-side instance of the incoming flow armed a chain.
 	if pa, pb := sa.Engine().Pending(), sb.Engine().Pending(); pa != 0 || pb != 1 {
 		t.Errorf("pending events a=%d b=%d, want 0 and 1 (the re-armed chain)", pa, pb)
+	}
+}
+
+// TestSendCursor pins the sender side every grant handler shares: the
+// blind window sets the cursor, a resend past it advances it and one
+// below it does not, new sends stop at NPkts, and the Sender lookup
+// answers only for a started, responsive sender its source's crash did
+// not kill. Steps: a sequence ≥ 0 is ResendData of it, -1 is NextData;
+// built lists each step's packet sequence, -1 for none.
+func TestSendCursor(t *testing.T) {
+	const newData = -1
+	cases := []struct {
+		name         string
+		pkts         int64 // flow length in MSS packets; the blind window is 2
+		late, mute   bool  // start after the steps; unresponsive
+		crash, after bool  // crash the source before the steps; after SenderDone
+		steps, built []int32
+		next         int32
+		found        bool
+	}{
+		{name: "blind window sets it", pkts: 10, next: 2, found: true},
+		{name: "blind window capped at the flow", pkts: 1, next: 1, found: true},
+		{name: "resend past it advances it", pkts: 10, steps: []int32{5}, built: []int32{5}, next: 6, found: true},
+		{name: "resend at it advances it", pkts: 10, steps: []int32{2}, built: []int32{2}, next: 3, found: true},
+		{name: "resend below it does not", pkts: 10, steps: []int32{1, 0}, built: []int32{1, 0}, next: 2, found: true},
+		{name: "new data resumes past a resend", pkts: 10, steps: []int32{5, newData}, built: []int32{5, 6}, next: 7, found: true},
+		{name: "new sends stop at NPkts", pkts: 4, steps: []int32{newData, newData, newData}, built: []int32{2, 3, -1}, next: 4, found: true},
+		{name: "unstarted", pkts: 10, late: true},
+		{name: "unresponsive", pkts: 10, mute: true},
+		{name: "crashed", pkts: 10, crash: true, next: 2},
+		{name: "crashed after completion", pkts: 10, crash: true, after: true, next: 2, found: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n, a, b := newLifecycleNet()
+			var log []string
+			s := newFakeStack(n, nil, &log)
+			start := sim.Time(0)
+			if tc.late {
+				start = testRTT
+			}
+			f := s.AddFlow(1, a, b, tc.pkts*int64(s.Cfg.MSS), start)
+			f.Unresponsive = tc.mute
+			n.Engine.Run(0)
+			if tc.crash {
+				f.SenderDone = tc.after
+				s.OnHostCrash(a)
+			}
+			var built []int32
+			for _, step := range tc.steps {
+				var pkt *netsim.Packet
+				if step == newData {
+					pkt = s.NextData(f, netsim.PrioData)
+				} else {
+					pkt = s.ResendData(f, step, netsim.PrioData)
+				}
+				seq := int32(-1)
+				if pkt != nil {
+					seq = pkt.Seq
+				}
+				built = append(built, seq)
+			}
+			if !slices.Equal(built, tc.built) || f.SendNext != tc.next {
+				t.Errorf("built %v, cursor %d; want %v, %d", built, f.SendNext, tc.built, tc.next)
+			}
+			var want *Flow
+			if tc.found {
+				want = f
+			}
+			if got := s.Sender(f.ID); got != want {
+				t.Errorf("Sender = %v, want %v", got, want)
+			}
+		})
+	}
+	var log []string
+	n, _, _ := newLifecycleNet()
+	if s := newFakeStack(n, nil, &log); s.Sender(1) != nil || s.Sender(-1) != nil {
+		t.Error("Sender found a flow the kernel does not know")
 	}
 }
 

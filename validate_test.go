@@ -3,6 +3,7 @@ package amrt
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -67,6 +68,23 @@ func TestValidateErrorTable(t *testing.T) {
 				t.Fatalf("Validate() = %v, want errors.Is(err, %v)", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestValidateShardsText: the range an out-of-range shard count is told
+// is the range Validate accepts, 0 (one engine) included.
+func TestValidateShardsText(t *testing.T) {
+	for _, shards := range []int{0, 1, 256} {
+		if err := (Config{Shards: shards}).Validate(); err != nil {
+			t.Errorf("Shards %d: %v, want accepted", shards, err)
+		}
+	}
+	for _, shards := range []int{-1, 257} {
+		err := (Config{Shards: shards}).Validate()
+		want := fmt.Sprintf("bad shard count: %d (want 0..256)", shards)
+		if !errors.Is(err, ErrBadShards) || err.Error() != want {
+			t.Errorf("Shards %d: %v, want %q", shards, err, want)
+		}
 	}
 }
 
