@@ -399,8 +399,10 @@ type Result struct {
 	// downlinks that carried flows.
 	Utilization float64
 
-	// Drops counts packets lost in switch queues; Trims counts NDP
-	// payload trims.
+	// Drops counts packets the network lost: refused by an egress
+	// queue, a host's NIC queue as well as a switch port's, flushed from
+	// a queue by a crash or reboot, or left without a route. Trims
+	// counts NDP payload trims.
 	Drops int64
 	Trims int64
 

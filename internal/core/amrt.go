@@ -128,6 +128,12 @@ type Protocol struct {
 	// the 8-packet switch queues, the retransmissions drop each other,
 	// and the recovery tail crawls.
 	recPacers transport.HostTable[recPacer]
+
+	// The pacers' queues and the records' reissue times draw their
+	// blocks from these, shared by every host and flow of the instance.
+	grantBlocks transport.FIFOPool[*netsim.Packet]
+	recBlocks   transport.FIFOPool[recReq]
+	reissues    transport.SparsePool[sim.Time]
 }
 
 type grantPacer struct {
@@ -235,6 +241,10 @@ func (p *Protocol) dropRcvState(f *transport.Flow) {
 		return
 	}
 	r.timer.Cancel()
+	// No queued recovery request writes r's reissue times again: an
+	// aborted flow is Done, and a crashed receiver's queue is emptied
+	// (hostCrashed).
+	r.reissuedAt.Release()
 	p.grantsInFlight -= int64(r.granted) - int64(r.rcvd.Count())
 }
 
@@ -339,6 +349,7 @@ func (p *Protocol) onReceiverPkt(pkt *netsim.Packet) {
 func (p *Protocol) sendGrantPaced(h *netsim.Host, g *netsim.Packet) {
 	gp := p.grantPacers.GetOrBuild(h.ID(), func() *grantPacer {
 		gp := &grantPacer{}
+		gp.queue.SetPool(&p.grantBlocks)
 		gp.pacer = p.HostPacer(h, func() bool {
 			if gp.queue.Len() == 0 {
 				return false
@@ -362,6 +373,7 @@ func (p *Protocol) newReceiver(f *transport.Flow) *receiver {
 		lastProgress: p.Now(),
 	}
 	transport.InitBitmaps(f.NPkts, &r.rcvd, &r.reissued, &r.inRecovery)
+	r.reissuedAt.SetPool(&p.reissues)
 	p.grantsInFlight += int64(r.granted)
 	p.Heard(f)
 	r.timer.Init(&p.Kernel, r)
@@ -425,6 +437,7 @@ func (p *Protocol) onTimeout(r *receiver) {
 func (p *Protocol) recPacerFor(h *netsim.Host) *recPacer {
 	return p.recPacers.GetOrBuild(h.ID(), func() *recPacer {
 		rp := &recPacer{}
+		rp.queue.SetPool(&p.recBlocks)
 		rp.pacer = p.HostPacer(h, func() bool { return p.emitRecovery(rp) })
 		return rp
 	})
@@ -451,12 +464,14 @@ func (p *Protocol) emitRecovery(rp *recPacer) bool {
 
 func (p *Protocol) finish(r *receiver) {
 	r.timer.Cancel()
+	r.reissuedAt.Release()
 	// Retire any residual grant authorization (a blind window wider than
 	// the flow) so grantsInFlight reflects live flows only.
 	p.grantsInFlight -= int64(r.granted) - int64(r.rcvd.Count())
 	p.Complete(r.f)
 	// The record ends with the flow: the lookup answers nil for a Done
 	// flow, and a request still queued in the recovery pacer holds its
-	// own reference and is skipped on f.Done.
+	// own reference and is skipped on f.Done, before it could touch the
+	// released reissue times.
 	p.receivers.Drop(r.f.ID)
 }

@@ -434,3 +434,51 @@ func TestStartAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoveryAllocs: once warm, a full loss-recovery cycle allocates
+// nothing. Each cycle takes a receiver record whose flow lost its whole
+// blind window: the timeout queues the holes on the receiving host's
+// recovery pacer (more than RecoveryCap, so over two ticks), the pacer
+// reissues the grants, the retransmissions arrive, and the record ends
+// with the flow. The pacer queue's blocks and the reissue times' chunks
+// go back to the instance's pools, and the next cycle reuses them.
+func TestRecoveryAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	s := topo.NewFanN(topo.DefaultScenario(), overlay(cfg), 1)
+	cfg.RTT = 100 * sim.Microsecond
+	p := New(s.Net, cfg)
+	const runs, pkts = 50, 20
+	var recs []*receiver
+	for id := netsim.FlowID(1); id <= runs+1; id++ { // AllocsPerRun warms up with one more
+		f := p.AddPending(id, s.Senders[0], s.Receivers[0], pkts*netsim.MSS, false)
+		p.Adopt(f)
+		// As if the blind window had been sent and every packet lost.
+		f.SenderStarted, f.SendNext = true, f.NPkts
+		r := transport.Receiver(&p.Kernel, &p.receivers, id, p.newReceiver)
+		r.timer.Cancel() // armed by its cycle
+		recs = append(recs, r)
+	}
+	s.Net.Run(p.Now() + 10*cfg.RTT) // the records' Heard signals
+	next, unfinished := 0, 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		r := recs[next]
+		next++
+		r.timer.Arm()
+		s.Net.Run(p.Now() + 40*cfg.RTT)
+		if !r.f.Done {
+			unfinished++
+		}
+	})
+	if unfinished > 0 {
+		t.Fatalf("%d of %d flows did not recover", unfinished, runs+1)
+	}
+	if want := int64(runs+1) * pkts; p.RecoveryGrants != want {
+		t.Errorf("%d recovery grants, want one per lost packet, %d", p.RecoveryGrants, want)
+	}
+	if p.receivers.Len() != 0 {
+		t.Errorf("%d receiver records outlive their flows", p.receivers.Len())
+	}
+	if allocs != 0 {
+		t.Errorf("a recovery cycle: %.1f allocs, want 0", allocs)
+	}
+}

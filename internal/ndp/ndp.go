@@ -67,6 +67,11 @@ type Protocol struct {
 	// PullsReplenished counts timeout-driven pull reissues for the
 	// unsent tail (lost-pull recovery).
 	PullsReplenished int64
+
+	// The pull and retransmission queues draw their blocks from these,
+	// shared by every host and flow of the instance.
+	pullBlocks transport.FIFOPool[*rcvFlow]
+	rtxBlocks  transport.FIFOPool[int32]
 }
 
 type rcvFlow struct {
@@ -149,6 +154,7 @@ func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
 		q := p.rtx.Get(f.ID)
 		if q == nil {
 			q = new(transport.FIFO[int32])
+			q.SetPool(&p.rtxBlocks)
 			p.rtx.Put(f.ID, q)
 		}
 		q.Push(pkt.Seq)
@@ -253,6 +259,7 @@ func (p *Protocol) enqueuePull(r *rcvFlow) {
 func (p *Protocol) pullerOf(h *netsim.Host) *puller {
 	return p.pullers.GetOrBuild(h.ID(), func() *puller {
 		pl := &puller{}
+		pl.queue.SetPool(&p.pullBlocks)
 		pl.pacer = p.HostPacer(h, func() bool { return p.emitPull(pl) })
 		return pl
 	})

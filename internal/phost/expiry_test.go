@@ -224,7 +224,7 @@ func (s *expSide) check() {
 		}
 		return
 	}
-	e := q.head.ents[q.hi]
+	e := q.ents.Peek()
 	if e.r.removed || !e.r.inflight.Get(e.seq) {
 		s.fail("head entry (seq %d) is dead", e.seq)
 	}

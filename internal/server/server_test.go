@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -387,14 +388,25 @@ func TestServerCrashResume(t *testing.T) {
 	if err := ledger.PutJob(&crashed); err != nil {
 		t.Fatal(err)
 	}
-	s3, err := server.New(server.Config{StateDir: stateDir, Runner: sweepRunner(cacheDir, nil)})
+	// Every point of the replayed job is a cache hit, so a worker could
+	// finish it before the test looks: the job's run waits at a gate
+	// until the replayed state has been read.
+	gate := make(chan struct{})
+	open := sync.OnceFunc(func() { close(gate) })
+	resume := sweepRunner(cacheDir, nil)
+	s3, err := server.New(server.Config{StateDir: stateDir, Runner: func(ctx context.Context, spec json.RawMessage, progress func(campaign.Progress)) (json.RawMessage, error) {
+		<-gate
+		return resume(ctx, spec, progress)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s3.Shutdown(context.Background())
+	defer open() // before the drain, which waits for the run
 	if replayed, _ := s3.Job(j.ID); replayed.State == server.JobDone {
 		t.Fatal("ledger replay did not re-queue the crashed job")
 	}
+	open()
 	redone := waitJob(t, s3, j.ID, server.JobDone)
 	if redone.Progress.Hits != redone.Progress.Total || redone.Progress.Misses != 0 {
 		t.Errorf("SIGKILL resume was not 100%% cache hits: %+v", redone.Progress)

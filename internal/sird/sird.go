@@ -109,6 +109,12 @@ type Protocol struct {
 	// PoolReclaims counts timeout-driven reclaims of charged credit
 	// from silent flows back into their receiver's pool.
 	PoolReclaims int64
+
+	// The pools' recovery queues and the records' reissue times draw
+	// their blocks from these, shared by every host and flow of the
+	// instance.
+	recBlocks transport.FIFOPool[recReq]
+	reissues  transport.SparsePool[sim.Time]
 }
 
 // demand returns the sender's current backlog advertisement: bytes of
@@ -291,6 +297,7 @@ func (p *Protocol) dropRcvState(f *transport.Flow) {
 		return
 	}
 	r.timer.Cancel()
+	r.reissuedAt.Release()
 	p.pools.Get(f.Dst.ID()).settle(r) // r joined the pool when it was built
 }
 
@@ -398,6 +405,7 @@ func (p *Protocol) newRcvFlow(f *transport.Flow) *rcvFlow {
 		granted: blind, lastArrival: now, lastProgress: now,
 	}
 	transport.InitBitmaps(f.NPkts, &r.rcvd, &r.reissued)
+	r.reissuedAt.SetPool(&p.reissues)
 	// Seed the grant-age ring so the unscheduled prefix (authorized at
 	// flow start) becomes recoverable one timeout window from now.
 	r.grants.Note(now, r.granted)
@@ -413,6 +421,7 @@ func (p *Protocol) newRcvFlow(f *transport.Flow) *rcvFlow {
 func (p *Protocol) poolOf(h *netsim.Host) *poolState {
 	return p.pools.GetOrBuild(h.ID(), func() *poolState {
 		ps := &poolState{bound: p.cfg.PoolBytes}
+		ps.recovery.SetPool(&p.recBlocks)
 		if ps.bound <= 0 {
 			// 1.5× downlink BDP: the grant loop needs one BDP in flight to
 			// fill the link, plus margin for demand estimation error.
@@ -552,6 +561,8 @@ func (p *Protocol) onTimeout(r *rcvFlow) {
 func (p *Protocol) finish(r *rcvFlow) {
 	r.timer.Cancel()
 	p.Complete(r.f)
+	// A Done record never reads its reissue times again.
+	r.reissuedAt.Release()
 	// A short final packet repays less than its MSS charge; settle the
 	// remainder and hand the credit to the next flow.
 	p.poolOf(r.f.Dst).settle(r)

@@ -233,3 +233,45 @@ func TestStartAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoveryAllocs: once warm, a full loss-recovery cycle allocates
+// nothing. Each cycle takes a receiver record whose flow lost its whole
+// unscheduled window: the timeout queues a resend request per hole on
+// the host pool's recovery queue, the pacer sends them, the
+// retransmissions arrive, and the record ends with the flow. The
+// queue's blocks and the reissue times' chunks go back to the
+// instance's pools, and the next cycle reuses them.
+func TestRecoveryAllocs(t *testing.T) {
+	s, p := newFan(1)
+	const runs, pkts = 50, 20
+	var recs []*rcvFlow
+	for id := netsim.FlowID(1); id <= runs+1; id++ { // AllocsPerRun warms up with one more
+		f := p.AddPending(id, s.Senders[0], s.Receivers[0], pkts*netsim.MSS, false)
+		p.Adopt(f)
+		// As if the unscheduled window had been sent and every packet lost.
+		f.SenderStarted, f.SendNext = true, f.NPkts
+		r := transport.Receiver(&p.Kernel, &p.receivers, id, p.newRcvFlow)
+		r.timer.Cancel() // armed by its cycle
+		recs = append(recs, r)
+	}
+	s.Net.Run(p.Now() + 10*rtt) // the records' Heard signals
+	next, unfinished := 0, 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		r := recs[next]
+		next++
+		r.timer.Arm()
+		s.Net.Run(p.Now() + 40*rtt)
+		if !r.f.Done {
+			unfinished++
+		}
+	})
+	if unfinished > 0 {
+		t.Fatalf("%d of %d flows did not recover", unfinished, runs+1)
+	}
+	if want := int64(runs+1) * pkts; p.ResendGrants != want {
+		t.Errorf("%d resend grants, want one per lost packet, %d", p.ResendGrants, want)
+	}
+	if allocs != 0 {
+		t.Errorf("a recovery cycle: %.1f allocs, want 0", allocs)
+	}
+}

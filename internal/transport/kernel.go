@@ -65,10 +65,8 @@ type Kernel struct {
 	flows   FlowTable[Flow]
 	ordered []*Flow
 
-	// slab is the unused tail of the flow slab NewFlow carves records
-	// from; slabLen is the length the current slab was made with.
-	slab    []Flow
-	slabLen int
+	// slab is where NewFlow carves flow records from.
+	slab slab[Flow]
 
 	// DataPktsBuilt counts data packets built via NewData — the
 	// left-hand side of the grant-budget invariant. UnsolicitedPkts
@@ -143,7 +141,7 @@ func (k *Kernel) NewFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, st
 	if k.flows.Get(id) != nil {
 		panic(fmt.Sprintf("transport: duplicate flow id %d", id))
 	}
-	f := k.allocFlow()
+	f := k.slab.next() // flows live as long as the run
 	*f = Flow{
 		ID: id, Src: src, Dst: dst, Size: size, Start: start,
 		NPkts: int32((size + int64(k.Cfg.MSS) - 1) / int64(k.Cfg.MSS)),
@@ -156,25 +154,6 @@ func (k *Kernel) NewFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, st
 
 // Flow returns the flow registered under id with this kernel, or nil.
 func (k *Kernel) Flow(id netsim.FlowID) *Flow { return k.flows.Get(id) }
-
-// Flow slabs start at two records and double to 64: a figure run with a
-// handful of flows pays for a handful, a 3,000-flow run pays one malloc
-// per 64 (a fixed 64-record slab cost the 14 tiny runs of the benchmark's
-// paper_figures workload 3.6% more bytes).
-const flowSlabMin, flowSlabMax = 2, 64
-
-// allocFlow returns the next zeroed record of the kernel's flow slab,
-// starting a new slab when the current one is used up. Flows live as
-// long as the run, so nothing is ever returned to a slab.
-func (k *Kernel) allocFlow() *Flow {
-	if len(k.slab) == 0 {
-		k.slabLen = min(max(2*k.slabLen, flowSlabMin), flowSlabMax)
-		k.slab = make([]Flow, k.slabLen)
-	}
-	f := &k.slab[0]
-	k.slab = k.slab[1:]
-	return f
-}
 
 // Register adds a flow created by another shard's kernel to this
 // kernel's flow table (the receiver side of a cross-shard flow). It

@@ -1,0 +1,29 @@
+package transport
+
+// Slabs start at two records and double to 64: a figure run with a
+// handful of flows pays for a handful, a 3,000-flow run pays one malloc
+// per 64 (a fixed 64-record slab cost the 14 tiny runs of the benchmark's
+// paper_figures workload 3.6% more bytes).
+const slabMin, slabMax = 2, 64
+
+// slab hands out zeroed records carved from arrays allocated a slab at a
+// time: the kernel's flow records, a FIFOPool's block headers and a
+// SparsePool's chunks. Nothing is ever handed back to a slab; records
+// that are recycled go through their owner's free list. The zero value
+// is ready to use.
+type slab[T any] struct {
+	free []T // the unused tail of the current array
+	n    int // the length the current array was made with
+}
+
+// next returns the next zeroed record, starting a new array when the
+// current one is used up.
+func (s *slab[T]) next() *T {
+	if len(s.free) == 0 {
+		s.n = min(max(2*s.n, slabMin), slabMax)
+		s.free = make([]T, s.n)
+	}
+	r := &s.free[0]
+	s.free = s.free[1:]
+	return r
+}

@@ -4,65 +4,148 @@ package transport
 // of a flow that are in an exceptional state at once: core's and SIRD's
 // reissue times of the sequences awaiting a retransmission. (pHost's
 // token expiries live in its own queue, internal/phost/expiry.go.) It
-// is an unordered slice searched linearly: at the handful of entries a
-// flow carries that beats a map's hashing, and an empty one costs
-// nothing, where a map per flow is several allocations before the first
-// insert. Where membership is tested for every packet of a flow, keep a
-// Bitmap beside it and consult the Sparse only on a hit. The zero value
-// is empty.
+// is a short list searched linearly: at the handful of entries a flow
+// carries that beats a map's hashing, and an empty one costs nothing,
+// where a map per flow is several allocations before the first insert.
+// Where membership is tested for every packet of a flow, keep a Bitmap
+// beside it and consult the Sparse only on a hit.
+//
+// The entries live in chunks of sparseChunkLen from a SparsePool, which
+// every Sparse of one protocol instance shares (SetPool): a chunk goes
+// back to the pool's free list when Delete empties it and when the
+// record that owns the Sparse ends (Release), so a run holds chunks for
+// its peak of live entries, not one per flow that ever lost a packet.
+// The zero value is empty, with a pool of its own.
 type Sparse[V any] struct {
-	ents []sparseEnt[V]
+	top  *sparseChunk[V] // the newest entries; every chunk below is full
+	n    int
+	pool *SparsePool[V]
 }
+
+// sparseChunkLen is the entries per chunk: a flow that loses one packet
+// usually loses several. A power of two, so a position within a chunk
+// is a mask.
+const sparseChunkLen = 8
 
 type sparseEnt[V any] struct {
 	seq int32
 	v   V
 }
 
-func (s *Sparse[V]) find(seq int32) int {
-	for i := range s.ents {
-		if s.ents[i].seq == seq {
-			return i
+type sparseChunk[V any] struct {
+	ents [sparseChunkLen]sparseEnt[V]
+	next *sparseChunk[V]
+}
+
+// SparsePool is the free list of Sparse chunks the records of one
+// protocol instance share. Fresh chunks are carved from a slab that
+// starts at two chunks and doubles to 64. The zero value is an empty
+// pool; a pool must not be shared across goroutines.
+type SparsePool[V any] struct {
+	free   *sparseChunk[V]
+	chunks slab[sparseChunk[V]]
+}
+
+func (p *SparsePool[V]) get() *sparseChunk[V] {
+	if c := p.free; c != nil {
+		p.free, c.next = c.next, nil
+		return c
+	}
+	return p.chunks.next()
+}
+
+// put returns a chunk whose entries are all zero to the free list.
+func (p *SparsePool[V]) put(c *sparseChunk[V]) {
+	c.next, p.free = p.free, c
+}
+
+// SetPool makes s take its chunks from p and return them there. Call it
+// while s is empty.
+func (s *Sparse[V]) SetPool(p *SparsePool[V]) {
+	if s.n != 0 {
+		panic("transport: Sparse.SetPool on a set holding entries")
+	}
+	s.pool = p
+}
+
+// topLen returns the number of entries in the top chunk.
+func (s *Sparse[V]) topLen() int { return (s.n-1)&(sparseChunkLen-1) + 1 }
+
+// find returns seq's entry, or nil.
+func (s *Sparse[V]) find(seq int32) *sparseEnt[V] {
+	if s.n == 0 {
+		return nil
+	}
+	m := s.topLen()
+	for c := s.top; c != nil; c, m = c.next, sparseChunkLen {
+		for i := range c.ents[:m] {
+			if c.ents[i].seq == seq {
+				return &c.ents[i]
+			}
 		}
 	}
-	return -1
+	return nil
 }
 
 // Len returns the number of entries.
-func (s *Sparse[V]) Len() int { return len(s.ents) }
+func (s *Sparse[V]) Len() int { return s.n }
 
 // Get returns the value stored for seq and whether there is one.
 func (s *Sparse[V]) Get(seq int32) (v V, ok bool) {
-	if i := s.find(seq); i >= 0 {
-		return s.ents[i].v, true
+	if e := s.find(seq); e != nil {
+		return e.v, true
 	}
 	return v, false
 }
 
 // Put stores v for seq, replacing any earlier value.
 func (s *Sparse[V]) Put(seq int32, v V) {
-	if i := s.find(seq); i >= 0 {
-		s.ents[i].v = v
+	if e := s.find(seq); e != nil {
+		e.v = v
 		return
 	}
-	if s.ents == nil {
-		// A flow that loses one packet usually loses several: start past
-		// append's 1-2-4 steps.
-		s.ents = make([]sparseEnt[V], 0, 8)
+	k := s.n & (sparseChunkLen - 1)
+	if k == 0 {
+		if s.pool == nil {
+			s.pool = new(SparsePool[V])
+		}
+		c := s.pool.get()
+		c.next, s.top = s.top, c
 	}
-	s.ents = append(s.ents, sparseEnt[V]{seq, v})
+	s.top.ents[k] = sparseEnt[V]{seq, v}
+	s.n++
 }
 
-// Delete removes seq's entry; deleting an absent seq is a no-op.
+// Delete removes seq's entry; deleting an absent seq is a no-op. The
+// newest entry takes its place, and a top chunk left empty goes back to
+// the pool.
 func (s *Sparse[V]) Delete(seq int32) {
-	i := s.find(seq)
-	if i < 0 {
+	e := s.find(seq)
+	if e == nil {
 		return
 	}
-	last := len(s.ents) - 1
-	s.ents[i] = s.ents[last]
-	s.ents[last] = sparseEnt[V]{} // do not pin what the value points to
-	s.ents = s.ents[:last]
+	m := s.topLen()
+	last := &s.top.ents[m-1]
+	*e = *last
+	*last = sparseEnt[V]{} // do not pin what the value points to
+	s.n--
+	if m == 1 {
+		t := s.top
+		s.top = t.next
+		s.pool.put(t)
+	}
+}
+
+// Release empties s and returns its chunks to the pool. Call it when the
+// record that owns s ends; s stays usable.
+func (s *Sparse[V]) Release() {
+	for c := s.top; c != nil; {
+		next := c.next
+		c.ents = [sparseChunkLen]sparseEnt[V]{}
+		s.pool.put(c)
+		c = next
+	}
+	s.top, s.n = nil, 0
 }
 
 // Each calls fn for every entry. The order is unspecified but, unlike a
@@ -70,7 +153,13 @@ func (s *Sparse[V]) Delete(seq int32) {
 // schedules events from fn stays deterministic. fn must not modify the
 // set.
 func (s *Sparse[V]) Each(fn func(seq int32, v V)) {
-	for _, e := range s.ents {
-		fn(e.seq, e.v)
+	if s.n == 0 {
+		return
+	}
+	m := s.topLen()
+	for c := s.top; c != nil; c, m = c.next, sparseChunkLen {
+		for _, e := range c.ents[:m] {
+			fn(e.seq, e.v)
+		}
 	}
 }

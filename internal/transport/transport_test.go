@@ -103,8 +103,10 @@ func TestPacerAllocs(t *testing.T) {
 	}
 }
 
-// TestFIFO checks order, the empty-queue rewind and the slide-down that
-// let FIFO reuse one backing array where q = q[1:] would regrow it.
+// TestFIFO checks order, that a hovering queue recycles its blocks
+// instead of growing, and that a drained queue keeps one block and gives
+// the rest back, all zeroed, so it pins nothing; popping or peeking at
+// an empty queue panics.
 func TestFIFO(t *testing.T) {
 	var q FIFO[*int]
 	next, want := 0, 0
@@ -116,8 +118,8 @@ func TestFIFO(t *testing.T) {
 		}
 		want++
 	}
-	// Hover: the queue never empties, so only sliding down can reclaim
-	// the space in front of the head.
+	// Hover: the queue never empties, so only recycling the blocks the
+	// head leaves keeps it from growing.
 	for i := 0; i < 8; i++ {
 		push()
 	}
@@ -127,19 +129,26 @@ func TestFIFO(t *testing.T) {
 		if q.Len() != 8 {
 			t.Fatalf("Len = %d, want 8", q.Len())
 		}
+		if got := q.Peek(); *got != want {
+			t.Fatalf("Peek = %d, want %d", *got, want)
+		}
 	}
-	if cap(q.buf) > 32 {
-		t.Errorf("backing array grew to %d for a queue of 8", cap(q.buf))
+	if held := fifoEnts(q.pool.free) + fifoEnts(q.head); held > 32 {
+		t.Errorf("a queue of 8 holds %d entries of blocks", held)
 	}
 	for q.Len() > 0 {
 		pop()
 	}
-	if q.head != 0 || len(q.buf) != 0 {
-		t.Errorf("drained queue did not rewind: head %d, len %d", q.head, len(q.buf))
+	if q.head != nil || q.tail == nil || q.tail.next != nil {
+		t.Errorf("drained queue did not keep exactly one block: head %p, tail %p", q.head, q.tail)
 	}
-	for _, p := range q.buf[:cap(q.buf)] {
-		if p != nil {
-			t.Fatal("popped slot still holds its pointer")
+	for _, b := range []*fifoBlock[*int]{q.tail, q.pool.free} {
+		for ; b != nil; b = b.next {
+			for _, p := range b.ents {
+				if p != nil {
+					t.Fatal("a drained queue's block still holds a pointer")
+				}
+			}
 		}
 	}
 	// Fill-and-drain, the pacer pattern: steady state allocates nothing.
@@ -155,11 +164,39 @@ func TestFIFO(t *testing.T) {
 	if got := testing.AllocsPerRun(100, cycle); got != 0 {
 		t.Errorf("%v allocs per fill-and-drain cycle, want 0", got)
 	}
-	push()
+	for _, op := range []func(){func() { q.Pop() }, func() { q.Peek() }} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("an empty queue answered Pop or Peek")
+				}
+			}()
+			op()
+		}()
+	}
+	for i := 0; i < 300; i++ {
+		push()
+	}
 	q.Reset()
-	if q.Len() != 0 || q.buf[:1][0] != nil {
+	if q.Len() != 0 || q.head != nil {
 		t.Error("Reset left an element behind")
 	}
+	for b := q.pool.free; b != nil; b = b.next {
+		for _, p := range b.ents {
+			if p != nil {
+				t.Fatal("Reset left a pointer in a free block")
+			}
+		}
+	}
+}
+
+// fifoEnts returns the entries of the block chain starting at b.
+func fifoEnts[T any](b *fifoBlock[T]) int {
+	n := 0
+	for ; b != nil; b = b.next {
+		n += len(b.ents)
+	}
+	return n
 }
 
 func TestPacerZeroTickPanics(t *testing.T) {
