@@ -74,11 +74,12 @@ func render(t *testing.T, c figCase) []byte {
 // time-series CSVs and, for the Fig 12 case run with -faults and
 // -metrics, the telemetry dumps. The small-topology goldens are the
 // output of the binary built at the commit before the figures moved
-// onto experiment.ScenarioHarness; the large figures (7, 12, 13, 14,
+// onto a shared scenario harness, and the harness's removal left them
+// unmoved; the large figures (7, 12, 13, 14,
 // incast, breakdown, h2h) were recorded before they moved onto one
 // cell runner. A deliberate behaviour change (SimVersion bump)
 // regenerates them with -update. Link-utilization CSVs also move when
-// their sampler changes band: the late-band TrackUtil tick books a
+// their sampler changes band: the late-band utilization tick books a
 // transmission that ends on the tick's nanosecond into the window it
 // ended in (fig2_AMRT, 2.0 ms).
 func TestFiguresGolden(t *testing.T) {

@@ -12,11 +12,8 @@ import (
 	"time"
 
 	"amrt/internal/experiment"
-	"amrt/internal/netsim"
 	"amrt/internal/sim"
-	"amrt/internal/stats"
 	"amrt/internal/topo"
-	"amrt/internal/transport"
 	"amrt/internal/workload"
 )
 
@@ -28,45 +25,26 @@ func main() {
 	fmt.Printf("incast: %d senders × %dKB to one receiver over 10G\n\n", fanIn, size/1000)
 	fmt.Printf("%-8s %12s %12s %8s %8s %8s\n", "proto", "mean FCT", "max FCT", "drops", "trims", "maxQ")
 
+	b := topo.Fan(fanIn)
+	senders := make([]int, fanIn)
+	for i := range senders {
+		senders[i] = b.Sender(i)
+	}
+	flows := workload.Incast(senders, b.Receiver(0), size, 0)
 	for _, proto := range experiment.ProtocolNames() {
 		st := experiment.MustStack(proto, experiment.StackOptions{})
-		col := stats.NewFCTCollector()
-		h := experiment.NewScenarioHarness(st, topo.DefaultScenario(),
-			func(c topo.ScenarioConfig, ov topo.Overlay) *topo.Scenario { return topo.NewFanN(c, ov, fanIn) },
-			transport.Config{Collector: col}, 1, 0, nil)
-		s := h.S
-		mon := netsim.Attach(h.Downlink(s.Receivers[0]))
-		for _, fs := range workload.Incast(seq(fanIn), 0, size, 0) {
-			h.AddFlow(fs.ID, s.Senders[fs.Src], s.Receivers[0], fs.Size, fs.Start)
-		}
-		h.Run(5 * sim.Second)
+		res := experiment.LeafSpineRun{Topo: b, Stack: st, Flows: flows, Horizon: 5 * sim.Second}.Run()
 
 		var maxFCT sim.Time
-		for _, f := range h.Flows() {
+		for _, f := range res.Flows {
 			if f.FCT() > maxFCT {
 				maxFCT = f.FCT()
 			}
 		}
-		var trims int64
-		for _, sw := range s.Switches {
-			for _, pt := range sw.Ports() {
-				if tq, ok := pt.Queue().(*netsim.TrimmingQueue); ok {
-					trims += tq.Trims
-				}
-			}
-		}
 		fmt.Printf("%-8s %12v %12v %8d %8d %8d\n",
-			proto, col.Mean().Duration().Round(time.Microsecond),
+			proto, res.AFCT.Duration().Round(time.Microsecond),
 			maxFCT.Duration().Round(time.Microsecond),
-			s.Net.Dropped(), trims, mon.MaxQueueLen)
+			res.Drops, res.Trims, res.MaxQueue)
 	}
 	fmt.Println("\nideal drain time:", (sim.Rate(10 * sim.Gbps)).TxTime(fanIn*size).Duration().Round(time.Microsecond))
-}
-
-func seq(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }

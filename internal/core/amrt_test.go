@@ -17,9 +17,9 @@ func overlay(cfg Config) topo.Overlay {
 }
 
 // newFan builds a Fig-2-style fan with AMRT queues and markers.
-func newFan(pairs int) (*topo.Scenario, *Protocol, *stats.FCTCollector) {
+func newFan(pairs int) (*topo.Fabric, *Protocol, *stats.FCTCollector) {
 	cfg := DefaultConfig()
-	s := topo.NewFanN(topo.DefaultScenario(), overlay(cfg), pairs)
+	s := topo.Fan(pairs).Build(overlay(cfg))
 	col := stats.NewFCTCollector()
 	cfg.Collector = col
 	cfg.RTT = 100 * sim.Microsecond
@@ -107,7 +107,7 @@ func TestAntiECNRampFillsIdleLink(t *testing.T) {
 	// 12.5µs = 9.6% utilization); AMRT must converge to line rate.
 	cfg := DefaultConfig()
 	cfg.BlindWindow = 8
-	s := topo.NewFanN(topo.DefaultScenario(), overlay(cfg), 1)
+	s := topo.Fan(1).Build(overlay(cfg))
 	cfg.RTT = 100 * sim.Microsecond
 	p := New(s.Net, cfg)
 	f := p.AddFlow(1, s.Senders[0], s.Receivers[0], 8_000_000, 0)
@@ -164,7 +164,7 @@ func TestIncastLossRecovery(t *testing.T) {
 	// receiver: the 8-packet data cap must drop most of it and the
 	// timeout path must still complete every flow.
 	cfg := DefaultConfig()
-	s := topo.NewFanN(topo.DefaultScenario(), overlay(cfg), 8)
+	s := topo.Fan(8).Build(overlay(cfg))
 	cfg.RTT = 100 * sim.Microsecond
 	p := New(s.Net, cfg)
 	var flows []*transport.Flow
@@ -220,7 +220,7 @@ func TestMultiBottleneckReclaim(t *testing.T) {
 	// When f2/f3 squeeze f0 at the second bottleneck, f1 must take over
 	// the released first-bottleneck bandwidth.
 	cfg := DefaultConfig()
-	s := topo.NewChain(topo.DefaultScenario(), overlay(cfg))
+	s := topo.Chain().Build(overlay(cfg))
 	cfg.RTT = 100 * sim.Microsecond
 	col := stats.NewFCTCollector()
 	cfg.Collector = col
@@ -250,7 +250,7 @@ func TestMarkedGrantEchoImpliesCE(t *testing.T) {
 	// directions of one under-utilized flow and cross-check.
 	cfg := DefaultConfig()
 	cfg.BlindWindow = 8
-	s := topo.NewFanN(topo.DefaultScenario(), overlay(cfg), 1)
+	s := topo.Fan(1).Build(overlay(cfg))
 	cfg.RTT = 100 * sim.Microsecond
 	ceArrivals := 0
 	cfg.OnData = func(f *transport.Flow, pkt *netsim.Packet) {
@@ -288,7 +288,7 @@ func TestRecoveryPacedNoDuplicateStorm(t *testing.T) {
 	// duplicate wildly: total data deliveries (first + dup) stay within
 	// 1.5× the payload packet count.
 	cfg := DefaultConfig()
-	s := topo.NewFanN(topo.DefaultScenario(), overlay(cfg), 8)
+	s := topo.Fan(8).Build(overlay(cfg))
 	cfg.RTT = 100 * sim.Microsecond
 	p := New(s.Net, cfg)
 	var flows []*transport.Flow
@@ -444,7 +444,7 @@ func TestStartAllocs(t *testing.T) {
 // go back to the instance's pools, and the next cycle reuses them.
 func TestRecoveryAllocs(t *testing.T) {
 	cfg := DefaultConfig()
-	s := topo.NewFanN(topo.DefaultScenario(), overlay(cfg), 1)
+	s := topo.Fan(1).Build(overlay(cfg))
 	cfg.RTT = 100 * sim.Microsecond
 	p := New(s.Net, cfg)
 	const runs, pkts = 50, 20

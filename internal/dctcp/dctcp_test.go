@@ -10,9 +10,9 @@ import (
 	"amrt/internal/transport"
 )
 
-func newFan(pairs int) (*topo.Scenario, *Protocol, *stats.FCTCollector) {
+func newFan(pairs int) (*topo.Fabric, *Protocol, *stats.FCTCollector) {
 	cfg := DefaultConfig()
-	s := topo.NewFanN(topo.DefaultScenario(), topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue}, pairs)
+	s := topo.Fan(pairs).Build(topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue})
 	col := stats.NewFCTCollector()
 	cfg.Collector = col
 	cfg.RTT = 100 * sim.Microsecond

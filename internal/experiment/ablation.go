@@ -6,7 +6,6 @@ import (
 	"amrt/internal/core"
 	"amrt/internal/netsim"
 	"amrt/internal/sim"
-	"amrt/internal/stats"
 	"amrt/internal/topo"
 	"amrt/internal/transport"
 )
@@ -15,9 +14,9 @@ import (
 // scenario: a single 8 MB flow starting from an 8-packet window on an
 // idle 10 G path. It returns the FCT and the fraction of grants marked.
 func rampRun(st Stack, blind int) (fct sim.Time, done bool) {
-	h := NewScenarioHarness(st, topo.DefaultScenario(), fanN(1), transport.Config{BlindWindow: blind}, 1, 0, nil)
-	f := h.AddFlow(1, h.S.Senders[0], h.S.Receivers[0], 8_000_000, 0)
-	h.Run(2 * sim.Second)
+	b := topo.Fan(1)
+	st = withConfig(st, func(c *transport.Config) { c.BlindWindow = blind })
+	f := LeafSpineRun{Topo: b, Stack: st, Flows: pairFlows(b, []int64{8_000_000}, []sim.Time{0}), Horizon: 2 * sim.Second}.Run().Flows[0]
 	return f.FCT(), f.Done
 }
 
@@ -85,16 +84,9 @@ func QueueCapAblation() *Table {
 	results := Parallel(len(caps), func(i int) out {
 		cfg := core.DefaultConfig()
 		cfg.DataQueueCap = caps[i]
-		st := amrtStack(cfg)
-		col := stats.NewFCTCollector()
-		h := NewScenarioHarness(st, topo.DefaultScenario(), fanN(8), transport.Config{Collector: col}, 1, 0, nil)
-		s := h.S
-		mon := netsim.Attach(h.Downlink(s.Receivers[0]))
-		for i := 0; i < 8; i++ {
-			h.AddFlow(netsim.FlowID(i+1), s.Senders[i], s.Receivers[0], 500_000, 0)
-		}
-		h.Run(5 * sim.Second)
-		return out{afct: col.Mean(), p99: col.P99(), drops: s.Net.Dropped(), maxq: mon.MaxQueueLen}
+		b := topo.Fan(8)
+		res := LeafSpineRun{Topo: b, Stack: amrtStack(cfg), Flows: incast(b, 8, 500_000), Horizon: 5 * sim.Second}.Run()
+		return out{afct: res.AFCT, p99: res.P99, drops: res.Drops, maxq: res.MaxQueue}
 	})
 	for i, cap := range caps {
 		r := results[i]

@@ -6,8 +6,6 @@ import (
 	"amrt/internal/sim"
 	"amrt/internal/stats"
 	"amrt/internal/topo"
-	"amrt/internal/transport"
-	"amrt/internal/workload"
 )
 
 // SizeBreakdownTable complements Fig. 12: the same Poisson experiment,
@@ -61,13 +59,10 @@ func IncastTable(fanIns []int, sizeBytes int64) *Table {
 		k := specs[i]
 		st := MustStack(ProtocolNames()[k.pi], StackOptions{})
 		n := fanIns[k.fi]
-		h := NewScenarioHarness(st, topo.DefaultScenario(), fanN(n), transport.Config{}, 1, 0, nil)
-		for _, fs := range workload.Incast(seqInts(n), 0, sizeBytes, 0) {
-			h.AddFlow(fs.ID, h.S.Senders[fs.Src], h.S.Receivers[0], fs.Size, fs.Start)
-		}
-		h.Run(10 * sim.Second)
+		b := topo.Fan(n)
+		flows := LeafSpineRun{Topo: b, Stack: st, Flows: incast(b, n, sizeBytes), Horizon: 10 * sim.Second}.Run().Flows
 		var last sim.Time
-		for _, f := range h.Flows() {
+		for _, f := range flows {
 			if !f.Done {
 				return sim.Forever
 			}

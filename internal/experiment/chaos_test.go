@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"amrt/internal/audit"
 	"amrt/internal/faults"
 	"amrt/internal/metrics"
 	"amrt/internal/netsim"
@@ -22,44 +21,34 @@ func chaosProtocols() []string {
 	return StackNames()
 }
 
-// runFanChaos drives one protocol through a 4-pair fan scenario under
-// the given fault spec with the invariant auditor attached (panic on
-// violation) and fails the test if any flow stalls — crash-killed flows
-// count as terminated, not stalled. It returns the scenario (for
-// queue-counter scans), the applied plan (for event-counter checks),
-// and the flows (for outcome assertions).
-func runFanChaos(t *testing.T, proto, spec string) (*topo.Scenario, *faults.Plan, []*transport.Flow) {
+// runFanChaos drives one protocol through a 4-pair fan under the given
+// fault spec with the invariant auditor attached (panic on violation)
+// and fails the test if any flow stalls — crash-killed flows count as
+// terminated, not stalled. It returns the network (for queue-counter
+// scans), the applied plan (for event-counter checks), and the flows
+// (for outcome assertions).
+func runFanChaos(t *testing.T, proto, spec string) (*netsim.Network, *faults.Plan, []*transport.Flow) {
 	t.Helper()
 	plan := faults.MustParse(spec)
 	if plan.Seed == 0 {
 		plan.Seed = 1
 	}
-	st := MustStack(proto, StackOptions{})
-	st.SwitchQueue = plan.WrapQueues(st.SwitchQueue)
-	h := NewScenarioHarness(st, topo.DefaultScenario(), fanN(4), transport.Config{}, 1, 0, nil)
-	s, inst := h.S, h.insts[0]
-	for i := 0; i < 4; i++ {
-		h.AddFlow(netsim.FlowID(i+1), s.Senders[i], s.Receivers[i], 1_000_000, sim.Time(i)*20*sim.Microsecond)
-	}
-	flows := h.Flows()
-	const horizon = 20 * sim.Second
-	plan.CrashHook = func(_ *netsim.Shard, h *netsim.Host) { inst.OnHostCrash(h) }
-	if err := plan.Apply(s.Net, horizon); err != nil {
-		t.Fatal(err)
-	}
-	aud := audit.New(s.Net, inst)
-	s.Net.Engine.Every(100*sim.Microsecond, 100*sim.Microsecond, horizon, subAudit, func() bool {
-		aud.Check()
-		return true
-	})
-	h.Run(horizon)
-	aud.Check() // end-of-run sweep; panics with a forensic dump on violation
+	var net *netsim.Network
+	b := topo.Fan(4)
+	flows := LeafSpineRun{
+		Topo:    b,
+		Stack:   tapNet(MustStack(proto, StackOptions{}), &net),
+		Flows:   pairFlows(b, []int64{1_000_000, 1_000_000, 1_000_000, 1_000_000}, []sim.Time{0, 20 * sim.Microsecond, 40 * sim.Microsecond, 60 * sim.Microsecond}),
+		Horizon: 20 * sim.Second,
+		Faults:  plan,
+		Audit:   true, // ends with a sweep; panics with a forensic dump on violation
+	}.Run().Flows
 	for _, f := range flows {
 		if !f.Done {
 			t.Fatalf("%s: %v stalled under faults %q", proto, f, spec)
 		}
 	}
-	return s, plan, flows
+	return net, plan, flows
 }
 
 // TestChaosLinkFlapMidTransfer pulls the fan bottleneck cable (both
@@ -90,7 +79,7 @@ func TestAllProtocolsSurviveControlLoss(t *testing.T) {
 		t.Run(proto, func(t *testing.T) {
 			s, _, _ := runFanChaos(t, proto, "ctrl-loss=0.01")
 			var ctrl int64
-			for _, sw := range s.Switches {
+			for _, sw := range s.Switches() {
 				for _, pt := range sw.Ports() {
 					if lq, ok := pt.Queue().(*netsim.LossyQueue); ok {
 						ctrl += lq.CtrlInjected
@@ -114,7 +103,7 @@ func TestChaosBurstyLoss(t *testing.T) {
 		t.Run(proto, func(t *testing.T) {
 			s, _, _ := runFanChaos(t, proto, "burst-loss=tobad:0.003,togood:0.2,bad:0.5")
 			var injected, bursts int64
-			for _, sw := range s.Switches {
+			for _, sw := range s.Switches() {
 				for _, pt := range sw.Ports() {
 					if ge, ok := pt.Queue().(*netsim.GilbertElliottQueue); ok {
 						injected += ge.Injected

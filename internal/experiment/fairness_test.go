@@ -19,22 +19,21 @@ func TestFairnessAcrossProtocols(t *testing.T) {
 	for _, proto := range StackNames() {
 		proto := proto
 		t.Run(proto, func(t *testing.T) {
-			st := MustStack(proto, StackOptions{})
-			var h *ScenarioHarness
 			bytesIn := make([]int64, 4)
-			base := transport.Config{
-				OnData: func(f *transport.Flow, pkt *netsim.Packet) {
-					now := h.S.Net.Engine.Now()
-					if now >= sim.Millisecond && now < 4*sim.Millisecond {
+			st := withConfig(MustStack(proto, StackOptions{}), func(c *transport.Config) {
+				eng, onData := c.Shard.Eng(), c.OnData
+				c.OnData = func(f *transport.Flow, pkt *netsim.Packet) {
+					if now := eng.Now(); now >= sim.Millisecond && now < 4*sim.Millisecond {
 						bytesIn[int(f.ID-1)] += int64(pkt.Size)
 					}
-				},
-			}
-			h = NewScenarioHarness(st, topo.DefaultScenario(), topo.NewFan, base, 1, 0, nil)
-			for i := 0; i < 4; i++ {
-				h.AddFlow(netsim.FlowID(i+1), h.S.Senders[i], h.S.Receivers[i], 20_000_000, sim.Time(i)*2500)
-			}
-			h.Run(4 * sim.Millisecond)
+					onData(f, pkt)
+				}
+			})
+			b := topo.Fan(4)
+			LeafSpineRun{
+				Topo: b, Stack: st, Horizon: 4 * sim.Millisecond,
+				Flows: pairFlows(b, []int64{20_000_000, 20_000_000, 20_000_000, 20_000_000}, []sim.Time{0, 2500, 5000, 7500}),
+			}.Run()
 			rates := make([]float64, 4)
 			var total float64
 			for i, b := range bytesIn {

@@ -28,25 +28,26 @@ type Fig5Row struct {
 // link.
 func Fig5(pairs [][2]int) []Fig5Row {
 	rows := make([]Fig5Row, 0, len(pairs))
-	const rtt = scenarioRTT
+	const rtt = 100 * sim.Microsecond
 	amrt := MustStack("AMRT", StackOptions{})
 	for _, nk := range pairs {
 		n, k := nk[0], nk[1]
-		rate := sim.Rate(int64(n) * netsim.MSS * 8 * int64(sim.Second) / int64(rtt))
+		// A one-pair fan without jitter, its RTT 8 link delays.
+		b := topo.Fan(1)
+		b.Rate = sim.Rate(int64(n) * netsim.MSS * 8 * int64(sim.Second) / int64(rtt))
+		b.LinkDelay, b.Jitter = rtt/8, 0
 
-		var h *ScenarioHarness
 		var arrivals []sim.Time
-		base := transport.Config{
-			BlindWindow: n - k,
-			OnData: func(*transport.Flow, *netsim.Packet) {
-				arrivals = append(arrivals, h.S.Net.Engine.Now())
-			},
-		}
-		h = NewScenarioHarness(amrt, topo.ScenarioConfig{Rate: rate, LinkDelay: rtt / 8}, fanN(1), base, 1, 0, nil)
-
+		st := withConfig(amrt, func(c *transport.Config) {
+			c.BlindWindow = n - k
+			eng, onData := c.Shard.Eng(), c.OnData
+			c.OnData = func(f *transport.Flow, pkt *netsim.Packet) {
+				arrivals = append(arrivals, eng.Now())
+				onData(f, pkt)
+			}
+		})
 		// Long enough to observe convergence over many RTTs.
-		h.AddFlow(1, h.S.Senders[0], h.S.Receivers[0], int64(n)*netsim.MSS*60, 0)
-		h.Run(sim.Second)
+		LeafSpineRun{Topo: b, Stack: st, Flows: pairFlows(b, []int64{int64(n) * netsim.MSS * 60}, []sim.Time{0}), Horizon: sim.Second}.Run()
 
 		// Count arrivals per RTT window from the first arrival; converged
 		// when a window carries >= n-1 packets (the continuum analogue of

@@ -8,7 +8,7 @@ import (
 	"amrt/internal/sim"
 	"amrt/internal/stats"
 	"amrt/internal/topo"
-	"amrt/internal/transport"
+	"amrt/internal/workload"
 )
 
 // MotivationResult carries a §2 motivation run: the bottleneck
@@ -32,28 +32,24 @@ type MotivationResult struct {
 // first bottleneck's utilization drops as f0 is squeezed at the second
 // bottleneck. The paper runs pHost here; any stack may be passed to
 // compare.
-func Fig1(st Stack) MotivationResult { return fig1(st, 1) }
+func Fig1(st Stack) MotivationResult { return fig1(st, LeafSpineRun{}) }
 
-// fig1 is Fig1 at any engine-shard count.
-func fig1(st Stack, nshards int) MotivationResult {
-	names := []string{"f0", "f1", "f2", "f3"}
-	h := NewScenarioHarness(st, topo.DefaultScenario(), topo.NewChain, transport.Config{}, nshards, 100*sim.Microsecond, names)
-	s := h.S
-
+// fig1 is Fig1 on r, which may carry a shard count, a fault plan and
+// the auditor.
+func fig1(st Stack, r LeafSpineRun) MotivationResult {
+	b := topo.Chain()
+	r.Topo, r.Stack, r.Horizon = b, st, 8*sim.Millisecond
 	// Long-running flows; f0 crosses both bottlenecks. "Simultaneous"
 	// starts are staggered by a few µs (invisible at the figure's ms
 	// scale) so the deterministic drop-tail does not phase-lock onto one
 	// sender during the blind-start overload.
-	h.AddFlow(1, s.Senders[0], s.Receivers[0], 25_000_000, 0)
-	h.AddFlow(2, s.Senders[1], s.Receivers[1], 25_000_000, 2500*sim.Nanosecond)
-	h.AddFlow(3, s.Senders[2], s.Receivers[2], 25_000_000, sim.Millisecond)
-	h.AddFlow(4, s.Senders[3], s.Receivers[3], 25_000_000, 3500*sim.Microsecond)
+	r.Flows = pairFlows(b, []int64{25_000_000, 25_000_000, 25_000_000, 25_000_000},
+		[]sim.Time{0, 2500 * sim.Nanosecond, sim.Millisecond, 3500 * sim.Microsecond})
+	r.FlowNames, r.GoodputWindow = motivationFlows, 100*sim.Microsecond
+	r.Samplers = []UtilSampler{{Name: "btl0-link-util", Interval: 100 * sim.Microsecond}}
+	res := r.Run()
 
-	const horizon = 8 * sim.Millisecond
-	linkUtil := h.TrackUtil("btl0-link-util", s.Bottlenecks[0], 100*sim.Microsecond, horizon)
-	h.Run(horizon)
-
-	series := h.Series()
+	series := res.Goodput
 	// Goodput crossing the first bottleneck: f0 + f1.
 	util := stats.SumSeries("btl0-goodput-util", pick(series, "f0"), pick(series, "f1"))
 
@@ -67,7 +63,30 @@ func fig1(st Stack, nshards int) MotivationResult {
 	addPhase("f0+f1 alone", 300*sim.Microsecond, sim.Millisecond)
 	addPhase("f2 active", 1500*sim.Microsecond, 3500*sim.Microsecond)
 	addPhase("f2+f3 active", 4*sim.Millisecond, 8*sim.Millisecond)
-	return MotivationResult{Stack: st.Name, Util: util, LinkUtil: linkUtil, FlowSeries: series, Phases: phases}
+	return MotivationResult{Stack: st.Name, Util: util, LinkUtil: res.Util[0], FlowSeries: series, Phases: phases}
+}
+
+// motivationFlows names the §2 motivation figures' flows.
+var motivationFlows = []string{"f0", "f1", "f2", "f3"}
+
+// pairFlows returns a small topology's figure flows: flow i+1 runs from
+// b's i-th sender to its i-th receiver, sizes[i] bytes from starts[i].
+func pairFlows(b topo.Small, sizes []int64, starts []sim.Time) []workload.FlowSpec {
+	flows := make([]workload.FlowSpec, len(sizes))
+	for i, size := range sizes {
+		flows[i] = workload.FlowSpec{ID: netsim.FlowID(i + 1), Src: b.Sender(i), Dst: b.Receiver(i), Size: size, Start: starts[i]}
+	}
+	return flows
+}
+
+// incast returns n synchronized flows of size bytes from b's first n
+// senders to its first receiver.
+func incast(b topo.Small, n int, size int64) []workload.FlowSpec {
+	senders := make([]int, n)
+	for i := range senders {
+		senders[i] = b.Sender(i)
+	}
+	return workload.Incast(senders, b.Receiver(0), size, 0)
 }
 
 // pick returns the series with the given name, or nil.
@@ -84,32 +103,27 @@ func pick(series []*stats.Series, name string) *stats.Series {
 // distinct receivers share one bottleneck; sizes stagger their
 // completions, and a conservative protocol leaves the freed bandwidth
 // unused.
-func Fig2(st Stack) MotivationResult { return fig2(st, 1) }
+func Fig2(st Stack) MotivationResult { return fig2(st, LeafSpineRun{}) }
 
-// fig2 is Fig2 at any engine-shard count.
-func fig2(st Stack, nshards int) MotivationResult {
-	names := []string{"f0", "f1", "f2", "f3"}
-	h := NewScenarioHarness(st, topo.DefaultScenario(), topo.NewFan, transport.Config{}, nshards, 100*sim.Microsecond, names)
-	s := h.S
-
-	// Sized so completions land near 2/4/6/8 ms at a fair quarter share
-	// (2.5 Gbps each): 625 KB, 1.25 MB, 1.875 MB, 2.5 MB.
-	sizes := []int64{625_000, 1_250_000, 1_875_000, 2_500_000}
-	for i, size := range sizes {
-		// µs-scale stagger, invisible at the figure's ms scale; see Fig1
-		// for why it exists at all. 5 µs (vs Fig1's 2.5 µs) keeps every
-		// pHost flow completing within the horizon under the per-port
-		// jitter streams, so the figure shows "finishes later", not
-		// "never finishes".
-		start := sim.Time(i) * 5 * sim.Microsecond
-		h.AddFlow(netsim.FlowID(i+1), s.Senders[i], s.Receivers[i], size, start)
-	}
-
+// fig2 is Fig2 on r (see fig1).
+func fig2(st Stack, r LeafSpineRun) MotivationResult {
+	b := topo.Fan(4)
 	const horizon = 16 * sim.Millisecond
-	linkUtil := h.TrackUtil("btl-link-util", s.Bottlenecks[0], 100*sim.Microsecond, horizon)
-	h.Run(horizon)
+	r.Topo, r.Stack, r.Horizon = b, st, horizon
+	// Sized so completions land near 2/4/6/8 ms at a fair quarter share
+	// (2.5 Gbps each): 625 KB, 1.25 MB, 1.875 MB, 2.5 MB. The starts are
+	// a µs-scale stagger, invisible at the figure's ms scale; see fig1
+	// for why it exists at all. 5 µs (vs fig1's 2.5 µs) keeps every
+	// pHost flow completing within the horizon under the per-port jitter
+	// streams, so the figure shows "finishes later", not "never
+	// finishes".
+	r.Flows = pairFlows(b, []int64{625_000, 1_250_000, 1_875_000, 2_500_000},
+		[]sim.Time{0, 5 * sim.Microsecond, 10 * sim.Microsecond, 15 * sim.Microsecond})
+	r.FlowNames, r.GoodputWindow = motivationFlows, 100*sim.Microsecond
+	r.Samplers = []UtilSampler{{Name: "btl-link-util", Interval: 100 * sim.Microsecond}}
+	res := r.Run()
 
-	series := h.Series()
+	series := res.Goodput
 	util := stats.SumSeries("btl-goodput-util", series...)
 
 	phases := &Table{
@@ -121,7 +135,7 @@ func fig2(st Stack, nshards int) MotivationResult {
 	// "utilization while k flows remain".
 	var ends []sim.Time
 	last := sim.Time(0)
-	for _, f := range h.Flows() {
+	for _, f := range res.Flows {
 		end := horizon
 		if f.Done {
 			end = f.End
@@ -146,5 +160,5 @@ func fig2(st Stack, nshards int) MotivationResult {
 			fmt.Sprintf("%d", i))
 	}
 	phases.AddRow("all done at", last.String(), "-", "4")
-	return MotivationResult{Stack: st.Name, Util: util, LinkUtil: linkUtil, FlowSeries: series, Phases: phases}
+	return MotivationResult{Stack: st.Name, Util: util, LinkUtil: res.Util[0], FlowSeries: series, Phases: phases}
 }

@@ -22,7 +22,7 @@ import (
 // wheel-vs-heap proof.
 
 // The four figure tests below run the figures' own bodies (fig1, fig2,
-// fig9, fig11 — what Fig1 … Fig11 call with one shard), so the proof
+// fig9, fig11 — what Fig1 … Fig11 call on an empty run), so the proof
 // covers the figure itself: its flow list, its samplers, its tables.
 
 // shardsAgree fails t unless dump(n) equals dump(1) for every n.

@@ -41,10 +41,10 @@ func serializeSeries(buf *bytes.Buffer, series []*stats.Series) {
 
 // goldenMotivation serializes everything one of the motivation figure
 // bodies (fig1, fig2) produces at the given shard count.
-func goldenMotivation(kind sim.SchedulerKind, fig func(Stack, int) MotivationResult, stack string, nshards int) string {
+func goldenMotivation(kind sim.SchedulerKind, fig func(Stack, LeafSpineRun) MotivationResult, stack string, nshards int) string {
 	var buf bytes.Buffer
 	underScheduler(kind, func() {
-		res := fig(MustStack(stack, StackOptions{}), nshards)
+		res := fig(MustStack(stack, StackOptions{}), LeafSpineRun{Shards: nshards})
 		serializeSeries(&buf, res.FlowSeries)
 		serializeSeries(&buf, []*stats.Series{res.Util, res.LinkUtil})
 		res.Phases.Fprint(&buf)
@@ -53,10 +53,10 @@ func goldenMotivation(kind sim.SchedulerKind, fig func(Stack, int) MotivationRes
 }
 
 // goldenTestbed is the same for the testbed figure bodies (fig9, fig11).
-func goldenTestbed(kind sim.SchedulerKind, fig func(Stack, int) TestbedResult, stack string, nshards int) string {
+func goldenTestbed(kind sim.SchedulerKind, fig func(Stack, LeafSpineRun) TestbedResult, stack string, nshards int) string {
 	var buf bytes.Buffer
 	underScheduler(kind, func() {
-		res := fig(MustStack(stack, StackOptions{}), nshards)
+		res := fig(MustStack(stack, StackOptions{}), LeafSpineRun{Shards: nshards})
 		serializeSeries(&buf, res.Series)
 		res.Summary.Fprint(&buf)
 		for _, f := range res.Flows {

@@ -7,7 +7,6 @@ import (
 	"amrt/internal/netsim"
 	"amrt/internal/sim"
 	"amrt/internal/topo"
-	"amrt/internal/transport"
 )
 
 // lossyStack wraps a protocol's switch queues with seeded random loss.
@@ -29,21 +28,22 @@ func TestAllProtocolsSurviveRandomLoss(t *testing.T) {
 	for _, proto := range StackNames() {
 		proto := proto
 		t.Run(proto, func(t *testing.T) {
-			st := lossyStack(proto, 0.02)
-			h := NewScenarioHarness(st, topo.DefaultScenario(), fanN(4), transport.Config{}, 1, 0, nil)
-			s := h.S
-			for i := 0; i < 4; i++ {
-				h.AddFlow(netsim.FlowID(i+1), s.Senders[i], s.Receivers[i], 1_000_000, sim.Time(i)*20*sim.Microsecond)
-			}
-			h.Run(20 * sim.Second)
-			for _, f := range h.Flows() {
+			var net *netsim.Network
+			b := topo.Fan(4)
+			flows := LeafSpineRun{
+				Topo:    b,
+				Stack:   tapNet(lossyStack(proto, 0.02), &net),
+				Flows:   pairFlows(b, []int64{1_000_000, 1_000_000, 1_000_000, 1_000_000}, []sim.Time{0, 20 * sim.Microsecond, 40 * sim.Microsecond, 60 * sim.Microsecond}),
+				Horizon: 20 * sim.Second,
+			}.Run().Flows
+			for _, f := range flows {
 				if !f.Done {
 					t.Fatalf("%v did not complete under 2%% loss", f)
 				}
 			}
 			// Injected loss must actually have occurred.
 			var injected int64
-			for _, sw := range s.Switches {
+			for _, sw := range net.Switches() {
 				for _, pt := range sw.Ports() {
 					if lq, ok := pt.Queue().(*netsim.LossyQueue); ok {
 						injected += lq.Injected
@@ -64,10 +64,8 @@ func TestSingleFlowUnderHeavyLoss(t *testing.T) {
 	for _, proto := range ProtocolNames() {
 		proto := proto
 		t.Run(proto, func(t *testing.T) {
-			st := lossyStack(proto, 0.05)
-			h := NewScenarioHarness(st, topo.DefaultScenario(), fanN(1), transport.Config{}, 1, 0, nil)
-			f := h.AddFlow(1, h.S.Senders[0], h.S.Receivers[0], 2_000_000, 0)
-			h.Run(30 * sim.Second)
+			b := topo.Fan(1)
+			f := LeafSpineRun{Topo: b, Stack: lossyStack(proto, 0.05), Flows: pairFlows(b, []int64{2_000_000}, []sim.Time{0}), Horizon: 30 * sim.Second}.Run().Flows[0]
 			if !f.Done {
 				t.Fatal("flow did not complete under 5% loss")
 			}
@@ -83,16 +81,14 @@ func TestSingleFlowUnderHeavyLoss(t *testing.T) {
 // The loss wrapper composes with the trace/drop accounting: injected
 // drops appear in the network drop counters.
 func TestLossAccounting(t *testing.T) {
-	st := lossyStack("AMRT", 0.1)
-	h := NewScenarioHarness(st, topo.DefaultScenario(), fanN(1), transport.Config{}, 1, 0, nil)
-	s := h.S
-	f := h.AddFlow(1, s.Senders[0], s.Receivers[0], 500_000, 0)
-	h.Run(20 * sim.Second)
-	if !f.Done {
+	var net *netsim.Network
+	b := topo.Fan(1)
+	res := LeafSpineRun{Topo: b, Stack: tapNet(lossyStack("AMRT", 0.1), &net), Flows: pairFlows(b, []int64{500_000}, []sim.Time{0}), Horizon: 20 * sim.Second}.Run()
+	if !res.Flows[0].Done {
 		t.Fatal("flow incomplete")
 	}
 	var injected int64
-	for _, sw := range s.Switches {
+	for _, sw := range net.Switches() {
 		for _, pt := range sw.Ports() {
 			if lq, ok := pt.Queue().(*netsim.LossyQueue); ok {
 				injected += lq.Injected
@@ -102,10 +98,10 @@ func TestLossAccounting(t *testing.T) {
 	if injected == 0 {
 		t.Fatal("no injected loss at 10%")
 	}
-	if s.Net.Dropped() < injected {
-		t.Errorf("network counted %d drops < %d injected", s.Net.Dropped(), injected)
+	if res.Drops < injected {
+		t.Errorf("network counted %d drops < %d injected", res.Drops, injected)
 	}
-	if fmt.Sprintf("%T", s.Switches[0].Ports()[0].Queue()) != "*netsim.LossyQueue" {
+	if fmt.Sprintf("%T", net.Switches()[0].Ports()[0].Queue()) != "*netsim.LossyQueue" {
 		t.Error("wrapper not installed")
 	}
 }

@@ -3,12 +3,8 @@ package experiment
 import (
 	"fmt"
 
-	"amrt/internal/netsim"
 	"amrt/internal/sim"
-	"amrt/internal/stats"
 	"amrt/internal/topo"
-	"amrt/internal/transport"
-	"amrt/internal/workload"
 )
 
 // RelatedWorkTable reproduces the §1/§9 contrast between reactive
@@ -30,27 +26,15 @@ func RelatedWorkTable() *Table {
 		maxq      int
 	}
 	results := Parallel(len(protos), func(i int) out {
-		st := MustStack(protos[i], StackOptions{})
-		col := stats.NewFCTCollector()
-		h := NewScenarioHarness(st, topo.DefaultScenario(), fanN(16), transport.Config{Collector: col}, 1, 0, nil)
-		s := h.S
-		mon := netsim.Attach(h.Downlink(s.Receivers[0]))
-		btl := netsim.Attach(s.Bottlenecks[0])
-		for _, fs := range workload.Incast(seqInts(16), 0, 250_000, 0) {
-			h.AddFlow(fs.ID, s.Senders[fs.Src], s.Receivers[0], fs.Size, fs.Start)
-		}
-		h.Run(5 * sim.Second)
-		var o out
-		o.afct = col.Mean()
-		for _, f := range h.Flows() {
+		b := topo.Fan(16)
+		res := LeafSpineRun{Topo: b, Stack: MustStack(protos[i], StackOptions{}), Flows: incast(b, 16, 250_000), Horizon: 5 * sim.Second}.Run()
+		// The burst queues at the shared bottleneck or at the
+		// aggregator's downlink.
+		o := out{afct: res.AFCT, drops: res.Drops, maxq: max(res.MaxQueue, res.BottleneckQueue)}
+		for _, f := range res.Flows {
 			if f.Done && f.FCT() > o.max {
 				o.max = f.FCT()
 			}
-		}
-		o.drops = s.Net.Dropped()
-		o.maxq = mon.MaxQueueLen
-		if btl.MaxQueueLen > o.maxq {
-			o.maxq = btl.MaxQueueLen
 		}
 		return o
 	})
@@ -63,12 +47,4 @@ func RelatedWorkTable() *Table {
 			fmt.Sprintf("%d", r.maxq))
 	}
 	return t
-}
-
-func seqInts(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }

@@ -1,9 +1,9 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"amrt/internal/audit"
 	"amrt/internal/faults"
@@ -17,11 +17,11 @@ import (
 	"amrt/internal/workload"
 )
 
-// LeafSpineRun is one large-scale simulation: a protocol stack on a
-// datacenter fabric with a list of flows. Despite the historical name
-// it drives any topo.Builder — leaf–spine, k-ary fat-tree, or
-// three-tier Clos — through the same route/ECMP, fault, telemetry, and
-// audit machinery.
+// LeafSpineRun is one simulation: a protocol stack on a topology with a
+// list of flows. Despite the historical name it drives any
+// topo.Builder — leaf–spine, k-ary fat-tree, three-tier Clos, or one of
+// the paper's small topologies (topo.Small) — through the same
+// route/ECMP, fault, telemetry, watchdog and audit machinery.
 type LeafSpineRun struct {
 	Topo    topo.Builder
 	Stack   Stack
@@ -80,6 +80,29 @@ type LeafSpineRun struct {
 	// accounting the checks read is maintained regardless, but the
 	// periodic sweep costs a few percent of wall time.
 	Audit bool
+
+	// The small figures' extras, each empty on every other run.
+	// FlowNames names the flows in spec order. With a GoodputWindow,
+	// every flow that delivers data gets a series of its name: its
+	// goodput over each window, normalized to the access rate, tracked
+	// on the flow's home shard (RunResult.Goodput).
+	FlowNames     []string
+	GoodputWindow sim.Time
+	// Samplers sample the utilization of the topology's bottleneck ports
+	// (RunResult.Util).
+	Samplers []UtilSampler
+}
+
+// UtilSampler samples the utilization of one of a small topology's
+// bottleneck ports every Interval, from Interval to the horizon, each
+// sample covering only its own window. It ticks in the late band of the
+// port owner's shard engine, the only goroutine allowed to read the
+// port's monitor mid-run. It consumes the monitor's window, so a run
+// with Metrics should not sample a flow destination's downlink.
+type UtilSampler struct {
+	Name       string // the series name
+	Bottleneck int    // index into the topology's Bottlenecks
+	Interval   sim.Time
 }
 
 // Late-band sub-keys of every periodic observer in the module, one
@@ -91,8 +114,8 @@ const (
 	subMetrics  = sim.SubObserver | 1 // run: each shard's metrics sample
 	subWatchdog = sim.SubObserver | 2 // run: each shard's stall watchdog
 	subAudit    = sim.SubObserver | 3 // run: each shard's invariant auditor
-	// ScenarioHarness.TrackUtil: the harness's n-th tracked port ticks
-	// under subUtil+n, so it must stay the last slot.
+	// The run's n-th UtilSampler ticks under subUtil+n, so it must stay
+	// the last slot.
 	subUtil = sim.SubObserver | 4
 )
 
@@ -132,8 +155,10 @@ type RunResult struct {
 	Utilization float64
 
 	// MaxQueue is the deepest egress queue observed on any monitored
-	// downlink, in packets.
-	MaxQueue int
+	// downlink, in packets; BottleneckQueue is the same over the
+	// topology's bottleneck ports (zero on the datacenter fabrics).
+	MaxQueue        int
+	BottleneckQueue int
 
 	Drops   int64
 	Trims   int64
@@ -165,6 +190,14 @@ type RunResult struct {
 	// (including RPC responses whose request never completed).
 	DeadlineTotal  int
 	DeadlineMissed int
+
+	// Flows lists the run's flows in spec order. Goodput holds the
+	// per-flow goodput series in spec order — none for a flow that never
+	// delivered — and Util one series per sampler, in order; both are
+	// nil unless the run asked for them.
+	Flows   []*transport.Flow
+	Goodput []*stats.Series
+	Util    []*stats.Series
 }
 
 // Run executes the simulation synchronously and returns its result,
@@ -184,17 +217,9 @@ func (r LeafSpineRun) Run() RunResult {
 // topology does not have.
 func (r LeafSpineRun) RunE() (RunResult, error) {
 	x := &run{LeafSpineRun: r}
-	if err := x.build(); err != nil {
+	if err := x.setUp(); err != nil {
 		return RunResult{}, err
 	}
-	x.newInstances()
-	x.registerFlows()
-	if err := x.applyFaults(); err != nil {
-		return RunResult{}, err
-	}
-	x.startWatchdog()
-	x.startAudit()
-	x.startMetrics()
 	x.execute()
 	res := x.collect()
 	// Nothing reads jitter after collect: the ports' streams go to the
@@ -203,8 +228,26 @@ func (r LeafSpineRun) RunE() (RunResult, error) {
 	return res, nil
 }
 
-// run is one RunE call in progress. Its steps run in the order RunE
-// lists them, each leaving in these fields what the later ones need.
+// setUp builds the run up to its first event.
+func (r *run) setUp() error {
+	if err := r.build(); err != nil {
+		return err
+	}
+	r.newInstances()
+	r.registerFlows()
+	if err := r.applyFaults(); err != nil {
+		return err
+	}
+	r.startWatchdog()
+	r.startAudit()
+	r.startMetrics()
+	r.startSamplers()
+	return nil
+}
+
+// run is one RunE call in progress. Its steps run in the order RunE and
+// setUp list them, each leaving in these fields what the later ones
+// need.
 type run struct {
 	LeafSpineRun
 
@@ -216,30 +259,35 @@ type run struct {
 	// Index s belongs to shard s's goroutine while windows execute.
 	cols  []*stats.FCTCollector
 	parts []*metrics.Registry // nil entries without a registry
-	recs  []*trace.Recorder   // nil entries without a recorder
+	recs  []*trace.Recorder   // nil without a recorder
 	insts []Instance
+	// goodput holds each shard's goodput trackers, keyed by the IDs of
+	// the flows homed there; nil without a GoodputWindow.
+	goodput []transport.FlowTable[stats.FlowThroughput]
 
-	// all lists the run's flows in spec order. dsts (an entry for every
-	// flow's destination) and deps are fully built by registerFlows and
-	// only read during the run; a dstState's fields are written by the
-	// destination's home shard alone.
+	// all lists the run's flows in spec order. dsts (indexed by node ID,
+	// an entry for every flow's destination) and deps are fully built by
+	// registerFlows and only read during the run; a dstState's fields
+	// are written by the destination's home shard alone.
 	all  []*transport.Flow
-	dsts transport.HostTable[dstState]
+	dsts []dstState
 	deps transport.FlowTable[dependents]
 
 	audits []*audit.Auditor
+	btl    []*netsim.PortMonitor // one per bottleneck port
 	res    RunResult
 }
 
 // dstState is per-destination state for the utilization metric:
-// delivered payload bytes and the flows targeting the host (for the
-// backlogged-interval computation after the run). The downlink port
-// doubles as the watchdog's receiver-side admin-state probe.
+// delivered payload bytes and, after the run, the backlogged time (see
+// backlog). The downlink port doubles as the watchdog's receiver-side
+// admin-state probe. A node that is no flow's destination has a nil
+// mon.
 type dstState struct {
 	mon     *netsim.PortMonitor
 	dl      *netsim.Port
 	payload int64
-	flows   []*transport.Flow
+	busy    sim.Time
 }
 
 // dependents lists the flows waiting for one parent (workload
@@ -281,9 +329,16 @@ func (r *run) build() error {
 func (r *run) newInstances() {
 	n := len(r.shards)
 	r.cols = make([]*stats.FCTCollector, n)
-	r.parts = make([]*metrics.Registry, n)
-	r.recs = make([]*trace.Recorder, n)
+	if r.Metrics != nil {
+		r.parts = make([]*metrics.Registry, n)
+	}
+	if r.Trace != nil {
+		r.recs = make([]*trace.Recorder, n)
+	}
 	r.insts = make([]Instance, n)
+	if r.GoodputWindow > 0 {
+		r.goodput = make([]transport.FlowTable[stats.FlowThroughput], n)
+	}
 	for s, sh := range r.shards {
 		r.cols[s] = stats.NewFCTCollector()
 		if r.Metrics != nil {
@@ -296,7 +351,7 @@ func (r *run) newInstances() {
 			RTT:       r.ls.RTT(),
 			Shard:     sh,
 			Collector: r.cols[s],
-			Metrics:   r.parts[s],
+			Metrics:   r.part(s),
 			OnDone:    r.onDone,
 			OnData:    r.onData,
 		}
@@ -314,9 +369,21 @@ func (r *run) newInstances() {
 	}
 }
 
-// onData credits a delivered data packet to its destination's payload.
+// part returns shard s's slice of the metrics registry, nil without one.
+func (r *run) part(s int) *metrics.Registry {
+	if r.parts == nil {
+		return nil
+	}
+	return r.parts[s]
+}
+
+// onData credits a delivered data packet to its destination's payload
+// and, on the flow's home shard, to its goodput tracker.
 func (r *run) onData(f *transport.Flow, pkt *netsim.Packet) {
-	r.dsts.Get(f.Dst.ID()).payload += int64(pkt.Size)
+	r.dsts[f.Dst.ID()].payload += int64(pkt.Size)
+	if r.goodput != nil {
+		r.goodput[f.Home].Get(f.ID).OnBytes(r.shards[f.Home].Eng().Now(), pkt.Size)
+	}
 }
 
 // onDone runs on f's home shard when it completes, and releases its
@@ -347,16 +414,12 @@ func (r *run) onDone(f *transport.Flow) {
 	}
 }
 
-// noteStarted books a released flow with its destination and the trace.
-// It runs at registration for an independent flow and, on the flow's
-// home shard, at the release signal for a dependent one.
+// noteStarted books a released flow's start in the trace. It runs at
+// registration for an independent flow and, on the flow's home shard,
+// at the release signal for a dependent one.
 func (r *run) noteStarted(f *transport.Flow) {
-	if !f.Unresponsive {
-		d := r.dsts.Get(f.Dst.ID())
-		d.flows = append(d.flows, f)
-	}
-	if rec := r.recs[f.Home]; rec != nil {
-		rec.RecordStart(f)
+	if r.recs != nil {
+		r.recs[f.Home].RecordStart(f)
 	}
 }
 
@@ -364,28 +427,42 @@ func (r *run) noteStarted(f *transport.Flow) {
 // spec order.
 func (r *run) registerFlows() {
 	r.all = make([]*transport.Flow, len(r.Flows))
+	r.dsts = make([]dstState, len(r.ls.Net.Hosts())+len(r.ls.Net.Switches()))
 	for i, fs := range r.Flows {
 		src, dst := r.ls.Hosts[fs.Src], r.ls.Hosts[fs.Dst]
 		// RegisterMetrics attaches (or reuses) the monitor and, with a
 		// registry, publishes the downlink's telemetry series on the
 		// owning shard. Spec order makes the registration order
 		// deterministic.
-		r.dsts.GetOrBuild(dst.ID(), func() *dstState {
-			dl := r.ls.Downlink(fs.Dst)
-			return &dstState{mon: dl.RegisterMetrics(r.parts[dst.Shard().Index()]), dl: dl}
-		})
-		f := registerFlow(r.insts, fs.ID, src, dst, fs.Size, fs.Unresponsive)
+		if d := &r.dsts[dst.ID()]; d.mon == nil {
+			d.dl = r.ls.Downlink(fs.Dst)
+			d.mon = d.dl.RegisterMetrics(r.part(dst.Shard().Index()))
+		}
+		// Sender side on the source shard's instance (AddPending),
+		// receiver side adopted by the destination's, which becomes the
+		// flow's home — even when both ends share an instance, so no
+		// later flow's source-side install can stomp a host handler
+		// another instance owns.
+		sender := r.insts[src.Shard().Index()]
+		f := sender.AddPending(fs.ID, src, dst, fs.Size, fs.Unresponsive)
+		home := dst.Shard().Index()
+		r.insts[home].Adopt(f)
+		f.Home = int32(home)
 		r.all[i] = f
+		if r.goodput != nil {
+			r.goodput[f.Home].Put(f.ID, stats.NewFlowThroughput(r.FlowNames[i], r.GoodputWindow, r.ls.AccessRate))
+		}
 		if fs.Unresponsive {
 			r.res.Total-- // can never complete; exclude from the target
 		}
 		if fs.After == 0 {
-			releaseFlow(r.insts, f, fs.Start)
+			f.Released, f.Start = true, fs.Start
+			sender.Release(f, fs.Start)
 			r.noteStarted(f)
 			continue
 		}
-		// Destination bookkeeping and the trace start record wait for
-		// the release signal, like the injection itself.
+		// The trace start record waits for the release signal, like the
+		// injection itself.
 		deps := r.deps.Get(fs.After)
 		if deps == nil {
 			deps = new(dependents)
@@ -393,29 +470,17 @@ func (r *run) registerFlows() {
 		}
 		deps.children = append(deps.children, depChild{flow: f, offset: fs.Start})
 	}
-}
-
-// registerFlow creates a flow the way every harness does, even when
-// both ends share an instance: sender side on the source shard's
-// instance (AddPending), receiver side adopted by the destination's,
-// which becomes the flow's home — so no later flow's source-side install
-// can stomp a host handler another instance owns. The flow does not
-// start before releaseFlow.
-func registerFlow(insts []Instance, id netsim.FlowID, src, dst *netsim.Host, size int64, unresponsive bool) *transport.Flow {
-	f := insts[src.Shard().Index()].AddPending(id, src, dst, size, unresponsive)
-	home := dst.Shard().Index()
-	insts[home].Adopt(f)
-	f.Home = int32(home)
-	return f
-}
-
-// releaseFlow starts a registered flow at the given time. Call it
-// during setup only: a dependent's release crosses shards by signal
-// (see run.onDone).
-func releaseFlow(insts []Instance, f *transport.Flow, start sim.Time) {
-	f.Released = true
-	f.Start = start
-	insts[f.Src.Shard().Index()].Release(f, start)
+	// Room for every completion up front: a shard's collector books the
+	// flows homed there.
+	for s, col := range r.cols {
+		n := 0
+		for _, f := range r.all {
+			if int(f.Home) == s && !f.Unresponsive {
+				n++
+			}
+		}
+		col.Grow(n)
+	}
 }
 
 // applyFaults homes the fault plan's events to the built topology.
@@ -433,7 +498,7 @@ func (r *run) applyFaults() error {
 	if err := r.Faults.Apply(r.ls.Net, r.horizon); err != nil {
 		return err
 	}
-	r.Faults.RegisterMetrics(r.parts[0])
+	r.Faults.RegisterMetrics(r.part(0))
 	return nil
 }
 
@@ -496,7 +561,7 @@ func (r *run) startWatchdog() {
 				}
 				// A parked access link explains the silence: that flow is
 				// a fault casualty, not a liveness bug.
-				if r.Faults.AdminDown(f.Src.NIC(), now) || r.Faults.AdminDown(r.dsts.Get(f.Dst.ID()).dl, now) {
+				if r.Faults.AdminDown(f.Src.NIC(), now) || r.Faults.AdminDown(r.dsts[f.Dst.ID()].dl, now) {
 					continue
 				}
 				f.Outcome = transport.OutcomeStalled
@@ -562,6 +627,22 @@ func (r *run) startMetrics() {
 	}
 }
 
+// startSamplers attaches a monitor to every bottleneck port of the
+// topology and starts the utilization samplers on them.
+func (r *run) startSamplers() {
+	for _, p := range r.ls.Bottlenecks {
+		r.btl = append(r.btl, p.RegisterMetrics(nil))
+	}
+	for n, sp := range r.Samplers {
+		mon, s := r.btl[sp.Bottleneck], &stats.Series{Name: sp.Name}
+		r.res.Util = append(r.res.Util, s)
+		r.every(r.ls.Bottlenecks[sp.Bottleneck].Shard().Eng(), subUtil+uint64(n), sp.Interval, sp.Interval, func(now sim.Time) {
+			s.Append(now, mon.Utilization(now))
+			mon.ResetWindow(now)
+		})
+	}
+}
+
 // execute runs the network to the horizon and the auditors' final sweep.
 func (r *run) execute() {
 	if r.Interrupt != nil {
@@ -593,6 +674,9 @@ func (r *run) collect() RunResult {
 	// Final dispositions, in spec order for determinism. Dependents
 	// whose parent never completed were never released; they are
 	// incomplete by definition (and missed deadlines if they carry one).
+	if res.Total > 0 {
+		res.Outcomes = make([]FlowOutcome, 0, res.Total)
+	}
 	for i, fs := range r.Flows {
 		f := r.all[i]
 		if f.Unresponsive {
@@ -650,18 +734,18 @@ func (r *run) collect() RunResult {
 	res.Events = total - late
 
 	// Host-index iteration fixes the floating-point utilization fold.
+	r.backlog()
 	var payloadSum, capSum float64
 	for _, h := range r.ls.Hosts {
-		d := r.dsts.Get(h.ID())
-		if d == nil {
+		d := &r.dsts[h.ID()]
+		if d.mon == nil {
 			continue
 		}
 		res.MaxQueue = max(res.MaxQueue, d.mon.MaxQueueLen)
-		busy := backloggedTime(d.flows, r.horizon)
-		if busy <= 0 {
+		if d.busy <= 0 {
 			continue
 		}
-		capBytes := float64(r.ls.AccessRate.BytesIn(busy))
+		capBytes := float64(r.ls.AccessRate.BytesIn(d.busy))
 		if capBytes <= 0 {
 			continue
 		}
@@ -671,8 +755,19 @@ func (r *run) collect() RunResult {
 	if capSum > 0 {
 		res.Utilization = payloadSum / capSum
 	}
+	for _, mon := range r.btl {
+		res.BottleneckQueue = max(res.BottleneckQueue, mon.MaxQueueLen)
+	}
 	for _, sw := range r.ls.Switches {
 		res.Trims += trimCount(sw)
+	}
+	res.Flows = r.all
+	if r.goodput != nil {
+		for _, f := range r.all {
+			if s := r.goodput[f.Home].Get(f.ID).Finish(); len(s.Points) > 0 {
+				res.Goodput = append(res.Goodput, s)
+			}
+		}
 	}
 	return *res
 }
@@ -778,44 +873,38 @@ func countOutcome(inst Instance, shard int, o transport.Outcome) int64 {
 	return n
 }
 
-// backloggedTime returns the total length of the union of the flows'
-// active intervals [Start, End) (End = horizon for incomplete flows).
-func backloggedTime(flows []*transport.Flow, horizon sim.Time) sim.Time {
-	if len(flows) == 0 {
-		return 0
+// backlog sets each destination's busy time: the length of the union
+// of its released responsive flows' active intervals [Start, End) (End
+// = horizon for incomplete flows), found by one sort of every interval
+// by destination, then start.
+func (r *run) backlog() {
+	type interval struct {
+		dst  netsim.NodeID
+		s, e sim.Time
 	}
-	type iv struct{ s, e sim.Time }
-	ivs := make([]iv, 0, len(flows))
-	for _, f := range flows {
-		end := horizon
+	ivs := make([]interval, 0, len(r.all))
+	for _, f := range r.all {
+		end := r.horizon
 		if f.Done {
 			end = f.End
 		}
-		if end > f.Start {
-			ivs = append(ivs, iv{f.Start, end})
+		if f.Released && !f.Unresponsive && end > f.Start {
+			ivs = append(ivs, interval{f.Dst.ID(), f.Start, end})
 		}
 	}
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].s < ivs[j].s })
-	var total, curS, curE sim.Time
-	started := false
-	for _, x := range ivs {
-		if !started {
-			curS, curE, started = x.s, x.e, true
-			continue
-		}
-		if x.s <= curE {
-			if x.e > curE {
-				curE = x.e
+	slices.SortFunc(ivs, func(a, b interval) int { return cmp.Or(cmp.Compare(a.dst, b.dst), cmp.Compare(a.s, b.s)) })
+	for i := 0; i < len(ivs); {
+		cur, d := ivs[i], &r.dsts[ivs[i].dst]
+		for i++; i < len(ivs) && ivs[i].dst == cur.dst; i++ {
+			if x := ivs[i]; x.s <= cur.e {
+				cur.e = max(cur.e, x.e)
+			} else {
+				d.busy += cur.e - cur.s
+				cur = x
 			}
-			continue
 		}
-		total += curE - curS
-		curS, curE = x.s, x.e
+		d.busy += cur.e - cur.s
 	}
-	if started {
-		total += curE - curS
-	}
-	return total
 }
 
 func trimCount(sw *netsim.Switch) int64 {

@@ -19,9 +19,9 @@ import (
 	"amrt/internal/transport"
 )
 
-// Instance is the protocol surface the two harnesses drive; every
-// stack in the table satisfies it, almost entirely through the embedded
-// transport.Kernel's flow lifecycle. A harness creates one instance per
+// Instance is the protocol surface the run drives; every stack in the
+// table satisfies it, almost entirely through the embedded
+// transport.Kernel's flow lifecycle. The run creates one instance per
 // engine shard: a flow's sender side lives on its source's instance
 // (AddPending, Release), its receiver side on its destination's
 // (Adopt), and the two coincide on single-shard runs.
@@ -197,6 +197,19 @@ var stackTable = [...]stackRow{
 			},
 		}
 	}},
+}
+
+// withConfig returns st with every instance's transport configuration
+// passed through edit first: how a run sets a protocol knob it does not
+// own (BlindWindow) or taps the deliveries (chaining the OnData it
+// finds).
+func withConfig(st Stack, edit func(*transport.Config)) Stack {
+	inner := st.New
+	st.New = func(net *netsim.Network, base transport.Config) Instance {
+		edit(&base)
+		return inner(net, base)
+	}
+	return st
 }
 
 // amrtStack builds AMRT from cfg, zero fields at the paper's defaults:

@@ -10,10 +10,10 @@ import (
 	"amrt/internal/transport"
 )
 
-func newFan(pairs, degree int) (*topo.Scenario, *Protocol) {
+func newFan(pairs, degree int) (*topo.Fabric, *Protocol) {
 	cfg := DefaultConfig()
 	cfg.Degree = degree
-	s := topo.NewFanN(topo.DefaultScenario(), topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue}, pairs)
+	s := topo.Fan(pairs).Build(topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue})
 	cfg.RTT = 100 * sim.Microsecond
 	cfg.Collector = stats.NewFCTCollector()
 	return s, New(s.Net, cfg)

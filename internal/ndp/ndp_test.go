@@ -10,16 +10,16 @@ import (
 	"amrt/internal/transport"
 )
 
-func newFan(pairs int) (*topo.Scenario, *Protocol) {
+func newFan(pairs int) (*topo.Fabric, *Protocol) {
 	cfg := DefaultConfig()
-	s := topo.NewFanN(topo.DefaultScenario(), topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue}, pairs)
+	s := topo.Fan(pairs).Build(topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue})
 	cfg.RTT = 100 * sim.Microsecond
 	cfg.Collector = stats.NewFCTCollector()
 	return s, New(s.Net, cfg)
 }
 
 // trims sums payload trims across all switch ports.
-func trims(s *topo.Scenario) int64 {
+func trims(s *topo.Fabric) int64 {
 	var n int64
 	for _, sw := range s.Switches {
 		for _, p := range sw.Ports() {

@@ -274,7 +274,7 @@ func (n *Network) AttachPort(from, to Node, rate sim.Rate, delay sim.Time, q Que
 		q = NewDropTail(0)
 	}
 	p := &Port{
-		name:   fmt.Sprintf("%s->%s", from.Name(), to.Name()),
+		name:   from.Name() + "->" + to.Name(),
 		owner:  from,
 		net:    n,
 		shard:  shardOf(from),
@@ -466,7 +466,7 @@ func (n *Network) SetJitter(max sim.Time, seed int64) {
 // back to the process-wide free list, where the next network's ports
 // re-seed it (see Port.jit). Call it once nothing will run the
 // network again — the experiment runner does so as the last step of a
-// run, ScenarioHarness right after its one Run. A released network
+// run. A released network
 // panics on Run and on a jitter draw rather than restart a stream
 // silently, even where a stream had buffered draws left; everything
 // else it holds (counters, monitors, queues) stays readable. A network

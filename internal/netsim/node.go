@@ -146,7 +146,9 @@ func (s *Switch) AddRoute(dst NodeID, p *Port) {
 		panic(fmt.Sprintf("netsim: switch %s routes through %v, a port it does not own", s.name, p))
 	}
 	if n := int(s.net.nextID); len(s.routeOf) < n {
-		s.routeOf = append(s.routeOf, make([]uint32, n-len(s.routeOf))...)
+		routeOf := make([]uint32, n) // one allocation, race detector or not
+		copy(routeOf, s.routeOf)
+		s.routeOf = routeOf
 	}
 	if s.routeSets == nil {
 		// A fabric switch reaches every destination through one of its

@@ -15,9 +15,9 @@ func overlay(cfg Config) topo.Overlay {
 	return topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue}
 }
 
-func newFan(pairs int) (*topo.Scenario, *Protocol, *stats.FCTCollector) {
+func newFan(pairs int) (*topo.Fabric, *Protocol, *stats.FCTCollector) {
 	cfg := DefaultConfig()
-	s := topo.NewFanN(topo.DefaultScenario(), overlay(cfg), pairs)
+	s := topo.Fan(pairs).Build(overlay(cfg))
 	col := stats.NewFCTCollector()
 	cfg.Collector = col
 	cfg.RTT = 100 * sim.Microsecond
@@ -66,7 +66,7 @@ func TestConservativeNoRampFromSmallWindow(t *testing.T) {
 	// never exceed one per arrival, so the window cannot grow.
 	cfg := DefaultConfig()
 	cfg.BlindWindow = 8
-	s := topo.NewFanN(topo.DefaultScenario(), overlay(cfg), 1)
+	s := topo.Fan(1).Build(overlay(cfg))
 	cfg.RTT = 100 * sim.Microsecond
 	p := New(s.Net, cfg)
 	f := p.AddFlow(1, s.Senders[0], s.Receivers[0], 2_000_000, 0)
@@ -85,7 +85,7 @@ func TestSRPTPreemptsAtSharedReceiver(t *testing.T) {
 	// Fig. 11(a): a short flow to the same receiver takes the whole
 	// link; the long flow resumes after it completes.
 	cfg := DefaultConfig()
-	s := topo.NewFanN(topo.DefaultScenario(), overlay(cfg), 2)
+	s := topo.Fan(2).Build(overlay(cfg))
 	cfg.RTT = 100 * sim.Microsecond
 	p := New(s.Net, cfg)
 	long := p.AddFlow(1, s.Senders[0], s.Receivers[0], 20_000_000, 0)
@@ -131,7 +131,7 @@ func TestLossRecoveryViaExpiry(t *testing.T) {
 	// Incast losses at the 128-packet buffer must be recovered (slowly)
 	// through token expiry.
 	cfg := DefaultConfig()
-	s := topo.NewFanN(topo.DefaultScenario(), overlay(cfg), 8)
+	s := topo.Fan(8).Build(overlay(cfg))
 	cfg.RTT = 100 * sim.Microsecond
 	p := New(s.Net, cfg)
 	var flows []*transport.Flow
@@ -179,9 +179,9 @@ func TestTokenPacingRespectsDownlinkRate(t *testing.T) {
 	// the sender equals emission spacing (64-byte control packets can
 	// reorder under jitter, which would corrupt the measurement).
 	cfg := DefaultConfig()
-	sc := topo.DefaultScenario()
+	sc := topo.Fan(1)
 	sc.Jitter = 0
-	s := topo.NewFanN(sc, overlay(cfg), 1)
+	s := sc.Build(overlay(cfg))
 	cfg.RTT = 100 * sim.Microsecond
 	p := New(s.Net, cfg)
 	f := p.AddFlow(1, s.Senders[0], s.Receivers[0], 3_000_000, 0)

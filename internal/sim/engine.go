@@ -293,10 +293,15 @@ func (e *Engine) ScheduleEventKeyed(at Time, key uint64, h Handler, op int32, ar
 // events among themselves and must stay below 1<<62; (at, sub) pairs
 // must be unique per engine.
 func (e *Engine) ScheduleLate(at Time, sub uint64, fn func()) Timer {
+	return e.scheduleLate(at, sub, funcHandler(fn))
+}
+
+// scheduleLate is ScheduleLate for a Handler.
+func (e *Engine) scheduleLate(at Time, sub uint64, h Handler) Timer {
 	if sub >= SeqSignal {
 		panic(fmt.Sprintf("sim: late subkey %#x overflows the late band", sub))
 	}
-	return e.scheduleSeq(at, SeqLate|sub, funcHandler(fn), 0, nil)
+	return e.scheduleSeq(at, SeqLate|sub, h, 0, nil)
 }
 
 // Every runs tick in the late band under sub (see ScheduleLate) at first,
@@ -314,15 +319,26 @@ func (e *Engine) Every(first, interval, until Time, sub uint64, tick func() bool
 	if first > until {
 		return
 	}
-	at := first
-	var fire func()
-	fire = func() {
-		if tick() && at <= until-interval {
-			at += interval
-			e.ScheduleLate(at, sub, fire)
-		}
+	t := &ticker{e: e, at: first, interval: interval, until: until, sub: sub, tick: tick}
+	e.scheduleLate(first, sub, t)
+}
+
+// ticker is one Every schedule, its own event handler: arming it
+// allocates the ticker and nothing else, and a tick allocates nothing.
+type ticker struct {
+	e                   *Engine
+	at, interval, until Time
+	sub                 uint64
+	tick                func() bool
+}
+
+// HandleEvent implements Handler: one tick, then the next one if the
+// tick asks for it and it falls within until.
+func (t *ticker) HandleEvent(int32, any) {
+	if t.tick() && t.at <= t.until-t.interval {
+		t.at += t.interval
+		t.e.scheduleLate(t.at, t.sub, t)
 	}
-	e.ScheduleLate(first, sub, fire)
 }
 
 // funcHandler wraps fn for the func()-taking schedule calls. The nil

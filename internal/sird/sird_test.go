@@ -14,9 +14,9 @@ const rtt = 100 * sim.Microsecond
 
 // newFan builds n sender/receiver pairs across one bottleneck with
 // SIRD's queues and a SIRD instance on it.
-func newFan(pairs int) (*topo.Scenario, *Protocol) {
+func newFan(pairs int) (*topo.Fabric, *Protocol) {
 	cfg := DefaultConfig()
-	s := topo.NewFanN(topo.DefaultScenario(), topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue}, pairs)
+	s := topo.Fan(pairs).Build(topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue})
 	cfg.RTT = rtt
 	return s, New(s.Net, cfg)
 }

@@ -5,9 +5,10 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"amrt/internal/sim"
 )
@@ -53,24 +54,31 @@ func (c *FCTCollector) Count() int { return len(c.samples) }
 // merged multi-shard run reports byte-identical statistics to the
 // single-shard reference. (Samples identical in all three fields are
 // interchangeable, so the sort's tie order cannot affect any aggregate.)
+// A sole collector is sorted in place and returned.
 func Merge(parts ...*FCTCollector) *FCTCollector {
-	out := NewFCTCollector()
-	for _, p := range parts {
-		if p != nil {
-			out.samples = append(out.samples, p.samples...)
+	var out *FCTCollector
+	if len(parts) == 1 && parts[0] != nil {
+		out = parts[0]
+	} else {
+		out = NewFCTCollector()
+		for _, p := range parts {
+			if p != nil {
+				out.samples = append(out.samples, p.samples...)
+			}
 		}
 	}
-	sort.Slice(out.samples, func(i, j int) bool {
-		a, b := out.samples[i], out.samples[j]
-		switch {
-		case a.End != b.End:
-			return a.End < b.End
-		case a.Start != b.Start:
-			return a.Start < b.Start
-		}
-		return a.Size < b.Size
+	slices.SortFunc(out.samples, func(a, b FCTSample) int {
+		return cmp.Or(cmp.Compare(a.End, b.End), cmp.Compare(a.Start, b.Start), cmp.Compare(a.Size, b.Size))
 	})
+	out.sorted = false
 	return out
+}
+
+// Grow makes room for n more samples, in one allocation.
+func (c *FCTCollector) Grow(n int) {
+	if n > cap(c.samples)-len(c.samples) {
+		c.samples = append(make([]FCTSample, 0, len(c.samples)+n), c.samples...)
+	}
 }
 
 // Samples returns the raw samples (not a copy; do not mutate).
@@ -92,7 +100,7 @@ func (c *FCTCollector) ensureSorted() {
 	if c.sorted {
 		return
 	}
-	sort.Slice(c.samples, func(i, j int) bool { return c.samples[i].FCT() < c.samples[j].FCT() })
+	slices.SortFunc(c.samples, func(a, b FCTSample) int { return cmp.Compare(a.FCT(), b.FCT()) })
 	c.sorted = true
 }
 

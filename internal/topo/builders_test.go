@@ -125,31 +125,36 @@ func renderFabric(b *strings.Builder, l *factoryLog, f *Fabric) {
 	l.render(b, f.Net)
 }
 
-func renderScenario(b *strings.Builder, l *factoryLog, s *Scenario) {
+// renderSmall writes a small topology's fabric header, then its roles.
+func renderSmall(b *strings.Builder, l *factoryLog, f *Fabric) {
+	fmt.Fprintf(b, "access=%d rtt=%d\n", int64(f.AccessRate), int64(f.BaseRTT))
+	for i, h := range f.Hosts {
+		fmt.Fprintf(b, "host[%d] %s downlink %s\n", i, h.Name(), f.HostDownlinks[i].Name())
+	}
 	list := func(label string, names []string) {
 		fmt.Fprintf(b, "%s: %s\n", label, strings.Join(names, " "))
 	}
 	var names []string
-	for _, h := range s.Senders {
+	for _, h := range f.Senders {
 		names = append(names, h.Name())
 	}
 	list("senders", names)
 	names = names[:0]
-	for _, h := range s.Receivers {
+	for _, h := range f.Receivers {
 		names = append(names, h.Name())
 	}
 	list("receivers", names)
 	names = names[:0]
-	for _, sw := range s.Switches {
+	for _, sw := range f.Switches {
 		names = append(names, sw.Name())
 	}
 	list("switches", names)
 	names = names[:0]
-	for _, p := range s.Bottlenecks {
+	for _, p := range f.Bottlenecks {
 		names = append(names, p.Name())
 	}
 	list("bottlenecks", names)
-	l.render(b, s.Net)
+	l.render(b, f.Net)
 }
 
 // TestBuildersGolden pins how every builder lays a topology down: node
@@ -171,18 +176,17 @@ func TestBuildersGolden(t *testing.T) {
 		{"fattree k=4", DefaultFatTree(), false},
 		{"clos default", DefaultClos(), false},
 	}
-	scenarios := []struct {
-		name  string
-		cfg   ScenarioConfig
-		build func(ScenarioConfig, Overlay) *Scenario
-		bare  bool
+	smalls := []struct {
+		name string
+		b    Small
+		bare bool
 	}{
-		{"chain", DefaultScenario(), NewChain, false},
-		{"fan", DefaultScenario(), NewFan, false},
-		{"fan bare", DefaultScenario(), NewFan, true},
-		{"fanN 2", DefaultScenario(), func(c ScenarioConfig, ov Overlay) *Scenario { return NewFanN(c, ov, 2) }, false},
-		{"testbed dynamic", TestbedScenario(), NewTestbedDynamic, false},
-		{"testbed multi-bottleneck", TestbedScenario(), NewTestbedMultiBottleneck, false},
+		{"chain", Chain(), false},
+		{"fan", Fan(4), false},
+		{"fan bare", Fan(4), true},
+		{"fanN 2", Fan(2), false},
+		{"testbed dynamic", TestbedDynamic(), false},
+		{"testbed multi-bottleneck", TestbedMultiBottleneck(), false},
 	}
 
 	var b strings.Builder
@@ -195,14 +199,14 @@ func TestBuildersGolden(t *testing.T) {
 		fmt.Fprintf(&b, "== %s\n", c.name)
 		renderFabric(&b, l, c.b.Build(ov))
 	}
-	for _, c := range scenarios {
+	for _, c := range smalls {
 		l := newFactoryLog()
 		ov := l.overlay()
 		if c.bare {
 			ov = Overlay{}
 		}
 		fmt.Fprintf(&b, "== %s\n", c.name)
-		renderScenario(&b, l, c.build(c.cfg, ov))
+		renderSmall(&b, l, c.b.Build(ov))
 	}
 
 	path := filepath.Join("testdata", "builders.golden")

@@ -128,7 +128,8 @@ func (c ClosConfig) Build(ov Overlay) *Fabric {
 	c = c.withDefaults()
 	w := newWiring(ov, c.LinkDelay, c.Jitter, c.JitterSeed)
 	n := w.net
-	f := &Fabric{Net: n, AccessRate: c.HostRate, BaseRTT: 12 * c.LinkDelay}
+	f := w.f
+	f.AccessRate, f.BaseRTT = c.HostRate, 12*c.LinkDelay
 	cores := make([]*netsim.Switch, c.Cores)
 	for i := range cores {
 		cores[i] = n.NewSwitch(fmt.Sprintf("core%d", i))
@@ -141,7 +142,7 @@ func (c ClosConfig) Build(ov Overlay) *Fabric {
 		for l := 0; l < c.LeavesPerPod; l++ {
 			leaf := n.NewSwitch(fmt.Sprintf("leaf%d.%d", p, l))
 			for h := 0; h < c.HostsPerLeaf; h++ {
-				f.attach(w.host(leaf, fmt.Sprintf("h%d.%d.%d", p, l, h), c.HostRate))
+				w.host(leaf, fmt.Sprintf("h%d.%d.%d", p, l, h), c.HostRate)
 			}
 			for _, agg := range aggs {
 				w.link(leaf, agg, c.FabricRate)

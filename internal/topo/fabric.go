@@ -9,12 +9,11 @@ import (
 	"amrt/internal/sim"
 )
 
-// Overlay carries the per-stack pieces every builder in this package —
-// fabric or small scenario — weaves into the topology: the queue
-// disciplines and the optional egress marker. It is the only way they
-// reach a topology; the experiment runner passes its stack's overlay
-// (switch queue factory wrapped by the fault plan's loss processes) to
-// Builder.Build, ScenarioHarness to the scenario constructor.
+// Overlay carries the per-stack pieces every builder in this package
+// weaves into the topology: the queue disciplines and the optional
+// egress marker. It is the only way they reach a topology; the
+// experiment runner passes its stack's overlay (switch queue factory
+// wrapped by the fault plan's loss processes) to Builder.Build.
 type Overlay struct {
 	// HostQueue builds host NIC egress queues; nil means a 128-packet
 	// drop-tail.
@@ -32,9 +31,11 @@ type Overlay struct {
 // nodes on net and cables them only through host and link, so the
 // queue defaults, the marker-placement rule and the order in which the
 // queue factories are called — the fault plan seeds the k-th switch
-// queue from k — live here once.
+// queue from k — live here once. f is the fabric under construction:
+// host fills its Hosts and HostDownlinks.
 type wiring struct {
 	net   *netsim.Network
+	f     *Fabric
 	delay sim.Time // one-way propagation delay of every link
 	ov    Overlay
 }
@@ -50,7 +51,8 @@ func newWiring(ov Overlay, delay, jitter sim.Time, jitterSeed int64) wiring {
 	if ov.SwitchQueue == nil {
 		ov.SwitchQueue = dropTail
 	}
-	w := wiring{net: netsim.New(), delay: delay, ov: ov}
+	n := netsim.New()
+	w := wiring{net: n, f: &Fabric{Net: n}, delay: delay, ov: ov}
 	if jitter > 0 {
 		w.net.SetJitter(jitter, jitterSeed)
 	}
@@ -59,13 +61,16 @@ func newWiring(ov Overlay, delay, jitter sim.Time, jitterSeed int64) wiring {
 
 // host adds a host named name under sw with a link of the given rate
 // each way: its NIC gets a host queue, the switch's downlink toward it
-// a switch queue and the marker. It returns the host and the downlink.
-func (w *wiring) host(sw *netsim.Switch, name string, rate sim.Rate) (*netsim.Host, *netsim.Port) {
+// a switch queue and the marker. The host and its downlink go next in
+// the fabric's host index order; host returns the downlink.
+func (w *wiring) host(sw *netsim.Switch, name string, rate sim.Rate) *netsim.Port {
 	h := w.net.NewHost(name)
 	w.net.AttachPort(h, sw, rate, w.delay, w.ov.HostQueue())
 	down := w.net.AttachPort(sw, h, rate, w.delay, w.ov.SwitchQueue())
 	w.mark(down)
-	return h, down
+	w.f.Hosts = append(w.f.Hosts, h)
+	w.f.HostDownlinks = append(w.f.HostDownlinks, down)
+	return down
 }
 
 // link joins two switches with a port each way, each with a switch
@@ -92,7 +97,8 @@ func (w *wiring) mark(p *netsim.Port) {
 // the network, the hosts in deterministic index order, the per-host
 // bottleneck downlinks, and every switch (for trim counting and
 // forensics). All builders in this package — leaf–spine, k-ary
-// fat-tree, and three-tier Clos — produce one.
+// fat-tree, three-tier Clos and the paper's small topologies (Small) —
+// produce one.
 type Fabric struct {
 	// Net is the built network with shortest-path ECMP routes installed.
 	Net *netsim.Network
@@ -112,12 +118,14 @@ type Fabric struct {
 	// hosts (no queueing or serialization), used for BDP sizing and
 	// protocol timeout scheduling.
 	BaseRTT sim.Time
-}
 
-// attach appends a host and its downlink, in host index order.
-func (f *Fabric) attach(h *netsim.Host, down *netsim.Port) {
-	f.Hosts = append(f.Hosts, h)
-	f.HostDownlinks = append(f.HostDownlinks, down)
+	// Senders, Receivers and Bottlenecks are a small topology's roles,
+	// in the order its figure discusses them: the figure's flow i runs
+	// from Senders[i] to Receivers[i] (Small.Sender and Small.Receiver
+	// give their host indices), and Bottlenecks are the egress ports it
+	// watches. The datacenter fabrics leave them empty.
+	Senders, Receivers []*netsim.Host
+	Bottlenecks        []*netsim.Port
 }
 
 // Downlink returns the last-hop switch egress port feeding host i.

@@ -116,8 +116,16 @@ func TestFatTreeCanonicalDistinguishes(t *testing.T) {
 	bigger.K = 8
 	slower := base
 	slower.AggRate = 5 * sim.Gbps
+	// The small topologies share the key space: no shape, pair count or
+	// link setting may collide with another, or with a fabric.
+	fan := Fan(4)
+	fan.LinkDelay /= 2
+	seeded := Chain()
+	seeded.JitterSeed = 1
 	seen := map[string]string{}
-	for name, c := range map[string]FatTreeConfig{"base": base, "k8": bigger, "agg5": slower} {
+	for name, c := range map[string]Builder{"base": base, "k8": bigger, "agg5": slower,
+		"chain": Chain(), "chain seed 1": seeded, "fan 4": Fan(4), "fan 1": Fan(1), "fan half delay": fan,
+		"testbed dynamic": TestbedDynamic(), "testbed multi-bottleneck": TestbedMultiBottleneck()} {
 		key := c.Canonical()
 		if prev, dup := seen[key]; dup {
 			t.Errorf("configs %s and %s share canonical %q", prev, name, key)

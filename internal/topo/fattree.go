@@ -39,7 +39,7 @@ type FatTreeConfig struct {
 
 // DefaultFatTree is the smallest legal fat-tree: K=4 (16 hosts),
 // uniform 10 Gbps links, ~100 µs cross-pod RTT, and half an MSS of
-// delivery jitter (same rationale as ScenarioConfig.Jitter).
+// delivery jitter (same rationale as Small.Jitter).
 func DefaultFatTree() FatTreeConfig {
 	c := FatTreeConfig{
 		K:         4,
@@ -106,7 +106,8 @@ func (c FatTreeConfig) Build(ov Overlay) *Fabric {
 	w := newWiring(ov, c.LinkDelay, c.Jitter, c.JitterSeed)
 	n := w.net
 	k, half := c.K, c.K/2
-	f := &Fabric{Net: n, AccessRate: c.HostRate, BaseRTT: 12 * c.LinkDelay}
+	f := w.f
+	f.AccessRate, f.BaseRTT = c.HostRate, 12*c.LinkDelay
 
 	cores := make([]*netsim.Switch, half*half)
 	for i := range cores {
@@ -121,7 +122,7 @@ func (c FatTreeConfig) Build(ov Overlay) *Fabric {
 		}
 		for e, edge := range edges {
 			for h := 0; h < half; h++ {
-				f.attach(w.host(edge, fmt.Sprintf("h%d.%d.%d", p, e, h), c.HostRate))
+				w.host(edge, fmt.Sprintf("h%d.%d.%d", p, e, h), c.HostRate)
 			}
 			for _, agg := range aggs {
 				w.link(edge, agg, c.AggRate)

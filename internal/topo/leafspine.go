@@ -37,7 +37,7 @@ func DefaultLeafSpine() LeafSpineConfig {
 		HostRate:     10 * sim.Gbps,
 		FabricRate:   10 * sim.Gbps,
 		LinkDelay:    12500 * sim.Nanosecond, // 8 hops ≈ 100µs RTT
-		Jitter:       600 * sim.Nanosecond,   // half an MSS at 10G; see ScenarioConfig.Jitter
+		Jitter:       600 * sim.Nanosecond,   // half an MSS at 10G; see Small.Jitter
 	}
 }
 
@@ -72,7 +72,8 @@ func (c LeafSpineConfig) Build(ov Overlay) *Fabric {
 		panic("topo: leaf-spine dimensions must be positive")
 	}
 	w := newWiring(ov, c.LinkDelay, c.Jitter, c.JitterSeed)
-	f := &Fabric{Net: w.net, AccessRate: c.HostRate, BaseRTT: 8 * c.LinkDelay}
+	f := w.f
+	f.AccessRate, f.BaseRTT = c.HostRate, 8*c.LinkDelay
 	for l := 0; l < c.Leaves; l++ {
 		f.Switches = append(f.Switches, w.net.NewSwitch(fmt.Sprintf("leaf%d", l)))
 	}
@@ -82,7 +83,7 @@ func (c LeafSpineConfig) Build(ov Overlay) *Fabric {
 	leaves, spines := f.Switches[:c.Leaves], f.Switches[c.Leaves:]
 	for l, leaf := range leaves {
 		for h := 0; h < c.HostsPerLeaf; h++ {
-			f.attach(w.host(leaf, fmt.Sprintf("h%d.%d", l, h), c.HostRate))
+			w.host(leaf, fmt.Sprintf("h%d.%d", l, h), c.HostRate)
 		}
 		for _, spine := range spines {
 			w.link(leaf, spine, c.FabricRate)

@@ -7,9 +7,31 @@ import (
 	"amrt/internal/sim"
 )
 
-// ScenarioConfig carries the knobs shared by the small motivation and
-// testbed topologies.
-type ScenarioConfig struct {
+// shape names one of the small topologies.
+type shape uint8
+
+const (
+	chainShape shape = iota + 1
+	fanShape
+	testbedDynamicShape
+	testbedMultiBottleneckShape
+)
+
+var shapeNames = [...]string{
+	chainShape:                  "chain",
+	fanShape:                    "fan",
+	testbedDynamicShape:         "testbed-dynamic",
+	testbedMultiBottleneckShape: "testbed-multibottleneck",
+}
+
+// Small is one of the small topologies of the paper's motivation (§2)
+// and testbed (§7) figures as a Builder. Chain, Fan, TestbedDynamic and
+// TestbedMultiBottleneck return one at its figure's settings; the link
+// fields may be changed before Build. Every link runs at Rate, and
+// the built fabric's BaseRTT is 8 × LinkDelay — the two-switch path's
+// four links each way — whatever the shape, so every stack sees one
+// RTT on every small topology.
+type Small struct {
 	Rate      sim.Rate // every link
 	LinkDelay sim.Time // one-way, per link
 
@@ -17,16 +39,16 @@ type ScenarioConfig struct {
 	// netsim.Network.SetJitter); JitterSeed seeds its stream.
 	Jitter     sim.Time
 	JitterSeed int64
+
+	shape shape
+	pairs int // the figure's flows, one per sender/receiver pair
 }
 
-// DefaultScenario matches §2's settings: 10 Gbps links, 100 µs RTT
-// across the two-switch path (4 links each way → 12.5 µs per link),
-// 128-packet buffers.
-func DefaultScenario() ScenarioConfig {
-	c := ScenarioConfig{
-		Rate:      10 * sim.Gbps,
-		LinkDelay: 12500 * sim.Nanosecond,
-	}
+// small is shape with pairs flows at §2's settings: 10 Gbps links,
+// 100 µs RTT across the two-switch path (4 links each way → 12.5 µs per
+// link).
+func small(s shape, pairs int) Small {
+	c := Small{Rate: 10 * sim.Gbps, LinkDelay: 12500 * sim.Nanosecond, shape: s, pairs: pairs}
 	// Half a packet serialization time of delivery jitter: enough to
 	// re-randomize arrival phases within a few packets, so synchronized
 	// senders do not phase-lock against deterministic drop-tail queues
@@ -36,136 +58,35 @@ func DefaultScenario() ScenarioConfig {
 	return c
 }
 
-// TestbedScenario matches §7's 1 GbE testbed.
-func TestbedScenario() ScenarioConfig {
-	c := DefaultScenario()
+// testbed is s at §7's 1 GbE testbed settings.
+func testbed(s shape) Small {
+	c := small(s, 4)
 	c.Rate = sim.Gbps
 	c.Jitter = c.Rate.TxTime(netsim.MSS) / 2
 	return c
 }
 
-// smallWiring is the wiring of a small topology: every link at one rate.
-type smallWiring struct {
-	wiring
-	rate sim.Rate
-}
-
-// wire starts a small topology on a fresh network with ov laid over it.
-func (c ScenarioConfig) wire(ov Overlay) smallWiring {
-	return smallWiring{newWiring(ov, c.LinkDelay, c.Jitter, c.JitterSeed), c.Rate}
-}
-
-// add attaches a host named name to sw and returns it.
-func (w *smallWiring) add(sw *netsim.Switch, name string) *netsim.Host {
-	h, _ := w.host(sw, name, w.rate)
-	return h
-}
-
-// connect joins two switches and returns the a→b port.
-func (w *smallWiring) connect(a, b *netsim.Switch) *netsim.Port { return w.link(a, b, w.rate) }
-
-// Scenario is a built small topology with named hosts.
-type Scenario struct {
-	Net       *netsim.Network
-	Senders   []*netsim.Host
-	Receivers []*netsim.Host
-	Switches  []*netsim.Switch
-
-	// Bottlenecks are the egress ports the experiment monitors, in the
-	// order the figure discusses them.
-	Bottlenecks []*netsim.Port
-}
-
-// NewChain builds the Fig. 1 multi-bottleneck scenario:
+// Chain is the Fig. 1 multi-bottleneck topology at §2's settings:
 //
 //	S0,S1 @SW0 --btl0--> SW1 (R1 here; S2,S3 here) --btl1--> SW2 (R0,R2,R3)
 //
 // Flow f0: S0→R0 crosses both bottlenecks; f1: S1→R1 crosses btl0;
 // f2: S2→R2 and f3: S3→R3 cross btl1. Bottlenecks[0] is SW0→SW1,
 // Bottlenecks[1] is SW1→SW2.
-func NewChain(cfg ScenarioConfig, ov Overlay) *Scenario {
-	w := cfg.wire(ov)
-	n := w.net
-	sw0 := n.NewSwitch("sw0")
-	sw1 := n.NewSwitch("sw1")
-	sw2 := n.NewSwitch("sw2")
-	s := &Scenario{Net: n, Switches: []*netsim.Switch{sw0, sw1, sw2}}
+func Chain() Small { return small(chainShape, 4) }
 
-	s.Senders = []*netsim.Host{
-		w.add(sw0, "S0"),
-		w.add(sw0, "S1"),
-		w.add(sw1, "S2"),
-		w.add(sw1, "S3"),
-	}
-	s.Receivers = []*netsim.Host{
-		w.add(sw2, "R0"),
-		w.add(sw1, "R1"),
-		w.add(sw2, "R2"),
-		w.add(sw2, "R3"),
-	}
-	s.Bottlenecks = []*netsim.Port{w.connect(sw0, sw1), w.connect(sw1, sw2)}
-	InstallShortestPathRoutes(n)
-	return s
-}
+// Fan is the Fig. 2 dynamic-traffic topology at §2's settings with the
+// given number of sender/receiver pairs: the senders on one switch, the
+// receivers on another, and a single shared bottleneck between,
+// Bottlenecks[0].
+func Fan(pairs int) Small { return small(fanShape, pairs) }
 
-// NewFan builds the Fig. 2 dynamic-traffic scenario: four senders on one
-// switch, four receivers on another, a single shared bottleneck between.
-// Bottlenecks[0] is the shared link.
-func NewFan(cfg ScenarioConfig, ov Overlay) *Scenario {
-	return NewFanN(cfg, ov, 4)
-}
-
-// NewFanN is NewFan with a configurable number of sender/receiver pairs.
-func NewFanN(cfg ScenarioConfig, ov Overlay, pairs int) *Scenario {
-	w := cfg.wire(ov)
-	n := w.net
-	swA := n.NewSwitch("swA")
-	swB := n.NewSwitch("swB")
-	s := &Scenario{Net: n, Switches: []*netsim.Switch{swA, swB}}
-	for i := 0; i < pairs; i++ {
-		s.Senders = append(s.Senders, w.add(swA, fmt.Sprintf("S%d", i)))
-		s.Receivers = append(s.Receivers, w.add(swB, fmt.Sprintf("R%d", i)))
-	}
-	s.Bottlenecks = []*netsim.Port{w.connect(swA, swB)}
-	InstallShortestPathRoutes(n)
-	return s
-}
-
-// NewTestbedDynamic builds the Fig. 8 testbed: two independent
+// TestbedDynamic is the Fig. 8 testbed at 1 GbE: two independent
 // dumbbells. f1,f2 (S0,S1→R0,R1) share Bottlenecks[0]; f3,f4 (S2,S3→
 // R2,R3) share Bottlenecks[1].
-func NewTestbedDynamic(cfg ScenarioConfig, ov Overlay) *Scenario {
-	w := cfg.wire(ov)
-	n := w.net
-	swA1 := n.NewSwitch("swA1")
-	swB1 := n.NewSwitch("swB1")
-	swA2 := n.NewSwitch("swA2")
-	swB2 := n.NewSwitch("swB2")
-	s := &Scenario{Net: n, Switches: []*netsim.Switch{swA1, swB1, swA2, swB2}}
-	s.Senders = []*netsim.Host{
-		w.add(swA1, "S0"),
-		w.add(swA1, "S1"),
-		w.add(swA2, "S2"),
-		w.add(swA2, "S3"),
-	}
-	s.Receivers = []*netsim.Host{
-		w.add(swB1, "R0"),
-		w.add(swB1, "R1"),
-		w.add(swB2, "R2"),
-		w.add(swB2, "R3"),
-	}
-	s.Bottlenecks = []*netsim.Port{
-		w.connect(swA1, swB1),
-		w.connect(swA2, swB2),
-	}
-	// A cross-link keeps the network connected (the testbed is one
-	// fabric); no experiment flow crosses it.
-	w.connect(swB1, swA2)
-	InstallShortestPathRoutes(n)
-	return s
-}
+func TestbedDynamic() Small { return testbed(testbedDynamicShape) }
 
-// NewTestbedMultiBottleneck builds the Fig. 10 leaf-spine testbed:
+// TestbedMultiBottleneck is the Fig. 10 leaf-spine testbed at 1 GbE:
 //
 //	SW0 --btlA--> SW1 --btlB--> SW2
 //
@@ -175,24 +96,114 @@ func NewTestbedDynamic(cfg ScenarioConfig, ov Overlay) *Scenario {
 // f4: S3@SW1 → R3@SW2 (shares btlB with f3)
 //
 // Bottlenecks[0]=btlA, Bottlenecks[1]=btlB, Bottlenecks[2]=R0 downlink.
-func NewTestbedMultiBottleneck(cfg ScenarioConfig, ov Overlay) *Scenario {
-	w := cfg.wire(ov)
-	n := w.net
-	sw0 := n.NewSwitch("sw0")
-	sw1 := n.NewSwitch("sw1")
-	sw2 := n.NewSwitch("sw2")
-	s := &Scenario{Net: n, Switches: []*netsim.Switch{sw0, sw1, sw2}}
-	s.Senders = []*netsim.Host{
-		w.add(sw0, "S0"),
-		w.add(sw0, "S1"),
-		w.add(sw1, "S2"),
-		w.add(sw1, "S3"),
+func TestbedMultiBottleneck() Small { return testbed(testbedMultiBottleneckShape) }
+
+// The four-flow shapes' host names.
+var (
+	senderNames   = [4]string{"S0", "S1", "S2", "S3"}
+	receiverNames = [4]string{"R0", "R1", "R2", "R3"}
+)
+
+// Hosts implements Builder.
+func (c Small) Hosts() int {
+	if c.shape == testbedMultiBottleneckShape {
+		return 7 // R0 receives two flows
 	}
-	r0, r0Down := w.host(sw2, "R0", w.rate)
-	r1 := w.add(sw1, "R1")
-	r3 := w.add(sw2, "R3")
-	s.Receivers = []*netsim.Host{r0, r1, r0, r3} // per-flow receivers: f3 targets R0
-	s.Bottlenecks = []*netsim.Port{w.connect(sw0, sw1), w.connect(sw1, sw2), r0Down}
-	InstallShortestPathRoutes(n)
-	return s
+	return 2 * c.pairs
+}
+
+// AccessRate implements Builder: every link's rate.
+func (c Small) AccessRate() sim.Rate { return c.Rate }
+
+// Canonical implements Builder.
+func (c Small) Canonical() string {
+	return canon(shapeNames[c.shape], "pairs", c.pairs,
+		"rate", int64(c.Rate), "linkdelay", int64(c.LinkDelay),
+		"jitter", int64(c.Jitter), "jitterseed", c.JitterSeed)
+}
+
+// Sender returns the host index of the figure's i-th sender.
+func (c Small) Sender(i int) int {
+	if c.shape == fanShape {
+		return 2 * i // the fan cables each sender, then its receiver
+	}
+	return i
+}
+
+// Receiver returns the host index of the receiver of the figure's
+// flow i.
+func (c Small) Receiver(i int) int {
+	switch c.shape {
+	case fanShape:
+		return 2*i + 1
+	case testbedMultiBottleneckShape:
+		return [...]int{4, 5, 4, 6}[i]
+	}
+	return c.pairs + i
+}
+
+// Build implements Builder: the topology on a fresh network with ov
+// laid over it and shortest-path routes installed. Senders are named
+// "S<i>" and receivers "R<i>". It panics on a Small not made by one of
+// this file's functions, or a fan without pairs.
+func (c Small) Build(ov Overlay) *Fabric {
+	if c.shape == 0 || c.pairs <= 0 {
+		panic(fmt.Sprintf("topo: small topology %q with %d pairs", shapeNames[c.shape], c.pairs))
+	}
+	w := newWiring(ov, c.LinkDelay, c.Jitter, c.JitterSeed)
+	f := w.f
+	f.AccessRate, f.BaseRTT = c.Rate, 8*c.LinkDelay
+	f.Hosts = make([]*netsim.Host, 0, c.Hosts())
+	f.HostDownlinks = make([]*netsim.Port, 0, c.Hosts())
+	switches := func(names ...string) []*netsim.Switch {
+		f.Switches = make([]*netsim.Switch, len(names))
+		for i, name := range names {
+			f.Switches[i] = w.net.NewSwitch(name)
+		}
+		return f.Switches
+	}
+	// hosts adds host names[i] under at[i].
+	hosts := func(names *[4]string, at ...*netsim.Switch) {
+		for i, sw := range at {
+			w.host(sw, names[i], c.Rate)
+		}
+	}
+	link := func(a, b *netsim.Switch) *netsim.Port { return w.link(a, b, c.Rate) }
+
+	switch c.shape {
+	case chainShape:
+		sw := switches("sw0", "sw1", "sw2")
+		hosts(&senderNames, sw[0], sw[0], sw[1], sw[1])
+		hosts(&receiverNames, sw[2], sw[1], sw[2], sw[2])
+		f.Bottlenecks = []*netsim.Port{link(sw[0], sw[1]), link(sw[1], sw[2])}
+	case fanShape:
+		sw := switches("swA", "swB")
+		for i := 0; i < c.pairs; i++ {
+			w.host(sw[0], fmt.Sprintf("S%d", i), c.Rate)
+			w.host(sw[1], fmt.Sprintf("R%d", i), c.Rate)
+		}
+		f.Bottlenecks = []*netsim.Port{link(sw[0], sw[1])}
+	case testbedDynamicShape:
+		sw := switches("swA1", "swB1", "swA2", "swB2")
+		hosts(&senderNames, sw[0], sw[0], sw[2], sw[2])
+		hosts(&receiverNames, sw[1], sw[1], sw[3], sw[3])
+		f.Bottlenecks = []*netsim.Port{link(sw[0], sw[1]), link(sw[2], sw[3])}
+		// A cross-link keeps the network connected (the testbed is one
+		// fabric); no experiment flow crosses it.
+		link(sw[1], sw[2])
+	case testbedMultiBottleneckShape:
+		sw := switches("sw0", "sw1", "sw2")
+		hosts(&senderNames, sw[0], sw[0], sw[1], sw[1])
+		r0Down := w.host(sw[2], "R0", c.Rate)
+		w.host(sw[1], "R1", c.Rate)
+		w.host(sw[2], "R3", c.Rate)
+		f.Bottlenecks = []*netsim.Port{link(sw[0], sw[1]), link(sw[1], sw[2]), r0Down}
+	}
+	roles := make([]*netsim.Host, 2*c.pairs)
+	f.Senders, f.Receivers = roles[:c.pairs:c.pairs], roles[c.pairs:]
+	for i := range f.Senders {
+		f.Senders[i], f.Receivers[i] = f.Hosts[c.Sender(i)], f.Hosts[c.Receiver(i)]
+	}
+	InstallShortestPathRoutes(w.net)
+	return f
 }

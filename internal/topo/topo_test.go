@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"fmt"
 	"testing"
 
 	"amrt/internal/netsim"
@@ -140,7 +141,7 @@ func TestLeafSpineECMPSpreadsFlows(t *testing.T) {
 }
 
 func TestChainTopologyPaths(t *testing.T) {
-	s := NewChain(DefaultScenario(), Overlay{})
+	s := Chain().Build(Overlay{})
 	CheckConnected(s.Net)
 	if len(s.Bottlenecks) != 2 {
 		t.Fatal("chain must expose 2 bottlenecks")
@@ -180,7 +181,7 @@ func TestChainTopologyPaths(t *testing.T) {
 }
 
 func TestFanSharedBottleneck(t *testing.T) {
-	s := NewFan(DefaultScenario(), Overlay{})
+	s := Fan(4).Build(Overlay{})
 	CheckConnected(s.Net)
 	if len(s.Senders) != 4 || len(s.Receivers) != 4 {
 		t.Fatal("fan should have 4 pairs")
@@ -205,7 +206,7 @@ func TestFanSharedBottleneck(t *testing.T) {
 }
 
 func TestTestbedDynamicIndependentBottlenecks(t *testing.T) {
-	s := NewTestbedDynamic(TestbedScenario(), Overlay{})
+	s := TestbedDynamic().Build(Overlay{})
 	CheckConnected(s.Net)
 	for i := range s.Receivers {
 		s.Receivers[i].Handler = func(pkt *netsim.Packet) {}
@@ -224,7 +225,7 @@ func TestTestbedDynamicIndependentBottlenecks(t *testing.T) {
 }
 
 func TestTestbedMultiBottleneckLayout(t *testing.T) {
-	s := NewTestbedMultiBottleneck(TestbedScenario(), Overlay{})
+	s := TestbedMultiBottleneck().Build(Overlay{})
 	if s.Receivers[0] != s.Receivers[2] {
 		t.Error("f1 and f3 must share a destination host (SRPT competition)")
 	}
@@ -257,11 +258,34 @@ func TestTestbedMultiBottleneckLayout(t *testing.T) {
 }
 
 func TestFanNCustomPairs(t *testing.T) {
-	s := NewFanN(DefaultScenario(), Overlay{}, 8)
+	s := Fan(8).Build(Overlay{})
 	if len(s.Senders) != 8 || len(s.Receivers) != 8 {
-		t.Error("NewFanN should honor the pair count")
+		t.Error("Fan should honor the pair count")
 	}
 	CheckConnected(s.Net)
+}
+
+// TestSmallRoles: every small topology builds the host count it
+// declares, and its roles name the hosts Sender and Receiver index —
+// what a figure addresses its flows by before anything is built.
+func TestSmallRoles(t *testing.T) {
+	for _, c := range []Small{Chain(), Fan(1), Fan(4), TestbedDynamic(), TestbedMultiBottleneck()} {
+		f := c.Build(Overlay{})
+		if len(f.Hosts) != c.Hosts() {
+			t.Errorf("%s: built %d hosts, declares %d", c.Canonical(), len(f.Hosts), c.Hosts())
+		}
+		if f.BaseRTT != 8*c.LinkDelay || f.AccessRate != c.Rate {
+			t.Errorf("%s: rtt %v access %v", c.Canonical(), f.BaseRTT, f.AccessRate)
+		}
+		for i := range f.Senders {
+			if s := f.Hosts[c.Sender(i)]; s != f.Senders[i] || s.Name() != fmt.Sprintf("S%d", i) {
+				t.Errorf("%s: sender %d is host %s", c.Canonical(), i, s.Name())
+			}
+			if f.Hosts[c.Receiver(i)] != f.Receivers[i] || f.Receivers[i].Name()[0] != 'R' {
+				t.Errorf("%s: receiver %d is host %s", c.Canonical(), i, f.Receivers[i].Name())
+			}
+		}
+	}
 }
 
 func TestLeafSpineInvalidConfigPanics(t *testing.T) {

@@ -4,34 +4,28 @@ import (
 	"testing"
 
 	"amrt/internal/experiment"
-	"amrt/internal/netsim"
 	"amrt/internal/sim"
 	"amrt/internal/topo"
 	"amrt/internal/trace"
-	"amrt/internal/transport"
+	"amrt/internal/workload"
 )
 
 // End-to-end: trace an AMRT incast and verify the recorder sees starts,
 // completions, deliveries and drops that match the network counters.
-// The recorder hooks in where the runner hooks it: between the built
-// network and the stack instance.
+// The run attaches the recorder between the built network and the
+// stack instance.
 func TestRecorderEndToEnd(t *testing.T) {
 	rec := &trace.Recorder{}
-	st := experiment.MustStack("AMRT", experiment.StackOptions{})
-	newInstance := st.New
-	st.New = func(net *netsim.Network, base transport.Config) experiment.Instance {
-		rec.Attach(net, &base)
-		return newInstance(net, base)
-	}
-	h := experiment.NewScenarioHarness(st, topo.DefaultScenario(),
-		func(c topo.ScenarioConfig, ov topo.Overlay) *topo.Scenario { return topo.NewFanN(c, ov, 4) },
-		transport.Config{}, 1, 0, nil)
-	s := h.S
-	for i := 0; i < 4; i++ {
-		rec.RecordStart(h.AddFlow(netsim.FlowID(i+1), s.Senders[i], s.Receivers[0], 200_000, 0))
-	}
-	h.Run(2 * sim.Second)
-	flows := h.Flows()
+	b := topo.Fan(4)
+	senders := []int{b.Sender(0), b.Sender(1), b.Sender(2), b.Sender(3)}
+	res := experiment.LeafSpineRun{
+		Topo:    b,
+		Stack:   experiment.MustStack("AMRT", experiment.StackOptions{}),
+		Flows:   workload.Incast(senders, b.Receiver(0), 200_000, 0),
+		Horizon: 2 * sim.Second,
+		Trace:   rec,
+	}.Run()
+	flows := res.Flows
 
 	sums := rec.Summaries()
 	if len(sums) != 4 {
@@ -48,8 +42,8 @@ func TestRecorderEndToEnd(t *testing.T) {
 		delivered += sm.Delivered
 		dropped += sm.Dropped
 	}
-	if int64(dropped) != s.Net.Dropped() {
-		t.Errorf("trace drops %d != network drops %d", dropped, s.Net.Dropped())
+	if int64(dropped) != res.Drops {
+		t.Errorf("trace drops %d != network drops %d", dropped, res.Drops)
 	}
 	if dropped == 0 {
 		t.Error("incast should have dropped packets")

@@ -47,9 +47,9 @@ const (
 func (k *Kernel) Bind(h Hooks) { k.hooks = h }
 
 // AddFlow registers a flow with both ends on this instance and
-// schedules its start: the harnesses' sequence (AddPending on the source
-// side, Adopt on the home side, Release) for a stack's unit tests, which
-// have one kernel and no harness.
+// schedules its start: the experiment run's sequence (AddPending on the
+// source side, Adopt on the home side, Release) for a stack's unit
+// tests, which have one kernel and no run.
 func (k *Kernel) AddFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, start sim.Time) *Flow {
 	f := k.AddPending(id, src, dst, size, false)
 	k.Adopt(f)

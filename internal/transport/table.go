@@ -47,12 +47,20 @@ func (t *FlowTable[T]) Drop(id netsim.FlowID) *T {
 // Len returns the number of records held.
 func (t *FlowTable[T]) Len() int { return t.live }
 
-// grown returns recs extended with empty slots to at least n.
+// grown returns recs extended with empty slots to at least n. A move
+// doubles the capacity in one allocation (append of a made slice takes
+// two under the race detector); the slots past len are nil, as nothing
+// shortens a table.
 func grown[T any](recs []*T, n int) []*T {
-	if n > len(recs) {
-		recs = append(recs, make([]*T, n-len(recs))...)
+	if n <= len(recs) {
+		return recs
 	}
-	return recs
+	if n > cap(recs) {
+		moved := make([]*T, len(recs), max(n, 2*cap(recs)))
+		copy(moved, recs)
+		recs = moved
+	}
+	return recs[:n]
 }
 
 // HostTable holds at most one record per host, indexed by node ID (a

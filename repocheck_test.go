@@ -34,7 +34,7 @@ import (
 // TestRepoLint holds the Go source to the three lint rules: every
 // exported identifier of every package of the module is documented, the
 // packet-path packages key no map by a dense ID, and small topologies
-// run only through experiment.ScenarioHarness.
+// run only through experiment.LeafSpineRun.
 func TestRepoLint(t *testing.T) {
 	pkgs, err := packageDirs(".")
 	if err != nil {
@@ -50,7 +50,7 @@ func TestRepoLint(t *testing.T) {
 	}{
 		{lintExportedDocs, pkgs},
 		{lintIDMaps, tablePackages},
-		{lintScenarioPreludes, append([]string{scenarioPackage}, examples...)},
+		{lintScenarioPreludes, append([]string{runPackage}, examples...)},
 	}
 	for _, r := range rules {
 		for _, dir := range r.dirs {
@@ -138,9 +138,9 @@ var tablePackages = []string{
 	"internal/experiment",
 }
 
-// scenarioPackage holds experiment.ScenarioHarness in scenario.go; the
-// prelude rule covers it and every example.
-const scenarioPackage = "internal/experiment"
+// runPackage holds experiment.LeafSpineRun in runner.go; the prelude
+// rule covers it and every example.
+const runPackage = "internal/experiment"
 
 // lintIDMaps reports every map[netsim.FlowID] or map[netsim.NodeID]
 // type in the non-test files of dir.
@@ -171,12 +171,8 @@ func lintIDMaps(dir string) ([]string, error) {
 	return out, nil
 }
 
-// scenarioBuilders are the topo constructors of the small figure
-// topologies; overlayFields are the three things a stack lays over one.
-var (
-	scenarioBuilders = map[string]bool{"NewChain": true, "NewFan": true, "NewFanN": true, "NewTestbedDynamic": true, "NewTestbedMultiBottleneck": true}
-	overlayFields    = map[string]bool{"SwitchQueue": true, "HostQueue": true, "Marker": true}
-)
+// overlayFields are the three things a stack lays over a topology.
+var overlayFields = map[string]bool{"SwitchQueue": true, "HostQueue": true, "Marker": true}
 
 // selName returns Sel of a selector expression x.Sel, else "".
 func selName(e ast.Expr) string {
@@ -187,36 +183,36 @@ func selName(e ast.Expr) string {
 }
 
 // lintScenarioPreludes reports, in the non-test files of dir other than
-// the harness itself, every call of a small-topology constructor and
-// every assignment that copies a stack's queue factory or marker out of
-// its Overlay (ov.SwitchQueue = st.SwitchQueue): both are the opening
-// lines of a hand-rolled scenario run, which experiment.ScenarioHarness
-// replaces.
-// One call form is let through — inside the arguments of
-// NewScenarioHarness, where a function literal binds NewFanN's pair
-// count for the harness to call.
+// the runner itself, every call that builds a network — a topology's
+// Build method or netsim.New — and every assignment that copies a
+// stack's queue factory or marker out of its Overlay (ov.SwitchQueue =
+// st.SwitchQueue): each is the opening line of a hand-rolled run, which
+// experiment.LeafSpineRun replaces. A topology value (topo.Fan(16)) is
+// data a run is given, and passes.
 func lintScenarioPreludes(dir string) ([]string, error) {
+	inRunPackage := strings.HasSuffix(filepath.ToSlash(dir), runPackage)
 	fset, files, err := parseDir(dir, func(fi fs.FileInfo) bool {
-		return !(dir == scenarioPackage && fi.Name() == "scenario.go")
+		return !(inRunPackage && fi.Name() == "runner.go")
 	}, 0)
 	if err != nil {
 		return nil, err
 	}
 	var out []string
 	complain := func(pos token.Pos, what string) {
-		out = append(out, fmt.Sprintf("%s: %s: run small topologies through experiment.NewScenarioHarness", fset.Position(pos), what))
+		out = append(out, fmt.Sprintf("%s: %s: run topologies through experiment.LeafSpineRun", fset.Position(pos), what))
 	}
 	for _, file := range files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "NewScenarioHarness" || selName(n.Fun) == "NewScenarioHarness" {
-					return false
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok {
+					break
 				}
-				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && scenarioBuilders[sel.Sel.Name] {
-					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "topo" {
-						complain(n.Pos(), "topo."+sel.Sel.Name+" call")
-					}
+				if sel.Sel.Name == "Build" {
+					complain(n.Pos(), "Build call")
+				} else if x, ok := sel.X.(*ast.Ident); ok && x.Name == "netsim" && sel.Sel.Name == "New" {
+					complain(n.Pos(), "netsim.New call")
 				}
 			case *ast.AssignStmt:
 				for i := 0; i < len(n.Lhs) && len(n.Lhs) == len(n.Rhs); i++ {
@@ -833,14 +829,34 @@ func TestLintRulesTrip(t *testing.T) {
 			"import \"amrt/internal/netsim\"\n\nvar byFlow map[netsim.FlowID]int\n",
 			"map keyed by netsim.FlowID"},
 		{"hand-rolled prelude", lintScenarioPreludes,
-			"import \"amrt/internal/topo\"\n\nfunc run() { topo.NewFanN(2) }\n",
-			"topo.NewFanN call"},
+			"import \"amrt/internal/topo\"\n\nfunc run() { topo.Fan(2).Build(topo.Overlay{}) }\n",
+			"Build call"},
+		{"hand-rolled network", lintScenarioPreludes,
+			"import \"amrt/internal/netsim\"\n\nfunc run() { netsim.New() }\n",
+			"netsim.New call"},
+		{"overlay copy", lintScenarioPreludes,
+			"type ov struct{ SwitchQueue func() }\n\nfunc run(a, b *ov) { a.SwitchQueue = b.SwitchQueue }\n",
+			"overlay assignment of .SwitchQueue"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := writeTree(t, map[string]string{"p/p.go": "package p\n\n" + tc.src})
 			got, err := tc.rule(filepath.Join(dir, "p"))
 			expectOne(t, got, err, tc.want)
 		})
+	}
+}
+
+// TestLintPreludeClean: a topology value is data, not a run, and the
+// runner itself may build what it runs.
+func TestLintPreludeClean(t *testing.T) {
+	for name, tree := range map[string]map[string]string{
+		"topology value": {"internal/experiment/fig.go": "package experiment\n\nimport \"amrt/internal/topo\"\n\nvar b = topo.Fan(16)\n"},
+		"runner":         {"internal/experiment/runner.go": "package experiment\n\nimport \"amrt/internal/topo\"\n\nvar f = topo.Fan(16).Build(topo.Overlay{})\n"},
+	} {
+		got, err := lintScenarioPreludes(filepath.Join(writeTree(t, tree), runPackage))
+		if err != nil || len(got) != 0 {
+			t.Errorf("%s: findings %q, err %v", name, got, err)
+		}
 	}
 }
 
