@@ -100,7 +100,7 @@ func (c Config) NewMarker() netsim.DequeueMarker {
 type Protocol struct {
 	transport.Kernel
 	cfg       Config
-	receivers transport.FlowTable[receiver]
+	receivers transport.Records[receiver, *receiver]
 
 	// GrantsSent and MarkedGrants count receiver-side grant traffic.
 	GrantsSent   int64
@@ -146,12 +146,17 @@ type recPacer struct {
 	queue transport.FIFO[recReq]
 }
 
+// recReq is a hole waiting in a recovery pacer's queue. The record may
+// end, and be reused by another flow, while the request waits: inc is
+// the incarnation it was queued under (it fits the padding after seq).
 type recReq struct {
 	r   *receiver
 	seq int32
+	inc uint32
 }
 
 type receiver struct {
+	transport.Record[receiver]
 	p       *Protocol // for HandleEvent: the record is its own timeout event
 	f       *transport.Flow
 	rcvd    transport.Bitmap
@@ -236,16 +241,17 @@ func (p *Protocol) GrantAuthority() int64 {
 // dropRcvState forgets flow f's receiver (timer cancelled,
 // grants-in-flight ledger rebalanced). No-op if no state exists.
 func (p *Protocol) dropRcvState(f *transport.Flow) {
-	r := p.receivers.Drop(f.ID)
+	r := p.receivers.Get(f.ID)
 	if r == nil {
 		return
 	}
 	r.timer.Cancel()
-	// No queued recovery request writes r's reissue times again: an
-	// aborted flow is Done, and a crashed receiver's queue is emptied
-	// (hostCrashed).
+	// No queued recovery request touches r again: End raises its
+	// incarnation (and a crashed receiver's queue is emptied besides,
+	// hostCrashed).
 	r.reissuedAt.Release()
 	p.grantsInFlight -= int64(r.granted) - int64(r.rcvd.Count())
+	p.receivers.End(f.ID)
 }
 
 // hostCrashed empties the crashed host's software pacers: queued grants
@@ -363,22 +369,19 @@ func (p *Protocol) sendGrantPaced(h *netsim.Host, g *netsim.Packet) {
 	gp.pacer.Kick()
 }
 
-// newReceiver builds f's receiver record (transport.Receiver stores it):
-// the blind window counts as granted, and the §6 timeout starts.
-func (p *Protocol) newReceiver(f *transport.Flow) *receiver {
-	r := &receiver{
-		p:            p,
-		f:            f,
-		granted:      p.BlindPkts(f),
-		lastProgress: p.Now(),
-	}
-	transport.InitBitmaps(f.NPkts, &r.rcvd, &r.reissued, &r.inRecovery)
+// newReceiver fills in f's receiver record (transport.Receiver takes it
+// from the pool and stores it): the blind window counts as granted, and
+// the §6 timeout starts.
+func (p *Protocol) newReceiver(r *receiver, f *transport.Flow) {
+	r.p, r.f = p, f
+	r.granted = p.BlindPkts(f)
+	r.lastProgress = p.Now()
+	r.InitBitmaps(f.NPkts, &r.rcvd, &r.reissued, &r.inRecovery)
 	r.reissuedAt.SetPool(&p.reissues)
 	p.grantsInFlight += int64(r.granted)
 	p.Heard(f)
 	r.timer.Init(&p.Kernel, r)
 	r.timer.Arm()
-	return r
 }
 
 // HandleEvent implements sim.Handler: the receiver timer fired.
@@ -417,7 +420,7 @@ func (p *Protocol) onTimeout(r *receiver) {
 			continue // retransmission still plausibly in flight
 		}
 		r.inRecovery.Set(seq)
-		rp.queue.Push(recReq{r: r, seq: seq})
+		rp.queue.Push(recReq{r: r, seq: seq, inc: r.Incarnation()})
 		queued++
 	}
 	r.reissuedAt.Each(func(seq int32, _ sim.Time) { r.reissued.Set(seq) })
@@ -444,10 +447,13 @@ func (p *Protocol) recPacerFor(h *netsim.Host) *recPacer {
 }
 
 // emitRecovery reissues one queued recovery grant, skipping requests
-// that were satisfied while waiting.
+// whose record ended or that were satisfied while waiting.
 func (p *Protocol) emitRecovery(rp *recPacer) bool {
 	for rp.queue.Len() > 0 {
 		req := rp.queue.Pop()
+		if req.inc != req.r.Incarnation() {
+			continue // the record ended; another flow may own it now
+		}
 		req.r.inRecovery.Clear(req.seq)
 		if req.r.f.Done || req.r.rcvd.Get(req.seq) {
 			continue
@@ -470,8 +476,7 @@ func (p *Protocol) finish(r *receiver) {
 	p.grantsInFlight -= int64(r.granted) - int64(r.rcvd.Count())
 	p.Complete(r.f)
 	// The record ends with the flow: the lookup answers nil for a Done
-	// flow, and a request still queued in the recovery pacer holds its
-	// own reference and is skipped on f.Done, before it could touch the
-	// released reissue times.
-	p.receivers.Drop(r.f.ID)
+	// flow, and a request still queued in the recovery pacer is skipped
+	// on its incarnation before it could touch the record's next life.
+	p.receivers.End(r.f.ID)
 }

@@ -1,0 +1,124 @@
+package core
+
+import (
+	"testing"
+	"unsafe"
+
+	"amrt/internal/netsim"
+	"amrt/internal/sim"
+	"amrt/internal/topo"
+	"amrt/internal/transport"
+)
+
+// newQuietFan is a one-pair fan with AMRT and no collector, so a flow's
+// completion appends to nothing.
+func newQuietFan() (*topo.Fabric, *Protocol) {
+	cfg := DefaultConfig()
+	s := topo.Fan(1).Build(overlay(cfg))
+	cfg.RTT = 100 * sim.Microsecond
+	return s, New(s.Net, cfg)
+}
+
+// TestReceiverAllocs: once warm, a receiver record's whole life — built
+// by the RTS, filled by the data, ended at Complete — and the next
+// flow's build allocate nothing: the next flow gets the ended record
+// back, bitmap array included. The flows are 100 packets, so the three
+// bitmaps need an array. Before records came from the pool, a life cost
+// 2 allocations: the record and its bitmap array.
+func TestReceiverAllocs(t *testing.T) {
+	s, p := newQuietFan()
+	const runs = 50
+	var flows []*transport.Flow
+	for id := netsim.FlowID(1); id <= runs+1; id++ { // AllocsPerRun warms up with one more
+		f := p.AddPending(id, s.Senders[0], s.Receivers[0], 100*netsim.MSS, false)
+		p.Adopt(f)
+		flows = append(flows, f)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		f := flows[next]
+		next++
+		p.Release(f, p.Now())
+		s.Net.Run(p.Now() + 20*p.Cfg.RTT)
+		if !f.Done {
+			t.Fatalf("%v did not complete", f)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a receiver record's life: %.1f allocs, want 0", allocs)
+	}
+	if p.receivers.Len() != 0 {
+		t.Errorf("%d receiver records outlive their flows", p.receivers.Len())
+	}
+}
+
+// TestRecordEntrySizes: the incarnation a queued recovery request
+// carries fits the padding after its sequence number.
+func TestRecordEntrySizes(t *testing.T) {
+	if size := unsafe.Sizeof(recReq{}); size != 16 {
+		t.Errorf("a recReq is %d bytes, want 16", size)
+	}
+}
+
+// staleRecovery is what flow B's record looks like after the recovery
+// pacer drained requests queued for flow A's record, which ended first.
+type staleRecovery struct {
+	rcvd, reissued, inRecovery int32
+	recoveryGrants             int64
+	events                     uint64
+}
+
+// runStaleRecovery: flow A (never sent, so every packet is a hole)
+// queues its holes on the recovery pacer at its fourth timeout tick,
+// the pacer sends one, and then all of A's data arrives by hand, so A
+// completes with the rest still queued. Flow B's record is built at the
+// same instant: after A completes, when it is A's old record, or else
+// just before, when it is a fresh one. Half an RTT later the queue has
+// drained.
+func runStaleRecovery(t *testing.T, reuse bool) staleRecovery {
+	s, p := newQuietFan()
+	var fs [2]*transport.Flow
+	for i := range fs {
+		fs[i] = p.AddPending(netsim.FlowID(i+1), s.Senders[0], s.Receivers[0], 20*netsim.MSS, false)
+		p.Adopt(fs[i])
+	}
+	fa, fb := fs[0], fs[1]
+	a := transport.Receiver(&p.Kernel, &p.receivers, fa.ID, p.newReceiver)
+	s.Net.Run(4 * p.Cfg.RTT)
+	if p.RecoveryGrants != 1 || int(a.inRecovery.Count()) != p.cfg.RecoveryCap-1 {
+		t.Fatalf("after A's fourth tick: %d recovery grants, %d queued; want 1 and %d",
+			p.RecoveryGrants, a.inRecovery.Count(), p.cfg.RecoveryCap-1)
+	}
+	var b *receiver
+	if !reuse {
+		b = transport.Receiver(&p.Kernel, &p.receivers, fb.ID, p.newReceiver)
+	}
+	for seq := int32(0); seq < fa.NPkts; seq++ {
+		fa.Dst.Receive(p.NewData(fa, seq, netsim.PrioData))
+	}
+	if !fa.Done {
+		t.Fatal("A did not complete")
+	}
+	if reuse {
+		b = transport.Receiver(&p.Kernel, &p.receivers, fb.ID, p.newReceiver)
+	}
+	if (b == a) != reuse {
+		t.Fatalf("reuse %v, but B's record is A's: %v", reuse, b == a)
+	}
+	s.Net.Run(p.Now() + p.Cfg.RTT/2)
+	return staleRecovery{b.rcvd.Count(), b.reissued.Count(), b.inRecovery.Count(), p.RecoveryGrants, s.Net.Engine.Executed}
+}
+
+// TestStaleRecoveryRequest: a recovery request queued for a record that
+// ended is skipped on its incarnation, also when another flow has the
+// record by the time the pacer reaches it: B ends up exactly as it does
+// with a fresh record, with no recovery grant sent on its behalf.
+func TestStaleRecoveryRequest(t *testing.T) {
+	fresh, reused := runStaleRecovery(t, false), runStaleRecovery(t, true)
+	if reused != fresh {
+		t.Errorf("B with A's record: %+v; with a fresh one: %+v", reused, fresh)
+	}
+	if fresh.recoveryGrants != 1 || fresh.reissued != 0 {
+		t.Errorf("fresh record: %+v; want only A's one recovery grant", fresh)
+	}
+}

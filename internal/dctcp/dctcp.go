@@ -72,7 +72,7 @@ type Protocol struct {
 	transport.Kernel
 	cfg       Config
 	senders   transport.FlowTable[sender]
-	receivers transport.FlowTable[rcvFlow]
+	receivers transport.Records[rcvFlow, *rcvFlow]
 
 	// AcksSent counts receiver ACK traffic; Retransmits counts
 	// timeout-driven resends.
@@ -104,16 +104,16 @@ type sender struct {
 }
 
 type rcvFlow struct {
+	transport.Record[rcvFlow]
 	f    *transport.Flow
 	rcvd transport.Bitmap
 }
 
-// newRcvFlow builds f's receiver record. No Heard: a DCTCP sender
+// newRcvFlow fills in f's receiver record. No Heard: a DCTCP sender
 // announces nothing that needs confirming.
-func newRcvFlow(f *transport.Flow) *rcvFlow {
-	r := &rcvFlow{f: f}
-	transport.InitBitmaps(f.NPkts, &r.rcvd)
-	return r
+func newRcvFlow(r *rcvFlow, f *transport.Flow) {
+	r.f = f
+	r.InitBitmaps(f.NPkts, &r.rcvd)
 }
 
 // New creates a DCTCP instance on the network.

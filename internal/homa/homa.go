@@ -62,7 +62,7 @@ func (c Config) HostQueue() netsim.Queue { return netsim.NewPriority(1024) }
 type Protocol struct {
 	transport.Kernel
 	cfg       Config
-	receivers transport.FlowTable[rcvFlow]
+	receivers transport.Records[rcvFlow, *rcvFlow]
 	byHost    transport.HostTable[hostFlows]
 	// active is regrant's scratch slice. regrant runs on every data
 	// arrival and never re-enters (Send only schedules), so one buffer
@@ -86,6 +86,7 @@ type Protocol struct {
 type hostFlows struct{ flows []*rcvFlow }
 
 type rcvFlow struct {
+	transport.Record[rcvFlow]
 	p            *Protocol // for HandleEvent: the record is its own timeout event
 	f            *transport.Flow
 	rcvd         transport.Bitmap
@@ -217,19 +218,17 @@ func (p *Protocol) onReceiverPkt(pkt *netsim.Packet) {
 	}
 }
 
-// newRcvFlow builds f's receiver record (transport.Receiver stores it)
-// and lists it with its host's scheduler.
-func (p *Protocol) newRcvFlow(f *transport.Flow) *rcvFlow {
-	r := &rcvFlow{
-		p: p, f: f, granted: p.BlindPkts(f), lastProgress: p.Now(),
-	}
-	transport.InitBitmaps(f.NPkts, &r.rcvd)
+// newRcvFlow fills in f's receiver record (transport.Receiver takes it
+// from the pool and stores it) and lists it with its host's scheduler.
+func (p *Protocol) newRcvFlow(r *rcvFlow, f *transport.Flow) {
+	r.p, r.f = p, f
+	r.granted, r.lastProgress = p.BlindPkts(f), p.Now()
+	r.InitBitmaps(f.NPkts, &r.rcvd)
 	hf := p.byHost.GetOrBuild(f.Dst.ID(), func() *hostFlows { return new(hostFlows) })
 	hf.flows = append(hf.flows, r)
 	p.Heard(f)
 	r.timer.Init(&p.Kernel, r)
 	r.timer.Arm()
-	return r
 }
 
 // regrant runs the overcommitment scheduler for one receiving host: the

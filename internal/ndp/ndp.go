@@ -54,7 +54,7 @@ func (c Config) HostQueue() netsim.Queue { return netsim.NewPriority(2048) }
 type Protocol struct {
 	transport.Kernel
 	cfg       Config
-	receivers transport.FlowTable[rcvFlow]
+	receivers transport.Records[rcvFlow, *rcvFlow]
 	pullers   transport.HostTable[puller]
 	// rtx holds a sender's NACKed sequences awaiting a pull, built on the
 	// flow's first NACK; the send cursor itself lives on the flow.
@@ -70,11 +70,12 @@ type Protocol struct {
 
 	// The pull and retransmission queues draw their blocks from these,
 	// shared by every host and flow of the instance.
-	pullBlocks transport.FIFOPool[*rcvFlow]
+	pullBlocks transport.FIFOPool[*transport.Flow]
 	rtxBlocks  transport.FIFOPool[int32]
 }
 
 type rcvFlow struct {
+	transport.Record[rcvFlow]
 	p            *Protocol // for HandleEvent: the record is its own timeout event
 	f            *transport.Flow
 	rcvd         transport.Bitmap
@@ -90,7 +91,10 @@ type rcvFlow struct {
 
 type puller struct {
 	pacer *transport.Pacer
-	queue transport.FIFO[*rcvFlow] // flows owed one pull each
+	// queue holds the flows owed one pull each: flows, not receiver
+	// records, as a record ends (and is reused) with its flow while its
+	// pulls may still wait.
+	queue transport.FIFO[*transport.Flow]
 }
 
 // New creates an NDP instance on the network.
@@ -137,8 +141,9 @@ func (p *Protocol) hostCrashed(h *netsim.Host) {
 // dropRcvState forgets flow f's receiver state (timer cancelled).
 // No-op if no state exists.
 func (p *Protocol) dropRcvState(f *transport.Flow) {
-	if r := p.receivers.Drop(f.ID); r != nil {
+	if r := p.receivers.Get(f.ID); r != nil {
 		r.timer.Cancel()
+		p.receivers.End(f.ID)
 	}
 }
 
@@ -231,19 +236,17 @@ func (p *Protocol) onHeader(r *rcvFlow, pkt *netsim.Packet) {
 	p.enqueuePull(r)
 }
 
-// newRcvFlow builds f's receiver record (transport.Receiver stores it):
-// everything past the blind window is still to be pulled.
-func (p *Protocol) newRcvFlow(f *transport.Flow) *rcvFlow {
-	r := &rcvFlow{
-		p: p, f: f,
-		pullBudget:   f.NPkts - p.BlindPkts(f),
-		lastProgress: p.Now(),
-	}
-	transport.InitBitmaps(f.NPkts, &r.rcvd)
+// newRcvFlow fills in f's receiver record (transport.Receiver takes it
+// from the pool and stores it): everything past the blind window is
+// still to be pulled.
+func (p *Protocol) newRcvFlow(r *rcvFlow, f *transport.Flow) {
+	r.p, r.f = p, f
+	r.pullBudget = f.NPkts - p.BlindPkts(f)
+	r.lastProgress = p.Now()
+	r.InitBitmaps(f.NPkts, &r.rcvd)
 	p.Heard(f)
 	r.timer.Init(&p.Kernel, r)
 	r.timer.Arm()
-	return r
 }
 
 func (p *Protocol) enqueuePull(r *rcvFlow) {
@@ -252,7 +255,7 @@ func (p *Protocol) enqueuePull(r *rcvFlow) {
 	}
 	r.pullBudget--
 	pl := p.pullerOf(r.f.Dst)
-	pl.queue.Push(r)
+	pl.queue.Push(r.f)
 	pl.pacer.Kick()
 }
 
@@ -267,12 +270,12 @@ func (p *Protocol) pullerOf(h *netsim.Host) *puller {
 
 func (p *Protocol) emitPull(pl *puller) bool {
 	for pl.queue.Len() > 0 {
-		r := pl.queue.Pop()
-		if r.f.Done {
+		f := pl.queue.Pop()
+		if f.Done {
 			continue
 		}
-		pull := p.NewCtrl(netsim.Pull, r.f, -1, true)
-		r.f.Dst.Send(pull)
+		pull := p.NewCtrl(netsim.Pull, f, -1, true)
+		f.Dst.Send(pull)
 		p.PullsSent++
 		return true
 	}
@@ -301,7 +304,7 @@ func (p *Protocol) onTimeout(r *rcvFlow) {
 			r.f.Dst.Send(n)
 			p.NacksSent++
 			pl := p.pullerOf(r.f.Dst)
-			pl.queue.Push(r)
+			pl.queue.Push(r.f)
 			pl.pacer.Kick()
 			issued++
 		}
@@ -321,7 +324,7 @@ func (p *Protocol) onTimeout(r *rcvFlow) {
 		if unsent > 0 {
 			pl := p.pullerOf(r.f.Dst)
 			for i := 0; i < unsent; i++ {
-				pl.queue.Push(r)
+				pl.queue.Push(r.f)
 			}
 			p.PullsReplenished += int64(unsent)
 			pl.pacer.Kick()
@@ -337,7 +340,7 @@ func (p *Protocol) finish(r *rcvFlow) {
 	r.timer.Cancel()
 	p.Complete(r.f)
 	// The record ends with the flow: the lookup answers nil for a Done
-	// flow, and pulls still queued hold their own reference and are
-	// skipped on f.Done.
-	p.receivers.Drop(r.f.ID)
+	// flow, and pulls still queued name the flow, not the record, and
+	// are skipped on f.Done.
+	p.receivers.End(r.f.ID)
 }

@@ -225,7 +225,7 @@ func (s *expSide) check() {
 		return
 	}
 	e := q.ents.Peek()
-	if e.r.removed || !e.r.inflight.Get(e.seq) {
+	if e.dead() || !e.r.inflight.Get(e.seq) {
 		s.fail("head entry (seq %d) is dead", e.seq)
 	}
 	if !q.armed.Active() || q.armed.At() != e.at {

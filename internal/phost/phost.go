@@ -59,7 +59,7 @@ func (c Config) HostQueue() netsim.Queue { return netsim.NewPriority(1024) }
 type Protocol struct {
 	transport.Kernel
 	cfg       Config
-	receivers transport.FlowTable[rcvFlow]
+	receivers transport.Records[rcvFlow, *rcvFlow]
 	pacers    transport.HostTable[pacerState]
 	// expiries times every token this instance has in flight
 	// (expiry.go).
@@ -72,6 +72,7 @@ type Protocol struct {
 }
 
 type rcvFlow struct {
+	transport.Record[rcvFlow]
 	f    *transport.Flow
 	rcvd transport.Bitmap
 	// inflight marks the sequences tokened (or sent unscheduled) and
@@ -79,7 +80,8 @@ type rcvFlow struct {
 	// queue. The token scheduler tests membership for every hole of
 	// every flow, so that is a bit test.
 	inflight transport.Bitmap
-	// removed is set when the record ends; its queued expiries are dead.
+	// removed is set when the record ends; its queued expiries are dead,
+	// and stay dead through the object's next life by their incarnation.
 	removed bool
 	// lastArrival and tokensSinceArrival drive the unresponsive-source
 	// test: a flow is skipped by the token scheduler only when several
@@ -164,8 +166,9 @@ func (p *Protocol) hostCrashed(h *netsim.Host) {
 // dropRcvState forgets flow f's receiver state (pending expiries dead,
 // pacer list pruned). No-op if no state exists.
 func (p *Protocol) dropRcvState(f *transport.Flow) {
-	if r := p.receivers.Drop(f.ID); r != nil {
+	if r := p.receivers.Get(f.ID); r != nil {
 		p.removeFlow(r)
+		p.receivers.End(f.ID)
 	}
 }
 
@@ -207,7 +210,7 @@ func (p *Protocol) onReceiverPkt(pkt *netsim.Packet) {
 		p.removeFlow(r)
 		// The record ends with the flow: the lookup answers nil for a
 		// Done flow and removeFlow killed every expiry.
-		p.receivers.Drop(r.f.ID)
+		p.receivers.End(r.f.ID)
 		return
 	}
 	ps.pacer.Kick()
@@ -228,11 +231,12 @@ func (ps *pacerState) addCredit(cap int) {
 	}
 }
 
-// newRcvFlow builds f's receiver record (transport.Receiver stores it)
-// and enters it in its host's token scheduler.
-func (p *Protocol) newRcvFlow(f *transport.Flow) *rcvFlow {
-	r := &rcvFlow{f: f, lastArrival: p.Now()}
-	transport.InitBitmaps(f.NPkts, &r.rcvd, &r.inflight)
+// newRcvFlow fills in f's receiver record (transport.Receiver takes it
+// from the pool and stores it) and enters it in its host's token
+// scheduler.
+func (p *Protocol) newRcvFlow(r *rcvFlow, f *transport.Flow) {
+	r.f, r.lastArrival = f, p.Now()
+	r.InitBitmaps(f.NPkts, &r.rcvd, &r.inflight)
 	p.Heard(f)
 	// The unscheduled first window is in flight: treat it as tokened so
 	// the pacer does not double-issue, with the usual expiry.
@@ -243,7 +247,6 @@ func (p *Protocol) newRcvFlow(f *transport.Flow) *rcvFlow {
 	ps := p.pacerOf(f.Dst)
 	ps.flows = append(ps.flows, r)
 	ps.pacer.Kick()
-	return r
 }
 
 func (p *Protocol) pacerOf(h *netsim.Host) *pacerState {

@@ -1,12 +1,14 @@
 // Package sird implements a sender-informed receiver-driven transport
-// in the style of SIRD (Katsikas et al.): senders advertise their queued
-// backlog ("demand") on the RTS and on every data packet, and each
-// receiver allocates credit from one bounded shared pool, weighting
-// flows by their advertised demand instead of blindly overcommitting a
-// fixed per-flow window. The pool bound caps the scheduled
-// granted-but-undelivered bytes converging on a downlink, which is what
-// keeps buffer occupancy low; demand weighting is what keeps the link
-// busy, since credit flows toward senders that can actually use it.
+// in the style of SIRD (Prasopoulos, Kosta, Bugnion and Kogias, "SIRD:
+// A Sender-Informed, Receiver-Driven Datacenter Transport Protocol",
+// arXiv 2312.15403): senders advertise their queued backlog ("demand")
+// on the RTS and on every data packet, and each receiver allocates
+// credit from one bounded shared pool, weighting flows by their
+// advertised demand instead of blindly overcommitting a fixed per-flow
+// window. The pool bound caps the scheduled granted-but-undelivered
+// bytes converging on a downlink, which is what keeps buffer occupancy
+// low; demand weighting is what keeps the link busy, since credit flows
+// toward senders that can actually use it.
 //
 // The reproduction simplifies the paper's mechanism to this simulator's
 // grant/credit model: grants are paced at the downlink packet rate, one
@@ -96,7 +98,7 @@ func (c Config) HostQueue() netsim.Queue { return netsim.NewPriority(1024) }
 type Protocol struct {
 	transport.Kernel
 	cfg       Config
-	receivers transport.FlowTable[rcvFlow]
+	receivers transport.Records[rcvFlow, *rcvFlow]
 	pools     transport.HostTable[poolState]
 
 	// GrantsSent counts pool grant packets; GrantedPkts counts packets
@@ -129,6 +131,7 @@ func demand(f *transport.Flow, mss int) int64 {
 }
 
 type rcvFlow struct {
+	transport.Record[rcvFlow]
 	p     *Protocol // for HandleEvent: the record is its own timeout event
 	f     *transport.Flow
 	rcvd  transport.Bitmap
@@ -395,16 +398,15 @@ func (p *Protocol) noteDemand(r *rcvFlow, demand int64) {
 	}
 }
 
-// newRcvFlow builds f's receiver record (transport.Receiver stores it)
-// and makes it a member of its host's credit pool.
-func (p *Protocol) newRcvFlow(f *transport.Flow) *rcvFlow {
+// newRcvFlow fills in f's receiver record (transport.Receiver takes it
+// from the pool and stores it) and makes it a member of its host's
+// credit pool.
+func (p *Protocol) newRcvFlow(r *rcvFlow, f *transport.Flow) {
 	now := p.Now()
 	blind := p.BlindPkts(f)
-	r := &rcvFlow{
-		p: p, f: f, blind: blind,
-		granted: blind, lastArrival: now, lastProgress: now,
-	}
-	transport.InitBitmaps(f.NPkts, &r.rcvd, &r.reissued)
+	r.p, r.f, r.blind = p, f, blind
+	r.granted, r.lastArrival, r.lastProgress = blind, now, now
+	r.InitBitmaps(f.NPkts, &r.rcvd, &r.reissued)
 	r.reissuedAt.SetPool(&p.reissues)
 	// Seed the grant-age ring so the unscheduled prefix (authorized at
 	// flow start) becomes recoverable one timeout window from now.
@@ -415,7 +417,6 @@ func (p *Protocol) newRcvFlow(f *transport.Flow) *rcvFlow {
 	ps.pacer.Kick()
 	r.timer.Init(&p.Kernel, r)
 	r.timer.Arm()
-	return r
 }
 
 func (p *Protocol) poolOf(h *netsim.Host) *poolState {

@@ -24,19 +24,30 @@ type Bitmap struct {
 // n ≤ 64 bits keeps its word inline and allocates nothing; longer ones
 // share one backing array, so a record that embeds several bitmaps by
 // value pays one allocation for the lot.
-func InitBitmaps(n int32, bs ...*Bitmap) {
+func InitBitmaps(n int32, bs ...*Bitmap) { initBitmaps(n, nil, bs) }
+
+// initBitmaps is InitBitmaps on the backing array words an earlier call
+// returned (nil for none), reused and cleared when it is long enough. It
+// returns the array the bitmaps share: words itself when they are inline.
+func initBitmaps(n int32, words []uint64, bs []*Bitmap) []uint64 {
 	if n <= 64 {
 		for _, b := range bs {
 			*b = Bitmap{n: n}
 			b.words = b.inline[:]
 		}
-		return
+		return words
 	}
 	w := int(n+63) / 64
-	words := make([]uint64, w*len(bs))
+	if need := w * len(bs); need <= cap(words) {
+		words = words[:need]
+		clear(words)
+	} else {
+		words = make([]uint64, need)
+	}
 	for i, b := range bs {
 		*b = Bitmap{words: words[i*w : (i+1)*w : (i+1)*w], n: n}
 	}
+	return words
 }
 
 // Set marks bit i and reports whether it was newly set.

@@ -163,13 +163,16 @@ func (k *Kernel) armAnnounce(f *Flow, rtts int32) {
 
 // Receiver is the lookup every stack's receiver handler starts with: it
 // returns flow id's record in the stack's table t — the one stored, or
-// else, if this kernel knows the flow and it has not finished, the one
-// build makes, which it stores. Unknown, completed and crash-killed
-// flows answer nil unless the stack kept their record. RTS and data both
-// carry what build needs, so a lost RTS or a receiver crash costs one
-// rebuild. A stack that announces calls Heard from build. The first
-// store sizes t like the kernel's own table, full by then.
-func Receiver[R any](k *Kernel, t *FlowTable[R], id netsim.FlowID, build func(*Flow) *R) *R {
+// else, if this kernel knows the flow and it has not finished, a record
+// from t's pool that build fills in for f, which it stores. The record
+// comes zeroed but for its Record header, so build sets fields one by
+// one and makes bitmaps with the header's InitBitmaps. Unknown,
+// completed and crash-killed flows answer nil unless the stack kept
+// their record. RTS and data both carry what build needs, so a lost RTS
+// or a receiver crash costs one rebuild. A stack that announces calls
+// Heard from build. The first store sizes t like the kernel's own table,
+// full by then.
+func Receiver[R any, P record[R]](k *Kernel, t *Records[R, P], id netsim.FlowID, build func(r *R, f *Flow)) *R {
 	if r := t.Get(id); r != nil {
 		return r
 	}
@@ -178,7 +181,8 @@ func Receiver[R any](k *Kernel, t *FlowTable[R], id netsim.FlowID, build func(*F
 		return nil
 	}
 	t.recs = grown(t.recs, len(k.flows.recs))
-	r := build(f)
+	r := t.take(k.flows.Len())
+	build(r, f)
 	t.Put(id, r)
 	return r
 }

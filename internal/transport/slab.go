@@ -7,10 +7,10 @@ package transport
 const slabMin, slabMax = 2, 64
 
 // slab hands out zeroed records carved from arrays allocated a slab at a
-// time: the kernel's flow records, a FIFOPool's block headers and a
-// SparsePool's chunks. Nothing is ever handed back to a slab; records
-// that are recycled go through their owner's free list. The zero value
-// is ready to use.
+// time: the kernel's flow records, receiver records, a FIFOPool's block
+// headers and a SparsePool's chunks. Nothing is ever handed back to a
+// slab; records that are recycled go through their owner's free list.
+// The zero value is ready to use.
 type slab[T any] struct {
 	free []T // the unused tail of the current array
 	n    int // the length the current array was made with
@@ -18,9 +18,14 @@ type slab[T any] struct {
 
 // next returns the next zeroed record, starting a new array when the
 // current one is used up.
-func (s *slab[T]) next() *T {
+func (s *slab[T]) next() *T { return s.nextOf(slabMax) }
+
+// nextOf is next for an owner that will take at most most more records
+// (this one included): a new array is no longer than that, so a run
+// with three flows carves three receiver records, not 2 + 4.
+func (s *slab[T]) nextOf(most int) *T {
 	if len(s.free) == 0 {
-		s.n = min(max(2*s.n, slabMin), slabMax)
+		s.n = min(max(2*s.n, slabMin), slabMax, max(most, 1))
 		s.free = make([]T, s.n)
 	}
 	r := &s.free[0]

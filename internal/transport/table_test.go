@@ -98,16 +98,21 @@ func TestHostTable(t *testing.T) {
 // method that builds a record.
 type lookupStack struct {
 	Kernel
-	recs  FlowTable[timeoutCounter]
+	recs  Records[lookupRec, *lookupRec]
 	built int
 }
 
-func (s *lookupStack) build(*Flow) *timeoutCounter {
-	s.built++
-	return new(timeoutCounter)
+type lookupRec struct {
+	Record[lookupRec]
+	f *Flow
 }
 
-func (s *lookupStack) lookup(id netsim.FlowID) *timeoutCounter {
+func (s *lookupStack) build(r *lookupRec, f *Flow) {
+	s.built++
+	r.f = f
+}
+
+func (s *lookupStack) lookup(id netsim.FlowID) *lookupRec {
 	return Receiver(&s.Kernel, &s.recs, id, s.build)
 }
 
