@@ -79,21 +79,21 @@ func (c Config) withDefaults() Config {
 
 // SwitchQueue builds the AMRT switch egress queue: strict priority with
 // a roomy control band and the paper's tiny data cap.
-func (c Config) SwitchQueue() netsim.Queue {
+func (c Config) SwitchQueue(s *netsim.Slabs) netsim.Queue {
 	cc := c.withDefaults()
-	return netsim.NewPriority(cc.CtrlQueueCap, cc.DataQueueCap, cc.DataQueueCap)
+	return s.NewPriority(cc.CtrlQueueCap, cc.DataQueueCap, cc.DataQueueCap)
 }
 
 // HostQueue builds the host NIC queue: large, since the sender may
 // legitimately buffer its own blind window.
-func (c Config) HostQueue() netsim.Queue {
-	return netsim.NewPriority(1024)
+func (c Config) HostQueue(s *netsim.Slabs) netsim.Queue {
+	return s.NewPriority(1024)
 }
 
 // NewMarker builds the anti-ECN egress marker.
-func (c Config) NewMarker() netsim.DequeueMarker {
+func (c Config) NewMarker(s *netsim.Slabs) netsim.DequeueMarker {
 	cc := c.withDefaults()
-	return &netsim.AntiECNMarker{RefSize: cc.RefSize, GapFactor: cc.GapFactor, Mode: cc.Combine}
+	return s.NewAntiECNMarker(cc.RefSize, cc.GapFactor, cc.Combine)
 }
 
 // Protocol is an AMRT instance bound to one network.
@@ -136,14 +136,20 @@ type Protocol struct {
 	reissues    transport.SparsePool[sim.Time]
 }
 
+// grantPacer paces one receiving host's grants; it is its pacer's
+// Emitter.
 type grantPacer struct {
-	pacer *transport.Pacer
+	pacer transport.Pacer
 	queue transport.FIFO[*netsim.Packet]
+	h     *netsim.Host
 }
 
+// recPacer paces one receiving host's recovery grants; it is its
+// pacer's Emitter.
 type recPacer struct {
-	pacer *transport.Pacer
+	pacer transport.Pacer
 	queue transport.FIFO[recReq]
+	p     *Protocol
 }
 
 // recReq is a hole waiting in a recovery pacer's queue. The record may
@@ -308,7 +314,7 @@ func (p *Protocol) onReceiverPkt(pkt *netsim.Packet) {
 	}
 	// Nearly every arrival answers no reissued grant: the bit says so
 	// without a scan. (The inRecovery bit cannot stand in for it — it is
-	// cleared just before emitRecovery records the reissue.)
+	// cleared just before recPacer.Emit records the reissue.)
 	if r.reissued.Clear(pkt.Seq) {
 		at, _ := r.reissuedAt.Get(pkt.Seq)
 		// Recovery round-trip sample: grant reissue → arrival.
@@ -353,20 +359,24 @@ func (p *Protocol) onReceiverPkt(pkt *netsim.Packet) {
 
 // sendGrantPaced queues a grant on the receiving host's pacer.
 func (p *Protocol) sendGrantPaced(h *netsim.Host, g *netsim.Packet) {
-	gp := p.grantPacers.GetOrBuild(h.ID(), func() *grantPacer {
-		gp := &grantPacer{}
+	gp := p.grantPacers.Get(h.ID())
+	if gp == nil {
+		gp = p.grantPacers.Carve(&p.Kernel, h.ID())
+		gp.h = h
 		gp.queue.SetPool(&p.grantBlocks)
-		gp.pacer = p.HostPacer(h, func() bool {
-			if gp.queue.Len() == 0 {
-				return false
-			}
-			h.Send(gp.queue.Pop())
-			return true
-		})
-		return gp
-	})
+		gp.pacer.Init(p.Engine(), p.HostTick(h), gp)
+	}
 	gp.queue.Push(g)
 	gp.pacer.Kick()
+}
+
+// Emit implements transport.Emitter: send the host's next queued grant.
+func (gp *grantPacer) Emit() bool {
+	if gp.queue.Len() == 0 {
+		return false
+	}
+	gp.h.Send(gp.queue.Pop())
+	return true
 }
 
 // newReceiver fills in f's receiver record (transport.Receiver takes it
@@ -438,17 +448,21 @@ func (p *Protocol) onTimeout(r *receiver) {
 
 // recPacerFor returns (creating if needed) the host's recovery pacer.
 func (p *Protocol) recPacerFor(h *netsim.Host) *recPacer {
-	return p.recPacers.GetOrBuild(h.ID(), func() *recPacer {
-		rp := &recPacer{}
+	rp := p.recPacers.Get(h.ID())
+	if rp == nil {
+		rp = p.recPacers.Carve(&p.Kernel, h.ID())
+		rp.p = p
 		rp.queue.SetPool(&p.recBlocks)
-		rp.pacer = p.HostPacer(h, func() bool { return p.emitRecovery(rp) })
-		return rp
-	})
+		rp.pacer.Init(p.Engine(), p.HostTick(h), rp)
+	}
+	return rp
 }
 
-// emitRecovery reissues one queued recovery grant, skipping requests
-// whose record ended or that were satisfied while waiting.
-func (p *Protocol) emitRecovery(rp *recPacer) bool {
+// Emit implements transport.Emitter: reissue one queued recovery grant,
+// skipping requests whose record ended or that were satisfied while
+// waiting.
+func (rp *recPacer) Emit() bool {
+	p := rp.p
 	for rp.queue.Len() > 0 {
 		req := rp.queue.Pop()
 		if req.inc != req.r.Incarnation() {

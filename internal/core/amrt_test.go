@@ -332,7 +332,7 @@ func TestConfigDefaults(t *testing.T) {
 	if c.DataQueueCap != 8 || c.GrantBurst != 2 || c.GapFactor != 1 {
 		t.Errorf("defaults wrong: %+v", c)
 	}
-	q := Config{}.SwitchQueue().(*netsim.PriorityQueue)
+	q := Config{}.SwitchQueue(nil).(*netsim.PriorityQueue)
 	// Data band capped at 8.
 	for i := 0; i < 8; i++ {
 		if !q.Enqueue(&netsim.Packet{Type: netsim.Data, Prio: netsim.PrioData, Size: netsim.MSS}, 0) {

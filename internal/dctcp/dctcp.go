@@ -59,13 +59,13 @@ func (c Config) withDefaults() Config {
 }
 
 // SwitchQueue builds the ECN-marking switch buffer.
-func (c Config) SwitchQueue() netsim.Queue {
+func (c Config) SwitchQueue(s *netsim.Slabs) netsim.Queue {
 	cc := c.withDefaults()
-	return netsim.NewECN(cc.QueueCap, cc.MarkThreshold)
+	return s.NewECN(cc.QueueCap, cc.MarkThreshold)
 }
 
 // HostQueue builds the host NIC queue.
-func (c Config) HostQueue() netsim.Queue { return netsim.NewDropTail(1024) }
+func (c Config) HostQueue(s *netsim.Slabs) netsim.Queue { return s.NewDropTail(1024) }
 
 // Protocol is a DCTCP instance.
 type Protocol struct {

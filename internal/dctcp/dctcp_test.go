@@ -132,7 +132,7 @@ func TestDCTCPDeterminism(t *testing.T) {
 }
 
 func TestECNQueueSemantics(t *testing.T) {
-	q := netsim.NewECN(4, 2)
+	q := (*netsim.Slabs)(nil).NewECN(4, 2)
 	mk := func(seq int32) *netsim.Packet {
 		return &netsim.Packet{Type: netsim.Data, Seq: seq, Size: netsim.MSS, Prio: netsim.PrioData}
 	}

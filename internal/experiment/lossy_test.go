@@ -14,9 +14,9 @@ func lossyStack(proto string, prob float64) Stack {
 	st := MustStack(proto, StackOptions{})
 	inner := st.SwitchQueue
 	seed := int64(0)
-	st.SwitchQueue = func() netsim.Queue {
+	st.SwitchQueue = func(s *netsim.Slabs) netsim.Queue {
 		seed++
-		return netsim.NewLossy(inner(), prob, seed)
+		return s.NewLossy(inner(s), prob, seed)
 	}
 	return st
 }

@@ -156,12 +156,13 @@ func TestSmallFiguresAudited(t *testing.T) {
 	}
 }
 
-// TestSmallRunAllocs holds a small run's set-up to what the two-harness
-// code paid: a warm Fig-2-shaped pHost run on the 4-pair fan — Fig 2's
-// flows, sizes and starts to its horizon — allocates no more than the
-// scenario harness it replaced did for the same flows, 245 objects, and
-// with Fig 2's goodput trackers and link sampler no more than the
-// harness's 299.
+// TestSmallRunAllocs holds a small run's set-up to a fixed number of
+// allocations per kind of object: a warm Fig-2-shaped pHost run on the
+// 4-pair fan — Fig 2's flows, sizes and starts to its horizon —
+// allocates at most 100 objects, and with Fig 2's goodput trackers and
+// link sampler at most 154. (The scenario harness the run replaced paid
+// 245 and 299; one allocation per port, queue, host record and name
+// paid 223 and 277.)
 func TestSmallRunAllocs(t *testing.T) {
 	b := topo.Fan(4)
 	r := LeafSpineRun{
@@ -176,7 +177,7 @@ func TestSmallRunAllocs(t *testing.T) {
 		name string
 		run  LeafSpineRun
 		max  float64
-	}{{"bare", r, 245}, {"with Fig 2's series", figure, 299}} {
+	}{{"bare", r, 100}, {"with Fig 2's series", figure, 154}} {
 		c.run.Run() // warm the jitter free list
 		if got := testing.AllocsPerRun(5, func() { c.run.Run() }); got > c.max {
 			t.Errorf("%s: a warm run allocates %.0f objects, want <= %.0f", c.name, got, c.max)

@@ -21,6 +21,7 @@ package faults
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync/atomic"
 
 	"amrt/internal/metrics"
@@ -203,17 +204,17 @@ func (p *Plan) WrapQueues(inner netsim.QueueFactory) netsim.QueueFactory {
 		return inner
 	}
 	n := 0
-	return func() netsim.Queue {
-		q := inner()
-		idx := n
+	return func(s *netsim.Slabs) netsim.Queue {
+		q := inner(s)
+		idx := strconv.Itoa(n)
 		n++
 		if b := p.Burst; b != nil {
-			seed := sim.SubSeed(p.Seed, fmt.Sprintf("faults.burst.%d", idx))
-			q = netsim.NewGilbertElliott(q, b.ToBad, b.ToGood, b.LossBad, b.LossGood, seed)
+			seed := sim.SubSeed(p.Seed, "faults.burst.", idx)
+			q = s.NewGilbertElliott(q, b.ToBad, b.ToGood, b.LossBad, b.LossGood, seed)
 		}
 		if p.CtrlLoss > 0 || p.DataLoss > 0 {
-			seed := sim.SubSeed(p.Seed, fmt.Sprintf("faults.loss.%d", idx))
-			l := netsim.NewLossy(q, p.DataLoss, seed)
+			seed := sim.SubSeed(p.Seed, "faults.loss.", idx)
+			l := s.NewLossy(q, p.DataLoss, seed)
 			l.CtrlDropProb = p.CtrlLoss
 			q = l
 		}

@@ -366,18 +366,18 @@ func TestApplyUnknownNode(t *testing.T) {
 }
 
 func TestWrapQueuesIdentityAndLayering(t *testing.T) {
-	inner := func() netsim.Queue { return netsim.NewDropTail(8) }
+	inner := func(s *netsim.Slabs) netsim.Queue { return s.NewDropTail(8) }
 
 	// A plan with only link faults must return the factory's queues
 	// unwrapped — no spurious RNG in the data path.
 	noLoss := MustParse("link=a->b,down=1ms,up=2ms")
-	if _, ok := noLoss.WrapQueues(inner)().(*netsim.DropTailQueue); !ok {
+	if _, ok := noLoss.WrapQueues(inner)(nil).(*netsim.DropTailQueue); !ok {
 		t.Error("loss-free plan wrapped the queue")
 	}
 
 	// Ctrl loss alone wraps in a LossyQueue carrying CtrlDropProb.
 	ctrl := MustParse("ctrl-loss=0.25")
-	lq, ok := ctrl.WrapQueues(inner)().(*netsim.LossyQueue)
+	lq, ok := ctrl.WrapQueues(inner)(nil).(*netsim.LossyQueue)
 	if !ok {
 		t.Fatal("ctrl-loss plan did not produce a LossyQueue")
 	}
@@ -387,7 +387,7 @@ func TestWrapQueuesIdentityAndLayering(t *testing.T) {
 
 	// Burst + loss compose: Lossy outermost, GE inside it.
 	both := MustParse("burst-loss=tobad:0.01,togood:0.25,bad:0.5;data-loss=0.02")
-	outer, ok := both.WrapQueues(inner)().(*netsim.LossyQueue)
+	outer, ok := both.WrapQueues(inner)(nil).(*netsim.LossyQueue)
 	if !ok {
 		t.Fatal("composed plan: outermost not LossyQueue")
 	}
@@ -398,10 +398,11 @@ func TestWrapQueuesIdentityAndLayering(t *testing.T) {
 
 func TestWrapQueuesDeterministicPerQueueStreams(t *testing.T) {
 	drops := func(plan *Plan) []int64 {
-		f := plan.WrapQueues(func() netsim.Queue { return netsim.NewDropTail(0) })
+		f := plan.WrapQueues(func(s *netsim.Slabs) netsim.Queue { return s.NewDropTail(0) })
+		slabs := netsim.NewSlabs(3)
 		var out []int64
 		for q := 0; q < 3; q++ {
-			lq := f().(*netsim.LossyQueue)
+			lq := f(slabs).(*netsim.LossyQueue)
 			for i := 0; i < 1000; i++ {
 				lq.Enqueue(&netsim.Packet{Type: netsim.Data, Size: netsim.MSS}, 0)
 			}

@@ -50,13 +50,13 @@ func (c Config) withDefaults() Config {
 
 // SwitchQueue builds Homa's switch buffer: control above unscheduled
 // above scheduled, data levels sharing the configured cap.
-func (c Config) SwitchQueue() netsim.Queue {
+func (c Config) SwitchQueue(s *netsim.Slabs) netsim.Queue {
 	cap := c.withDefaults().QueueCap
-	return netsim.NewPriority(256, cap, cap)
+	return s.NewPriority(256, cap, cap)
 }
 
 // HostQueue builds the host NIC queue.
-func (c Config) HostQueue() netsim.Queue { return netsim.NewPriority(1024) }
+func (c Config) HostQueue(s *netsim.Slabs) netsim.Queue { return s.NewPriority(1024) }
 
 // Protocol is a Homa instance.
 type Protocol struct {
@@ -224,7 +224,10 @@ func (p *Protocol) newRcvFlow(r *rcvFlow, f *transport.Flow) {
 	r.p, r.f = p, f
 	r.granted, r.lastProgress = p.BlindPkts(f), p.Now()
 	r.InitBitmaps(f.NPkts, &r.rcvd)
-	hf := p.byHost.GetOrBuild(f.Dst.ID(), func() *hostFlows { return new(hostFlows) })
+	hf := p.byHost.Get(f.Dst.ID())
+	if hf == nil {
+		hf = p.byHost.Carve(&p.Kernel, f.Dst.ID())
+	}
 	hf.flows = append(hf.flows, r)
 	p.Heard(f)
 	r.timer.Init(&p.Kernel, r)

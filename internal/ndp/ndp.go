@@ -41,14 +41,14 @@ func (c Config) withDefaults() Config {
 }
 
 // SwitchQueue builds NDP's trimming switch buffer.
-func (c Config) SwitchQueue() netsim.Queue {
+func (c Config) SwitchQueue(s *netsim.Slabs) netsim.Queue {
 	cc := c.withDefaults()
-	return netsim.NewTrimming(cc.TrimThreshold, cc.CtrlQueueCap)
+	return s.NewTrimming(cc.TrimThreshold, cc.CtrlQueueCap)
 }
 
 // HostQueue builds the host NIC queue: large, since NDP deliberately
 // blasts the first window at line rate.
-func (c Config) HostQueue() netsim.Queue { return netsim.NewPriority(2048) }
+func (c Config) HostQueue(s *netsim.Slabs) netsim.Queue { return s.NewPriority(2048) }
 
 // Protocol is an NDP instance.
 type Protocol struct {
@@ -89,8 +89,10 @@ type rcvFlow struct {
 	sentEst int32
 }
 
+// puller paces one receiving host's pulls; it is its pacer's Emitter.
 type puller struct {
-	pacer *transport.Pacer
+	pacer transport.Pacer
+	p     *Protocol
 	// queue holds the flows owed one pull each: flows, not receiver
 	// records, as a record ends (and is reused) with its flow while its
 	// pulls may still wait.
@@ -130,7 +132,7 @@ func (p *Protocol) GrantAuthority() int64 {
 }
 
 // hostCrashed empties the crashed host's pull pacer queue (flow refs,
-// no packets): emitPull skips Done flows, but stale entries for crashed
+// no packets): puller.Emit skips Done flows, but stale entries for crashed
 // receiver state would issue pulls against forgotten bitmaps.
 func (p *Protocol) hostCrashed(h *netsim.Host) {
 	if pl := p.pullers.Get(h.ID()); pl != nil {
@@ -260,15 +262,20 @@ func (p *Protocol) enqueuePull(r *rcvFlow) {
 }
 
 func (p *Protocol) pullerOf(h *netsim.Host) *puller {
-	return p.pullers.GetOrBuild(h.ID(), func() *puller {
-		pl := &puller{}
+	pl := p.pullers.Get(h.ID())
+	if pl == nil {
+		pl = p.pullers.Carve(&p.Kernel, h.ID())
+		pl.p = p
 		pl.queue.SetPool(&p.pullBlocks)
-		pl.pacer = p.HostPacer(h, func() bool { return p.emitPull(pl) })
-		return pl
-	})
+		pl.pacer.Init(p.Engine(), p.HostTick(h), pl)
+	}
+	return pl
 }
 
-func (p *Protocol) emitPull(pl *puller) bool {
+// Emit implements transport.Emitter: pull for the next queued flow that
+// is still running.
+func (pl *puller) Emit() bool {
+	p := pl.p
 	for pl.queue.Len() > 0 {
 		f := pl.queue.Pop()
 		if f.Done {

@@ -181,7 +181,7 @@ func TestDegradedRateSlowsSerialization(t *testing.T) {
 func TestLossyQueueCtrlDropProb(t *testing.T) {
 	// With CtrlDropProb=0 (default) control packets always pass, even at
 	// DropProb=1 — the historical sparing.
-	spare := NewLossy(NewDropTail(0), 1.0, 1)
+	spare := heap.NewLossy(NewDropTail(0), 1.0, 1)
 	if !spare.Enqueue(&Packet{Type: Grant, Size: ControlSize}, 0) {
 		t.Fatal("control packet dropped despite CtrlDropProb=0")
 	}
@@ -190,7 +190,7 @@ func TestLossyQueueCtrlDropProb(t *testing.T) {
 	}
 
 	// With CtrlDropProb=1 every control packet drops and is counted.
-	strict := NewLossy(NewDropTail(0), 0, 2)
+	strict := heap.NewLossy(NewDropTail(0), 0, 2)
 	strict.CtrlDropProb = 1.0
 	if strict.Enqueue(&Packet{Type: Grant, Size: ControlSize}, 0) {
 		t.Fatal("control packet passed despite CtrlDropProb=1")
@@ -209,7 +209,7 @@ func TestLossyQueueCtrlDropProb(t *testing.T) {
 
 func TestGilbertElliottBurstsAndStationarity(t *testing.T) {
 	run := func(seed int64) (injected, bursts int64) {
-		q := NewGilbertElliott(NewDropTail(0), 0.01, 0.25, 1.0, 0, seed)
+		q := heap.NewGilbertElliott(NewDropTail(0), 0.01, 0.25, 1.0, 0, seed)
 		for i := 0; i < 20000; i++ {
 			q.Enqueue(&Packet{Type: Data, Size: MSS}, 0)
 		}
@@ -235,7 +235,7 @@ func TestGilbertElliottBurstsAndStationarity(t *testing.T) {
 	}
 
 	// Control packets clock state but never drop.
-	q := NewGilbertElliott(NewDropTail(0), 0.5, 0.1, 1.0, 0, 3)
+	q := heap.NewGilbertElliott(NewDropTail(0), 0.5, 0.1, 1.0, 0, 3)
 	for i := 0; i < 100; i++ {
 		if !q.Enqueue(&Packet{Type: Grant, Size: ControlSize}, 0) {
 			t.Fatal("GE queue dropped a control packet")
@@ -267,7 +267,7 @@ func TestGilbertElliottStationaryLossRate(t *testing.T) {
 	}
 	const arrivals = 200000
 	for _, c := range cases {
-		q := NewGilbertElliott(NewDropTail(0), c.toBad, c.toGood, c.lossBad, c.lossGood, 42)
+		q := heap.NewGilbertElliott(NewDropTail(0), c.toBad, c.toGood, c.lossBad, c.lossGood, 42)
 		for i := 0; i < arrivals; i++ {
 			q.Enqueue(&Packet{Type: Data, Size: MSS}, 0)
 		}

@@ -71,13 +71,20 @@ func (s *jitterStream) refill() {
 	s.pos = 0
 }
 
-// startJitter gives the port its stream at its first draw, derived from
-// the network jitter seed and the port name.
+// JitterSeed returns the seed of the port's jitter stream: the network
+// jitter seed sub-seeded with "jitter." + Name(), hashed from the two
+// ends' names without building that string.
+func (p *Port) JitterSeed() int64 {
+	return sim.SubSeed(p.net.jitterSeed, "jitter.", p.owner.Name(), "->", p.link.To.Name())
+}
+
+// startJitter gives the port its stream at its first draw (see
+// JitterSeed).
 func (p *Port) startJitter() *jitterStream {
 	if p.net.released {
-		panic(fmt.Sprintf("netsim: port %s draws jitter on a released network", p.name))
+		panic(fmt.Sprintf("netsim: port %s draws jitter on a released network", p.Name()))
 	}
-	p.jit = takeJitterStream(sim.SubSeed(p.net.jitterSeed, "jitter."+p.name), int64(p.net.jitterMax))
+	p.jit = takeJitterStream(p.JitterSeed(), int64(p.net.jitterMax))
 	return p.jit
 }
 

@@ -73,13 +73,13 @@ func streamErrors(n *Network) []string {
 		if p.jit == nil {
 			return
 		}
-		ref := sim.NewRNG(sim.SubSeed(n.jitterSeed, "jitter."+p.name))
+		ref := sim.NewRNG(sim.SubSeed(n.jitterSeed, "jitter."+p.Name()))
 		for i := uint64(0); i < p.linkSeq; i++ {
 			ref.Int63n(max)
 		}
 		for i := 0; i < 2*jitterBatch+1; i++ {
 			if got, want := p.jitter(), sim.Time(ref.Int63n(max))+1; got != want {
-				bad = append(bad, p.name)
+				bad = append(bad, p.Name())
 				return
 			}
 		}

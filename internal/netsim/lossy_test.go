@@ -5,8 +5,12 @@ import (
 	"testing"
 )
 
+// heap is the nil Slabs: queues made through it are allocated on their
+// own, as a queue outside any fabric is.
+var heap *Slabs
+
 func TestLossyQueueDropRate(t *testing.T) {
-	q := NewLossy(NewDropTail(0), 0.3, 42)
+	q := heap.NewLossy(NewDropTail(0), 0.3, 42)
 	const n = 20000
 	accepted := 0
 	for i := int32(0); i < n; i++ {
@@ -27,7 +31,7 @@ func TestLossyQueueDropRate(t *testing.T) {
 }
 
 func TestLossyQueueSparesControlAndTrimmed(t *testing.T) {
-	q := NewLossy(NewDropTail(0), 1.0, 1) // drop every data packet
+	q := heap.NewLossy(NewDropTail(0), 1.0, 1) // drop every data packet
 	if q.Enqueue(dataPkt(1, 0, MSS), 0) {
 		t.Error("data packet survived 100% loss")
 	}
@@ -43,7 +47,7 @@ func TestLossyQueueSparesControlAndTrimmed(t *testing.T) {
 
 func TestLossyQueueDeterministic(t *testing.T) {
 	run := func() []bool {
-		q := NewLossy(NewDropTail(0), 0.5, 7)
+		q := heap.NewLossy(NewDropTail(0), 0.5, 7)
 		out := make([]bool, 100)
 		for i := range out {
 			out[i] = q.Enqueue(dataPkt(1, int32(i), MSS), 0)
@@ -60,7 +64,7 @@ func TestLossyQueueDeterministic(t *testing.T) {
 
 func TestLossyQueueDelegates(t *testing.T) {
 	inner := NewDropTail(2)
-	q := NewLossy(inner, 0, 1)
+	q := heap.NewLossy(inner, 0, 1)
 	p1, p2, p3 := dataPkt(1, 0, 100), dataPkt(1, 1, 100), dataPkt(1, 2, 100)
 	if !q.Enqueue(p1, 0) || !q.Enqueue(p2, 0) {
 		t.Fatal("zero-loss wrapper rejected packets")

@@ -43,12 +43,22 @@ type AntiECNMarker struct {
 	Marked int64
 	// Observed counts data packets examined.
 	Observed int64
+
+	// need is the idle gap a spare-bandwidth mark takes on a link of
+	// rate: GapFactor × the nominal serialization time of RefSize,
+	// computed at the first gap comparison and again only if the marker
+	// finds itself on a link of another rate. A port's nominal rate
+	// never changes (a degraded rate is not what the rule reads), so a
+	// marker that stays on one port computes it once.
+	rate sim.Rate
+	need sim.Time
 }
 
 // NewAntiECNMarker returns a marker with the paper's defaults
-// (RefSize=MSS, GapFactor=1, AND combining).
+// (RefSize=MSS, GapFactor=1, AND combining), of its own: the form for a
+// marker outside any fabric. Fabrics carve theirs (Slabs.NewAntiECNMarker).
 func NewAntiECNMarker() *AntiECNMarker {
-	return &AntiECNMarker{RefSize: MSS, GapFactor: 1, Mode: CombineAND}
+	return (*Slabs)(nil).NewAntiECNMarker(MSS, 1, CombineAND)
 }
 
 // OnDequeue implements DequeueMarker.
@@ -59,8 +69,10 @@ func (m *AntiECNMarker) OnDequeue(port *Port, pkt *Packet, now sim.Time) {
 	m.Observed++
 	spare := true
 	if lastEnd, ever := port.LastTxEnd(); ever {
-		need := sim.Time(float64(port.Link().Rate.TxTime(m.RefSize)) * m.GapFactor)
-		spare = now-lastEnd >= need
+		if r := port.link.Rate; r != m.rate {
+			m.rate, m.need = r, sim.Time(float64(r.TxTime(m.RefSize))*m.GapFactor)
+		}
+		spare = now-lastEnd >= m.need
 	}
 	switch m.Mode {
 	case CombineOR:

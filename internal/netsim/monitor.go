@@ -3,13 +3,13 @@ package netsim
 import "amrt/internal/sim"
 
 // PortMonitor accumulates transmitted bytes and queue-occupancy
-// watermarks for one egress port. Attach it with Port.Monitor = ...;
-// experiment code samples and resets it on its own schedule.
+// watermarks for one egress port. Attach installs one; experiment code
+// samples and resets it on its own schedule.
 type PortMonitor struct {
 	rate sim.Rate
-	// port is the monitored port when the monitor came from Attach. The
-	// byte counters settle it before they answer, so a transmission that
-	// ended before a window reset is booked into the window it ended in.
+	// port is the monitored port. The byte counters settle it before
+	// they answer, so a transmission that ended before a window reset is
+	// booked into the window it ended in.
 	port *Port
 
 	// cumulative transmitted bytes since construction
@@ -27,15 +27,12 @@ type PortMonitor struct {
 	lastObserved  sim.Time
 }
 
-// NewPortMonitor returns a monitor for a port whose link runs at rate.
-func NewPortMonitor(rate sim.Rate) *PortMonitor {
-	return &PortMonitor{rate: rate}
-}
-
-// Attach creates a monitor for p, installs it, and returns it.
+// Attach creates a monitor for p, installs it, and returns it. The
+// monitor is carved from the network's monitor slab, sized for one per
+// host (see Network.Reserve).
 func Attach(p *Port) *PortMonitor {
-	m := NewPortMonitor(p.Link().Rate)
-	m.port = p
+	m := p.net.monitors.one()
+	m.rate, m.port = p.link.Rate, p
 	p.Monitor = m
 	return m
 }
@@ -46,11 +43,7 @@ func (m *PortMonitor) noteTx(bytes int64) {
 }
 
 // settle books the port's transmission, if one has ended unrecorded.
-func (m *PortMonitor) settle() {
-	if m.port != nil {
-		m.port.settle()
-	}
-}
+func (m *PortMonitor) settle() { m.port.settle() }
 
 func (m *PortMonitor) noteQueue(q Queue, now sim.Time) {
 	l := q.Len()

@@ -24,6 +24,18 @@ type Network struct {
 	switches []*Switch
 	nextID   NodeID
 
+	// The network's objects are carved from these (see Reserve): its
+	// hosts, switches and ports, the switches' port lists and route
+	// tables, and the port monitors Attach makes.
+	hostSlab   slab[Host]
+	switchSlab slab[Switch]
+	portSlab   slab[Port]
+	portLists  slab[*Port]
+	routeOfs   slab[uint32]
+	routeSets  slab[routeSet]
+	routeArena slab[*Port]
+	monitors   slab[PortMonitor]
+
 	// shards holds the engine shards; exactly one until Partition.
 	shards []*Shard
 	// minDelay is the smallest link propagation delay — the conservative
@@ -244,9 +256,35 @@ func (n *Network) SetDropHook(fn func(pkt *Packet)) {
 	}
 }
 
+// Reserve sizes the network for a fabric of the given numbers of
+// hosts, switches and egress ports (host NICs included), with every
+// host cabled to a switch: each kind of object the fabric is made of
+// then comes from one array. That is the hosts, the switches, the ports,
+// the switches' port lists (see Switch.Reserve) and route tables, and
+// one port monitor per host. Call it on a new network, before its first
+// node; the topology builders do. A network built without it, or past
+// it, works the same, carving from chunks that double from 2 to 64.
+func (n *Network) Reserve(hosts, switches, ports int) {
+	if n.nextID != 0 {
+		panic("netsim: Reserve after the first node")
+	}
+	swPorts := ports - hosts
+	n.hosts = make([]*Host, 0, hosts)
+	n.switches = make([]*Switch, 0, switches)
+	n.hostSlab.left = hosts
+	n.switchSlab.left = switches
+	n.portSlab.left = ports
+	n.portLists.left = swPorts
+	n.routeOfs.left = switches * (hosts + switches)
+	n.routeSets.left = swPorts + switches
+	n.routeArena.left = swPorts
+	n.monitors.left = hosts
+}
+
 // NewHost adds a host. The name is diagnostic only.
 func (n *Network) NewHost(name string) *Host {
-	h := &Host{id: n.nextID, name: name, net: n, shard: n.shards[0]}
+	h := n.hostSlab.one()
+	*h = Host{id: n.nextID, name: name, net: n, shard: n.shards[0]}
 	n.nextID++
 	n.hosts = append(n.hosts, h)
 	return h
@@ -254,7 +292,8 @@ func (n *Network) NewHost(name string) *Host {
 
 // NewSwitch adds a switch.
 func (n *Network) NewSwitch(name string) *Switch {
-	s := &Switch{id: n.nextID, name: name, net: n, shard: n.shards[0]}
+	s := n.switchSlab.one()
+	*s = Switch{id: n.nextID, name: name, net: n, shard: n.shards[0]}
 	n.nextID++
 	n.switches = append(n.switches, s)
 	return s
@@ -268,13 +307,14 @@ func (n *Network) Switches() []*Switch { return n.switches }
 
 // AttachPort creates an egress port on from, pointing at to, with the
 // given link parameters and queue, and registers it with the owning
-// node. Host ports become the host NIC (a host has exactly one).
+// node. Host ports become the host NIC (a host has exactly one). The
+// port is named after its two ends (see Port.Name).
 func (n *Network) AttachPort(from, to Node, rate sim.Rate, delay sim.Time, q Queue) *Port {
 	if q == nil {
 		q = NewDropTail(0)
 	}
-	p := &Port{
-		name:   from.Name() + "->" + to.Name(),
+	p := n.portSlab.one()
+	*p = Port{
 		owner:  from,
 		net:    n,
 		shard:  shardOf(from),

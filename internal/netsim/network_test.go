@@ -14,10 +14,10 @@ func pair(t *testing.T, rate sim.Rate, delay sim.Time, qf QueueFactory) (*Networ
 	b := n.NewHost("B")
 	sw := n.NewSwitch("S")
 	if qf == nil {
-		qf = func() Queue { return NewDropTail(128) }
+		qf = func(s *Slabs) Queue { return s.NewDropTail(128) }
 	}
-	n.Connect(a, sw, rate, delay, qf(), qf())
-	n.Connect(b, sw, rate, delay, qf(), qf())
+	n.Connect(a, sw, rate, delay, qf(nil), qf(nil))
+	n.Connect(b, sw, rate, delay, qf(nil), qf(nil))
 	// Switch port 0 goes to A (created by first Connect), port 1 to B.
 	sw.AddRoute(a.ID(), sw.Ports()[0])
 	sw.AddRoute(b.ID(), sw.Ports()[1])
@@ -66,7 +66,7 @@ func TestSerializationQueuesBackToBack(t *testing.T) {
 }
 
 func TestDropCountingAndHook(t *testing.T) {
-	n, a, b, _ := pair(t, 10*sim.Gbps, 0, func() Queue { return NewDropTail(1) })
+	n, a, b, _ := pair(t, 10*sim.Gbps, 0, func(*Slabs) Queue { return NewDropTail(1) })
 	var hooked []Packet // copies: the pool reclaims dropped packets after the hook
 	n.SetDropHook(func(pkt *Packet) { hooked = append(hooked, *pkt) })
 	delivered := 0
@@ -97,7 +97,7 @@ func TestDropCountingAndHook(t *testing.T) {
 }
 
 func TestConservationUnderRandomTraffic(t *testing.T) {
-	n, a, b, _ := pair(t, 10*sim.Gbps, 5*sim.Microsecond, func() Queue { return NewDropTail(4) })
+	n, a, b, _ := pair(t, 10*sim.Gbps, 5*sim.Microsecond, func(*Slabs) Queue { return NewDropTail(4) })
 	rng := sim.NewRNG(3)
 	sent := 0
 	delivered := 0
@@ -322,7 +322,8 @@ func TestPortMonitorUtilization(t *testing.T) {
 }
 
 func TestPortMonitorWindowReset(t *testing.T) {
-	m := NewPortMonitor(10 * sim.Gbps)
+	_, _, _, sw := pair(t, 10*sim.Gbps, sim.Microsecond, nil)
+	m := Attach(sw.Ports()[1])
 	m.noteTx(1250)
 	if m.WindowBytes() != 1250 {
 		t.Fatalf("WindowBytes = %d", m.WindowBytes())
@@ -342,7 +343,7 @@ func TestPortMonitorWindowReset(t *testing.T) {
 
 func TestNetworkDeterminism(t *testing.T) {
 	run := func() (int64, int64, uint64) {
-		n, a, b, _ := pair(t, 10*sim.Gbps, 5*sim.Microsecond, func() Queue { return NewDropTail(8) })
+		n, a, b, _ := pair(t, 10*sim.Gbps, 5*sim.Microsecond, func(*Slabs) Queue { return NewDropTail(8) })
 		rng := sim.NewRNG(11)
 		b.Handler = func(pkt *Packet) {}
 		for i := 0; i < 500; i++ {

@@ -127,6 +127,18 @@ func (s *Switch) Name() string { return s.name }
 // Ports returns the switch's egress ports in creation order.
 func (s *Switch) Ports() []*Port { return s.ports }
 
+// Reserve gives a new switch room for ports egress ports in the
+// network's shared port-list array (see Network.Reserve), so attaching
+// them allocates nothing; the route tables are sized from the ports the
+// switch has when its first route is added. A switch that gets more
+// ports than it reserved grows its list as a slice would.
+func (s *Switch) Reserve(ports int) {
+	if len(s.ports) != 0 {
+		panic(fmt.Sprintf("netsim: switch %s reserves ports after its first", s.name))
+	}
+	s.ports = s.net.portLists.take(ports)[:0]
+}
+
 // Shard returns the engine shard this switch is assigned to — the shard
 // whose goroutine owns the switch, its ports, and its queues.
 func (s *Switch) Shard() *Shard { return s.shard }
@@ -145,7 +157,9 @@ func (s *Switch) AddRoute(dst NodeID, p *Port) {
 	if p.owner != Node(s) {
 		panic(fmt.Sprintf("netsim: switch %s routes through %v, a port it does not own", s.name, p))
 	}
-	if n := int(s.net.nextID); len(s.routeOf) < n {
+	if n := int(s.net.nextID); s.routeOf == nil {
+		s.routeOf = s.net.routeOfs.take(n)
+	} else if len(s.routeOf) < n {
 		routeOf := make([]uint32, n) // one allocation, race detector or not
 		copy(routeOf, s.routeOf)
 		s.routeOf = routeOf
@@ -154,8 +168,9 @@ func (s *Switch) AddRoute(dst NodeID, p *Port) {
 		// A fabric switch reaches every destination through one of its
 		// ports or through one chain of them (its uplinks, added in
 		// place): one set per port past the root, one arena slot each.
-		s.routeSets = make([]routeSet, 1, len(s.ports)+1)
-		s.routeArena = make([]*Port, 0, len(s.ports))
+		// Both come from the network's shared arrays.
+		s.routeSets = s.net.routeSets.take(len(s.ports) + 1)[:1]
+		s.routeArena = s.net.routeArena.take(len(s.ports))[:0]
 	}
 	cur := s.routeOf[dst]
 	for c := s.routeSets[cur].child; c != 0; c = s.routeSets[c].sibling {

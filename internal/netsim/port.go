@@ -25,7 +25,6 @@ type DequeueMarker interface {
 // packet at a time. The zero value is not usable; ports are created by
 // Network.Connect.
 type Port struct {
-	name  string
 	owner Node
 	net   *Network
 	queue Queue
@@ -110,8 +109,11 @@ type Port struct {
 	Flushed  int64
 }
 
-// Name returns the diagnostic name assigned at creation, e.g. "leaf0->core1".
-func (p *Port) Name() string { return p.name }
+// Name returns the diagnostic name, its two ends' names joined by "->",
+// e.g. "leaf0->core1". It is built on each call, not stored: ports are
+// many and their names are wanted only in diagnostics and telemetry
+// keys.
+func (p *Port) Name() string { return p.owner.Name() + "->" + p.link.To.Name() }
 
 // Queue exposes the port's buffering discipline (for tests and monitors).
 func (p *Port) Queue() Queue { return p.queue }
@@ -263,7 +265,7 @@ func (p *Port) trySend() {
 	// topology and traffic alone — identical at every shard count.
 	at := now + tx + p.link.Delay + p.jitter()
 	if p.linkSeq >= 1<<linkSeqBits {
-		panic(fmt.Sprintf("netsim: port %s delivery counter overflowed", p.name))
+		panic(fmt.Sprintf("netsim: port %s delivery counter overflowed", p.Name()))
 	}
 	key := p.linkID<<linkSeqBits | p.linkSeq
 	p.linkSeq++
@@ -367,4 +369,4 @@ func (p *Port) jitter() sim.Time {
 }
 
 // String implements fmt.Stringer.
-func (p *Port) String() string { return fmt.Sprintf("port(%s)", p.name) }
+func (p *Port) String() string { return fmt.Sprintf("port(%s)", p.Name()) }

@@ -19,10 +19,12 @@ type Queue interface {
 	Bytes() int
 }
 
-// QueueFactory builds one queue per egress port. Protocols choose the
-// factory that matches their switch behaviour (plain drop-tail,
-// priority levels, trimming, or a capped data queue).
-type QueueFactory func() Queue
+// QueueFactory builds one queue per egress port, carving it from s.
+// Protocols choose the factory that matches their switch behaviour
+// (plain drop-tail, priority levels, trimming, or a capped data queue).
+// A builder calls a factory once per port of one role, host NICs or
+// switch ports, with that role's Slabs.
+type QueueFactory func(s *Slabs) Queue
 
 // BoundedQueue is implemented by queues with a known total packet-count
 // capacity. The audit subsystem uses it to check the queue-bound
@@ -81,9 +83,14 @@ type DropTailQueue struct {
 
 // NewDropTail returns a drop-tail queue holding at most capPackets
 // packets. A non-positive capacity means unbounded.
-func NewDropTail(capPackets int) *DropTailQueue {
-	return &DropTailQueue{cap: capPackets}
+func (s *Slabs) NewDropTail(capPackets int) *DropTailQueue {
+	q := carve(s, func(s *Slabs) *slab[DropTailQueue] { return &s.dropTail })
+	q.cap = capPackets
+	return q
 }
+
+// NewDropTail is Slabs.NewDropTail for a queue outside any fabric.
+func NewDropTail(capPackets int) *DropTailQueue { return (*Slabs)(nil).NewDropTail(capPackets) }
 
 // Enqueue implements Queue.
 func (d *DropTailQueue) Enqueue(pkt *Packet, _ sim.Time) bool {
@@ -114,11 +121,14 @@ type PriorityQueue struct {
 	caps   [NumPriorities]int
 }
 
+// NewPriority is Slabs.NewPriority for a queue outside any fabric.
+func NewPriority(caps ...int) *PriorityQueue { return (*Slabs)(nil).NewPriority(caps...) }
+
 // NewPriority returns a strict-priority queue. caps gives the per-level
 // packet capacity; missing trailing entries default to the last given
 // value, and non-positive values mean unbounded.
-func NewPriority(caps ...int) *PriorityQueue {
-	p := &PriorityQueue{}
+func (s *Slabs) NewPriority(caps ...int) *PriorityQueue {
+	p := carve(s, func(s *Slabs) *slab[PriorityQueue] { return &s.priority })
 	last := 0
 	for i := 0; i < NumPriorities; i++ {
 		if i < len(caps) {
@@ -209,8 +219,10 @@ type LossyQueue struct {
 }
 
 // NewLossy wraps inner with seeded random data-packet loss.
-func NewLossy(inner Queue, dropProb float64, seed int64) *LossyQueue {
-	return &LossyQueue{Inner: inner, DropProb: dropProb, rng: sim.NewRNG(seed)}
+func (s *Slabs) NewLossy(inner Queue, dropProb float64, seed int64) *LossyQueue {
+	l := carve(s, func(s *Slabs) *slab[LossyQueue] { return &s.lossy })
+	l.Inner, l.DropProb, l.rng = inner, dropProb, sim.NewRNG(seed)
+	return l
 }
 
 // Enqueue implements Queue.
@@ -268,11 +280,11 @@ type GilbertElliottQueue struct {
 }
 
 // NewGilbertElliott wraps inner with seeded two-state burst loss.
-func NewGilbertElliott(inner Queue, pGoodBad, pBadGood, lossBad, lossGood float64, seed int64) *GilbertElliottQueue {
-	return &GilbertElliottQueue{
-		Inner: inner, PGoodBad: pGoodBad, PBadGood: pBadGood,
-		LossBad: lossBad, LossGood: lossGood, rng: sim.NewRNG(seed),
-	}
+func (s *Slabs) NewGilbertElliott(inner Queue, pGoodBad, pBadGood, lossBad, lossGood float64, seed int64) *GilbertElliottQueue {
+	g := carve(s, func(s *Slabs) *slab[GilbertElliottQueue] { return &s.gilbert })
+	g.Inner, g.PGoodBad, g.PBadGood = inner, pGoodBad, pBadGood
+	g.LossBad, g.LossGood, g.rng = lossBad, lossGood, sim.NewRNG(seed)
+	return g
 }
 
 // Enqueue implements Queue.
@@ -337,8 +349,10 @@ type ECNQueue struct {
 
 // NewECN returns an ECN-marking drop-tail queue with the given packet
 // capacity and marking threshold.
-func NewECN(capPackets, markAt int) *ECNQueue {
-	return &ECNQueue{cap: capPackets, markAt: markAt}
+func (s *Slabs) NewECN(capPackets, markAt int) *ECNQueue {
+	e := carve(s, func(s *Slabs) *slab[ECNQueue] { return &s.ecn })
+	e.cap, e.markAt = capPackets, markAt
+	return e
 }
 
 // Enqueue implements Queue.
@@ -384,8 +398,15 @@ type TrimmingQueue struct {
 // NewTrimming returns an NDP trimming queue. trimAt is the data-queue
 // length (in packets) at which arriving data packets are trimmed;
 // controlCap bounds the control/header band.
+func (s *Slabs) NewTrimming(trimAt, controlCap int) *TrimmingQueue {
+	q := carve(s, func(s *Slabs) *slab[TrimmingQueue] { return &s.trimming })
+	q.trimAt, q.controlCap = trimAt, controlCap
+	return q
+}
+
+// NewTrimming is Slabs.NewTrimming for a queue outside any fabric.
 func NewTrimming(trimAt, controlCap int) *TrimmingQueue {
-	return &TrimmingQueue{trimAt: trimAt, controlCap: controlCap}
+	return (*Slabs)(nil).NewTrimming(trimAt, controlCap)
 }
 
 // Enqueue implements Queue.

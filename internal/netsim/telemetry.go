@@ -24,7 +24,7 @@ func (p *Port) RegisterMetrics(reg *metrics.Registry) *PortMonitor {
 	if reg == nil {
 		return m
 	}
-	prefix := "port." + p.name + "."
+	prefix := "port." + p.Name() + "."
 	reg.Series(prefix+"queue_pkts", func(sim.Time) float64 { return float64(p.queue.Len()) })
 	reg.Series(prefix+"queue_bytes", func(sim.Time) float64 { return float64(p.queue.Bytes()) })
 	reg.Series(prefix+"util", func(now sim.Time) float64 {

@@ -47,13 +47,13 @@ func (c Config) withDefaults() Config {
 
 // SwitchQueue builds pHost's switch buffer: control packets bypass data
 // in a strict-priority queue with a shared drop-tail cap for data.
-func (c Config) SwitchQueue() netsim.Queue {
+func (c Config) SwitchQueue(s *netsim.Slabs) netsim.Queue {
 	cap := c.withDefaults().QueueCap
-	return netsim.NewPriority(256, cap, cap)
+	return s.NewPriority(256, cap, cap)
 }
 
 // HostQueue builds the host NIC queue.
-func (c Config) HostQueue() netsim.Queue { return netsim.NewPriority(1024) }
+func (c Config) HostQueue(s *netsim.Slabs) netsim.Queue { return s.NewPriority(1024) }
 
 // Protocol is a pHost instance.
 type Protocol struct {
@@ -107,8 +107,11 @@ func (r *rcvFlow) remaining(mss int) int64 {
 	return int64(r.f.NPkts-r.rcvd.Count()) * int64(mss)
 }
 
+// pacerState is one receiving host's token pacer and the flows it
+// serves; it is its pacer's Emitter.
 type pacerState struct {
-	pacer *transport.Pacer
+	pacer transport.Pacer
+	p     *Protocol
 	flows []*rcvFlow
 	// credits implement the arrival clocking the paper ascribes to
 	// receiver-driven transports: one token may be issued per data
@@ -250,12 +253,17 @@ func (p *Protocol) newRcvFlow(r *rcvFlow, f *transport.Flow) {
 }
 
 func (p *Protocol) pacerOf(h *netsim.Host) *pacerState {
-	return p.pacers.GetOrBuild(h.ID(), func() *pacerState {
-		ps := &pacerState{}
-		ps.pacer = p.HostPacer(h, func() bool { return p.emitToken(ps) })
-		return ps
-	})
+	ps := p.pacers.Get(h.ID())
+	if ps == nil {
+		ps = p.pacers.Carve(&p.Kernel, h.ID())
+		ps.p = p
+		ps.pacer.Init(p.Engine(), p.HostTick(h), ps)
+	}
+	return ps
 }
+
+// Emit implements transport.Emitter.
+func (ps *pacerState) Emit() bool { return ps.p.emitToken(ps) }
 
 // emitToken sends one token to the SRPT-best eligible flow, consuming
 // one arrival credit.

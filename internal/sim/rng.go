@@ -11,16 +11,20 @@ func NewRNG(seed int64) *rand.Rand {
 
 // SubSeed derives a stable sub-seed for the named stream. It uses the
 // FNV-1a hash of the name mixed with the parent seed, so streams are
-// independent of declaration order.
-func SubSeed(seed int64, name string) int64 {
+// independent of declaration order. A name given in parts hashes as
+// their concatenation: SubSeed(s, "a.", "b") == SubSeed(s, "a.b"), and
+// the caller builds no string.
+func SubSeed(seed int64, name ...string) int64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= prime64
+	for _, part := range name {
+		for i := 0; i < len(part); i++ {
+			h ^= uint64(part[i])
+			h *= prime64
+		}
 	}
 	h ^= uint64(seed)
 	h *= prime64

@@ -86,13 +86,13 @@ func (c Config) withDefaults() Config {
 // tiny unscheduled window needs no depth, so shallow per-level queues
 // cost little goodput while capping occupancy below the single-level
 // baselines'.
-func (c Config) SwitchQueue() netsim.Queue {
+func (c Config) SwitchQueue(s *netsim.Slabs) netsim.Queue {
 	half := (c.withDefaults().QueueCap + 1) / 2
-	return netsim.NewPriority(256, half, half)
+	return s.NewPriority(256, half, half)
 }
 
 // HostQueue builds the host NIC queue.
-func (c Config) HostQueue() netsim.Queue { return netsim.NewPriority(1024) }
+func (c Config) HostQueue(s *netsim.Slabs) netsim.Queue { return s.NewPriority(1024) }
 
 // Protocol is a SIRD instance.
 type Protocol struct {
@@ -192,8 +192,11 @@ func (r *rcvFlow) ungranted(mss int) int64 {
 	return int64(r.f.NPkts-r.granted) * int64(mss)
 }
 
+// poolState is one receiving host's credit pool and grant pacer; it is
+// its pacer's Emitter.
 type poolState struct {
-	pacer *transport.Pacer
+	pacer transport.Pacer
+	p     *Protocol
 	flows []*rcvFlow
 
 	// bound caps outstanding; outstanding is the sum of the member
@@ -420,18 +423,24 @@ func (p *Protocol) newRcvFlow(r *rcvFlow, f *transport.Flow) {
 }
 
 func (p *Protocol) poolOf(h *netsim.Host) *poolState {
-	return p.pools.GetOrBuild(h.ID(), func() *poolState {
-		ps := &poolState{bound: p.cfg.PoolBytes}
-		ps.recovery.SetPool(&p.recBlocks)
-		if ps.bound <= 0 {
-			// 1.5× downlink BDP: the grant loop needs one BDP in flight to
-			// fill the link, plus margin for demand estimation error.
-			ps.bound = h.LinkRate().BytesIn(p.Cfg.RTT) * 3 / 2
-		}
-		ps.pacer = p.HostPacer(h, func() bool { return p.emitGrant(ps) })
+	ps := p.pools.Get(h.ID())
+	if ps != nil {
 		return ps
-	})
+	}
+	ps = p.pools.Carve(&p.Kernel, h.ID())
+	ps.p, ps.bound = p, p.cfg.PoolBytes
+	ps.recovery.SetPool(&p.recBlocks)
+	if ps.bound <= 0 {
+		// 1.5× downlink BDP: the grant loop needs one BDP in flight to
+		// fill the link, plus margin for demand estimation error.
+		ps.bound = h.LinkRate().BytesIn(p.Cfg.RTT) * 3 / 2
+	}
+	ps.pacer.Init(p.Engine(), p.HostTick(h), ps)
+	return ps
 }
+
+// Emit implements transport.Emitter.
+func (ps *poolState) Emit() bool { return ps.p.emitGrant(ps) }
 
 // weight returns flow r's scheduling weight: the advertised demand
 // while fresh, the receiver's own ungranted estimate once stale, and at

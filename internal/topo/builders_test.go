@@ -35,8 +35,8 @@ func newFactoryLog() *factoryLog {
 
 func (l *factoryLog) factory(name string) netsim.QueueFactory {
 	n := 0
-	return func() netsim.Queue {
-		q := netsim.NewDropTail(64)
+	return func(s *netsim.Slabs) netsim.Queue {
+		q := s.NewDropTail(64)
 		l.queues[q] = fmt.Sprintf("%s#%d", name, n)
 		l.seq[q] = l.calls
 		n++
@@ -49,8 +49,8 @@ func (l *factoryLog) overlay() Overlay {
 	return Overlay{
 		HostQueue:   l.factory("host"),
 		SwitchQueue: l.factory("switch"),
-		Marker: func() netsim.DequeueMarker {
-			m := netsim.NewAntiECNMarker()
+		Marker: func(s *netsim.Slabs) netsim.DequeueMarker {
+			m := s.NewAntiECNMarker(netsim.MSS, 1, netsim.CombineAND)
 			l.markers[m] = len(l.markers)
 			return m
 		},

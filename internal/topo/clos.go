@@ -1,8 +1,6 @@
 package topo
 
 import (
-	"fmt"
-
 	"amrt/internal/netsim"
 	"amrt/internal/sim"
 )
@@ -126,37 +124,42 @@ func (c ClosConfig) Build(ov Overlay) *Fabric {
 		panic("topo: clos dimensions must be positive")
 	}
 	c = c.withDefaults()
-	w := newWiring(ov, c.LinkDelay, c.Jitter, c.JitterSeed)
+	perPod := c.LeavesPerPod + c.AggsPerPod
+	w := newWiring(ov, c.LinkDelay, c.Jitter, c.JitterSeed, c.Hosts(), c.Cores+c.Pods*perPod,
+		c.Pods*c.AggsPerPod*(c.LeavesPerPod+c.Cores))
 	n := w.net
 	f := w.f
 	f.AccessRate, f.BaseRTT = c.HostRate, 12*c.LinkDelay
-	cores := make([]*netsim.Switch, c.Cores)
+	// f.Switches lists each pod's leaves, then its aggregations, and the
+	// cores last; the cores are made first, then each pod's aggregations
+	// before its leaves.
+	f.Switches = f.Switches[:cap(f.Switches)]
+	cores := f.Switches[c.Pods*perPod:]
 	for i := range cores {
-		cores[i] = n.NewSwitch(fmt.Sprintf("core%d", i))
+		cores[i] = w.newSwitch(w.name("core", i), c.Pods*c.AggsPerPod)
 	}
 	for p := 0; p < c.Pods; p++ {
-		aggs := make([]*netsim.Switch, c.AggsPerPod)
+		leaves := f.Switches[p*perPod : p*perPod+c.LeavesPerPod]
+		aggs := f.Switches[p*perPod+c.LeavesPerPod : (p+1)*perPod]
 		for i := range aggs {
-			aggs[i] = n.NewSwitch(fmt.Sprintf("agg%d.%d", p, i))
+			aggs[i] = w.newSwitch(w.name("agg", p, i), c.LeavesPerPod+c.Cores)
 		}
-		for l := 0; l < c.LeavesPerPod; l++ {
-			leaf := n.NewSwitch(fmt.Sprintf("leaf%d.%d", p, l))
+		for l := range leaves {
+			leaf := w.newSwitch(w.name("leaf", p, l), c.HostsPerLeaf+c.AggsPerPod)
+			leaves[l] = leaf
 			for h := 0; h < c.HostsPerLeaf; h++ {
-				w.host(leaf, fmt.Sprintf("h%d.%d.%d", p, l, h), c.HostRate)
+				w.host(leaf, w.name("h", p, l, h), c.HostRate)
 			}
 			for _, agg := range aggs {
 				w.link(leaf, agg, c.FabricRate)
 			}
-			f.Switches = append(f.Switches, leaf)
 		}
 		for _, agg := range aggs {
 			for _, core := range cores {
 				w.link(agg, core, c.CoreRate)
 			}
 		}
-		f.Switches = append(f.Switches, aggs...)
 	}
-	f.Switches = append(f.Switches, cores...)
 	InstallShortestPathRoutes(n)
 	return f
 }

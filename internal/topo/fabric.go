@@ -23,28 +23,39 @@ type Overlay struct {
 	// for AMRT, ...).
 	SwitchQueue netsim.QueueFactory
 	// Marker, if non-nil, is called per switch egress port to attach a
-	// dequeue marker (AMRT's anti-ECN marker). Host NICs never mark.
-	Marker func() netsim.DequeueMarker
+	// dequeue marker (AMRT's anti-ECN marker), with the switch ports'
+	// slabs to carve it from. Host NICs never mark.
+	Marker func(s *netsim.Slabs) netsim.DequeueMarker
 }
 
 // wiring lays an overlay on a fresh network. Every builder creates its
-// nodes on net and cables them only through host and link, so the
-// queue defaults, the marker-placement rule and the order in which the
-// queue factories are called — the fault plan seeds the k-th switch
-// queue from k — live here once. f is the fabric under construction:
-// host fills its Hosts and HostDownlinks.
+// nodes through newSwitch and host and cables them only through host
+// and link, so the queue defaults, the marker-placement rule and the
+// order in which the queue factories are called — the fault plan seeds
+// the k-th switch queue from k — live here once. f is the fabric under
+// construction: host fills its Hosts and HostDownlinks.
+//
+// A builder gives newWiring its fabric's node and link counts, so the
+// set-up allocates per kind of object, not per object: the network
+// carves its nodes, ports and switch tables from arrays of those sizes
+// (netsim.Network.Reserve), each role's queues and markers come from
+// its own netsim.Slabs, and every node name is a slice of one buffer.
 type wiring struct {
 	net   *netsim.Network
 	f     *Fabric
 	delay sim.Time // one-way propagation delay of every link
 	ov    Overlay
+
+	hostSlabs, switchSlabs *netsim.Slabs
+	names                  strings.Builder
 }
 
-// newWiring creates the network with its delivery jitter (none when
-// jitter is 0) and fills the overlay's nil queue factories with the
-// 128-packet drop-tail.
-func newWiring(ov Overlay, delay, jitter sim.Time, jitterSeed int64) wiring {
-	dropTail := func() netsim.Queue { return netsim.NewDropTail(128) }
+// newWiring creates the network for a fabric of hosts hosts (one link
+// each to a switch), switches switches and links switch-to-switch
+// links, with its delivery jitter (none when jitter is 0), and fills
+// the overlay's nil queue factories with the 128-packet drop-tail.
+func newWiring(ov Overlay, delay, jitter sim.Time, jitterSeed int64, hosts, switches, links int) wiring {
+	dropTail := func(s *netsim.Slabs) netsim.Queue { return s.NewDropTail(128) }
 	if ov.HostQueue == nil {
 		ov.HostQueue = dropTail
 	}
@@ -52,11 +63,51 @@ func newWiring(ov Overlay, delay, jitter sim.Time, jitterSeed int64) wiring {
 		ov.SwitchQueue = dropTail
 	}
 	n := netsim.New()
-	w := wiring{net: n, f: &Fabric{Net: n}, delay: delay, ov: ov}
+	ports := 2 * (hosts + links)
+	n.Reserve(hosts, switches, ports)
+	w := wiring{
+		net: n, delay: delay, ov: ov,
+		f: &Fabric{
+			Net:           n,
+			Hosts:         make([]*netsim.Host, 0, hosts),
+			HostDownlinks: make([]*netsim.Port, 0, hosts),
+			Switches:      make([]*netsim.Switch, 0, switches),
+		},
+		hostSlabs:   netsim.NewSlabs(hosts),
+		switchSlabs: netsim.NewSlabs(ports - hosts),
+	}
 	if jitter > 0 {
 		w.net.SetJitter(jitter, jitterSeed)
 	}
 	return w
+}
+
+// name returns prefix followed by idx joined with dots, "h1.0.3" for
+// ("h", 1, 0, 3). Names are appended to one buffer, sized at the first
+// name for about 12 bytes a node, and sliced from it: a strings.Builder
+// never rewrites what it holds, so an earlier name stays valid when the
+// buffer grows.
+func (w *wiring) name(prefix string, idx ...int) string {
+	if w.names.Cap() == 0 {
+		w.names.Grow(12 * (cap(w.f.Hosts) + cap(w.f.Switches)))
+	}
+	start := w.names.Len()
+	w.names.WriteString(prefix)
+	var digits [20]byte
+	for i, x := range idx {
+		if i > 0 {
+			w.names.WriteByte('.')
+		}
+		w.names.Write(strconv.AppendInt(digits[:0], int64(x), 10))
+	}
+	return w.names.String()[start:]
+}
+
+// newSwitch adds a switch with room for ports egress ports.
+func (w *wiring) newSwitch(name string, ports int) *netsim.Switch {
+	s := w.net.NewSwitch(name)
+	s.Reserve(ports)
+	return s
 }
 
 // host adds a host named name under sw with a link of the given rate
@@ -65,8 +116,8 @@ func newWiring(ov Overlay, delay, jitter sim.Time, jitterSeed int64) wiring {
 // the fabric's host index order; host returns the downlink.
 func (w *wiring) host(sw *netsim.Switch, name string, rate sim.Rate) *netsim.Port {
 	h := w.net.NewHost(name)
-	w.net.AttachPort(h, sw, rate, w.delay, w.ov.HostQueue())
-	down := w.net.AttachPort(sw, h, rate, w.delay, w.ov.SwitchQueue())
+	w.net.AttachPort(h, sw, rate, w.delay, w.ov.HostQueue(w.hostSlabs))
+	down := w.net.AttachPort(sw, h, rate, w.delay, w.ov.SwitchQueue(w.switchSlabs))
 	w.mark(down)
 	w.f.Hosts = append(w.f.Hosts, h)
 	w.f.HostDownlinks = append(w.f.HostDownlinks, down)
@@ -76,8 +127,8 @@ func (w *wiring) host(sw *netsim.Switch, name string, rate sim.Rate) *netsim.Por
 // link joins two switches with a port each way, each with a switch
 // queue and the marker, and returns the a→b port.
 func (w *wiring) link(a, b *netsim.Switch, rate sim.Rate) *netsim.Port {
-	ab := w.net.AttachPort(a, b, rate, w.delay, w.ov.SwitchQueue())
-	ba := w.net.AttachPort(b, a, rate, w.delay, w.ov.SwitchQueue())
+	ab := w.net.AttachPort(a, b, rate, w.delay, w.ov.SwitchQueue(w.switchSlabs))
+	ba := w.net.AttachPort(b, a, rate, w.delay, w.ov.SwitchQueue(w.switchSlabs))
 	w.mark(ab)
 	w.mark(ba)
 	return ab
@@ -89,7 +140,7 @@ func (w *wiring) link(a, b *netsim.Switch, rate sim.Rate) *netsim.Port {
 // ever saw the packet.
 func (w *wiring) mark(p *netsim.Port) {
 	if w.ov.Marker != nil {
-		p.Marker = w.ov.Marker()
+		p.Marker = w.ov.Marker(w.switchSlabs)
 	}
 }
 

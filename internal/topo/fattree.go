@@ -103,26 +103,29 @@ func (c FatTreeConfig) Build(ov Overlay) *Fabric {
 		panic(fmt.Sprintf("topo: fat-tree arity K=%d must be even and >= 4", c.K))
 	}
 	c = c.withDefaults()
-	w := newWiring(ov, c.LinkDelay, c.Jitter, c.JitterSeed)
-	n := w.net
 	k, half := c.K, c.K/2
+	w := newWiring(ov, c.LinkDelay, c.Jitter, c.JitterSeed, c.Hosts(), half*half+k*k, 2*k*half*half)
+	n := w.net
 	f := w.f
 	f.AccessRate, f.BaseRTT = c.HostRate, 12*c.LinkDelay
 
-	cores := make([]*netsim.Switch, half*half)
+	// Every switch has k ports. f.Switches lists each pod's edges, then
+	// its aggregations, and the cores last; the cores are made first.
+	f.Switches = f.Switches[:cap(f.Switches)]
+	cores := f.Switches[k*k:]
 	for i := range cores {
-		cores[i] = n.NewSwitch(fmt.Sprintf("core%d", i))
+		cores[i] = w.newSwitch(w.name("core", i), k)
 	}
 	for p := 0; p < k; p++ {
-		edges := make([]*netsim.Switch, half)
-		aggs := make([]*netsim.Switch, half)
+		edges := f.Switches[p*k : p*k+half]
+		aggs := f.Switches[p*k+half : (p+1)*k]
 		for i := 0; i < half; i++ {
-			edges[i] = n.NewSwitch(fmt.Sprintf("edge%d.%d", p, i))
-			aggs[i] = n.NewSwitch(fmt.Sprintf("agg%d.%d", p, i))
+			edges[i] = w.newSwitch(w.name("edge", p, i), k)
+			aggs[i] = w.newSwitch(w.name("agg", p, i), k)
 		}
 		for e, edge := range edges {
 			for h := 0; h < half; h++ {
-				w.host(edge, fmt.Sprintf("h%d.%d.%d", p, e, h), c.HostRate)
+				w.host(edge, w.name("h", p, e, h), c.HostRate)
 			}
 			for _, agg := range aggs {
 				w.link(edge, agg, c.AggRate)
@@ -135,10 +138,7 @@ func (c FatTreeConfig) Build(ov Overlay) *Fabric {
 				w.link(agg, core, c.CoreRate)
 			}
 		}
-		f.Switches = append(f.Switches, edges...)
-		f.Switches = append(f.Switches, aggs...)
 	}
-	f.Switches = append(f.Switches, cores...)
 	InstallShortestPathRoutes(n)
 	return f
 }

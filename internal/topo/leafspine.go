@@ -1,10 +1,6 @@
 package topo
 
-import (
-	"fmt"
-
-	"amrt/internal/sim"
-)
+import "amrt/internal/sim"
 
 // LeafSpineConfig parameterizes a two-tier Clos fabric. The paper's
 // large-scale simulation uses 10 leaves, 8 spines, 40 hosts per leaf,
@@ -71,19 +67,19 @@ func (c LeafSpineConfig) Build(ov Overlay) *Fabric {
 	if c.Leaves <= 0 || c.Spines <= 0 || c.HostsPerLeaf <= 0 {
 		panic("topo: leaf-spine dimensions must be positive")
 	}
-	w := newWiring(ov, c.LinkDelay, c.Jitter, c.JitterSeed)
+	w := newWiring(ov, c.LinkDelay, c.Jitter, c.JitterSeed, c.Hosts(), c.Leaves+c.Spines, c.Leaves*c.Spines)
 	f := w.f
 	f.AccessRate, f.BaseRTT = c.HostRate, 8*c.LinkDelay
 	for l := 0; l < c.Leaves; l++ {
-		f.Switches = append(f.Switches, w.net.NewSwitch(fmt.Sprintf("leaf%d", l)))
+		f.Switches = append(f.Switches, w.newSwitch(w.name("leaf", l), c.HostsPerLeaf+c.Spines))
 	}
 	for s := 0; s < c.Spines; s++ {
-		f.Switches = append(f.Switches, w.net.NewSwitch(fmt.Sprintf("spine%d", s)))
+		f.Switches = append(f.Switches, w.newSwitch(w.name("spine", s), c.Leaves))
 	}
 	leaves, spines := f.Switches[:c.Leaves], f.Switches[c.Leaves:]
 	for l, leaf := range leaves {
 		for h := 0; h < c.HostsPerLeaf; h++ {
-			w.host(leaf, fmt.Sprintf("h%d.%d", l, h), c.HostRate)
+			w.host(leaf, w.name("h", l, h), c.HostRate)
 		}
 		for _, spine := range spines {
 			w.link(leaf, spine, c.FabricRate)

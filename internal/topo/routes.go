@@ -17,29 +17,41 @@ import (
 // topology the builders in this package produce (and any custom one),
 // with all-equal link weights.
 func InstallShortestPathRoutes(n *netsim.Network) {
-	// Reverse adjacency: for each node, the owners of the ports that
-	// point at it. Node IDs are dense, so per-node tables are slices
-	// indexed by ID.
-	incoming := make([][]netsim.Node, len(n.Hosts())+len(n.Switches()))
-	addPorts := func(owner netsim.Node, ports ...*netsim.Port) {
-		for _, p := range ports {
-			to := p.Link().To.ID()
-			incoming[to] = append(incoming[to], owner)
+	// Reverse adjacency as two flat arrays: the owners of the ports that
+	// point at node v are from[start[v]:start[v+1]]. Node IDs are dense,
+	// so per-node tables are indexed by ID. The ports are counted into
+	// start[to+1], summed, then placed with start[to] as the cursor,
+	// which leaves start[v] where start[v+1] was: one shift restores it.
+	nodes := len(n.Hosts()) + len(n.Switches())
+	start := make([]int32, nodes+1)
+	each := func(fn func(owner, to netsim.NodeID)) {
+		for _, s := range n.Switches() {
+			for _, p := range s.Ports() {
+				fn(s.ID(), p.Link().To.ID())
+			}
+		}
+		for _, h := range n.Hosts() {
+			if h.NIC() != nil {
+				fn(h.ID(), h.NIC().Link().To.ID())
+			}
 		}
 	}
-	for _, s := range n.Switches() {
-		addPorts(s, s.Ports()...)
+	each(func(_, to netsim.NodeID) { start[to+1]++ })
+	for v := 1; v <= nodes; v++ {
+		start[v] += start[v-1]
 	}
-	for _, h := range n.Hosts() {
-		if h.NIC() != nil {
-			addPorts(h, h.NIC())
-		}
-	}
+	from := make([]netsim.NodeID, start[nodes])
+	each(func(owner, to netsim.NodeID) {
+		from[start[to]] = owner
+		start[to]++
+	})
+	copy(start[1:], start[:nodes])
+	start[0] = 0
 
 	// One distance table and one BFS queue serve every destination.
 	const unreached = -1
-	dist := make([]int32, len(incoming))
-	queue := make([]netsim.NodeID, 0, len(incoming))
+	dist := make([]int32, nodes)
+	queue := make([]netsim.NodeID, 0, nodes)
 	for _, dst := range n.Hosts() {
 		if dst.NIC() == nil {
 			continue
@@ -52,8 +64,8 @@ func InstallShortestPathRoutes(n *netsim.Network) {
 		queue = append(queue[:0], dst.ID())
 		for head := 0; head < len(queue); head++ {
 			cur := queue[head]
-			for _, owner := range incoming[cur] {
-				if id := owner.ID(); dist[id] == unreached {
+			for _, id := range from[start[cur]:start[cur+1]] {
+				if dist[id] == unreached {
 					dist[id] = dist[cur] + 1
 					queue = append(queue, id)
 				}

@@ -142,6 +142,33 @@ func (c Small) Receiver(i int) int {
 	return c.pairs + i
 }
 
+// smallSwitches is a small topology's switch layout: the switches'
+// names and port counts, in creation order, and its switch-to-switch
+// links. Build cables exactly this.
+type smallSwitches struct {
+	names        [4]string
+	ports        [4]int
+	count, links int
+}
+
+// switches returns the shape's switch layout.
+func (c Small) switches() smallSwitches {
+	switch c.shape {
+	case chainShape:
+		// sw0: S0 S1 sw1; sw1: sw0 S2 S3 R1 sw2; sw2: R0 R2 R3 sw1.
+		return smallSwitches{names: [4]string{"sw0", "sw1", "sw2"}, ports: [4]int{3, 5, 4}, count: 3, links: 2}
+	case fanShape:
+		return smallSwitches{names: [4]string{"swA", "swB"}, ports: [4]int{c.pairs + 1, c.pairs + 1}, count: 2, links: 1}
+	case testbedDynamicShape:
+		// swA1: S0 S1 swB1; swB1: R0 R1 swA1 swA2; swA2: S2 S3 swB2
+		// swB1; swB2: R2 R3 swA2.
+		return smallSwitches{names: [4]string{"swA1", "swB1", "swA2", "swB2"}, ports: [4]int{3, 4, 4, 3}, count: 4, links: 3}
+	default: // testbedMultiBottleneckShape
+		// sw0: S0 S1 sw1; sw1: S2 S3 R1 sw0 sw2; sw2: R0 R3 sw1.
+		return smallSwitches{names: [4]string{"sw0", "sw1", "sw2"}, ports: [4]int{3, 5, 3}, count: 3, links: 2}
+	}
+}
+
 // Build implements Builder: the topology on a fresh network with ov
 // laid over it and shortest-path routes installed. Senders are named
 // "S<i>" and receivers "R<i>". It panics on a Small not made by one of
@@ -150,18 +177,14 @@ func (c Small) Build(ov Overlay) *Fabric {
 	if c.shape == 0 || c.pairs <= 0 {
 		panic(fmt.Sprintf("topo: small topology %q with %d pairs", shapeNames[c.shape], c.pairs))
 	}
-	w := newWiring(ov, c.LinkDelay, c.Jitter, c.JitterSeed)
+	sw := c.switches()
+	w := newWiring(ov, c.LinkDelay, c.Jitter, c.JitterSeed, c.Hosts(), sw.count, sw.links)
 	f := w.f
 	f.AccessRate, f.BaseRTT = c.Rate, 8*c.LinkDelay
-	f.Hosts = make([]*netsim.Host, 0, c.Hosts())
-	f.HostDownlinks = make([]*netsim.Port, 0, c.Hosts())
-	switches := func(names ...string) []*netsim.Switch {
-		f.Switches = make([]*netsim.Switch, len(names))
-		for i, name := range names {
-			f.Switches[i] = w.net.NewSwitch(name)
-		}
-		return f.Switches
+	for i, name := range sw.names[:sw.count] {
+		f.Switches = append(f.Switches, w.newSwitch(name, sw.ports[i]))
 	}
+	s := f.Switches
 	// hosts adds host names[i] under at[i].
 	hosts := func(names *[4]string, at ...*netsim.Switch) {
 		for i, sw := range at {
@@ -172,32 +195,28 @@ func (c Small) Build(ov Overlay) *Fabric {
 
 	switch c.shape {
 	case chainShape:
-		sw := switches("sw0", "sw1", "sw2")
-		hosts(&senderNames, sw[0], sw[0], sw[1], sw[1])
-		hosts(&receiverNames, sw[2], sw[1], sw[2], sw[2])
-		f.Bottlenecks = []*netsim.Port{link(sw[0], sw[1]), link(sw[1], sw[2])}
+		hosts(&senderNames, s[0], s[0], s[1], s[1])
+		hosts(&receiverNames, s[2], s[1], s[2], s[2])
+		f.Bottlenecks = []*netsim.Port{link(s[0], s[1]), link(s[1], s[2])}
 	case fanShape:
-		sw := switches("swA", "swB")
 		for i := 0; i < c.pairs; i++ {
-			w.host(sw[0], fmt.Sprintf("S%d", i), c.Rate)
-			w.host(sw[1], fmt.Sprintf("R%d", i), c.Rate)
+			w.host(s[0], w.name("S", i), c.Rate)
+			w.host(s[1], w.name("R", i), c.Rate)
 		}
-		f.Bottlenecks = []*netsim.Port{link(sw[0], sw[1])}
+		f.Bottlenecks = []*netsim.Port{link(s[0], s[1])}
 	case testbedDynamicShape:
-		sw := switches("swA1", "swB1", "swA2", "swB2")
-		hosts(&senderNames, sw[0], sw[0], sw[2], sw[2])
-		hosts(&receiverNames, sw[1], sw[1], sw[3], sw[3])
-		f.Bottlenecks = []*netsim.Port{link(sw[0], sw[1]), link(sw[2], sw[3])}
+		hosts(&senderNames, s[0], s[0], s[2], s[2])
+		hosts(&receiverNames, s[1], s[1], s[3], s[3])
+		f.Bottlenecks = []*netsim.Port{link(s[0], s[1]), link(s[2], s[3])}
 		// A cross-link keeps the network connected (the testbed is one
 		// fabric); no experiment flow crosses it.
-		link(sw[1], sw[2])
+		link(s[1], s[2])
 	case testbedMultiBottleneckShape:
-		sw := switches("sw0", "sw1", "sw2")
-		hosts(&senderNames, sw[0], sw[0], sw[1], sw[1])
-		r0Down := w.host(sw[2], "R0", c.Rate)
-		w.host(sw[1], "R1", c.Rate)
-		w.host(sw[2], "R3", c.Rate)
-		f.Bottlenecks = []*netsim.Port{link(sw[0], sw[1]), link(sw[1], sw[2]), r0Down}
+		hosts(&senderNames, s[0], s[0], s[1], s[1])
+		r0Down := w.host(s[2], "R0", c.Rate)
+		w.host(s[1], "R1", c.Rate)
+		w.host(s[2], "R3", c.Rate)
+		f.Bottlenecks = []*netsim.Port{link(s[0], s[1]), link(s[1], s[2]), r0Down}
 	}
 	roles := make([]*netsim.Host, 2*c.pairs)
 	f.Senders, f.Receivers = roles[:c.pairs:c.pairs], roles[c.pairs:]

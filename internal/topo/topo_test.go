@@ -94,9 +94,9 @@ func TestLeafSpineIntraLeafStaysLocal(t *testing.T) {
 func TestLeafSpineMarkerInstalled(t *testing.T) {
 	cfg := DefaultLeafSpine()
 	markers := 0
-	ls := cfg.Build(Overlay{Marker: func() netsim.DequeueMarker {
+	ls := cfg.Build(Overlay{Marker: func(s *netsim.Slabs) netsim.DequeueMarker {
 		markers++
-		return netsim.NewAntiECNMarker()
+		return s.NewAntiECNMarker(netsim.MSS, 1, netsim.CombineAND)
 	}})
 	if ls.Downlink(0).Marker == nil {
 		t.Error("downlink has no marker")

@@ -79,9 +79,13 @@ type Kernel struct {
 	RTSReannounces int64
 
 	// hooks is the stack's side of the flow lifecycle (see Bind);
-	// installed holds the hosts whose handler this instance has set.
-	hooks     Hooks
-	installed HostTable[netsim.Host]
+	// dispatch is k.deliver bound once there, the one packet handler the
+	// kernel installs on every host it serves.
+	hooks    Hooks
+	dispatch func(pkt *netsim.Packet)
+	// owned is how many hosts the kernel's shard owns, counted at the
+	// first HostTable carve (0 before); see hostsOwned.
+	owned int
 
 	// shard is the engine shard the kernel schedules on (see Config.Shard).
 	shard *netsim.Shard
@@ -343,34 +347,33 @@ func (k *Kernel) DeliverData(f *Flow, pkt *netsim.Packet) {
 	}
 }
 
-// Dispatcher fans a host's deliveries out to sender-side and
-// receiver-side handlers. Install installs it as the host handler.
-type Dispatcher struct {
-	// Kernel, if non-nil, lets the dispatcher mark Flow.SenderHeard on
-	// every sender-bound delivery — the sender-local signal that stops
-	// RTS re-announcement without reading receiver-shard state.
-	Kernel *Kernel
-	// ToSender handles packets addressed to the flow sender (grants,
-	// tokens, pulls, acks, nacks).
-	ToSender func(pkt *netsim.Packet)
-	// ToReceiver handles packets addressed to the flow receiver (data,
-	// headers, RTS).
-	ToReceiver func(pkt *netsim.Packet)
+// deliver is the packet handler of every host the kernel serves: it
+// fans a delivery out to the stack's receiver-side handler (data,
+// headers, RTS) or its sender-side one (grants, tokens, pulls, acks,
+// nacks). A sender-bound delivery marks Flow.SenderHeard, the
+// sender-local signal that stops RTS re-announcement without reading
+// receiver-shard state.
+func (k *Kernel) deliver(pkt *netsim.Packet) {
+	switch pkt.Type {
+	case netsim.Data, netsim.Header, netsim.RTS:
+		k.hooks.ToReceiver(pkt)
+	default:
+		if f := k.Flow(pkt.Flow); f != nil {
+			f.SenderHeard = true
+		}
+		k.hooks.ToSender(pkt)
+	}
 }
 
-// Install sets d as h's packet handler.
-func (d Dispatcher) Install(h *netsim.Host) {
-	h.Handler = func(pkt *netsim.Packet) {
-		switch pkt.Type {
-		case netsim.Data, netsim.Header, netsim.RTS:
-			d.ToReceiver(pkt)
-		default:
-			if d.Kernel != nil {
-				if f := d.Kernel.Flow(pkt.Flow); f != nil {
-					f.SenderHeard = true
-				}
+// hostsOwned returns how many of the network's hosts the kernel's shard
+// owns: the most per-host records an instance can build.
+func (k *Kernel) hostsOwned() int {
+	if k.owned == 0 {
+		for _, h := range k.Net.Hosts() {
+			if k.shard.Owns(h) {
+				k.owned++
 			}
-			d.ToSender(pkt)
 		}
 	}
+	return k.owned
 }

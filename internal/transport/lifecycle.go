@@ -10,8 +10,8 @@ import (
 // the start event, the RTS announce chain, the send cursor
 // (Flow.SendNext, found through Sender) and the host-crash pass; a stack
 // owns its receiver records, its packet handlers and its scheduling.
-// Nothing here runs per packet: install hands the two packet handlers to
-// the host dispatcher as they are.
+// Nothing here runs per packet: the kernel's dispatcher calls the two
+// packet handlers as they are.
 type Hooks struct {
 	// ToSender and ToReceiver are the stack's packet handlers.
 	ToSender, ToReceiver func(pkt *netsim.Packet)
@@ -44,7 +44,10 @@ const (
 // Bind installs the stack's hooks. Call it once, from the constructor,
 // on the embedded kernel at its final address (the kernel schedules
 // events on itself).
-func (k *Kernel) Bind(h Hooks) { k.hooks = h }
+func (k *Kernel) Bind(h Hooks) {
+	k.hooks = h
+	k.dispatch = k.deliver
+}
 
 // AddFlow registers a flow with both ends on this instance and
 // schedules its start: the experiment run's sequence (AddPending on the
@@ -92,12 +95,10 @@ func (k *Kernel) Adopt(f *Flow) {
 	k.install(f.Dst)
 }
 
-func (k *Kernel) install(h *netsim.Host) {
-	k.installed.GetOrBuild(h.ID(), func() *netsim.Host {
-		Dispatcher{Kernel: k, ToSender: k.hooks.ToSender, ToReceiver: k.hooks.ToReceiver}.Install(h)
-		return h
-	})
-}
+// install makes the kernel's dispatcher h's packet handler. Every host
+// the kernel serves shares the one handler, so installing it again is a
+// no-op.
+func (k *Kernel) install(h *netsim.Host) { h.Handler = k.dispatch }
 
 // HandleEvent implements sim.Handler for the kernel's events, all
 // carrying the flow as arg, so none costs a closure per flow.

@@ -32,3 +32,16 @@ func (s *slab[T]) nextOf(most int) *T {
 	s.free = s.free[1:]
 	return r
 }
+
+// nextIn is next for an owner that will take exactly left more records
+// (this one included), and wants them in one array: a new array holds
+// them all.
+func (s *slab[T]) nextIn(left int) *T {
+	if len(s.free) == 0 {
+		s.n = max(left, 1)
+		s.free = make([]T, s.n)
+	}
+	r := &s.free[0]
+	s.free = s.free[1:]
+	return r
+}

@@ -65,9 +65,14 @@ func grown[T any](recs []*T, n int) []*T {
 
 // HostTable holds at most one record per host, indexed by node ID (a
 // network numbers its nodes 0..n-1), built on first use and kept for the
-// run. The zero value is empty.
+// run. Records are carved from one array sized for every host of the
+// kernel's shard, and the index from one sized for every node: a stack's
+// per-host state costs two allocations per table, not one per host. The
+// zero value is empty.
 type HostTable[T any] struct {
-	recs []*T
+	recs   []*T
+	slab   slab[T]
+	carved int
 }
 
 // Get returns id's record, or nil when none has been built.
@@ -78,14 +83,18 @@ func (t *HostTable[T]) Get(id netsim.NodeID) *T {
 	return nil
 }
 
-// GetOrBuild returns id's record, storing what build returns the first
-// time id is asked for.
-func (t *HostTable[T]) GetOrBuild(id netsim.NodeID, build func() *T) *T {
-	if r := t.Get(id); r != nil {
-		return r
+// Carve stores a zeroed record for host id of k's network, which must
+// have none, and returns it for the caller to fill in.
+func (t *HostTable[T]) Carve(k *Kernel, id netsim.NodeID) *T {
+	if t.Get(id) != nil {
+		panic("transport: HostTable.Carve of a host that has a record")
+	}
+	if t.recs == nil {
+		t.recs = make([]*T, len(k.Net.Hosts())+len(k.Net.Switches()))
 	}
 	t.recs = grown(t.recs, int(id)+1)
-	r := build()
+	t.carved++
+	r := t.slab.nextIn(k.hostsOwned() - t.carved + 1)
 	t.recs[id] = r
 	return r
 }

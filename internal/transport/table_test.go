@@ -70,18 +70,18 @@ func TestFlowTableAgainstMap(t *testing.T) {
 }
 
 func TestHostTable(t *testing.T) {
+	n, a, b := newKernelHosts()
+	k := NewKernel(n, Config{})
 	var tb HostTable[int]
 	if tb.Get(0) != nil || tb.Get(7) != nil {
 		t.Error("an empty table holds something")
 	}
-	builds := 0
-	build := func() *int { builds++; return new(int) }
-	r7 := tb.GetOrBuild(7, build) // beyond the length
-	if r7 == nil || tb.Get(7) != r7 || tb.GetOrBuild(7, build) != r7 || builds != 1 {
-		t.Errorf("host 7: built %d times, Get = %p, want the one record %p", builds, tb.Get(7), r7)
+	rb := tb.Carve(&k, b.ID())
+	if rb == nil || tb.Get(b.ID()) != rb || tb.Get(a.ID()) != nil {
+		t.Errorf("host b: Get = %p, want the one record %p", tb.Get(b.ID()), rb)
 	}
-	if r0 := tb.GetOrBuild(0, build); r0 == r7 || tb.Get(0) != r0 || tb.Get(7) != r7 || builds != 2 {
-		t.Errorf("host 0: built %d times in all, records %p and %p", builds, r0, r7)
+	if ra := tb.Carve(&k, a.ID()); ra == rb || tb.Get(a.ID()) != ra || tb.Get(b.ID()) != rb {
+		t.Errorf("host a: records %p and %p", ra, rb)
 	}
 	slots := len(tb.recs)
 	for _, id := range []netsim.NodeID{-1, 8, 1 << 20} {
@@ -89,8 +89,38 @@ func TestHostTable(t *testing.T) {
 			t.Errorf("Get(%d) found a record outside the table", id)
 		}
 	}
-	if tb.Get(3) != nil || len(tb.recs) != slots {
-		t.Errorf("lookups built or grew something: %d slots, were %d", len(tb.recs), slots)
+	if len(tb.recs) != slots {
+		t.Errorf("lookups grew the table: %d slots, were %d", len(tb.recs), slots)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("carving a second record for a host did not panic")
+			}
+		}()
+		tb.Carve(&k, a.ID())
+	}()
+}
+
+// TestHostTableAllocs: a table's records come from one array sized for
+// the hosts of the kernel's shard, and its index from one sized for the
+// nodes, however many hosts there are.
+func TestHostTableAllocs(t *testing.T) {
+	for _, hosts := range []int{4, 64} {
+		n := netsim.New()
+		for i := 0; i < hosts; i++ {
+			n.NewHost("h")
+		}
+		k := NewKernel(n, Config{})
+		got := testing.AllocsPerRun(10, func() {
+			var tb HostTable[[4]int64]
+			for _, h := range n.Hosts() {
+				tb.Carve(&k, h.ID())
+			}
+		})
+		if got != 2 {
+			t.Errorf("%d hosts: %.0f allocations per table, want 2", hosts, got)
+		}
 	}
 }
 

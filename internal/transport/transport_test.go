@@ -304,12 +304,14 @@ func TestKernelCompleteRecords(t *testing.T) {
 }
 
 func TestDispatcherRouting(t *testing.T) {
-	_, a, _ := newKernelHosts()
+	n, a, _ := newKernelHosts()
 	var toSender, toReceiver []netsim.PacketType
-	Dispatcher{
+	k := NewKernel(n, Config{})
+	k.Bind(Hooks{
 		ToSender:   func(p *netsim.Packet) { toSender = append(toSender, p.Type) },
 		ToReceiver: func(p *netsim.Packet) { toReceiver = append(toReceiver, p.Type) },
-	}.Install(a)
+	})
+	k.install(a)
 	for _, typ := range []netsim.PacketType{netsim.Data, netsim.RTS, netsim.Header, netsim.Grant, netsim.Token, netsim.Pull, netsim.Ack, netsim.Nack} {
 		a.Receive(&netsim.Packet{Type: typ, Size: 64})
 	}
