@@ -386,7 +386,7 @@ func (p *Protocol) newReceiver(r *receiver, f *transport.Flow) {
 	r.p, r.f = p, f
 	r.granted = p.BlindPkts(f)
 	r.lastProgress = p.Now()
-	r.InitBitmaps(f.NPkts, &r.rcvd, &r.reissued, &r.inRecovery)
+	p.receivers.InitBitmaps(r, f.NPkts, &r.rcvd, &r.reissued, &r.inRecovery)
 	r.reissuedAt.SetPool(&p.reissues)
 	p.grantsInFlight += int64(r.granted)
 	p.Heard(f)

@@ -71,7 +71,7 @@ func (c Config) HostQueue(s *netsim.Slabs) netsim.Queue { return s.NewDropTail(1
 type Protocol struct {
 	transport.Kernel
 	cfg       Config
-	senders   transport.FlowTable[sender]
+	senders   transport.Records[sender, *sender]
 	receivers transport.Records[rcvFlow, *rcvFlow]
 
 	// AcksSent counts receiver ACK traffic; Retransmits counts
@@ -80,12 +80,15 @@ type Protocol struct {
 	Retransmits int64
 }
 
+// sender is a flow's sender-side state, kept for the rest of the run
+// once made: its bitmap goes back to the pool when every sequence is
+// acked, after which acked reads as full. It is its own RTO event.
 type sender struct {
+	transport.Record[sender]
+	p     *Protocol
 	f     *transport.Flow
 	acked transport.Bitmap
-	// sent marks sequences transmitted at least once.
-	sent transport.Bitmap
-	next int32 // next never-sent sequence
+	next  int32 // next never-sent sequence
 
 	cwnd     float64
 	ssthresh float64
@@ -99,7 +102,6 @@ type sender struct {
 
 	lastProgress sim.Time
 	rto          sim.Timer
-	onRTO        func() // p.onRTO(s), bound once: the re-arm must not allocate
 	backoff      sim.Time
 }
 
@@ -111,9 +113,9 @@ type rcvFlow struct {
 
 // newRcvFlow fills in f's receiver record. No Heard: a DCTCP sender
 // announces nothing that needs confirming.
-func newRcvFlow(r *rcvFlow, f *transport.Flow) {
+func (p *Protocol) newRcvFlow(r *rcvFlow, f *transport.Flow) {
 	r.f = f
-	r.InitBitmaps(f.NPkts, &r.rcvd)
+	p.receivers.InitBitmaps(r, f.NPkts, &r.rcvd)
 }
 
 // New creates a DCTCP instance on the network.
@@ -138,16 +140,11 @@ func (p *Protocol) startFlow(f *transport.Flow) {
 	if f.Unresponsive {
 		return
 	}
-	s := &sender{
-		f:        f,
-		cwnd:     p.cfg.InitCwnd,
-		ssthresh: 1 << 20,
-		winSize:  int(p.cfg.InitCwnd),
-	}
-	transport.InitBitmaps(f.NPkts, &s.acked, &s.sent)
-	p.senders.Put(f.ID, s)
+	s := p.senders.New(&p.Kernel, f.ID)
+	s.p, s.f = p, f
+	s.cwnd, s.ssthresh, s.winSize = p.cfg.InitCwnd, 1<<20, int(p.cfg.InitCwnd)
+	p.senders.InitBitmaps(s, f.NPkts, &s.acked)
 	s.lastProgress = p.Now()
-	s.onRTO = func() { p.onRTO(s) }
 	p.pump(s)
 	p.armRTO(s)
 }
@@ -158,7 +155,6 @@ func (p *Protocol) pump(s *sender) {
 	for s.inflight < int(s.cwnd+0.5) && s.next < s.f.NPkts {
 		pkt := p.NewData(s.f, s.next, netsim.PrioData)
 		pkt.CE = false // DCTCP convention: switches SET the bit on congestion
-		s.sent.Set(s.next)
 		s.next++
 		s.inflight++
 		s.f.Src.Send(pkt)
@@ -177,6 +173,10 @@ func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
 	}
 	if !s.acked.Set(pkt.Seq) {
 		return // duplicate ACK (retransmission raced the original)
+	}
+	if s.acked.Full() {
+		// Nothing reads the bitmap again but Full, which stays true.
+		p.senders.ReleaseBitmaps(s, &s.acked)
 	}
 	if s.inflight > 0 {
 		s.inflight--
@@ -219,7 +219,7 @@ func (p *Protocol) onReceiverPkt(pkt *netsim.Packet) {
 	if pkt.Type != netsim.Data {
 		return
 	}
-	r := transport.Receiver(&p.Kernel, &p.receivers, pkt.Flow, newRcvFlow)
+	r := transport.Receiver(&p.Kernel, &p.receivers, pkt.Flow, p.newRcvFlow)
 	if r == nil {
 		return
 	}
@@ -237,6 +237,9 @@ func (p *Protocol) onReceiverPkt(pkt *netsim.Packet) {
 	p.DeliverData(r.f, pkt)
 	if r.rcvd.Full() {
 		p.Complete(r.f)
+		// A re-ACKed duplicate's Set still reports false on the released,
+		// full bitmap.
+		p.receivers.ReleaseBitmaps(r, &r.rcvd)
 	}
 }
 
@@ -269,8 +272,11 @@ func (p *Protocol) armRTO(s *sender) {
 	if s.backoff > interval {
 		interval = s.backoff
 	}
-	s.rto = p.Engine().Schedule(interval, s.onRTO)
+	s.rto = p.Engine().ScheduleEvent(interval, s, 0, nil)
 }
+
+// HandleEvent implements sim.Handler: the RTO fired.
+func (s *sender) HandleEvent(int32, any) { s.p.onRTO(s) }
 
 // onRTO retransmits the oldest unacked sequence after a silence of
 // RTORTTs×RTT and halves the window (loss reaction).

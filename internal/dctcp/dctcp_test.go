@@ -164,3 +164,37 @@ func TestECNQueueSemantics(t *testing.T) {
 		t.Error("control packet marked")
 	}
 }
+
+// TestFlowLifeAllocs: once an instance is warm, 64 flows of 100 packets
+// run one after another allocate only the slabs their kept records are
+// carved from, sender and receiver side — six each for 64 records
+// (2+4+…+32, then the 2 left). The sender is its own RTO event, and
+// every bitmap array comes back to the word pool when its flow
+// completes, for the next flow. Before, each flow cost a sender, its
+// RTO closure and two bitmap arrays besides.
+func TestFlowLifeAllocs(t *testing.T) {
+	s, p, _ := newFan(1)
+	const n = 64
+	var flows []*transport.Flow
+	for id := netsim.FlowID(1); id <= 2*n+1; id++ { // one warm-up flow, then two batches
+		f := p.AddPending(id, s.Senders[0], s.Receivers[0], 100*netsim.MSS, false)
+		p.Adopt(f)
+		flows = append(flows, f)
+	}
+	next := 0
+	run := func(k int) {
+		for ; k > 0; k-- {
+			f := flows[next]
+			next++
+			p.Release(f, p.Now())
+			s.Net.Run(p.Now() + 50*p.Cfg.RTT)
+			if !f.Done {
+				t.Fatalf("%v did not complete", f)
+			}
+		}
+	}
+	run(1)
+	if got := testing.AllocsPerRun(1, func() { run(n) }); got > 2*6 {
+		t.Errorf("%d flows: %.0f allocations, want at most 12", n, got)
+	}
+}

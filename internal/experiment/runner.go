@@ -426,6 +426,7 @@ func (r *run) noteStarted(f *transport.Flow) {
 // registerFlows creates every flow — dependents included — up front in
 // spec order.
 func (r *run) registerFlows() {
+	r.reserve()
 	r.all = make([]*transport.Flow, len(r.Flows))
 	r.dsts = make([]dstState, len(r.ls.Net.Hosts())+len(r.ls.Net.Switches()))
 	for i, fs := range r.Flows {
@@ -471,15 +472,45 @@ func (r *run) registerFlows() {
 		deps.children = append(deps.children, depChild{flow: f, offset: fs.Start})
 	}
 	// Room for every completion up front: a shard's collector books the
-	// flows homed there.
-	for s, col := range r.cols {
-		n := 0
-		for _, f := range r.all {
-			if int(f.Home) == s && !f.Unresponsive {
-				n++
-			}
+	// flows homed there. And room for every signal pair: a flow's home
+	// shard keys its Heard and completion signals (destination to
+	// source), and a parent's the two that release each dependent.
+	done := make([]int, 2*len(r.shards))
+	pairs := done[len(r.shards):]
+	for _, f := range r.all {
+		if !f.Unresponsive {
+			done[f.Home]++
 		}
-		col.Grow(n)
+		pairs[f.Home]++
+		if deps := r.deps.Get(f.ID); deps != nil {
+			pairs[f.Home] += 2 * len(deps.children)
+		}
+	}
+	for s, sh := range r.shards {
+		r.cols[s].Grow(done[s])
+		sh.ReserveSignals(pairs[s])
+	}
+}
+
+// reserve sizes each shard's instance for the flows it will create and
+// adopt (Instance.Reserve), so registering them allocates per instance,
+// not per flow.
+func (r *run) reserve() {
+	n := len(r.shards)
+	counts := make([]int, 2*n)
+	created, known := counts[:n], counts[n:]
+	var maxID netsim.FlowID
+	for _, fs := range r.Flows {
+		s, d := r.ls.Hosts[fs.Src].Shard().Index(), r.ls.Hosts[fs.Dst].Shard().Index()
+		created[s]++
+		known[s]++
+		if d != s {
+			known[d]++
+		}
+		maxID = max(maxID, fs.ID)
+	}
+	for s, inst := range r.insts {
+		inst.Reserve(created[s], known[s], maxID)
 	}
 }
 

@@ -27,6 +27,11 @@ import (
 // (Adopt), and the two coincide on single-shard runs.
 type Instance interface {
 	Name() string
+	// Reserve sizes the instance for the run's flows before the first
+	// is registered: created flows with their source on it, known flows
+	// with either end on it, IDs up to maxID (embedded
+	// transport.Kernel provides it).
+	Reserve(created, known int, maxID netsim.FlowID)
 	// AddPending registers a flow's sender side without scheduling a
 	// start; Release (on the same instance) starts it — during setup, or
 	// for a dependent flow when its parent completes.

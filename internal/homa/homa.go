@@ -83,10 +83,14 @@ type Protocol struct {
 
 // hostFlows is one receiving host's scheduler list: its unfinished
 // messages, in arrival order.
-type hostFlows struct{ flows []*rcvFlow }
+type hostFlows struct {
+	flows transport.List[rcvFlow, *rcvFlow]
+}
 
 type rcvFlow struct {
 	transport.Record[rcvFlow]
+	// The link puts the record on its host's hostFlows.flows until it finishes.
+	transport.Link[rcvFlow]
 	p            *Protocol // for HandleEvent: the record is its own timeout event
 	f            *transport.Flow
 	rcvd         transport.Bitmap
@@ -152,6 +156,8 @@ func (p *Protocol) dropRcvState(f *transport.Flow) {
 	}
 	r.timer.Cancel()
 	p.unlist(r)
+	// Dropped: nothing reads the bitmap again.
+	p.receivers.ReleaseBitmaps(r, &r.rcvd)
 	p.freed = append(p.freed, f.Dst)
 }
 
@@ -169,8 +175,7 @@ func (p *Protocol) hostCrashed(*netsim.Host) {
 
 // unlist removes r from its receiving host's scheduler list.
 func (p *Protocol) unlist(r *rcvFlow) {
-	hf := p.byHost.Get(r.f.Dst.ID())
-	hf.flows = slices.DeleteFunc(hf.flows, func(x *rcvFlow) bool { return x == r })
+	p.byHost.Get(r.f.Dst.ID()).flows.Remove(r)
 }
 
 func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
@@ -223,12 +228,12 @@ func (p *Protocol) onReceiverPkt(pkt *netsim.Packet) {
 func (p *Protocol) newRcvFlow(r *rcvFlow, f *transport.Flow) {
 	r.p, r.f = p, f
 	r.granted, r.lastProgress = p.BlindPkts(f), p.Now()
-	r.InitBitmaps(f.NPkts, &r.rcvd)
+	p.receivers.InitBitmaps(r, f.NPkts, &r.rcvd)
 	hf := p.byHost.Get(f.Dst.ID())
 	if hf == nil {
 		hf = p.byHost.Carve(&p.Kernel, f.Dst.ID())
 	}
-	hf.flows = append(hf.flows, r)
+	hf.flows.PushBack(r)
 	p.Heard(f)
 	r.timer.Init(&p.Kernel, r)
 	r.timer.Arm()
@@ -239,7 +244,8 @@ func (p *Protocol) newRcvFlow(r *rcvFlow, f *transport.Flow) {
 // granted-but-undelivered data.
 func (p *Protocol) regrant(dst *netsim.Host) {
 	active := p.active[:0]
-	for _, r := range p.byHost.Get(dst.ID()).flows { // every caller has had a record on dst
+	hf := p.byHost.Get(dst.ID()) // every caller has had a record on dst
+	for r := hf.flows.Front(); r != nil; r = hf.flows.Next(r) {
 		if !r.f.Done {
 			active = append(active, r)
 		}
@@ -298,5 +304,8 @@ func (p *Protocol) finish(r *rcvFlow) {
 	p.unlist(r)
 	p.regrant(r.f.Dst)
 	// The record stays in p.receivers: a late RTS for a finished flow
-	// still regrants its host, so dropping it here is a v10 change.
+	// still regrants its host, so dropping it here is a v10 change. Its
+	// bitmap goes back to the pool: the data path and the timeout stop
+	// at Done, and regrant sees listed records only.
+	p.receivers.ReleaseBitmaps(r, &r.rcvd)
 }

@@ -56,9 +56,10 @@ type Protocol struct {
 	cfg       Config
 	receivers transport.Records[rcvFlow, *rcvFlow]
 	pullers   transport.HostTable[puller]
-	// rtx holds a sender's NACKed sequences awaiting a pull, built on the
-	// flow's first NACK; the send cursor itself lives on the flow.
-	rtx transport.FlowTable[transport.FIFO[int32]]
+	// rtx holds a sender's NACKed sequences awaiting a pull, from the
+	// NACK that finds none queued to the pull that empties the queue; the
+	// send cursor itself lives on the flow.
+	rtx transport.Records[rtxQueue, *rtxQueue]
 
 	// PullsSent and NacksSent count receiver control traffic; Trims is
 	// maintained by the switch queues (sum over ports if needed).
@@ -87,6 +88,16 @@ type rcvFlow struct {
 	// header. The timeout recovery uses it instead of peeking at sender
 	// state, which may live on another engine shard.
 	sentEst int32
+}
+
+// rtxQueue is one sender's retransmission queue. It leaves the table,
+// its last block going back to rtxBlocks, when a pull empties it, so a
+// run keeps as many queues as flows have NACKs waiting at once. A
+// completed flow's leftover NACKs stay: a pull still in flight may draw
+// one.
+type rtxQueue struct {
+	transport.Record[rtxQueue]
+	seqs transport.FIFO[int32]
 }
 
 // puller paces one receiving host's pulls; it is its pacer's Emitter.
@@ -160,15 +171,20 @@ func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
 		// the next pull.
 		q := p.rtx.Get(f.ID)
 		if q == nil {
-			q = new(transport.FIFO[int32])
-			q.SetPool(&p.rtxBlocks)
-			p.rtx.Put(f.ID, q)
+			q = p.rtx.New(&p.Kernel, f.ID)
+			q.seqs.SetPool(&p.rtxBlocks)
 		}
-		q.Push(pkt.Seq)
+		q.seqs.Push(pkt.Seq)
 	case netsim.Pull:
-		// One pull, one packet: retransmissions first, then new data.
-		if q := p.rtx.Get(f.ID); q != nil && q.Len() > 0 {
-			f.Src.Send(p.ResendData(f, q.Pop(), netsim.PrioData))
+		// One pull, one packet: retransmissions first, then new data. A
+		// queue in the table is never empty.
+		if q := p.rtx.Get(f.ID); q != nil {
+			seq := q.seqs.Pop()
+			if q.seqs.Len() == 0 {
+				q.seqs.Reset()
+				p.rtx.End(f.ID)
+			}
+			f.Src.Send(p.ResendData(f, seq, netsim.PrioData))
 			return
 		}
 		if out := p.NextData(f, netsim.PrioData); out != nil {
@@ -245,7 +261,7 @@ func (p *Protocol) newRcvFlow(r *rcvFlow, f *transport.Flow) {
 	r.p, r.f = p, f
 	r.pullBudget = f.NPkts - p.BlindPkts(f)
 	r.lastProgress = p.Now()
-	r.InitBitmaps(f.NPkts, &r.rcvd)
+	p.receivers.InitBitmaps(r, f.NPkts, &r.rcvd)
 	p.Heard(f)
 	r.timer.Init(&p.Kernel, r)
 	r.timer.Arm()

@@ -118,7 +118,8 @@ type Shard struct {
 	out [][]xrec
 
 	// pairSeq numbers signal records per (source node, destination node)
-	// pair; see SignalKey.
+	// pair; see signalKey. Made by the first signal, or sized up front by
+	// ReserveSignals.
 	pairSeq map[uint64]uint32
 
 	// ecmpSalt is this shard's copy of the network ECMP hash salt (see
@@ -398,7 +399,6 @@ func (n *Network) Partition(nshards int, assign func(Node) int) {
 	}
 	for _, s := range shards {
 		s.out = make([][]xrec, nshards)
-		s.pairSeq = make(map[uint64]uint32)
 	}
 	n.shards = shards
 	place := func(node Node, sh *Shard) {

@@ -89,10 +89,20 @@ func (s *Shard) signalKey(from, to NodeID) uint64 {
 		}
 		s.pairSeq[pair] = uint32(seq + 1)
 	} else {
-		// Unpartitioned network: lazily allocate the counters on shard 0.
 		s.pairSeq = map[uint64]uint32{pair: 1}
 	}
 	return sim.SeqSignal | pair<<signalSeqBits | seq
+}
+
+// ReserveSignals sizes the shard's signal pair counters for pairs
+// distinct (source, destination) pairs before the first signal, so the
+// run's signals never regrow them; a no-op once a signal has been sent.
+// The experiment runner counts the pairs its flows can key on each
+// shard.
+func (s *Shard) ReserveSignals(pairs int) {
+	if s.pairSeq == nil {
+		s.pairSeq = make(map[uint64]uint32, pairs)
+	}
 }
 
 // Run drives the simulation until the horizon (sim.Forever runs to

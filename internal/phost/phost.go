@@ -7,8 +7,6 @@
 package phost
 
 import (
-	"slices"
-
 	"amrt/internal/netsim"
 	"amrt/internal/sim"
 	"amrt/internal/transport"
@@ -73,6 +71,8 @@ type Protocol struct {
 
 type rcvFlow struct {
 	transport.Record[rcvFlow]
+	// The link puts the record on its host's pacerState.flows.
+	transport.Link[rcvFlow]
 	f    *transport.Flow
 	rcvd transport.Bitmap
 	// inflight marks the sequences tokened (or sent unscheduled) and
@@ -112,7 +112,7 @@ func (r *rcvFlow) remaining(mss int) int64 {
 type pacerState struct {
 	pacer transport.Pacer
 	p     *Protocol
-	flows []*rcvFlow
+	flows transport.List[rcvFlow, *rcvFlow]
 	// credits implement the arrival clocking the paper ascribes to
 	// receiver-driven transports: one token may be issued per data
 	// arrival, never faster than the downlink packet rate. An expired
@@ -239,7 +239,7 @@ func (ps *pacerState) addCredit(cap int) {
 // scheduler.
 func (p *Protocol) newRcvFlow(r *rcvFlow, f *transport.Flow) {
 	r.f, r.lastArrival = f, p.Now()
-	r.InitBitmaps(f.NPkts, &r.rcvd, &r.inflight)
+	p.receivers.InitBitmaps(r, f.NPkts, &r.rcvd, &r.inflight)
 	p.Heard(f)
 	// The unscheduled first window is in flight: treat it as tokened so
 	// the pacer does not double-issue, with the usual expiry.
@@ -248,7 +248,7 @@ func (p *Protocol) newRcvFlow(r *rcvFlow, f *transport.Flow) {
 		p.trackPending(r, seq)
 	}
 	ps := p.pacerOf(f.Dst)
-	ps.flows = append(ps.flows, r)
+	ps.flows.PushBack(r)
 	ps.pacer.Kick()
 }
 
@@ -275,7 +275,7 @@ func (p *Protocol) emitToken(ps *pacerState) bool {
 	timeout := sim.Time(p.cfg.TimeoutRTTs) * p.Cfg.RTT
 	var best *rcvFlow
 	var bestSeq int32
-	for _, r := range ps.flows {
+	for r := ps.flows.Front(); r != nil; r = ps.flows.Next(r) {
 		if r.f.Done || r.silent(now, timeout) {
 			continue
 		}
@@ -354,6 +354,6 @@ func (p *Protocol) removeFlow(r *rcvFlow) {
 	r.removed = true
 	p.expiries.dropped(r)
 	ps := p.pacerOf(r.f.Dst)
-	ps.flows = slices.DeleteFunc(ps.flows, func(x *rcvFlow) bool { return x == r })
+	ps.flows.Remove(r)
 	ps.pacer.Kick()
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -138,9 +139,13 @@ func (f Func) HandleEvent(int32, any) { f() }
 // allocate; Timer handles stay safe across recycling via a generation
 // check.
 type Engine struct {
-	now     Time
-	seq     uint64
-	sched   scheduler
+	now   Time
+	seq   uint64
+	sched scheduler
+	// wheel is sched when that is the timing wheel, nil otherwise: the
+	// schedule and dispatch paths call it directly rather than through
+	// the interface.
+	wheel   *wheelSched
 	running bool
 	stopped bool
 
@@ -188,7 +193,8 @@ func NewEngineWith(kind SchedulerKind) *Engine {
 	if kind == SchedulerHeap {
 		e.sched = newHeapSched()
 	} else {
-		e.sched = newWheelSched()
+		e.wheel = newWheelSched()
+		e.sched = e.wheel
 	}
 	return e
 }
@@ -359,7 +365,12 @@ func (e *Engine) scheduleSeq(at Time, seq uint64, h Handler, op int32, arg any) 
 	}
 	ev := e.newEvent()
 	ev.at, ev.seq, ev.h, ev.op, ev.arg = at, seq, h, op, arg
-	e.sched.schedule(ev, e.now)
+	if w := e.wheel; w != nil {
+		w.count++
+		w.insert(ev)
+	} else {
+		e.sched.schedule(ev, e.now)
+	}
 	return Timer{ev: ev, gen: ev.gen, at: at}
 }
 
@@ -381,16 +392,26 @@ const eventSlab = 128
 // newEvent takes an event off the free chain, allocating a fresh slab
 // of them when the chain is empty. The event it returns is unlinked.
 func (e *Engine) newEvent() *event {
-	ev := e.free
-	if ev == nil {
-		slab := make([]event, eventSlab)
-		for i := range slab[:eventSlab-1] {
-			slab[i].next = &slab[i+1]
-		}
-		ev = &slab[0]
+	if e.free == nil {
+		e.ReserveEvents(0)
 	}
+	ev := e.free
 	e.free, ev.next = ev.next, nil
 	return ev
+}
+
+// ReserveEvents puts n events and a slab beside them on the free chain,
+// in one allocation: a caller about to schedule n events that wait
+// together — a run registering every flow's start — pays one malloc for
+// them, not one per eventSlab, and the events the run keeps pending
+// besides still have their slab.
+func (e *Engine) ReserveEvents(n int) {
+	slab := make([]event, n+eventSlab)
+	for i := range slab[:len(slab)-1] {
+		slab[i].next = &slab[i+1]
+	}
+	slab[len(slab)-1].next = e.free
+	e.free = &slab[0]
 }
 
 // recycle invalidates outstanding Timer handles (generation bump),
@@ -415,8 +436,17 @@ func (e *Engine) Run(until Time) Time {
 	defer func() { e.running = false }()
 
 	for !e.stopped {
-		ev := e.sched.next(until)
-		if ev == nil {
+		// The head of the wheel's lowest due chain is the next event
+		// whenever a chain is occupied: take it here, and leave cursor
+		// moves and cascades to next.
+		var ev *event
+		if w := e.wheel; w != nil && w.dueOcc != 0 {
+			i := bits.TrailingZeros64(w.dueOcc)
+			if w.due[i].at > until {
+				break
+			}
+			ev = w.popDue(i)
+		} else if ev = e.sched.next(until); ev == nil {
 			break
 		}
 		if ev.h == nil { // cancelled

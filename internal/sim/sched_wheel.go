@@ -174,18 +174,10 @@ func (w *wheelSched) next(limit Time) *event {
 	for {
 		if w.dueOcc != 0 {
 			i := bits.TrailingZeros64(w.dueOcc)
-			ev := w.due[i]
-			if ev.at > limit {
+			if w.due[i].at > limit {
 				return nil
 			}
-			w.count--
-			if w.due[i] = ev.next; ev.next == nil {
-				w.dueTail[i] = nil
-				w.dueOcc &^= 1 << uint(i)
-			} else {
-				ev.next = nil
-			}
-			return ev
+			return w.popDue(i)
 		}
 		if w.count == 0 {
 			return nil
@@ -241,6 +233,20 @@ func (w *wheelSched) next(limit Time) *event {
 		w.curTick = t
 		w.drainOverflow()
 	}
+}
+
+// popDue removes and returns the head of due chain i, which must be
+// occupied.
+func (w *wheelSched) popDue(i int) *event {
+	ev := w.due[i]
+	w.count--
+	if w.due[i] = ev.next; ev.next == nil {
+		w.dueTail[i] = nil
+		w.dueOcc &^= 1 << uint(i)
+	} else {
+		ev.next = nil
+	}
+	return ev
 }
 
 // clamp moves the cursor up to the run horizon after establishing that

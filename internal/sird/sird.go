@@ -17,8 +17,6 @@
 package sird
 
 import (
-	"slices"
-
 	"amrt/internal/netsim"
 	"amrt/internal/sim"
 	"amrt/internal/transport"
@@ -132,6 +130,8 @@ func demand(f *transport.Flow, mss int) int64 {
 
 type rcvFlow struct {
 	transport.Record[rcvFlow]
+	// The link puts the record on its host's poolState.flows until it settles.
+	transport.Link[rcvFlow]
 	p     *Protocol // for HandleEvent: the record is its own timeout event
 	f     *transport.Flow
 	rcvd  transport.Bitmap
@@ -197,7 +197,7 @@ func (r *rcvFlow) ungranted(mss int) int64 {
 type poolState struct {
 	pacer transport.Pacer
 	p     *Protocol
-	flows []*rcvFlow
+	flows transport.List[rcvFlow, *rcvFlow]
 
 	// bound caps outstanding; outstanding is the sum of the member
 	// flows' charged bytes. The audit credit-pool rule checks
@@ -305,6 +305,8 @@ func (p *Protocol) dropRcvState(f *transport.Flow) {
 	r.timer.Cancel()
 	r.reissuedAt.Release()
 	p.pools.Get(f.Dst.ID()).settle(r) // r joined the pool when it was built
+	// Dropped: nothing reads the bitmaps again.
+	p.receivers.ReleaseBitmaps(r, &r.rcvd, &r.reissued)
 }
 
 // settle returns r's remaining charge to the pool, drops it from the
@@ -312,7 +314,7 @@ func (p *Protocol) dropRcvState(f *transport.Flow) {
 func (ps *poolState) settle(r *rcvFlow) {
 	ps.outstanding -= r.charged
 	r.charged = 0
-	ps.flows = slices.DeleteFunc(ps.flows, func(x *rcvFlow) bool { return x == r })
+	ps.flows.Remove(r)
 	ps.pacer.Kick()
 }
 
@@ -409,14 +411,14 @@ func (p *Protocol) newRcvFlow(r *rcvFlow, f *transport.Flow) {
 	blind := p.BlindPkts(f)
 	r.p, r.f, r.blind = p, f, blind
 	r.granted, r.lastArrival, r.lastProgress = blind, now, now
-	r.InitBitmaps(f.NPkts, &r.rcvd, &r.reissued)
+	p.receivers.InitBitmaps(r, f.NPkts, &r.rcvd, &r.reissued)
 	r.reissuedAt.SetPool(&p.reissues)
 	// Seed the grant-age ring so the unscheduled prefix (authorized at
 	// flow start) becomes recoverable one timeout window from now.
 	r.grants.Note(now, r.granted)
 	p.Heard(f)
 	ps := p.poolOf(f.Dst)
-	ps.flows = append(ps.flows, r)
+	ps.flows.PushBack(r)
 	ps.pacer.Kick()
 	r.timer.Init(&p.Kernel, r)
 	r.timer.Arm()
@@ -484,7 +486,7 @@ func (p *Protocol) emitGrant(ps *poolState) bool {
 	timeout := sim.Time(p.cfg.TimeoutRTTs) * p.Cfg.RTT
 	var best *rcvFlow
 	var total int64
-	for _, r := range ps.flows {
+	for r := ps.flows.Front(); r != nil; r = ps.flows.Next(r) {
 		if r.f.Done || r.granted >= r.f.NPkts || r.silent(now, timeout) {
 			continue
 		}
@@ -578,5 +580,8 @@ func (p *Protocol) finish(r *rcvFlow) {
 	p.poolOf(r.f.Dst).settle(r)
 	// The record stays in p.receivers: a late RTS for a finished flow
 	// still notes demand and kicks the pool, so dropping it here is a
-	// v10 change.
+	// v10 change. Its bitmaps go back to the pool: the data path, the
+	// timeout and a queued recovery request stop at Done first, and the
+	// scheduler sees members only.
+	p.receivers.ReleaseBitmaps(r, &r.rcvd, &r.reissued)
 }

@@ -140,6 +140,15 @@ func TestUnresponsiveCreditReclaimed(t *testing.T) {
 	}
 }
 
+// members lists ps's member flows in order.
+func members(ps *poolState) []*rcvFlow {
+	var out []*rcvFlow
+	for r := ps.flows.Front(); r != nil; r = ps.flows.Next(r) {
+		out = append(out, r)
+	}
+	return out
+}
+
 // TestSenderCrashReturnsCredit: when a sender dies mid-transfer, the
 // credit charged to its flow goes back to the pool at once — the ledger
 // drops to exactly what the surviving flows hold — and the survivors
@@ -154,7 +163,7 @@ func TestSenderCrashReturnsCredit(t *testing.T) {
 	s.Net.Run(5 * rtt)
 	ps := p.pools.Get(dst.ID())
 	held := func() (sum int64) {
-		for _, r := range ps.flows {
+		for _, r := range members(ps) {
 			sum += r.charged
 		}
 		return sum
@@ -170,7 +179,7 @@ func TestSenderCrashReturnsCredit(t *testing.T) {
 	if out, _ := p.CreditLedger(); out != survivors {
 		t.Errorf("outstanding credit %d after the crash, want the survivors' %d", out, survivors)
 	}
-	if slices.Contains(ps.flows, doomed) || p.receivers.Get(flows[0].ID) != nil || p.Sender(flows[0].ID) != nil {
+	if slices.Contains(members(ps), doomed) || p.receivers.Get(flows[0].ID) != nil || p.Sender(flows[0].ID) != nil {
 		t.Error("crashed sender's flow still has pool membership, receiver or sender state")
 	}
 	if flows[0].Outcome != transport.OutcomeKilledByCrash {

@@ -23,36 +23,52 @@ type Bitmap struct {
 // InitBitmaps makes each of bs an empty bitmap of n bits. A bitmap of
 // n ≤ 64 bits keeps its word inline and allocates nothing; longer ones
 // share one backing array, so a record that embeds several bitmaps by
-// value pays one allocation for the lot.
-func InitBitmaps(n int32, bs ...*Bitmap) { initBitmaps(n, nil, bs) }
+// value pays one allocation for the lot. Bitmaps inside a pooled record
+// take their array from the instance's WordPool instead
+// (Records.InitBitmaps).
+func InitBitmaps(n int32, bs ...*Bitmap) {
+	var words []uint64
+	if need := bitmapWords(n, len(bs)); need > 0 {
+		words = make([]uint64, need)
+	}
+	initBitmaps(n, words, bs)
+}
 
-// initBitmaps is InitBitmaps on the backing array words an earlier call
-// returned (nil for none), reused and cleared when it is long enough. It
-// returns the array the bitmaps share: words itself when they are inline.
-func initBitmaps(n int32, words []uint64, bs []*Bitmap) []uint64 {
+// bitmapWords returns how many backing words k bitmaps of n bits share:
+// none when their words are inline.
+func bitmapWords(n int32, k int) int {
+	if n <= 64 {
+		return 0
+	}
+	return int(n+63) / 64 * k
+}
+
+// initBitmaps lays bs, bitmaps of n bits, on words, whose first
+// bitmapWords(n, len(bs)) words are zero (nil when that is none).
+func initBitmaps(n int32, words []uint64, bs []*Bitmap) {
 	if n <= 64 {
 		for _, b := range bs {
 			*b = Bitmap{n: n}
 			b.words = b.inline[:]
 		}
-		return words
+		return
 	}
 	w := int(n+63) / 64
-	if need := w * len(bs); need <= cap(words) {
-		words = words[:need]
-		clear(words)
-	} else {
-		words = make([]uint64, need)
-	}
 	for i, b := range bs {
 		*b = Bitmap{words: words[i*w : (i+1)*w : (i+1)*w], n: n}
 	}
-	return words
 }
+
+// release lets go of b's words, leaving a bitmap that answers every read
+// as a full one of its length: Set reports false, Get true, Count and
+// Len n, NextClear -1. Clear on it panics. A stack releases
+// the bitmaps of a record it keeps once the flow is complete
+// (Records.ReleaseBitmaps), when the bitmap it still reads is full.
+func (b *Bitmap) release() { *b = Bitmap{n: b.n, set: b.n} }
 
 // Set marks bit i and reports whether it was newly set.
 func (b *Bitmap) Set(i int32) bool {
-	if i < 0 || i >= b.n {
+	if i < 0 || i >= b.n || b.set == b.n {
 		return false
 	}
 	w, m := i/64, uint64(1)<<(uint(i)%64)
@@ -89,6 +105,9 @@ func (b *Bitmap) Get(i int32) bool {
 	if i < 0 || i >= b.n {
 		return false
 	}
+	if b.set == b.n { // full, or released
+		return true
+	}
 	return b.words[i/64]&(uint64(1)<<(uint(i)%64)) != 0
 }
 
@@ -117,8 +136,12 @@ func (b *Bitmap) NextClearBoth(o *Bitmap, from int32) int32 {
 
 // scan is NextClear over the union of b and o (nil: b alone). It starts
 // at the higher of from's word and the low-water marks, below which
-// every word of b (or of o) is full and so holds no answer.
+// every word of b (or of o) is full and so holds no answer; a full
+// (or released) b or o holds none at all.
 func (b *Bitmap) scan(o *Bitmap, from int32) int32 {
+	if b.set == b.n || o != nil && o.set == o.n {
+		return -1
+	}
 	from = max(from, 0)
 	w, low := from/64, b.low
 	if o != nil {

@@ -65,8 +65,13 @@ type Kernel struct {
 	flows   FlowTable[Flow]
 	ordered []*Flow
 
-	// slab is where NewFlow carves flow records from.
+	// slab is where NewFlow carves flow records from: one array for the
+	// flows Reserve announced, slabs past them.
 	slab slab[Flow]
+
+	// words is the instance's pool of bitmap backing arrays: every
+	// Records table of the instance draws from it.
+	words WordPool
 
 	// DataPktsBuilt counts data packets built via NewData — the
 	// left-hand side of the grant-budget invariant. UnsolicitedPkts
@@ -108,6 +113,24 @@ func NewKernel(net *netsim.Network, cfg Config) Kernel {
 	k.mFlowsDone = cfg.Metrics.Counter("transport.flows_completed")
 	k.mDataBytes = cfg.Metrics.Counter("transport.data_bytes_delivered")
 	return k
+}
+
+// Reserve readies the kernel for a run's flows before the first one is
+// registered, so that registering them costs no allocation per flow: the
+// created flows NewFlow will make are carved from one array, so are the
+// engine events of their starts (Release), and the flow index and
+// OrderedFlows are sized for IDs up to maxID and for the known flows,
+// created and adopted. Past the reservation flows come from slabs and
+// the index grows, as they do without one.
+func (k *Kernel) Reserve(created, known int, maxID netsim.FlowID) {
+	if created > 0 {
+		k.slab.reserve(created)
+		k.Engine().ReserveEvents(created)
+	}
+	k.flows.recs = grown(k.flows.recs, int(maxID)+1)
+	if known > cap(k.ordered) {
+		k.ordered = append(make([]*Flow, 0, known), k.ordered...)
+	}
 }
 
 // Engine returns the simulation engine of the kernel's shard.

@@ -164,15 +164,14 @@ func (k *Kernel) armAnnounce(f *Flow, rtts int32) {
 
 // Receiver is the lookup every stack's receiver handler starts with: it
 // returns flow id's record in the stack's table t — the one stored, or
-// else, if this kernel knows the flow and it has not finished, a record
-// from t's pool that build fills in for f, which it stores. The record
+// else, if this kernel knows the flow and it has not finished, a new
+// record from t (Records.New) that build fills in for f. The record
 // comes zeroed but for its Record header, so build sets fields one by
-// one and makes bitmaps with the header's InitBitmaps. Unknown,
-// completed and crash-killed flows answer nil unless the stack kept
-// their record. RTS and data both carry what build needs, so a lost RTS
-// or a receiver crash costs one rebuild. A stack that announces calls
-// Heard from build. The first store sizes t like the kernel's own table,
-// full by then.
+// one and makes bitmaps with t's InitBitmaps. Unknown, completed and
+// crash-killed flows answer nil unless the stack kept their record. RTS
+// and data both carry what build needs, so a lost RTS or a receiver
+// crash costs one rebuild. A stack that announces calls Heard from
+// build.
 func Receiver[R any, P record[R]](k *Kernel, t *Records[R, P], id netsim.FlowID, build func(r *R, f *Flow)) *R {
 	if r := t.Get(id); r != nil {
 		return r
@@ -181,10 +180,8 @@ func Receiver[R any, P record[R]](k *Kernel, t *Records[R, P], id netsim.FlowID,
 	if f == nil || f.Done {
 		return nil
 	}
-	t.recs = grown(t.recs, len(k.flows.recs))
-	r := t.take(k.flows.Len())
+	r := t.New(k, id)
 	build(r, f)
-	t.Put(id, r)
 	return r
 }
 

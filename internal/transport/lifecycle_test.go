@@ -483,27 +483,38 @@ func TestRecvTimerAllocs(t *testing.T) {
 // TestFlowSlabAllocs: flow records come from slabs that double from 2 to
 // 64, so a thousand flows cost twenty mallocs for their records
 // (2+4+…+64 = 126 flows in six, the other 874 in fourteen) and a
-// three-flow figure run two — and every record is its own.
+// three-flow figure run two — and every record is its own. A kernel
+// that reserves its flows (Kernel.Reserve, as every run does) pays four
+// mallocs for them at any count: one array of records, the flow index,
+// the creation order and the start events; flows past the reservation
+// fall back to the slabs.
 func TestFlowSlabAllocs(t *testing.T) {
 	n, a, b := newLifecycleNet()
-	for _, c := range []struct{ flows, max int }{{1000, 20}, {3, 2}} {
-		// Size the flow table up front so only the records allocate.
+	for _, c := range []struct{ flows, reserve, max int }{
+		{1000, 0, 20}, {3, 0, 2}, {1000, 1000, 4}, {3, 3, 4}, {1000, 900, 4 + 3},
+	} {
 		kernels := make([]Kernel, 2) // AllocsPerRun adds a warm-up call
 		for i := range kernels {
 			kernels[i] = NewKernel(n, Config{RTT: testRTT})
-			kernels[i].flows.recs = grown(kernels[i].flows.recs, c.flows+1)
-			kernels[i].ordered = make([]*Flow, 0, c.flows)
+			if c.reserve == 0 {
+				// Size the flow table up front so only the records allocate.
+				kernels[i].flows.recs = grown(kernels[i].flows.recs, c.flows+1)
+				kernels[i].ordered = make([]*Flow, 0, c.flows)
+			}
 		}
 		next := 0
 		got := testing.AllocsPerRun(1, func() {
 			k := &kernels[next]
 			next++
+			if c.reserve > 0 {
+				k.Reserve(c.reserve, c.flows, netsim.FlowID(c.flows))
+			}
 			for i := 0; i < c.flows; i++ {
 				k.NewFlow(netsim.FlowID(i+1), a, b, int64(1000+i), 0)
 			}
 		})
 		if got > float64(c.max) {
-			t.Errorf("%d flows: %.0f mallocs for the records, want at most %d", c.flows, got, c.max)
+			t.Errorf("%d flows, %d reserved: %.0f mallocs, want at most %d", c.flows, c.reserve, got, c.max)
 		}
 		seen := map[*Flow]bool{}
 		for i, f := range kernels[1].OrderedFlows() {

@@ -29,21 +29,21 @@ var poolSizes = []int32{1, 64, 65, 130, 700}
 
 // poolModel is one table's expected state.
 type poolModel struct {
-	live  map[netsim.FlowID]*poolRec
-	seen  map[*poolRec]uint32 // every record the table handed out: its incarnation
-	peak  int
-	words map[*poolRec][]uint64 // each record's kept array
+	live map[netsim.FlowID]*poolRec
+	seen map[*poolRec]uint32 // every record the table handed out: its incarnation
+	peak int
 }
 
 func newPoolModel() *poolModel {
-	return &poolModel{live: map[netsim.FlowID]*poolRec{}, seen: map[*poolRec]uint32{}, words: map[*poolRec][]uint64{}}
+	return &poolModel{live: map[netsim.FlowID]*poolRec{}, seen: map[*poolRec]uint32{}}
 }
 
 // build is Receiver's store of a new record for id, filled with bitmaps
 // of n bits, checked against the model: the record is the last one
 // ended, or else one no table has handed out; it comes zeroed but for
-// its incarnation and kept array; its bitmaps start clear and reuse the
-// array when it is long enough.
+// its incarnation; its bitmaps start clear, on an array from the pool
+// both tables share that is long enough and whose words they use are
+// cleared, or inline.
 func (m *poolModel) build(t *Records[poolRec, *poolRec], other *poolModel, id netsim.FlowID, n int32) error {
 	if t.Get(id) != nil {
 		return nil
@@ -61,25 +61,22 @@ func (m *poolModel) build(t *Records[poolRec, *poolRec], other *poolModel, id ne
 	}
 	body := *r
 	body.Record = Record[poolRec]{}
-	if r.next != nil || !reflect.ValueOf(body).IsZero() {
+	if r.next != nil || r.words != nil || !reflect.ValueOf(body).IsZero() {
 		return fmt.Errorf("record %p came back dirty: %+v", r, body)
 	}
-	kept := m.words[r]
-	r.InitBitmaps(n, &r.a, &r.b)
+	t.InitBitmaps(r, n, &r.a, &r.b)
 	if n > 64 {
 		w := int(n+63) / 64
-		if len(r.words) != 2*w {
-			return fmt.Errorf("%d-bit bitmaps on an array of %d words, want %d", n, len(r.words), 2*w)
+		if len(r.words) < 2*w {
+			return fmt.Errorf("%d-bit bitmaps on an array of %d words, want at least %d", n, len(r.words), 2*w)
 		}
-		for i, x := range r.words {
+		for i, x := range r.words[:2*w] {
 			if x != 0 {
 				return fmt.Errorf("%d-bit bitmaps: word %d of the array is %#x", n, i, x)
 			}
 		}
-		if cap(kept) >= 2*w && &r.words[0] != &kept[:1][0] {
-			return fmt.Errorf("the kept array of %d words was not reused for %d", cap(kept), 2*w)
-		}
-		m.words[r] = r.words
+	} else if r.words != nil {
+		return fmt.Errorf("%d-bit bitmaps hold an array of %d words", n, len(r.words))
 	}
 	for _, b := range []*Bitmap{&r.a, &r.b} {
 		if b.Len() != n || b.Count() != 0 || b.NextClear(0) != 0 {
@@ -91,6 +88,41 @@ func (m *poolModel) build(t *Records[poolRec, *poolRec], other *poolModel, id ne
 	m.seen[r] = r.inc
 	m.live[id] = r
 	m.peak = max(m.peak, len(m.live))
+	return nil
+}
+
+// checkArrays holds the pool the tables share to its word: no array is
+// both free and a live record's, or two live records', and no live or
+// ended record holds one but a live record.
+func checkArrays(pool *WordPool, models []*poolModel) error {
+	owner := map[*uint64]string{}
+	claim := func(w []uint64, who string) error {
+		if prev, ok := owner[&w[0]]; ok {
+			return fmt.Errorf("an array of %d words is held by %s and %s", len(w), prev, who)
+		}
+		owner[&w[0]] = who
+		return nil
+	}
+	for i, w := range pool.free {
+		if i > 0 && len(w) < len(pool.free[i-1]) {
+			return fmt.Errorf("free arrays out of order: %d words after %d", len(w), len(pool.free[i-1]))
+		}
+		if err := claim(w, "the free list"); err != nil {
+			return err
+		}
+	}
+	for k, m := range models {
+		for r := range m.seen {
+			switch {
+			case m.live[r.id] != r && r.words != nil:
+				return fmt.Errorf("ended record %p still holds an array", r)
+			case r.words != nil:
+				if err := claim(r.words, fmt.Sprintf("table %d's flow %d", k, r.id)); err != nil {
+					return err
+				}
+			}
+		}
+	}
 	return nil
 }
 
@@ -160,11 +192,12 @@ func (m *poolModel) check(t *Records[poolRec, *poolRec], other *poolModel) error
 const fuzzPoolMaxScript = 2 * 500
 
 // FuzzReceiverPool runs scripts of build, end, lookup and scribble steps
-// over two record tables that share nothing, against map models. A step
-// is two bytes: the low two bits of the first pick the operation, bit 2
-// the table and the rest the flow ID (0..15); the second picks the
-// bitmap size of a build, or the bits a scribble sets. After every step
-// both tables pass the model's check.
+// over two record tables that share only a word pool, against map
+// models. A step is two bytes: the low two bits of the first pick the
+// operation, bit 2 the table and the rest the flow ID (0..15); the
+// second picks the bitmap size of a build, or the bits a scribble sets.
+// After every step both tables pass the model's check and the arrays
+// checkArrays'.
 func FuzzReceiverPool(f *testing.F) {
 	const build, end, lookup, scribble = 0, 1, 2, 3
 	rec := func(op, table int, id netsim.FlowID, arg byte) []byte {
@@ -190,11 +223,18 @@ func FuzzReceiverPool(f *testing.F) {
 		fill = append(fill, rec(end, int(id)&1, id, 0)...)
 	}
 	f.Add(append(fill, fill...))
+	// Mixed sizes across the tables: a long array ended in one table is
+	// the best fit for a shorter life in the other.
+	f.Add(script(rec(build, 0, 1, 4), rec(build, 1, 2, 3), rec(scribble, 0, 1, 0x3f),
+		rec(end, 0, 1, 0), rec(build, 1, 3, 2), rec(scribble, 1, 3, 9), rec(end, 1, 2, 0),
+		rec(end, 1, 3, 0), rec(build, 0, 4, 4), rec(build, 0, 5, 3)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > fuzzPoolMaxScript {
 			data = data[:fuzzPoolMaxScript]
 		}
+		var pool WordPool
 		var tables [2]Records[poolRec, *poolRec]
+		tables[0].words, tables[1].words = &pool, &pool
 		models := [2]*poolModel{newPoolModel(), newPoolModel()}
 		for step, b := 0, data; len(b) >= 2; step, b = step+1, b[2:] {
 			k, id := int(b[0]>>2)&1, netsim.FlowID(b[0]>>3)%poolFlows
@@ -218,6 +258,9 @@ func FuzzReceiverPool(f *testing.F) {
 			}
 			if err == nil {
 				err = m.check(tb, other)
+			}
+			if err == nil {
+				err = checkArrays(&pool, models[:])
 			}
 			if err != nil {
 				t.Fatalf("step %d (table %d, flow %d): %v", step, k, id, err)
@@ -245,19 +288,33 @@ func TestRecordsCarveForTheFlows(t *testing.T) {
 }
 
 // TestRecordInitBitmapsAllocs: a record's bitmaps allocate their array
-// once; a later life of the record that asks for no more words reuses
-// it, cleared.
+// once; the next life that asks for no more words — the same record or
+// another of the table — takes it back from the pool, cleared, and a
+// longer one gets an array of exactly its length.
 func TestRecordInitBitmapsAllocs(t *testing.T) {
-	r := new(poolRec)
-	r.InitBitmaps(1000, &r.a, &r.b)
+	tb := Records[poolRec, *poolRec]{words: new(WordPool)}
+	r := tb.take(poolFlows)
+	tb.Put(1, r)
+	tb.InitBitmaps(r, 1000, &r.a, &r.b)
 	r.a.Set(999)
-	if got := testing.AllocsPerRun(100, func() { r.InitBitmaps(700, &r.a, &r.b) }); got != 0 {
+	tb.End(1)
+	got := testing.AllocsPerRun(100, func() {
+		r = tb.take(poolFlows)
+		tb.Put(1, r)
+		tb.InitBitmaps(r, 700, &r.a, &r.b)
+		r.a.Set(699)
+		tb.End(1)
+	})
+	if got != 0 {
 		t.Errorf("a shorter life: %.1f allocs, want 0", got)
 	}
-	if r.a.Count() != 0 || r.a.Get(999) || r.a.Len() != 700 {
-		t.Errorf("reused array not cleared: Count %d", r.a.Count())
+	r = tb.take(poolFlows)
+	tb.Put(1, r)
+	tb.InitBitmaps(r, 700, &r.a, &r.b)
+	if r.a.Count() != 0 || r.a.Get(699) || r.a.Len() != 700 || len(r.words) != 2*16 {
+		t.Errorf("reused array not cleared: Count %d, an array of %d words", r.a.Count(), len(r.words))
 	}
-	r.InitBitmaps(2000, &r.a, &r.b)
+	tb.InitBitmaps(r, 2000, &r.a, &r.b)
 	if len(r.words) != 2*32 || r.a.Count() != 0 || r.b.Len() != 2000 {
 		t.Errorf("a longer life: an array of %d words, want 64", len(r.words))
 	}

@@ -20,6 +20,14 @@ type slab[T any] struct {
 // current one is used up.
 func (s *slab[T]) next() *T { return s.nextOf(slabMax) }
 
+// reserve makes the next n records one array, when n is more than the
+// current array has left; past them, arrays double again up to slabMax.
+func (s *slab[T]) reserve(n int) {
+	if n > len(s.free) {
+		s.free, s.n = make([]T, n), n
+	}
+}
+
 // nextOf is next for an owner that will take at most most more records
 // (this one included): a new array is no longer than that, so a run
 // with three flows carves three receiver records, not 2 + 4.
