@@ -95,7 +95,7 @@ func TestPacketHopAllocs(t *testing.T) {
 // TestPacketFreeListBounded: with every sender on shard 0, every
 // receiver on shard 1 and no reverse traffic, shard 1's free list takes
 // every packet of the run and shard 0's never gets one back. The cap
-// holds the first to a constant, and the second refills a slab at a
+// holds the first to a constant, and the second carves a chunk at a
 // time — one allocation per hundred packets, not one per packet.
 func TestPacketFreeListBounded(t *testing.T) {
 	const packets = 200_000

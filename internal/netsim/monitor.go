@@ -31,7 +31,7 @@ type PortMonitor struct {
 // monitor is carved from the network's monitor slab, sized for one per
 // host (see Network.Reserve).
 func Attach(p *Port) *PortMonitor {
-	m := p.net.monitors.one()
+	m := p.net.monitors.One()
 	m.rate, m.port = p.link.Rate, p
 	p.Monitor = m
 	return m

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"amrt/internal/sim"
+	"amrt/internal/slab"
 )
 
 // Network owns the nodes and links of one simulation and the engine (or,
@@ -27,14 +28,14 @@ type Network struct {
 	// The network's objects are carved from these (see Reserve): its
 	// hosts, switches and ports, the switches' port lists and route
 	// tables, and the port monitors Attach makes.
-	hostSlab   slab[Host]
-	switchSlab slab[Switch]
-	portSlab   slab[Port]
-	portLists  slab[*Port]
-	routeOfs   slab[uint32]
-	routeSets  slab[routeSet]
-	routeArena slab[*Port]
-	monitors   slab[PortMonitor]
+	hostSlab   slab.Slab[Host]
+	switchSlab slab.Slab[Switch]
+	portSlab   slab.Slab[Port]
+	portLists  slab.Slab[*Port]
+	routeOfs   slab.Slab[uint32]
+	routeSets  slab.Slab[routeSet]
+	routeArena slab.Slab[*Port]
+	monitors   slab.Slab[PortMonitor]
 
 	// shards holds the engine shards; exactly one until Partition.
 	shards []*Shard
@@ -134,12 +135,10 @@ type Shard struct {
 	// interrupt fired.
 	stopped bool
 
-	// free heads the shard's packet free list, a chain of nfree packets
-	// through Packet.next; slabBytes is the size of the last slab that
-	// refilled it. See NewPacket.
-	free      *Packet
-	nfree     int
-	slabBytes int
+	// packets is the shard's packet pool, its free chain of nfree
+	// packets threaded through Packet.next. See NewPacket.
+	packets slab.Pool[Packet]
+	nfree   int
 }
 
 // Index returns the shard's index in Network.Shards.
@@ -166,7 +165,7 @@ type xrec struct {
 // New returns an empty network on a fresh engine, with a single shard.
 func New() *Network {
 	n := &Network{Engine: sim.NewEngine()}
-	n.shards = []*Shard{{idx: 0, net: n, eng: n.Engine}}
+	n.shards = []*Shard{{idx: 0, net: n, eng: n.Engine, packets: packetPool()}}
 	return n
 }
 
@@ -272,19 +271,19 @@ func (n *Network) Reserve(hosts, switches, ports int) {
 	swPorts := ports - hosts
 	n.hosts = make([]*Host, 0, hosts)
 	n.switches = make([]*Switch, 0, switches)
-	n.hostSlab.left = hosts
-	n.switchSlab.left = switches
-	n.portSlab.left = ports
-	n.portLists.left = swPorts
-	n.routeOfs.left = switches * (hosts + switches)
-	n.routeSets.left = swPorts + switches
-	n.routeArena.left = swPorts
-	n.monitors.left = hosts
+	n.hostSlab.Reserve(hosts)
+	n.switchSlab.Reserve(switches)
+	n.portSlab.Reserve(ports)
+	n.portLists.Reserve(swPorts)
+	n.routeOfs.Reserve(switches * (hosts + switches))
+	n.routeSets.Reserve(swPorts + switches)
+	n.routeArena.Reserve(swPorts)
+	n.monitors.Reserve(hosts)
 }
 
 // NewHost adds a host. The name is diagnostic only.
 func (n *Network) NewHost(name string) *Host {
-	h := n.hostSlab.one()
+	h := n.hostSlab.One()
 	*h = Host{id: n.nextID, name: name, net: n, shard: n.shards[0]}
 	n.nextID++
 	n.hosts = append(n.hosts, h)
@@ -293,7 +292,7 @@ func (n *Network) NewHost(name string) *Host {
 
 // NewSwitch adds a switch.
 func (n *Network) NewSwitch(name string) *Switch {
-	s := n.switchSlab.one()
+	s := n.switchSlab.One()
 	*s = Switch{id: n.nextID, name: name, net: n, shard: n.shards[0]}
 	n.nextID++
 	n.switches = append(n.switches, s)
@@ -314,7 +313,7 @@ func (n *Network) AttachPort(from, to Node, rate sim.Rate, delay sim.Time, q Que
 	if q == nil {
 		q = NewDropTail(0)
 	}
-	p := n.portSlab.one()
+	p := n.portSlab.One()
 	*p = Port{
 		owner:  from,
 		net:    n,
@@ -395,7 +394,7 @@ func (n *Network) Partition(nshards int, assign func(Node) int) {
 	for i := 1; i < nshards; i++ {
 		// New shards inherit shard 0's ECMP salt so a salt set before
 		// Partition stays network-wide.
-		shards[i] = &Shard{idx: i, net: n, eng: sim.NewEngine(), ecmpSalt: shards[0].ecmpSalt}
+		shards[i] = &Shard{idx: i, net: n, eng: sim.NewEngine(), ecmpSalt: shards[0].ecmpSalt, packets: packetPool()}
 	}
 	for _, s := range shards {
 		s.out = make([][]xrec, nshards)

@@ -136,7 +136,7 @@ func (s *Switch) Reserve(ports int) {
 	if len(s.ports) != 0 {
 		panic(fmt.Sprintf("netsim: switch %s reserves ports after its first", s.name))
 	}
-	s.ports = s.net.portLists.take(ports)[:0]
+	s.ports = s.net.portLists.Take(ports)[:0]
 }
 
 // Shard returns the engine shard this switch is assigned to — the shard
@@ -158,7 +158,7 @@ func (s *Switch) AddRoute(dst NodeID, p *Port) {
 		panic(fmt.Sprintf("netsim: switch %s routes through %v, a port it does not own", s.name, p))
 	}
 	if n := int(s.net.nextID); s.routeOf == nil {
-		s.routeOf = s.net.routeOfs.take(n)
+		s.routeOf = s.net.routeOfs.Take(n)
 	} else if len(s.routeOf) < n {
 		routeOf := make([]uint32, n) // one allocation, race detector or not
 		copy(routeOf, s.routeOf)
@@ -169,8 +169,8 @@ func (s *Switch) AddRoute(dst NodeID, p *Port) {
 		// ports or through one chain of them (its uplinks, added in
 		// place): one set per port past the root, one arena slot each.
 		// Both come from the network's shared arrays.
-		s.routeSets = s.net.routeSets.take(len(s.ports) + 1)[:1]
-		s.routeArena = s.net.routeArena.take(len(s.ports))[:0]
+		s.routeSets = s.net.routeSets.Take(len(s.ports) + 1)[:1]
+		s.routeArena = s.net.routeArena.Take(len(s.ports))[:0]
 	}
 	cur := s.routeOf[dst]
 	for c := s.routeSets[cur].child; c != 0; c = s.routeSets[c].sibling {

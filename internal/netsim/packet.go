@@ -13,6 +13,8 @@ package netsim
 import (
 	"fmt"
 	"unsafe"
+
+	"amrt/internal/slab"
 )
 
 // NodeID identifies a host or switch within a Network.
@@ -132,75 +134,66 @@ type Packet struct {
 	Hops int8
 }
 
-// The packet free list. Each shard recycles packets through its own
+// The packet pool. Each shard recycles packets through its own free
 // chain (linked through Packet.next, like a queue's fifo), so a run's
 // packets belong to the run: no packet is shared between simulations,
-// the collector cannot empty the list mid-run, and allocation counts
+// the collector cannot empty the chain mid-run, and allocation counts
 // repeat exactly. (Ports' jitter streams are the one thing runs do
 // share, through jitterStreams: a stream holds no pointer into the run
 // that used it, re-seeding rewrites all of its generator's state, and
 // arming discards the draws it had buffered, so unlike a stale packet it
 // cannot carry anything from one run to the next.)
-// An empty chain is refilled one slab at a time; slabs double
-// from the 1 KB to the 8 KB size class, so a two-host run pays for a
-// dozen packets and a fabric-wide one makes one allocation per hundred.
+// A dry chain carves from chunks that double from the 1 KB to the 8 KB
+// size class, so a two-host run pays for a dozen packets and a
+// fabric-wide one makes one allocation per hundred.
 //
 // A packet is released on the shard where its journey ends, which need
 // not be the shard that built it: one-directional cross-shard traffic
 // grows the receiving shard's chain while the sending shard keeps
-// refilling. maxFreePackets bounds that — a release onto a full chain
+// carving. maxFreePackets bounds that — a release onto a full chain
 // leaves the packet to the collector — without any exchange between
 // shards.
 const (
 	packetBytes    = int(unsafe.Sizeof(Packet{}))
-	minSlabBytes   = 1 << 10
-	maxSlabBytes   = 8 << 10
 	maxFreePackets = 8192
 )
 
-// NewPacket returns a zeroed Packet from the shard's free list. Callers
-// fill it and hand it to Host.Send (or a Port/Node directly); ownership
-// then belongs to the network until the packet is delivered or dropped,
-// at which point the simulator releases it on the shard where that
+// packetPool returns a shard's empty packet pool.
+func packetPool() slab.Pool[Packet] {
+	return slab.Pool[Packet]{Slab: slab.Sized[Packet](1<<10/packetBytes, 8<<10/packetBytes)}
+}
+
+// packetLink is the free chain's link: the packet's queue link.
+func packetLink(p *Packet) **Packet { return &p.next }
+
+// NewPacket returns a zeroed Packet from the shard's pool. Callers fill
+// it and hand it to Host.Send (or a Port/Node directly); ownership then
+// belongs to the network until the packet is delivered or dropped, at
+// which point the simulator releases it on the shard where that
 // happens. Call only from the shard's own goroutine.
 func (s *Shard) NewPacket() *Packet {
-	if s.free == nil {
-		s.refill()
+	if p := s.packets.Pop(packetLink); p != nil {
+		s.nfree--
+		return p
 	}
-	p := s.free
-	s.free, p.next = p.next, nil
-	s.nfree--
-	return p
+	return s.packets.One()
 }
 
-// refill chains one fresh slab of packets onto the empty free list.
-func (s *Shard) refill() {
-	if s.slabBytes < maxSlabBytes {
-		s.slabBytes = max(minSlabBytes, 2*s.slabBytes)
-	}
-	slab := make([]Packet, s.slabBytes/packetBytes)
-	for i := range slab[:len(slab)-1] {
-		slab[i].next = &slab[i+1]
-	}
-	s.free, s.nfree = &slab[0], len(slab)
-}
-
-// ReleasePacket zeroes pkt and puts it on the shard's free list. Only
+// ReleasePacket zeroes pkt and puts it on the shard's free chain. Only
 // the current owner may release, on its own shard's goroutine; the
 // simulator does so at the delivery and drop recycle points, so
 // transports normally release only packets they built and never sent.
 // Releasing a packet that is still linked into a queue, or twice in a
 // row, panics.
 func (s *Shard) ReleasePacket(pkt *Packet) {
-	if pkt.next != nil || pkt == s.free {
+	if pkt.next != nil || pkt == s.packets.Top() {
 		panic(fmt.Sprintf("netsim: released packet %v is still queued or already free", pkt))
 	}
 	*pkt = Packet{}
-	if s.nfree >= maxFreePackets {
-		return
+	if s.nfree < maxFreePackets {
+		s.packets.Put(pkt, packetLink)
+		s.nfree++
 	}
-	pkt.next, s.free = s.free, pkt
-	s.nfree++
 }
 
 // NewPacket returns a zeroed Packet outside any run's free list, for

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"amrt/internal/sim"
+	"amrt/internal/slab"
 )
 
 // Queue is the buffering discipline of an egress port. Enqueue returns
@@ -84,7 +85,7 @@ type DropTailQueue struct {
 // NewDropTail returns a drop-tail queue holding at most capPackets
 // packets. A non-positive capacity means unbounded.
 func (s *Slabs) NewDropTail(capPackets int) *DropTailQueue {
-	q := carve(s, func(s *Slabs) *slab[DropTailQueue] { return &s.dropTail })
+	q := carve(s, func(s *Slabs) *slab.Slab[DropTailQueue] { return &s.dropTail })
 	q.cap = capPackets
 	return q
 }
@@ -128,7 +129,7 @@ func NewPriority(caps ...int) *PriorityQueue { return (*Slabs)(nil).NewPriority(
 // packet capacity; missing trailing entries default to the last given
 // value, and non-positive values mean unbounded.
 func (s *Slabs) NewPriority(caps ...int) *PriorityQueue {
-	p := carve(s, func(s *Slabs) *slab[PriorityQueue] { return &s.priority })
+	p := carve(s, func(s *Slabs) *slab.Slab[PriorityQueue] { return &s.priority })
 	last := 0
 	for i := 0; i < NumPriorities; i++ {
 		if i < len(caps) {
@@ -220,7 +221,7 @@ type LossyQueue struct {
 
 // NewLossy wraps inner with seeded random data-packet loss.
 func (s *Slabs) NewLossy(inner Queue, dropProb float64, seed int64) *LossyQueue {
-	l := carve(s, func(s *Slabs) *slab[LossyQueue] { return &s.lossy })
+	l := carve(s, func(s *Slabs) *slab.Slab[LossyQueue] { return &s.lossy })
 	l.Inner, l.DropProb, l.rng = inner, dropProb, sim.NewRNG(seed)
 	return l
 }
@@ -281,7 +282,7 @@ type GilbertElliottQueue struct {
 
 // NewGilbertElliott wraps inner with seeded two-state burst loss.
 func (s *Slabs) NewGilbertElliott(inner Queue, pGoodBad, pBadGood, lossBad, lossGood float64, seed int64) *GilbertElliottQueue {
-	g := carve(s, func(s *Slabs) *slab[GilbertElliottQueue] { return &s.gilbert })
+	g := carve(s, func(s *Slabs) *slab.Slab[GilbertElliottQueue] { return &s.gilbert })
 	g.Inner, g.PGoodBad, g.PBadGood = inner, pGoodBad, pBadGood
 	g.LossBad, g.LossGood, g.rng = lossBad, lossGood, sim.NewRNG(seed)
 	return g
@@ -350,7 +351,7 @@ type ECNQueue struct {
 // NewECN returns an ECN-marking drop-tail queue with the given packet
 // capacity and marking threshold.
 func (s *Slabs) NewECN(capPackets, markAt int) *ECNQueue {
-	e := carve(s, func(s *Slabs) *slab[ECNQueue] { return &s.ecn })
+	e := carve(s, func(s *Slabs) *slab.Slab[ECNQueue] { return &s.ecn })
 	e.cap, e.markAt = capPackets, markAt
 	return e
 }
@@ -399,7 +400,7 @@ type TrimmingQueue struct {
 // length (in packets) at which arriving data packets are trimmed;
 // controlCap bounds the control/header band.
 func (s *Slabs) NewTrimming(trimAt, controlCap int) *TrimmingQueue {
-	q := carve(s, func(s *Slabs) *slab[TrimmingQueue] { return &s.trimming })
+	q := carve(s, func(s *Slabs) *slab.Slab[TrimmingQueue] { return &s.trimming })
 	q.trimAt, q.controlCap = trimAt, controlCap
 	return q
 }

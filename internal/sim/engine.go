@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/bits"
 	"sync/atomic"
+
+	"amrt/internal/slab"
 )
 
 // SchedulerKind selects the event-queue implementation behind an Engine.
@@ -157,11 +159,11 @@ type Engine struct {
 	// dispatched event's seq after one that was stopped.
 	curSeq uint64
 
-	// free is the event free list: a stack chained through event.next
-	// (single-threaded, so it beats sync.Pool here). Events are returned
-	// to it after dispatch or when a cancelled event is drained, and it
-	// is refilled a slab at a time when it runs dry.
-	free *event
+	// events is where events come from and go back to: after dispatch,
+	// or when a cancelled event is drained, an event returns to its free
+	// chain through event.next (single-threaded, so it beats sync.Pool
+	// here), and a dry chain carves from chunks of eventChunk.
+	events slab.Pool[event]
 
 	// Executed counts events dispatched since construction; useful for
 	// progress reporting and performance benchmarks. ExecutedLate counts
@@ -190,6 +192,7 @@ func NewEngine() *Engine { return NewEngineWith(DefaultScheduler()) }
 // scheduler implementation.
 func NewEngineWith(kind SchedulerKind) *Engine {
 	e := &Engine{seq: seqAuto, curSeq: ^uint64(0)}
+	e.events.Slab = slab.Sized[event](eventChunk, eventChunk)
 	if kind == SchedulerHeap {
 		e.sched = newHeapSched()
 	} else {
@@ -363,7 +366,10 @@ func (e *Engine) scheduleSeq(at Time, seq uint64, h Handler, op int32, arg any) 
 	if h == nil {
 		panic("sim: schedule nil handler")
 	}
-	ev := e.newEvent()
+	ev := e.events.Pop(eventLink)
+	if ev == nil {
+		ev = e.events.One()
+	}
 	ev.at, ev.seq, ev.h, ev.op, ev.arg = at, seq, h, op, arg
 	if w := e.wheel; w != nil {
 		w.count++
@@ -384,35 +390,20 @@ func (e *Engine) scheduleSeq(at Time, seq uint64, h Handler, op int32, arg any) 
 // windows.
 func (e *Engine) NextAt() (Time, bool) { return e.sched.nextAt() }
 
-// eventSlab is how many events one refill of the free chain allocates.
-// An event is 64 bytes, so a slab is exactly the 8 KB allocator size
-// class: one malloc per 128 events, no rounding waste.
-const eventSlab = 128
+// eventChunk is how many events one chunk of the pool holds. An event
+// is 64 bytes, so a chunk is exactly the 8 KB allocator size class: one
+// malloc per 128 events, no rounding waste.
+const eventChunk = 128
 
-// newEvent takes an event off the free chain, allocating a fresh slab
-// of them when the chain is empty. The event it returns is unlinked.
-func (e *Engine) newEvent() *event {
-	if e.free == nil {
-		e.ReserveEvents(0)
-	}
-	ev := e.free
-	e.free, ev.next = ev.next, nil
-	return ev
-}
+// eventLink is the free chain's link: the event's scheduler link.
+func eventLink(ev *event) **event { return &ev.next }
 
-// ReserveEvents puts n events and a slab beside them on the free chain,
-// in one allocation: a caller about to schedule n events that wait
-// together — a run registering every flow's start — pays one malloc for
-// them, not one per eventSlab, and the events the run keeps pending
-// besides still have their slab.
-func (e *Engine) ReserveEvents(n int) {
-	slab := make([]event, n+eventSlab)
-	for i := range slab[:len(slab)-1] {
-		slab[i].next = &slab[i+1]
-	}
-	slab[len(slab)-1].next = e.free
-	e.free = &slab[0]
-}
+// ReserveEvents readies n events and a chunk beside them in one
+// allocation: a caller about to schedule n events that wait together —
+// a run registering every flow's start — pays one malloc for them, not
+// one per eventChunk, and the events the run keeps pending besides
+// still have their chunk.
+func (e *Engine) ReserveEvents(n int) { e.events.Reserve(n + eventChunk) }
 
 // recycle invalidates outstanding Timer handles (generation bump),
 // releases the handler and its arg, and pushes the event — which must be
@@ -420,8 +411,7 @@ func (e *Engine) ReserveEvents(n int) {
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
 	ev.h, ev.arg = nil, nil
-	ev.next = e.free
-	e.free = ev
+	e.events.Put(ev, eventLink)
 }
 
 // Run executes events in order until the queue drains, the horizon is

@@ -78,7 +78,7 @@ func TestEvery(t *testing.T) {
 	NewEngine().Every(0, 0, 100, 1, func() bool { return true })
 }
 
-// TestEveryAllocs: once the first tick has taken the free chain's slab,
+// TestEveryAllocs: once the first tick has carved the pool's first chunk,
 // a ticker allocates nothing — each tick reuses the event the previous
 // one released.
 func TestEveryAllocs(t *testing.T) {

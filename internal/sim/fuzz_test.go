@@ -261,13 +261,15 @@ func (r *fuzzScript) run() {
 		}
 	}
 	free := freeChain(r.t, r.e)
-	if len(free)%eventSlab != 0 {
-		r.t.Fatalf("%s: free chain holds %d events, not a whole number of %d-event slabs", r.name, len(free), eventSlab)
-	}
+	handed := map[*event]bool{}
 	for id, tm := range r.timers {
 		if !free[tm.ev] {
 			r.t.Fatalf("%s: event %d is not back on the free chain", r.name, id)
 		}
+		handed[tm.ev] = true
+	}
+	if len(free) != len(handed) {
+		r.t.Fatalf("%s: free chain holds %d events, the script was handed %d", r.name, len(free), len(handed))
 	}
 	if isWheel {
 		r.auditWheel(w) // nothing pending: every bucket, due chain and the overflow are empty

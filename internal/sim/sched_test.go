@@ -362,7 +362,7 @@ func TestSameInstantStorm(t *testing.T) {
 func freeChain(t testing.TB, e *Engine) map[*event]bool {
 	t.Helper()
 	seen := map[*event]bool{}
-	for ev := e.free; ev != nil; ev = ev.next {
+	for ev := e.events.Top(); ev != nil; ev = ev.next {
 		if seen[ev] {
 			t.Fatalf("free chain reaches event %p twice", ev)
 		}
@@ -373,7 +373,7 @@ func freeChain(t testing.TB, e *Engine) map[*event]bool {
 
 // TestEngineEventPoolReuse checks that the free chain actually recycles:
 // a serial schedule/dispatch cycle has one event in flight at a time, so
-// it must never need a second slab.
+// it reuses one event throughout and the chain ends holding it alone.
 func TestEngineEventPoolReuse(t *testing.T) {
 	e := NewEngine()
 	n := 0
@@ -389,11 +389,11 @@ func TestEngineEventPoolReuse(t *testing.T) {
 	if n != 10_000 {
 		t.Fatalf("ran %d events, want 10000", n)
 	}
-	if got := len(freeChain(t, e)); got != eventSlab {
-		t.Errorf("free chain holds %d events after a serial workload, want one slab of %d", got, eventSlab)
+	if got := len(freeChain(t, e)); got != 1 {
+		t.Errorf("free chain holds %d events after a serial workload, want 1", got)
 	}
-	if size := unsafe.Sizeof(event{}) * eventSlab; size != 8192 && unsafe.Sizeof(uintptr(0)) == 8 {
-		t.Errorf("a slab is %d bytes, want the 8192-byte size class exactly", size)
+	if size := unsafe.Sizeof(event{}) * eventChunk; size != 8192 && unsafe.Sizeof(uintptr(0)) == 8 {
+		t.Errorf("a chunk is %d bytes, want the 8192-byte size class exactly", size)
 	}
 }
 

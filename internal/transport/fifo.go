@@ -1,5 +1,7 @@
 package transport
 
+import "amrt/internal/slab"
+
 // FIFO is a first-in first-out queue kept in a chain of blocks. The
 // stacks' pacer and loss-recovery queues fill and drain continuously,
 // and a synchronized incast makes a recovery queue hold thousands of
@@ -34,29 +36,28 @@ type fifoBlock[T any] struct {
 }
 
 // FIFOPool is the free list of FIFO blocks the queues of one protocol
-// instance share. A fresh block's entries are one allocation of the
-// length asked for, its header comes from a slab. The zero value is an
-// empty pool; a pool must not be shared across goroutines.
+// instance share. A fresh block's header comes from the pool's slab and
+// its entries are one allocation of the length asked for: carving them
+// too would strand a chunk's tail whenever a queue's next block outgrows
+// it, which costs a run of a few flows more bytes than the allocations
+// it saves. The zero value is an empty pool; a pool must not be shared
+// across goroutines.
 type FIFOPool[T any] struct {
-	free *fifoBlock[T]
-	hdrs slab[fifoBlock[T]]
+	blocks slab.Pool[fifoBlock[T]]
 }
 
 // block returns a free block, or a fresh one of n entries.
 func (p *FIFOPool[T]) block(n int) *fifoBlock[T] {
-	if b := p.free; b != nil {
-		p.free, b.next = b.next, nil
-		return b
+	b := p.blocks.Pop(fifoLink)
+	if b == nil {
+		b = p.blocks.One()
+		b.ents = make([]T, n)
 	}
-	b := p.hdrs.next()
-	b.ents = make([]T, n)
 	return b
 }
 
-// put returns a block whose entries are all zero to the free list.
-func (p *FIFOPool[T]) put(b *fifoBlock[T]) {
-	b.next, p.free = p.free, b
-}
+// fifoLink is the free list's link: the block's queue link.
+func fifoLink[T any](b *fifoBlock[T]) **fifoBlock[T] { return &b.next }
 
 // SetPool makes q take its blocks from p and return them there. Call it
 // before the first Push.
@@ -119,7 +120,7 @@ func (q *FIFO[T]) Pop() T {
 		q.head = nil // the block stays as tail: the pacer pattern refills it
 	} else if q.hi == len(b.ents) {
 		q.head, q.hi = b.next, 0
-		q.pool.put(b)
+		q.pool.blocks.Put(b, fifoLink)
 	}
 	return v
 }
@@ -133,7 +134,7 @@ func (q *FIFO[T]) Reset() {
 	for b != nil {
 		next := b.next
 		clear(b.ents)
-		q.pool.put(b)
+		q.pool.blocks.Put(b, fifoLink)
 		b = next
 	}
 	q.head, q.tail, q.hi, q.ti, q.n = nil, nil, 0, 0, 0

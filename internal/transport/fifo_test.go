@@ -27,7 +27,7 @@ func checkFIFOs(pool *FIFOPool[int], qs []FIFO[int], models [][]int, seen map[*f
 		}
 		return nil
 	}
-	for b := pool.free; b != nil; b = b.next {
+	for b := pool.blocks.Top(); b != nil; b = b.next {
 		if err := claim(b, "the free list"); err != nil {
 			return err
 		}

@@ -6,6 +6,7 @@ import (
 	"amrt/internal/metrics"
 	"amrt/internal/netsim"
 	"amrt/internal/sim"
+	"amrt/internal/slab"
 	"amrt/internal/stats"
 )
 
@@ -65,9 +66,9 @@ type Kernel struct {
 	flows   FlowTable[Flow]
 	ordered []*Flow
 
-	// slab is where NewFlow carves flow records from: one array for the
-	// flows Reserve announced, slabs past them.
-	slab slab[Flow]
+	// flowSlab is where NewFlow carves flow records from: one array for
+	// the flows Reserve announced, chunks past them.
+	flowSlab slab.Slab[Flow]
 
 	// words is the instance's pool of bitmap backing arrays: every
 	// Records table of the instance draws from it.
@@ -88,9 +89,6 @@ type Kernel struct {
 	// kernel installs on every host it serves.
 	hooks    Hooks
 	dispatch func(pkt *netsim.Packet)
-	// owned is how many hosts the kernel's shard owns, counted at the
-	// first HostTable carve (0 before); see hostsOwned.
-	owned int
 
 	// shard is the engine shard the kernel schedules on (see Config.Shard).
 	shard *netsim.Shard
@@ -120,11 +118,11 @@ func NewKernel(net *netsim.Network, cfg Config) Kernel {
 // created flows NewFlow will make are carved from one array, so are the
 // engine events of their starts (Release), and the flow index and
 // OrderedFlows are sized for IDs up to maxID and for the known flows,
-// created and adopted. Past the reservation flows come from slabs and
+// created and adopted. Past the reservation flows come from chunks and
 // the index grows, as they do without one.
 func (k *Kernel) Reserve(created, known int, maxID netsim.FlowID) {
 	if created > 0 {
-		k.slab.reserve(created)
+		k.flowSlab.Reserve(created)
 		k.Engine().ReserveEvents(created)
 	}
 	k.flows.recs = grown(k.flows.recs, int(maxID)+1)
@@ -168,7 +166,7 @@ func (k *Kernel) NewFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, st
 	if k.flows.Get(id) != nil {
 		panic(fmt.Sprintf("transport: duplicate flow id %d", id))
 	}
-	f := k.slab.next() // flows live as long as the run
+	f := k.flowSlab.One() // flows live as long as the run
 	*f = Flow{
 		ID: id, Src: src, Dst: dst, Size: size, Start: start,
 		NPkts: int32((size + int64(k.Cfg.MSS) - 1) / int64(k.Cfg.MSS)),
@@ -390,13 +388,11 @@ func (k *Kernel) deliver(pkt *netsim.Packet) {
 
 // hostsOwned returns how many of the network's hosts the kernel's shard
 // owns: the most per-host records an instance can build.
-func (k *Kernel) hostsOwned() int {
-	if k.owned == 0 {
-		for _, h := range k.Net.Hosts() {
-			if k.shard.Owns(h) {
-				k.owned++
-			}
+func (k *Kernel) hostsOwned() (n int) {
+	for _, h := range k.Net.Hosts() {
+		if k.shard.Owns(h) {
+			n++
 		}
 	}
-	return k.owned
+	return n
 }

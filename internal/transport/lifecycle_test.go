@@ -480,18 +480,19 @@ func TestRecvTimerAllocs(t *testing.T) {
 	}
 }
 
-// TestFlowSlabAllocs: flow records come from slabs that double from 2 to
-// 64, so a thousand flows cost twenty mallocs for their records
+// TestFlowSlabAllocs: flow records come from chunks that double from 2
+// to 64, so a thousand flows cost twenty mallocs for their records
 // (2+4+…+64 = 126 flows in six, the other 874 in fourteen) and a
 // three-flow figure run two — and every record is its own. A kernel
-// that reserves its flows (Kernel.Reserve, as every run does) pays four
-// mallocs for them at any count: one array of records, the flow index,
-// the creation order and the start events; flows past the reservation
-// fall back to the slabs.
+// that reserves its flows (Kernel.Reserve, as every run does) pays three
+// mallocs for them at any count: one array of records, the flow index
+// and the creation order (the start events' chunk comes when the starts
+// are scheduled); flows past the reservation fall back to chunks of 64,
+// twice the reservation capped.
 func TestFlowSlabAllocs(t *testing.T) {
 	n, a, b := newLifecycleNet()
 	for _, c := range []struct{ flows, reserve, max int }{
-		{1000, 0, 20}, {3, 0, 2}, {1000, 1000, 4}, {3, 3, 4}, {1000, 900, 4 + 3},
+		{1000, 0, 20}, {3, 0, 2}, {1000, 1000, 3}, {3, 3, 3}, {1000, 900, 3 + 2},
 	} {
 		kernels := make([]Kernel, 2) // AllocsPerRun adds a warm-up call
 		for i := range kernels {

@@ -1,6 +1,9 @@
 package transport
 
-import "amrt/internal/netsim"
+import (
+	"amrt/internal/netsim"
+	"amrt/internal/slab"
+)
 
 // Record is the header every pooled record embeds: what its table keeps
 // across the record's lives. A record that ends goes on its table's free
@@ -34,53 +37,51 @@ type record[R any] interface {
 // Records is a FlowTable of pooled records — a stack's receiver records
 // (see Receiver), or sender-side per-flow state — with the pool they
 // come from. A record that End hands back is the next one taken; with
-// none free, records are carved from slabs, like the kernel's flows.
-// Stacks that keep a finished flow's record (to answer a late RTS or
-// re-ACK) never End theirs and only Drop them, so they get the slabs and
-// no reuse; they hand the record's bitmaps back when the flow completes
-// (ReleaseBitmaps). The zero value is empty.
+// none free, records are carved from the pool's slab, like the kernel's
+// flows. Stacks that keep a finished flow's record (to answer a late RTS
+// or re-ACK) never End theirs and only Drop them, so they get the slab
+// and no reuse; they hand the record's bitmaps back when the flow
+// completes (ReleaseBitmaps). The zero value is empty.
 type Records[R any, P record[R]] struct {
 	FlowTable[R]
-	free   *R // ended records, chained through Record.next
-	slab   slab[R]
-	carved int       // records taken from the slab
-	words  *WordPool // the kernel's, bound by New
+	pool  slab.Pool[R] // ended records, chained through Record.next
+	words *WordPool    // the kernel's, bound by New
 }
 
 // New stores a record for flow id of k, which must have none, and
 // returns it for the caller to fill in: the last one ended, zeroed but
 // for its incarnation, or else a fresh one. The first call sizes the
-// table like k's flow index, which covers the run's flow IDs, and binds
-// the table to k's WordPool.
+// table like k's flow index, which covers the run's flow IDs, binds the
+// table to k's WordPool, and bounds the records it carves by k's flows,
+// one each: a run with three flows carves three, not 2 + 4.
 func (t *Records[R, P]) New(k *Kernel, id netsim.FlowID) *R {
 	if t.words == nil {
 		t.words = &k.words
+		t.pool.Bound(k.flows.Len())
 	}
 	t.recs = grown(t.recs, len(k.flows.recs))
-	r := t.take(k.flows.Len())
+	r := t.take()
 	t.Put(id, r)
 	return r
 }
 
 // take returns a record that belongs to no flow: the last one ended,
-// zeroed but for its incarnation, or else a fresh one. The slab it
-// carves is no longer than the records flows (its kernel's) could still
-// want, one per flow; past that, which only a stack that rebuilds
-// without End reaches, one record at a time.
-func (t *Records[R, P]) take(flows int) *R {
-	r := t.free
+// zeroed but for its incarnation, or else a fresh one.
+func (t *Records[R, P]) take() *R {
+	r := t.pool.Pop(recordLink[R, P])
 	if r == nil {
-		t.carved++
-		return t.slab.nextOf(flows - t.carved + 1)
+		return t.pool.One()
 	}
 	h := P(r).record()
-	t.free = h.next
 	inc := h.inc
 	var zero R
 	*r = zero
 	h.inc = inc
 	return r
 }
+
+// recordLink is the pool's link: the header's free chain.
+func recordLink[R any, P record[R]](r *R) **R { return &P(r).record().next }
 
 // InitBitmaps makes each of bs, bitmaps inside r (a record of t), an
 // empty bitmap of n bits. Bitmaps of ≤ 64 bits keep their word inline;
@@ -119,7 +120,7 @@ func (t *Records[R, P]) End(id netsim.FlowID) {
 	h := P(r).record()
 	t.putWords(h)
 	h.inc++
-	h.next, t.free = t.free, r
+	t.pool.Put(r, recordLink[R, P])
 }
 
 // putWords hands h's array, if any, back to the pool.

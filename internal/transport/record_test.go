@@ -3,7 +3,9 @@ package transport
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"amrt/internal/netsim"
 	"amrt/internal/sim"
@@ -48,8 +50,8 @@ func (m *poolModel) build(t *Records[poolRec, *poolRec], other *poolModel, id ne
 	if t.Get(id) != nil {
 		return nil
 	}
-	want := t.free
-	r := t.take(poolFlows)
+	want := t.pool.Top()
+	r := t.take()
 	inc, reused := m.seen[r]
 	switch {
 	case want != nil && r != want:
@@ -139,7 +141,7 @@ func (m *poolModel) end(t *Records[poolRec, *poolRec], id netsim.FlowID) error {
 		return fmt.Errorf("End took record %p from incarnation %d to %d", r, m.seen[r], r.inc)
 	}
 	m.seen[r] = r.inc
-	if t.free != r {
+	if t.pool.Top() != r {
 		return fmt.Errorf("the ended record %p is not the next one free", r)
 	}
 	return nil
@@ -147,8 +149,8 @@ func (m *poolModel) end(t *Records[poolRec, *poolRec], id netsim.FlowID) error {
 
 // check holds the table to the model after a step: the same records
 // stored; every record handed out either stored or free, never both and
-// never in the other table; no more slab slots than the peak live count
-// plus one slab.
+// never in the other table; no more records handed out than the peak
+// live count.
 func (m *poolModel) check(t *Records[poolRec, *poolRec], other *poolModel) error {
 	if t.Len() != len(m.live) {
 		return fmt.Errorf("Len %d, model %d", t.Len(), len(m.live))
@@ -163,7 +165,7 @@ func (m *poolModel) check(t *Records[poolRec, *poolRec], other *poolModel) error
 		stored[r] = true
 	}
 	free := map[*poolRec]bool{}
-	for r := t.free; r != nil; r = r.next {
+	for r := t.pool.Top(); r != nil; r = r.next {
 		switch _, ok := m.seen[r]; {
 		case free[r]:
 			return fmt.Errorf("record %p is on the free chain twice", r)
@@ -182,8 +184,8 @@ func (m *poolModel) check(t *Records[poolRec, *poolRec], other *poolModel) error
 	if len(stored)+len(free) != len(m.seen) {
 		return fmt.Errorf("%d records handed out, %d stored and %d free", len(m.seen), len(stored), len(free))
 	}
-	if slots := len(m.seen) + len(t.slab.free); slots > m.peak+slabMax {
-		return fmt.Errorf("%d slab slots for a peak of %d live records", slots, m.peak)
+	if len(m.seen) > m.peak {
+		return fmt.Errorf("%d records handed out for a peak of %d live", len(m.seen), m.peak)
 	}
 	return nil
 }
@@ -271,19 +273,29 @@ func FuzzReceiverPool(f *testing.F) {
 
 // TestRecordsCarveForTheFlows: a table carves no more records than its
 // kernel has flows — a run with three flows gets three, not the 2 + 4
-// of two slabs — and reuses an ended record before it carves.
+// of two chunks — and reuses an ended record before it carves.
 func TestRecordsCarveForTheFlows(t *testing.T) {
-	var tb Records[poolRec, *poolRec]
+	n, a, b := newLifecycleNet()
+	k := NewKernel(n, Config{RTT: testRTT})
 	for id := netsim.FlowID(1); id <= 3; id++ {
-		tb.Put(id, tb.take(3))
+		k.NewFlow(id, a, b, 1000, 0)
 	}
-	if tb.carved != 3 || len(tb.slab.free) != 0 {
-		t.Errorf("3 flows: %d carved, %d spare slots; want 3 and 0", tb.carved, len(tb.slab.free))
+	var tb Records[poolRec, *poolRec]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for id := netsim.FlowID(1); id <= 3; id++ {
+		tb.New(&k, id)
+	}
+	runtime.ReadMemStats(&after)
+	// Three records and the index (4 pointers, far less than a record)
+	// cost less than four records: a spare slot would cost at least that.
+	if got, most := after.TotalAlloc-before.TotalAlloc, 4*uint64(unsafe.Sizeof(poolRec{})); got >= most {
+		t.Errorf("3 flows: %d bytes for their records, want under the %d of 4: no spare slot", got, most)
 	}
 	r := tb.Get(2)
 	tb.End(2)
-	if got := tb.take(3); got != r || tb.carved != 3 {
-		t.Errorf("after an End: took %p (carved %d), want the ended %p", got, tb.carved, r)
+	if got := tb.take(); got != r {
+		t.Errorf("after an End: took %p, want the ended %p", got, r)
 	}
 }
 
@@ -293,13 +305,13 @@ func TestRecordsCarveForTheFlows(t *testing.T) {
 // longer one gets an array of exactly its length.
 func TestRecordInitBitmapsAllocs(t *testing.T) {
 	tb := Records[poolRec, *poolRec]{words: new(WordPool)}
-	r := tb.take(poolFlows)
+	r := tb.take()
 	tb.Put(1, r)
 	tb.InitBitmaps(r, 1000, &r.a, &r.b)
 	r.a.Set(999)
 	tb.End(1)
 	got := testing.AllocsPerRun(100, func() {
-		r = tb.take(poolFlows)
+		r = tb.take()
 		tb.Put(1, r)
 		tb.InitBitmaps(r, 700, &r.a, &r.b)
 		r.a.Set(699)
@@ -308,7 +320,7 @@ func TestRecordInitBitmapsAllocs(t *testing.T) {
 	if got != 0 {
 		t.Errorf("a shorter life: %.1f allocs, want 0", got)
 	}
-	r = tb.take(poolFlows)
+	r = tb.take()
 	tb.Put(1, r)
 	tb.InitBitmaps(r, 700, &r.a, &r.b)
 	if r.a.Count() != 0 || r.a.Get(699) || r.a.Len() != 700 || len(r.words) != 2*16 {

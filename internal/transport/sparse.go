@@ -1,5 +1,7 @@
 package transport
 
+import "amrt/internal/slab"
+
 // Sparse maps packet sequence numbers to values for the few sequences
 // of a flow that are in an exceptional state at once: core's and SIRD's
 // reissue times of the sequences awaiting a retransmission. (pHost's
@@ -38,26 +40,15 @@ type sparseChunk[V any] struct {
 }
 
 // SparsePool is the free list of Sparse chunks the records of one
-// protocol instance share. Fresh chunks are carved from a slab that
-// starts at two chunks and doubles to 64. The zero value is an empty
-// pool; a pool must not be shared across goroutines.
+// protocol instance share, carved from a slab when it runs dry. A chunk
+// on it has all its entries zero. The zero value is an empty pool; a
+// pool must not be shared across goroutines.
 type SparsePool[V any] struct {
-	free   *sparseChunk[V]
-	chunks slab[sparseChunk[V]]
+	chunks slab.Pool[sparseChunk[V]]
 }
 
-func (p *SparsePool[V]) get() *sparseChunk[V] {
-	if c := p.free; c != nil {
-		p.free, c.next = c.next, nil
-		return c
-	}
-	return p.chunks.next()
-}
-
-// put returns a chunk whose entries are all zero to the free list.
-func (p *SparsePool[V]) put(c *sparseChunk[V]) {
-	c.next, p.free = p.free, c
-}
+// sparseLink is the free list's link: the chunk's set link.
+func sparseLink[V any](c *sparseChunk[V]) **sparseChunk[V] { return &c.next }
 
 // SetPool makes s take its chunks from p and return them there. Call it
 // while s is empty.
@@ -109,7 +100,10 @@ func (s *Sparse[V]) Put(seq int32, v V) {
 		if s.pool == nil {
 			s.pool = new(SparsePool[V])
 		}
-		c := s.pool.get()
+		c := s.pool.chunks.Pop(sparseLink)
+		if c == nil {
+			c = s.pool.chunks.One()
+		}
 		c.next, s.top = s.top, c
 	}
 	s.top.ents[k] = sparseEnt[V]{seq, v}
@@ -132,7 +126,7 @@ func (s *Sparse[V]) Delete(seq int32) {
 	if m == 1 {
 		t := s.top
 		s.top = t.next
-		s.pool.put(t)
+		s.pool.chunks.Put(t, sparseLink)
 	}
 }
 
@@ -142,7 +136,7 @@ func (s *Sparse[V]) Release() {
 	for c := s.top; c != nil; {
 		next := c.next
 		c.ents = [sparseChunkLen]sparseEnt[V]{}
-		s.pool.put(c)
+		s.pool.chunks.Put(c, sparseLink)
 		c = next
 	}
 	s.top, s.n = nil, 0

@@ -116,7 +116,7 @@ func checkSparses(pool *SparsePool[int], ss []Sparse[int], models []map[int32]in
 		owner[c] = who
 		return nil
 	}
-	for c := pool.free; c != nil; c = c.next {
+	for c := pool.chunks.Top(); c != nil; c = c.next {
 		if err := claim(c, "the free list"); err != nil {
 			return err
 		}

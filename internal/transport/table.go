@@ -1,6 +1,9 @@
 package transport
 
-import "amrt/internal/netsim"
+import (
+	"amrt/internal/netsim"
+	"amrt/internal/slab"
+)
 
 // FlowTable holds at most one record per flow, indexed by flow ID. Every
 // workload generator numbers its flows 1..N, so a slice does a map's job
@@ -70,9 +73,8 @@ func grown[T any](recs []*T, n int) []*T {
 // per-host state costs two allocations per table, not one per host. The
 // zero value is empty.
 type HostTable[T any] struct {
-	recs   []*T
-	slab   slab[T]
-	carved int
+	recs []*T
+	slab slab.Slab[T]
 }
 
 // Get returns id's record, or nil when none has been built.
@@ -91,10 +93,10 @@ func (t *HostTable[T]) Carve(k *Kernel, id netsim.NodeID) *T {
 	}
 	if t.recs == nil {
 		t.recs = make([]*T, len(k.Net.Hosts())+len(k.Net.Switches()))
+		t.slab.Reserve(k.hostsOwned())
 	}
 	t.recs = grown(t.recs, int(id)+1)
-	t.carved++
-	r := t.slab.nextIn(k.hostsOwned() - t.carved + 1)
+	r := t.slab.One()
 	t.recs[id] = r
 	return r
 }

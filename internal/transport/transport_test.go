@@ -133,7 +133,7 @@ func TestFIFO(t *testing.T) {
 			t.Fatalf("Peek = %d, want %d", *got, want)
 		}
 	}
-	if held := fifoEnts(q.pool.free) + fifoEnts(q.head); held > 32 {
+	if held := fifoEnts(q.pool.blocks.Top()) + fifoEnts(q.head); held > 32 {
 		t.Errorf("a queue of 8 holds %d entries of blocks", held)
 	}
 	for q.Len() > 0 {
@@ -142,7 +142,7 @@ func TestFIFO(t *testing.T) {
 	if q.head != nil || q.tail == nil || q.tail.next != nil {
 		t.Errorf("drained queue did not keep exactly one block: head %p, tail %p", q.head, q.tail)
 	}
-	for _, b := range []*fifoBlock[*int]{q.tail, q.pool.free} {
+	for _, b := range []*fifoBlock[*int]{q.tail, q.pool.blocks.Top()} {
 		for ; b != nil; b = b.next {
 			for _, p := range b.ents {
 				if p != nil {
@@ -181,7 +181,7 @@ func TestFIFO(t *testing.T) {
 	if q.Len() != 0 || q.head != nil {
 		t.Error("Reset left an element behind")
 	}
-	for b := q.pool.free; b != nil; b = b.next {
+	for b := q.pool.blocks.Top(); b != nil; b = b.next {
 		for _, p := range b.ents {
 			if p != nil {
 				t.Fatal("Reset left a pointer in a free block")
