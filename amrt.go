@@ -75,8 +75,8 @@ var (
 	// ErrBadPattern reports pattern knobs that contradict the selected
 	// pattern or topology (e.g. an incast degree ≥ the host count).
 	ErrBadPattern = errors.New("bad pattern parameters")
-	// ErrBadPolicy reports a SweepConfig failure policy with a negative
-	// Retries, CellTimeout, or RetryBackoff (see SweepConfig.Validate).
+	// ErrBadPolicy reports a SweepConfig with a negative CellTimeout
+	// (see SweepConfig.Validate).
 	ErrBadPolicy = errors.New("bad failure policy")
 	// ErrBadShards reports a Config.Shards outside [0, 256].
 	ErrBadShards = errors.New("bad shard count")

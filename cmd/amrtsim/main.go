@@ -8,7 +8,7 @@
 // loads × faults × seeds — in parallel with a resumable result cache
 // (see docs/API.md). The `serve` subcommand runs the campaign daemon:
 // sweeps submitted as HTTP jobs against a journaled ledger and shared
-// cache, with per-cell retry/quarantine and graceful drain (see
+// cache, with per-cell quarantine and graceful drain (see
 // docs/SERVICE.md).
 //
 // Examples:
@@ -22,7 +22,7 @@
 //	amrtsim sweep -protos NDP,AMRT -loads 0.3,0.5,0.7 -seeds 1,2,3 \
 //	    -cache .sweep-cache -json campaign.json -csv campaign.csv
 //	amrtsim sweep -topos 'fattree:k=4|leafspine' -pattern incast -degrees 4,8
-//	amrtsim serve -state .amrtsim-serve -addr 127.0.0.1:8340 -retries 2
+//	amrtsim serve -state .amrtsim-serve -addr 127.0.0.1:8340 -cell-timeout 10m
 package main
 
 import (

@@ -42,12 +42,14 @@ func TestCompareGolden(t *testing.T) {
 
 // TestServeRefusesBadSpecs: the daemon's submission check (specToSweep,
 // then Validate; an error is HTTP 400) refuses a spec with the retired
-// shards axis, one whose seeds repeat once 0 counts as 1, and one that
-// repeats a load.
+// shards axis or retry fields, one whose seeds repeat once 0 counts as
+// 1, and one that repeats a load.
 func TestServeRefusesBadSpecs(t *testing.T) {
 	const same = `"AMRT WebSearch load=0.5 seed=1" and "AMRT WebSearch load=0.5 seed=1" are the same run`
 	for spec, want := range map[string]string{
 		`{"shards":[2]}`:                        `unknown field "shards"`,
+		`{"retries":2}`:                         `unknown field "retries"`,
+		`{"retry_backoff":"1s"}`:                `unknown field "retry_backoff"`,
 		`{"protos":["AMRT"],"seeds":[0,1]}`:     same,
 		`{"protos":["AMRT"],"loads":[0.5,0.5]}`: same,
 	} {

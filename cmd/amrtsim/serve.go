@@ -21,11 +21,10 @@ import (
 )
 
 // sweepSpec is the JSON job spec accepted by POST /jobs: the sweep
-// axes and base-config knobs of `amrtsim sweep`, plus optional
-// per-job failure-policy overrides. Durations are Go duration strings
-// ("250ms") or integer nanoseconds. Zero values fall back to the
-// daemon-wide defaults set by the serve flags; docs/SERVICE.md has the
-// full schema.
+// axes and base-config knobs of `amrtsim sweep`, plus an optional
+// per-job cell timeout. Durations are Go duration strings ("250ms") or
+// integer nanoseconds. A zero cell timeout falls back to the daemon's
+// -cell-timeout; docs/SERVICE.md has the full schema.
 type sweepSpec struct {
 	Protocols  []string  `json:"protos,omitempty"`
 	Workloads  []string  `json:"workloads,omitempty"`
@@ -50,11 +49,8 @@ type sweepSpec struct {
 	Timeout      specDuration `json:"timeout,omitempty"`
 	Audit        bool         `json:"audit,omitempty"`
 
-	// Per-job failure-policy overrides; zero values inherit the
-	// daemon's -retries / -retry-backoff / -cell-timeout defaults.
-	Retries      int          `json:"retries,omitempty"`
-	RetryBackoff specDuration `json:"retry_backoff,omitempty"`
-	CellTimeout  specDuration `json:"cell_timeout,omitempty"`
+	// CellTimeout overrides the daemon's -cell-timeout for this job.
+	CellTimeout specDuration `json:"cell_timeout,omitempty"`
 }
 
 // specDuration is a time.Duration that unmarshals from either a Go
@@ -83,12 +79,10 @@ func (d *specDuration) UnmarshalJSON(raw []byte) error {
 // servePolicy is the daemon-wide execution defaults a spec's zero
 // fields inherit.
 type servePolicy struct {
-	cacheDir     string
-	workers      int
-	retries      int
-	retryBackoff time.Duration
-	cellTimeout  time.Duration
-	quarantine   bool
+	cacheDir    string
+	workers     int
+	cellTimeout time.Duration
+	quarantine  bool
 }
 
 // specToSweep resolves a job spec against the daemon defaults into the
@@ -127,12 +121,10 @@ func specToSweep(raw json.RawMessage, pol servePolicy) (amrt.SweepConfig, error)
 			Timeout: time.Duration(spec.Timeout),
 			Audit:   spec.Audit,
 		},
-		CacheDir:     pol.cacheDir,
-		Workers:      pol.workers,
-		Retries:      pol.retries,
-		RetryBackoff: pol.retryBackoff,
-		CellTimeout:  pol.cellTimeout,
-		Quarantine:   pol.quarantine,
+		CacheDir:    pol.cacheDir,
+		Workers:     pol.workers,
+		CellTimeout: pol.cellTimeout,
+		Quarantine:  pol.quarantine,
 	}
 	if spec.Topo != "" {
 		t, err := amrt.ParseTopology(spec.Topo)
@@ -141,12 +133,6 @@ func specToSweep(raw json.RawMessage, pol servePolicy) (amrt.SweepConfig, error)
 		}
 		sc.Base.Topology = t
 	}
-	if spec.Retries != 0 {
-		sc.Retries = spec.Retries
-	}
-	if spec.RetryBackoff != 0 {
-		sc.RetryBackoff = time.Duration(spec.RetryBackoff)
-	}
 	if spec.CellTimeout != 0 {
 		sc.CellTimeout = time.Duration(spec.CellTimeout)
 	}
@@ -154,37 +140,32 @@ func specToSweep(raw json.RawMessage, pol servePolicy) (amrt.SweepConfig, error)
 }
 
 // serveMain implements `amrtsim serve`: the resilient campaign daemon.
-// It journals every job to a ledger under -state, shares one result
-// cache across jobs, retries and quarantines failing cells per the
-// policy flags, and drains gracefully on SIGINT/SIGTERM — in-flight
-// jobs checkpoint into the cache and resume on the next start.
+// It journals every job to a ledger under -state, runs one job at a
+// time, shares one result cache across jobs, runs each cell once and
+// quarantines a failed one (unless -strict), and drains gracefully on
+// SIGINT/SIGTERM — in-flight jobs checkpoint into the cache and resume
+// on the next start.
 // docs/SERVICE.md documents the HTTP API and operational semantics.
 func serveMain(args []string) int {
 	fs := flag.NewFlagSet("amrtsim serve", flag.ExitOnError)
 	var (
-		addr       = fs.String("addr", "127.0.0.1:8340", "listen address")
-		stateDir   = fs.String("state", ".amrtsim-serve", "state directory: job ledger, results, and the shared sweep cache")
-		jobWorkers = fs.Int("job-workers", 1, "jobs run concurrently (cells within a job parallelize separately)")
-		workers    = fs.Int("workers", 0, "per-job cell worker cap (0 = GOMAXPROCS)")
-		retries    = fs.Int("retries", 2, "default per-cell retries before a cell is quarantined")
-		backoff    = fs.Duration("retry-backoff", 100*time.Millisecond, "base delay before a cell's first retry (doubles per attempt)")
-		cellTO     = fs.Duration("cell-timeout", 0, "default per-cell attempt budget (0 = unbounded)")
-		strict     = fs.Bool("strict", false, "fail a whole job on its first exhausted cell instead of quarantining it")
-		drain      = fs.Duration("drain", 30*time.Second, "graceful-drain budget on SIGINT/SIGTERM before in-flight jobs are checkpointed")
+		addr     = fs.String("addr", "127.0.0.1:8340", "listen address")
+		stateDir = fs.String("state", ".amrtsim-serve", "state directory: job ledger, results, and the shared sweep cache")
+		workers  = fs.Int("workers", 0, "per-job cell worker cap (0 = GOMAXPROCS)")
+		cellTO   = fs.Duration("cell-timeout", 0, "default per-cell budget (0 = unbounded)")
+		strict   = fs.Bool("strict", false, "fail a whole job on its first failed cell instead of quarantining it")
+		drain    = fs.Duration("drain", 30*time.Second, "graceful-drain budget on SIGINT/SIGTERM before in-flight jobs are checkpointed")
 	)
 	fs.Parse(args)
 
 	pol := servePolicy{
-		cacheDir:     filepath.Join(*stateDir, "cache"),
-		workers:      *workers,
-		retries:      *retries,
-		retryBackoff: *backoff,
-		cellTimeout:  *cellTO,
-		quarantine:   !*strict,
+		cacheDir:    filepath.Join(*stateDir, "cache"),
+		workers:     *workers,
+		cellTimeout: *cellTO,
+		quarantine:  !*strict,
 	}
 	srv, err := server.New(server.Config{
-		StateDir:   *stateDir,
-		JobWorkers: *jobWorkers,
+		StateDir: *stateDir,
 		Validate: func(spec json.RawMessage) error {
 			sc, err := specToSweep(spec, pol)
 			if err != nil {
@@ -197,13 +178,7 @@ func serveMain(args []string) int {
 			if err != nil {
 				return nil, err
 			}
-			// The job snapshot holds the ledger counters only.
-			sc.Progress = func(p amrt.SweepProgress) {
-				progress(campaign.Progress{
-					Done: p.Done, Total: p.Total,
-					Hits: p.CacheHits, Misses: p.CacheMisses, Failed: p.Failed,
-				})
-			}
+			sc.Progress = progress
 			res, err := amrt.Sweep(ctx, sc)
 			if err != nil {
 				return nil, err
@@ -226,8 +201,7 @@ func serveMain(args []string) int {
 		return 2
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
-	fmt.Fprintf(os.Stderr, "amrtsim serve: listening on %s (state %s, %d job workers)\n",
-		ln.Addr(), *stateDir, *jobWorkers)
+	fmt.Fprintf(os.Stderr, "amrtsim serve: listening on %s (state %s)\n", ln.Addr(), *stateDir)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

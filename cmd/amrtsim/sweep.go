@@ -50,10 +50,8 @@ func sweepMain(args []string) int {
 		timeout   = fs.Duration("timeout", 0, "virtual-time horizon per point (0 = default 20s)")
 		cacheDir  = fs.String("cache", "", "resumable result-cache directory ('' disables caching)")
 		workers   = fs.Int("workers", 0, "worker cap (0 = GOMAXPROCS)")
-		cellTO    = fs.Duration("cell-timeout", 0, "per-point attempt budget; an attempt past it fails and is retried (0 = unbounded)")
-		retries   = fs.Int("retries", 0, "re-attempts a failing point gets before the campaign gives up on it")
-		backoff   = fs.Duration("retry-backoff", 0, "base delay before a point's first retry (doubles per attempt)")
-		quarArg   = fs.Bool("quarantine", false, "keep the campaign running past exhausted points; they are reported as FAILED instead of aborting the sweep")
+		cellTO    = fs.Duration("cell-timeout", 0, "per-point budget; a point past it fails (0 = unbounded)")
+		quarArg   = fs.Bool("quarantine", false, "keep the campaign running past failed points; they are reported as FAILED instead of aborting the sweep")
 		jsonPath  = fs.String("json", "", "write the full campaign report as JSON to this file")
 		csvPath   = fs.String("csv", "", "write the per-cell aggregate table as CSV to this file")
 		quiet     = fs.Bool("q", false, "suppress per-point progress on stderr")
@@ -115,12 +113,10 @@ func sweepMain(args []string) int {
 			Timeout: *timeout,
 			Audit:   *auditArg,
 		},
-		CacheDir:     *cacheDir,
-		Workers:      *workers,
-		CellTimeout:  *cellTO,
-		Retries:      *retries,
-		RetryBackoff: *backoff,
-		Quarantine:   *quarArg,
+		CacheDir:    *cacheDir,
+		Workers:     *workers,
+		CellTimeout: *cellTO,
+		Quarantine:  *quarArg,
 	}
 	if !*quiet {
 		sc.Progress = func(p amrt.SweepProgress) {
@@ -128,7 +124,7 @@ func sweepMain(args []string) int {
 			if p.FromCache {
 				src = "cached"
 			}
-			fmt.Fprintf(os.Stderr, "[%d/%d] %s %s\n", p.Done, p.Total, p.SweepCoord, src)
+			fmt.Fprintf(os.Stderr, "[%d/%d] %s %s\n", p.Done, p.Total, p.Point, src)
 		}
 	}
 
@@ -178,15 +174,15 @@ func sweepMain(args []string) int {
 	return 0
 }
 
-// printSweepFailures lists the points the failure policy quarantined,
-// in grid order, with their attempt counts and final errors.
+// printSweepFailures lists the quarantined points in grid order, with
+// their errors.
 func printSweepFailures(res *amrt.SweepResult) {
 	if len(res.Failed) == 0 {
 		return
 	}
-	fmt.Printf("FAILED %d/%d points (quarantined after retries):\n", len(res.Failed), res.TotalPoints)
+	fmt.Printf("FAILED %d/%d points (quarantined):\n", len(res.Failed), res.TotalPoints)
 	for _, f := range res.Failed {
-		fmt.Printf("  %s: %d attempts: %s\n", f.SweepCoord, f.Attempts, f.Error)
+		fmt.Printf("  %s: %s\n", f.SweepCoord, f.Error)
 	}
 }
 

@@ -3,7 +3,9 @@ package campaign
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
+	"time"
 
 	"amrt/internal/experiment"
 	"amrt/internal/stats"
@@ -62,7 +64,7 @@ type Cell struct {
 }
 
 // Progress is delivered to the Config.Progress hook after every
-// resolved point — completed, or quarantined under the failure policy.
+// resolved point — completed, or quarantined under Config.Quarantine.
 // Callbacks run serialized under the campaign's lock: they may cancel
 // the campaign's context but must not block for long.
 type Progress struct {
@@ -70,14 +72,20 @@ type Progress struct {
 	Total  int
 	Hits   int
 	Misses int
-	// Failed counts points quarantined so far (always zero under the
-	// strict default policy, which cancels on the first failure).
+	// Failed counts points quarantined so far (always zero without
+	// Config.Quarantine, which cancels on the first failure).
 	Failed    int
 	Point     Point
 	FromCache bool
-	// Err carries the exhausted point's error text when this update
+	// Err carries the failed point's error text when this update
 	// reports a quarantined failure; empty on success.
 	Err string
+}
+
+// PointFailure is one quarantined point and its error text.
+type PointFailure struct {
+	Point Point  `json:"point"`
+	Error string `json:"error"`
 }
 
 // Config wires one campaign run.
@@ -102,16 +110,20 @@ type Config struct {
 	Decode func(payload []byte) (any, Metrics, error)
 	// Progress, when non-nil, observes every resolved point.
 	Progress func(Progress)
-	// Policy is the failure policy; the zero value is strict
-	// first-error-cancels-all (see FailurePolicy).
-	Policy FailurePolicy
+	// CellTimeout bounds each point with context.WithTimeout; a point
+	// that exceeds it fails without cancelling the campaign by itself.
+	// Zero means no per-point bound.
+	CellTimeout time.Duration
+	// Quarantine, when set, records a failed point in Result.Failed,
+	// its error verbatim, and keeps the campaign running. Unset, the
+	// first failed point cancels every remaining point.
+	Quarantine bool
 }
 
 // Result is what a campaign returns: per-point outcomes in grid order
 // (cancelled or failed points omitted), per-cell aggregates over the
-// points that did complete, the quarantine list (points that exhausted
-// the failure policy, in grid order; always empty under the strict
-// default policy), and the cache ledger.
+// points that did complete, the quarantine list (failed points in grid
+// order; always empty without Config.Quarantine), and the cache ledger.
 type Result struct {
 	Points []Outcome
 	Cells  []Cell
@@ -122,14 +134,14 @@ type Result struct {
 
 // Run executes the campaign. On context cancellation it stops
 // dispatching promptly, keeps every already-completed point, and
-// returns the partial Result together with ctx.Err(). Point failures
-// (cache I/O, runner error, cell timeout) follow Config.Policy: under
-// the strict zero value the first failure cancels the remaining points
-// and surfaces with the partial Result; with retries each point gets
-// bounded re-attempts under deterministic backoff first; with
-// Quarantine an exhausted point lands in Result.Failed and the rest of
-// the campaign proceeds. A panic inside a runner propagates as
-// *experiment.WorkerPanic, matching the figure harness's contract.
+// returns the partial Result together with ctx.Err(). Every point runs
+// once: it is a pure function of its config, so a failure (cache I/O,
+// runner error, cell timeout) would recur on a second run. By default
+// the first failure cancels the remaining points and surfaces with the
+// partial Result; with Quarantine the failed point lands in
+// Result.Failed and the rest of the campaign proceeds. A panic inside a
+// runner propagates as *experiment.WorkerPanic, matching the figure
+// harness's contract.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Run == nil {
 		return nil, errors.New("campaign: Config.Run is required")
@@ -148,7 +160,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	failures := make([]*PointFailure, n)
 	failed := 0
 	outcomes, _, _ := experiment.ParallelCtx(runCtx, n, cfg.Workers, func(i int) *Outcome {
-		o, attempts, err := runPointPolicy(runCtx, cfg, cfg.Points[i])
+		o, err := runPoint(runCtx, cfg, cfg.Points[i])
 		mu.Lock()
 		defer mu.Unlock()
 		if err != nil {
@@ -157,16 +169,16 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				// poisoned — cancellation surfaces as ctx.Err() below.
 				return nil
 			}
-			if !cfg.Policy.Quarantine {
-				// Strict policy: the first genuine point failure stops
-				// the rest of the sweep.
+			if !cfg.Quarantine {
+				// The first genuine point failure stops the rest of
+				// the sweep.
 				if firstErr == nil {
 					firstErr = err
 					cancel()
 				}
 				return nil
 			}
-			failures[i] = &PointFailure{Point: cfg.Points[i], Attempts: attempts, Error: err.Error()}
+			failures[i] = &PointFailure{Point: cfg.Points[i], Error: err.Error()}
 			done++
 			failed++
 			if cfg.Progress != nil {
@@ -214,8 +226,23 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// runPoint resolves one point: cache probe, then compute + store.
+// runPoint resolves one point under the cell timeout: cache probe,
+// then compute + store.
 func runPoint(ctx context.Context, cfg Config, p Point) (*Outcome, error) {
+	if cfg.CellTimeout <= 0 {
+		return resolvePoint(ctx, cfg, p)
+	}
+	cellCtx, cancel := context.WithTimeout(ctx, cfg.CellTimeout)
+	defer cancel()
+	o, err := resolvePoint(cellCtx, cfg, p)
+	if err != nil && ctx.Err() == nil && errors.Is(err, context.DeadlineExceeded) {
+		err = fmt.Errorf("campaign: point exceeded cell timeout %v: %w", cfg.CellTimeout, err)
+	}
+	return o, err
+}
+
+// resolvePoint is runPoint without the timeout.
+func resolvePoint(ctx context.Context, cfg Config, p Point) (*Outcome, error) {
 	var key string
 	if cfg.Cache != nil {
 		key = cfg.Key(p)

@@ -10,8 +10,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func testGrid() Grid {
@@ -342,5 +344,125 @@ func TestRunProgressCallback(t *testing.T) {
 	}
 	if last.Done != 8 || last.Total != 8 || last.Misses != 8 {
 		t.Errorf("final progress = %+v", last)
+	}
+}
+
+func TestRunQuarantineIsolatesPoisonedPoint(t *testing.T) {
+	var computes atomic.Int64
+	dir := filepath.Join(t.TempDir(), "cache")
+
+	// A clean reference pass over the same grid into a separate cache.
+	var refComputes atomic.Int64
+	ref, err := Run(context.Background(), campaignConfig(t, filepath.Join(t.TempDir(), "ref"), &refComputes))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := campaignConfig(t, dir, &computes)
+	cfg.Quarantine = true
+	poisoned := cfg.Points[2]
+	var calls atomic.Int64
+	inner := cfg.Run
+	cfg.Run = func(ctx context.Context, p Point) ([]byte, Metrics, error) {
+		if p == poisoned {
+			calls.Add(1)
+			return nil, Metrics{}, errors.New("poisoned cell")
+		}
+		return inner(ctx, p)
+	}
+	var last Progress
+	updates := 0
+	cfg.Progress = func(p Progress) { updates++; last = p }
+	res, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("quarantined campaign returned error: %v", err)
+	}
+	if calls.Load() != 1 {
+		t.Errorf("poisoned point ran %d times, want 1", calls.Load())
+	}
+	if len(res.Points) != 7 {
+		t.Fatalf("degraded campaign completed %d points, want 7", len(res.Points))
+	}
+	if len(res.Failed) != 1 || res.Failed[0].Point != poisoned {
+		t.Fatalf("quarantine list = %+v", res.Failed)
+	}
+	if !strings.Contains(res.Failed[0].Error, "poisoned cell") {
+		t.Errorf("quarantine record error = %q", res.Failed[0].Error)
+	}
+	if updates != 8 || last.Done != 8 || last.Failed != 1 {
+		t.Errorf("progress: updates=%d last=%+v", updates, last)
+	}
+	// Every surviving point's payload is byte-identical to the clean run.
+	byPoint := map[Point]string{}
+	for _, o := range ref.Points {
+		byPoint[o.Point] = string(o.Payload)
+	}
+	for _, o := range res.Points {
+		if byPoint[o.Point] != string(o.Payload) {
+			t.Errorf("surviving point %+v payload differs from clean run", o.Point)
+		}
+	}
+}
+
+func TestRunCellTimeoutQuarantinesHangingPoint(t *testing.T) {
+	var computes atomic.Int64
+	cfg := campaignConfig(t, filepath.Join(t.TempDir(), "cache"), &computes)
+	cfg.CellTimeout, cfg.Quarantine = 5*time.Millisecond, true
+	hung := cfg.Points[0]
+	inner := cfg.Run
+	cfg.Run = func(ctx context.Context, p Point) ([]byte, Metrics, error) {
+		if p == hung {
+			<-ctx.Done() // hang until the per-cell budget expires
+			return nil, Metrics{}, ctx.Err()
+		}
+		return inner(ctx, p)
+	}
+	res, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("campaign error: %v", err)
+	}
+	if len(res.Failed) != 1 || res.Failed[0].Point != hung {
+		t.Fatalf("quarantine list = %+v", res.Failed)
+	}
+	if !strings.Contains(res.Failed[0].Error, "cell timeout") {
+		t.Errorf("timeout failure not labeled: %q", res.Failed[0].Error)
+	}
+	if len(res.Points) != 7 {
+		t.Errorf("campaign completed %d points, want 7", len(res.Points))
+	}
+}
+
+func TestRunCellTimeoutStrictAborts(t *testing.T) {
+	var computes atomic.Int64
+	cfg := campaignConfig(t, filepath.Join(t.TempDir(), "cache"), &computes)
+	cfg.Workers = 1
+	cfg.CellTimeout = time.Nanosecond
+	res, err := Run(context.Background(), cfg)
+	if err == nil || !strings.Contains(err.Error(), "cell timeout") {
+		t.Fatalf("strict cell-timeout campaign err = %v", err)
+	}
+	if len(res.Points) != 0 {
+		t.Errorf("strict cell-timeout campaign completed %d points", len(res.Points))
+	}
+}
+
+func TestRunQuarantineFailuresInGridOrder(t *testing.T) {
+	var computes atomic.Int64
+	cfg := campaignConfig(t, filepath.Join(t.TempDir(), "cache"), &computes)
+	cfg.Quarantine = true
+	cfg.Run = func(ctx context.Context, p Point) ([]byte, Metrics, error) {
+		return nil, Metrics{}, fmt.Errorf("always fails")
+	}
+	res, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Failed) != len(cfg.Points) {
+		t.Fatalf("%d failures, want %d", len(res.Failed), len(cfg.Points))
+	}
+	for i, f := range res.Failed {
+		if f.Point != cfg.Points[i] {
+			t.Errorf("failure %d out of grid order: %+v", i, f.Point)
+		}
 	}
 }

@@ -7,6 +7,12 @@
 // hits instead of recomputation, and aggregates same-cell points across
 // seeds into mean/CI summaries via internal/stats.
 //
+// Each point runs once. A point is a pure function of its config, so
+// the ways it can fail — a config the fabric rejects, a wall-clock
+// cell timeout, a cache write error — recur on a second run; there is
+// no retry. Config.Quarantine chooses between cancelling the campaign
+// on the first failure and reporting the point in Result.Failed.
+//
 // The package is deliberately ignorant of the simulator: a point's
 // payload is opaque bytes (the root package stores canonical
 // amrt.Result JSON) plus a small Metrics record used for aggregation.

@@ -173,14 +173,6 @@ func (r *Registry) Interval() sim.Time {
 	return r.interval
 }
 
-// StartAt returns the virtual time of the first sample.
-func (r *Registry) StartAt() sim.Time {
-	if r == nil {
-		return 0
-	}
-	return r.startAt
-}
-
 // DeltaOf adapts a cumulative int64 source (a counter, a protocol
 // field) into a per-interval delta sampler: each sample is the source's
 // growth since the previous tick.

@@ -18,13 +18,9 @@ type PortMonitor struct {
 	windowBytes int64
 	windowStart sim.Time
 
-	// Queue occupancy extremes and a time-weighted running sum for the
-	// mean, observed at enqueue instants and transmission completions.
+	// Queue occupancy extremes, observed at enqueue instants.
 	MaxQueueLen   int
 	MaxQueueBytes int
-	lenTimeSum    float64 // ∫ len dt
-	lastLen       int
-	lastObserved  sim.Time
 }
 
 // Attach creates a monitor for p, installs it, and returns it. The
@@ -45,7 +41,7 @@ func (m *PortMonitor) noteTx(bytes int64) {
 // settle books the port's transmission, if one has ended unrecorded.
 func (m *PortMonitor) settle() { m.port.settle() }
 
-func (m *PortMonitor) noteQueue(q Queue, now sim.Time) {
+func (m *PortMonitor) noteQueue(q Queue) {
 	l := q.Len()
 	if l > m.MaxQueueLen {
 		m.MaxQueueLen = l
@@ -53,9 +49,6 @@ func (m *PortMonitor) noteQueue(q Queue, now sim.Time) {
 	if b := q.Bytes(); b > m.MaxQueueBytes {
 		m.MaxQueueBytes = b
 	}
-	m.lenTimeSum += float64(m.lastLen) * float64(now-m.lastObserved)
-	m.lastLen = l
-	m.lastObserved = now
 }
 
 // TotalBytes returns bytes transmitted since construction.
@@ -91,14 +84,4 @@ func (m *PortMonitor) ResetWindow(now sim.Time) {
 	m.settle()
 	m.windowBytes = 0
 	m.windowStart = now
-}
-
-// MeanQueueLen returns the time-weighted mean queue length over the
-// observation period ending at now.
-func (m *PortMonitor) MeanQueueLen(now sim.Time) float64 {
-	total := m.lenTimeSum + float64(m.lastLen)*float64(now-m.lastObserved)
-	if now <= 0 {
-		return 0
-	}
-	return total / float64(now)
 }

@@ -178,11 +178,6 @@ func (n *Network) Shard(i int) *Shard { return n.shards[i] }
 // NumShards returns the number of engine shards.
 func (n *Network) NumShards() int { return len(n.shards) }
 
-// MinLinkDelay returns the smallest link propagation delay seen at
-// Partition time — the lookahead window of the sharded runtime (0 before
-// Partition).
-func (n *Network) MinLinkDelay() sim.Time { return n.minDelay }
-
 // Delivered sums packets handed to hosts across all shards.
 func (n *Network) Delivered() int64 {
 	var t int64

@@ -207,11 +207,6 @@ func NewPacket() *Packet { return new(Packet) }
 // entered a network.
 func ReleasePacket(pkt *Packet) { *pkt = Packet{} }
 
-// IsControl reports whether the packet occupies a control (highest)
-// priority level: every type except full data packets, plus trimmed
-// headers.
-func (p *Packet) IsControl() bool { return p.Type != Data || p.Trimmed }
-
 // String formats a packet compactly for logs and test failures.
 func (p *Packet) String() string {
 	flags := ""

@@ -217,7 +217,7 @@ func (p *Port) Send(pkt *Packet) {
 	}
 	p.Enqueued++
 	if m := p.Monitor; m != nil {
-		m.noteQueue(p.queue, now)
+		m.noteQueue(p.queue)
 	}
 	p.trySend()
 }

@@ -76,11 +76,3 @@ func (s *Shard) RegisterMetrics(reg *metrics.Registry) {
 			func() int64 { return s.DroppedByType[t] })
 	}
 }
-
-// RegisterMetrics publishes the network's delivery and drop counters
-// into reg. It is the single-registry path: it registers shard 0's
-// counters and is only correct on an unpartitioned network (sharded
-// runs register each Shard into its own registry and merge).
-func (n *Network) RegisterMetrics(reg *metrics.Registry) {
-	n.shards[0].RegisterMetrics(reg)
-}

@@ -1,13 +1,14 @@
 // Package server implements the amrtsim serve campaign daemon: a
-// long-lived HTTP service that accepts sweep specs as jobs, schedules
-// them on a supervised worker pool backed by the content-addressed
-// campaign cache, and survives the failures a standing service
-// actually sees. Its robustness contract has four legs:
+// long-lived HTTP service that accepts sweep specs as jobs, runs them
+// one at a time in submission order on a supervised worker backed by
+// the content-addressed campaign cache, and survives the failures a
+// standing service actually sees. Its robustness contract has four
+// legs:
 //
-//  1. per-point failure policy — jobs run under campaign.FailurePolicy
-//     (bounded retries with deterministic backoff, per-cell timeouts,
-//     quarantine), so one poisoned cell degrades a job instead of
-//     killing it;
+//  1. per-cell quarantine — the Runner runs each cell once under a
+//     per-cell timeout and quarantines a failed cell
+//     (campaign.Config.Quarantine), so one poisoned cell degrades a
+//     job instead of killing it;
 //  2. panic isolation — a panicking cell (experiment.WorkerPanic or
 //     any other panic inside the runner) fails its job, never the
 //     daemon;
@@ -114,9 +115,6 @@ type Config struct {
 	// malformed jobs are rejected with an error (HTTP 400) instead of
 	// being accepted and failing later.
 	Validate func(spec json.RawMessage) error
-	// JobWorkers is the number of jobs run concurrently; <= 0 means 1.
-	// Cell-level parallelism inside a job belongs to the Runner.
-	JobWorkers int
 }
 
 // Sentinel errors of the submission path.
@@ -129,8 +127,9 @@ var (
 	ErrNoResult = errors.New("server: job has no result")
 )
 
-// Server is the campaign daemon: a job queue, a supervised worker
-// pool, and the journaled ledger. Create with New, serve its Handler,
+// Server is the campaign daemon: a job queue, one supervised worker
+// (cell-level parallelism inside a job belongs to the Runner), and the
+// journaled ledger. Create with New, serve its Handler,
 // stop with Shutdown.
 type Server struct {
 	cfg        Config
@@ -143,7 +142,6 @@ type Server struct {
 	cond     *sync.Cond
 	jobs     map[string]*Job
 	order    []string
-	cancels  map[string]context.CancelFunc
 	watchers map[string][]chan Job
 	seq      int
 	draining bool
@@ -152,16 +150,13 @@ type Server struct {
 
 // New opens the ledger under cfg.StateDir, replays it — jobs journaled
 // queued, running, or interrupted are re-queued; done and failed jobs
-// are kept for status and result serving — and starts the worker pool.
+// are kept for status and result serving — and starts the worker.
 func New(cfg Config) (*Server, error) {
 	if cfg.Runner == nil {
 		return nil, errors.New("server: Config.Runner is required")
 	}
 	if cfg.StateDir == "" {
 		return nil, errors.New("server: Config.StateDir is required")
-	}
-	if cfg.JobWorkers <= 0 {
-		cfg.JobWorkers = 1
 	}
 	ledger, err := OpenLedger(cfg.StateDir)
 	if err != nil {
@@ -174,7 +169,6 @@ func New(cfg Config) (*Server, error) {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		jobs:       map[string]*Job{},
-		cancels:    map[string]context.CancelFunc{},
 		watchers:   map[string][]chan Job{},
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -201,10 +195,8 @@ func New(cfg Config) (*Server, error) {
 			s.seq = j.Seq
 		}
 	}
-	for w := 0; w < cfg.JobWorkers; w++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
+	s.wg.Add(1)
+	go s.worker()
 	return s, nil
 }
 
@@ -298,7 +290,7 @@ func (s *Server) Draining() bool {
 // cancellation, completed cells stay in the cache, and the job is
 // journaled interrupted for the next start to resume. Returns
 // ctx.Err() when the deadline cut the drain short, nil on a complete
-// drain. The worker pool is stopped and the ledger flushed either way.
+// drain. The worker is stopped and the ledger flushed either way.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
@@ -385,7 +377,6 @@ func (s *Server) claim() (*Job, context.Context, context.CancelFunc) {
 			s.persistLocked(j)
 			s.notifyLocked(j)
 			ctx, cancel := context.WithCancel(s.baseCtx)
-			s.cancels[j.ID] = cancel
 			return j, ctx, cancel
 		}
 		s.cond.Wait()
@@ -400,7 +391,6 @@ func (s *Server) runJob(j *Job, ctx context.Context, cancel context.CancelFunc) 
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.cancels, j.ID)
 	cancel()
 	switch {
 	case err == nil:

@@ -285,10 +285,7 @@ func sweepRunner(cacheDir string, notify func(amrt.SweepProgress)) server.Runner
 	return func(ctx context.Context, spec json.RawMessage, progress func(campaign.Progress)) (json.RawMessage, error) {
 		sc := sweepSpecFor(cacheDir)
 		sc.Progress = func(p amrt.SweepProgress) {
-			progress(campaign.Progress{
-				Done: p.Done, Total: p.Total,
-				Hits: p.CacheHits, Misses: p.CacheMisses, Failed: p.Failed,
-			})
+			progress(p)
 			if notify != nil {
 				notify(p)
 			}

@@ -34,9 +34,6 @@ func (r Rate) BytesIn(d Time) int64 {
 	return int64(d) * int64(r) / (8 * int64(Second))
 }
 
-// Gbits returns the rate in gigabits per second as a float64.
-func (r Rate) Gbits() float64 { return float64(r) / float64(Gbps) }
-
 // String formats the rate with an adaptive unit.
 func (r Rate) String() string {
 	switch {

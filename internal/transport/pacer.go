@@ -76,6 +76,3 @@ func (p *Pacer) HandleEvent(int32, any) {
 		p.Kick()
 	}
 }
-
-// Tick returns the pacing interval.
-func (p *Pacer) Tick() sim.Time { return p.tick }

@@ -70,28 +70,19 @@ type SweepConfig struct {
 	// <= 0 uses all of GOMAXPROCS.
 	Workers int
 
-	// CellTimeout bounds every point attempt with a per-cell
-	// context.WithTimeout; an attempt that exceeds it fails (and is
-	// retried under Retries) without cancelling the campaign. 0 means
-	// no per-cell bound. Determinism is unaffected: a retried attempt
-	// re-runs the same seeded config under the same cache key.
+	// CellTimeout bounds every point with a per-cell
+	// context.WithTimeout; a point that exceeds it fails. 0 means no
+	// per-cell bound. A failed point is not run again: it is a pure
+	// function of its config, so a second run would fail the same way.
 	CellTimeout time.Duration
-	// Retries is the number of re-attempts a failing point gets before
-	// the failure policy gives up on it; 0 (the default) fails a point
-	// on its first error. Retries back off deterministically:
-	// RetryBackoff doubles per attempt.
-	Retries int
-	// RetryBackoff is the base delay before the first retry; retry n
-	// waits RetryBackoff << (n-1). 0 retries immediately.
-	RetryBackoff time.Duration
-	// Quarantine keeps the campaign running when a point exhausts its
-	// attempts: the point is recorded in SweepResult.Failed and every
-	// other point proceeds. The default (false) is the strict
+	// Quarantine keeps the campaign running when a point fails: the
+	// point is recorded in SweepResult.Failed and every other point
+	// proceeds. The default (false) is the strict
 	// first-error-cancels-all behavior the CLI and tests rely on.
 	Quarantine bool
 
 	// Progress, when non-nil, is called after every resolved point
-	// (completed, or quarantined under the failure policy),
+	// (completed, or quarantined under Quarantine),
 	// serialized. It may cancel the sweep's context; it must not block
 	// for long.
 	Progress func(SweepProgress)
@@ -99,28 +90,16 @@ type SweepConfig struct {
 
 // SweepCoord is a sweep point's coordinate: protocol, workload,
 // topology spec, incast degree, load, seed and fault spec. It is
-// declared once, in internal/campaign, and embedded by SweepProgress,
-// SweepPoint, SweepCell (with Seed zero) and SweepFailure; its String
-// method renders it for progress and failure lines.
+// declared once, in internal/campaign, carried by SweepProgress and
+// embedded by SweepPoint, SweepCell (with Seed zero) and SweepFailure;
+// its String method renders it for progress and failure lines.
 type SweepCoord = campaign.Point
 
-// SweepProgress is one live-progress report: campaign position, cache
-// ledger so far, and the point that just resolved.
-type SweepProgress struct {
-	Done        int
-	Total       int
-	CacheHits   int
-	CacheMisses int
-	// Failed counts points quarantined so far (always zero without
-	// SweepConfig.Quarantine).
-	Failed int
-	// SweepCoord is the point that just resolved.
-	SweepCoord
-	FromCache bool
-	// Err carries the point's final error text when this update
-	// reports a quarantined failure; empty on success.
-	Err string
-}
+// SweepProgress is one live-progress report: campaign position
+// (Done of Total), cache ledger so far (Hits, Misses), quarantined
+// points so far (Failed), and the point that just resolved (Point,
+// FromCache, and Err, the error text of a quarantined point).
+type SweepProgress = campaign.Progress
 
 // SweepStat is a mean with spread over the seeds of one sweep cell:
 // 95% confidence half-width (Student's t), sample min and max.
@@ -164,14 +143,12 @@ type SweepCell struct {
 	DeadlineMissed int `json:"deadline_missed,omitempty"`
 }
 
-// SweepFailure is one point the campaign's failure policy gave up on:
-// its grid coordinates, how many attempts it was given, and the final
-// attempt's error text. Failures only occur with
-// SweepConfig.Quarantine set; the strict default aborts instead.
+// SweepFailure is one point that failed: its grid coordinates and its
+// error text. Failures are only reported with SweepConfig.Quarantine
+// set; the strict default aborts instead.
 type SweepFailure struct {
 	SweepCoord
-	Attempts int    `json:"attempts"`
-	Error    string `json:"error"`
+	Error string `json:"error"`
 }
 
 // SweepResult is a campaign report: every point in grid order, the
@@ -190,15 +167,15 @@ type SweepResult struct {
 	CacheMisses int          `json:"-"`
 	Cells       []SweepCell  `json:"cells"`
 	Points      []SweepPoint `json:"points"`
-	// Failed lists the points quarantined under the failure policy, in
-	// grid order. Empty (and omitted from serialization) on clean
+	// Failed lists the points quarantined under
+	// SweepConfig.Quarantine, in grid order. Empty (and omitted from serialization) on clean
 	// campaigns, so degraded-mode support never perturbs the
 	// byte-identical resume guarantee of healthy ones.
 	Failed []SweepFailure `json:"failed,omitempty"`
 }
 
-// Validate checks the campaign declaration: the failure policy fields
-// must be non-negative (ErrBadPolicy), the grid must expand to at least
+// Validate checks the campaign declaration: CellTimeout must be
+// non-negative (ErrBadPolicy), the grid must expand to at least
 // one point, every expanded point's Config must validate (same typed
 // sentinels as Config.Validate), and no two points may be the same run.
 // Two points are the same run when their cache keys match: a value
@@ -224,14 +201,8 @@ type sweepPoint struct {
 // once: the expanded points and, index for index, each point's Config
 // and cache key.
 func (sc SweepConfig) resolve() ([]campaign.Point, []sweepPoint, error) {
-	if sc.Retries < 0 {
-		return nil, nil, fmt.Errorf("%w: negative retries %d", ErrBadPolicy, sc.Retries)
-	}
 	if sc.CellTimeout < 0 {
 		return nil, nil, fmt.Errorf("%w: negative cell timeout %v", ErrBadPolicy, sc.CellTimeout)
-	}
-	if sc.RetryBackoff < 0 {
-		return nil, nil, fmt.Errorf("%w: negative retry backoff %v", ErrBadPolicy, sc.RetryBackoff)
 	}
 	points := sc.grid().Expand()
 	if len(points) == 0 {
@@ -265,9 +236,8 @@ func (sc SweepConfig) resolve() ([]campaign.Point, []sweepPoint, error) {
 // in-flight simulations via the engine interrupt, and returns the
 // completed points — already aggregated — together with ctx.Err(), so
 // an interrupted campaign plus its cache is a resumable checkpoint, not
-// lost work. Point failures follow the CellTimeout / Retries /
-// Quarantine policy fields; the zero policy aborts the campaign on the
-// first failing point.
+// lost work. Every point runs once, bounded by CellTimeout; without
+// Quarantine the first failing point aborts the campaign.
 func Sweep(ctx context.Context, sc SweepConfig) (*SweepResult, error) {
 	points, resolved, err := sc.resolve()
 	if err != nil {
@@ -279,15 +249,12 @@ func Sweep(ctx context.Context, sc SweepConfig) (*SweepResult, error) {
 		byPoint[p] = &resolved[i]
 	}
 	ccfg := campaign.Config{
-		Points:  points,
-		Workers: sc.Workers,
-		Policy: campaign.FailurePolicy{
-			Retries:     sc.Retries,
-			Backoff:     sc.RetryBackoff,
-			CellTimeout: sc.CellTimeout,
-			Quarantine:  sc.Quarantine,
-		},
-		Key: func(p campaign.Point) string { return byPoint[p].key },
+		Points:      points,
+		Workers:     sc.Workers,
+		CellTimeout: sc.CellTimeout,
+		Quarantine:  sc.Quarantine,
+		Progress:    sc.Progress,
+		Key:         func(p campaign.Point) string { return byPoint[p].key },
 		Run: func(ctx context.Context, p campaign.Point) ([]byte, campaign.Metrics, error) {
 			res, err := RunContext(ctx, byPoint[p].cfg)
 			if err != nil {
@@ -307,16 +274,6 @@ func Sweep(ctx context.Context, sc SweepConfig) (*SweepResult, error) {
 			return nil, err
 		}
 		ccfg.Cache = cache
-	}
-	if sc.Progress != nil {
-		hook := sc.Progress
-		ccfg.Progress = func(p campaign.Progress) {
-			hook(SweepProgress{
-				Done: p.Done, Total: p.Total,
-				CacheHits: p.Hits, CacheMisses: p.Misses, Failed: p.Failed,
-				SweepCoord: p.Point, FromCache: p.FromCache, Err: p.Err,
-			})
-		}
 	}
 	cres, err := campaign.Run(ctx, ccfg)
 	if cres == nil {
@@ -487,7 +444,7 @@ func buildSweepResult(total int, cres *campaign.Result) (*SweepResult, error) {
 		out.Points = append(out.Points, SweepPoint{SweepCoord: o.Point, FromCache: o.FromCache, Result: *v.(*Result)})
 	}
 	for _, f := range cres.Failed {
-		out.Failed = append(out.Failed, SweepFailure{SweepCoord: f.Point, Attempts: f.Attempts, Error: f.Error})
+		out.Failed = append(out.Failed, SweepFailure{SweepCoord: f.Point, Error: f.Error})
 	}
 	out.Cells = slices.Grow(out.Cells, len(cres.Cells))
 	for _, c := range cres.Cells {

@@ -409,7 +409,7 @@ func TestSweepRefusesDuplicatePoints(t *testing.T) {
 			if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("Validate = %v, want an error naming %s", err, want)
 			}
-			sc.Progress = func(p SweepProgress) { t.Errorf("point %s ran", p.SweepCoord) }
+			sc.Progress = func(p SweepProgress) { t.Errorf("point %s ran", p.Point) }
 			if res, err := Sweep(context.Background(), sc); res != nil || err == nil {
 				t.Errorf("Sweep = %v, %v; want no result and the error", res, err)
 			}
