@@ -44,7 +44,7 @@ import (
 
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "sweep" {
-		os.Exit(sweepMain(os.Args[2:]))
+		os.Exit(sweepMain(os.Args[2:], os.Stdout, os.Stderr))
 	}
 	if len(os.Args) > 1 && os.Args[1] == "serve" {
 		os.Exit(serveMain(os.Args[2:]))
@@ -56,46 +56,38 @@ func main() {
 // comparison set with -compare: it parses args, prints results to
 // stdout and diagnostics to stderr, and returns the exit status.
 func runMain(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("amrtsim", flag.ExitOnError)
+	fs := flag.NewFlagSet("amrtsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	base := baseSpec{Flows: 1000}
+	base.bind(fs)
+	var run amrt.Config // the run-only knobs; base.config fills the rest
+	fs.StringVar(&run.Protocol, "proto", "AMRT", "protocol: "+strings.Join(experiment.StackNames(), "|"))
+	fs.StringVar(&run.Workload, "workload", "WebSearch", "workload: "+strings.Join(amrt.Workloads(), "|"))
+	fs.Float64Var(&run.Load, "load", 0.5, "offered load fraction (0,1]")
+	fs.Int64Var(&run.Seed, "seed", 1, "RNG seed")
+	fs.IntVar(&run.IncastDegree, "incast-degree", 0, "incast sender fan-in per epoch (0 = default 32)")
+	fs.StringVar(&run.TracePath, "trace", "", "write a CSV event trace (flow starts/completions, deliveries, drops) to this file")
+	fs.StringVar(&run.MetricsPath, "metrics", "", "write a JSON telemetry dump (per-port queue/utilization/mark-rate series + counters; schema in docs/TELEMETRY.md) to this file")
+	fs.StringVar(&run.MetricsCSVPath, "metrics-csv", "", "also write the telemetry time series as one wide CSV to this file")
+	fs.DurationVar(&run.MetricsInterval, "metrics-interval", 100*time.Microsecond, "telemetry sampling period in virtual time")
+	fs.StringVar(&run.Faults, "faults", "", "fault-injection spec, e.g. 'link=leaf0->spine1,down=5ms,up=8ms;ctrl-loss=0.01' (grammar in docs/FAULTS.md)")
+	fs.IntVar(&run.Shards, "shards", 0, "engine shards, a determinism check (0 or 1 = single engine; the output must be byte-identical at every count, see docs/PARALLELISM.md)")
 	var (
-		proto       = fs.String("proto", "AMRT", "protocol: "+strings.Join(experiment.StackNames(), "|"))
-		wl          = fs.String("workload", "WebSearch", "workload: "+strings.Join(amrt.Workloads(), "|"))
-		load        = fs.Float64("load", 0.5, "offered load fraction (0,1]")
-		flows       = fs.Int("flows", 1000, "number of flows")
-		seed        = fs.Int64("seed", 1, "RNG seed")
-		topoSpec    = fs.String("topo", "", "topology spec 'kind[:key=val,...]', e.g. fattree:k=8 or clos:pods=4,hosts=16 (grammar in docs/TOPOLOGIES.md; '' = leaf-spine built from the flags below)")
-		leaves      = fs.Int("leaves", 0, "leaf switches (0 = default 4)")
-		spines      = fs.Int("spines", 0, "spine switches (0 = default 4)")
-		hosts       = fs.Int("hostsPerLeaf", 0, "hosts per leaf (0 = default 10)")
-		gbps        = fs.Float64("gbps", 0, "link rate in Gbit/s (0 = default 10)")
-		pattern     = fs.String("pattern", "", "traffic pattern: poisson|incast|shuffle|rpc ('' = poisson)")
-		incastDeg   = fs.Int("incast-degree", 0, "incast sender fan-in per epoch (0 = default 32)")
-		incastBytes = fs.Int64("incast-bytes", 0, "incast per-sender block size in bytes (0 = default 64KiB)")
-		shufWidth   = fs.Int("shuffle-width", 0, "shuffle peers per host (0 = full all-to-all)")
-		shufBytes   = fs.Int64("shuffle-bytes", 0, "shuffle per-pair transfer size in bytes (0 = default 1MiB)")
-		rpcReq      = fs.Int64("rpc-request", 0, "RPC request size in bytes (0 = default 1KiB)")
-		rpcResp     = fs.Int64("rpc-response", 0, "RPC response size in bytes (0 = default 64KiB)")
-		rpcDeadline = fs.Duration("rpc-deadline", 0, "RPC completion deadline from request start (0 = no deadlines)")
-		degree      = fs.Int("homa-degree", 0, "Homa overcommitment degree (0 = default 2)")
-		sirdPool    = fs.Int64("sird-pool", 0, "SIRD per-receiver credit-pool bound in bytes (0 = automatic 1.5x downlink BDP)")
-		sirdStale   = fs.Int("sird-staleness", 0, "SIRD demand-advertisement staleness window in RTTs (0 = default 8)")
-		compare     = fs.Bool("compare", false, "run the whole comparison set on identical traffic")
-		timeout     = fs.Duration("timeout", 0, "virtual-time horizon (0 = default 20s)")
-		tracePath   = fs.String("trace", "", "write a CSV event trace (flow starts/completions, deliveries, drops) to this file")
-		metricsPath = fs.String("metrics", "", "write a JSON telemetry dump (per-port queue/utilization/mark-rate series + counters; schema in docs/TELEMETRY.md) to this file")
-		metricsCSV  = fs.String("metrics-csv", "", "also write the telemetry time series as one wide CSV to this file")
-		metricsIvl  = fs.Duration("metrics-interval", 100*time.Microsecond, "telemetry sampling period in virtual time")
-		faultSpec   = fs.String("faults", "", "fault-injection spec, e.g. 'link=leaf0->spine1,down=5ms,up=8ms;ctrl-loss=0.01' (grammar in docs/FAULTS.md)")
-		auditFlag   = fs.Bool("audit", false, "attach the runtime invariant auditor: conservation/queue-bound/grant-budget checks every metrics interval, panicking with a forensic dump on the first violation")
-		shards      = fs.Int("shards", 0, "engine shards, a determinism check (0 or 1 = single engine; the output must be byte-identical at every count, see docs/PARALLELISM.md)")
-		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProfile  = fs.String("memprofile", "", "write a heap profile taken at exit to this file")
+		compare    = fs.Bool("compare", false, "run the whole comparison set on identical traffic")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfile = fs.String("memprofile", "", "write a heap profile taken at exit to this file")
 	)
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return usageStatus(err)
+	}
 
-	if _, err := faults.Parse(*faultSpec); err != nil {
+	if _, err := faults.Parse(run.Faults); err != nil {
 		fmt.Fprintf(stderr, "amrtsim: invalid -faults: %v\n", err)
+		return 2
+	}
+	cfg, err := base.config(run)
+	if err != nil {
+		fmt.Fprintf(stderr, "amrtsim: invalid -%v\n", err)
 		return 2
 	}
 	if *cpuProfile != "" {
@@ -125,63 +117,6 @@ func runMain(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	topoCfg := amrt.Topology{
-		Leaves: *leaves, Spines: *spines, HostsPerLeaf: *hosts, LinkGbps: *gbps,
-	}
-	if *topoSpec != "" {
-		// The spec names the whole fabric; a leaf-spine flag beside it
-		// would be silently overwritten, so it is refused instead.
-		var clash string
-		fs.Visit(func(fl *flag.Flag) {
-			switch fl.Name {
-			case "leaves", "spines", "hostsPerLeaf", "gbps":
-				if clash == "" {
-					clash = fl.Name
-				}
-			}
-		})
-		if clash != "" {
-			fmt.Fprintf(stderr, "amrtsim: -%s cannot be combined with -topo (put it in the spec, see docs/TOPOLOGIES.md)\n", clash)
-			return 2
-		}
-		t, err := amrt.ParseTopology(*topoSpec)
-		if err != nil {
-			fmt.Fprintf(stderr, "amrtsim: invalid -topo: %v\n", err)
-			return 2
-		}
-		topoCfg = t
-	}
-	cfg := amrt.Config{
-		Protocol:         *proto,
-		Workload:         *wl,
-		Load:             *load,
-		Flows:            *flows,
-		Seed:             *seed,
-		Topology:         topoCfg,
-		Pattern:          *pattern,
-		IncastDegree:     *incastDeg,
-		IncastBytes:      *incastBytes,
-		ShuffleWidth:     *shufWidth,
-		ShuffleBytes:     *shufBytes,
-		RPCRequestBytes:  *rpcReq,
-		RPCResponseBytes: *rpcResp,
-		RPCDeadline:      *rpcDeadline,
-
-		Options: amrt.StackOptions{
-			HomaDegree:        *degree,
-			SIRDPoolBytes:     *sirdPool,
-			SIRDStalenessRTTs: *sirdStale,
-		},
-		Timeout:         *timeout,
-		TracePath:       *tracePath,
-		MetricsPath:     *metricsPath,
-		MetricsCSVPath:  *metricsCSV,
-		MetricsInterval: *metricsIvl,
-		Faults:          *faultSpec,
-		Audit:           *auditFlag,
-		Shards:          *shards,
-	}
-
 	// Config mistakes (unknown protocol, malformed fault spec, a fault
 	// naming a link the topology doesn't have) are user input here, not
 	// programmer error: report on one line and exit.
@@ -198,7 +133,7 @@ func runMain(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(stdout, "workload=%s load=%.2f flows=%d\n", *wl, *load, *flows)
+		fmt.Fprintf(stdout, "workload=%s load=%.2f flows=%d\n", cfg.Workload, cfg.Load, cfg.Flows)
 		fmt.Fprintf(stdout, "%-8s %12s %12s %8s %10s %8s\n", "proto", "AFCT", "p99", "util", "done", "drops")
 		for _, r := range results {
 			fmt.Fprintf(stdout, "%-8s %12v %12v %8.3f %6d/%-4d %8d\n",
@@ -234,6 +169,15 @@ func runMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "warning: %d flows did not complete before the horizon\n", incomplete)
 	}
 	return 0
+}
+
+// usageStatus is the exit status after a flag set's Parse failed with
+// err, as flag.ExitOnError would exit: 0 after -h, 2 after a bad flag.
+func usageStatus(err error) int {
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	return 2
 }
 
 func round(d time.Duration) time.Duration { return d.Round(time.Microsecond) }

@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -63,19 +65,92 @@ func TestServeRefusesBadSpecs(t *testing.T) {
 	}
 }
 
-// TestTopoRejectsLeafSpineFlags: -topo names the whole fabric, so a
-// leaf-spine flag set beside it is one line and exit status 2 instead of
-// being silently ignored, whatever its value.
-func TestTopoRejectsLeafSpineFlags(t *testing.T) {
-	for _, fl := range []string{"-leaves=2", "-spines=0", "-hostsPerLeaf=8", "-gbps=25"} {
-		var stdout, stderr bytes.Buffer
-		name := strings.SplitN(fl, "=", 2)[0]
-		code := runMain([]string{"-topo", "fattree:k=4", fl, "-flows", "10"}, &stdout, &stderr)
-		want := "amrtsim: " + name + " cannot be combined with -topo (put it in the spec, see docs/TOPOLOGIES.md)\n"
-		if code != 2 || stdout.Len() > 0 || stderr.String() != want {
-			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 2, no stdout, stderr %q", fl, code, stdout.String(), stderr.String(), want)
+// TestSpecFieldsAreFlags: the job spec and the command lines are one
+// list of knobs. Every sweepSpec field, baseSpec's included, is the
+// `amrtsim sweep` flag of the same name with '_' written as '-', and
+// every baseSpec field is also an `amrtsim` flag.
+func TestSpecFieldsAreFlags(t *testing.T) {
+	sweepFlags, runFlags := helpFlags(t, sweepMain), helpFlags(t, runMain)
+	for _, f := range specFields(reflect.TypeOf(sweepSpec{})) {
+		name := strings.ReplaceAll(strings.Split(f.Tag.Get("json"), ",")[0], "_", "-")
+		if !sweepFlags[name] {
+			t.Errorf("spec field %s (%s) is not an amrtsim sweep flag", f.Name, name)
+		}
+		if _, base := reflect.TypeOf(baseSpec{}).FieldByName(f.Name); base && !runFlags[name] {
+			t.Errorf("base field %s (%s) is not an amrtsim flag", f.Name, name)
 		}
 	}
+}
+
+// TestSweepFlagsMatchSpec: one grid, every knob set, given as `amrtsim
+// sweep` flags and as a serve job spec under the same policy, resolves
+// to the same amrt.SweepConfig.
+func TestSweepFlagsMatchSpec(t *testing.T) {
+	args := []string{
+		"-protos", "SIRD, Homa", "-workloads", "WebServer,DataMining", "-topos", "|fattree:k=4",
+		"-degrees", "4,8", "-loads", "0.3,0.7", "-seeds", "1,2", "-faults", "|ctrl-loss=0.01",
+		"-flows", "200", "-topo", "leafspine:leaves=2,spines=2,hosts=4", "-pattern", "incast",
+		"-incast-bytes", "4096", "-shuffle-width", "2", "-shuffle-bytes", "8192",
+		"-rpc-request", "100", "-rpc-response", "1000", "-rpc-deadline", "2ms",
+		"-homa-degree", "4", "-sird-pool", "65536", "-sird-staleness", "4",
+		"-timeout", "50ms", "-audit", "-cell-timeout", "1m",
+		"-cache", "dir", "-workers", "3", "-quarantine",
+	}
+	const spec = `{"protos":["SIRD","Homa"],"workloads":["WebServer","DataMining"],"topos":["","fattree:k=4"],
+		"degrees":[4,8],"loads":[0.3,0.7],"seeds":[1,2],"faults":["","ctrl-loss=0.01"],
+		"flows":200,"topo":"leafspine:leaves=2,spines=2,hosts=4","pattern":"incast",
+		"incast_bytes":4096,"shuffle_width":2,"shuffle_bytes":8192,
+		"rpc_request":100,"rpc_response":1000,"rpc_deadline":"2ms",
+		"homa_degree":4,"sird_pool":65536,"sird_staleness":4,
+		"timeout":50000000,"audit":true,"cell_timeout":"1m"}`
+	var c sweepCommand
+	if err := c.parse(args, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	v := reflect.ValueOf(c.spec)
+	for _, f := range specFields(v.Type()) {
+		if v.FieldByIndex(f.Index).IsZero() {
+			t.Errorf("the grid leaves spec field %s unset", f.Name)
+		}
+	}
+	fromFlags, err := c.spec.sweep(c.pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromSpec, err := specToSweep([]byte(spec), servePolicy{cacheDir: "dir", workers: 3, quarantine: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fromFlags, fromSpec) {
+		t.Errorf("flags resolve to\n%+v\nthe spec to\n%+v", fromFlags, fromSpec)
+	}
+}
+
+// specFields lists a spec type's knobs, an embedded spec's included.
+func specFields(typ reflect.Type) []reflect.StructField {
+	var out []reflect.StructField
+	for _, f := range reflect.VisibleFields(typ) {
+		if !f.Anonymous {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// helpFlags returns the flag names a command lists under -h.
+func helpFlags(t *testing.T, main func(args []string, stdout, stderr io.Writer) int) map[string]bool {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if code := main([]string{"-h"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-h: exit %d, stderr %q", code, stderr.String())
+	}
+	names := map[string]bool{}
+	for _, line := range strings.Split(stderr.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "  -"); ok {
+			names[strings.Fields(rest)[0]] = true
+		}
+	}
+	return names
 }
 
 // TestCompareUnknownWorkloadIsOneLine: a mistyped -workload under

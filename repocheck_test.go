@@ -610,8 +610,8 @@ func flagMentions(ctx string) []string {
 }
 
 // flagDefName returns the flag-name argument of a flag-definition call
-// (flag.String, fs.Duration, flag.IntVar, ...), or "" if the call is
-// not one. Var-style definitions carry the name second.
+// (flag.String, fs.Duration, flag.IntVar, fs.Func, ...), or "" if the
+// call is not one. Var-style definitions carry the name second.
 func flagDefName(call *ast.CallExpr) string {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -619,9 +619,9 @@ func flagDefName(call *ast.CallExpr) string {
 	}
 	idx := 0
 	switch sel.Sel.Name {
-	case "String", "Bool", "Int", "Int64", "Uint", "Uint64", "Float64", "Duration":
+	case "String", "Bool", "Int", "Int64", "Uint", "Uint64", "Float64", "Duration", "Func", "BoolFunc":
 	case "StringVar", "BoolVar", "IntVar", "Int64Var", "UintVar", "Uint64Var",
-		"Float64Var", "DurationVar", "Var", "TextVar", "Func":
+		"Float64Var", "DurationVar", "Var", "TextVar":
 		idx = 1
 	default:
 		return ""
@@ -676,47 +676,108 @@ func (c cliFlags) allowed(ctx string) (map[string]bool, string) {
 // collectCLIFlags parses every binary under root/cmd and returns the
 // flags each of its commands defines. A flag on a flag.NewFlagSet
 // belongs to the set's name ("amrtsim sweep"); a flag on the package's
-// default set belongs to the directory's name.
+// default set belongs to the directory's name. A flag registered on the
+// *flag.FlagSet parameter of a helper (a binder such as bind(fs))
+// belongs to every command whose set is passed to that helper, directly
+// or through another helper; helpers are told apart by name alone.
 func collectCLIFlags(root string) (cliFlags, error) {
 	cmds, err := filepath.Glob(filepath.Join(root, "cmd", "*"))
 	if err != nil {
 		return nil, err
 	}
+	const helper = "func " // owner prefix of a helper's parameter
 	out := cliFlags{}
 	for _, dir := range cmds {
 		_, files, err := parseDir(dir, allFiles, 0)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", dir, err)
 		}
+		// defs maps an owner (a command, or helper+name) to the flags
+		// defined on its set; passes maps a helper to the owners whose
+		// sets are passed to it.
+		defs, passes := map[string]map[string]bool{}, map[string][]string{}
 		for _, file := range files {
-			// sets maps a flag-set variable to its command name; an
-			// assignment precedes its uses in the walk's source order.
+			// sets maps a flag-set variable to its owner; an assignment
+			// or parameter precedes its uses in the walk's source order.
 			sets := map[string]string{}
 			ast.Inspect(file, func(n ast.Node) bool {
 				switch n := n.(type) {
+				case *ast.FuncDecl:
+					for _, p := range n.Type.Params.List {
+						if isFlagSetPtr(p.Type) {
+							for _, id := range p.Names {
+								sets[id.Name] = helper + n.Name.Name
+							}
+						}
+					}
 				case *ast.AssignStmt:
 					if id, name, ok := newFlagSet(n); ok {
 						sets[id] = name
 					}
 				case *ast.CallExpr:
-					name := flagDefName(n)
-					if name == "" {
+					if name := flagDefName(n); name != "" {
+						owner := filepath.Base(dir)
+						if id, ok := n.Fun.(*ast.SelectorExpr).X.(*ast.Ident); ok && sets[id.Name] != "" {
+							owner = sets[id.Name]
+						}
+						if defs[owner] == nil {
+							defs[owner] = map[string]bool{}
+						}
+						defs[owner][name] = true
 						break
 					}
-					cmd := filepath.Base(dir)
-					if id, ok := n.Fun.(*ast.SelectorExpr).X.(*ast.Ident); ok && sets[id.Name] != "" {
-						cmd = sets[id.Name]
+					callee := helper
+					switch f := n.Fun.(type) {
+					case *ast.Ident:
+						callee += f.Name
+					case *ast.SelectorExpr:
+						callee += f.Sel.Name
 					}
-					if out[cmd] == nil {
-						out[cmd] = map[string]bool{}
+					for _, arg := range n.Args {
+						if id, ok := arg.(*ast.Ident); ok && sets[id.Name] != "" {
+							passes[callee] = append(passes[callee], sets[id.Name])
+						}
 					}
-					out[cmd][name] = true
 				}
 				return true
 			})
 		}
+		var credit func(owner string, flags map[string]bool, seen map[string]bool)
+		credit = func(owner string, flags map[string]bool, seen map[string]bool) {
+			if !strings.HasPrefix(owner, helper) {
+				if out[owner] == nil {
+					out[owner] = map[string]bool{}
+				}
+				maps.Copy(out[owner], flags)
+				return
+			}
+			if seen[owner] {
+				return
+			}
+			seen[owner] = true
+			for _, o := range passes[owner] {
+				credit(o, flags, seen)
+			}
+		}
+		for owner, flags := range defs {
+			credit(owner, flags, map[string]bool{})
+		}
 	}
 	return out, nil
+}
+
+// isFlagSetPtr reports whether a parameter type is *flag.FlagSet.
+func isFlagSetPtr(typ ast.Expr) bool {
+	star, ok := typ.(*ast.StarExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := star.X.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "FlagSet" {
+		return false
+	}
+	pkg, ok := sel.X.(*ast.Ident)
+	return ok && pkg.Name == "flag"
 }
 
 // newFlagSet matches `v := flag.NewFlagSet("name", ...)` and returns the
@@ -864,8 +925,9 @@ func TestDocsRulesTrip(t *testing.T) {
 	tree := func(doc string) map[string]string {
 		return map[string]string{
 			"internal/pkg/pkg.go": "package pkg\n\n// Known is known.\ntype Known int\n",
-			"cmd/tool/main.go":    "package main\n\nimport \"flag\"\n\nvar known = flag.Bool(\"known\", false, \"\")\n",
-			"cmd/tool/sub.go":     "package main\n\nimport \"flag\"\n\nfunc sub() {\n\tfs := flag.NewFlagSet(\"tool sub\", flag.ExitOnError)\n\tfs.Int(\"depth\", 0, \"\")\n}\n",
+			"cmd/tool/main.go":    "package main\n\nimport \"flag\"\n\nvar known = flag.Bool(\"known\", false, \"\")\n\nfunc init() { flag.Func(\"fn\", \"usage\", func(string) error { return nil }) }\n",
+			"cmd/tool/sub.go":     "package main\n\nimport \"flag\"\n\nfunc sub() {\n\tfs := flag.NewFlagSet(\"tool sub\", flag.ExitOnError)\n\tfs.Int(\"depth\", 0, \"\")\n\tbind(fs)\n}\n",
+			"cmd/tool/bind.go":    "package main\n\nimport \"flag\"\n\nfunc run() {\n\tfs := flag.NewFlagSet(\"tool\", flag.ExitOnError)\n\twrap(fs)\n}\n\nfunc wrap(set *flag.FlagSet) { bind(set) }\n\nfunc bind(fs *flag.FlagSet) { fs.String(\"shared\", \"\", \"\") }\n\nfunc unused(fs *flag.FlagSet) { fs.Bool(\"orphan\", false, \"\") }\n",
 			"docs/guide.md":       doc,
 			"README.md":           "",
 			"DESIGN.md":           "",
@@ -874,7 +936,7 @@ func TestDocsRulesTrip(t *testing.T) {
 	}
 	clean := "`pkg.Known` with `-known`, see [the guide](guide.md) and [the readme](../README.md).\n" +
 		"Cache keys carry `" + SimVersion + "`; run `go test -race` or `curl -X POST`; `-depth` alone.\n" +
-		"```\ngo run ./cmd/tool -known\ngo run ./cmd/tool sub -depth 2\ngo run example.com/tool -elsewhere\n```\n"
+		"```\ngo run ./cmd/tool -known -fn x -shared s\ngo run ./cmd/tool sub -depth 2 -shared s\ngo run example.com/tool -elsewhere\n```\n"
 	t.Run("clean", func(t *testing.T) {
 		got, err := docsFindings(writeTree(t, tree(clean)))
 		if err != nil || len(got) != 0 {
@@ -889,6 +951,8 @@ func TestDocsRulesTrip(t *testing.T) {
 		{"unknown flag on go run", "```\ngo run ./cmd/tool -known -bogus 1\n```", "flag -bogus is not defined"},
 		{"another command's flag", "`tool -depth 2`", "flag -depth is not defined by `tool`"},
 		{"parent flag on a subcommand", "```\ntool sub -known\n```", "flag -known is not defined by `tool sub`"},
+		{"Func flag on another command", "`tool sub -fn x`", "flag -fn is not defined by `tool sub`"},
+		{"binder flag no command calls", "`-orphan`", "flag -orphan is not defined by any cmd/ binary"},
 		{"all-but-one protocol list", strings.Join(protocolSet[1:], ", "), "is missing [" + protocolSet[0] + "]"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
