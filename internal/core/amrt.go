@@ -14,65 +14,50 @@ import (
 	"amrt/internal/transport"
 )
 
-// Config parameterizes AMRT.
+// Fixed switch and recovery sizes; no experiment varies them.
+const (
+	// CtrlQueueCap bounds the switch control band, far above the data
+	// cap: control packets are small and carry the grant clock.
+	CtrlQueueCap = 256
+	// RecoveryCap bounds how many recovery grants one timeout tick may
+	// issue per flow: re-blasting a whole lost blind window into
+	// 8-packet queues would only reproduce the loss.
+	RecoveryCap = 16
+)
+
+// Config parameterizes AMRT: the knobs the ablation figures vary.
 type Config struct {
 	transport.Config
 
 	// DataQueueCap is the switch data-queue threshold beyond which data
 	// packets are dropped (§6; default 8).
 	DataQueueCap int
-	// CtrlQueueCap bounds the switch control band (default 256).
-	CtrlQueueCap int
 	// GrantBurst is the number of packets a marked grant triggers
 	// (default 2, the paper's rule; the ablation sweeps it).
 	GrantBurst int
-	// Marking configures the anti-ECN marker (reference size, gap
-	// factor, combine mode).
-	RefSize   int
+	// GapFactor and Combine configure the anti-ECN marker (see
+	// netsim.AntiECNMarker; defaults 1 and AND).
 	GapFactor float64
 	Combine   netsim.CombineMode
-	// RecoveryCap bounds how many recovery grants one timeout tick may
-	// issue per flow (default 16; re-blasting a whole lost blind window
-	// into 8-packet queues would only reproduce the loss).
-	RecoveryCap int
 }
 
 // DefaultConfig returns the paper's parameters.
 func DefaultConfig() Config {
-	return Config{
-		DataQueueCap: 8,
-		CtrlQueueCap: 256,
-		GrantBurst:   2,
-		RefSize:      netsim.MSS,
-		GapFactor:    1,
-		Combine:      netsim.CombineAND,
-		RecoveryCap:  16,
-	}
+	return Config{DataQueueCap: 8, GrantBurst: 2, GapFactor: 1, Combine: netsim.CombineAND}
 }
 
 // WithDefaults returns the config with zero fields replaced by the
 // paper's defaults.
-func (c Config) WithDefaults() Config { return c.withDefaults() }
-
-func (c Config) withDefaults() Config {
+func (c Config) WithDefaults() Config {
 	d := DefaultConfig()
 	if c.DataQueueCap == 0 {
 		c.DataQueueCap = d.DataQueueCap
 	}
-	if c.CtrlQueueCap == 0 {
-		c.CtrlQueueCap = d.CtrlQueueCap
-	}
 	if c.GrantBurst == 0 {
 		c.GrantBurst = d.GrantBurst
 	}
-	if c.RefSize == 0 {
-		c.RefSize = d.RefSize
-	}
 	if c.GapFactor == 0 {
 		c.GapFactor = d.GapFactor
-	}
-	if c.RecoveryCap == 0 {
-		c.RecoveryCap = d.RecoveryCap
 	}
 	return c
 }
@@ -80,20 +65,18 @@ func (c Config) withDefaults() Config {
 // SwitchQueue builds the AMRT switch egress queue: strict priority with
 // a roomy control band and the paper's tiny data cap.
 func (c Config) SwitchQueue(s *netsim.Slabs) netsim.Queue {
-	cc := c.withDefaults()
-	return s.NewPriority(cc.CtrlQueueCap, cc.DataQueueCap, cc.DataQueueCap)
+	cc := c.WithDefaults()
+	return s.NewPriority(CtrlQueueCap, cc.DataQueueCap, cc.DataQueueCap)
 }
 
 // HostQueue builds the host NIC queue: large, since the sender may
 // legitimately buffer its own blind window.
-func (c Config) HostQueue(s *netsim.Slabs) netsim.Queue {
-	return s.NewPriority(1024)
-}
+func HostQueue(s *netsim.Slabs) netsim.Queue { return s.NewPriority(1024) }
 
 // NewMarker builds the anti-ECN egress marker.
 func (c Config) NewMarker(s *netsim.Slabs) netsim.DequeueMarker {
-	cc := c.withDefaults()
-	return s.NewAntiECNMarker(cc.RefSize, cc.GapFactor, cc.Combine)
+	cc := c.WithDefaults()
+	return s.NewAntiECNMarker(cc.GapFactor, cc.Combine)
 }
 
 // Protocol is an AMRT instance bound to one network.
@@ -203,7 +186,7 @@ func (r *receiver) overdueWindow(baseRTT sim.Time) sim.Time {
 
 // New creates an AMRT protocol on the network.
 func New(net *netsim.Network, cfg Config) *Protocol {
-	p := &Protocol{Kernel: transport.NewKernel(net, cfg.Config), cfg: cfg.withDefaults()}
+	p := &Protocol{Kernel: transport.NewKernel(net, cfg.Config), cfg: cfg.WithDefaults()}
 	p.Bind(transport.Hooks{
 		ToSender: p.onSenderPkt, ToReceiver: p.onReceiverPkt, Start: p.startFlow,
 		DropReceiver: p.dropRcvState, HostCrashed: p.hostCrashed,
@@ -405,10 +388,6 @@ func (p *Protocol) onTimeout(r *receiver) {
 	if r.f.Done {
 		return
 	}
-	cap := p.cfg.RecoveryCap
-	if cap <= 0 {
-		cap = p.BDPPkts(r.f.Dst.LinkRate())
-	}
 	now := p.Now()
 	window := r.overdueWindow(p.Cfg.RTT)
 	overdue := r.grants.Before(now - window)
@@ -422,7 +401,7 @@ func (p *Protocol) onTimeout(r *receiver) {
 		}
 	})
 	queued := 0
-	for seq := r.rcvd.NextClear(0); seq >= 0 && seq < overdue && queued < cap; seq = r.rcvd.NextClear(seq + 1) {
+	for seq := r.rcvd.NextClear(0); seq >= 0 && seq < overdue && queued < RecoveryCap; seq = r.rcvd.NextClear(seq + 1) {
 		if r.inRecovery.Get(seq) {
 			continue // already waiting in the pacer queue
 		}

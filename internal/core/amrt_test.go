@@ -13,7 +13,7 @@ import (
 // overlay is cfg's switch queues, host queues and marker, for a topo
 // builder.
 func overlay(cfg Config) topo.Overlay {
-	return topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue, Marker: cfg.NewMarker}
+	return topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: HostQueue, Marker: cfg.NewMarker}
 }
 
 // newFan builds a Fig-2-style fan with AMRT queues and markers.
@@ -194,7 +194,7 @@ func TestQueueStaysBounded(t *testing.T) {
 	s.Net.Run(sim.Second)
 	// Control band + 8-packet data cap: the egress queue must never
 	// exceed the configured caps.
-	if mon.MaxQueueLen > 8+DefaultConfig().CtrlQueueCap {
+	if mon.MaxQueueLen > 8+CtrlQueueCap {
 		t.Errorf("bottleneck queue reached %d packets", mon.MaxQueueLen)
 	}
 }
@@ -328,7 +328,7 @@ func TestAMRTDeterminism(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
+	c := Config{}.WithDefaults()
 	if c.DataQueueCap != 8 || c.GrantBurst != 2 || c.GapFactor != 1 {
 		t.Errorf("defaults wrong: %+v", c)
 	}

@@ -85,9 +85,9 @@ func runStaleRecovery(t *testing.T, reuse bool) staleRecovery {
 	fa, fb := fs[0], fs[1]
 	a := transport.Receiver(&p.Kernel, &p.receivers, fa.ID, p.newReceiver)
 	s.Net.Run(4 * p.Cfg.RTT)
-	if p.RecoveryGrants != 1 || int(a.inRecovery.Count()) != p.cfg.RecoveryCap-1 {
+	if p.RecoveryGrants != 1 || int(a.inRecovery.Count()) != RecoveryCap-1 {
 		t.Fatalf("after A's fourth tick: %d recovery grants, %d queued; want 1 and %d",
-			p.RecoveryGrants, a.inRecovery.Count(), p.cfg.RecoveryCap-1)
+			p.RecoveryGrants, a.inRecovery.Count(), RecoveryCap-1)
 	}
 	var b *receiver
 	if !reuse {

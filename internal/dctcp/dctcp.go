@@ -17,60 +17,30 @@ import (
 	"amrt/internal/transport"
 )
 
-// Config parameterizes DCTCP.
-type Config struct {
-	transport.Config
-
-	// MarkThreshold K in packets (default 32, ~DCTCP guidance for 10G).
-	MarkThreshold int
-	// QueueCap is the drop-tail capacity in packets (default 128).
-	QueueCap int
-	// G is the α EWMA gain (default 1/16).
-	G float64
-	// InitCwnd is the initial congestion window in packets (default 10).
-	InitCwnd float64
-	// RTORTTs is the retransmission timeout in RTTs (default 3).
-	RTORTTs int
-}
-
-// DefaultConfig returns standard DCTCP parameters.
-func DefaultConfig() Config {
-	return Config{MarkThreshold: 32, QueueCap: 128, G: 1.0 / 16, InitCwnd: 10, RTORTTs: 3}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.MarkThreshold == 0 {
-		c.MarkThreshold = d.MarkThreshold
-	}
-	if c.QueueCap == 0 {
-		c.QueueCap = d.QueueCap
-	}
-	if c.G == 0 {
-		c.G = d.G
-	}
-	if c.InitCwnd == 0 {
-		c.InitCwnd = d.InitCwnd
-	}
-	if c.RTORTTs == 0 {
-		c.RTORTTs = d.RTORTTs
-	}
-	return c
-}
+// DCTCP's fixed parameters, for 10G links.
+const (
+	// MarkThreshold is the marking threshold K in packets (~DCTCP
+	// guidance for 10G).
+	MarkThreshold = 32
+	// QueueCap is the drop-tail capacity in packets.
+	QueueCap = 128
+	// G is the α EWMA gain.
+	G = 1.0 / 16
+	// InitCwnd is the initial congestion window in packets.
+	InitCwnd = 10
+	// RTORTTs is the retransmission timeout in RTTs.
+	RTORTTs = 3
+)
 
 // SwitchQueue builds the ECN-marking switch buffer.
-func (c Config) SwitchQueue(s *netsim.Slabs) netsim.Queue {
-	cc := c.withDefaults()
-	return s.NewECN(cc.QueueCap, cc.MarkThreshold)
-}
+func SwitchQueue(s *netsim.Slabs) netsim.Queue { return s.NewECN(QueueCap, MarkThreshold) }
 
 // HostQueue builds the host NIC queue.
-func (c Config) HostQueue(s *netsim.Slabs) netsim.Queue { return s.NewDropTail(1024) }
+func HostQueue(s *netsim.Slabs) netsim.Queue { return s.NewDropTail(1024) }
 
 // Protocol is a DCTCP instance.
 type Protocol struct {
 	transport.Kernel
-	cfg       Config
 	senders   transport.Records[sender, *sender]
 	receivers transport.Records[rcvFlow, *rcvFlow]
 
@@ -119,8 +89,8 @@ func (p *Protocol) newRcvFlow(r *rcvFlow, f *transport.Flow) {
 }
 
 // New creates a DCTCP instance on the network.
-func New(net *netsim.Network, cfg Config) *Protocol {
-	p := &Protocol{Kernel: transport.NewKernel(net, cfg.Config), cfg: cfg.withDefaults()}
+func New(net *netsim.Network, cfg transport.Config) *Protocol {
+	p := &Protocol{Kernel: transport.NewKernel(net, cfg)}
 	// Registration and start only; OnHostCrash below shadows the kernel's.
 	p.Bind(transport.Hooks{ToSender: p.onSenderPkt, ToReceiver: p.onReceiverPkt, Start: p.startFlow})
 	if m := cfg.Metrics; m != nil {
@@ -142,7 +112,7 @@ func (p *Protocol) startFlow(f *transport.Flow) {
 	}
 	s := p.senders.New(&p.Kernel, f.ID)
 	s.p, s.f = p, f
-	s.cwnd, s.ssthresh, s.winSize = p.cfg.InitCwnd, 1<<20, int(p.cfg.InitCwnd)
+	s.cwnd, s.ssthresh, s.winSize = InitCwnd, 1<<20, InitCwnd
 	p.senders.InitBitmaps(s, f.NPkts, &s.acked)
 	s.lastProgress = p.Now()
 	p.pump(s)
@@ -191,7 +161,7 @@ func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
 	}
 	if s.ackedInWin >= s.winSize {
 		frac := float64(s.markedInWin) / float64(s.ackedInWin)
-		s.alpha = (1-p.cfg.G)*s.alpha + p.cfg.G*frac
+		s.alpha = (1-G)*s.alpha + G*frac
 		if s.markedInWin > 0 {
 			s.cwnd = s.cwnd * (1 - s.alpha/2)
 			if s.cwnd < 1 {
@@ -268,7 +238,7 @@ func (p *Protocol) OnHostCrash(h *netsim.Host) {
 }
 
 func (p *Protocol) armRTO(s *sender) {
-	interval := sim.Time(p.cfg.RTORTTs) * p.Cfg.RTT
+	interval := RTORTTs * p.Cfg.RTT
 	if s.backoff > interval {
 		interval = s.backoff
 	}
@@ -284,7 +254,7 @@ func (p *Protocol) onRTO(s *sender) {
 	if s.acked.Full() {
 		return // sender-local done: every sequence acked
 	}
-	rto := sim.Time(p.cfg.RTORTTs) * p.Cfg.RTT
+	rto := RTORTTs * p.Cfg.RTT
 	if p.Now()-s.lastProgress >= rto {
 		if seq := s.acked.NextClear(0); seq >= 0 && seq < s.next {
 			pkt := p.NewData(s.f, seq, netsim.PrioData)

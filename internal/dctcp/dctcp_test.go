@@ -11,8 +11,8 @@ import (
 )
 
 func newFan(pairs int) (*topo.Fabric, *Protocol, *stats.FCTCollector) {
-	cfg := DefaultConfig()
-	s := topo.Fan(pairs).Build(topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue})
+	var cfg transport.Config
+	s := topo.Fan(pairs).Build(topo.Overlay{SwitchQueue: SwitchQueue, HostQueue: HostQueue})
 	col := stats.NewFCTCollector()
 	cfg.Collector = col
 	cfg.RTT = 100 * sim.Microsecond

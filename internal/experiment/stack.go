@@ -103,9 +103,11 @@ type stackRow struct {
 	// (DCTCP): excluded from ProtocolNames/AllStacks, still buildable by
 	// name through NewStack.
 	related bool
-	// build resolves the stack's package config once; every instance
-	// starts from a copy of it.
-	build func(StackOptions) Stack
+	// overlay is the queues (and marker) the stack lays over a topology.
+	overlay topo.Overlay
+	// new builds one instance from the run's transport configuration
+	// and the stack's own options (narrowed).
+	new func(net *netsim.Network, base transport.Config, opts StackOptions) Instance
 	// narrow returns the options the stack reads; nil means none.
 	narrow func(StackOptions) StackOptions
 }
@@ -117,72 +119,53 @@ func (r stackRow) options(opts StackOptions) StackOptions {
 	return r.narrow(opts)
 }
 
+// build binds the row to opts.
+func (r stackRow) build(opts StackOptions) Stack {
+	opts = r.options(opts)
+	return Stack{Name: r.name, Overlay: r.overlay, New: func(net *netsim.Network, base transport.Config) Instance {
+		return r.new(net, base, opts)
+	}}
+}
+
 // stackTable is the one list of protocol stacks: the paper's five
 // comparison protocols in presentation order, then the related-work
 // contrast. ProtocolNames, AllStacks, amrt.Validate, the CLIs and the
 // docs checker all read it, so adding a protocol is adding a row.
 var stackTable = [...]stackRow{
-	{name: "pHost", build: func(StackOptions) Stack {
-		cfg := phost.DefaultConfig()
-		return Stack{
-			Name:    "pHost",
-			Overlay: topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue},
-			New: func(net *netsim.Network, base transport.Config) Instance {
-				c := cfg
-				c.Config = base
-				return phost.New(net, c)
-			},
-		}
-	}},
 	{
-		name: "Homa",
-		build: func(opts StackOptions) Stack {
-			cfg := homa.DefaultConfig()
-			if opts.HomaDegree > 0 {
-				cfg.Degree = opts.HomaDegree
-			}
-			return Stack{
-				Name:    "Homa",
-				Overlay: topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue},
-				New: func(net *netsim.Network, base transport.Config) Instance {
-					c := cfg
-					c.Config = base
-					return homa.New(net, c)
-				},
-			}
+		name:    "pHost",
+		overlay: topo.Overlay{SwitchQueue: phost.SwitchQueue, HostQueue: phost.HostQueue},
+		new: func(net *netsim.Network, base transport.Config, _ StackOptions) Instance {
+			return phost.New(net, base)
+		},
+	},
+	{
+		name:    "Homa",
+		overlay: topo.Overlay{SwitchQueue: homa.SwitchQueue, HostQueue: homa.HostQueue},
+		new: func(net *netsim.Network, base transport.Config, opts StackOptions) Instance {
+			return homa.New(net, homa.Config{Config: base, Degree: opts.HomaDegree})
 		},
 		narrow: func(opts StackOptions) StackOptions { return StackOptions{HomaDegree: opts.HomaDegree} },
 	},
-	{name: "NDP", build: func(StackOptions) Stack {
-		cfg := ndp.DefaultConfig()
-		return Stack{
-			Name:    "NDP",
-			Overlay: topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue},
-			New: func(net *netsim.Network, base transport.Config) Instance {
-				c := cfg
-				c.Config = base
-				return ndp.New(net, c)
-			},
-		}
-	}},
-	{name: "AMRT", build: func(StackOptions) Stack { return amrtStack(core.DefaultConfig()) }},
 	{
-		name: "SIRD",
-		build: func(opts StackOptions) Stack {
-			cfg := sird.DefaultConfig()
-			cfg.PoolBytes = opts.SIRDPoolBytes
-			if opts.SIRDStalenessRTTs > 0 {
-				cfg.StalenessRTTs = opts.SIRDStalenessRTTs
-			}
-			return Stack{
-				Name:    "SIRD",
-				Overlay: topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue},
-				New: func(net *netsim.Network, base transport.Config) Instance {
-					c := cfg
-					c.Config = base
-					return sird.New(net, c)
-				},
-			}
+		name:    "NDP",
+		overlay: topo.Overlay{SwitchQueue: ndp.SwitchQueue, HostQueue: ndp.HostQueue},
+		new: func(net *netsim.Network, base transport.Config, _ StackOptions) Instance {
+			return ndp.New(net, base)
+		},
+	},
+	{
+		name:    "AMRT",
+		overlay: amrtOverlay(core.DefaultConfig()),
+		new: func(net *netsim.Network, base transport.Config, _ StackOptions) Instance {
+			return core.New(net, core.Config{Config: base})
+		},
+	},
+	{
+		name:    "SIRD",
+		overlay: topo.Overlay{SwitchQueue: sird.SwitchQueue, HostQueue: sird.HostQueue},
+		new: func(net *netsim.Network, base transport.Config, opts StackOptions) Instance {
+			return sird.New(net, sird.Config{Config: base, PoolBytes: opts.SIRDPoolBytes, StalenessRTTs: opts.SIRDStalenessRTTs})
 		},
 		narrow: func(opts StackOptions) StackOptions {
 			return StackOptions{SIRDPoolBytes: opts.SIRDPoolBytes, SIRDStalenessRTTs: opts.SIRDStalenessRTTs}
@@ -190,18 +173,14 @@ var stackTable = [...]stackRow{
 	},
 	// Not part of the paper's five-way comparison; used by the
 	// related-work contrast (reactive sender-based control).
-	{name: "DCTCP", related: true, build: func(StackOptions) Stack {
-		cfg := dctcp.DefaultConfig()
-		return Stack{
-			Name:    "DCTCP",
-			Overlay: topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue},
-			New: func(net *netsim.Network, base transport.Config) Instance {
-				c := cfg
-				c.Config = base
-				return dctcp.New(net, c)
-			},
-		}
-	}},
+	{
+		name:    "DCTCP",
+		related: true,
+		overlay: topo.Overlay{SwitchQueue: dctcp.SwitchQueue, HostQueue: dctcp.HostQueue},
+		new: func(net *netsim.Network, base transport.Config, _ StackOptions) Instance {
+			return dctcp.New(net, base)
+		},
+	},
 }
 
 // withConfig returns st with every instance's transport configuration
@@ -217,13 +196,17 @@ func withConfig(st Stack, edit func(*transport.Config)) Stack {
 	return st
 }
 
+// amrtOverlay is AMRT's queues and marker at cfg.
+func amrtOverlay(cfg core.Config) topo.Overlay {
+	return topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: core.HostQueue, Marker: cfg.NewMarker}
+}
+
 // amrtStack builds AMRT from cfg, zero fields at the paper's defaults:
-// the table's row and the ablation variants.
+// the ablation variants.
 func amrtStack(cfg core.Config) Stack {
-	cfg = cfg.WithDefaults()
 	return Stack{
 		Name:    "AMRT",
-		Overlay: topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue, Marker: cfg.NewMarker},
+		Overlay: amrtOverlay(cfg),
 		New: func(net *netsim.Network, base transport.Config) Instance {
 			c := cfg
 			c.Config = base

@@ -1,8 +1,11 @@
 package experiment
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"amrt/internal/netsim"
 )
 
 // TestRegistryRoundTrip builds every stack in the table by name and
@@ -21,6 +24,42 @@ func TestRegistryRoundTrip(t *testing.T) {
 		}
 		if !HasStack(name) {
 			t.Errorf("HasStack(%q) = false", name)
+		}
+	}
+}
+
+// TestStackOverlays pins each stack's queue disciplines, their per-band
+// caps and AMRT's marker. A run's outputs see these values only through
+// their effects; this reads them off the factories directly.
+func TestStackOverlays(t *testing.T) {
+	var none *netsim.Slabs // factories carve nothing from a nil Slabs
+	amrtMarker := &netsim.AntiECNMarker{GapFactor: 1, Mode: netsim.CombineAND}
+	for _, c := range []struct {
+		name    string
+		switchQ netsim.Queue
+		hostQ   netsim.Queue
+		marker  netsim.DequeueMarker
+	}{
+		{"pHost", none.NewPriority(256, 12, 12), none.NewPriority(1024), nil},
+		{"Homa", none.NewPriority(256, 128, 128), none.NewPriority(1024), nil},
+		{"NDP", none.NewTrimming(8, 256), none.NewPriority(2048), nil},
+		{"AMRT", none.NewPriority(256, 8, 8), none.NewPriority(1024), amrtMarker},
+		{"SIRD", none.NewPriority(256, 4, 4), none.NewPriority(1024), nil},
+		{"DCTCP", none.NewECN(128, 32), none.NewDropTail(1024), nil},
+	} {
+		st := MustStack(c.name, StackOptions{})
+		if got := st.SwitchQueue(none); !reflect.DeepEqual(got, c.switchQ) {
+			t.Errorf("%s switch queue %#v, want %#v", c.name, got, c.switchQ)
+		}
+		if got := st.HostQueue(none); !reflect.DeepEqual(got, c.hostQ) {
+			t.Errorf("%s host queue %#v, want %#v", c.name, got, c.hostQ)
+		}
+		var got netsim.DequeueMarker
+		if st.Marker != nil {
+			got = st.Marker(none)
+		}
+		if !reflect.DeepEqual(got, c.marker) {
+			t.Errorf("%s marker %#v, want %#v", c.name, got, c.marker)
 		}
 	}
 }

@@ -15,6 +15,15 @@ import (
 	"amrt/internal/transport"
 )
 
+const (
+	// QueueCap is the switch buffer in packets per data priority level,
+	// deep because overcommitment deliberately queues granted data at
+	// the receiver's downlink.
+	QueueCap = 128
+	// TimeoutRTTs is the resend timer in RTTs.
+	TimeoutRTTs = 3
+)
+
 // Config parameterizes Homa.
 type Config struct {
 	transport.Config
@@ -22,46 +31,23 @@ type Config struct {
 	// Degree is the overcommitment level: how many senders one receiver
 	// grants simultaneously (Fig. 14 sweeps 2–8).
 	Degree int
-	// QueueCap is the switch buffer in packets per data priority level
-	// (default 128).
-	QueueCap int
-	// TimeoutRTTs is the resend timer in RTTs (default 3).
-	TimeoutRTTs int
 }
 
 // DefaultConfig returns Homa with overcommitment degree 2.
-func DefaultConfig() Config {
-	return Config{Degree: 2, QueueCap: 128, TimeoutRTTs: 3}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.Degree == 0 {
-		c.Degree = d.Degree
-	}
-	if c.QueueCap == 0 {
-		c.QueueCap = d.QueueCap
-	}
-	if c.TimeoutRTTs == 0 {
-		c.TimeoutRTTs = d.TimeoutRTTs
-	}
-	return c
-}
+func DefaultConfig() Config { return Config{Degree: 2} }
 
 // SwitchQueue builds Homa's switch buffer: control above unscheduled
-// above scheduled, data levels sharing the configured cap.
-func (c Config) SwitchQueue(s *netsim.Slabs) netsim.Queue {
-	cap := c.withDefaults().QueueCap
-	return s.NewPriority(256, cap, cap)
-}
+// above scheduled, each data level capped at QueueCap.
+func SwitchQueue(s *netsim.Slabs) netsim.Queue { return s.NewPriority(256, QueueCap, QueueCap) }
 
 // HostQueue builds the host NIC queue.
-func (c Config) HostQueue(s *netsim.Slabs) netsim.Queue { return s.NewPriority(1024) }
+func HostQueue(s *netsim.Slabs) netsim.Queue { return s.NewPriority(1024) }
 
 // Protocol is a Homa instance.
 type Protocol struct {
 	transport.Kernel
-	cfg       Config
+	// degree is Config.Degree, non-positive values at the default.
+	degree    int
 	receivers transport.Records[rcvFlow, *rcvFlow]
 	byHost    transport.HostTable[hostFlows]
 	// active is regrant's scratch slice. regrant runs on every data
@@ -112,7 +98,10 @@ func byRemaining(a, b *rcvFlow) int {
 
 // New creates a Homa instance on the network.
 func New(net *netsim.Network, cfg Config) *Protocol {
-	p := &Protocol{Kernel: transport.NewKernel(net, cfg.Config), cfg: cfg.withDefaults()}
+	p := &Protocol{Kernel: transport.NewKernel(net, cfg.Config), degree: cfg.Degree}
+	if p.degree <= 0 {
+		p.degree = DefaultConfig().Degree
+	}
 	p.Bind(transport.Hooks{
 		ToSender: p.onSenderPkt, ToReceiver: p.onReceiverPkt, Start: p.startFlow,
 		DropReceiver: p.dropRcvState, HostCrashed: p.hostCrashed,
@@ -128,9 +117,6 @@ func New(net *netsim.Network, cfg Config) *Protocol {
 
 // Name identifies the protocol in reports.
 func (p *Protocol) Name() string { return "Homa" }
-
-// Degree returns the configured overcommitment level.
-func (p *Protocol) Degree() int { return p.cfg.Degree }
 
 func (p *Protocol) startFlow(f *transport.Flow) {
 	p.Announce(f)
@@ -253,7 +239,7 @@ func (p *Protocol) regrant(dst *netsim.Host) {
 	p.active = active
 	slices.SortFunc(active, byRemaining)
 	bdp := int32(p.BDPPkts(dst.LinkRate()))
-	for i := 0; i < len(active) && i < p.cfg.Degree; i++ {
+	for i := 0; i < len(active) && i < p.degree; i++ {
 		r := active[i]
 		target := r.rcvd.Count() + bdp
 		if target > r.f.NPkts {
@@ -277,7 +263,7 @@ func (p *Protocol) onTimeout(r *rcvFlow) {
 	if r.f.Done {
 		return
 	}
-	resend := sim.Time(p.cfg.TimeoutRTTs) * p.Cfg.RTT
+	resend := TimeoutRTTs * p.Cfg.RTT
 	if p.Now()-r.lastProgress >= resend {
 		cap := p.BDPPkts(r.f.Dst.LinkRate())
 		issued := 0

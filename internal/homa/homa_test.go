@@ -13,7 +13,7 @@ import (
 func newFan(pairs, degree int) (*topo.Fabric, *Protocol) {
 	cfg := DefaultConfig()
 	cfg.Degree = degree
-	s := topo.Fan(pairs).Build(topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue})
+	s := topo.Fan(pairs).Build(topo.Overlay{SwitchQueue: SwitchQueue, HostQueue: HostQueue})
 	cfg.RTT = 100 * sim.Microsecond
 	cfg.Collector = stats.NewFCTCollector()
 	return s, New(s.Net, cfg)
@@ -191,16 +191,6 @@ func TestHomaDeterminism(t *testing.T) {
 	a2, b2, c2 := run()
 	if a1 != a2 || b1 != b2 || c1 != c2 {
 		t.Error("Homa run not deterministic")
-	}
-}
-
-func TestDegreeAccessor(t *testing.T) {
-	_, p := newFan(1, 5)
-	if p.Degree() != 5 {
-		t.Errorf("Degree() = %d", p.Degree())
-	}
-	if p.Name() != "Homa" {
-		t.Errorf("Name() = %q", p.Name())
 	}
 }
 

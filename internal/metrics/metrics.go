@@ -16,7 +16,7 @@
 //     the same config and seed produce byte-identical files.
 //   - Sampling callbacks must not change simulation behaviour. They
 //     may read any component state and maintain their own bookkeeping
-//     (e.g. the windowed-utilization reset, the DeltaOf cursor), but
+//     (e.g. the windowed-utilization reset, the RatioOf cursors), but
 //     must never schedule events or mutate protocol state.
 //
 // # Cost contract

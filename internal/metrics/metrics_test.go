@@ -161,21 +161,14 @@ func TestRingEviction(t *testing.T) {
 	}
 }
 
-func TestDeltaAndRatio(t *testing.T) {
+func TestRatioOf(t *testing.T) {
 	var a, b int64
-	d := DeltaOf(func() int64 { return a })
 	rt := RatioOf(func() int64 { return a }, func() int64 { return b })
 	a, b = 10, 20
-	if got := d(0); got != 10 {
-		t.Fatalf("delta %v, want 10", got)
-	}
 	if got := rt(0); got != 0.5 {
 		t.Fatalf("ratio %v, want 0.5", got)
 	}
 	a += 5 // b unchanged: denominator idle
-	if got := d(0); got != 5 {
-		t.Fatalf("delta %v, want 5", got)
-	}
 	if got := rt(0); got != 0 {
 		t.Fatalf("idle-denominator ratio %v, want 0", got)
 	}
@@ -191,7 +184,12 @@ func run(t *testing.T) (string, string) {
 	var depth int64
 	r.GaugeFunc("depth", func() float64 { return float64(depth) })
 	r.Series("depth_series", func(sim.Time) float64 { return float64(depth) })
-	r.Series("event_rate", DeltaOf(c.Value))
+	var lastEvents int64
+	r.Series("event_rate", func(sim.Time) float64 {
+		d := c.Value() - lastEvents
+		lastEvents += d
+		return float64(d)
+	})
 	rng := sim.NewRNG(42)
 	for i := 0; i < 200; i++ {
 		at := sim.Time(rng.Int63n(int64(sim.Millisecond)))

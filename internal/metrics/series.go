@@ -173,19 +173,6 @@ func (r *Registry) Interval() sim.Time {
 	return r.interval
 }
 
-// DeltaOf adapts a cumulative int64 source (a counter, a protocol
-// field) into a per-interval delta sampler: each sample is the source's
-// growth since the previous tick.
-func DeltaOf(fn func() int64) SampleFunc {
-	var last int64
-	return func(sim.Time) float64 {
-		v := fn()
-		d := v - last
-		last = v
-		return float64(d)
-	}
-}
-
 // RatioOf samples the ratio of two cumulative sources' per-interval
 // deltas — e.g. packets CE-marked over packets observed gives the
 // per-interval mark rate. Intervals where the denominator did not move

@@ -13,47 +13,25 @@ import (
 	"amrt/internal/transport"
 )
 
-// Config parameterizes NDP.
-type Config struct {
-	transport.Config
-
+const (
 	// TrimThreshold is the data-queue length at which switches trim
-	// payloads (paper and NDP default: 8).
-	TrimThreshold int
-	// CtrlQueueCap bounds the header/control band (default 256).
-	CtrlQueueCap int
-}
-
-// DefaultConfig returns NDP's parameters.
-func DefaultConfig() Config {
-	return Config{TrimThreshold: 8, CtrlQueueCap: 256}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.TrimThreshold == 0 {
-		c.TrimThreshold = d.TrimThreshold
-	}
-	if c.CtrlQueueCap == 0 {
-		c.CtrlQueueCap = d.CtrlQueueCap
-	}
-	return c
-}
+	// payloads (the paper's and NDP's own value).
+	TrimThreshold = 8
+	// CtrlQueueCap bounds the header/control band, far above the trim
+	// threshold: trimmed headers are how a receiver learns of loss.
+	CtrlQueueCap = 256
+)
 
 // SwitchQueue builds NDP's trimming switch buffer.
-func (c Config) SwitchQueue(s *netsim.Slabs) netsim.Queue {
-	cc := c.withDefaults()
-	return s.NewTrimming(cc.TrimThreshold, cc.CtrlQueueCap)
-}
+func SwitchQueue(s *netsim.Slabs) netsim.Queue { return s.NewTrimming(TrimThreshold, CtrlQueueCap) }
 
 // HostQueue builds the host NIC queue: large, since NDP deliberately
 // blasts the first window at line rate.
-func (c Config) HostQueue(s *netsim.Slabs) netsim.Queue { return s.NewPriority(2048) }
+func HostQueue(s *netsim.Slabs) netsim.Queue { return s.NewPriority(2048) }
 
 // Protocol is an NDP instance.
 type Protocol struct {
 	transport.Kernel
-	cfg       Config
 	receivers transport.Records[rcvFlow, *rcvFlow]
 	pullers   transport.HostTable[puller]
 	// rtx holds a sender's NACKed sequences awaiting a pull, from the
@@ -111,8 +89,8 @@ type puller struct {
 }
 
 // New creates an NDP instance on the network.
-func New(net *netsim.Network, cfg Config) *Protocol {
-	p := &Protocol{Kernel: transport.NewKernel(net, cfg.Config), cfg: cfg.withDefaults()}
+func New(net *netsim.Network, cfg transport.Config) *Protocol {
+	p := &Protocol{Kernel: transport.NewKernel(net, cfg)}
 	p.Bind(transport.Hooks{
 		ToSender: p.onSenderPkt, ToReceiver: p.onReceiverPkt, Start: p.startFlow,
 		DropReceiver: p.dropRcvState, HostCrashed: p.hostCrashed,

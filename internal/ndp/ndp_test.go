@@ -11,8 +11,8 @@ import (
 )
 
 func newFan(pairs int) (*topo.Fabric, *Protocol) {
-	cfg := DefaultConfig()
-	s := topo.Fan(pairs).Build(topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue})
+	var cfg transport.Config
+	s := topo.Fan(pairs).Build(topo.Overlay{SwitchQueue: SwitchQueue, HostQueue: HostQueue})
 	cfg.RTT = 100 * sim.Microsecond
 	cfg.Collector = stats.NewFCTCollector()
 	return s, New(s.Net, cfg)

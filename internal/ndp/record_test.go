@@ -12,8 +12,8 @@ import (
 // newQuietFan is a one-pair fan with NDP and no collector, so a flow's
 // completion appends to nothing.
 func newQuietFan() (*topo.Fabric, *Protocol) {
-	cfg := DefaultConfig()
-	s := topo.Fan(1).Build(topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue})
+	var cfg transport.Config
+	s := topo.Fan(1).Build(topo.Overlay{SwitchQueue: SwitchQueue, HostQueue: HostQueue})
 	cfg.RTT = 100 * sim.Microsecond
 	return s, New(s.Net, cfg)
 }

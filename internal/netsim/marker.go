@@ -28,13 +28,12 @@ const (
 // saturated link; the prose makes clear the intent is an idle gap that
 // fits one more packet, which is what this implementation measures (see
 // DESIGN.md §1).
+//
+// The reference size of the gap comparison is one MSS whatever the
+// packet sizes: the paper fixes it at the Ethernet MTU.
 type AntiECNMarker struct {
-	// RefSize is the reference packet size for the gap comparison; the
-	// paper fixes it at the Ethernet MTU (MSS) regardless of actual
-	// packet sizes.
-	RefSize int
 	// GapFactor scales the required gap: the marker requires an idle
-	// time of at least GapFactor × RefSize/C. 1.0 is the paper's rule;
+	// time of at least GapFactor × MSS/C. 1.0 is the paper's rule;
 	// other values are exercised by the threshold ablation.
 	GapFactor float64
 	// Mode is the multi-hop combining operator (AND per the paper).
@@ -45,7 +44,7 @@ type AntiECNMarker struct {
 	Observed int64
 
 	// need is the idle gap a spare-bandwidth mark takes on a link of
-	// rate: GapFactor × the nominal serialization time of RefSize,
+	// rate: GapFactor × the nominal serialization time of one MSS,
 	// computed at the first gap comparison and again only if the marker
 	// finds itself on a link of another rate. A port's nominal rate
 	// never changes (a degraded rate is not what the rule reads), so a
@@ -55,10 +54,10 @@ type AntiECNMarker struct {
 }
 
 // NewAntiECNMarker returns a marker with the paper's defaults
-// (RefSize=MSS, GapFactor=1, AND combining), of its own: the form for a
-// marker outside any fabric. Fabrics carve theirs (Slabs.NewAntiECNMarker).
+// (GapFactor=1, AND combining), of its own: the form for a marker
+// outside any fabric. Fabrics carve theirs (Slabs.NewAntiECNMarker).
 func NewAntiECNMarker() *AntiECNMarker {
-	return (*Slabs)(nil).NewAntiECNMarker(MSS, 1, CombineAND)
+	return (*Slabs)(nil).NewAntiECNMarker(1, CombineAND)
 }
 
 // OnDequeue implements DequeueMarker.
@@ -70,7 +69,7 @@ func (m *AntiECNMarker) OnDequeue(port *Port, pkt *Packet, now sim.Time) {
 	spare := true
 	if lastEnd, ever := port.LastTxEnd(); ever {
 		if r := port.link.Rate; r != m.rate {
-			m.rate, m.need = r, sim.Time(float64(r.TxTime(m.RefSize))*m.GapFactor)
+			m.rate, m.need = r, sim.Time(float64(r.TxTime(MSS))*m.GapFactor)
 		}
 		spare = now-lastEnd >= m.need
 	}

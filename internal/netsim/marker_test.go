@@ -186,7 +186,7 @@ func TestMarkerORModeAblation(t *testing.T) {
 	// Same saturated-second-hop setup conceptually, but verify directly on
 	// the combine operator.
 	p := &Packet{Type: Data, Size: MSS, CE: false}
-	m := &AntiECNMarker{RefSize: MSS, GapFactor: 1, Mode: CombineOR}
+	m := &AntiECNMarker{GapFactor: 1, Mode: CombineOR}
 	port := &Port{net: New(), link: Link{Rate: 10 * sim.Gbps}}
 	port.everSent = true
 	port.lastTxEnd = 0
@@ -206,7 +206,7 @@ func TestMarkerGapFactorAblation(t *testing.T) {
 		want   bool
 	}{{1, true}, {2, false}, {0.5, true}} {
 		p := &Packet{Type: Data, Size: MSS, CE: true}
-		m := &AntiECNMarker{RefSize: MSS, GapFactor: c.factor, Mode: CombineAND}
+		m := &AntiECNMarker{GapFactor: c.factor, Mode: CombineAND}
 		m.OnDequeue(port, p, 1200)
 		if p.CE != c.want {
 			t.Errorf("factor %.1f: CE=%v, want %v", c.factor, p.CE, c.want)

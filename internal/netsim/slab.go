@@ -45,10 +45,10 @@ func carve[T any](s *Slabs, kind func(*Slabs) *slab.Slab[T]) *T {
 	return kind(s).One()
 }
 
-// NewAntiECNMarker returns an anti-ECN marker with the given reference
-// size, gap factor and combining mode (see AntiECNMarker).
-func (s *Slabs) NewAntiECNMarker(refSize int, gapFactor float64, mode CombineMode) *AntiECNMarker {
+// NewAntiECNMarker returns an anti-ECN marker with the given gap factor
+// and combining mode (see AntiECNMarker).
+func (s *Slabs) NewAntiECNMarker(gapFactor float64, mode CombineMode) *AntiECNMarker {
 	m := carve(s, func(s *Slabs) *slab.Slab[AntiECNMarker] { return &s.markers })
-	m.RefSize, m.GapFactor, m.Mode = refSize, gapFactor, mode
+	m.GapFactor, m.Mode = gapFactor, mode
 	return m
 }

@@ -12,51 +12,28 @@ import (
 	"amrt/internal/transport"
 )
 
-// Config parameterizes pHost.
-type Config struct {
-	transport.Config
-
+const (
 	// QueueCap is the switch data-queue cap in packets. pHost's own
 	// evaluation keeps per-port buffers tiny (tens of KB) — its
 	// design assumes a congestion-free core and keeps switch queues
 	// tiny. A large buffer here would let blind-start backlogs give
 	// pHost an elasticity its token clock does not actually provide.
-	QueueCap int
-	// TimeoutRTTs is the unresponsive-sender timeout in RTTs (paper
-	// default 3).
-	TimeoutRTTs int
-}
-
-// DefaultConfig returns the paper's parameters.
-func DefaultConfig() Config {
-	return Config{QueueCap: 12, TimeoutRTTs: 3}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.QueueCap == 0 {
-		c.QueueCap = d.QueueCap
-	}
-	if c.TimeoutRTTs == 0 {
-		c.TimeoutRTTs = d.TimeoutRTTs
-	}
-	return c
-}
+	QueueCap = 12
+	// TimeoutRTTs is the unresponsive-sender timeout in RTTs (the
+	// paper's 3×RTT).
+	TimeoutRTTs = 3
+)
 
 // SwitchQueue builds pHost's switch buffer: control packets bypass data
 // in a strict-priority queue with a shared drop-tail cap for data.
-func (c Config) SwitchQueue(s *netsim.Slabs) netsim.Queue {
-	cap := c.withDefaults().QueueCap
-	return s.NewPriority(256, cap, cap)
-}
+func SwitchQueue(s *netsim.Slabs) netsim.Queue { return s.NewPriority(256, QueueCap, QueueCap) }
 
 // HostQueue builds the host NIC queue.
-func (c Config) HostQueue(s *netsim.Slabs) netsim.Queue { return s.NewPriority(1024) }
+func HostQueue(s *netsim.Slabs) netsim.Queue { return s.NewPriority(1024) }
 
 // Protocol is a pHost instance.
 type Protocol struct {
 	transport.Kernel
-	cfg       Config
 	receivers transport.Records[rcvFlow, *rcvFlow]
 	pacers    transport.HostTable[pacerState]
 	// expiries times every token this instance has in flight
@@ -103,8 +80,8 @@ func (r *rcvFlow) silent(now, timeout sim.Time) bool {
 }
 
 // remaining is the SRPT metric: bytes not yet received.
-func (r *rcvFlow) remaining(mss int) int64 {
-	return int64(r.f.NPkts-r.rcvd.Count()) * int64(mss)
+func (r *rcvFlow) remaining() int64 {
+	return int64(r.f.NPkts-r.rcvd.Count()) * netsim.MSS
 }
 
 // pacerState is one receiving host's token pacer and the flows it
@@ -125,8 +102,8 @@ type pacerState struct {
 }
 
 // New creates a pHost instance on the network.
-func New(net *netsim.Network, cfg Config) *Protocol {
-	p := &Protocol{Kernel: transport.NewKernel(net, cfg.Config), cfg: cfg.withDefaults()}
+func New(net *netsim.Network, cfg transport.Config) *Protocol {
+	p := &Protocol{Kernel: transport.NewKernel(net, cfg)}
 	p.expiries = expiryQueue{eng: p.Engine(), expire: p.expire}
 	// The sender side is stateless: every token names its sequence, so
 	// no handler reads the send cursor.
@@ -272,7 +249,7 @@ func (p *Protocol) emitToken(ps *pacerState) bool {
 		return false
 	}
 	now := p.Now()
-	timeout := sim.Time(p.cfg.TimeoutRTTs) * p.Cfg.RTT
+	timeout := TimeoutRTTs * p.Cfg.RTT
 	var best *rcvFlow
 	var bestSeq int32
 	for r := ps.flows.Front(); r != nil; r = ps.flows.Next(r) {
@@ -283,7 +260,7 @@ func (p *Protocol) emitToken(ps *pacerState) bool {
 		if seq < 0 {
 			continue
 		}
-		if best == nil || r.remaining(p.Cfg.MSS) < best.remaining(p.Cfg.MSS) {
+		if best == nil || r.remaining() < best.remaining() {
 			best, bestSeq = r, seq
 		}
 	}
@@ -310,7 +287,7 @@ func (p *Protocol) nextTokenable(r *rcvFlow) int32 {
 // that). The expiry is an entry in the instance's expiry queue, not an
 // engine event of its own.
 func (p *Protocol) trackPending(r *rcvFlow, seq int32) {
-	timeout := sim.Time(p.cfg.TimeoutRTTs) * p.Cfg.RTT
+	timeout := TimeoutRTTs * p.Cfg.RTT
 	r.tokensSinceArrival++
 	r.inflight.Set(seq)
 	p.expiries.push(r, seq, timeout)

@@ -10,14 +10,12 @@ import (
 	"amrt/internal/transport"
 )
 
-// overlay is cfg's switch and host queues, for a topo builder.
-func overlay(cfg Config) topo.Overlay {
-	return topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue}
-}
+// overlay is pHost's switch and host queues, for a topo builder.
+var overlay = topo.Overlay{SwitchQueue: SwitchQueue, HostQueue: HostQueue}
 
 func newFan(pairs int) (*topo.Fabric, *Protocol, *stats.FCTCollector) {
-	cfg := DefaultConfig()
-	s := topo.Fan(pairs).Build(overlay(cfg))
+	var cfg transport.Config
+	s := topo.Fan(pairs).Build(overlay)
 	col := stats.NewFCTCollector()
 	cfg.Collector = col
 	cfg.RTT = 100 * sim.Microsecond
@@ -64,9 +62,9 @@ func TestConservativeNoRampFromSmallWindow(t *testing.T) {
 	// The defining contrast with AMRT: a flow whose clock was seeded
 	// with a tiny window stays at that rate — arrival-clocked tokens
 	// never exceed one per arrival, so the window cannot grow.
-	cfg := DefaultConfig()
+	var cfg transport.Config
 	cfg.BlindWindow = 8
-	s := topo.Fan(1).Build(overlay(cfg))
+	s := topo.Fan(1).Build(overlay)
 	cfg.RTT = 100 * sim.Microsecond
 	p := New(s.Net, cfg)
 	f := p.AddFlow(1, s.Senders[0], s.Receivers[0], 2_000_000, 0)
@@ -84,8 +82,8 @@ func TestConservativeNoRampFromSmallWindow(t *testing.T) {
 func TestSRPTPreemptsAtSharedReceiver(t *testing.T) {
 	// Fig. 11(a): a short flow to the same receiver takes the whole
 	// link; the long flow resumes after it completes.
-	cfg := DefaultConfig()
-	s := topo.Fan(2).Build(overlay(cfg))
+	var cfg transport.Config
+	s := topo.Fan(2).Build(overlay)
 	cfg.RTT = 100 * sim.Microsecond
 	p := New(s.Net, cfg)
 	long := p.AddFlow(1, s.Senders[0], s.Receivers[0], 20_000_000, 0)
@@ -130,8 +128,8 @@ func TestUnresponsiveSenderBlacklisted(t *testing.T) {
 func TestLossRecoveryViaExpiry(t *testing.T) {
 	// Incast losses at the 128-packet buffer must be recovered (slowly)
 	// through token expiry.
-	cfg := DefaultConfig()
-	s := topo.Fan(8).Build(overlay(cfg))
+	var cfg transport.Config
+	s := topo.Fan(8).Build(overlay)
 	cfg.RTT = 100 * sim.Microsecond
 	p := New(s.Net, cfg)
 	var flows []*transport.Flow
@@ -178,10 +176,10 @@ func TestTokenPacingRespectsDownlinkRate(t *testing.T) {
 	// MSS serialization time. Jitter is disabled so arrival spacing at
 	// the sender equals emission spacing (64-byte control packets can
 	// reorder under jitter, which would corrupt the measurement).
-	cfg := DefaultConfig()
+	var cfg transport.Config
 	sc := topo.Fan(1)
 	sc.Jitter = 0
-	s := sc.Build(overlay(cfg))
+	s := sc.Build(overlay)
 	cfg.RTT = 100 * sim.Microsecond
 	p := New(s.Net, cfg)
 	f := p.AddFlow(1, s.Senders[0], s.Receivers[0], 3_000_000, 0)

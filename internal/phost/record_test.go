@@ -13,8 +13,8 @@ import (
 // newQuietFan is a fan of pairs with pHost and no collector, so a flow's
 // completion appends to nothing.
 func newQuietFan(pairs int) (*topo.Fabric, *Protocol) {
-	cfg := DefaultConfig()
-	s := topo.Fan(pairs).Build(overlay(cfg))
+	var cfg transport.Config
+	s := topo.Fan(pairs).Build(overlay)
 	cfg.RTT = 100 * sim.Microsecond
 	return s, New(s.Net, cfg)
 }
@@ -118,7 +118,7 @@ func runStaleExpiry(t *testing.T, reuse bool) staleExpiry {
 	if (b == a) != reuse {
 		t.Fatalf("reuse %v, but B's record is A's: %v", reuse, b == a)
 	}
-	timeout := sim.Time(p.cfg.TimeoutRTTs) * p.Cfg.RTT
+	timeout := TimeoutRTTs * p.Cfg.RTT
 	s.Net.Run(timeout + 5*sim.Microsecond)
 	return snapshot(s, p, b)
 }
@@ -159,7 +159,7 @@ func runCrashRebuild(t *testing.T, reuse bool) staleExpiry {
 	if (r == a) != reuse {
 		t.Fatalf("reuse %v, but the rebuilt record is the old one: %v", reuse, r == a)
 	}
-	timeout := sim.Time(p.cfg.TimeoutRTTs) * p.Cfg.RTT
+	timeout := TimeoutRTTs * p.Cfg.RTT
 	s.Net.Run(timeout + 5*sim.Microsecond)
 	return snapshot(s, p, r)
 }

@@ -22,6 +22,18 @@ import (
 	"amrt/internal/transport"
 )
 
+const (
+	// QueueCap is the switch data-queue budget in packets (AMRT's data
+	// depth). Each of SIRD's two data levels (unscheduled above
+	// scheduled) gets half of it, rounded up: pool pacing, not switch
+	// buffering, absorbs bursts, so SIRD runs the same budget at half
+	// the per-level depth — that is the buffer-occupancy half of the
+	// head-to-head comparison.
+	QueueCap = 8
+	// TimeoutRTTs is the loss-recovery resend timer in RTTs.
+	TimeoutRTTs = 3
+)
+
 // Config parameterizes SIRD.
 type Config struct {
 	transport.Config
@@ -37,21 +49,10 @@ type Config struct {
 	// to its own ungranted-bytes estimate, so a stalled advertisement
 	// cannot pin credit weighting forever.
 	StalenessRTTs int
-	// QueueCap is the switch data-queue budget in packets (default 8,
-	// AMRT's data depth). Each of SIRD's two data levels (unscheduled
-	// above scheduled) gets half of it, rounded up: pool pacing, not
-	// switch buffering, absorbs bursts, so SIRD runs the same budget at
-	// half the per-level depth — that is the buffer-occupancy half of
-	// the head-to-head comparison.
-	QueueCap int
-	// TimeoutRTTs is the loss-recovery resend timer in RTTs (default 3).
-	TimeoutRTTs int
 }
 
 // DefaultConfig returns the defaults used by the experiments.
-func DefaultConfig() Config {
-	return Config{StalenessRTTs: 8, QueueCap: 8, TimeoutRTTs: 3}
-}
+func DefaultConfig() Config { return Config{StalenessRTTs: 8} }
 
 // sirdBlindPkts is the default unscheduled window. SIRD deliberately
 // keeps it far below one BDP (the receiver-driven baselines' default):
@@ -65,15 +66,8 @@ func (c Config) withDefaults() Config {
 	if c.BlindWindow == 0 {
 		c.BlindWindow = sirdBlindPkts
 	}
-	d := DefaultConfig()
-	if c.StalenessRTTs == 0 {
-		c.StalenessRTTs = d.StalenessRTTs
-	}
-	if c.QueueCap == 0 {
-		c.QueueCap = d.QueueCap
-	}
-	if c.TimeoutRTTs == 0 {
-		c.TimeoutRTTs = d.TimeoutRTTs
+	if c.StalenessRTTs <= 0 {
+		c.StalenessRTTs = DefaultConfig().StalenessRTTs
 	}
 	return c
 }
@@ -84,13 +78,13 @@ func (c Config) withDefaults() Config {
 // tiny unscheduled window needs no depth, so shallow per-level queues
 // cost little goodput while capping occupancy below the single-level
 // baselines'.
-func (c Config) SwitchQueue(s *netsim.Slabs) netsim.Queue {
-	half := (c.withDefaults().QueueCap + 1) / 2
+func SwitchQueue(s *netsim.Slabs) netsim.Queue {
+	const half = (QueueCap + 1) / 2
 	return s.NewPriority(256, half, half)
 }
 
 // HostQueue builds the host NIC queue.
-func (c Config) HostQueue(s *netsim.Slabs) netsim.Queue { return s.NewPriority(1024) }
+func HostQueue(s *netsim.Slabs) netsim.Queue { return s.NewPriority(1024) }
 
 // Protocol is a SIRD instance.
 type Protocol struct {
@@ -121,11 +115,11 @@ type Protocol struct {
 // the flow not yet handed to the NIC, Size − SendNext×MSS. A resend
 // moves the cursor only when it names a packet never sent — the backlog
 // is about first transmissions.
-func demand(f *transport.Flow, mss int) int64 {
+func demand(f *transport.Flow) int64 {
 	if f.SendNext >= f.NPkts {
 		return 0
 	}
-	return f.Size - int64(f.SendNext)*int64(mss)
+	return f.Size - int64(f.SendNext)*netsim.MSS
 }
 
 type rcvFlow struct {
@@ -185,11 +179,11 @@ func (r *rcvFlow) silent(now, timeout sim.Time) bool {
 
 // ungranted is the receiver-side demand fallback: bytes of the flow no
 // credit has been issued for yet.
-func (r *rcvFlow) ungranted(mss int) int64 {
+func (r *rcvFlow) ungranted() int64 {
 	if r.granted >= r.f.NPkts {
 		return 0
 	}
-	return int64(r.f.NPkts-r.granted) * int64(mss)
+	return int64(r.f.NPkts-r.granted) * netsim.MSS
 }
 
 // poolState is one receiving host's credit pool and grant pacer; it is
@@ -250,7 +244,7 @@ func (p *Protocol) startFlow(f *transport.Flow) {
 	blind := p.BlindPkts(f)
 	for ; f.SendNext < blind; f.SendNext++ {
 		pkt := p.NewData(f, f.SendNext, netsim.PrioHigh)
-		pkt.Demand = demand(f, p.Cfg.MSS)
+		pkt.Demand = demand(f)
 		f.Src.Send(pkt)
 	}
 	p.UnsolicitedPkts += int64(blind)
@@ -292,7 +286,7 @@ func (p *Protocol) CreditLedger() (outstanding, bound int64) {
 // An unresponsive sender keeps advertising its full size, drawing a few
 // grants' worth of pool credit that the timeout path then reclaims.
 func (p *Protocol) stampRTS(f *transport.Flow, rts *netsim.Packet) {
-	rts.Demand = demand(f, p.Cfg.MSS)
+	rts.Demand = demand(f)
 }
 
 // dropRcvState forgets flow f's receiver state: timer cancelled, pool
@@ -329,14 +323,14 @@ func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
 	if pkt.Seq >= 0 {
 		// Resend request for a specific packet (scheduled priority).
 		out := p.ResendData(f, pkt.Seq, netsim.PrioData)
-		out.Demand = demand(f, p.Cfg.MSS)
+		out.Demand = demand(f)
 		f.Src.Send(out)
 		return
 	}
 	// Pool grant: Count packets from the cursor, scheduled priority.
 	for n := pkt.Count; n > 0; n-- {
 		if out := p.NextData(f, netsim.PrioData); out != nil {
-			out.Demand = demand(f, p.Cfg.MSS)
+			out.Demand = demand(f)
 			f.Src.Send(out)
 		}
 	}
@@ -369,7 +363,7 @@ func (p *Protocol) onReceiverPkt(pkt *netsim.Packet) {
 		// Scheduled arrivals repay their pool charge; the unscheduled
 		// prefix was never charged.
 		if pkt.Seq >= r.blind && r.charged > 0 {
-			repay := int64(p.Cfg.MSS)
+			repay := int64(netsim.MSS)
 			if repay > r.charged {
 				repay = r.charged
 			}
@@ -396,7 +390,7 @@ func (p *Protocol) noteDemand(r *rcvFlow, demand int64) {
 	r.demandAt = p.Now()
 	sent := r.f.NPkts
 	if demand > 0 {
-		sent = int32((r.f.Size - demand) / int64(p.Cfg.MSS))
+		sent = int32((r.f.Size - demand) / netsim.MSS)
 	}
 	if sent > r.granted {
 		r.granted = sent
@@ -452,9 +446,9 @@ func (p *Protocol) weight(r *rcvFlow, now sim.Time) int64 {
 	stale := sim.Time(p.cfg.StalenessRTTs) * p.Cfg.RTT
 	w := r.demand
 	if now-r.demandAt > stale {
-		w = r.ungranted(p.Cfg.MSS)
+		w = r.ungranted()
 	}
-	if min := int64(p.Cfg.MSS); w < min {
+	if min := int64(netsim.MSS); w < min {
 		w = min
 	}
 	return w
@@ -478,12 +472,12 @@ func (p *Protocol) emitGrant(ps *poolState) bool {
 		req.r.f.Dst.Send(g)
 		return true
 	}
-	mss := int64(p.Cfg.MSS)
+	mss := int64(netsim.MSS)
 	if ps.outstanding+mss > ps.bound {
 		return false
 	}
 	now := p.Now()
-	timeout := sim.Time(p.cfg.TimeoutRTTs) * p.Cfg.RTT
+	timeout := TimeoutRTTs * p.Cfg.RTT
 	var best *rcvFlow
 	var total int64
 	for r := ps.flows.Front(); r != nil; r = ps.flows.Next(r) {
@@ -532,7 +526,7 @@ func (p *Protocol) onTimeout(r *rcvFlow) {
 		return
 	}
 	now := p.Now()
-	window := sim.Time(p.cfg.TimeoutRTTs) * p.Cfg.RTT
+	window := TimeoutRTTs * p.Cfg.RTT
 	overdue := r.grants.Before(now - window)
 	cap := p.BDPPkts(r.f.Dst.LinkRate())
 	ps := p.poolOf(r.f.Dst)

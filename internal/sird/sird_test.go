@@ -16,7 +16,7 @@ const rtt = 100 * sim.Microsecond
 // SIRD's queues and a SIRD instance on it.
 func newFan(pairs int) (*topo.Fabric, *Protocol) {
 	cfg := DefaultConfig()
-	s := topo.Fan(pairs).Build(topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue})
+	s := topo.Fan(pairs).Build(topo.Overlay{SwitchQueue: SwitchQueue, HostQueue: HostQueue})
 	cfg.RTT = rtt
 	return s, New(s.Net, cfg)
 }
@@ -78,7 +78,7 @@ func (tap *rtsTap) OnDequeue(_ *netsim.Port, pkt *netsim.Packet, _ sim.Time) {
 	if pkt.Type == netsim.RTS {
 		tap.carried = append(tap.carried, pkt.Demand)
 		f := tap.p.Flow(pkt.Flow)
-		tap.owed = append(tap.owed, f.Size-int64(f.SendNext)*int64(tap.p.Cfg.MSS))
+		tap.owed = append(tap.owed, f.Size-int64(f.SendNext)*netsim.MSS)
 	}
 }
 
@@ -100,7 +100,7 @@ func TestEveryRTSCarriesDemand(t *testing.T) {
 	p.Engine().Schedule(2*rtt, func() { s.Bottlenecks[0].SetAdminDown(false) })
 	s.Net.Run(sim.Second)
 
-	blind := int64(p.BlindPkts(live)) * int64(p.Cfg.MSS)
+	blind := int64(p.BlindPkts(live)) * netsim.MSS
 	for i, want := range [][]int64{{size, size - blind}, {size, size}} {
 		if !slices.Equal(taps[i].carried, want) || !slices.Equal(taps[i].carried, taps[i].owed) {
 			t.Errorf("flow %d: RTS demands %v, sender backlog %v, want both %v", i+1, taps[i].carried, taps[i].owed, want)
@@ -135,7 +135,7 @@ func TestUnresponsiveCreditReclaimed(t *testing.T) {
 	}
 	if r := p.receivers.Get(mute.ID); r == nil {
 		t.Error("silent flow lost its receiver state")
-	} else if r.charged > int64(silenceEvidence*p.Cfg.MSS) {
+	} else if r.charged > int64(silenceEvidence*netsim.MSS) {
 		t.Errorf("silent flow still holds %d bytes of credit", r.charged)
 	}
 }

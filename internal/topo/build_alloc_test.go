@@ -22,7 +22,7 @@ const buildAllocsMax = 30
 // from that name, as when the name was stored.
 func TestBuildAllocs(t *testing.T) {
 	cfg := core.DefaultConfig()
-	ov := Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue, Marker: cfg.NewMarker}
+	ov := Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: core.HostQueue, Marker: cfg.NewMarker}
 	ls2 := DefaultLeafSpine()
 	ls2.Leaves, ls2.Spines, ls2.HostsPerLeaf = 2, 1, 2
 	ft8 := DefaultFatTree()

@@ -50,7 +50,7 @@ func (l *factoryLog) overlay() Overlay {
 		HostQueue:   l.factory("host"),
 		SwitchQueue: l.factory("switch"),
 		Marker: func(s *netsim.Slabs) netsim.DequeueMarker {
-			m := s.NewAntiECNMarker(netsim.MSS, 1, netsim.CombineAND)
+			m := s.NewAntiECNMarker(1, netsim.CombineAND)
 			l.markers[m] = len(l.markers)
 			return m
 		},

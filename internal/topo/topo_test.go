@@ -96,7 +96,7 @@ func TestLeafSpineMarkerInstalled(t *testing.T) {
 	markers := 0
 	ls := cfg.Build(Overlay{Marker: func(s *netsim.Slabs) netsim.DequeueMarker {
 		markers++
-		return s.NewAntiECNMarker(netsim.MSS, 1, netsim.CombineAND)
+		return s.NewAntiECNMarker(1, netsim.CombineAND)
 	}})
 	if ls.Downlink(0).Marker == nil {
 		t.Error("downlink has no marker")

@@ -49,7 +49,7 @@ func TestWriteCSVSorted(t *testing.T) {
 
 func TestAttachChainsHooks(t *testing.T) {
 	cfg := core.DefaultConfig()
-	s := topo.Fan(1).Build(topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: cfg.HostQueue})
+	s := topo.Fan(1).Build(topo.Overlay{SwitchQueue: cfg.SwitchQueue, HostQueue: core.HostQueue})
 	cfg.RTT = 100 * sim.Microsecond
 	prevData, prevDone := 0, 0
 	cfg.OnData = func(*transport.Flow, *netsim.Packet) { prevData++ }

@@ -12,8 +12,6 @@ import (
 
 // Config carries the knobs every protocol shares.
 type Config struct {
-	// MSS is the data packet payload size; defaults to netsim.MSS.
-	MSS int
 	// RTT is the base round-trip estimate used for BDP sizing and
 	// timeout scheduling.
 	RTT sim.Time
@@ -44,9 +42,6 @@ type Config struct {
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
-	if c.MSS == 0 {
-		c.MSS = netsim.MSS
-	}
 	if c.RTT == 0 {
 		c.RTT = 100 * sim.Microsecond
 	}
@@ -169,7 +164,7 @@ func (k *Kernel) NewFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, st
 	f := k.flowSlab.One() // flows live as long as the run
 	*f = Flow{
 		ID: id, Src: src, Dst: dst, Size: size, Start: start,
-		NPkts: int32((size + int64(k.Cfg.MSS) - 1) / int64(k.Cfg.MSS)),
+		NPkts: int32((size + netsim.MSS - 1) / netsim.MSS),
 	}
 	k.flows.Put(id, f)
 	k.ordered = append(k.ordered, f)
@@ -203,17 +198,17 @@ func (k *Kernel) OrderedFlows() []*Flow { return k.ordered }
 // all but a short final packet.
 func (k *Kernel) PktSize(f *Flow, seq int32) int {
 	if seq == f.NPkts-1 {
-		if rem := int(f.Size % int64(k.Cfg.MSS)); rem != 0 {
+		if rem := int(f.Size % netsim.MSS); rem != 0 {
 			return rem
 		}
 	}
-	return k.Cfg.MSS
+	return netsim.MSS
 }
 
 // BDPPkts returns the bandwidth-delay product in MSS packets at rate,
 // at least 1.
 func (k *Kernel) BDPPkts(rate sim.Rate) int {
-	n := int(rate.BytesIn(k.Cfg.RTT)) / k.Cfg.MSS
+	n := int(rate.BytesIn(k.Cfg.RTT)) / netsim.MSS
 	if n < 1 {
 		n = 1
 	}

@@ -243,7 +243,7 @@ func TestSendCursor(t *testing.T) {
 			if tc.late {
 				start = testRTT
 			}
-			f := s.AddFlow(1, a, b, tc.pkts*int64(s.Cfg.MSS), start)
+			f := s.AddFlow(1, a, b, tc.pkts*netsim.MSS, start)
 			f.Unresponsive = tc.mute
 			n.Engine.Run(0)
 			if tc.crash {

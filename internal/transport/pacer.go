@@ -54,7 +54,7 @@ func NewPacer(eng *sim.Engine, tick sim.Time, emit func() bool) *Pacer {
 // HostTick returns the pacing interval of host h's receiver-side
 // control stream: one MSS serialization time of h's link, the rate at
 // which the data it asks for can arrive.
-func (k *Kernel) HostTick(h *netsim.Host) sim.Time { return h.LinkRate().TxTime(k.Cfg.MSS) }
+func (k *Kernel) HostTick(h *netsim.Host) sim.Time { return h.LinkRate().TxTime(netsim.MSS) }
 
 // Kick schedules the next emission if the pacer is idle. Call it
 // whenever new work may have become available.

@@ -121,28 +121,3 @@ func Incast(senders []int, receiver int, size int64, start sim.Time) []FlowSpec 
 	}
 	return flows
 }
-
-// Permutation pairs host i with host (i+shift) mod n, one flow per host.
-func Permutation(hosts int, shift int, d Dist, start sim.Time, seed int64) []FlowSpec {
-	if shift%hosts == 0 {
-		panic("workload: permutation shift must not map hosts to themselves")
-	}
-	sizeRNG := sim.NewRNG(sim.SubSeed(seed, "perm-sizes"))
-	flows := make([]FlowSpec, hosts)
-	for i := 0; i < hosts; i++ {
-		flows[i] = FlowSpec{
-			ID: netsim.FlowID(i + 1), Src: i, Dst: (i + shift) % hosts,
-			Size: d.Sample(sizeRNG), Start: start,
-		}
-	}
-	return flows
-}
-
-// TotalBytes sums the sizes of the given flows.
-func TotalBytes(flows []FlowSpec) int64 {
-	var n int64
-	for _, f := range flows {
-		n += f.Size
-	}
-	return n
-}

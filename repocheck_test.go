@@ -1,19 +1,20 @@
 package amrt
 
 // Repository checks that run with the tier-1 suite: the exported-doc
-// lint, the dense-ID-map rule and the one-small-topology-harness rule
-// over the Go source, and the reference check over the prose. A test
-// runs in its package directory, here the repository root, so every
-// path below is relative to it. Each rule returns its findings as
-// "file:line: message" strings; the repository tests report each with
-// t.Error, and the fixture tests below trip every rule once on a tree of
-// their own, through the same functions.
+// lint, the dense-ID-map rule, the one-small-topology-harness rule and
+// the stack-knob rule over the Go source, and the reference check over
+// the prose. A test runs in its package directory, here the repository
+// root, so every path below is relative to it. Each rule returns its
+// findings as "file:line: message" strings; the repository tests report
+// each with t.Error, and the fixture tests below trip every rule once on
+// a tree of their own, through the same functions.
 //
 // The rules read the files they check, so `go test` re-runs them when a
 // doc or a source file changes instead of reporting a cached pass.
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -31,10 +32,11 @@ import (
 	"amrt/internal/experiment"
 )
 
-// TestRepoLint holds the Go source to the three lint rules: every
+// TestRepoLint holds the Go source to the four lint rules: every
 // exported identifier of every package of the module is documented, the
-// packet-path packages key no map by a dense ID, and small topologies
-// run only through experiment.LeafSpineRun.
+// packet-path packages key no map by a dense ID, small topologies run
+// only through experiment.LeafSpineRun, and every field of a stack's
+// Config is set by a caller outside the stack.
 func TestRepoLint(t *testing.T) {
 	pkgs, err := packageDirs(".")
 	if err != nil {
@@ -51,6 +53,7 @@ func TestRepoLint(t *testing.T) {
 		{lintExportedDocs, pkgs},
 		{lintIDMaps, tablePackages},
 		{lintScenarioPreludes, append([]string{runPackage}, examples...)},
+		{lintStackConfigs, []string{"."}},
 	}
 	for _, r := range rules {
 		for _, dir := range r.dirs {
@@ -223,6 +226,118 @@ func lintScenarioPreludes(dir string) ([]string, error) {
 			}
 			return true
 		})
+	}
+	return out, nil
+}
+
+// stackPackages are the protocol stacks whose Config fields the
+// stack-knob rule checks.
+var stackPackages = []string{
+	"internal/core",
+	"internal/phost",
+	"internal/homa",
+	"internal/ndp",
+	"internal/sird",
+	"internal/dctcp",
+}
+
+// lintStackConfigs reports every non-embedded field of a Config struct
+// in the stack packages under root that no non-test file outside its
+// package sets: a knob with one value in use is a package constant. A
+// file that imports the stack sets a field by keying it in a
+// pkg.Config literal or by assigning to a selector of that name; the
+// check is syntactic, so a same-named field of another type in such a
+// file also counts.
+func lintStackConfigs(root string) ([]string, error) {
+	type field struct{ pos, pkg, name string }
+	var fields []field
+	for _, pkg := range stackPackages {
+		fset, files, err := parseDir(filepath.Join(root, pkg), allFiles, 0)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		for _, file := range files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok || ts.Name.Name != "Config" {
+					return true
+				}
+				if st, ok := ts.Type.(*ast.StructType); ok {
+					for _, f := range st.Fields.List {
+						for _, name := range f.Names { // an embedded field has none
+							fields = append(fields, field{fset.Position(name.Pos()).String(), filepath.Base(pkg), name.Name})
+						}
+					}
+				}
+				return false
+			})
+		}
+	}
+	dirs, err := packageDirs(root)
+	if err != nil {
+		return nil, err
+	}
+	set := map[string]bool{} // "pkg.Field"
+	for _, dir := range dirs {
+		_, files, err := parseDir(dir, allFiles, 0)
+		if err != nil {
+			return nil, err
+		}
+		for _, file := range files {
+			stacks := map[string]string{} // import name → stack package name
+			for _, imp := range file.Imports {
+				path, _ := strconv.Unquote(imp.Path.Value)
+				if slices.Contains(stackPackages, strings.TrimPrefix(path, "amrt/")) {
+					name := filepath.Base(path)
+					if imp.Name != nil {
+						name = imp.Name.Name
+					}
+					stacks[name] = filepath.Base(path)
+				}
+			}
+			if len(stacks) == 0 {
+				continue
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					sel, ok := n.Type.(*ast.SelectorExpr)
+					if !ok || sel.Sel.Name != "Config" {
+						break
+					}
+					x, ok := sel.X.(*ast.Ident)
+					if !ok || stacks[x.Name] == "" {
+						break
+					}
+					for _, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if key, ok := kv.Key.(*ast.Ident); ok {
+								set[stacks[x.Name]+"."+key.Name] = true
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if name := selName(lhs); name != "" {
+							for _, pkg := range stacks {
+								set[pkg+"."+name] = true
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	var out []string
+	for _, f := range fields {
+		if !set[f.pkg+"."+f.name] {
+			out = append(out, fmt.Sprintf("%s: %s.Config.%s is set only inside %s: make a knob no caller varies a constant",
+				f.pos, f.pkg, f.name, f.pkg))
+		}
 	}
 	return out, nil
 }
@@ -905,6 +1020,22 @@ func TestLintRulesTrip(t *testing.T) {
 			expectOne(t, got, err, tc.want)
 		})
 	}
+}
+
+// TestLintStackConfigsTrip: a Config field that only its own package
+// and a test set is one finding; a field set by a literal or an
+// assignment elsewhere, and an embedded field, are none.
+func TestLintStackConfigsTrip(t *testing.T) {
+	dir := writeTree(t, map[string]string{
+		"internal/core/core.go": "package core\n\ntype base struct{}\n\n// Config is three knobs.\n" +
+			"type Config struct {\n\tbase\n\tAssigned, Keyed, Fixed int\n}\n\n" +
+			"// DefaultConfig sets every knob.\nfunc DefaultConfig() Config { return Config{Assigned: 1, Keyed: 1, Fixed: 1} }\n",
+		"internal/experiment/x.go": "package experiment\n\nimport amrt \"amrt/internal/core\"\n\n" +
+			"func f(c amrt.Config) amrt.Config {\n\tc.Assigned = 2\n\treturn amrt.Config{Keyed: 2}\n}\n",
+		"internal/experiment/x_test.go": "package experiment\n\nimport \"amrt/internal/core\"\n\nvar _ = core.Config{Fixed: 2}\n",
+	})
+	got, err := lintStackConfigs(dir)
+	expectOne(t, got, err, "core.Config.Fixed is set only inside core")
 }
 
 // TestLintPreludeClean: a topology value is data, not a run, and the
