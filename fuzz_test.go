@@ -1,12 +1,17 @@
 package amrt
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"math/bits"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"amrt/internal/experiment"
 )
 
 // FuzzParseTopology hammers the topology-spec grammar with arbitrary
@@ -93,6 +98,82 @@ func FuzzParseTopology(f *testing.F) {
 			if hi, lo := bits.Mul64(r, rtt); hi != 0 || lo > math.MaxInt64 {
 				t.Fatalf("ParseTopology(%q) accepts rate %d bit/s × RTT %d ns, which overflows int64", spec, r, rtt)
 			}
+		}
+	})
+}
+
+// FuzzDecodePoint holds the strict sweep-payload decoder to
+// encoding/json on arbitrary bytes: decodePoint either fails or returns
+// exactly what json.Unmarshal does, and only for the bytes json.Marshal
+// writes for that Result; and whatever json.Unmarshal accepts,
+// decodePoint reads back from its json.Marshal encoding unchanged.
+func FuzzDecodePoint(f *testing.F) {
+	seeds := []Result{
+		{},
+		{Protocol: "AMRT", Workload: "WebServer", Load: 0.5, Completed: 400, Total: 400,
+			AFCT: 123456 * time.Nanosecond, P99: time.Millisecond, Utilization: 0.4321,
+			Drops: 3, Trims: 9, Events: 1 << 20, Stalled: 1, Killed: 2, DeadlineTotal: 7, DeadlineMissed: 5},
+		{Load: math.MaxFloat64, Completed: math.MaxInt, Total: math.MinInt, AFCT: math.MaxInt64,
+			P99: math.MinInt64, Utilization: 1e21, Drops: math.MaxInt64, Trims: math.MinInt64,
+			Events: math.MaxUint64, Stalled: -1, DeadlineTotal: math.MaxInt},
+		{Load: 5e-324, Utilization: 1e-7, AFCT: -1, P99: -time.Second, Killed: -7},
+		{Load: -0.0, Utilization: 9.999999999999999e20},
+		{Load: 1e-6, Utilization: 0.000000999999999},
+		{Protocol: "a\"b\\c\b\f\n\r\t\x01\x1f<>&\u2028\u2029\ufffdé\U0001F600", Workload: "\xff\xfe"},
+	}
+	for _, name := range append(experiment.StackNames(), Workloads()...) {
+		seeds = append(seeds, Result{Protocol: name, Workload: name})
+	}
+	for _, r := range seeds {
+		b, err := json.Marshal(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	// Bytes json.Unmarshal reads but json.Marshal never writes.
+	for _, s := range []string{
+		`{}`,
+		`{"Protocol":"AMRT"}`,
+		` {"Protocol":"","Workload":"","Load":0,"Completed":0,"Total":0,"AFCT":0,"P99":0,"Utilization":0,"Drops":0,"Trims":0,"Events":0,"Stalled":0,"Killed":0,"DeadlineTotal":0,"DeadlineMissed":0}`,
+		`{"Protocol":"","Workload":"","Load":0,"Completed":0,"Total":0,"AFCT":0,"P99":0,"Utilization":0,"Drops":0,"Trims":0,"Events":0,"Stalled":0,"Killed":0,"DeadlineTotal":0,"DeadlineMissed":0}` + "\n",
+		`{"Workload":"","Protocol":"","Load":0,"Completed":0,"Total":0,"AFCT":0,"P99":0,"Utilization":0,"Drops":0,"Trims":0,"Events":0,"Stalled":0,"Killed":0,"DeadlineTotal":0,"DeadlineMissed":0}`,
+		`{"protocol":"","Workload":"","Load":0,"Completed":0,"Total":0,"AFCT":0,"P99":0,"Utilization":0,"Drops":0,"Trims":0,"Events":0,"Stalled":0,"Killed":0,"DeadlineTotal":0,"DeadlineMissed":0}`,
+		`{"Protocol":"A","Workload":"\u000a","Load":1E5,"Completed":-0,"Total":01,"AFCT":1.0,"P99":0,"Utilization":1e-07,"Drops":0,"Trims":0,"Events":-1,"Stalled":0,"Killed":0,"DeadlineTotal":0,"DeadlineMissed":0}`,
+		`{"Protocol":"<","Workload":"<","Load":0.50,"Completed":0,"Total":0,"AFCT":0,"P99":0,"Utilization":1e400,"Drops":0,"Trims":0,"Events":18446744073709551616,"Stalled":0,"Killed":0,"DeadlineTotal":0,"DeadlineMissed":0}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		v, m, err := decodePoint(b)
+		var want Result
+		jerr := json.Unmarshal(b, &want)
+		if err == nil {
+			got := *v.(*Result)
+			if jerr != nil {
+				t.Fatalf("decodePoint(%q) = %+v, json.Unmarshal failed: %v", b, got, jerr)
+			}
+			if got != want || m != metricsOf(want) {
+				t.Fatalf("decodePoint(%q) = %+v, json.Unmarshal gives %+v", b, got, want)
+			}
+			if enc, _ := json.Marshal(want); !bytes.Equal(enc, b) {
+				t.Fatalf("decodePoint accepted %q, which json.Marshal writes as %q", b, enc)
+			}
+		}
+		if jerr != nil {
+			return
+		}
+		enc, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, _, err = decodePoint(enc)
+		if err != nil {
+			t.Fatalf("decodePoint(json.Marshal(%+v) = %q): %v", want, enc, err)
+		}
+		if got := *v.(*Result); got != want || math.Signbit(got.Load) != math.Signbit(want.Load) ||
+			math.Signbit(got.Utilization) != math.Signbit(want.Utilization) {
+			t.Fatalf("decodePoint(json.Marshal(%+v)) = %+v", want, got)
 		}
 	})
 }

@@ -81,6 +81,26 @@ func TestKeyDigest(t *testing.T) {
 	}
 }
 
+// TestKeyWriterIsKey: writing a key field by field gives the key of
+// the same "name=value" fields given whole, for every field kind, and
+// pins one digest so the encoding cannot drift under both at once.
+func TestKeyWriterIsKey(t *testing.T) {
+	k := NewKeyWriter(nil, "v1")
+	k.Str("protocol", "AMRT")
+	k.Float("load", 0.1)
+	k.Int("seed", -3)
+	k.Bool("audit", true)
+	k.Str("faults", "")
+	want := Key("v1", "protocol=AMRT", "load=0.10000000000000001", "seed=-3", "audit=true", "faults=")
+	if got := k.Sum(); got != want {
+		t.Errorf("KeyWriter key %s, Key gives %s", got, want)
+	}
+	// The SHA-256 of "v1\x00protocol=AMRT\x00load=0.10000000000000001\x00seed=-3\x00audit=true\x00faults=\x00".
+	if want != "aa08170e3ac2c25de14d7065412ee2ee91df4ef16e048cb1a950730559baec40" {
+		t.Errorf("Key gives %s", want)
+	}
+}
+
 // TestCacheRoundTripAndCorruption: a stored payload reads back as
 // stored, and every way an entry can be damaged or stale reads as a
 // miss, after which a campaign recomputes the point and leaves a valid

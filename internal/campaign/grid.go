@@ -136,15 +136,59 @@ func (g Grid) Expand() []Point {
 // version string and the caller's canonical field encoding, separated
 // by NUL bytes so no field concatenation can collide. The version
 // (amrt.SimVersion) is folded in so cache entries from an older
-// simulation generation can never satisfy a newer binary.
+// simulation generation can never satisfy a newer binary. It is the
+// KeyWriter encoding given whole fields.
 func Key(version string, fields ...string) string {
-	// A typical key's input fits the stack buffer; a longer one spills.
 	var buf [512]byte
-	b := append(buf[:0], version...)
-	b = append(b, 0)
+	k := NewKeyWriter(buf[:0], version)
 	for _, f := range fields {
-		b = append(append(b, f...), 0)
+		k.b = append(append(k.b, f...), 0)
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	return k.Sum()
+}
+
+// KeyWriter builds a Key field by field into one buffer, without
+// building each "name=value" string first: Str("load", "0.5") writes
+// the bytes Key's field "load=0.5" does.
+type KeyWriter struct {
+	b []byte
+}
+
+// NewKeyWriter starts the key of a point under version, appending into
+// buf (a typical key's input fits 512 bytes; a longer one grows it).
+func NewKeyWriter(buf []byte, version string) KeyWriter {
+	return KeyWriter{b: append(append(buf, version...), 0)}
+}
+
+// Str writes the field name=value.
+func (k *KeyWriter) Str(name, value string) {
+	k.b = append(append(k.name(name), value...), 0)
+}
+
+// Int writes the field name=value, value in decimal.
+func (k *KeyWriter) Int(name string, value int64) {
+	k.b = append(strconv.AppendInt(k.name(name), value, 10), 0)
+}
+
+// Float writes the field name=value, value formatted 'g' with 17
+// significant digits, so distinct values never share a key.
+func (k *KeyWriter) Float(name string, value float64) {
+	k.b = append(strconv.AppendFloat(k.name(name), value, 'g', 17, 64), 0)
+}
+
+// Bool writes the field name=true or name=false.
+func (k *KeyWriter) Bool(name string, value bool) {
+	k.b = append(strconv.AppendBool(k.name(name), value), 0)
+}
+
+func (k *KeyWriter) name(name string) []byte {
+	return append(append(k.b, name...), '=')
+}
+
+// Sum returns the key: the hex SHA-256 of everything written.
+func (k *KeyWriter) Sum() string {
+	sum := sha256.Sum256(k.b)
+	var h [2 * sha256.Size]byte
+	hex.Encode(h[:], sum[:])
+	return string(h[:])
 }

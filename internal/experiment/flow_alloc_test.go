@@ -53,7 +53,7 @@ func TestFlowAllocs(t *testing.T) {
 			if res := r.Run(); res.Completed != flows {
 				t.Fatalf("%s, %d flows: %d completed", name, flows, res.Completed)
 			}
-			return testing.AllocsPerRun(2, func() { r.Run() })
+			return programAllocsPerRun(2, func() { r.Run() })
 		}
 		one, two := allocs(n), allocs(2*n)
 		allow := float64(kept[name] * int(math.Ceil(n/64.0)))

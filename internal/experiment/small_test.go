@@ -180,7 +180,7 @@ func TestSmallRunAllocs(t *testing.T) {
 		max  float64
 	}{{"bare", r, 93}, {"with Fig 2's series", figure, 147}} {
 		c.run.Run() // warm the jitter free list
-		if got := testing.AllocsPerRun(5, func() { c.run.Run() }); got > c.max {
+		if got := programAllocsPerRun(5, func() { c.run.Run() }); got > c.max {
 			t.Errorf("%s: a warm run allocates %.0f objects, want <= %.0f", c.name, got, c.max)
 		}
 	}

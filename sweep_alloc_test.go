@@ -2,8 +2,10 @@ package amrt
 
 import (
 	"context"
+	"math"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"amrt/internal/topo"
@@ -83,4 +85,59 @@ func newStreams(t *testing.T) int64 {
 		}
 	}
 	return total
+}
+
+// TestWarmSweepBytesIgnoreCacheDir: a warm pass of one grid allocates
+// the same bytes whatever the length of the cache directory's path.
+// When every hit read its entry through filepath.Join(CacheDir,
+// key[:2], key+".json"), that string's size class followed
+// len(CacheDir), 16 B a hit and 480 B a pass of this 30-point grid, so
+// the same code read different bytes a pass from one scratch directory
+// to the next. Each side keeps its fewest bytes over five rounds of ten
+// passes, on one P: what the scheduler allocates now and then (a
+// goroutine record on a P whose free list ran dry) only adds.
+func TestWarmSweepBytesIgnoreCacheDir(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	root := t.TempDir()
+	perPass := func(dir string) uint64 {
+		sc := SweepConfig{
+			Protocols: Protocols(),
+			Workloads: []string{"WebServer"},
+			Loads:     []float64{0.3, 0.5, 0.7},
+			Seeds:     []int64{1, 2},
+			Base:      Config{Flows: 10},
+			Workers:   2,
+			CacheDir:  dir,
+		}
+		pass := func() {
+			res, err := Sweep(context.Background(), sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.CacheHits != res.TotalPoints {
+				t.Fatalf("%d of %d points from the cache under %s", res.CacheHits, res.TotalPoints, dir)
+			}
+		}
+		if _, err := Sweep(context.Background(), sc); err != nil {
+			t.Fatal(err)
+		}
+		pass()
+		const passes = 10
+		fewest := uint64(math.MaxUint64)
+		for round := 0; round < 5; round++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < passes; i++ {
+				pass()
+			}
+			runtime.ReadMemStats(&after)
+			fewest = min(fewest, (after.TotalAlloc-before.TotalAlloc)/passes)
+		}
+		return fewest
+	}
+	short := perPass(filepath.Join(root, "c"))
+	long := perPass(filepath.Join(root, strings.Repeat("d", 200)))
+	if short != long {
+		t.Errorf("a warm pass allocates %d B under a short cache path, %d B under a 200-byte longer one", short, long)
+	}
 }
