@@ -208,6 +208,9 @@ func New(net *netsim.Network, cfg Config) *Protocol {
 // Name identifies the protocol in reports.
 func (p *Protocol) Name() string { return "AMRT" }
 
+// LiveReceivers reports how many receiver records the instance holds.
+func (p *Protocol) LiveReceivers() int { return p.receivers.Len() }
+
 func (p *Protocol) startFlow(f *transport.Flow) {
 	p.Announce(f)
 	// Blind first window (§6): start immediately rather than waiting a

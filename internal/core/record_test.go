@@ -5,52 +5,8 @@ import (
 	"unsafe"
 
 	"amrt/internal/netsim"
-	"amrt/internal/sim"
-	"amrt/internal/topo"
 	"amrt/internal/transport"
 )
-
-// newQuietFan is a one-pair fan with AMRT and no collector, so a flow's
-// completion appends to nothing.
-func newQuietFan() (*topo.Fabric, *Protocol) {
-	cfg := DefaultConfig()
-	s := topo.Fan(1).Build(overlay(cfg))
-	cfg.RTT = 100 * sim.Microsecond
-	return s, New(s.Net, cfg)
-}
-
-// TestReceiverAllocs: once warm, a receiver record's whole life — built
-// by the RTS, filled by the data, ended at Complete — and the next
-// flow's build allocate nothing: the next flow gets the ended record
-// back, bitmap array included. The flows are 100 packets, so the three
-// bitmaps need an array. Before records came from the pool, a life cost
-// 2 allocations: the record and its bitmap array.
-func TestReceiverAllocs(t *testing.T) {
-	s, p := newQuietFan()
-	const runs = 50
-	var flows []*transport.Flow
-	for id := netsim.FlowID(1); id <= runs+1; id++ { // AllocsPerRun warms up with one more
-		f := p.AddPending(id, s.Senders[0], s.Receivers[0], 100*netsim.MSS, false)
-		p.Adopt(f)
-		flows = append(flows, f)
-	}
-	next := 0
-	allocs := testing.AllocsPerRun(runs, func() {
-		f := flows[next]
-		next++
-		p.Release(f, p.Now())
-		s.Net.Run(p.Now() + 20*p.Cfg.RTT)
-		if !f.Done {
-			t.Fatalf("%v did not complete", f)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("a receiver record's life: %.1f allocs, want 0", allocs)
-	}
-	if p.receivers.Len() != 0 {
-		t.Errorf("%d receiver records outlive their flows", p.receivers.Len())
-	}
-}
 
 // TestRecordEntrySizes: the incarnation a queued recovery request
 // carries fits the padding after its sequence number.
@@ -76,7 +32,7 @@ type staleRecovery struct {
 // just before, when it is a fresh one. Half an RTT later the queue has
 // drained.
 func runStaleRecovery(t *testing.T, reuse bool) staleRecovery {
-	s, p := newQuietFan()
+	s, p := newFan(1)
 	var fs [2]*transport.Flow
 	for i := range fs {
 		fs[i] = p.AddPending(netsim.FlowID(i+1), s.Senders[0], s.Receivers[0], 20*netsim.MSS, false)

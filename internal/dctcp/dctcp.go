@@ -103,6 +103,9 @@ func New(net *netsim.Network, cfg transport.Config) *Protocol {
 // Name identifies the protocol in reports.
 func (p *Protocol) Name() string { return "DCTCP" }
 
+// LiveReceivers reports how many receiver records the instance holds.
+func (p *Protocol) LiveReceivers() int { return p.receivers.Len() }
+
 // startFlow opens the connection. An unresponsive flow (registered so
 // the harness can drive every protocol uniformly) sends nothing: DCTCP
 // has no receiver-side scheduling for it to disturb.

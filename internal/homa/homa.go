@@ -118,6 +118,9 @@ func New(net *netsim.Network, cfg Config) *Protocol {
 // Name identifies the protocol in reports.
 func (p *Protocol) Name() string { return "Homa" }
 
+// LiveReceivers reports how many receiver records the instance holds.
+func (p *Protocol) LiveReceivers() int { return p.receivers.Len() }
+
 func (p *Protocol) startFlow(f *transport.Flow) {
 	p.Announce(f)
 	// Unscheduled window at high priority.

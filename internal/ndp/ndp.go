@@ -107,6 +107,9 @@ func New(net *netsim.Network, cfg transport.Config) *Protocol {
 // Name identifies the protocol in reports.
 func (p *Protocol) Name() string { return "NDP" }
 
+// LiveReceivers reports how many receiver records the instance holds.
+func (p *Protocol) LiveReceivers() int { return p.receivers.Len() }
+
 func (p *Protocol) startFlow(f *transport.Flow) {
 	p.Announce(f)
 	p.SendBlind(f, netsim.PrioData)

@@ -5,16 +5,16 @@ import (
 
 	"amrt/internal/netsim"
 	"amrt/internal/sim"
-	"amrt/internal/stats"
 	"amrt/internal/topo"
 	"amrt/internal/transport"
 )
 
+// newFan is a fan of pairs with NDP and no collector, so a flow's
+// completion appends to nothing.
 func newFan(pairs int) (*topo.Fabric, *Protocol) {
 	var cfg transport.Config
 	s := topo.Fan(pairs).Build(topo.Overlay{SwitchQueue: SwitchQueue, HostQueue: HostQueue})
 	cfg.RTT = 100 * sim.Microsecond
-	cfg.Collector = stats.NewFCTCollector()
 	return s, New(s.Net, cfg)
 }
 
@@ -29,21 +29,6 @@ func trims(s *topo.Fabric) int64 {
 		}
 	}
 	return n
-}
-
-func TestSingleFlowCompletes(t *testing.T) {
-	s, p := newFan(1)
-	f := p.AddFlow(1, s.Senders[0], s.Receivers[0], 1_000_000, 0)
-	s.Net.Run(sim.Second)
-	if !f.Done {
-		t.Fatal("flow did not complete")
-	}
-	if fct := f.FCT(); fct < 800*sim.Microsecond || fct > 2*sim.Millisecond {
-		t.Errorf("FCT = %v, want ~0.9-2ms", fct)
-	}
-	if s.Net.Dropped() != 0 || trims(s) != 0 {
-		t.Errorf("drops=%d trims=%d on an uncontended path", s.Net.Dropped(), trims(s))
-	}
 }
 
 func TestPullPerPacket(t *testing.T) {
@@ -205,62 +190,5 @@ func TestPullBudgetConservation(t *testing.T) {
 	}
 	if p.PullsSent > base+tr+64 {
 		t.Errorf("PullsSent = %d exceeds %d new + %d trims + slack", p.PullsSent, base, tr)
-	}
-}
-
-func TestNDPDeterminism(t *testing.T) {
-	run := func() (sim.Time, int64, uint64) {
-		s, p := newFan(3)
-		var last *transport.Flow
-		for i := 0; i < 3; i++ {
-			last = p.AddFlow(netsim.FlowID(i+1), s.Senders[i], s.Receivers[i], 2_000_000, sim.Time(i)*40*sim.Microsecond)
-		}
-		s.Net.Run(sim.Second)
-		return last.End, p.PullsSent, s.Net.Engine.Executed
-	}
-	a1, b1, c1 := run()
-	a2, b2, c2 := run()
-	if a1 != a2 || b1 != b2 || c1 != c2 {
-		t.Error("NDP run not deterministic")
-	}
-}
-
-// TestReceiverRecordEndsWithFlow: a receiver record — bitmap, timer —
-// is dropped when its flow completes, and what arrives afterwards (a
-// duplicate data packet, a trimmed header, a late RTS) finds the flow
-// Done: no record is rebuilt, nothing is sent, nothing is scheduled.
-func TestReceiverRecordEndsWithFlow(t *testing.T) {
-	s, p := newFan(8)
-	var flows []*transport.Flow
-	for i := 0; i < 8; i++ {
-		flows = append(flows, p.AddFlow(netsim.FlowID(i+1), s.Senders[i], s.Receivers[0], 300_000, 0))
-	}
-	s.Net.Run(sim.Forever)
-	if trims(s) == 0 {
-		t.Fatal("incast was not lossy: nothing trimmed")
-	}
-	for _, f := range flows {
-		if !f.Done {
-			t.Fatalf("%v did not complete", f)
-		}
-	}
-	if p.receivers.Len() != 0 {
-		t.Fatalf("%d receiver records outlive their flows", p.receivers.Len())
-	}
-	f := flows[3]
-	events, injected, pulls, nacks := s.Net.Engine.Executed, s.Net.Injected(), p.PullsSent, p.NacksSent
-	f.Dst.Receive(p.NewData(f, 0, netsim.PrioData))
-	f.Dst.Receive(p.NewCtrl(netsim.Header, f, 0, false))
-	f.Dst.Receive(p.NewCtrl(netsim.RTS, f, -1, false))
-	s.Net.Run(sim.Forever)
-	if p.receivers.Len() != 0 {
-		t.Error("a late packet rebuilt the receiver record of a finished flow")
-	}
-	if s.Net.Injected() != injected || p.PullsSent != pulls || p.NacksSent != nacks {
-		t.Errorf("late packets were answered: injected %d→%d, pulls %d→%d, nacks %d→%d",
-			injected, s.Net.Injected(), pulls, p.PullsSent, nacks, p.NacksSent)
-	}
-	if s.Net.Engine.Executed != events {
-		t.Errorf("late packets scheduled %d events", s.Net.Engine.Executed-events)
 	}
 }

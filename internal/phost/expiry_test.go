@@ -15,7 +15,7 @@ import (
 // of a flow (one arrival retires the oldest token, one new token is
 // issued) allocates nothing.
 func TestPendingExpiries(t *testing.T) {
-	s, p, _ := newFan(2)
+	s, p := newFan(2)
 	eng := p.Engine()
 	var recs []*rcvFlow
 	for i := range 2 {

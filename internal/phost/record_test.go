@@ -10,48 +10,6 @@ import (
 	"amrt/internal/transport"
 )
 
-// newQuietFan is a fan of pairs with pHost and no collector, so a flow's
-// completion appends to nothing.
-func newQuietFan(pairs int) (*topo.Fabric, *Protocol) {
-	var cfg transport.Config
-	s := topo.Fan(pairs).Build(overlay)
-	cfg.RTT = 100 * sim.Microsecond
-	return s, New(s.Net, cfg)
-}
-
-// TestReceiverAllocs: once warm, a receiver record's whole life — built
-// by the RTS, filled by the data, ended at Complete — and the next
-// flow's build allocate nothing: the next flow gets the ended record
-// back, bitmap array included. The flows are 100 packets, so the two
-// bitmaps need an array. Before records came from the pool, a life cost
-// 2 allocations: the record and its bitmap array.
-func TestReceiverAllocs(t *testing.T) {
-	s, p := newQuietFan(1)
-	const runs = 50
-	var flows []*transport.Flow
-	for id := netsim.FlowID(1); id <= runs+1; id++ { // AllocsPerRun warms up with one more
-		f := p.AddPending(id, s.Senders[0], s.Receivers[0], 100*netsim.MSS, false)
-		p.Adopt(f)
-		flows = append(flows, f)
-	}
-	next := 0
-	allocs := testing.AllocsPerRun(runs, func() {
-		f := flows[next]
-		next++
-		p.Release(f, p.Now())
-		s.Net.Run(p.Now() + 20*p.Cfg.RTT)
-		if !f.Done {
-			t.Fatalf("%v did not complete", f)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("a receiver record's life: %.1f allocs, want 0", allocs)
-	}
-	if p.receivers.Len() != 0 {
-		t.Errorf("%d receiver records outlive their flows", p.receivers.Len())
-	}
-}
-
 // TestRecordEntrySizes: the incarnation a token expiry carries fits the
 // padding after its sequence number.
 func TestRecordEntrySizes(t *testing.T) {
@@ -78,7 +36,7 @@ func snapshot(s *topo.Fabric, p *Protocol, b *rcvFlow) staleExpiry {
 // both blind windows are in the expiry queue, C's ahead, so A's entries
 // stay queued when A's record ends.
 func newStaleFan(t *testing.T) (s *topo.Fabric, p *Protocol, fa, fb *transport.Flow, a *rcvFlow) {
-	s, p = newQuietFan(2)
+	s, p = newFan(2)
 	fc := p.AddPending(1, s.Senders[1], s.Receivers[1], 8*netsim.MSS, false)
 	fa = p.AddPending(2, s.Senders[0], s.Receivers[0], 8*netsim.MSS, false)
 	fb = p.AddPending(3, s.Senders[0], s.Receivers[0], 8*netsim.MSS, false)

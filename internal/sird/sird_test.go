@@ -194,55 +194,6 @@ func TestSenderCrashReturnsCredit(t *testing.T) {
 	}
 }
 
-// TestFinishedRecordStillAnswersRTS pins the kept-record behaviour: SIRD
-// keeps the receiver record of a finished flow, so a late RTS still
-// notes its demand and kicks the host's idle credit pacer — one event.
-// Dropping the record at completion (as AMRT, pHost and NDP do) removes
-// that event; the change that makes it must edit this test and bump
-// SimVersion.
-func TestFinishedRecordStillAnswersRTS(t *testing.T) {
-	s, p := newFan(1)
-	f := p.AddFlow(1, s.Senders[0], s.Receivers[0], 300_000, 0)
-	s.Net.Run(sim.Forever)
-	if !f.Done || p.receivers.Get(f.ID) == nil {
-		t.Fatalf("flow done = %v, record kept = %v; want both", f.Done, p.receivers.Get(f.ID) != nil)
-	}
-	events := s.Net.Engine.Executed
-	f.Dst.Receive(p.NewCtrl(netsim.RTS, f, -1, false))
-	s.Net.Run(sim.Forever)
-	if got := s.Net.Engine.Executed - events; got != 1 {
-		t.Errorf("a late RTS on a finished flow scheduled %d events, want the pacer's 1", got)
-	}
-}
-
-// TestStartAllocs: once warm, a flow's start — its announce and its
-// blind window — allocates nothing: the send cursor lives on the flow,
-// so there is no sender record to build. The flows are registered on
-// the sender side only, so the destination answers nothing and builds
-// no receiver record either.
-func TestStartAllocs(t *testing.T) {
-	s, p := newFan(1)
-	const runs = 100
-	var flows []*transport.Flow
-	for id := netsim.FlowID(1); id <= runs+1; id++ { // AllocsPerRun warms up with one more
-		flows = append(flows, p.AddPending(id, s.Senders[0], s.Receivers[0], 100_000, false))
-	}
-	next := 0
-	allocs := testing.AllocsPerRun(runs, func() {
-		p.Release(flows[next], p.Now())
-		next++
-		s.Net.Run(p.Now() + 10*p.Cfg.RTT)
-	})
-	if allocs != 0 {
-		t.Errorf("a flow's start: %.1f allocs, want 0", allocs)
-	}
-	for _, f := range flows {
-		if !f.SenderStarted || f.SendNext != p.BlindPkts(f) {
-			t.Fatalf("%v: started %v, cursor %d; want started past its %d-packet blind window", f, f.SenderStarted, f.SendNext, p.BlindPkts(f))
-		}
-	}
-}
-
 // TestRecoveryAllocs: once warm, a full loss-recovery cycle allocates
 // nothing. Each cycle takes a receiver record whose flow lost its whole
 // unscheduled window: the timeout queues a resend request per hole on
