@@ -98,11 +98,7 @@ func Protocols() []string {
 
 // Workloads returns the five workload names of §8.1.
 func Workloads() []string {
-	var out []string
-	for _, w := range workload.All() {
-		out = append(out, w.Name())
-	}
-	return out
+	return workload.Names()
 }
 
 // Patterns returns the supported traffic patterns: "poisson" (the
@@ -324,7 +320,7 @@ func (c Config) Validate() error {
 	if err := experiment.CheckOptions(c.Protocol, c.Options); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadStackOption, err)
 	}
-	if workload.ByName(c.Workload) == nil {
+	if !workload.Known(c.Workload) {
 		return fmt.Errorf("%w %q (have %v)", ErrUnknownWorkload, c.Workload, Workloads())
 	}
 	if !(c.Load > 0 && c.Load <= 1) { // NaN fails too

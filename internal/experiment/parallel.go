@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 )
 
 // WorkerPanic is what Parallel re-panics with when a worker's fn call
@@ -24,9 +25,10 @@ func (p *WorkerPanic) Error() string {
 }
 
 // Parallel runs fn(i) for i in [0, n) on a bounded worker pool. Each
-// index is an independent simulation, so this is safe and gives
-// near-linear speedups on sweep-style experiments. Results are returned
-// in index order.
+// index is an independent simulation, so this is safe. Every worker
+// claims one index at a time from a shared atomic cursor and runs it
+// before claiming the next, so a slow index holds up only its own
+// worker. Results are returned in index order.
 //
 // If any fn call panics, Parallel still runs the remaining tasks, then
 // re-panics on the caller's goroutine with a *WorkerPanic describing
@@ -43,14 +45,14 @@ func Parallel[T any](n int, fn func(i int) T) []T {
 }
 
 // ParallelCtx is Parallel with cooperative cancellation: once ctx is
-// done, no further indices are dispatched (tasks already running finish
+// done, no further indices are claimed (tasks already running finish
 // — make fn itself ctx-aware for prompt in-task aborts). It returns the
 // results, a mask marking which indices actually ran to completion, and
 // ctx.Err() (nil when every index ran). workers caps the pool below the
 // GOMAXPROCS ceiling; workers <= 0 means the full GOMAXPROCS pool.
-// Panic propagation is identical to Parallel: the remaining dispatched
-// tasks still run, then the caller's goroutine re-panics with a
-// *WorkerPanic describing the first failure.
+// Panic propagation is identical to Parallel: the remaining tasks still
+// run, then the caller's goroutine re-panics with a *WorkerPanic
+// describing the first failure.
 func ParallelCtx[T any](ctx context.Context, n, workers int, fn func(i int) T) ([]T, []bool, error) {
 	max := runtime.GOMAXPROCS(0)
 	if workers <= 0 || workers > max {
@@ -78,31 +80,23 @@ func ParallelCtx[T any](ctx context.Context, n, workers int, fn func(i int) T) (
 		out[i] = fn(i)
 		ran[i] = true
 	}
-	next := make(chan int)
+	// Each worker claims the next index from one shared cursor with one
+	// atomic add. ctx.Err() is checked before every claim, so once it is
+	// visible no further index is claimed.
+	var cursor atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
+			for ctx.Err() == nil {
+				i := int(cursor.Add(1) - 1)
+				if i >= n {
+					return
+				}
 				run(i)
 			}
 		}()
 	}
-	done := ctx.Done()
-dispatch:
-	for i := 0; i < n; i++ {
-		// Checked first so a cancellation never races a ready worker:
-		// once ctx.Err() is visible, no further index is handed out.
-		if ctx.Err() != nil {
-			break
-		}
-		select {
-		case <-done:
-			break dispatch
-		case next <- i:
-		}
-	}
-	close(next)
 	wg.Wait()
 	if first != nil {
 		panic(first)

@@ -3,9 +3,18 @@ package experiment
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
+
+// fourWorkers raises GOMAXPROCS to 4 for the test, so ParallelCtx's
+// GOMAXPROCS ceiling does not shrink a 4-worker pool on a smaller host.
+func fourWorkers(t *testing.T) int {
+	old := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	return 4
+}
 
 func TestParallelCtxRunsAll(t *testing.T) {
 	out, ran, err := ParallelCtx(context.Background(), 20, 3, func(i int) int { return i * i })
@@ -121,4 +130,108 @@ func TestParallelCtxPreCancelled(t *testing.T) {
 			t.Fatalf("pre-cancelled context still ran index %d", i)
 		}
 	}
+}
+
+func TestParallelCtxEachIndexOnceOnFourWorkers(t *testing.T) {
+	workers := fourWorkers(t)
+	const n = 1000
+	var calls [n]atomic.Int32
+	out, ran, err := ParallelCtx(context.Background(), n, workers, func(i int) int {
+		calls[i].Add(1)
+		return i * 3
+	})
+	if err != nil {
+		t.Fatalf("err = %v", err)
+	}
+	for i := 0; i < n; i++ {
+		if c := calls[i].Load(); c != 1 {
+			t.Fatalf("index %d ran %d times, want 1", i, c)
+		}
+		if out[i] != i*3 || !ran[i] {
+			t.Fatalf("index %d: out=%d ran=%v", i, out[i], ran[i])
+		}
+	}
+}
+
+func TestParallelCtxCancelOnFourWorkers(t *testing.T) {
+	workers := fourWorkers(t)
+	const n, k = 200, 37
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var started [n]atomic.Bool
+	var count atomic.Int64
+	// Tasks after k hold their worker until the cancellation, so the
+	// other workers cannot race past k while task k is still running:
+	// each holds at most one index beyond k when cancel lands.
+	out, ran, err := ParallelCtx(ctx, n, workers, func(i int) int {
+		started[i].Store(true)
+		count.Add(1)
+		switch {
+		case i == k:
+			cancel()
+		case i > k:
+			<-ctx.Done()
+		}
+		return i + 1
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got := count.Load(); got > k+int64(workers) {
+		t.Errorf("%d tasks started, want at most %d (k + workers)", got, k+workers)
+	}
+	for i := 0; i < n; i++ {
+		switch {
+		case i <= k && !started[i].Load():
+			t.Errorf("index %d before the cancelling task %d never started", i, k)
+		case !started[i].Load() && ran[i]:
+			t.Errorf("ran[%d] = true for an index that never started", i)
+		case started[i].Load() && (!ran[i] || out[i] != i+1):
+			t.Errorf("started index %d: ran=%v out=%d", i, ran[i], out[i])
+		}
+	}
+}
+
+func TestParallelCtxFewerTasksThanWorkers(t *testing.T) {
+	workers := fourWorkers(t)
+	for _, n := range []int{0, 1, workers - 1} {
+		var calls atomic.Int64
+		out, ran, err := ParallelCtx(context.Background(), n, workers, func(i int) int {
+			calls.Add(1)
+			return -i
+		})
+		if err != nil || len(out) != n || len(ran) != n || int(calls.Load()) != n {
+			t.Fatalf("n=%d: err=%v len(out)=%d len(ran)=%d calls=%d", n, err, len(out), len(ran), calls.Load())
+		}
+		for i := range out {
+			if out[i] != -i || !ran[i] {
+				t.Fatalf("n=%d index %d: out=%d ran=%v", n, i, out[i], ran[i])
+			}
+		}
+	}
+}
+
+func TestParallelCtxPanicOnFourWorkersRunsRest(t *testing.T) {
+	workers := fourWorkers(t)
+	const n, bad = 300, 123
+	var calls [n]atomic.Int32
+	defer func() {
+		wp, ok := recover().(*WorkerPanic)
+		if !ok || wp.Index != bad || wp.Value != "boom" {
+			t.Fatalf("recovered %+v, want *WorkerPanic for index %d", wp, bad)
+		}
+		for i := 0; i < n; i++ {
+			if c := calls[i].Load(); c != 1 {
+				t.Fatalf("index %d ran %d times after the panic at %d, want 1", i, c, bad)
+			}
+		}
+	}()
+	ParallelCtx(context.Background(), n, workers, func(i int) int {
+		calls[i].Add(1)
+		if i == bad {
+			panic("boom")
+		}
+		return i
+	})
+	t.Fatal("ParallelCtx did not re-panic")
 }

@@ -150,11 +150,22 @@ func TestByNameAndAbbrev(t *testing.T) {
 	if Abbrev("DataMining") != "DM" || Abbrev("x") != "x" {
 		t.Error("Abbrev broken")
 	}
-	// The catalog's names are the ones the constructors give.
-	for _, w := range All() {
+	// The catalog's names are the ones the constructors give, in the
+	// same order, and Known accepts exactly those.
+	names := Names()
+	for i, w := range All() {
 		if got := ByName(w.Name()); got == nil || got.Name() != w.Name() {
 			t.Errorf("ByName(%q) = %v", w.Name(), got)
 		}
+		if names[i] != w.Name() || !Known(w.Name()) {
+			t.Errorf("Names()[%d] = %q, Known(%q) = %v", i, names[i], w.Name(), Known(w.Name()))
+		}
+	}
+	if len(names) != len(All()) || Known("nope") || Known("websearch") || Known("") {
+		t.Errorf("Names() = %v; Known accepts a name outside it", names)
+	}
+	if a := testing.AllocsPerRun(100, func() { Known("DataMining") }); a != 0 {
+		t.Errorf("Known allocates %v times, want 0", a)
 	}
 }
 

@@ -95,6 +95,27 @@ func All() []*Empirical {
 	return out
 }
 
+// Names returns the five workload names in the order of All, without
+// building any distribution.
+func Names() []string {
+	out := make([]string, len(catalog))
+	for i, w := range catalog {
+		out[i] = w.name
+	}
+	return out
+}
+
+// Known reports whether name is one of the five workloads. It builds
+// nothing and allocates nothing, so validation can call it per point.
+func Known(name string) bool {
+	for _, w := range catalog {
+		if w.name == name {
+			return true
+		}
+	}
+	return false
+}
+
 // ByName returns the workload with the given name, or nil. It builds
 // only that workload.
 func ByName(name string) *Empirical {

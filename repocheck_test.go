@@ -485,9 +485,17 @@ var docsCheckFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
 //     checked against the live stack table — that is the signature
 //     of a full list that predates the newest protocol. Smaller
 //     subsets (a two-way contrast, the receiver-driven baseline trio)
-//     are legitimate prose and stay exempt.
+//     are legitimate prose and stay exempt;
+//  6. every bare `TestX`, `FuzzX` or `BenchmarkX` inside backticks
+//     names a test function of the module, and `TestX*` is the prefix
+//     of one, so a renamed or deleted test cannot stay cited. A line
+//     that says the test is retired or deleted is exempt.
 func docsFindings(root string) ([]string, error) {
 	idents, err := collectIdentifiers(root)
+	if err != nil {
+		return nil, err
+	}
+	tests, err := collectTestNames(root)
 	if err != nil {
 		return nil, err
 	}
@@ -508,13 +516,13 @@ func docsFindings(root string) ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, checkDoc(path, string(raw), idents, flags)...)
+		out = append(out, checkDoc(path, string(raw), idents, tests, flags)...)
 	}
 	return out, nil
 }
 
-// checkDoc applies the five docs rules to one file.
-func checkDoc(path, text string, idents map[string]map[string]bool, flags cliFlags) []string {
+// checkDoc applies the six docs rules to one file.
+func checkDoc(path, text string, idents map[string]map[string]bool, tests map[string]bool, flags cliFlags) []string {
 	var out []string
 	inFence := false
 	for i, line := range strings.Split(text, "\n") {
@@ -542,6 +550,12 @@ func checkDoc(path, text string, idents map[string]map[string]bool, flags cliFla
 			}
 		}
 		for _, ref := range refs {
+			if testNameRe.MatchString(ref) {
+				if !retiredRe.MatchString(line) && !citesTest(tests, ref) {
+					complain("`%s` — no test function of the module matches", ref)
+				}
+				continue
+			}
 			pkg, names, ok := splitRef(ref)
 			if !ok {
 				continue
@@ -584,7 +598,27 @@ var (
 	// simulation-version literals wherever they appear in prose.
 	linkRe       = regexp.MustCompile(`\]\(([^)#]+)(?:#[^)]*)?\)`)
 	simVersionRe = regexp.MustCompile(`amrt-sim/v\d+`)
+	// testNameRe matches a code span that is one test, fuzz or
+	// benchmark function name, or a prefix of one ending in `*`;
+	// retiredRe exempts the line that records its removal.
+	testNameRe = regexp.MustCompile(`^(?:Test|Fuzz|Benchmark)[A-Z0-9_][A-Za-z0-9_]*\*?$`)
+	retiredRe  = regexp.MustCompile(`\b(?:retired|deleted)\b`)
 )
+
+// citesTest reports whether the test-name span ref matches a name in
+// tests: exactly, or as a prefix when ref ends in `*`.
+func citesTest(tests map[string]bool, ref string) bool {
+	prefix, ok := strings.CutSuffix(ref, "*")
+	if !ok {
+		return tests[ref]
+	}
+	for name := range tests {
+		if strings.HasPrefix(name, prefix) {
+			return true
+		}
+	}
+	return false
+}
 
 // relativeLinks extracts the markdown link targets of one line that
 // point into the repository: absolute URLs and pure-anchor links are
@@ -692,6 +726,35 @@ func collectIdentifiers(root string) (map[string]map[string]bool, error) {
 				out[file.Name.Name] = set
 			}
 			addFileIdentifiers(set, file)
+		}
+	}
+	return out, nil
+}
+
+// collectTestNames returns the name of every top-level function in a
+// _test.go file of the module. Only names of the test, fuzz and
+// benchmark shape are ever looked up.
+func collectTestNames(root string) (map[string]bool, error) {
+	dirs, err := packageDirs(root)
+	if err != nil {
+		return nil, err
+	}
+	out := map[string]bool{}
+	for _, dir := range dirs {
+		paths, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+		if err != nil {
+			return nil, err
+		}
+		for _, path := range paths {
+			file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			for _, decl := range file.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+					out[fn.Name.Name] = true
+				}
+			}
 		}
 	}
 	return out, nil
@@ -1055,18 +1118,20 @@ func TestLintPreludeClean(t *testing.T) {
 func TestDocsRulesTrip(t *testing.T) {
 	tree := func(doc string) map[string]string {
 		return map[string]string{
-			"internal/pkg/pkg.go": "package pkg\n\n// Known is known.\ntype Known int\n",
-			"cmd/tool/main.go":    "package main\n\nimport \"flag\"\n\nvar known = flag.Bool(\"known\", false, \"\")\n\nfunc init() { flag.Func(\"fn\", \"usage\", func(string) error { return nil }) }\n",
-			"cmd/tool/sub.go":     "package main\n\nimport \"flag\"\n\nfunc sub() {\n\tfs := flag.NewFlagSet(\"tool sub\", flag.ExitOnError)\n\tfs.Int(\"depth\", 0, \"\")\n\tbind(fs)\n}\n",
-			"cmd/tool/bind.go":    "package main\n\nimport \"flag\"\n\nfunc run() {\n\tfs := flag.NewFlagSet(\"tool\", flag.ExitOnError)\n\twrap(fs)\n}\n\nfunc wrap(set *flag.FlagSet) { bind(set) }\n\nfunc bind(fs *flag.FlagSet) { fs.String(\"shared\", \"\", \"\") }\n\nfunc unused(fs *flag.FlagSet) { fs.Bool(\"orphan\", false, \"\") }\n",
-			"docs/guide.md":       doc,
-			"README.md":           "",
-			"DESIGN.md":           "",
-			"EXPERIMENTS.md":      "",
+			"internal/pkg/pkg.go":      "package pkg\n\n// Known is known.\ntype Known int\n",
+			"internal/pkg/pkg_test.go": "package pkg\n\nimport \"testing\"\n\nfunc TestKnownShape(t *testing.T) {}\n\nfunc FuzzKnown(f *testing.F) {}\n",
+			"cmd/tool/main.go":         "package main\n\nimport \"flag\"\n\nvar known = flag.Bool(\"known\", false, \"\")\n\nfunc init() { flag.Func(\"fn\", \"usage\", func(string) error { return nil }) }\n",
+			"cmd/tool/sub.go":          "package main\n\nimport \"flag\"\n\nfunc sub() {\n\tfs := flag.NewFlagSet(\"tool sub\", flag.ExitOnError)\n\tfs.Int(\"depth\", 0, \"\")\n\tbind(fs)\n}\n",
+			"cmd/tool/bind.go":         "package main\n\nimport \"flag\"\n\nfunc run() {\n\tfs := flag.NewFlagSet(\"tool\", flag.ExitOnError)\n\twrap(fs)\n}\n\nfunc wrap(set *flag.FlagSet) { bind(set) }\n\nfunc bind(fs *flag.FlagSet) { fs.String(\"shared\", \"\", \"\") }\n\nfunc unused(fs *flag.FlagSet) { fs.Bool(\"orphan\", false, \"\") }\n",
+			"docs/guide.md":            doc,
+			"README.md":                "",
+			"DESIGN.md":                "",
+			"EXPERIMENTS.md":           "",
 		}
 	}
 	clean := "`pkg.Known` with `-known`, see [the guide](guide.md) and [the readme](../README.md).\n" +
 		"Cache keys carry `" + SimVersion + "`; run `go test -race` or `curl -X POST`; `-depth` alone.\n" +
+		"`TestKnownShape`, `TestKnown*` and `FuzzKnown` run; the retired `TestGone` does not.\n" +
 		"```\ngo run ./cmd/tool -known -fn x -shared s\ngo run ./cmd/tool sub -depth 2 -shared s\ngo run example.com/tool -elsewhere\n```\n"
 	t.Run("clean", func(t *testing.T) {
 		got, err := docsFindings(writeTree(t, tree(clean)))
@@ -1078,6 +1143,8 @@ func TestDocsRulesTrip(t *testing.T) {
 		{"unknown identifier", "`pkg.Unknown`", `pkg has no identifier "Unknown"`},
 		{"broken link", "[gone](missing.md)", `broken link "missing.md"`},
 		{"stale version", "amrt-sim/v1", `stale simulation version "amrt-sim/v1"`},
+		{"unknown test", "`TestGone`", "`TestGone` — no test function"},
+		{"unknown test prefix", "`BenchmarkKnown*`", "`BenchmarkKnown*` — no test function"},
 		{"unknown flag inline", "`-bogus`", "flag -bogus is not defined"},
 		{"unknown flag on go run", "```\ngo run ./cmd/tool -known -bogus 1\n```", "flag -bogus is not defined"},
 		{"another command's flag", "`tool -depth 2`", "flag -depth is not defined by `tool`"},
