@@ -46,7 +46,7 @@ import (
 // satisfy a newer binary. Bump it whenever a change alters simulation
 // results — protocol logic, topology defaults, workload sampling — and
 // leave it alone for pure API or tooling changes.
-const SimVersion = "amrt-sim/v10"
+const SimVersion = "amrt-sim/v11"
 
 // Typed sentinel errors returned by Config.Validate (and therefore by
 // RunContext, CompareContext, and Sweep). Match with errors.Is; the

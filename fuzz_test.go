@@ -102,11 +102,12 @@ func FuzzParseTopology(f *testing.F) {
 	})
 }
 
-// FuzzDecodePoint holds the strict sweep-payload decoder to
-// encoding/json on arbitrary bytes: decodePoint either fails or returns
-// exactly what json.Unmarshal does, and only for the bytes json.Marshal
-// writes for that Result; and whatever json.Unmarshal accepts,
-// decodePoint reads back from its json.Marshal encoding unchanged.
+// FuzzDecodePoint holds the sweep payload's cell record to a round
+// trip both ways: any bytes decodePoint accepts re-encode to exactly
+// themselves, and any Result the fuzzer builds comes back from
+// decodePoint(encodePoint(r)) bit for bit, floats by Float64bits, so
+// −0 and every NaN included. Each seed Result also seeds its
+// json.Marshal bytes, the payload an amrt-sim/v10 cache held.
 func FuzzDecodePoint(f *testing.F) {
 	seeds := []Result{
 		{},
@@ -118,62 +119,54 @@ func FuzzDecodePoint(f *testing.F) {
 			Events: math.MaxUint64, Stalled: -1, DeadlineTotal: math.MaxInt},
 		{Load: 5e-324, Utilization: 1e-7, AFCT: -1, P99: -time.Second, Killed: -7},
 		{Load: -0.0, Utilization: 9.999999999999999e20},
+		{Load: math.Copysign(0, -1), Utilization: math.NaN()},
 		{Load: 1e-6, Utilization: 0.000000999999999},
+		{Protocol: strings.Repeat("p", 255), Workload: strings.Repeat("w", 255)},
 		{Protocol: "a\"b\\c\b\f\n\r\t\x01\x1f<>&\u2028\u2029\ufffdé\U0001F600", Workload: "\xff\xfe"},
 	}
 	for _, name := range append(experiment.StackNames(), Workloads()...) {
 		seeds = append(seeds, Result{Protocol: name, Workload: name})
 	}
 	for _, r := range seeds {
-		b, err := json.Marshal(r)
+		b, err := encodePoint(r)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(b)
+		j, _ := json.Marshal(r) // NaN has no JSON: j is then empty
+		for _, b := range [][]byte{b, j} {
+			f.Add(b, r.Protocol, r.Workload, math.Float64bits(r.Load), math.Float64bits(r.Utilization), int64(r.AFCT), r.Events)
+		}
 	}
-	// Bytes json.Unmarshal reads but json.Marshal never writes.
-	for _, s := range []string{
-		`{}`,
-		`{"Protocol":"AMRT"}`,
-		` {"Protocol":"","Workload":"","Load":0,"Completed":0,"Total":0,"AFCT":0,"P99":0,"Utilization":0,"Drops":0,"Trims":0,"Events":0,"Stalled":0,"Killed":0,"DeadlineTotal":0,"DeadlineMissed":0}`,
-		`{"Protocol":"","Workload":"","Load":0,"Completed":0,"Total":0,"AFCT":0,"P99":0,"Utilization":0,"Drops":0,"Trims":0,"Events":0,"Stalled":0,"Killed":0,"DeadlineTotal":0,"DeadlineMissed":0}` + "\n",
-		`{"Workload":"","Protocol":"","Load":0,"Completed":0,"Total":0,"AFCT":0,"P99":0,"Utilization":0,"Drops":0,"Trims":0,"Events":0,"Stalled":0,"Killed":0,"DeadlineTotal":0,"DeadlineMissed":0}`,
-		`{"protocol":"","Workload":"","Load":0,"Completed":0,"Total":0,"AFCT":0,"P99":0,"Utilization":0,"Drops":0,"Trims":0,"Events":0,"Stalled":0,"Killed":0,"DeadlineTotal":0,"DeadlineMissed":0}`,
-		`{"Protocol":"A","Workload":"\u000a","Load":1E5,"Completed":-0,"Total":01,"AFCT":1.0,"P99":0,"Utilization":1e-07,"Drops":0,"Trims":0,"Events":-1,"Stalled":0,"Killed":0,"DeadlineTotal":0,"DeadlineMissed":0}`,
-		`{"Protocol":"<","Workload":"<","Load":0.50,"Completed":0,"Total":0,"AFCT":0,"P99":0,"Utilization":1e400,"Drops":0,"Trims":0,"Events":18446744073709551616,"Stalled":0,"Killed":0,"DeadlineTotal":0,"DeadlineMissed":0}`,
-	} {
-		f.Add([]byte(s))
-	}
-	f.Fuzz(func(t *testing.T, b []byte) {
-		v, m, err := decodePoint(b)
-		var want Result
-		jerr := json.Unmarshal(b, &want)
-		if err == nil {
+	f.Add([]byte{}, strings.Repeat("x", 256), "", uint64(0), uint64(0), int64(0), uint64(0))
+	f.Fuzz(func(t *testing.T, b []byte, proto, wl string, load, util uint64, afct int64, events uint64) {
+		if v, _, err := decodePoint(b); err == nil {
 			got := *v.(*Result)
-			if jerr != nil {
-				t.Fatalf("decodePoint(%q) = %+v, json.Unmarshal failed: %v", b, got, jerr)
-			}
-			if got != want || m != metricsOf(want) {
-				t.Fatalf("decodePoint(%q) = %+v, json.Unmarshal gives %+v", b, got, want)
-			}
-			if enc, _ := json.Marshal(want); !bytes.Equal(enc, b) {
-				t.Fatalf("decodePoint accepted %q, which json.Marshal writes as %q", b, enc)
+			if enc, err := encodePoint(got); err != nil || !bytes.Equal(enc, b) {
+				t.Fatalf("decodePoint(%x) = %+v, which encodes to %x (%v)", b, got, enc, err)
 			}
 		}
-		if jerr != nil {
+		// The other fields take the fuzzed words too, in turn, so every
+		// word's position is exercised at its extremes.
+		want := Result{Protocol: proto, Workload: wl, Load: math.Float64frombits(load),
+			Completed: int(afct), Total: int(^afct), AFCT: time.Duration(afct), P99: time.Duration(events),
+			Utilization: math.Float64frombits(util), Drops: int64(load), Trims: int64(util), Events: events,
+			Stalled: int(events), Killed: int(load), DeadlineTotal: int(util), DeadlineMissed: -int(afct)}
+		enc, err := encodePoint(want)
+		if long := len(proto) > 255 || len(wl) > 255; long != (err != nil) {
+			t.Fatalf("encodePoint with names of %d and %d bytes: %v", len(proto), len(wl), err)
+		}
+		if err != nil {
 			return
 		}
-		enc, err := json.Marshal(want)
+		v, _, err := decodePoint(enc)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("decodePoint(encodePoint(%+v) = %x): %v", want, enc, err)
 		}
-		v, _, err = decodePoint(enc)
-		if err != nil {
-			t.Fatalf("decodePoint(json.Marshal(%+v) = %q): %v", want, enc, err)
-		}
-		if got := *v.(*Result); got != want || math.Signbit(got.Load) != math.Signbit(want.Load) ||
-			math.Signbit(got.Utilization) != math.Signbit(want.Utilization) {
-			t.Fatalf("decodePoint(json.Marshal(%+v)) = %+v", want, got)
+		got := *v.(*Result)
+		sameFloats := math.Float64bits(got.Load) == load && math.Float64bits(got.Utilization) == util
+		got.Load, got.Utilization, want.Load, want.Utilization = 0, 0, 0, 0
+		if !sameFloats || got != want {
+			t.Fatalf("decodePoint(encodePoint(r)) = %+v, want %+v", *v.(*Result), want)
 		}
 	})
 }

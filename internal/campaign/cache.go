@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -126,13 +125,10 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 // Put stores payload under key, atomically replacing any prior entry:
 // one header line, then the payload bytes as given. The key must
 // satisfy the shape validateKey enforces (≥ 2 characters of
-// [0-9A-Za-z_-]); the payload must be valid JSON.
+// [0-9A-Za-z_-]); the payload may be any bytes.
 func (c *Cache) Put(key string, payload []byte) error {
 	if err := validateKey(key); err != nil {
 		return err
-	}
-	if !json.Valid(payload) {
-		return fmt.Errorf("campaign: cache payload for %s is not valid JSON", key)
 	}
 	entry := append(append(headerLine(nil, key, payload), '\n'), payload...)
 	dir := filepath.Dir(c.path(key))

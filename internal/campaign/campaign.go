@@ -29,7 +29,7 @@ type Metrics struct {
 	DeadlineMissed int
 }
 
-// Outcome is one completed point: its payload (canonical result JSON),
+// Outcome is one completed point: its payload (opaque bytes),
 // its aggregation metrics, and whether it was served from the cache.
 // Value is what Config.Decode made of a cache hit's payload, so the
 // caller need not decode it again; it is nil for a computed point,

@@ -14,8 +14,8 @@
 // on the first failure and reporting the point in Result.Failed.
 //
 // The package is deliberately ignorant of the simulator: a point's
-// payload is opaque bytes (the root package stores canonical
-// amrt.Result JSON) plus a small Metrics record used for aggregation.
+// payload is opaque bytes (the root package stores an amrt.Result's
+// cell record) plus a small Metrics record used for aggregation.
 // That keeps the dependency arrow pointing root → campaign →
 // experiment/stats with no cycle.
 package campaign

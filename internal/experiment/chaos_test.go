@@ -35,20 +35,49 @@ func runFanChaos(t *testing.T, proto, spec string) (*netsim.Network, *faults.Pla
 	}
 	var net *netsim.Network
 	b := topo.Fan(4)
-	flows := LeafSpineRun{
+	res := LeafSpineRun{
 		Topo:    b,
 		Stack:   tapNet(MustStack(proto, StackOptions{}), &net),
 		Flows:   pairFlows(b, []int64{1_000_000, 1_000_000, 1_000_000, 1_000_000}, []sim.Time{0, 20 * sim.Microsecond, 40 * sim.Microsecond, 60 * sim.Microsecond}),
 		Horizon: 20 * sim.Second,
 		Faults:  plan,
 		Audit:   true, // ends with a sweep; panics with a forensic dump on violation
-	}.Run().Flows
+	}.Run()
+	if u := res.Utilization; !(u >= 0 && u <= 1) {
+		t.Errorf("%s: utilization %v under faults %q, want within [0, 1]", proto, u, spec)
+	}
+	flows := res.Flows
 	for _, f := range flows {
 		if !f.Done {
 			t.Fatalf("%s: %v stalled under faults %q", proto, f, spec)
 		}
 	}
 	return net, plan, flows
+}
+
+// TestUtilizationCountsLongBusyPeriod: a destination backlogged for
+// more than 0.92 s at 10 Gbit/s, past which its capacity in bit/s × ns
+// no longer fits an int64, is still in the utilization fold. One
+// 100 KB flow whose receiver's access link is down from 10 µs to
+// 1.2 s keeps R0 busy for about 1.2 s; R0 is the run's only
+// destination, so a fold that left it out would report 0.
+func TestUtilizationCountsLongBusyPeriod(t *testing.T) {
+	b := topo.Fan(1)
+	const size = 100_000
+	res := LeafSpineRun{
+		Topo:    b,
+		Stack:   MustStack("AMRT", StackOptions{}),
+		Flows:   pairFlows(b, []int64{size}, []sim.Time{0}),
+		Horizon: 5 * sim.Second,
+		Faults:  faults.MustParse("link=swB->R0,down=10us,up=1200ms"),
+	}.Run()
+	f := res.Flows[0]
+	if !f.Done || f.FCT() < sim.Second {
+		t.Fatalf("flow done %v after %v, want done after more than 1 s", f.Done, f.FCT())
+	}
+	if want := size / float64(b.AccessRate().BytesIn(f.FCT())); res.Utilization != want {
+		t.Errorf("utilization %v, want %v: %d B over %v at %v", res.Utilization, want, size, f.FCT(), b.AccessRate())
+	}
 }
 
 // TestChaosLinkFlapMidTransfer pulls the fan bottleneck cable (both

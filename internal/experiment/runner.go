@@ -777,9 +777,6 @@ func (r *run) collect() RunResult {
 			continue
 		}
 		capBytes := float64(r.ls.AccessRate.BytesIn(d.busy))
-		if capBytes <= 0 {
-			continue
-		}
 		payloadSum += min(float64(d.payload), capBytes)
 		capSum += capBytes
 	}

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Rate is a link or pacing rate in bits per second.
 type Rate int64
@@ -26,12 +29,22 @@ func (r Rate) TxTime(size int) Time {
 }
 
 // BytesIn returns the number of bytes that can be serialized at rate r
-// within duration d.
+// within duration d, rounded down. The bit/s × ns product is taken in
+// 128 bits, so the result is exact for every d and r; one that does not
+// fit an int64 panics.
 func (r Rate) BytesIn(d Time) int64 {
 	if d <= 0 || r <= 0 {
 		return 0
 	}
-	return int64(d) * int64(r) / (8 * int64(Second))
+	const bitNs = 8 * uint64(Second)
+	hi, lo := bits.Mul64(uint64(d), uint64(r))
+	// The quotient fits an int64 exactly when the product is below
+	// 2^63 × bitNs, whose high word is bitNs/2.
+	if hi >= bitNs/2 {
+		panic(fmt.Sprintf("sim: %v × %v is more bytes than an int64 holds", r, d))
+	}
+	q, _ := bits.Div64(hi, lo, bitNs)
+	return int64(q)
 }
 
 // String formats the rate with an adaptive unit.

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -36,6 +38,51 @@ func TestRateBytesIn(t *testing.T) {
 	if got := (Gbps).BytesIn(-1); got != 0 {
 		t.Errorf("BytesIn negative duration = %d, want 0", got)
 	}
+	// A busy period past 0.92 s at 10 Gbit/s: the bit/s × ns product
+	// no longer fits an int64, the byte count does.
+	if got := (10 * Gbps).BytesIn(2 * Second); got != 2_500_000_000 {
+		t.Errorf("BytesIn(10G,2s) = %d, want 2500000000", got)
+	}
+}
+
+// FuzzBytesIn holds BytesIn to exact arithmetic: for a positive rate
+// and duration it returns floor(d × r / 8e9) whenever that fits an
+// int64, and panics otherwise; for any other input it returns 0.
+func FuzzBytesIn(f *testing.F) {
+	for _, c := range [][2]int64{
+		{int64(100 * Microsecond), int64(10 * Gbps)},
+		{int64(920 * Millisecond), int64(10 * Gbps)},
+		{int64(2 * Second), int64(10 * Gbps)},
+		{math.MaxInt64, math.MaxInt64},
+		{math.MaxInt64, 8_000_000_000},
+		{math.MaxInt64, 8_000_000_001},
+		{1, 7_999_999_999},
+		{0, int64(Gbps)},
+		{-1, int64(Gbps)},
+		{int64(Second), -1},
+	} {
+		f.Add(c[0], c[1])
+	}
+	limit := big.NewInt(math.MaxInt64)
+	f.Fuzz(func(t *testing.T, d, r int64) {
+		want := new(big.Int).Mul(big.NewInt(d), big.NewInt(r))
+		want.Quo(want, big.NewInt(8*int64(Second)))
+		if d <= 0 || r <= 0 {
+			want.SetInt64(0)
+		}
+		got, panicked := func() (n int64, panicked bool) {
+			defer func() { panicked = recover() != nil }()
+			return Rate(r).BytesIn(Time(d)), false
+		}()
+		switch fits := want.Cmp(limit) <= 0; {
+		case !fits && !panicked:
+			t.Fatalf("Rate(%d).BytesIn(%d) = %d, want a panic: %v does not fit an int64", r, d, got, want)
+		case fits && panicked:
+			t.Fatalf("Rate(%d).BytesIn(%d) panicked, want %v", r, d, want)
+		case fits && got != want.Int64():
+			t.Fatalf("Rate(%d).BytesIn(%d) = %d, want %v", r, d, got, want)
+		}
+	})
 }
 
 func TestRateString(t *testing.T) {

@@ -49,10 +49,10 @@ func (c *FCTCollector) Count() int { return len(c.samples) }
 // Merge concatenates the given collectors' samples into one collector in
 // canonical (End, Start, Size) order. Per-shard collectors accumulate in
 // their own completion order; the canonical sort makes every aggregate —
-// including the floating-point folds in Mean and MeanSlowdown, which are
-// sensitive to summation order — a pure function of the sample set, so a
-// merged multi-shard run reports byte-identical statistics to the
-// single-shard reference. (Samples identical in all three fields are
+// including the floating-point fold in Mean, which is sensitive to
+// summation order — a pure function of the sample set, so a merged
+// multi-shard run reports byte-identical statistics to the single-shard
+// reference. (Samples identical in all three fields are
 // interchangeable, so the sort's tie order cannot affect any aggregate.)
 // A sole collector is sorted in place and returned.
 func Merge(parts ...*FCTCollector) *FCTCollector {
@@ -130,20 +130,6 @@ func percentileOfSorted(sorted []FCTSample, p float64) float64 {
 
 // P99 is shorthand for the 99th percentile.
 func (c *FCTCollector) P99() sim.Time { return c.Percentile(99) }
-
-// MeanSlowdown returns the average of FCT/idealFCT across flows, where
-// idealFCT is the time to serialize the flow at rate plus the base RTT.
-func (c *FCTCollector) MeanSlowdown(rate sim.Rate, rtt sim.Time) float64 {
-	if len(c.samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, s := range c.samples {
-		ideal := float64(rate.TxTime(int(s.Size))) + float64(rtt)
-		sum += float64(s.FCT()) / ideal
-	}
-	return sum / float64(len(c.samples))
-}
 
 // Filter returns a collector holding only samples that satisfy keep.
 func (c *FCTCollector) Filter(keep func(FCTSample) bool) *FCTCollector {

@@ -74,16 +74,6 @@ func TestFCTNegativePanics(t *testing.T) {
 	c.Add(1, 100, 50)
 }
 
-func TestFCTMeanSlowdown(t *testing.T) {
-	c := NewFCTCollector()
-	// 1250-byte flow at 10Gbps = 1µs ideal tx; rtt 1µs → ideal 2µs.
-	c.Add(1250, 0, 4*sim.Microsecond) // slowdown 2
-	got := c.MeanSlowdown(10*sim.Gbps, sim.Microsecond)
-	if math.Abs(got-2) > 1e-9 {
-		t.Errorf("MeanSlowdown = %v, want 2", got)
-	}
-}
-
 func TestFCTBySize(t *testing.T) {
 	c := NewFCTCollector()
 	c.Add(100, 0, 10)

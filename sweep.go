@@ -267,7 +267,7 @@ func Sweep(ctx context.Context, sc SweepConfig) (*SweepResult, error) {
 			if err != nil {
 				return nil, campaign.Metrics{}, err
 			}
-			payload, err := json.Marshal(res)
+			payload, err := encodePoint(res)
 			if err != nil {
 				return nil, campaign.Metrics{}, err
 			}

@@ -25,8 +25,9 @@ func TopologyKinds() []string {
 // convertible to a positive sim.Rate (NaN or a negative rate would
 // otherwise fall back to the default silently, and an overflowing one
 // crash the engine), and each rate times the fabric's RTT within
-// int64: the stacks size their windows with sim.Rate.BytesIn, whose
-// bit/s × ns product would otherwise wrap into a nonsense BDP.
+// int64 in bit/s × ns. That caps the bandwidth-delay product the
+// stacks size their windows from (sim.Rate.BytesIn of the RTT) at about
+// 1.15 GB, far inside the int64 bytes past which BytesIn panics.
 func (t Topology) builder() (topo.Builder, error) {
 	kind := t.Kind
 	if kind == "" {
