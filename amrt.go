@@ -21,12 +21,14 @@
 package amrt
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"amrt/internal/experiment"
@@ -593,10 +595,14 @@ func writeMetrics(cfg Config, reg *metrics.Registry) error {
 // sort. cfg.Protocol is ignored. A shared Options struct is narrowed to
 // each leg's own fields, so comparison runs may carry knobs for several
 // protocols at once; every leg's Config is validated before any leg
-// runs. Trace and metrics output paths get the protocol name spliced in
-// before the extension (out.json → out.AMRT.json, extensionless out →
-// out.AMRT) so the runs do not overwrite each other. On a cancelled
-// context it returns the protocols completed so far plus ctx.Err().
+// runs, and the legs then run on the experiment worker pool (up to
+// GOMAXPROCS at once). Trace and metrics output paths get the protocol
+// name spliced in before the extension (out.json → out.AMRT.json,
+// extensionless out → out.AMRT) so the runs do not overwrite each
+// other. When a leg fails or ctx is cancelled, the remaining legs are
+// cancelled, and it returns the legs that completed up to the first
+// that did not, plus the first error: results[i] is always
+// Protocols()[i].
 func CompareContext(ctx context.Context, cfg Config) ([]Result, error) {
 	names := experiment.ProtocolNames()
 	legs := make([]Config, len(names))
@@ -612,13 +618,24 @@ func CompareContext(ctx context.Context, cfg Config) ([]Result, error) {
 		}
 		legs[i] = c
 	}
-	out := make([]Result, 0, len(legs))
-	for _, c := range legs {
-		r, err := RunContext(ctx, c)
+	runCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var first sync.Once
+	var firstErr error
+	errs := make([]error, len(legs))
+	out, ran, _ := experiment.ParallelCtx(runCtx, len(legs), 0, func(i int) Result {
+		r, err := RunContext(runCtx, legs[i])
 		if err != nil {
-			return out, err
+			errs[i] = err
+			first.Do(func() { firstErr = err; cancel() })
 		}
-		out = append(out, r)
+		return r
+	})
+	for i := range out {
+		if !ran[i] || errs[i] != nil {
+			// A leg that never started was cancelled with ctx.
+			return out[:i], cmp.Or(firstErr, ctx.Err())
+		}
 	}
 	return out, nil
 }

@@ -2,6 +2,11 @@ package amrt
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -47,6 +52,53 @@ func TestRunDeterministic(t *testing.T) {
 	c := mustRun(t, cfg)
 	if a == c {
 		t.Error("different seed produced identical results")
+	}
+}
+
+// TestCompareStopsAtTheFirstUnfinishedLeg: the legs run on the worker
+// pool, so a comparison cut short may have finished any of them. It
+// returns only the leading legs, each the protocol Protocols() names at
+// its index and equal to that leg of an uncut run, with the error that
+// cut it: a cancelled context (before the legs start, or while they
+// run), or a failed leg. pHost's trace path is a directory, so pHost
+// fails after its run: none of the legs it ran beside is returned.
+func TestCompareStopsAtTheFirstUnfinishedLeg(t *testing.T) {
+	cfg := Config{Flows: 120, Topology: smallTopo(), Workload: "CacheFollower"}
+	full, err := CompareContext(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, after := range []time.Duration{0, time.Millisecond, 10 * time.Millisecond} {
+		ctx, cancel := context.WithCancel(context.Background())
+		if after == 0 {
+			cancel()
+		} else {
+			time.AfterFunc(after, cancel)
+		}
+		got, err := CompareContext(ctx, cfg)
+		cancel()
+		name := fmt.Sprintf("cancelled after %v", after)
+		if len(got) == len(full) && err == nil && after > 0 {
+			continue // every leg finished first
+		}
+		if !errors.Is(err, context.Canceled) || len(got) == len(full) || (after == 0 && len(got) != 0) {
+			t.Errorf("%s: %d legs, err %v, want fewer than %d and context.Canceled", name, len(got), err, len(full))
+		}
+		for i, r := range got {
+			if r.Protocol != Protocols()[i] || r != full[i] {
+				t.Errorf("%s: leg %d = %+v, want %s's %+v", name, i, r, Protocols()[i], full[i])
+			}
+		}
+	}
+
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "trace.pHost.csv"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cfg.TracePath = filepath.Join(dir, "trace.csv")
+	got, err := CompareContext(context.Background(), cfg)
+	if err == nil || !strings.Contains(err.Error(), "trace.pHost.csv") || len(got) != 0 {
+		t.Errorf("pHost's trace unwritable: %d legs, err %v, want none and pHost's error", len(got), err)
 	}
 }
 

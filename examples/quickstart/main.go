@@ -17,8 +17,9 @@ import (
 )
 
 func main() {
-	// Ctrl-C cancels the context; CompareContext then returns the
-	// protocols finished so far plus the cancellation error.
+	// Ctrl-C cancels the context. CompareContext runs the protocols on
+	// the worker pool, so it then returns those finished in paper order
+	// up to the first unfinished one, plus the cancellation error.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 

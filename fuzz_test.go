@@ -139,8 +139,7 @@ func FuzzDecodePoint(f *testing.F) {
 	}
 	f.Add([]byte{}, strings.Repeat("x", 256), "", uint64(0), uint64(0), int64(0), uint64(0))
 	f.Fuzz(func(t *testing.T, b []byte, proto, wl string, load, util uint64, afct int64, events uint64) {
-		if v, _, err := decodePoint(b); err == nil {
-			got := *v.(*Result)
+		if got, err := decodePoint(b); err == nil {
 			if enc, err := encodePoint(got); err != nil || !bytes.Equal(enc, b) {
 				t.Fatalf("decodePoint(%x) = %+v, which encodes to %x (%v)", b, got, enc, err)
 			}
@@ -158,15 +157,15 @@ func FuzzDecodePoint(f *testing.F) {
 		if err != nil {
 			return
 		}
-		v, _, err := decodePoint(enc)
+		got, err := decodePoint(enc)
 		if err != nil {
 			t.Fatalf("decodePoint(encodePoint(%+v) = %x): %v", want, enc, err)
 		}
-		got := *v.(*Result)
 		sameFloats := math.Float64bits(got.Load) == load && math.Float64bits(got.Utilization) == util
-		got.Load, got.Utilization, want.Load, want.Utilization = 0, 0, 0, 0
-		if !sameFloats || got != want {
-			t.Fatalf("decodePoint(encodePoint(r)) = %+v, want %+v", *v.(*Result), want)
+		g, w := got, want
+		g.Load, g.Utilization, w.Load, w.Utilization = 0, 0, 0, 0
+		if !sameFloats || g != w {
+			t.Fatalf("decodePoint(encodePoint(r)) = %+v, want %+v", got, want)
 		}
 	})
 }

@@ -16,13 +16,17 @@ import (
 	"time"
 )
 
-func testGrid() Grid {
-	return Grid{
-		Protocols: []string{"pHost", "AMRT"},
-		Workloads: []string{"WebSearch"},
-		Loads:     []float64{0.3, 0.5},
-		Seeds:     []int64{1, 2},
+// testPoints are eight points: two protocols × two loads × two seeds.
+func testPoints() []Point {
+	var pts []Point
+	for _, proto := range []string{"pHost", "AMRT"} {
+		for _, load := range []float64{0.3, 0.5} {
+			for _, seed := range []int64{1, 2} {
+				pts = append(pts, Point{Protocol: proto, Workload: "WebSearch", Load: load, Seed: seed})
+			}
+		}
 	}
+	return pts
 }
 
 // fakeRun returns a deterministic payload/metrics pair derived from the
@@ -41,24 +45,10 @@ func fakeRun(computes *atomic.Int64) func(context.Context, Point) ([]byte, Metri
 	}
 }
 
-func decodeMetrics(payload []byte) (any, Metrics, error) {
+func decodeMetrics(payload []byte) (Metrics, error) {
 	var m Metrics
 	err := json.Unmarshal(payload, &m)
-	return m, m, err
-}
-
-func TestExpandOrderAndCount(t *testing.T) {
-	pts := testGrid().Expand()
-	if len(pts) != 8 {
-		t.Fatalf("Expand: %d points, want 8", len(pts))
-	}
-	// Seed innermost, then fault, load, workload, protocol outermost.
-	want0 := Point{Protocol: "pHost", Workload: "WebSearch", Load: 0.3, Seed: 1}
-	want1 := Point{Protocol: "pHost", Workload: "WebSearch", Load: 0.3, Seed: 2}
-	want4 := Point{Protocol: "AMRT", Workload: "WebSearch", Load: 0.3, Seed: 1}
-	if pts[0] != want0 || pts[1] != want1 || pts[4] != want4 {
-		t.Errorf("Expand order wrong:\n%+v", pts)
-	}
+	return m, err
 }
 
 func TestKeyDigest(t *testing.T) {
@@ -108,8 +98,8 @@ func TestKeyWriterIsKey(t *testing.T) {
 func TestCacheRoundTripAndCorruption(t *testing.T) {
 	var computes atomic.Int64
 	cfg := campaignConfig(t, filepath.Join(t.TempDir(), "cache"), &computes)
-	cfg.Points = cfg.Points[:1]
-	c, key := cfg.Cache, cfg.Key(cfg.Points[0])
+	cfg.Points, cfg.Keys = cfg.Points[:1], cfg.Keys[:1]
+	c, key := cfg.Cache, cfg.Keys[0]
 	if _, ok := c.Get(key); ok {
 		t.Fatal("empty cache reported a hit")
 	}
@@ -199,14 +189,16 @@ func campaignConfig(t *testing.T, dir string, computes *atomic.Int64) Config {
 	if err != nil {
 		t.Fatal(err)
 	}
+	points := testPoints()
+	keys := make([]string, len(points))
+	for i, p := range points {
+		keys[i] = Key("test-v1", p.Protocol, p.Workload,
+			fmt.Sprintf("%.17g", p.Load), fmt.Sprintf("%d", p.Seed), p.Faults)
+	}
 	return Config{
-		Points: testGrid().Expand(),
+		Points: points,
 		Cache:  cache,
-		Key: func(p Point) string {
-			return Key("test-v1",
-				p.Protocol, p.Workload,
-				fmt.Sprintf("%.17g", p.Load), fmt.Sprintf("%d", p.Seed), p.Faults)
-		},
+		Keys:   keys,
 		Run:    fakeRun(computes),
 		Decode: decodeMetrics,
 	}
@@ -223,8 +215,8 @@ func TestRunCacheAccountingAndResume(t *testing.T) {
 	if res.Hits != 0 || res.Misses != 8 || computes.Load() != 8 {
 		t.Fatalf("first pass: hits=%d misses=%d computes=%d", res.Hits, res.Misses, computes.Load())
 	}
-	if len(res.Points) != 8 || len(res.Cells) != 4 {
-		t.Fatalf("first pass: %d points, %d cells", len(res.Points), len(res.Cells))
+	if len(res.Points) != 8 {
+		t.Fatalf("first pass: %d points", len(res.Points))
 	}
 
 	// Second campaign against the same cache: zero recomputation.
@@ -251,16 +243,18 @@ func TestRunCacheAccountingAndResume(t *testing.T) {
 		if !res2.Points[i].FromCache {
 			t.Errorf("point %d not served from cache on resume", i)
 		}
-		// A hit carries Decode's value; a computed point carries none.
-		if res.Points[i].Value != nil || res2.Points[i].Value != res2.Points[i].Metrics {
-			t.Errorf("point %d: computed value %v, rehydrated value %v, want nil and the metrics",
-				i, res.Points[i].Value, res2.Points[i].Value)
-		}
 	}
-	a, _ := json.Marshal(res.Cells)
-	b, _ := json.Marshal(res2.Cells)
-	if string(a) != string(b) {
-		t.Error("rehydrated cell aggregates differ from computed aggregates")
+}
+
+// TestRunRefusesMisalignedKeys: a cached campaign needs one key per
+// point.
+func TestRunRefusesMisalignedKeys(t *testing.T) {
+	var computes atomic.Int64
+	cfg := campaignConfig(t, filepath.Join(t.TempDir(), "cache"), &computes)
+	cfg.Keys = cfg.Keys[1:]
+	if _, err := Run(context.Background(), cfg); err == nil || computes.Load() != 0 {
+		t.Fatalf("%d keys for %d points: err %v after %d computes, want an error before any",
+			len(cfg.Keys), len(cfg.Points), err, computes.Load())
 	}
 }
 
@@ -289,9 +283,6 @@ func TestRunCancelReturnsPartial(t *testing.T) {
 			t.Errorf("partial point %d out of order: %+v", i, o.Point)
 		}
 	}
-	if len(res.Cells) == 0 {
-		t.Error("partial result has no aggregated cells")
-	}
 }
 
 func TestRunPointErrorAborts(t *testing.T) {
@@ -312,38 +303,6 @@ func TestRunPointErrorAborts(t *testing.T) {
 	}
 	if len(res.Points) != 1 {
 		t.Errorf("partial result has %d points, want 1", len(res.Points))
-	}
-}
-
-func TestAggregateCellStats(t *testing.T) {
-	mk := func(load float64, seed int64, afct float64) Outcome {
-		return Outcome{
-			Point:   Point{Protocol: "AMRT", Workload: "W", Load: load, Seed: seed},
-			Metrics: Metrics{AFCTUs: afct, Completed: 10, Total: 10, Drops: 1},
-		}
-	}
-	cells := Aggregate([]Outcome{
-		mk(0.5, 1, 100), mk(0.5, 2, 300),
-		mk(0.7, 1, 400),
-	})
-	if len(cells) != 2 {
-		t.Fatalf("%d cells, want 2", len(cells))
-	}
-	c := cells[0]
-	if c.Seeds != 2 || c.AFCTUs.Mean != 200 || c.AFCTUs.Min != 100 || c.AFCTUs.Max != 300 {
-		t.Errorf("cell 0 = %+v", c)
-	}
-	if c.AFCTUs.CI95 <= 0 {
-		t.Error("two-seed cell has zero CI")
-	}
-	if c.Completed != 20 || c.Total != 20 || c.Drops != 2 {
-		t.Errorf("cell 0 counters = %+v", c)
-	}
-	if cells[1].Seeds != 1 || cells[1].AFCTUs.CI95 != 0 {
-		t.Errorf("cell 1 = %+v", cells[1])
-	}
-	if cells[0].Point.Seed != 0 {
-		t.Error("cell coordinate retains a seed")
 	}
 }
 

@@ -1,11 +1,13 @@
-// Package campaign is the sweep-campaign engine behind amrt.Sweep: it
-// expands a declarative parameter grid (protocol × workload × topology
-// × incast degree × load × fault spec × seed) into run points, executes them on the
+// Package campaign runs the points of a sweep campaign, caches them
+// and keeps their ledger. It executes the caller's points on the
 // panic-propagating experiment worker pool with cooperative context
 // cancellation, memoizes every completed point in a content-addressed
 // on-disk cache so interrupted or repeated campaigns resume with cache
-// hits instead of recomputation, and aggregates same-cell points across
-// seeds into mean/CI summaries via internal/stats.
+// hits instead of recomputation, and counts hits, misses and
+// quarantined failures. Which points a campaign has, what their cache
+// keys are and how their results are summarized is the caller's
+// decision: the root package's amrt.Sweep expands its grid, keys each
+// point, and summarizes same-cell points across seeds.
 //
 // Each point runs once. A point is a pure function of its config, so
 // the ways it can fail — a config the fabric rejects, a wall-clock
@@ -15,9 +17,9 @@
 //
 // The package is deliberately ignorant of the simulator: a point's
 // payload is opaque bytes (the root package stores an amrt.Result's
-// cell record) plus a small Metrics record used for aggregation.
+// cell record) plus a small Metrics record the caller summarizes.
 // That keeps the dependency arrow pointing root → campaign →
-// experiment/stats with no cycle.
+// experiment with no cycle.
 package campaign
 
 import (
@@ -40,16 +42,16 @@ type Point struct {
 	// matters for campaigns running the "incast" pattern.
 	Degree int     `json:"degree,omitempty"`
 	Load   float64 `json:"load"`
-	// Seed is zero only on a cell coordinate (Cell); amrt.Sweep never
-	// runs a point at seed 0.
+	// Seed is zero only on a cell coordinate (Point.Cell); amrt.Sweep
+	// never runs a point at seed 0.
 	Seed int64 `json:"seed,omitempty"`
 	// Faults is a fault-injection spec (docs/FAULTS.md); empty means a
 	// fault-free run.
 	Faults string `json:"faults,omitempty"`
 }
 
-// Cell is a Point stripped of its seed: the unit results are aggregated
-// over.
+// Cell is a Point stripped of its seed: the coordinate a sweep
+// summarizes its seeds under.
 func (p Point) Cell() Point {
 	p.Seed = 0
 	return p
@@ -72,64 +74,6 @@ func (p Point) String() string {
 	add(p.Seed != 0, "seed="+strconv.FormatInt(p.Seed, 10))
 	add(p.Faults != "", "faults="+p.Faults)
 	return strings.Join(parts, " ")
-}
-
-// Grid declares a sweep campaign: the cartesian product of its axes.
-type Grid struct {
-	Protocols []string
-	Workloads []string
-	// Topologies lists topology specs to sweep; an empty slice means
-	// one base-fabric axis value.
-	Topologies []string
-	// Degrees lists incast fan-ins to sweep; an empty slice means one
-	// base-degree axis value.
-	Degrees []int
-	Loads   []float64
-	Seeds   []int64
-	// Faults lists fault specs to sweep; an empty slice means one
-	// fault-free axis value.
-	Faults []string
-}
-
-// Expand enumerates the grid's points in deterministic paper order:
-// protocol outermost, then workload, topology, degree, load, fault
-// spec, and seed innermost — so all seeds of one cell are adjacent and
-// a partial campaign still yields fully-aggregated leading cells.
-func (g Grid) Expand() []Point {
-	topos := g.Topologies
-	if len(topos) == 0 {
-		topos = []string{""}
-	}
-	degrees := g.Degrees
-	if len(degrees) == 0 {
-		degrees = []int{0}
-	}
-	faults := g.Faults
-	if len(faults) == 0 {
-		faults = []string{""}
-	}
-	n := len(g.Protocols) * len(g.Workloads) * len(topos) * len(degrees) * len(g.Loads) * len(faults) * len(g.Seeds)
-	out := make([]Point, 0, n)
-	for _, proto := range g.Protocols {
-		for _, wl := range g.Workloads {
-			for _, tp := range topos {
-				for _, deg := range degrees {
-					for _, load := range g.Loads {
-						for _, f := range faults {
-							for _, seed := range g.Seeds {
-								out = append(out, Point{
-									Protocol: proto, Workload: wl,
-									Topology: tp, Degree: deg,
-									Load: load, Seed: seed, Faults: f,
-								})
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	return out
 }
 
 // Key derives a content-address for a run point: the hex SHA-256 of the

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -175,9 +174,9 @@ type SweepResult struct {
 }
 
 // Validate checks the campaign declaration: CellTimeout must be
-// non-negative (ErrBadPolicy), the grid must expand to at least
-// one point, every expanded point's Config must validate (same typed
-// sentinels as Config.Validate), and no two points may be the same run.
+// non-negative (ErrBadPolicy), every expanded point's Config must
+// validate (same typed sentinels as Config.Validate), and no two points
+// may be the same run.
 // Two points are the same run when their cache keys match: a value
 // repeated on any axis, a 0 seed beside seed 1, or an axis value that
 // names the base's own default (a degree, a topology spec). Counted
@@ -190,25 +189,14 @@ func (sc SweepConfig) Validate() error {
 	return err
 }
 
-// sweepPoint is one resolved grid point: its normalized, validated
-// Config and that Config's cache key.
-type sweepPoint struct {
-	cfg Config
-	key string
-}
-
 // resolve checks the declaration (see Validate) and resolves the grid
-// once: the expanded points and, index for index, each point's Config
-// and cache key.
-func (sc SweepConfig) resolve() ([]campaign.Point, []sweepPoint, error) {
+// once: the expanded points and, index for index, their cache keys.
+func (sc SweepConfig) resolve() ([]campaign.Point, []string, error) {
 	if sc.CellTimeout < 0 {
 		return nil, nil, fmt.Errorf("%w: negative cell timeout %v", ErrBadPolicy, sc.CellTimeout)
 	}
-	points := sc.grid().Expand()
-	if len(points) == 0 {
-		return nil, nil, errors.New("amrt: empty sweep grid")
-	}
-	resolved := make([]sweepPoint, len(points))
+	points := sc.points()
+	keys := make([]string, len(points))
 	first := make(map[string]int, len(points))
 	// Each topology's canonical string is built once.
 	canonical := make(map[Topology]string)
@@ -231,9 +219,9 @@ func (sc SweepConfig) resolve() ([]campaign.Point, []sweepPoint, error) {
 				points[j], p)
 		}
 		first[key] = i
-		resolved[i] = sweepPoint{cfg: cfg, key: key}
+		keys[i] = key
 	}
-	return points, resolved, nil
+	return points, keys, nil
 }
 
 // Sweep expands the campaign grid, validates and resolves every point
@@ -246,24 +234,23 @@ func (sc SweepConfig) resolve() ([]campaign.Point, []sweepPoint, error) {
 // lost work. Every point runs once, bounded by CellTimeout; without
 // Quarantine the first failing point aborts the campaign.
 func Sweep(ctx context.Context, sc SweepConfig) (*SweepResult, error) {
-	points, resolved, err := sc.resolve()
+	points, keys, err := sc.resolve()
 	if err != nil {
 		return nil, err
 	}
-	// resolve refused repeated keys, so every coordinate is distinct.
-	byPoint := make(map[campaign.Point]*sweepPoint, len(points))
-	for i, p := range points {
-		byPoint[p] = &resolved[i]
-	}
 	ccfg := campaign.Config{
 		Points:      points,
+		Keys:        keys,
 		Workers:     sc.Workers,
 		CellTimeout: sc.CellTimeout,
 		Quarantine:  sc.Quarantine,
 		Progress:    sc.Progress,
-		Key:         func(p campaign.Point) string { return byPoint[p].key },
 		Run: func(ctx context.Context, p campaign.Point) ([]byte, campaign.Metrics, error) {
-			res, err := RunContext(ctx, byPoint[p].cfg)
+			cfg, err := sc.pointConfig(p)
+			if err != nil {
+				return nil, campaign.Metrics{}, err
+			}
+			res, err := RunContext(ctx, cfg)
 			if err != nil {
 				return nil, campaign.Metrics{}, err
 			}
@@ -273,7 +260,10 @@ func Sweep(ctx context.Context, sc SweepConfig) (*SweepResult, error) {
 			}
 			return payload, metricsOf(res), nil
 		},
-		Decode: decodePoint,
+		Decode: func(payload []byte) (campaign.Metrics, error) {
+			r, err := decodePoint(payload)
+			return metricsOf(r), err
+		},
 	}
 	if sc.CacheDir != "" {
 		cache, err := campaign.NewCache(sc.CacheDir)
@@ -294,38 +284,48 @@ func Sweep(ctx context.Context, sc SweepConfig) (*SweepResult, error) {
 	return out, err
 }
 
-// grid resolves the axis defaults against the normalized base config.
-func (sc SweepConfig) grid() campaign.Grid {
+// points expands the grid in paper order: protocol outermost, then
+// workload, topology, degree, load, fault spec, and seed innermost, so
+// all seeds of one cell are adjacent and a partial campaign still
+// yields whole leading cells. An axis left empty takes its one value
+// from the normalized Base (the comparison set for protocols, the base
+// fabric and degree for topologies and degrees). Config.normalized runs
+// seed 0 as seed 1; the point says so, so a report never shows a seed
+// other than the one that ran.
+func (sc SweepConfig) points() []campaign.Point {
 	base := sc.Base.normalized()
-	g := campaign.Grid{
-		Protocols:  sc.Protocols,
-		Workloads:  sc.Workloads,
-		Topologies: sc.Topologies,
-		Degrees:    sc.Degrees,
-		Loads:      sc.Loads,
-		Faults:     sc.Faults,
+	protos, workloads := axis(sc.Protocols, Protocols()...), axis(sc.Workloads, base.Workload)
+	topos, degrees := axis(sc.Topologies, ""), axis(sc.Degrees, 0)
+	loads, faults, seeds := axis(sc.Loads, base.Load), axis(sc.Faults, base.Faults), axis(sc.Seeds, base.Seed)
+	out := make([]campaign.Point, 0, len(protos)*len(workloads)*len(topos)*len(degrees)*len(loads)*len(faults)*len(seeds))
+	for _, proto := range protos {
+		for _, wl := range workloads {
+			for _, tp := range topos {
+				for _, deg := range degrees {
+					for _, load := range loads {
+						for _, f := range faults {
+							for _, seed := range seeds {
+								out = append(out, campaign.Point{
+									Protocol: proto, Workload: wl,
+									Topology: tp, Degree: deg,
+									Load: load, Seed: cmp.Or(seed, 1), Faults: f,
+								})
+							}
+						}
+					}
+				}
+			}
+		}
 	}
-	if len(g.Protocols) == 0 {
-		g.Protocols = Protocols()
+	return out
+}
+
+// axis is a grid axis's values, or def when it lists none.
+func axis[T any](values []T, def ...T) []T {
+	if len(values) == 0 {
+		return def
 	}
-	if len(g.Workloads) == 0 {
-		g.Workloads = []string{base.Workload}
-	}
-	if len(g.Loads) == 0 {
-		g.Loads = []float64{base.Load}
-	}
-	if len(sc.Seeds) == 0 {
-		g.Seeds = []int64{base.Seed}
-	}
-	// Config.normalized runs seed 0 as seed 1; the point says so, so a
-	// report never shows a seed other than the one that ran.
-	for _, s := range sc.Seeds {
-		g.Seeds = append(g.Seeds, cmp.Or(s, 1))
-	}
-	if len(g.Faults) == 0 {
-		g.Faults = []string{base.Faults}
-	}
-	return g
+	return values
 }
 
 // pointConfig instantiates one grid point as a normalized Config with
@@ -428,9 +428,10 @@ func metricsOf(r Result) campaign.Metrics {
 	}
 }
 
-// buildSweepResult converts the campaign outcome into the public report.
-// A cache hit's Result was decoded by the campaign; only computed
-// points are decoded here.
+// buildSweepResult converts the campaign outcome into the public
+// report. Every point's row is its payload through decodePoint, hit or
+// computed alike. Each run of adjacent points that differ only in seed
+// is one cell, summarized across the seeds that completed.
 func buildSweepResult(total int, cres *campaign.Result) (*SweepResult, error) {
 	out := &SweepResult{
 		Version:     SimVersion,
@@ -438,33 +439,44 @@ func buildSweepResult(total int, cres *campaign.Result) (*SweepResult, error) {
 		CacheHits:   cres.Hits,
 		CacheMisses: cres.Misses,
 	}
-	// slices.Grow keeps an empty report's slices nil, serialized as null.
-	out.Points = slices.Grow(out.Points, len(cres.Points))
-	for _, o := range cres.Points {
-		v := o.Value
-		if v == nil {
-			var err error
-			if v, _, err = decodePoint(o.Payload); err != nil {
-				return out, fmt.Errorf("amrt: decoding sweep point payload: %w", err)
-			}
-		}
-		out.Points = append(out.Points, SweepPoint{SweepCoord: o.Point, FromCache: o.FromCache, Result: *v.(*Result)})
-	}
 	for _, f := range cres.Failed {
 		out.Failed = append(out.Failed, SweepFailure{SweepCoord: f.Point, Error: f.Error})
 	}
-	out.Cells = slices.Grow(out.Cells, len(cres.Cells))
-	for _, c := range cres.Cells {
-		out.Cells = append(out.Cells, SweepCell{
-			SweepCoord:  c.Point,
-			Seeds:       c.Seeds,
-			AFCTUs:      sweepStat(c.AFCTUs),
-			P99Us:       sweepStat(c.P99Us),
-			Utilization: sweepStat(c.Utilization),
-			Completed:   c.Completed, Total: c.Total,
-			Drops: c.Drops, Trims: c.Trims,
-			DeadlineTotal: c.DeadlineTotal, DeadlineMissed: c.DeadlineMissed,
-		})
+	pts := cres.Points
+	n, cells := len(pts), 0
+	// slices.Grow keeps an empty report's slices nil, serialized as null.
+	out.Points = slices.Grow(out.Points, n)
+	for i, o := range pts {
+		r, err := decodePoint(o.Payload)
+		if err != nil {
+			return out, fmt.Errorf("amrt: decoding sweep point payload: %w", err)
+		}
+		out.Points = append(out.Points, SweepPoint{SweepCoord: o.Point, FromCache: o.FromCache, Result: r})
+		if i == 0 || o.Point.Cell() != pts[i-1].Point.Cell() {
+			cells++
+		}
+	}
+	out.Cells = slices.Grow(out.Cells, cells)
+	cols := make([]float64, 3*n) // the AFCT, p99 and utilization columns
+	for i := 0; i < n; {
+		c := SweepCell{SweepCoord: pts[i].Point.Cell()}
+		j := i
+		for ; j < n && pts[j].Point.Cell() == c.SweepCoord; j++ {
+			m := &pts[j].Metrics
+			cols[j], cols[n+j], cols[2*n+j] = m.AFCTUs, m.P99Us, m.Utilization
+			c.Completed += m.Completed
+			c.Total += m.Total
+			c.Drops += m.Drops
+			c.Trims += m.Trims
+			c.DeadlineTotal += m.DeadlineTotal
+			c.DeadlineMissed += m.DeadlineMissed
+		}
+		c.Seeds = j - i
+		c.AFCTUs = sweepStat(stats.Describe(cols[i:j]))
+		c.P99Us = sweepStat(stats.Describe(cols[n+i : n+j]))
+		c.Utilization = sweepStat(stats.Describe(cols[2*n+i : 2*n+j]))
+		out.Cells = append(out.Cells, c)
+		i = j
 	}
 	return out, nil
 }

@@ -7,7 +7,6 @@ import (
 	"math"
 	"time"
 
-	"amrt/internal/campaign"
 	"amrt/internal/experiment"
 )
 
@@ -40,17 +39,17 @@ func encodePoint(r Result) ([]byte, error) {
 }
 
 // decodePoint is the one place a sweep payload is decoded: the
-// campaign's Decode for a cache hit, and buildSweepResult's for a
-// computed point, so both reach the report through the same bytes. Any
-// payload of another length, or with an int field out of the
-// platform's int range, is an error, which the campaign treats as a
-// miss and recomputes.
-func decodePoint(b []byte) (any, campaign.Metrics, error) {
-	r := new(Result)
+// campaign's Decode checks a cache hit with it, and buildSweepResult
+// reads every point's report row with it, hit or computed. Any payload
+// of another length, or with an int field out of the platform's int
+// range, is an error, which the campaign treats as a miss and
+// recomputes.
+func decodePoint(b []byte) (Result, error) {
+	var r Result
 	r.Protocol, b = cutName(b)
 	r.Workload, b = cutName(b)
 	if len(b) != 8*recordWords {
-		return nil, campaign.Metrics{}, errBadRecord
+		return Result{}, errBadRecord
 	}
 	word := func(i int) uint64 { return binary.LittleEndian.Uint64(b[8*i:]) }
 	bad := false
@@ -67,9 +66,9 @@ func decodePoint(b []byte) (any, campaign.Metrics, error) {
 	r.Stalled, r.Killed = integer(9), integer(10)
 	r.DeadlineTotal, r.DeadlineMissed = integer(11), integer(12)
 	if bad {
-		return nil, campaign.Metrics{}, errBadRecord
+		return Result{}, errBadRecord
 	}
-	return r, metricsOf(*r), nil
+	return r, nil
 }
 
 var errBadRecord = errors.New("amrt: sweep payload is not a cell record")

@@ -10,8 +10,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"amrt/internal/campaign"
 )
 
 func smallSweep(cacheDir string) SweepConfig {
@@ -94,13 +98,13 @@ func TestSweepPartlyCachedReportsSameBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, resolved, err := sc.resolve()
+	_, keys, err := sc.resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
 	deleted := map[int]bool{0: true, 3: true}
 	for i := range deleted {
-		key := resolved[i].key
+		key := keys[i]
 		if err := os.Remove(filepath.Join(dir, key[:2], key+".json")); err != nil {
 			t.Fatal(err)
 		}
@@ -170,6 +174,100 @@ func TestSweepCancelMidCampaign(t *testing.T) {
 	}
 	if len(res.Cells) == 0 {
 		t.Error("partial result has no aggregated cells")
+	}
+}
+
+// TestSweepPointsOrder: the grid expands protocol outermost, then
+// workload, topology, degree, load and fault spec, and seed innermost;
+// a 0 seed runs and is reported as 1; and every axis left empty takes
+// its one value from the normalized Base.
+func TestSweepPointsOrder(t *testing.T) {
+	sc := SweepConfig{
+		Protocols: []string{"pHost", "AMRT"},
+		Loads:     []float64{0.3, 0.5},
+		Faults:    []string{"", "ctrl-loss=0.01"},
+		Seeds:     []int64{0, 2},
+		Base:      Config{Workload: "DataMining"},
+	}
+	pts := sc.points()
+	if len(pts) != 16 {
+		t.Fatalf("%d points, want 16", len(pts))
+	}
+	pt := func(proto string, load float64, faults string, seed int64) campaign.Point {
+		return campaign.Point{Protocol: proto, Workload: "DataMining", Load: load, Faults: faults, Seed: seed}
+	}
+	for i, want := range map[int]campaign.Point{
+		0: pt("pHost", 0.3, "", 1), 1: pt("pHost", 0.3, "", 2),
+		2: pt("pHost", 0.3, "ctrl-loss=0.01", 1), 4: pt("pHost", 0.5, "", 1),
+		8: pt("AMRT", 0.3, "", 1), 15: pt("AMRT", 0.5, "ctrl-loss=0.01", 2),
+	} {
+		if pts[i] != want {
+			t.Errorf("point %d is %s, want %s", i, pts[i], want)
+		}
+	}
+
+	sc = SweepConfig{Base: Config{Faults: "ctrl-loss=0.01"}}
+	base := sc.Base.normalized()
+	if base.Workload == "" || base.Load == 0 || base.Seed != 1 {
+		t.Fatalf("normalized base %+v: no defaults to take", base)
+	}
+	pts = sc.points()
+	if len(pts) != len(Protocols()) {
+		t.Fatalf("%d points, want one per protocol of %v", len(pts), Protocols())
+	}
+	for i, p := range pts {
+		want := campaign.Point{Protocol: Protocols()[i], Workload: base.Workload, Load: base.Load, Seed: 1, Faults: "ctrl-loss=0.01"}
+		if p != want {
+			t.Errorf("defaulted point %d is %s, want %s", i, p, want)
+		}
+	}
+}
+
+// TestSweepCellsWithAMissingSeed: a cell with a seed that did not
+// complete, as a quarantined point leaves it, summarizes the seed that
+// did, and the cells beside it read as they do with every seed present.
+func TestSweepCellsWithAMissingSeed(t *testing.T) {
+	sc := SweepConfig{Protocols: []string{"pHost", "AMRT", "NDP"}, Seeds: []int64{1, 2}}
+	var full campaign.Result
+	for i, p := range sc.points() {
+		r := Result{Protocol: p.Protocol, Workload: p.Workload, Load: p.Load,
+			Completed: 10 + i, Total: 20, AFCT: time.Duration(100+37*i) * time.Microsecond,
+			P99: time.Duration(900+61*i) * time.Microsecond, Utilization: 0.1 * float64(i+1), Drops: int64(i)}
+		payload, err := encodePoint(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full.Points = append(full.Points, campaign.Outcome{Point: p, Payload: payload, Metrics: metricsOf(r)})
+	}
+	want, err := buildSweepResult(len(full.Points), &full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Cells) != 3 || want.Cells[1].Seeds != 2 {
+		t.Fatalf("every seed present: cells %+v, want three of two seeds", want.Cells)
+	}
+	// AMRT's seed 1 failed.
+	cut := campaign.Result{
+		Points: slices.Delete(slices.Clone(full.Points), 2, 3),
+		Failed: []campaign.PointFailure{{Point: full.Points[2].Point, Error: "poisoned"}},
+	}
+	got, err := buildSweepResult(len(full.Points), &cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Points) != 5 || len(got.Failed) != 1 || len(got.Cells) != 3 {
+		t.Fatalf("%d points, %d failed, %d cells, want 5, 1 and 3", len(got.Points), len(got.Failed), len(got.Cells))
+	}
+	if got.Cells[0] != want.Cells[0] || got.Cells[2] != want.Cells[2] {
+		t.Errorf("neighbours moved:\n%+v\n%+v\nwant\n%+v\n%+v", got.Cells[0], got.Cells[2], want.Cells[0], want.Cells[2])
+	}
+	m := full.Points[3].Metrics
+	one := func(x float64) SweepStat { return SweepStat{Mean: x, Min: x, Max: x} }
+	wantCell := SweepCell{SweepCoord: full.Points[3].Point.Cell(), Seeds: 1,
+		AFCTUs: one(m.AFCTUs), P99Us: one(m.P99Us), Utilization: one(m.Utilization),
+		Completed: m.Completed, Total: m.Total, Drops: m.Drops}
+	if got.Cells[1] != wantCell {
+		t.Errorf("cell with one seed left = %+v, want %+v", got.Cells[1], wantCell)
 	}
 }
 
