@@ -36,6 +36,7 @@ import (
 	"amrt/internal/metrics"
 	"amrt/internal/model"
 	"amrt/internal/netsim"
+	"amrt/internal/pool"
 	"amrt/internal/sim"
 	"amrt/internal/topo"
 	"amrt/internal/trace"
@@ -623,7 +624,7 @@ func CompareContext(ctx context.Context, cfg Config) ([]Result, error) {
 	var first sync.Once
 	var firstErr error
 	errs := make([]error, len(legs))
-	out, ran, _ := experiment.ParallelCtx(runCtx, len(legs), 0, func(i int) Result {
+	out, ran, _ := pool.ParallelCtx(runCtx, len(legs), 0, func(i int) Result {
 		r, err := RunContext(runCtx, legs[i])
 		if err != nil {
 			errs[i] = err

@@ -131,30 +131,36 @@ func (c *Cache) Put(key string, payload []byte) error {
 		return err
 	}
 	entry := append(append(headerLine(nil, key, payload), '\n'), payload...)
-	dir := filepath.Dir(c.path(key))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	path := c.path(key)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("campaign: cache shard dir: %w", err)
 	}
-	prefix := key
-	if len(prefix) > 8 {
-		prefix = prefix[:8]
-	}
-	tmp, err := os.CreateTemp(dir, "."+prefix+".tmp*")
+	return WriteAtomic(path, entry)
+}
+
+// WriteAtomic commits data to path with the temp-file+rename idiom: the
+// bytes go to a temporary file beside path, which is closed and then
+// renamed over it, so a reader, or a restart after a kill, finds the
+// old file or the new one and never a partial write. The temporary file
+// is removed when any step fails. Cache.Put and the server's job ledger
+// both write through it.
+func WriteAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
 	if err != nil {
-		return fmt.Errorf("campaign: cache temp file: %w", err)
+		return fmt.Errorf("campaign: temp file: %w", err)
 	}
-	_, werr := tmp.Write(entry)
+	_, werr := tmp.Write(data)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())
 		if werr != nil {
-			return fmt.Errorf("campaign: write cache entry: %w", werr)
+			return fmt.Errorf("campaign: write %s: %w", path, werr)
 		}
-		return fmt.Errorf("campaign: close cache entry: %w", cerr)
+		return fmt.Errorf("campaign: close %s: %w", path, cerr)
 	}
-	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("campaign: commit cache entry: %w", err)
+		return fmt.Errorf("campaign: commit %s: %w", path, err)
 	}
 	return nil
 }

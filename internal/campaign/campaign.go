@@ -7,7 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"amrt/internal/experiment"
+	"amrt/internal/pool"
 )
 
 // Metrics is the numeric slice of one run's result that the caller
@@ -67,7 +67,7 @@ type Config struct {
 	// worker pool.
 	Points []Point
 	// Workers caps parallelism below the GOMAXPROCS ceiling; <= 0
-	// means the full experiment.ParallelCtx pool.
+	// means the full GOMAXPROCS pool (pool.ParallelCtx).
 	Workers int
 	// Cache, when non-nil, memoizes each completed point under its key.
 	Cache *Cache
@@ -112,7 +112,7 @@ type Result struct {
 // the first failure cancels the remaining points and surfaces with the
 // partial Result; with Quarantine the failed point lands in
 // Result.Failed and the rest of the campaign proceeds. A panic inside a
-// runner propagates as *experiment.WorkerPanic, matching the figure
+// runner propagates as *pool.WorkerPanic, matching the figure
 // harness's contract.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Run == nil {
@@ -134,7 +134,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// completed[i] marks outcomes[i] as a completed point; any other
 	// slot holds the zero Outcome.
 	completed := make([]bool, n)
-	outcomes, _, _ := experiment.ParallelCtx(runCtx, n, cfg.Workers, func(i int) Outcome {
+	outcomes, _, _ := pool.ParallelCtx(runCtx, n, cfg.Workers, func(i int) Outcome {
 		o, err := runPoint(runCtx, cfg, i)
 		mu.Lock()
 		defer mu.Unlock()

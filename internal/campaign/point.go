@@ -1,6 +1,6 @@
 // Package campaign runs the points of a sweep campaign, caches them
 // and keeps their ledger. It executes the caller's points on the
-// panic-propagating experiment worker pool with cooperative context
+// panic-propagating worker pool (internal/pool) with cooperative context
 // cancellation, memoizes every completed point in a content-addressed
 // on-disk cache so interrupted or repeated campaigns resume with cache
 // hits instead of recomputation, and counts hits, misses and
@@ -18,8 +18,8 @@
 // The package is deliberately ignorant of the simulator: a point's
 // payload is opaque bytes (the root package stores an amrt.Result's
 // cell record) plus a small Metrics record the caller summarizes.
-// That keeps the dependency arrow pointing root → campaign →
-// experiment with no cycle.
+// It imports no simulator package: the dependency arrows point root →
+// campaign → pool and root → experiment → pool, with no cycle.
 package campaign
 
 import (

@@ -5,6 +5,7 @@ import (
 
 	"amrt/internal/core"
 	"amrt/internal/netsim"
+	"amrt/internal/pool"
 	"amrt/internal/sim"
 	"amrt/internal/topo"
 	"amrt/internal/transport"
@@ -47,7 +48,7 @@ func MarkingAblation() *Table {
 		mk("grant burst 3", func(c *core.Config) { c.GrantBurst = 3 }),
 		{name: "pHost (no marking)", st: MustStack("pHost", StackOptions{})},
 	}
-	results := Parallel(len(variants), func(i int) sim.Time {
+	results := pool.Parallel(len(variants), func(i int) sim.Time {
 		fct, done := rampRun(variants[i].st, 8)
 		if !done {
 			return -1
@@ -81,7 +82,7 @@ func QueueCapAblation() *Table {
 		drops     int64
 		maxq      int
 	}
-	results := Parallel(len(caps), func(i int) out {
+	results := pool.Parallel(len(caps), func(i int) out {
 		cfg := core.DefaultConfig()
 		cfg.DataQueueCap = caps[i]
 		b := topo.Fan(8)

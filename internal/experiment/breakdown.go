@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"amrt/internal/pool"
 	"amrt/internal/sim"
 	"amrt/internal/stats"
 	"amrt/internal/topo"
@@ -55,7 +56,7 @@ func IncastTable(fanIns []int, sizeBytes int64) *Table {
 			specs = append(specs, key{fi, pi})
 		}
 	}
-	results := Parallel(len(specs), func(i int) sim.Time {
+	results := pool.Parallel(len(specs), func(i int) sim.Time {
 		k := specs[i]
 		st := MustStack(ProtocolNames()[k.pi], StackOptions{})
 		n := fanIns[k.fi]

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"amrt/internal/metrics"
+	"amrt/internal/pool"
 	"amrt/internal/sim"
 	"amrt/internal/workload"
 )
@@ -31,7 +32,7 @@ type cell struct {
 // registry is dumped as dir/<name>.metrics.json; a failed write is
 // reported on stderr, not fatal to the figure.
 func runCells(dir string, cells []cell) []RunResult {
-	return Parallel(len(cells), func(i int) RunResult {
+	return pool.Parallel(len(cells), func(i int) RunResult {
 		c := cells[i]
 		c.run.Flows = c.flows()
 		res := c.run.Run()

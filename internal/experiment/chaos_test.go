@@ -1,12 +1,10 @@
 package experiment
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
 	"amrt/internal/faults"
-	"amrt/internal/metrics"
 	"amrt/internal/netsim"
 	"amrt/internal/sim"
 	"amrt/internal/topo"
@@ -16,7 +14,8 @@ import (
 
 // chaosProtocols is the full matrix: the four receiver-driven stacks
 // plus the DCTCP baseline. Fault tolerance is a correctness property
-// for all of them.
+// for all of them. Each test runs its stacks side by side: a subtest
+// builds its own network and plan and shares nothing.
 func chaosProtocols() []string {
 	return StackNames()
 }
@@ -88,6 +87,7 @@ func TestChaosLinkFlapMidTransfer(t *testing.T) {
 	for _, proto := range chaosProtocols() {
 		proto := proto
 		t.Run(proto, func(t *testing.T) {
+			t.Parallel()
 			_, plan, _ := runFanChaos(t, proto, "link=swA->swB,down=500us,up=3ms")
 			if plan.LinkDownEvents != 1 || plan.LinkUpEvents != 1 {
 				t.Errorf("flap events = %d down / %d up, want 1/1", plan.LinkDownEvents, plan.LinkUpEvents)
@@ -106,6 +106,7 @@ func TestAllProtocolsSurviveControlLoss(t *testing.T) {
 	for _, proto := range chaosProtocols() {
 		proto := proto
 		t.Run(proto, func(t *testing.T) {
+			t.Parallel()
 			s, _, _ := runFanChaos(t, proto, "ctrl-loss=0.01")
 			var ctrl int64
 			for _, sw := range s.Switches() {
@@ -130,6 +131,7 @@ func TestChaosBurstyLoss(t *testing.T) {
 	for _, proto := range chaosProtocols() {
 		proto := proto
 		t.Run(proto, func(t *testing.T) {
+			t.Parallel()
 			s, _, _ := runFanChaos(t, proto, "burst-loss=tobad:0.003,togood:0.2,bad:0.5")
 			var injected, bursts int64
 			for _, sw := range s.Switches() {
@@ -156,6 +158,7 @@ func TestChaosDegradedLink(t *testing.T) {
 	for _, proto := range chaosProtocols() {
 		proto := proto
 		t.Run(proto, func(t *testing.T) {
+			t.Parallel()
 			_, plan, _ := runFanChaos(t, proto, "degrade=swA->swB,at=500us,until=3ms,factor=0.1")
 			if plan.DegradeEvents != 1 {
 				t.Errorf("DegradeEvents = %d, want 1", plan.DegradeEvents)
@@ -174,6 +177,7 @@ func TestChaosECMPFailoverLeafSpine(t *testing.T) {
 	for _, proto := range chaosProtocols() {
 		proto := proto
 		t.Run(proto, func(t *testing.T) {
+			t.Parallel()
 			flows := workload.GeneratePoisson(workload.PoissonConfig{
 				Hosts:    cfg.Hosts(),
 				Load:     0.5,
@@ -201,64 +205,6 @@ func TestChaosECMPFailoverLeafSpine(t *testing.T) {
 	}
 }
 
-// TestChaosMetricsDeterminism extends the telemetry determinism
-// contract to fault injection: the same seed and the same fault plan —
-// a periodic uplink flap plus independent data and control loss — must
-// reproduce byte-identical metrics dumps, fault counters included.
-func TestChaosMetricsDeterminism(t *testing.T) {
-	const spec = "link=leaf0->spine1,down=300us,up=2ms,period=5ms;ctrl-loss=0.005;data-loss=0.005"
-	run := func() (json, csv string) {
-		cfg := topo.DefaultLeafSpine()
-		cfg.Leaves, cfg.Spines, cfg.HostsPerLeaf = 2, 2, 4
-		flows := workload.GeneratePoisson(workload.PoissonConfig{
-			Hosts:    cfg.Hosts(),
-			Load:     0.6,
-			HostRate: cfg.HostRate,
-			Dist:     workload.WebSearch(),
-			Count:    120,
-			Seed:     7,
-		})
-		plan := faults.MustParse(spec)
-		plan.Seed = 7
-		reg := metrics.NewRegistry()
-		LeafSpineRun{
-			Topo:    cfg,
-			Stack:   MustStack("AMRT", StackOptions{}),
-			Flows:   flows,
-			Horizon: 5 * sim.Second,
-			Metrics: reg,
-			Faults:  plan,
-		}.Run()
-		var j, c bytes.Buffer
-		if err := reg.WriteJSON(&j); err != nil {
-			t.Fatal(err)
-		}
-		if err := reg.WriteCSV(&c); err != nil {
-			t.Fatal(err)
-		}
-		return j.String(), c.String()
-	}
-	j1, c1 := run()
-	j2, c2 := run()
-	if j1 != j2 {
-		t.Fatal("metrics JSON differs between identical fault runs")
-	}
-	if c1 != c2 {
-		t.Fatal("metrics CSV differs between identical fault runs")
-	}
-	for _, want := range []string{
-		"faults.link_down_events",
-		"faults.link_up_events",
-		"faults.degrade_events",
-		"net.no_route_drops",
-		"admin_up",
-	} {
-		if !strings.Contains(j1, want) {
-			t.Errorf("fault run dump missing %q", want)
-		}
-	}
-}
-
 // TestChaosHostCrashSemantics is the node-fault contract, per protocol:
 // crashing a *sender* mid-transfer kills its flow (pacer and retransmit
 // state are unrecoverable) while every other flow completes; crashing a
@@ -270,6 +216,7 @@ func TestChaosHostCrashSemantics(t *testing.T) {
 	for _, proto := range chaosProtocols() {
 		proto := proto
 		t.Run(proto+"/sender", func(t *testing.T) {
+			t.Parallel()
 			_, plan, flows := runFanChaos(t, proto, "crash=S1,at=500us,up=2ms")
 			if plan.CrashEvents != 1 {
 				t.Errorf("CrashEvents = %d, want 1", plan.CrashEvents)
@@ -285,6 +232,7 @@ func TestChaosHostCrashSemantics(t *testing.T) {
 			}
 		})
 		t.Run(proto+"/receiver", func(t *testing.T) {
+			t.Parallel()
 			_, plan, flows := runFanChaos(t, proto, "crash=R2,at=500us,up=2ms")
 			if plan.CrashEvents != 1 {
 				t.Errorf("CrashEvents = %d, want 1", plan.CrashEvents)
@@ -314,6 +262,7 @@ func TestChaosNodeFaultMatrix(t *testing.T) {
 	for _, proto := range chaosProtocols() {
 		proto := proto
 		t.Run(proto, func(t *testing.T) {
+			t.Parallel()
 			flows := workload.GeneratePoisson(workload.PoissonConfig{
 				Hosts:    cfg.Hosts(),
 				Load:     0.5,
@@ -355,207 +304,6 @@ func TestChaosNodeFaultMatrix(t *testing.T) {
 	}
 }
 
-// TestChaosNodeFaultDeterminism pins the reproducibility contract for
-// the node-fault machinery: the same seed and the same
-// crash+reboot+rehash plan (with control loss on top, and the auditor
-// on) must produce byte-identical metrics dumps, node-fault and outcome
-// counters included.
-func TestChaosNodeFaultDeterminism(t *testing.T) {
-	const spec = "crash=h0.0,at=1ms,up=4ms;reboot=leaf1,at=2ms,up=5ms;rehash=3ms;ctrl-loss=0.005"
-	run := func() (json, csv string) {
-		cfg := topo.DefaultLeafSpine()
-		cfg.Leaves, cfg.Spines, cfg.HostsPerLeaf = 2, 2, 4
-		flows := workload.GeneratePoisson(workload.PoissonConfig{
-			Hosts:    cfg.Hosts(),
-			Load:     0.6,
-			HostRate: cfg.HostRate,
-			Dist:     workload.WebSearch(),
-			Count:    120,
-			Seed:     7,
-		})
-		plan := faults.MustParse(spec)
-		plan.Seed = 7
-		reg := metrics.NewRegistry()
-		LeafSpineRun{
-			Topo:    cfg,
-			Stack:   MustStack("AMRT", StackOptions{}),
-			Flows:   flows,
-			Horizon: 5 * sim.Second,
-			Metrics: reg,
-			Faults:  plan,
-			Audit:   true,
-		}.Run()
-		var j, c bytes.Buffer
-		if err := reg.WriteJSON(&j); err != nil {
-			t.Fatal(err)
-		}
-		if err := reg.WriteCSV(&c); err != nil {
-			t.Fatal(err)
-		}
-		return j.String(), c.String()
-	}
-	j1, c1 := run()
-	j2, c2 := run()
-	if j1 != j2 {
-		t.Fatal("metrics JSON differs between identical node-fault runs")
-	}
-	if c1 != c2 {
-		t.Fatal("metrics CSV differs between identical node-fault runs")
-	}
-	for _, want := range []string{
-		"faults.crash_events",
-		"faults.reboot_events",
-		"faults.rehash_events",
-		"experiment.flows_stalled",
-		"experiment.flows_killed_by_crash",
-	} {
-		if !strings.Contains(j1, want) {
-			t.Errorf("node-fault run dump missing %q", want)
-		}
-	}
-}
-
-// chaosFaultClasses enumerates one representative spec per fault class
-// on the 2×2 leaf-spine fabric, with a plan-counter check where the
-// class maintains one (the loss processes count on the wrapped queues
-// instead, which TestAllProtocolsSurviveControlLoss and
-// TestChaosBurstyLoss already scan).
-func chaosFaultClasses() []struct {
-	name  string
-	spec  string
-	check func(t *testing.T, p *faults.Plan)
-} {
-	return []struct {
-		name  string
-		spec  string
-		check func(t *testing.T, p *faults.Plan)
-	}{
-		{"flap", "link=leaf0->spine0,down=2ms,up=5ms", func(t *testing.T, p *faults.Plan) {
-			if p.LinkDownEvents != 1 || p.LinkUpEvents != 1 {
-				t.Errorf("flap events = %d down / %d up, want 1/1", p.LinkDownEvents, p.LinkUpEvents)
-			}
-		}},
-		{"degrade", "degrade=leaf1->spine1,at=1ms,until=6ms,factor=0.2", func(t *testing.T, p *faults.Plan) {
-			if p.DegradeEvents != 1 {
-				t.Errorf("DegradeEvents = %d, want 1", p.DegradeEvents)
-			}
-		}},
-		{"ctrl-loss", "ctrl-loss=0.01", nil},
-		{"burst", "burst-loss=tobad:0.003,togood:0.2,bad:0.5", nil},
-		{"crash", "crash=h0.1,at=2ms,up=6ms", func(t *testing.T, p *faults.Plan) {
-			if p.CrashEvents != 1 {
-				t.Errorf("CrashEvents = %d, want 1", p.CrashEvents)
-			}
-		}},
-		{"reboot", "reboot=leaf1,at=4ms,up=7ms", func(t *testing.T, p *faults.Plan) {
-			if p.RebootEvents != 1 {
-				t.Errorf("RebootEvents = %d, want 1", p.RebootEvents)
-			}
-		}},
-		{"rehash", "rehash=9ms", func(t *testing.T, p *faults.Plan) {
-			if p.RehashEvents != 1 {
-				t.Errorf("RehashEvents = %d, want 1", p.RehashEvents)
-			}
-		}},
-	}
-}
-
-// runShardedChaosCell runs one (protocol, fault-class, shard-count)
-// cell of the sharded chaos matrix — Poisson traffic on a 2×2
-// leaf-spine fabric with the invariant auditors attached (per-shard
-// plus the whole-network BarrierHook auditor on partitioned runs) —
-// and returns the applied plan, the run result, and the metrics dump
-// for cross-shard-count comparison.
-func runShardedChaosCell(t *testing.T, proto, spec string, nshards int) (*faults.Plan, RunResult, string) {
-	t.Helper()
-	cfg := topo.DefaultLeafSpine()
-	cfg.Leaves, cfg.Spines, cfg.HostsPerLeaf = 2, 2, 4
-	flows := workload.GeneratePoisson(workload.PoissonConfig{
-		Hosts:    cfg.Hosts(),
-		Load:     0.5,
-		HostRate: cfg.HostRate,
-		Dist:     workload.WebSearch(),
-		Count:    60,
-		Seed:     3,
-	})
-	plan := faults.MustParse(spec)
-	plan.Seed = 3
-	reg := metrics.NewRegistry()
-	res, err := LeafSpineRun{
-		Topo:    cfg,
-		Stack:   MustStack(proto, StackOptions{}),
-		Flows:   flows,
-		Horizon: 50 * sim.Millisecond,
-		Metrics: reg,
-		Faults:  plan,
-		Shards:  nshards,
-		Audit:   true,
-	}.RunE()
-	if err != nil {
-		t.Fatalf("%s/%s shards=%d: %v", proto, spec, nshards, err)
-	}
-	if res.AuditChecks == 0 {
-		t.Errorf("%s/%s shards=%d: auditor never ran", proto, spec, nshards)
-	}
-	if res.AuditViolations != 0 {
-		t.Errorf("%s/%s shards=%d: auditor recorded %d violations", proto, spec, nshards, res.AuditViolations)
-	}
-	// res.Metrics is the merged cross-shard view; the raw registry
-	// holds per-shard partitions whose layout depends on the shard
-	// count, so only the merged dump can be compared byte-for-byte.
-	var j bytes.Buffer
-	if err := res.Metrics.WriteJSON(&j); err != nil {
-		t.Fatal(err)
-	}
-	return plan, res, j.String()
-}
-
-// TestChaosShardedFaultMatrix is the sharded chaos matrix the v9 fault
-// layer must sustain: every fault class × every protocol stack ×
-// shards ∈ {1, 2, 4}, auditors attached and silent, with the metrics
-// dump — fault counters, outcome counters, queue telemetry, the lot —
-// byte-identical across shard counts within each (class, protocol)
-// cell. The single-shard run is the reference; any divergence means a
-// fault event was homed to the wrong shard or delivered outside the
-// late-band plan order.
-func TestChaosShardedFaultMatrix(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sharded chaos matrix is not short")
-	}
-	for _, class := range chaosFaultClasses() {
-		class := class
-		t.Run(class.name, func(t *testing.T) {
-			for _, proto := range chaosProtocols() {
-				proto := proto
-				t.Run(proto, func(t *testing.T) {
-					// The stacks of one class run side by side: a cell builds
-					// its own network and plan and shares nothing.
-					t.Parallel()
-					refPlan, refRes, refDump := runShardedChaosCell(t, proto, class.spec, 1)
-					if class.check != nil {
-						class.check(t, refPlan)
-					}
-					for _, n := range []int{2, 4} {
-						plan, res, dump := runShardedChaosCell(t, proto, class.spec, n)
-						if class.check != nil {
-							class.check(t, plan)
-						}
-						if dump != refDump {
-							t.Errorf("%d-shard metrics dump differs from single-engine reference", n)
-						}
-						if res.Completed != refRes.Completed || res.Killed != refRes.Killed ||
-							res.Stalled != refRes.Stalled || res.Events != refRes.Events {
-							t.Errorf("%d-shard scalars (%d completed, %d killed, %d stalled, %d events) differ from reference (%d, %d, %d, %d)",
-								n, res.Completed, res.Killed, res.Stalled, res.Events,
-								refRes.Completed, refRes.Killed, refRes.Stalled, refRes.Events)
-						}
-					}
-				})
-			}
-		})
-	}
-}
-
 // TestChaosHorizonTruncationNoStalls is the watchdog's false-positive
 // regression: a faultless run cut off by the horizon must report its
 // unfinished flows as incomplete-at-horizon — never stalled.
@@ -566,6 +314,7 @@ func TestChaosHorizonTruncationNoStalls(t *testing.T) {
 	for _, proto := range chaosProtocols() {
 		proto := proto
 		t.Run(proto, func(t *testing.T) {
+			t.Parallel()
 			flows := workload.GeneratePoisson(workload.PoissonConfig{
 				Hosts:    cfg.Hosts(),
 				Load:     0.5,

@@ -36,18 +36,6 @@ func TestTableBasics(t *testing.T) {
 	tb.AddRow("only-one")
 }
 
-func TestParallelOrderAndCoverage(t *testing.T) {
-	got := Parallel(100, func(i int) int { return i * i })
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("index %d = %d", i, v)
-		}
-	}
-	if out := Parallel(0, func(i int) int { return i }); len(out) != 0 {
-		t.Error("empty input should give empty output")
-	}
-}
-
 func TestNewStackUnknownPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"amrt/internal/pool"
 	"amrt/internal/sim"
 	"amrt/internal/stats"
 	"amrt/internal/topo"
@@ -87,7 +88,7 @@ func fig11(st Stack, r LeafSpineRun) TestbedResult {
 // ~36%, ~12.7% vs pHost, Homa, NDP).
 func Fig11All() ([]TestbedResult, *Table) {
 	stacks := AllStacks(StackOptions{})
-	results := Parallel(len(stacks), func(i int) TestbedResult { return Fig11(stacks[i]) })
+	results := pool.Parallel(len(stacks), func(i int) TestbedResult { return Fig11(stacks[i]) })
 	cmp := &Table{
 		Title: "Fig 11 — FCT comparison across protocols (ms)",
 		Cols:  append([]string{"flow"}, ProtocolNames()...),

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"amrt/internal/pool"
 	"amrt/internal/sim"
 	"amrt/internal/topo"
 )
@@ -25,7 +26,7 @@ func RelatedWorkTable() *Table {
 		drops     int64
 		maxq      int
 	}
-	results := Parallel(len(protos), func(i int) out {
+	results := pool.Parallel(len(protos), func(i int) out {
 		b := topo.Fan(16)
 		res := LeafSpineRun{Topo: b, Stack: MustStack(protos[i], StackOptions{}), Flows: incast(b, 16, 250_000), Horizon: 5 * sim.Second}.Run()
 		// The burst queues at the shared bottleneck or at the

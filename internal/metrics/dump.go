@@ -66,9 +66,6 @@ func (r *Registry) snapshot() jsonDump {
 	for _, g := range r.gauges {
 		d.Gauges = append(d.Gauges, jsonGauge{g.name, clean(g.v)})
 	}
-	for _, f := range r.gaugeFns {
-		d.Gauges = append(d.Gauges, jsonGauge{f.name, clean(f.fn())})
-	}
 	for _, s := range r.series {
 		vals := s.Values()
 		for i, v := range vals {

@@ -13,7 +13,7 @@ import (
 //   - counters and counter funcs sum (shards register the same names
 //     for partitioned totals like net.delivered; the sum is the global
 //     value);
-//   - gauges and gauge funcs sum likewise;
+//   - gauges sum likewise, at merge time;
 //   - a series registered in exactly one part is adopted as-is (per-port
 //     series — a port lives on one shard);
 //   - a series registered in several parts is summed pointwise, which
@@ -39,7 +39,7 @@ func Merged(parts ...*Registry) *Registry {
 	}
 
 	counterIdx := map[string]int{}
-	gaugeIdx := map[string]int{}
+	gaugeIdx := map[string]*Gauge{}
 	type sgroup struct {
 		name  string
 		parts []*TimeSeries
@@ -57,16 +57,6 @@ func Merged(parts ...*Registry) *Registry {
 		m.names[name] = true
 		m.counterFns = append(m.counterFns, namedIntFn{name, fn})
 	}
-	addGauge := func(name string, fn func() float64) {
-		if i, ok := gaugeIdx[name]; ok {
-			prev := m.gaugeFns[i].fn
-			m.gaugeFns[i].fn = func() float64 { return prev() + fn() }
-			return
-		}
-		gaugeIdx[name] = len(m.gaugeFns)
-		m.names[name] = true
-		m.gaugeFns = append(m.gaugeFns, namedFloatFn{name, fn})
-	}
 
 	for _, p := range parts {
 		if p == nil {
@@ -80,11 +70,14 @@ func Merged(parts ...*Registry) *Registry {
 			addCounter(f.name, f.fn)
 		}
 		for _, g := range p.gauges {
-			g := g
-			addGauge(g.name, g.Value)
-		}
-		for _, f := range p.gaugeFns {
-			addGauge(f.name, f.fn)
+			if sum, ok := gaugeIdx[g.name]; ok {
+				sum.v += g.v
+				continue
+			}
+			sum := &Gauge{name: g.name, v: g.v}
+			gaugeIdx[g.name] = sum
+			m.names[g.name] = true
+			m.gauges = append(m.gauges, sum)
 		}
 		for _, s := range p.series {
 			i, ok := seriesIdx[s.name]

@@ -23,8 +23,8 @@
 //
 // The hot path is allocation-free: a Counter is one int64 behind
 // nil-safe methods (no locks, no map lookups — the engine is
-// single-threaded by construction), and CounterFunc/GaugeFunc bindings
-// cost nothing until a sample or dump reads them. Series samples land
+// single-threaded by construction), and CounterFunc bindings cost
+// nothing until a sample or dump reads them. Series samples land
 // in a fixed-capacity ring buffer allocated once at Begin; when it
 // wraps, the oldest samples are discarded and counted in Dropped.
 //
@@ -53,7 +53,6 @@ type Registry struct {
 	counters   []*Counter
 	counterFns []namedIntFn
 	gauges     []*Gauge
-	gaugeFns   []namedFloatFn
 	series     []*TimeSeries
 
 	interval sim.Time
@@ -64,11 +63,6 @@ type Registry struct {
 type namedIntFn struct {
 	name string
 	fn   func() int64
-}
-
-type namedFloatFn struct {
-	name string
-	fn   func() float64
 }
 
 // NewRegistry returns an empty registry.
@@ -121,16 +115,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	g := &Gauge{name: name}
 	r.gauges = append(r.gauges, g)
 	return g
-}
-
-// GaugeFunc registers an instantaneous value backed by fn, read at
-// dump time. No-op on a nil registry.
-func (r *Registry) GaugeFunc(name string, fn func() float64) {
-	if r == nil {
-		return
-	}
-	r.claim(name)
-	r.gaugeFns = append(r.gaugeFns, namedFloatFn{name, fn})
 }
 
 // Counter is a cumulative event count. The nil Counter is valid and

@@ -26,7 +26,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 		t.Fatalf("nil series not inert")
 	}
 	r.CounterFunc("cf", func() int64 { return 1 })
-	r.GaugeFunc("gf", func() float64 { return 1 })
 	r.Begin(0, sim.Microsecond)
 	r.Sample(0)
 	var buf bytes.Buffer
@@ -182,7 +181,7 @@ func run(t *testing.T) (string, string) {
 	r := NewRegistry()
 	c := r.Counter("events")
 	var depth int64
-	r.GaugeFunc("depth", func() float64 { return float64(depth) })
+	g := r.Gauge("depth")
 	r.Series("depth_series", func(sim.Time) float64 { return float64(depth) })
 	var lastEvents int64
 	r.Series("event_rate", func(sim.Time) float64 {
@@ -193,7 +192,7 @@ func run(t *testing.T) (string, string) {
 	rng := sim.NewRNG(42)
 	for i := 0; i < 200; i++ {
 		at := sim.Time(rng.Int63n(int64(sim.Millisecond)))
-		eng.Schedule(at, func() { c.Inc(); depth = int64(eng.Pending()) })
+		eng.Schedule(at, func() { c.Inc(); depth = int64(eng.Pending()); g.Set(float64(depth)) })
 	}
 	startSampler(eng, r, 37*sim.Microsecond, sim.Millisecond)
 	eng.RunAll()

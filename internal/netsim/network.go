@@ -243,14 +243,6 @@ func (n *Network) Executed() (total, late uint64) {
 	return total, late
 }
 
-// SetDropHook installs fn as every shard's drop observer (single-shard
-// callers can also set Shard.DropHook directly).
-func (n *Network) SetDropHook(fn func(pkt *Packet)) {
-	for _, s := range n.shards {
-		s.DropHook = fn
-	}
-}
-
 // Reserve sizes the network for a fabric of the given numbers of
 // hosts, switches and egress ports (host NICs included), with every
 // host cabled to a switch: each kind of object the fabric is made of

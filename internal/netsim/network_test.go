@@ -68,7 +68,7 @@ func TestSerializationQueuesBackToBack(t *testing.T) {
 func TestDropCountingAndHook(t *testing.T) {
 	n, a, b, _ := pair(t, 10*sim.Gbps, 0, func(*Slabs) Queue { return NewDropTail(1) })
 	var hooked []Packet // copies: the pool reclaims dropped packets after the hook
-	n.SetDropHook(func(pkt *Packet) { hooked = append(hooked, *pkt) })
+	n.Shards()[0].DropHook = func(pkt *Packet) { hooked = append(hooked, *pkt) }
 	delivered := 0
 	b.Handler = func(pkt *Packet) { delivered++ }
 	n.Engine.Schedule(0, func() {

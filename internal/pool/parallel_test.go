@@ -1,4 +1,4 @@
-package experiment
+package pool
 
 import (
 	"runtime"
@@ -97,5 +97,17 @@ func TestParallelRespectsGOMAXPROCS(t *testing.T) {
 	})
 	if maxInFlight > 1 {
 		t.Fatalf("observed %d concurrent workers under GOMAXPROCS=1", maxInFlight)
+	}
+}
+
+func TestParallelOrderAndCoverage(t *testing.T) {
+	got := Parallel(100, func(i int) int { return i * i })
+	for i, v := range got {
+		if v != i*i {
+			t.Fatalf("index %d = %d", i, v)
+		}
+	}
+	if out := Parallel(0, func(i int) int { return i }); len(out) != 0 {
+		t.Error("empty input should give empty output")
 	}
 }

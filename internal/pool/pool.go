@@ -1,4 +1,9 @@
-package experiment
+// Package pool is the bounded, panic-propagating worker pool that the
+// figure harness, amrt.CompareContext and the sweep campaign run their
+// independent tasks on. It is a leaf: it imports only the standard
+// library, so a package that needs the pool does not pull in the
+// simulator.
+package pool
 
 import (
 	"context"
@@ -21,7 +26,7 @@ type WorkerPanic struct {
 
 // Error implements error so recovered WorkerPanics compose with errors.As.
 func (p *WorkerPanic) Error() string {
-	return fmt.Sprintf("experiment: Parallel task %d panicked: %v\nworker stack:\n%s", p.Index, p.Value, p.Stack)
+	return fmt.Sprintf("pool: Parallel task %d panicked: %v\nworker stack:\n%s", p.Index, p.Value, p.Stack)
 }
 
 // Parallel runs fn(i) for i in [0, n) on a bounded worker pool. Each

@@ -7,14 +7,16 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"amrt/internal/campaign"
 )
 
 // Ledger is the daemon's journaled job store. Every job state
 // transition rewrites the job's record at <dir>/jobs/<id>.json and
 // every completed job's report lands at <dir>/results/<id>.json, both
-// with the atomic temp-file+rename idiom of campaign.Cache — a daemon
-// killed mid-write never leaves a partial record that a restart would
-// trust. Replaying the ledger (Jobs) plus the shared campaign cache is
+// through campaign.WriteAtomic, the temp-file+rename write that
+// campaign.Cache uses too — a daemon killed mid-write never leaves a
+// partial record that a restart would trust. Replaying the ledger (Jobs) plus the shared campaign cache is
 // the whole recovery story: jobs found queued, running, or interrupted
 // are re-queued, and their completed cells resolve as cache hits.
 type Ledger struct {
@@ -41,7 +43,7 @@ func (l *Ledger) PutJob(j *Job) error {
 	if err != nil {
 		return fmt.Errorf("server: encode job %s: %w", j.ID, err)
 	}
-	return atomicWrite(filepath.Join(l.dir, "jobs", j.ID+".json"), raw)
+	return campaign.WriteAtomic(filepath.Join(l.dir, "jobs", j.ID+".json"), raw)
 }
 
 // Jobs replays the ledger: every journaled job record, sorted by
@@ -74,33 +76,10 @@ func (l *Ledger) Jobs() ([]*Job, error) {
 
 // PutResult persists a completed job's report payload atomically.
 func (l *Ledger) PutResult(id string, payload []byte) error {
-	return atomicWrite(filepath.Join(l.dir, "results", id+".json"), payload)
+	return campaign.WriteAtomic(filepath.Join(l.dir, "results", id+".json"), payload)
 }
 
 // Result returns a completed job's persisted report payload.
 func (l *Ledger) Result(id string) ([]byte, error) {
 	return os.ReadFile(filepath.Join(l.dir, "results", id+".json"))
-}
-
-// atomicWrite commits raw to path via the temp-file+rename idiom.
-func atomicWrite(path string, raw []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("server: ledger temp file: %w", err)
-	}
-	_, werr := tmp.Write(raw)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return fmt.Errorf("server: write ledger entry: %w", werr)
-		}
-		return fmt.Errorf("server: close ledger entry: %w", cerr)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("server: commit ledger entry: %w", err)
-	}
-	return nil
 }

@@ -9,7 +9,7 @@
 //     per-cell timeout and quarantines a failed cell
 //     (campaign.Config.Quarantine), so one poisoned cell degrades a
 //     job instead of killing it;
-//  2. panic isolation — a panicking cell (experiment.WorkerPanic or
+//  2. panic isolation — a panicking cell (pool.WorkerPanic or
 //     any other panic inside the runner) fails its job, never the
 //     daemon;
 //  3. a journaled job ledger (Ledger) — atomic temp-file+rename
@@ -38,7 +38,7 @@ import (
 	"sync"
 
 	"amrt/internal/campaign"
-	"amrt/internal/experiment"
+	"amrt/internal/pool"
 )
 
 // JobState is one stop in the job lifecycle: queued → running →
@@ -417,13 +417,13 @@ func (s *Server) runJob(j *Job, ctx context.Context, cancel context.CancelFunc) 
 }
 
 // invoke runs the Runner with panic isolation: a panicking cell —
-// *experiment.WorkerPanic from the campaign pool, or anything else —
+// *pool.WorkerPanic from the campaign pool, or anything else —
 // fails this job and leaves the daemon standing.
 func (s *Server) invoke(ctx context.Context, j *Job) (payload json.RawMessage, panicked bool, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			panicked = true
-			if wp, ok := v.(*experiment.WorkerPanic); ok {
+			if wp, ok := v.(*pool.WorkerPanic); ok {
 				err = fmt.Errorf("server: job %s worker panic: %w", j.ID, wp)
 			} else {
 				err = fmt.Errorf("server: job %s panic: %v\n%s", j.ID, v, debug.Stack())

@@ -18,7 +18,7 @@ import (
 
 	"amrt"
 	"amrt/internal/campaign"
-	"amrt/internal/experiment"
+	"amrt/internal/pool"
 	"amrt/internal/server"
 )
 
@@ -179,7 +179,7 @@ func TestServerPanicIsolation(t *testing.T) {
 		Runner: func(ctx context.Context, spec json.RawMessage, progress func(campaign.Progress)) (json.RawMessage, error) {
 			switch string(spec) {
 			case `"worker-panic"`:
-				panic(&experiment.WorkerPanic{Index: 3, Value: "cell exploded", Stack: []byte("stack")})
+				panic(&pool.WorkerPanic{Index: 3, Value: "cell exploded", Stack: []byte("stack")})
 			case `"plain-panic"`:
 				panic("runner exploded")
 			}
