@@ -566,7 +566,10 @@ func writeTrace(path string, rec *trace.Recorder) error {
 		return err
 	}
 	defer f.Close()
-	return rec.WriteCSV(f)
+	if err := rec.WriteCSV(f); err != nil {
+		return err
+	}
+	return f.Close()
 }
 
 func writeMetrics(cfg Config, reg *metrics.Registry) error {

@@ -6,16 +6,6 @@ import (
 	"testing"
 )
 
-// findCell looks one point up in a Fig 12 cell list.
-func findCell(cells []FCTCell, w string, load float64, p string) FCTCell {
-	for _, c := range cells {
-		if c.Workload == w && c.Load == load && c.Proto == p {
-			return c
-		}
-	}
-	panic(fmt.Sprintf("experiment: missing cell %s/%.2f/%s", w, load, p))
-}
-
 // TestDecimalLabels: a row label is the shortest decimal that parses
 // back to its value, with one decimal place at least, so loads that
 // %.1f would merge (0.2 and 0.25) or round (0.35) keep their own label

@@ -236,12 +236,15 @@ func detCells() []detCell {
 	}
 	// The fault matrix: one spec per fault class, every stack. The loss
 	// classes keep their counts on the wrapped queues, not on the plan.
+	// Each targeted element sits off shard 0 at 2 and 4 shards (leaf1,
+	// spine1 and leaf1's hosts), so a fault action homed to the wrong
+	// shard changes the sharded run.
 	for _, class := range []struct{ name, spec, events string }{
-		{"flap", "link=leaf0->spine0,down=2ms,up=5ms", "down 1 up 1 degrade 0 crash 0 reboot 0 rehash 0"},
+		{"flap", "link=leaf1->spine1,down=2ms,up=5ms", "down 1 up 1 degrade 0 crash 0 reboot 0 rehash 0"},
 		{"degrade", "degrade=leaf1->spine1,at=1ms,until=6ms,factor=0.2", "down 0 up 0 degrade 1 crash 0 reboot 0 rehash 0"},
 		{"ctrl-loss", "ctrl-loss=0.01", ""},
 		{"burst", "burst-loss=tobad:0.003,togood:0.2,bad:0.5", ""},
-		{"crash", "crash=h0.1,at=2ms,up=6ms", "down 0 up 0 degrade 0 crash 1 reboot 0 rehash 0"},
+		{"crash", "crash=h1.1,at=2ms,up=6ms", "down 0 up 0 degrade 0 crash 1 reboot 0 rehash 0"},
 		{"reboot", "reboot=leaf1,at=4ms,up=7ms", "down 0 up 0 degrade 0 crash 0 reboot 1 rehash 0"},
 		{"rehash", "rehash=9ms", "down 0 up 0 degrade 0 crash 0 reboot 0 rehash 1"},
 	} {
@@ -388,21 +391,7 @@ func writeMetrics(t *testing.T, out *bytes.Buffer, reg *metrics.Registry) bytes.
 // canonical sorts rec's records as WriteCSV sorts them, in place, and
 // returns them.
 func canonical(rec *trace.Recorder) []trace.Event {
-	slices.SortFunc(rec.Events, func(a, b trace.Event) int {
-		switch {
-		case a.At != b.At:
-			return cmp.Compare(a.At, b.At)
-		case a.Kind != b.Kind:
-			return cmp.Compare(a.Kind, b.Kind)
-		case a.Flow != b.Flow:
-			return cmp.Compare(a.Flow, b.Flow)
-		case a.Seq != b.Seq:
-			return cmp.Compare(a.Seq, b.Seq)
-		case a.Size != b.Size:
-			return cmp.Compare(a.Size, b.Size)
-		}
-		return strings.Compare(a.Note, b.Note)
-	})
+	slices.SortFunc(rec.Events, trace.Compare)
 	return rec.Events
 }
 

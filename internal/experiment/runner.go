@@ -539,8 +539,9 @@ func (r *run) applyFaults() error {
 // interval, horizon), identical at every shard count. An open-ended run
 // (necessarily single-shard) ticks while a responsive flow is live, so
 // it terminates once all are done; dependents awaiting release are not
-// Done and keep the ticks alive too. This is where every observer of a
-// run — metrics, watchdog, auditor — is told to stop.
+// Done and keep the ticks alive too. This is where the metrics samplers
+// and the auditor are told to stop; the watchdog stops sooner, when its
+// shard has no flow left to watch (startWatchdog).
 func (r *run) every(eng *sim.Engine, sub uint64, first, interval sim.Time, work func(now sim.Time)) {
 	eng.Every(first, interval, r.horizon, sub, func() bool {
 		work(eng.Now())
@@ -576,7 +577,10 @@ func (r *run) startWatchdog() {
 		live := slices.DeleteFunc(slices.Clone(r.insts[s].OrderedFlows()), func(f *transport.Flow) bool {
 			return int(f.Home) != s || f.Unresponsive
 		})
-		r.every(eng, subWatchdog, window/4, window/4, func(now sim.Time) {
+		// The chain ends once the list is empty: nothing is left to stall,
+		// and a watchdog tick is a late-band event no output reads.
+		eng.Every(window/4, window/4, r.horizon, subWatchdog, func() bool {
+			now := eng.Now()
 			n := 0
 			for _, f := range live {
 				if f.Done {
@@ -599,6 +603,7 @@ func (r *run) startWatchdog() {
 			}
 			clear(live[n:])
 			live = live[:n]
+			return n > 0
 		})
 	}
 }

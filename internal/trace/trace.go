@@ -6,9 +6,13 @@
 package trace
 
 import (
+	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 
 	"amrt/internal/netsim"
 	"amrt/internal/sim"
@@ -127,36 +131,66 @@ func (r *Recorder) RecordStart(f *transport.Flow) {
 // full record content (kind, flow, seq, size, note). Sorting by content
 // rather than by recording order makes the bytes written a pure
 // function of the set of events, so a merged multi-shard trace is
-// byte-identical to the single-shard reference.
+// byte-identical to the single-shard reference. Records are formatted
+// into one buffer and reach w in large writes.
 func (r *Recorder) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "t_us,kind,flow,seq,size,note"); err != nil {
-		return err
-	}
-	evs := make([]Event, len(r.Events))
-	copy(evs, r.Events)
-	sort.Slice(evs, func(i, j int) bool {
-		a, b := evs[i], evs[j]
-		switch {
-		case a.At != b.At:
-			return a.At < b.At
-		case a.Kind != b.Kind:
-			return a.Kind < b.Kind
-		case a.Flow != b.Flow:
-			return a.Flow < b.Flow
-		case a.Seq != b.Seq:
-			return a.Seq < b.Seq
-		case a.Size != b.Size:
-			return a.Size < b.Size
-		}
-		return a.Note < b.Note
-	})
+	evs := slices.Clone(r.Events)
+	slices.SortFunc(evs, Compare)
+	// bufio keeps the first write error; Write and Flush return it.
+	bw := bufio.NewWriterSize(w, 64<<10)
+	bw.WriteString("t_us,kind,flow,seq,size,note\n")
+	var line []byte
 	for _, e := range evs {
-		if _, err := fmt.Fprintf(w, "%.3f,%s,%d,%d,%d,%s\n",
-			e.At.Microseconds(), e.Kind, e.Flow, e.Seq, e.Size, e.Note); err != nil {
+		line = appendMicros(line[:0], e.At)
+		line = append(line, ',')
+		line = append(line, e.Kind.String()...)
+		line = append(line, ',')
+		line = strconv.AppendInt(line, int64(e.Flow), 10)
+		line = append(line, ',')
+		line = strconv.AppendInt(line, int64(e.Seq), 10)
+		line = append(line, ',')
+		line = strconv.AppendInt(line, int64(e.Size), 10)
+		line = append(line, ',')
+		line = append(line, e.Note...)
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
-	return nil
+	return bw.Flush()
+}
+
+// Compare orders events as WriteCSV prints them: by time, then by the
+// rest of the record (kind, flow, seq, size, note).
+func Compare(a, b Event) int {
+	switch {
+	case a.At != b.At:
+		return cmp.Compare(a.At, b.At)
+	case a.Kind != b.Kind:
+		return cmp.Compare(a.Kind, b.Kind)
+	case a.Flow != b.Flow:
+		return cmp.Compare(a.Flow, b.Flow)
+	case a.Seq != b.Seq:
+		return cmp.Compare(a.Seq, b.Seq)
+	case a.Size != b.Size:
+		return cmp.Compare(a.Size, b.Size)
+	}
+	return strings.Compare(a.Note, b.Note)
+}
+
+// appendMicros appends t in microseconds with three decimals: the bytes
+// fmt's %.3f prints for t.Microseconds() (FuzzAppendMicros). On
+// 0 ≤ t < 2^51 ns (26 days) the float64 quotient lies within a quarter
+// of a unit of the third decimal of the exact one, so the integer
+// digits ns/1000 "." ns%1000 are those bytes; outside that range it
+// formats the float.
+func appendMicros(b []byte, t sim.Time) []byte {
+	if t < 0 || t >= 1<<51 {
+		return strconv.AppendFloat(b, t.Microseconds(), 'f', 3, 64)
+	}
+	b = strconv.AppendInt(b, int64(t/sim.Microsecond), 10)
+	frac := int64(t % sim.Microsecond)
+	return append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
 }
 
 // FlowSummary condenses one flow's records.
@@ -197,7 +231,7 @@ func (r *Recorder) Summaries() []FlowSummary {
 			s.Dropped++
 		}
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	slices.Sort(order)
 	out := make([]FlowSummary, 0, len(order))
 	for _, id := range order {
 		out = append(out, *byFlow[id])

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -65,4 +66,18 @@ func TestAttachChainsHooks(t *testing.T) {
 	if len(rec.Events) == 0 {
 		t.Error("recorder saw nothing")
 	}
+}
+
+// FuzzAppendMicros holds WriteCSV's integer t_us digits equal to %.3f
+// of Microseconds(), the form the trace format was defined by.
+func FuzzAppendMicros(f *testing.F) {
+	for _, t := range []int64{0, 1, 999, 1000, 1_234_567, 1<<51 - 1, 1 << 51, -1, 1<<63 - 1} {
+		f.Add(t)
+	}
+	f.Fuzz(func(t *testing.T, ns int64) {
+		at := sim.Time(ns)
+		if got, want := string(appendMicros(nil, at)), fmt.Sprintf("%.3f", at.Microseconds()); got != want {
+			t.Fatalf("appendMicros(%d) = %q, %%.3f prints %q", ns, got, want)
+		}
+	})
 }
